@@ -1,0 +1,87 @@
+"""Pinned sha256 digests of every pipeline artifact.
+
+A refactor proves it keeps behaviour by leaving these literals unchanged. A
+deliberate change of random streams or semantics updates them in the same
+change and says why. The wide variant (5 agents, 5 rounds, one compromised
+seat) covers the distractor flare, the adversary and the 5-voter
+leave-one-out paths that the 3-agent tiny config never reaches.
+"""
+
+import hashlib
+import os
+
+from madlab.config import ExperimentConfig, config_hash
+from madlab.harness import run_analysis, run_baseline, run_udpo
+from test_harness import tiny_config
+
+BASELINE = {
+    "profiles.csv": "ae97a676fd88a0d30d4f5387308748612c2703e521a65c07db749856b8ff8eae",
+    "rewards.csv": "9061ad8e2ba74810bcc8b3b438f3a585dd07ccc4fd7d34b0ece1f8b09ed94ca6",
+    "summary.csv": "4a062ac6df3e4580c3a734da7b174af17d87223febbe6d73b016d437c52d751c",
+    "trajectories.jsonl": "b727a9712be18330fd0f605d2ab03d82dabae8e83d20e4717e1063a6c14b553c",
+}
+
+UDPO = {
+    "coefficients.csv": "21ae7dfea05907204ee44076d3d6506bf9ebb8439c0df260af7a857543c9cf4e",
+    "policy_agent_0.txt": "5e1237b408a66c4306e918e48940a0b82f044748f34fa0ec83da30302588e556",
+    "policy_agent_1.txt": "720129304620ee9866aa3899c377b3c48383aa6bb8ab442b0e141b08cdc7a35d",
+    "policy_agent_2.txt": "0bbf97c258070a75a6dd5973b88d83a2921a99b73a8f31f92ef8ee33005a31b4",
+    "profiles.csv": "0cdd97139650d1ce495a029cc46dea09fb09703b3567a0c6edf0d7a320f69f9d",
+    "replay_buffer.jsonl": "8e7fddc7eae9dbabf5449ac0643b44b8cf5f906c20ba1d677ba447ce4cda4d54",
+    "rewards.csv": "76016e9b3d782f309e110ebb60e472aa19992196c6856ce85a0426c7088d422a",
+    "summary.csv": "0f99bdfb43c0cd55ad1bc0bd32951aba124d8eb981dd38592a94d44646e04b2c",
+    "training_metrics.csv": "b2f9ddc47ac8d1f75946eedb473e799c16ee4f0a1838344b266d1cb027c0ea15",
+    "trajectories.jsonl": "67af1b8cf9164220e377589f534d3cfa9c301302606e9c311f0392e1a990f887",
+}
+
+WIDE_BASELINE = {
+    "profiles.csv": "657785704af328b8450ef6b1b764c84204dbd345ec400be4fe594ce957d5ad65",
+    "rewards.csv": "c7509a0fa0f9404098dffe4ab3b086fea258f0022466150cd19ff68657b4710e",
+    "summary.csv": "05644bfcf788f8c040162f6932a4136e21fd1f928d58e487c565933a0b420ffe",
+    "trajectories.jsonl": "78fae530a3d0086275b821247c41575da3d028aaa8ec66027d0945b228282f66",
+}
+
+WIDE_ANALYSIS = {
+    "correlation.csv": "b7e1db6a28ef38efa00c032b496fa4be34c299aa63eda0404ebf930afebac6b2",
+    "selective.csv": "5430715f06c1c940592529dccbfa4358a1130057fc5ddd139763947c82157e8c",
+    "separation.csv": "4e34f25c973e4317ca1d7b5333e39d2f907e31f052f02ceadf027a2f99c5cf73",
+    "strata.csv": "dd440715d3fdcfc2051231a29fb964f09cd038e738e2d2e94592b403fe3e75d0",
+}
+
+DEFAULT_CONFIG_HASH = "170f4cd84af4e83e"
+
+
+def wide_config():
+    return tiny_config(num_agents=5, rounds=5, compromised_count=1)
+
+
+def digests(out_dir):
+    """sha256 of every file in a run directory, keyed by file name."""
+    out = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as fp:
+            out[name] = hashlib.sha256(fp.read()).hexdigest()
+    return out
+
+
+def test_baseline_artifacts_are_pinned(tmp_path):
+    run_baseline(tiny_config(), str(tmp_path))
+    assert digests(tmp_path) == BASELINE
+
+
+def test_udpo_artifacts_are_pinned(tmp_path):
+    run_udpo(tiny_config(), str(tmp_path))
+    assert digests(tmp_path) == UDPO
+
+
+def test_wide_baseline_and_analysis_artifacts_are_pinned(tmp_path):
+    base = tmp_path / "base"
+    run_baseline(wide_config(), str(base))
+    assert digests(base) == WIDE_BASELINE
+    analysis = tmp_path / "analysis"
+    run_analysis([str(base / "trajectories.jsonl")], tiny_config(), str(analysis))
+    assert digests(analysis) == WIDE_ANALYSIS
+
+
+def test_default_config_hash_is_pinned():
+    assert config_hash(ExperimentConfig()) == DEFAULT_CONFIG_HASH
