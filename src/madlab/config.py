@@ -1,23 +1,30 @@
 """Experiment configuration files: strict, block-structured, hashable.
 
 One text file holds every knob, grouped into [environment], [metric],
-[udpo], [replay], [analysis], and [output] sections whose keys map 1:1 onto
-the runtime dataclasses. Unknown sections or keys are rejected with their
-path so typos in sweep automation fail fast. A canonical serialization
-backs a short stable hash that artifact headers embed.
+[udpo], [replay], [analysis], and [output] sections. The key tables, the
+parser's routing and the canonical text are all derived from the fields of
+the runtime dataclasses, and each value is parsed by the type of its default,
+so every knob is declared once, in its dataclass. Only the section layout and
+the one renamed key ([output] directory for output_dir) are written out
+here. Unknown sections or keys are rejected with their path so typos in sweep
+automation fail fast. A canonical serialization backs a short stable hash
+that artifact headers embed.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 from madlab.calibration import CalibrationConfig
 from madlab.metrics import MetricConfig
 from madlab.optim import ClipConfig
 from madlab.policy import EnvConfig
 from madlab.replay import ReplayConfig
+from madlab.stats import check_strata_boundaries
 
 
 class ConfigError(Exception):
@@ -53,6 +60,10 @@ class ExperimentConfig:
         for k in self.k_grid:
             if not 0.0 < k <= 100.0:
                 raise ValueError(f"k_grid entries must be in (0, 100], got {k}")
+        try:
+            check_strata_boundaries(self.strata_bins)
+        except ValueError as exc:
+            raise ValueError(f"strata_bins: {exc}")
 
 
 def _parse_bool(value: str) -> bool:
@@ -71,67 +82,48 @@ def _parse_float_list(value: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-_ENV_KEYS = {
-    "num_agents": int,
-    "rounds": int,
-    "answer_space_size": int,
-    "difficulty_bins": int,
-    "compromised_count": int,
-    "adversarial_target_policy": str,
-    "seed": int,
-    "skills": _parse_float_list,
-    "difficulty": str,
-    "train_questions": int,
-    "eval_questions": int,
-}
-_METRIC_KEYS = {"lambda_mix": float}
-_UDPO_KEYS = {
-    "epsilon": float,
-    "learn_rate": float,
-    "batch_size": int,
-    "iterations": int,
-    "ref_refresh_period": int,
-    "kappa": float,
-    "alpha_base": float,
-    "beta_base": float,
-    "gamma_base": float,
-    "lambda_base": float,
-    "eta_base": float,
-    "warmup_fraction": float,
-}
-_REPLAY_KEYS = {
-    "enabled": _parse_bool,
-    "capacity": int,
-    "priority_exponent": float,
-    "fraction": float,
-    "refresh_period": int,
-}
-_ANALYSIS_KEYS = {"k_grid": _parse_float_list, "strata_bins": _parse_float_list}
-_OUTPUT_KEYS = {"directory": str}
-
-_SECTIONS = {
-    "environment": _ENV_KEYS,
-    "metric": _METRIC_KEYS,
-    "udpo": _UDPO_KEYS,
-    "replay": _REPLAY_KEYS,
-    "analysis": _ANALYSIS_KEYS,
-    "output": _OUTPUT_KEYS,
+_PARSERS: dict[type, Callable[[str], object]] = {
+    bool: _parse_bool,
+    int: int,
+    float: float,
+    str: str,
+    tuple: _parse_float_list,
 }
 
+# Section -> the ExperimentConfig fields it holds. A nested config dataclass
+# contributes one key per field of its own; a plain field is one key.
+_LAYOUT = {
+    "environment": ("env", "train_questions", "eval_questions"),
+    "metric": ("metric",),
+    "udpo": ("clip", "calibration"),
+    "replay": ("replay",),
+    "analysis": ("k_grid", "strata_bins"),
+    "output": ("output_dir",),
+}
+_KEY_NAMES = {"output_dir": "directory"}
+_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
-def _convert_section(section: str, raw: dict[str, str]) -> dict[str, object]:
-    table = _SECTIONS[section]
-    out: dict[str, object] = {}
-    for key, value in raw.items():
-        if key not in table:
-            raise ConfigError(
-                f"[{section}] unknown key {key!r}; known keys: {sorted(table)}"
-            )
-        try:
-            out[key] = table[key](value)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}")
-    return out
+# A knob is (owner, name, parser): owner is the ExperimentConfig field of the
+# nested config holding attribute name, or None when name is a plain field.
+_Knob = tuple[str | None, str, Callable[[str], object]]
+
+
+def _knob_tables() -> dict[str, dict[str, _Knob]]:
+    tables: dict[str, dict[str, _Knob]] = {}
+    for section, members in _LAYOUT.items():
+        table = tables[section] = {}
+        for member in members:
+            factory = _FIELDS[member].default_factory
+            if dataclasses.is_dataclass(factory):
+                for f in dataclasses.fields(factory):
+                    table[f.name] = (member, f.name, _PARSERS[type(f.default)])
+            else:
+                default = _FIELDS[member].default
+                table[_KEY_NAMES.get(member, member)] = (None, member, _PARSERS[type(default)])
+    return tables
+
+
+_SECTIONS = _knob_tables()
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -143,43 +135,35 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"malformed config: {exc}")
     if parser.defaults():
         raise ConfigError("unknown section [DEFAULT]")
-    values: dict[str, dict[str, object]] = {}
+    plain: dict[str, object] = {}
+    nested: dict[str, dict[str, object]] = {}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(
                 f"unknown section [{section}]; known sections: {sorted(_SECTIONS)}"
             )
-        values[section] = _convert_section(section, dict(parser.items(section)))
-
-    env_raw = values.get("environment", {})
-    train_questions = env_raw.pop("train_questions", 500)
-    eval_questions = env_raw.pop("eval_questions", 200)
-    udpo_raw = values.get("udpo", {})
-    clip_raw = {k: v for k, v in udpo_raw.items() if k in
-                ("epsilon", "learn_rate", "batch_size", "iterations", "ref_refresh_period")}
-    calib_raw = {k: v for k, v in udpo_raw.items() if k not in clip_raw}
-    analysis_raw = values.get("analysis", {})
-    output_raw = values.get("output", {})
-
-    def build(section, factory, kwargs):
-        try:
-            return factory(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"[{section}] {exc}")
-
+        table = _SECTIONS[section]
+        for key, value in parser.items(section):
+            if key not in table:
+                raise ConfigError(
+                    f"[{section}] unknown key {key!r}; known keys: {sorted(table)}"
+                )
+            owner, name, parse = table[key]
+            try:
+                parsed = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}")
+            (plain if owner is None else nested.setdefault(owner, {}))[name] = parsed
+    built: dict[str, object] = {}
+    for section, members in _LAYOUT.items():
+        for member in members:
+            if member in nested:
+                try:
+                    built[member] = _FIELDS[member].default_factory(**nested[member])
+                except ValueError as exc:
+                    raise ConfigError(f"[{section}] {exc}")
     try:
-        return ExperimentConfig(
-            env=build("environment", EnvConfig, env_raw),
-            metric=build("metric", MetricConfig, values.get("metric", {})),
-            clip=build("udpo", ClipConfig, clip_raw),
-            calibration=build("udpo", CalibrationConfig, calib_raw),
-            replay=build("replay", ReplayConfig, values.get("replay", {})),
-            train_questions=train_questions,
-            eval_questions=eval_questions,
-            k_grid=analysis_raw.get("k_grid", DEFAULT_K_GRID),
-            strata_bins=analysis_raw.get("strata_bins", DEFAULT_STRATA_BINS),
-            output_dir=output_raw.get("directory", "out"),
-        )
+        return ExperimentConfig(**built, **plain)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -210,53 +194,13 @@ def _fmt(value: object) -> str:
 
 def canonical_text(config: ExperimentConfig) -> str:
     """Deterministic full rendering of every knob; input to the config hash."""
-    env, clip, cal, rep = config.env, config.clip, config.calibration, config.replay
-    lines = [
-        "[environment]",
-        f"num_agents = {env.num_agents}",
-        f"rounds = {env.rounds}",
-        f"answer_space_size = {env.answer_space_size}",
-        f"difficulty_bins = {env.difficulty_bins}",
-        f"compromised_count = {env.compromised_count}",
-        f"adversarial_target_policy = {env.adversarial_target_policy}",
-        f"seed = {env.seed}",
-        f"skills = {_fmt(env.skills)}",
-        f"difficulty = {env.difficulty}",
-        f"train_questions = {config.train_questions}",
-        f"eval_questions = {config.eval_questions}",
-        "",
-        "[metric]",
-        f"lambda_mix = {_fmt(config.metric.lambda_mix)}",
-        "",
-        "[udpo]",
-        f"epsilon = {_fmt(clip.epsilon)}",
-        f"learn_rate = {_fmt(clip.learn_rate)}",
-        f"batch_size = {clip.batch_size}",
-        f"iterations = {clip.iterations}",
-        f"ref_refresh_period = {clip.ref_refresh_period}",
-        f"kappa = {_fmt(cal.kappa)}",
-        f"alpha_base = {_fmt(cal.alpha_base)}",
-        f"beta_base = {_fmt(cal.beta_base)}",
-        f"gamma_base = {_fmt(cal.gamma_base)}",
-        f"lambda_base = {_fmt(cal.lambda_base)}",
-        f"eta_base = {_fmt(cal.eta_base)}",
-        f"warmup_fraction = {_fmt(cal.warmup_fraction)}",
-        "",
-        "[replay]",
-        f"enabled = {_fmt(rep.enabled)}",
-        f"capacity = {rep.capacity}",
-        f"priority_exponent = {_fmt(rep.priority_exponent)}",
-        f"fraction = {_fmt(rep.fraction)}",
-        f"refresh_period = {rep.refresh_period}",
-        "",
-        "[analysis]",
-        f"k_grid = {_fmt(config.k_grid)}",
-        f"strata_bins = {_fmt(config.strata_bins)}",
-        "",
-        "[output]",
-        f"directory = {config.output_dir}",
-        "",
-    ]
+    lines = []
+    for section, table in _SECTIONS.items():
+        lines.append(f"[{section}]")
+        for key, (owner, name, _) in table.items():
+            holder = config if owner is None else getattr(config, owner)
+            lines.append(f"{key} = {_fmt(getattr(holder, name))}")
+        lines.append("")
     return "\n".join(lines)
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 Label = str
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -55,24 +56,6 @@ class DebateTrajectory:
         """Answers of one agent across all rounds, in round order."""
         return tuple(row[agent] for row in self.rounds)
 
-    def drop_agent(self, agent: int) -> "DebateTrajectory":
-        """Counterfactual transcript with one agent's column removed."""
-        if not 0 <= agent < self.num_agents:
-            raise ValueError(f"agent index {agent} out of range")
-        return DebateTrajectory(
-            question_id=self.question_id,
-            answer_space=self.answer_space,
-            rounds=tuple(
-                tuple(a for i, a in enumerate(row) if i != agent) for row in self.rounds
-            ),
-            ground_truth=self.ground_truth,
-        )
-
-
-def label_rank(answer_space: Sequence[Label]) -> dict[Label, int]:
-    """Map each label to its position in the declared answer-space order."""
-    return {label: i for i, label in enumerate(answer_space)}
-
 
 def majority_vote(
     answers: Sequence[Label], order: Sequence[Label] | None = None
@@ -88,7 +71,7 @@ def majority_vote(
     top = max(counts.values())
     leaders = [label for label, c in counts.items() if c == top]
     if order is not None:
-        rank = label_rank(order)
+        rank = {label: i for i, label in enumerate(order)}
         try:
             leaders.sort(key=lambda lab: rank[lab])
         except KeyError as exc:
@@ -101,16 +84,6 @@ def majority_vote(
 def ensemble_answer(traj: DebateTrajectory) -> Label:
     """The ensemble's final answer: majority vote over the last round."""
     return majority_vote(traj.final_round, traj.answer_space).winner
-
-
-def final_answer_distribution(traj: DebateTrajectory) -> dict[Label, float]:
-    """Empirical distribution of final-round answers over the answer space.
-
-    Keys follow the answer-space order; labels nobody chose get 0.
-    """
-    counts = Counter(traj.final_round)
-    n = len(traj.final_round)
-    return {label: counts.get(label, 0) / n for label in traj.answer_space}
 
 
 def leave_one_out_votes(traj: DebateTrajectory) -> list[VoteOutcome]:
@@ -204,6 +177,17 @@ def trajectory_from_record(record: Mapping[str, object]) -> DebateTrajectory:
     return traj
 
 
+def with_fp(path_or_fp: str | IO[str], mode: str, use: Callable[[IO[str]], T]) -> T:
+    """Call use on an open text stream: the one given, or the path opened in mode.
+
+    A path is opened as UTF-8 and closed when use returns; a stream is left open.
+    """
+    if isinstance(path_or_fp, str):
+        with open(path_or_fp, mode, encoding="utf-8") as fp:
+            return use(fp)
+    return use(path_or_fp)
+
+
 def write_trajectories(
     path_or_fp: str | IO[str],
     trajectories: Iterable[DebateTrajectory],
@@ -223,11 +207,7 @@ def write_trajectories(
             for traj, extra in zip(trajectories, extras):
                 fp.write(json.dumps(trajectory_to_record(traj, extra)) + "\n")
 
-    if isinstance(path_or_fp, str):
-        with open(path_or_fp, "w", encoding="utf-8") as fp:
-            _write(fp)
-    else:
-        _write(path_or_fp)
+    with_fp(path_or_fp, "w", _write)
 
 
 def read_trajectories(path_or_fp: str | IO[str]) -> list[DebateTrajectory]:
@@ -263,7 +243,4 @@ def read_trajectory_records(
             out.append((traj, record))
         return out
 
-    if isinstance(path_or_fp, str):
-        with open(path_or_fp, "r", encoding="utf-8") as fp:
-            return _read(fp)
-    return _read(path_or_fp)
+    return with_fp(path_or_fp, "r", _read)

@@ -25,6 +25,7 @@ from madlab.debate import (
     DebateTrajectory,
     ensemble_answer,
     read_trajectories,
+    with_fp,
     write_trajectories,
 )
 from madlab.metrics import (
@@ -38,6 +39,7 @@ from madlab.policy import DebateEnv, PolicyTable, SyntheticQuestion, derive_key,
 from madlab.rewards import CoefficientSet, total_reward
 from madlab.stats import (
     OutcomeRecord,
+    SeparationReport,
     correlation_matrix,
     selective_prediction_curve,
     separation_report,
@@ -46,7 +48,6 @@ from madlab.stats import (
     write_selective_csv,
     write_separation_csv,
     write_strata_csv,
-    SEPARATION_CSV_HEADER,
 )
 
 SUMMARY_CSV_HEADER = "label,questions,accuracy,mean_U_intra,mean_U_inter,mean_U_sys"
@@ -147,11 +148,7 @@ def write_summary_csv(path_or_fp: str | IO[str], rows: Sequence[SummaryRow]) -> 
                 f"{r.mean_u_inter:.6f},{r.mean_u_sys:.6f}\n"
             )
 
-    if isinstance(path_or_fp, str):
-        with open(path_or_fp, "w", encoding="utf-8") as fp:
-            _write(fp)
-    else:
-        _write(path_or_fp)
+    with_fp(path_or_fp, "w", _write)
 
 
 def rewards_csv_header(num_agents: int) -> str:
@@ -166,19 +163,15 @@ def write_rewards_csv(
 ) -> None:
     def _write(fp: IO[str]) -> None:
         fp.write(rewards_csv_header(coeffs.num_agents) + "\n")
-        for traj in result.trajectories:
-            vec = total_reward(traj, coeffs)
+        for traj, profile in zip(result.trajectories, result.profiles):
+            vec = total_reward(traj, profile, coeffs)
             totals = ",".join(f"{t:.6f}" for t in vec.total)
             fp.write(
                 f"{traj.question_id},{vec.r_intra:.6f},{vec.r_inter:.6f},"
                 f"{vec.r_sys:.6f},{vec.r_task:.6f},{totals}\n"
             )
 
-    if isinstance(path_or_fp, str):
-        with open(path_or_fp, "w", encoding="utf-8") as fp:
-            _write(fp)
-    else:
-        _write(path_or_fp)
+    with_fp(path_or_fp, "w", _write)
 
 
 def write_coefficients_csv(path_or_fp: str | IO[str], coeffs: CoefficientSet) -> None:
@@ -190,11 +183,7 @@ def write_coefficients_csv(path_or_fp: str | IO[str], coeffs: CoefficientSet) ->
                 f"{coeffs.lambda_task[i]:.6f},{coeffs.eta_anchor[i]:.6f}\n"
             )
 
-    if isinstance(path_or_fp, str):
-        with open(path_or_fp, "w", encoding="utf-8") as fp:
-            _write(fp)
-    else:
-        _write(path_or_fp)
+    with_fp(path_or_fp, "w", _write)
 
 
 def _write_eval_artifacts(out_dir: str, result: EvalResult, coeffs: CoefficientSet) -> None:
@@ -424,8 +413,7 @@ def run_analysis(
         write_separation_csv(os.path.join(out_dir, "separation.csv"), report)
     except ValueError as exc:
         warnings.append(f"separation report skipped: {exc}")
-        with open(os.path.join(out_dir, "separation.csv"), "w", encoding="utf-8") as fp:
-            fp.write(SEPARATION_CSV_HEADER + "\n")
+        write_separation_csv(os.path.join(out_dir, "separation.csv"), SeparationReport(rows=()))
 
     try:
         labels, matrix = correlation_matrix(records)

@@ -10,6 +10,10 @@ pairs at round t) averaged over all T+1 rounds into U_inter.
 System: normalized final-round entropy (base = number of distinct final
 answers, 0 when unanimous), a binary disagreement indicator, and leave-one-out
 vote instability, averaged into U_sys. Every metric lives in [0, 1].
+
+full_profile is the single source of these readings: rewards, replay
+priorities, training history and every artifact read a trajectory's profile
+instead of scoring its answer grid again.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from madlab.debate import DebateTrajectory, ensemble_answer, majority_vote
+from madlab.debate import DebateTrajectory, ensemble_answer, leave_one_out_votes, with_fp
 
 
 @dataclass(frozen=True)
@@ -63,11 +67,6 @@ def belief_revision(traj: DebateTrajectory) -> float:
     return sum(a != b for a, b in zip(first, last)) / traj.num_agents
 
 
-def intra_uncertainty(traj: DebateTrajectory, config: MetricConfig) -> float:
-    lam = config.lambda_mix
-    return lam * flip_rate(traj) + (1.0 - lam) * belief_revision(traj)
-
-
 def round_conflict(traj: DebateTrajectory, t: int) -> float:
     """Disagreeing fraction of the N(N-1)/2 unordered agent pairs at round t."""
     if not 0 <= t < len(traj.rounds):
@@ -78,12 +77,6 @@ def round_conflict(traj: DebateTrajectory, t: int) -> float:
     agree = sum(c * (c - 1) // 2 for c in Counter(row).values())
     total = n * (n - 1) // 2
     return (total - agree) / total
-
-
-def inter_uncertainty(traj: DebateTrajectory) -> float:
-    """Mean round conflict over all T+1 rounds."""
-    conflicts = [round_conflict(traj, t) for t in range(len(traj.rounds))]
-    return sum(conflicts) / len(conflicts)
 
 
 def normalized_entropy(traj: DebateTrajectory) -> float:
@@ -105,36 +98,21 @@ def disagreement_indicator(traj: DebateTrajectory) -> float:
     return 0.0 if len(set(traj.final_round)) == 1 else 1.0
 
 
-def loo_instability(traj: DebateTrajectory) -> float:
-    """Fraction of agents whose removal changes the final majority answer."""
-    full_winner = ensemble_answer(traj)
-    final = traj.final_round
-    if len(final) < 2:
-        raise ValueError("loo_instability: need at least 2 agents")
-    changed = 0
-    for i in range(len(final)):
-        rest = final[:i] + final[i + 1 :]
-        if majority_vote(rest, traj.answer_space).winner != full_winner:
-            changed += 1
-    return changed / len(final)
-
-
-def system_uncertainty(traj: DebateTrajectory) -> float:
-    """(normalized entropy + disagreement indicator + LOO instability) / 3."""
-    return (
-        normalized_entropy(traj) + disagreement_indicator(traj) + loo_instability(traj)
-    ) / 3.0
-
-
 def full_profile(traj: DebateTrajectory, config: MetricConfig) -> UncertaintyProfile:
-    """Compute every metric once, reusing the shared pieces."""
+    """Compute every metric once, reusing the shared pieces.
+
+    The leave-one-out reading is the fraction of agents whose removal changes
+    the final majority answer.
+    """
     f = flip_rate(traj)
     m = belief_revision(traj)
     lam = config.lambda_mix
     conflicts = tuple(round_conflict(traj, t) for t in range(len(traj.rounds)))
     h = normalized_entropy(traj)
     d = disagreement_indicator(traj)
-    loo = loo_instability(traj)
+    full_winner = ensemble_answer(traj)
+    loo_votes = leave_one_out_votes(traj)
+    loo = sum(v.winner != full_winner for v in loo_votes) / len(loo_votes)
     return UncertaintyProfile(
         flip_rate=f,
         belief_revision=m,
@@ -177,8 +155,4 @@ def write_profiles_csv(
         for question_id, profile in rows:
             fp.write(profile_csv_row(question_id, profile) + "\n")
 
-    if isinstance(path_or_fp, str):
-        with open(path_or_fp, "w", encoding="utf-8") as fp:
-            _write(fp)
-    else:
-        _write(path_or_fp)
+    with_fp(path_or_fp, "w", _write)

@@ -26,7 +26,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from madlab.debate import DebateTrajectory, ensemble_answer
+from madlab.debate import DebateTrajectory, with_fp
 from madlab.metrics import MetricConfig, full_profile
 from madlab.policy import (
     DebateContext,
@@ -214,20 +214,19 @@ def gradient_step(
     state: TrainState,
     batch: RolloutBatch,
     clip: ClipConfig,
+    totals: np.ndarray,
 ) -> TrainState:
     """One exact ascent step on every honest agent's objective.
 
-    Rewards and advantages are recomputed from the batch under the state's
-    coefficients. Refuses batches rolled out under a stale reference.
+    totals holds each batch trajectory's per-agent total reward (batch x
+    agents); advantages are centered on their batch means. Refuses batches
+    rolled out under a stale reference.
     """
     if batch.ref_version != state.ref_version:
         raise ValueError(
             f"stale rollouts: batch reference version {batch.ref_version}, "
             f"state expects {state.ref_version}"
         )
-    totals = np.array(
-        [total_reward(traj, state.coeffs).total for traj in batch.trajectories]
-    )
     adv = compute_advantages(totals)
     m_total = len(batch.trajectories)
     for i in env.honest_indices:
@@ -313,6 +312,10 @@ def train(
     )
     buffer = ReplayBuffer(replay_config) if replay_config and replay_config.enabled else None
     qmap = {q.question_id: q for q in train_questions}
+
+    def rescore(traj: DebateTrajectory) -> float:
+        return replay_score(total_reward(traj, full_profile(traj, metric_config), coeffs))
+
     for k in range(1, clip.iterations + 1):
         n_replay = 0
         if buffer is not None and len(buffer) > 0:
@@ -337,18 +340,16 @@ def train(
             derive_key(seed, "rollout", k),
             weights,
         )
-        gradient_step(env, state, batch, clip)
-        state.iteration = k
-        totals = np.array(
-            [total_reward(t, coeffs).total for t in batch.trajectories]
-        )
-        honest = env.honest_indices
         profiles = [full_profile(t, metric_config) for t in batch.trajectories]
-        accuracy = float(np.mean([_is_correct(t) for t in batch.trajectories]))
+        rewards = [total_reward(t, p, coeffs) for t, p in zip(batch.trajectories, profiles)]
+        totals = np.array([r.total for r in rewards])
+        gradient_step(env, state, batch, clip, totals)
+        state.iteration = k
+        honest = env.honest_indices
         state.history.append(
             IterationStats(
                 iteration=k,
-                accuracy=accuracy,
+                accuracy=float(np.mean([r.r_task for r in rewards])),
                 mean_u_intra=float(np.mean([p.u_intra for p in profiles])),
                 mean_u_inter=float(np.mean([p.u_inter for p in profiles])),
                 mean_u_sys=float(np.mean([p.u_sys for p in profiles])),
@@ -356,12 +357,9 @@ def train(
             )
         )
         if buffer is not None:
-            for traj in batch.trajectories:
+            for traj, r in zip(batch.trajectories, rewards):
                 buffer.push(
-                    traj,
-                    replay_score(traj, replay_config),
-                    iteration=k,
-                    policy_version=state.ref_version,
+                    traj, replay_score(r), iteration=k, policy_version=state.ref_version
                 )
             if replay_config.refresh_period and k % replay_config.refresh_period == 0:
                 buffer.refresh(
@@ -370,15 +368,12 @@ def train(
                     qmap,
                     rollout_seed=derive_key(seed, "buffer-refresh", k),
                     policy_version=state.ref_version,
+                    score=rescore,
                 )
         if k % clip.ref_refresh_period == 0:
             state.reference = [p.copy() if p is not None else None for p in state.policies]
             state.ref_version += 1
     return state, buffer
-
-
-def _is_correct(traj: DebateTrajectory) -> bool:
-    return traj.ground_truth is not None and ensemble_answer(traj) == traj.ground_truth
 
 
 TRAINING_CSV_HEADER = "iter,accuracy,mean_U_intra,mean_U_inter,mean_U_sys,mean_total_reward"
@@ -395,8 +390,4 @@ def write_training_csv(path_or_fp: str | IO[str], history: Sequence[IterationSta
                 f"{row.mean_u_inter:.6f},{row.mean_u_sys:.6f},{row.mean_total_reward:.6f}\n"
             )
 
-    if isinstance(path_or_fp, str):
-        with open(path_or_fp, "w", encoding="utf-8") as fp:
-            _write(fp)
-    else:
-        _write(path_or_fp)
+    with_fp(path_or_fp, "w", _write)

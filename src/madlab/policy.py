@@ -30,7 +30,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from madlab.debate import DebateTrajectory
+from madlab.debate import DebateTrajectory, with_fp
 
 LOGIT_CLAMP = 30.0
 
@@ -246,16 +246,6 @@ class PolicyTable:
         clone = PolicyTable(self.labels)
         clone.table = {ctx: row.copy() for ctx, row in self.table.items()}
         return clone
-
-
-def sample_answer(
-    policy: PolicyTable,
-    ctx: DebateContext,
-    rng: np.random.Generator,
-    tilt: np.ndarray | None = None,
-) -> str:
-    """Draw one answer label from the policy at a context."""
-    return policy.sample(ctx, rng, tilt)
 
 
 def parse_difficulty_spec(spec: str) -> tuple[float, float]:
@@ -577,17 +567,18 @@ def save_policy(
             row = policy.table[ctx]
             fp.write(ctx.key() + "\t" + ",".join(repr(float(v)) for v in row) + "\n")
 
-    if isinstance(path_or_fp, str):
-        with open(path_or_fp, "w", encoding="utf-8") as fp:
-            _write(fp)
-    else:
-        _write(path_or_fp)
+    with_fp(path_or_fp, "w", _write)
 
 
 def load_policy(path_or_fp: str | IO[str]) -> tuple[PolicyTable, int, str]:
-    """Read a policy file; returns (policy, agent_index, config_hash)."""
+    """Read a policy file; returns (policy, agent_index, config_hash).
 
-    def _read(lines: list[str]) -> tuple[PolicyTable, int, str]:
+    Bad headers, malformed rows, non-finite logits and repeated contexts are
+    rejected with their line number; logits are clamped to +-LOGIT_CLAMP.
+    """
+
+    def _read(fp: IO[str]) -> tuple[PolicyTable, int, str]:
+        lines = fp.readlines()
         if not lines or lines[0].strip() != "# madlab-policy v1":
             raise ValueError("not a v1 policy file")
         labels: tuple[str, ...] | None = None
@@ -604,10 +595,13 @@ def load_policy(path_or_fp: str | IO[str]) -> tuple[PolicyTable, int, str]:
             elif line.startswith("# config-hash:"):
                 config_hash = line.split(":", 1)[1].strip()
             elif line.startswith("# agent:"):
-                agent_index = int(line.split(":", 1)[1].strip())
+                try:
+                    agent_index = int(line.split(":", 1)[1].strip())
+                except ValueError as exc:
+                    raise ValueError(f"line {n + 1}: bad agent header ({exc})")
         if labels is None:
             raise ValueError("policy file lacks a labels header")
-        policy = PolicyTable(labels)
+        table: dict[DebateContext, np.ndarray] = {}
         for n, line in enumerate(lines[body_start:], start=body_start + 1):
             line = line.rstrip("\n")
             if not line:
@@ -620,10 +614,11 @@ def load_policy(path_or_fp: str | IO[str]) -> tuple[PolicyTable, int, str]:
                 raise ValueError(f"line {n}: bad policy row ({exc})")
             if len(row) != len(labels):
                 raise ValueError(f"line {n}: expected {len(labels)} logits, got {len(row)}")
-            policy.table[ctx] = row
-        return policy, agent_index, config_hash
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"line {n}: non-finite logit in {values!r}")
+            if ctx in table:
+                raise ValueError(f"line {n}: context {key!r} repeats an earlier row")
+            table[ctx] = row
+        return PolicyTable(labels, table), agent_index, config_hash
 
-    if isinstance(path_or_fp, str):
-        with open(path_or_fp, "r", encoding="utf-8") as fp:
-            return _read(fp.readlines())
-    return _read(path_or_fp.readlines())
+    return with_fp(path_or_fp, "r", _read)

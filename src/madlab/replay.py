@@ -1,9 +1,10 @@
 """Uncertainty-prioritized experience replay with importance weights.
 
 Stored trajectories carry a non-negative priority score
-U = alpha*(1 - r_intra) + beta*(1 - r_inter) + gamma*(1 - r_sys) computed
-with the base (uncalibrated) coefficients. Sampling draws with probability
-proportional to U**eta; eta = 0, or an all-zero buffer, degrades to uniform.
+U = (1 - r_intra) + (1 - r_inter) + (1 - r_sys), the unit-weight sum of the
+complements of the trajectory's reward components. Sampling draws with
+probability proportional to U**eta; eta = 0, or an all-zero buffer, degrades
+to uniform.
 Each draw gets the importance weight (1/len) / p, renormalized so the batch
 mean is exactly 1 (so eta = 0 yields all-ones weights). Capacity eviction is
 FIFO.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import IO, Mapping, Sequence
+from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,21 +24,18 @@ from madlab.debate import (
     write_trajectories,
 )
 from madlab.policy import derive_key
-from madlab.rewards import reward_inter, reward_intra, reward_sys
+from madlab.rewards import RewardVector
 
 
 @dataclass(frozen=True)
 class ReplayConfig:
-    """Buffer shape, priority exponent, and score weights."""
+    """Buffer shape, priority exponent, and refresh cadence."""
 
     enabled: bool = True
     capacity: int = 1024
     priority_exponent: float = 1.0  # eta
     fraction: float = 0.25  # share of each training minibatch drawn from the buffer
     refresh_period: int = 50  # iterations between re-rollouts of stored questions; 0 = never
-    score_alpha: float = 1.0
-    score_beta: float = 1.0
-    score_gamma: float = 1.0
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -48,18 +46,16 @@ class ReplayConfig:
             raise ValueError("fraction must be in [0, 1]")
         if self.refresh_period < 0:
             raise ValueError("refresh_period must be non-negative")
-        for name in ("score_alpha", "score_beta", "score_gamma"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
 
 
-def replay_score(traj: DebateTrajectory, config: ReplayConfig) -> float:
-    """Priority of one trajectory from its uncertainty complements."""
-    return (
-        config.score_alpha * (1.0 - reward_intra(traj))
-        + config.score_beta * (1.0 - reward_inter(traj))
-        + config.score_gamma * (1.0 - reward_sys(traj))
-    )
+def replay_score(rewards: RewardVector) -> float:
+    """Priority of one trajectory: the unit-weight sum of its reward complements.
+
+    Summing 1 - r, not F + U_inter + U_sys, is deliberate: the two differ in
+    the last bit on some trajectories, and stored priorities follow the
+    reward components.
+    """
+    return (1.0 - rewards.r_intra) + (1.0 - rewards.r_inter) + (1.0 - rewards.r_sys)
 
 
 @dataclass
@@ -137,8 +133,12 @@ class ReplayBuffer:
         questions: Mapping[str, object],
         rollout_seed: int,
         policy_version: int,
+        score: Callable[[DebateTrajectory], float],
     ) -> None:
-        """Re-roll every stored question under the given policies, rescore, restamp."""
+        """Re-roll every stored question under the given policies, rescore, restamp.
+
+        score maps each re-rolled trajectory to its priority.
+        """
         for j, entry in enumerate(self.entries):
             qid = entry.trajectory.question_id
             question = questions.get(qid)
@@ -146,7 +146,7 @@ class ReplayBuffer:
                 raise ValueError(f"cannot refresh: unknown question_id {qid!r}")
             traj = env.rollout_debate(question, policies, derive_key(rollout_seed, j))
             entry.trajectory = traj
-            entry.score = replay_score(traj, self.config)
+            entry.score = score(traj)
             entry.policy_version = policy_version
 
     def dump(self, path_or_fp: str | IO[str]) -> None:

@@ -1,11 +1,12 @@
 """Uncertainty-shaped rewards for debate trajectories.
 
-The stance-stability reward is the exact complement of the flip rate, and the
-agreement and system rewards are exact complements of their uncertainty
-levels, plus a binary task reward against ground truth. Per-agent
-coefficients weigh the components into each agent's total reward; the anchor
-strength eta rides along in the same coefficient set because calibration
-scales it with the same machinery.
+The rewards are a map of the trajectory's uncertainty profile, its single
+source: the stance-stability reward is the exact complement of the flip rate,
+and the agreement and system rewards are exact complements of their
+uncertainty levels. A binary task reward against ground truth completes the
+components. Per-agent coefficients weigh the components into each agent's
+total reward; the anchor strength eta rides along in the same coefficient set
+because calibration scales it with the same machinery.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from madlab.debate import DebateTrajectory, ensemble_answer
-from madlab.metrics import flip_rate, inter_uncertainty, system_uncertainty
+from madlab.metrics import UncertaintyProfile
 
 
 @dataclass(frozen=True)
@@ -77,39 +78,26 @@ class RewardVector:
     total: tuple[float, ...]
 
 
-def reward_intra(traj: DebateTrajectory) -> float:
-    """Complement of the stance flip rate: 1 - F."""
-    return 1.0 - flip_rate(traj)
+def total_reward(
+    traj: DebateTrajectory, profile: UncertaintyProfile, coeffs: CoefficientSet
+) -> RewardVector:
+    """Weighted per-agent totals over the four shared components.
 
-
-def reward_inter(traj: DebateTrajectory) -> float:
-    """Complement of between-agent uncertainty: 1 - U_inter."""
-    return 1.0 - inter_uncertainty(traj)
-
-
-def reward_sys(traj: DebateTrajectory) -> float:
-    """Complement of system uncertainty: 1 - U_sys."""
-    return 1.0 - system_uncertainty(traj)
-
-
-def reward_task(traj: DebateTrajectory) -> float:
-    """1 if the ensemble's majority answer matches ground truth, else 0."""
-    if traj.ground_truth is None:
-        raise ValueError("reward_task: unsupervised trajectory (no ground truth)")
-    return 1.0 if ensemble_answer(traj) == traj.ground_truth else 0.0
-
-
-def total_reward(traj: DebateTrajectory, coeffs: CoefficientSet) -> RewardVector:
-    """Weighted per-agent totals over the four shared components."""
+    r_intra = 1 - F, r_inter = 1 - U_inter and r_sys = 1 - U_sys come from
+    the trajectory's profile; r_task is 1 when the ensemble's majority answer
+    matches ground truth, else 0.
+    """
     if coeffs.num_agents != traj.num_agents:
         raise ValueError(
             f"coefficient set covers {coeffs.num_agents} agents, "
             f"trajectory has {traj.num_agents}"
         )
-    r_i = reward_intra(traj)
-    r_e = reward_inter(traj)
-    r_s = reward_sys(traj)
-    r_t = reward_task(traj)
+    if traj.ground_truth is None:
+        raise ValueError("total_reward: unsupervised trajectory (no ground truth)")
+    r_i = 1.0 - profile.flip_rate
+    r_e = 1.0 - profile.u_inter
+    r_s = 1.0 - profile.u_sys
+    r_t = 1.0 if ensemble_answer(traj) == traj.ground_truth else 0.0
     totals = tuple(
         coeffs.alpha[i] * r_i
         + coeffs.beta[i] * r_e

@@ -16,6 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import IO, Sequence
 
+from madlab.debate import with_fp
 from madlab.metrics import UncertaintyProfile
 
 METRIC_FIELDS = {
@@ -270,6 +271,16 @@ class StrataBin:
     accuracy: float | None
 
 
+def check_strata_boundaries(boundaries: Sequence[float]) -> list[float]:
+    """The band boundaries as a list; raises unless strictly increasing in (0, 1)."""
+    bounds = list(boundaries)
+    if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
+        raise ValueError("boundaries must be strictly increasing and non-empty")
+    if bounds[0] <= 0.0 or bounds[-1] >= 1.0:
+        raise ValueError("boundaries must lie strictly inside (0, 1)")
+    return bounds
+
+
 def stratify_by_uncertainty(
     records: Sequence[OutcomeRecord],
     metric: str = "U_sys",
@@ -282,11 +293,7 @@ def stratify_by_uncertainty(
     """
     if not records:
         raise ValueError("stratification needs at least one record")
-    bounds = list(boundaries)
-    if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
-        raise ValueError("boundaries must be strictly increasing and non-empty")
-    if bounds[0] <= 0.0 or bounds[-1] >= 1.0:
-        raise ValueError("boundaries must lie strictly inside (0, 1)")
+    bounds = check_strata_boundaries(boundaries)
     edges = [0.0] + bounds + [1.0]
     counts = [0] * (len(edges) - 1)
     correct = [0] * (len(edges) - 1)
@@ -327,14 +334,6 @@ SELECTIVE_CSV_HEADER = "k_percent,accuracy,n_retained"
 STRATA_CSV_HEADER = "bin_lo,bin_hi,count,accuracy"
 
 
-def _with_fp(path_or_fp: str | IO[str], writer) -> None:
-    if isinstance(path_or_fp, str):
-        with open(path_or_fp, "w", encoding="utf-8") as fp:
-            writer(fp)
-    else:
-        writer(path_or_fp)
-
-
 def write_separation_csv(path_or_fp: str | IO[str], report: SeparationReport) -> None:
     def _write(fp: IO[str]) -> None:
         fp.write(SEPARATION_CSV_HEADER + "\n")
@@ -344,7 +343,7 @@ def write_separation_csv(path_or_fp: str | IO[str], report: SeparationReport) ->
                 f"{row.cohens_d:.6f},{row.t_statistic:.6f},{row.p_value:.6e}\n"
             )
 
-    _with_fp(path_or_fp, _write)
+    with_fp(path_or_fp, "w", _write)
 
 
 def write_correlation_csv(
@@ -357,7 +356,7 @@ def write_correlation_csv(
         for label, row in zip(labels, matrix):
             fp.write(label + "," + ",".join(f"{v:.6f}" for v in row) + "\n")
 
-    _with_fp(path_or_fp, _write)
+    with_fp(path_or_fp, "w", _write)
 
 
 def write_selective_csv(
@@ -368,7 +367,7 @@ def write_selective_csv(
         for k, accuracy, n in curve:
             fp.write(f"{k:.6f},{accuracy:.6f},{n}\n")
 
-    _with_fp(path_or_fp, _write)
+    with_fp(path_or_fp, "w", _write)
 
 
 def write_strata_csv(path_or_fp: str | IO[str], strata: Sequence[StrataBin]) -> None:
@@ -378,4 +377,4 @@ def write_strata_csv(path_or_fp: str | IO[str], strata: Sequence[StrataBin]) -> 
             acc = "nan" if b.accuracy is None else f"{b.accuracy:.6f}"
             fp.write(f"{b.lo:.6f},{b.hi:.6f},{b.count},{acc}\n")
 
-    _with_fp(path_or_fp, _write)
+    with_fp(path_or_fp, "w", _write)

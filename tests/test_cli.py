@@ -145,6 +145,16 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_bad_strata_bins_fail_before_analysis_reads_input(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text("[analysis]\nstrata_bins = 0.6,0.2\n", encoding="utf-8")
+    code = main(["analyze", str(tmp_path / "absent.jsonl"), "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "strata_bins" in err
+
+
 def test_missing_config_file_is_config_error(tmp_path, capsys):
     code = main(["baseline", "--config", str(tmp_path / "absent.ini"),
                  "--out", str(tmp_path / "o")])

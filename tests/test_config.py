@@ -1,5 +1,7 @@
 """Configuration parsing, strict validation, canonical text, and hashing."""
 
+import dataclasses
+
 import pytest
 
 from madlab.config import (
@@ -130,6 +132,8 @@ def test_partial_override_keeps_other_defaults():
         ("[udpo]\nepsilon = -1\n", "epsilon"),
         ("[udpo]\nwarmup_fraction = 1.0\n", "warmup_fraction"),
         ("[analysis]\nk_grid = 0\n", "k_grid"),
+        ("[analysis]\nstrata_bins = 0.6,0.2\n", "strata_bins"),
+        ("[analysis]\nstrata_bins = 0.5,1.0\n", "strata_bins"),
         ("[environment]\ntrain_questions = 1\n", "train_questions"),
         ("garbage without a section\n", "malformed"),
         ("[DEFAULT]\nfoo = 1\n", "DEFAULT"),
@@ -145,6 +149,18 @@ def test_canonical_text_round_trips():
     cfg = parse_config(FULL_TEXT)
     assert parse_config(canonical_text(cfg)) == cfg
     assert parse_config(canonical_text(default_config())) == default_config()
+
+
+def test_every_knob_has_exactly_one_canonical_key():
+    text = canonical_text(default_config())
+    keys = [line.split(" = ")[0] for line in text.splitlines() if " = " in line]
+    expected = []
+    for f in dataclasses.fields(ExperimentConfig):
+        if dataclasses.is_dataclass(f.default_factory):
+            expected += [g.name for g in dataclasses.fields(f.default_factory)]
+        else:
+            expected.append("directory" if f.name == "output_dir" else f.name)
+    assert sorted(keys) == sorted(expected)
 
 
 def test_hash_is_stable_and_sensitive():
@@ -173,3 +189,5 @@ def test_experiment_config_validation():
         ExperimentConfig(k_grid=())
     with pytest.raises(ValueError):
         ExperimentConfig(k_grid=(0.0, 50.0))
+    with pytest.raises(ValueError, match="strata_bins"):
+        ExperimentConfig(strata_bins=(0.6, 0.2))

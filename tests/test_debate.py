@@ -11,7 +11,6 @@ from brute_oracle import brute_majority, random_rounds
 from madlab.debate import (
     DebateTrajectory,
     ensemble_answer,
-    final_answer_distribution,
     leave_one_out_votes,
     majority_vote,
     read_trajectories,
@@ -64,13 +63,6 @@ def test_unanimous_vote_is_stable_under_any_order():
         assert majority_vote(["B", "B", "B"], order).winner == "B"
 
 
-def test_final_answer_distribution_covers_space():
-    traj = make_traj((("A", "B"), ("A", "A")))
-    dist = final_answer_distribution(traj)
-    assert dist == {"A": 1.0, "B": 0.0, "C": 0.0}
-    assert abs(sum(dist.values()) - 1.0) < 1e-15
-
-
 def test_leave_one_out_votes_drop_each_agent():
     traj = make_traj((("A", "B", "B"), ("A", "B", "B")))
     outs = leave_one_out_votes(traj)
@@ -111,13 +103,6 @@ def test_validate_rejects_bad_ground_truth_and_dup_space():
     problems = validate_trajectory(traj)
     assert any("duplicate" in p for p in problems)
     assert any("ground_truth" in p for p in problems)
-
-
-def test_drop_agent_removes_column():
-    traj = make_traj((("A", "B", "C"), ("A", "A", "C")))
-    reduced = traj.drop_agent(1)
-    assert reduced.rounds == (("A", "C"), ("A", "C"))
-    assert reduced.num_agents == 2
 
 
 def test_jsonl_round_trip_preserves_everything():

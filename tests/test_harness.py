@@ -3,6 +3,7 @@ and the exact identities that tie the pipelines together (a zero-iteration
 training run equals the baseline; an attack with zero compromised seats
 equals the clean evaluation)."""
 
+import csv
 import dataclasses
 import os
 
@@ -71,6 +72,21 @@ def test_baseline_writes_all_artifacts(tmp_path):
     assert result.rows[0].questions == 12
     for name in BASELINE_ARTIFACTS:
         assert (tmp_path / name).is_file()
+
+
+def test_reward_components_complement_the_profiles_file(tmp_path):
+    run_baseline(tiny_config(num_agents=5, rounds=5, compromised_count=1), str(tmp_path))
+
+    def rows(name):
+        with open(tmp_path / name, encoding="utf-8") as fp:
+            return {row["question_id"]: row for row in csv.DictReader(fp)}
+
+    profiles, rewards = rows("profiles.csv"), rows("rewards.csv")
+    assert list(rewards) == list(profiles)
+    pairs = (("r_intra", "F"), ("r_inter", "U_inter"), ("r_sys", "U_sys"))
+    for qid, reward in rewards.items():
+        for reward_col, metric_col in pairs:
+            assert reward[reward_col] == f"{1.0 - float(profiles[qid][metric_col]):.6f}", qid
 
 
 def test_baseline_reruns_are_byte_identical(tmp_path):

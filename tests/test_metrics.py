@@ -13,17 +13,10 @@ from madlab.metrics import (
     PROFILE_CSV_HEADER,
     MetricConfig,
     UncertaintyProfile,
-    belief_revision,
-    disagreement_indicator,
-    flip_rate,
     full_profile,
-    inter_uncertainty,
-    intra_uncertainty,
-    loo_instability,
     normalized_entropy,
     profile_csv_row,
     round_conflict,
-    system_uncertainty,
     write_profiles_csv,
 )
 
@@ -50,16 +43,17 @@ def test_every_metric_matches_brute_force():
     cfg = MetricConfig(lambda_mix=0.5)
     for traj in random_trajectories(rng, 500):
         rounds, final, order = traj.rounds, traj.final_round, traj.answer_space
-        assert abs(flip_rate(traj) - oracle.brute_flip_rate(rounds)) < 1e-12
-        assert abs(belief_revision(traj) - oracle.brute_belief_revision(rounds)) < 1e-12
-        assert abs(intra_uncertainty(traj, cfg) - oracle.brute_intra(rounds, 0.5)) < 1e-12
+        prof = full_profile(traj, cfg)
+        assert abs(prof.flip_rate - oracle.brute_flip_rate(rounds)) < 1e-12
+        assert abs(prof.belief_revision - oracle.brute_belief_revision(rounds)) < 1e-12
+        assert abs(prof.u_intra - oracle.brute_intra(rounds, 0.5)) < 1e-12
         for t in range(len(rounds)):
-            assert abs(round_conflict(traj, t) - oracle.brute_round_conflict(rounds[t])) < 1e-12
-        assert abs(inter_uncertainty(traj) - oracle.brute_inter(rounds)) < 1e-12
-        assert abs(normalized_entropy(traj) - oracle.brute_entropy(final)) < 1e-12
-        assert disagreement_indicator(traj) == oracle.brute_disagreement(final)
-        assert abs(loo_instability(traj) - oracle.brute_loo(final, order)) < 1e-12
-        assert abs(system_uncertainty(traj) - oracle.brute_usys(final, order)) < 1e-12
+            assert abs(prof.round_conflicts[t] - oracle.brute_round_conflict(rounds[t])) < 1e-12
+        assert abs(prof.u_inter - oracle.brute_inter(rounds)) < 1e-12
+        assert abs(prof.entropy_norm - oracle.brute_entropy(final)) < 1e-12
+        assert prof.disagreement == oracle.brute_disagreement(final)
+        assert abs(prof.loo_instability - oracle.brute_loo(final, order)) < 1e-12
+        assert abs(prof.u_sys - oracle.brute_usys(final, order)) < 1e-12
 
 
 def test_worked_fixture_two_agents_two_rounds():
@@ -114,7 +108,7 @@ def test_unanimous_static_debate_is_all_zero():
 def test_round_0_counts_in_inter_uncertainty():
     # disagreement only at round 0 still registers
     traj = make_traj((("A", "B"), ("A", "A")))
-    assert inter_uncertainty(traj) == 0.5
+    assert full_profile(traj, MetricConfig()).u_inter == 0.5
     assert round_conflict(traj, 0) == 1.0
     assert round_conflict(traj, 1) == 0.0
     with pytest.raises(ValueError, match="out of range"):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from madlab.debate import DebateTrajectory
-from madlab.metrics import MetricConfig
+from madlab.metrics import MetricConfig, full_profile
 from madlab.optim import (
     ClipConfig,
     IterationStats,
@@ -49,6 +49,13 @@ def small_env(num_agents=2, rounds=1, seed=17):
             difficulty="uniform:0.0,0.6",
             seed=seed,
         )
+    )
+
+
+def batch_totals(batch, coeffs):
+    """Per-agent total rewards of every batch trajectory (batch x agents)."""
+    return np.array(
+        [total_reward(t, full_profile(t, MC), coeffs).total for t in batch.trajectories]
     )
 
 
@@ -107,7 +114,7 @@ def test_objective_and_kl_vanish_at_reference():
     policies, batch = fresh_batch(env, 8)
     reference = [p.copy() if p is not None else None for p in policies]
     coeffs = CoefficientSet.uniform(3)
-    totals = np.array([total_reward(t, coeffs).total for t in batch.trajectories])
+    totals = batch_totals(batch, coeffs)
     adv = compute_advantages(totals)
     values = objective_value(env, policies, reference, batch, adv, coeffs, ClipConfig())
     for i, value in values.items():
@@ -148,7 +155,8 @@ def analytic_gradients(env, policies, reference, batch, coeffs, epsilon):
         {ctx: row.copy() for ctx, row in p.table.items()} if p is not None else None
         for p in state.policies
     ]
-    gradient_step(env, state, batch, ClipConfig(epsilon=epsilon, learn_rate=1.0, batch_size=1))
+    clip = ClipConfig(epsilon=epsilon, learn_rate=1.0, batch_size=1)
+    gradient_step(env, state, batch, clip, batch_totals(batch, coeffs))
     grads = []
     for i, p in enumerate(state.policies):
         if p is None:
@@ -189,7 +197,7 @@ def test_gradient_matches_central_differences(case):
     reference = [p.copy() if p is not None else None for p in base_policies]
     questions = env.generate_questions(5, "t")
     batch = collect_batch(env, questions, reference, 0, 31)
-    totals = np.array([total_reward(t, coeffs).total for t in batch.trajectories])
+    totals = batch_totals(batch, coeffs)
     adv = compute_advantages(totals)
     for i in env.honest_indices:
         for q, traj in zip(batch.questions, batch.trajectories):
@@ -279,7 +287,8 @@ def test_fully_clipped_batch_has_exactly_zero_gradient():
     snapshot = [
         {ctx: row.copy() for ctx, row in p.table.items()} for p in state.policies
     ]
-    gradient_step(env, state, batch, ClipConfig(epsilon=epsilon, learn_rate=1.0))
+    clip = ClipConfig(epsilon=epsilon, learn_rate=1.0)
+    gradient_step(env, state, batch, clip, batch_totals(batch, coeffs))
     for p, snap in zip(state.policies, snapshot):
         for ctx, row in snap.items():
             assert np.array_equal(p.table[ctx], row), "clipped batch moved a logit"
@@ -299,7 +308,7 @@ def test_gradient_step_rejects_stale_batch():
         iteration=0,
     )
     with pytest.raises(ValueError, match="stale"):
-        gradient_step(env, state, batch, ClipConfig())
+        gradient_step(env, state, batch, ClipConfig(), batch_totals(batch, state.coeffs))
 
 
 # ------------------------------------------------------------------ training

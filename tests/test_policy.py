@@ -25,7 +25,6 @@ from madlab.policy import (
     load_policy,
     parse_difficulty_spec,
     rng_stream,
-    sample_answer,
     save_policy,
 )
 
@@ -122,7 +121,7 @@ def test_sample_answer_follows_distribution():
     ctx = DebateContext(0, None, None, 0)
     table.update(ctx, np.array([math.log(9.0), 0.0]))  # P(A) = 0.9
     rng = rng_stream(0, "test-sampling")
-    draws = [sample_answer(table, ctx, rng) for _ in range(4000)]
+    draws = [table.sample(ctx, rng) for _ in range(4000)]
     frac_a = draws.count("A") / len(draws)
     assert abs(frac_a - 0.9) < 0.02
 
@@ -312,3 +311,31 @@ def test_load_policy_rejects_garbage():
     bad = "# madlab-policy v1\n# labels: A,B\n0|-|-|0\t1.0\n"
     with pytest.raises(ValueError, match="line 3"):
         load_policy(io.StringIO(bad))
+
+
+POLICY_HEADER = "# madlab-policy v1\n# labels: A,B\n# agent: 0\n"
+NULL_CTX = DebateContext(0, None, None, 0)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_policy_rejects_non_finite_logits(value):
+    text = POLICY_HEADER + f"0|-|-|0\t1.0,{value}\n"
+    with pytest.raises(ValueError, match="line 4: non-finite"):
+        load_policy(io.StringIO(text))
+
+
+def test_load_policy_clamps_logits_like_the_constructor():
+    loaded, _, _ = load_policy(io.StringIO(POLICY_HEADER + "0|-|-|0\t1e300,-1e300\n"))
+    assert np.array_equal(loaded.table[NULL_CTX], np.array([LOGIT_CLAMP, -LOGIT_CLAMP]))
+
+
+def test_load_policy_rejects_repeated_context():
+    text = POLICY_HEADER + "0|-|-|0\t1.0,0.0\n0|-|-|0\t2.0,0.0\n"
+    with pytest.raises(ValueError, match="line 5: context '0|-|-|0' repeats"):
+        load_policy(io.StringIO(text))
+
+
+def test_load_policy_names_a_bad_agent_header():
+    text = "# madlab-policy v1\n# labels: A,B\n# agent: seven\n0|-|-|0\t1.0,0.0\n"
+    with pytest.raises(ValueError, match="line 3: bad agent header"):
+        load_policy(io.StringIO(text))

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from madlab.debate import DebateTrajectory, trajectory_to_record
-from madlab.metrics import MetricConfig, flip_rate, full_profile
+from madlab.metrics import MetricConfig, full_profile
 from madlab.policy import DebateEnv, EnvConfig, derive_key, rng_stream
 from madlab.replay import BufferEntry, ReplayBuffer, ReplayConfig, replay_score
+from madlab.rewards import CoefficientSet, total_reward
 
 MC = MetricConfig()
 CHI2_CRIT_DF4_ALPHA01 = 13.276704135987625
@@ -26,6 +27,12 @@ FIXED_SCORES = (0.1, 0.2, 0.3, 0.2, 0.7)
 
 def make_traj(qid, rounds=(("A", "B"), ("A", "B"))):
     return DebateTrajectory(qid, ("A", "B"), rounds, "A")
+
+
+def score_of(traj):
+    """Replay priority of a trajectory through its profile and rewards."""
+    coeffs = CoefficientSet.uniform(traj.num_agents)
+    return replay_score(total_reward(traj, full_profile(traj, MC), coeffs))
 
 
 def fixed_buffer(eta):
@@ -39,17 +46,20 @@ def fixed_buffer(eta):
 # ------------------------------------------------------------------- scoring
 
 
-def test_replay_score_is_weighted_uncertainty_sum():
+def test_replay_score_is_unit_weight_uncertainty_sum():
     traj = DebateTrajectory(
         "q0",
         ("A", "B", "C"),
         (("A", "B", "C"), ("A", "B", "B"), ("B", "B", "C")),
         "B",
     )
-    config = ReplayConfig(score_alpha=0.5, score_beta=2.0, score_gamma=1.5)
     profile = full_profile(traj, MC)
-    expected = 0.5 * flip_rate(traj) + 2.0 * profile.u_inter + 1.5 * profile.u_sys
-    assert replay_score(traj, config) == pytest.approx(expected, abs=1e-15)
+    rewards = total_reward(traj, profile, CoefficientSet.uniform(3))
+    expected = profile.flip_rate + profile.u_inter + profile.u_sys
+    assert replay_score(rewards) == pytest.approx(expected, abs=1e-15)
+    assert replay_score(rewards) == (
+        (1.0 - rewards.r_intra) + (1.0 - rewards.r_inter) + (1.0 - rewards.r_sys)
+    )
 
 
 def test_negative_score_rejected():
@@ -189,21 +199,20 @@ def test_refresh_rerolls_rescores_and_restamps():
     )
     questions = {q.question_id: q for q in env.generate_questions(3, "t")}
     policies = env.initial_policies()
-    config = ReplayConfig()
-    buffer = ReplayBuffer(config)
+    buffer = ReplayBuffer(ReplayConfig())
     for j, q in enumerate(questions.values()):
         traj = env.rollout_debate(q, policies, derive_key(100, j))
-        buffer.push(traj, replay_score(traj, config), iteration=1, policy_version=0)
-    buffer.refresh(env, policies, questions, rollout_seed=777, policy_version=9)
+        buffer.push(traj, score_of(traj), iteration=1, policy_version=0)
+    buffer.refresh(env, policies, questions, rollout_seed=777, policy_version=9, score=score_of)
     for j, entry in enumerate(buffer.entries):
         q = questions[entry.trajectory.question_id]
         expected = env.rollout_debate(q, policies, derive_key(777, j))
         assert entry.trajectory == expected
-        assert entry.score == replay_score(expected, config)
+        assert entry.score == score_of(expected)
         assert entry.policy_version == 9
     # Same policies and seed: a second refresh is a fixed point.
     snapshot = [(e.trajectory, e.score) for e in buffer.entries]
-    buffer.refresh(env, policies, questions, rollout_seed=777, policy_version=9)
+    buffer.refresh(env, policies, questions, rollout_seed=777, policy_version=9, score=score_of)
     assert snapshot == [(e.trajectory, e.score) for e in buffer.entries]
 
 
@@ -213,7 +222,9 @@ def test_refresh_unknown_question_errors():
     buffer = ReplayBuffer(ReplayConfig())
     buffer.push(make_traj("mystery"), 0.3)
     with pytest.raises(ValueError, match="mystery"):
-        buffer.refresh(env, env.initial_policies(), {}, rollout_seed=1, policy_version=1)
+        buffer.refresh(
+            env, env.initial_policies(), {}, rollout_seed=1, policy_version=1, score=score_of
+        )
 
 
 # ----------------------------------------------------------------- validation
@@ -228,5 +239,3 @@ def test_config_validation():
         ReplayConfig(fraction=1.5)
     with pytest.raises(ValueError):
         ReplayConfig(refresh_period=-1)
-    with pytest.raises(ValueError):
-        ReplayConfig(score_beta=-1.0)

@@ -7,20 +7,8 @@ import pytest
 
 import brute_oracle as oracle
 from madlab.debate import DebateTrajectory
-from madlab.metrics import (
-    MetricConfig,
-    flip_rate,
-    inter_uncertainty,
-    system_uncertainty,
-)
-from madlab.rewards import (
-    CoefficientSet,
-    reward_inter,
-    reward_intra,
-    reward_sys,
-    reward_task,
-    total_reward,
-)
+from madlab.metrics import MetricConfig, full_profile
+from madlab.rewards import CoefficientSet, total_reward
 
 SPACE = ("A", "B", "C")
 CFG = MetricConfig(lambda_mix=0.5)
@@ -30,6 +18,11 @@ def make_traj(rounds, ground_truth=None, space=SPACE):
     return DebateTrajectory("q", tuple(space), rounds, ground_truth)
 
 
+def rewards_of(traj, coeffs=None):
+    coeffs = coeffs or CoefficientSet.uniform(traj.num_agents)
+    return total_reward(traj, full_profile(traj, CFG), coeffs)
+
+
 def test_complement_identities_exact_on_random_trajectories():
     rng = np.random.default_rng(2024)
     for _ in range(10_000):
@@ -37,29 +30,35 @@ def test_complement_identities_exact_on_random_trajectories():
         t = int(rng.integers(1, 4))
         k = int(rng.integers(2, 4))
         space = SPACE[:k]
-        traj = make_traj(oracle.random_rounds(rng, n, t, space), space=space)
-        assert abs(reward_intra(traj) - (1.0 - flip_rate(traj))) < 1e-12
-        assert abs(reward_inter(traj) - (1.0 - inter_uncertainty(traj))) < 1e-12
-        assert abs(reward_sys(traj) - (1.0 - system_uncertainty(traj))) < 1e-12
+        traj = make_traj(oracle.random_rounds(rng, n, t, space), "A", space)
+        prof = full_profile(traj, CFG)
+        vec = total_reward(traj, prof, CoefficientSet.uniform(n))
+        assert vec.r_intra == 1.0 - prof.flip_rate
+        assert vec.r_inter == 1.0 - prof.u_inter
+        assert vec.r_sys == 1.0 - prof.u_sys
+        final, rounds = traj.final_round, traj.rounds
+        assert abs(vec.r_intra - (1.0 - oracle.brute_flip_rate(rounds))) < 1e-12
+        assert abs(vec.r_inter - (1.0 - oracle.brute_inter(rounds))) < 1e-12
+        assert abs(vec.r_sys - (1.0 - oracle.brute_usys(final, space))) < 1e-12
 
 
 def test_task_reward_binary():
     traj = make_traj((("A", "A"), ("A", "A")), ground_truth="A")
-    assert reward_task(traj) == 1.0
+    assert rewards_of(traj).r_task == 1.0
     traj = make_traj((("A", "A"), ("A", "A")), ground_truth="B")
-    assert reward_task(traj) == 0.0
+    assert rewards_of(traj).r_task == 0.0
 
 
 def test_task_reward_uses_majority_tie_break():
     # final round ties A/B; order-minimal winner is A
     traj = make_traj((("A", "B"), ("A", "B")), ground_truth="A")
-    assert reward_task(traj) == 1.0
+    assert rewards_of(traj).r_task == 1.0
 
 
 def test_task_reward_requires_ground_truth():
     traj = make_traj((("A", "B"), ("A", "B")))
     with pytest.raises(ValueError, match="unsupervised"):
-        reward_task(traj)
+        rewards_of(traj)
 
 
 def test_total_reward_weights_components_per_agent():
@@ -68,7 +67,7 @@ def test_total_reward_weights_components_per_agent():
         alpha=(1.0, 2.0), beta=(0.5, 0.0), gamma=(0.0, 1.0),
         lambda_task=(1.0, 3.0), eta_anchor=(0.01, 0.01),
     )
-    vec = total_reward(traj, coeffs)
+    vec = rewards_of(traj, coeffs)
     assert vec.r_intra == 1.0 - 0.25
     assert vec.r_inter == 1.0 - 2 / 3
     assert vec.r_sys == 1.0 - 5 / 6
@@ -80,7 +79,7 @@ def test_total_reward_weights_components_per_agent():
 def test_total_reward_agent_count_mismatch():
     traj = make_traj((("A", "A"), ("B", "A")))
     with pytest.raises(ValueError, match="agents"):
-        total_reward(traj, CoefficientSet.uniform(3))
+        rewards_of(traj, CoefficientSet.uniform(3))
 
 
 def test_uniform_coefficients_and_zeroed():
@@ -104,6 +103,6 @@ def test_reward_range_with_unit_coefficients():
     coeffs = CoefficientSet.uniform(3)
     for _ in range(200):
         traj = make_traj(oracle.random_rounds(rng, 3, 2, SPACE), ground_truth="A")
-        vec = total_reward(traj, coeffs)
+        vec = rewards_of(traj, coeffs)
         for tot in vec.total:
             assert 0.0 <= tot <= 4.0
