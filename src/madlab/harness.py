@@ -65,6 +65,18 @@ class SummaryRow:
     mean_u_inter: float
     mean_u_sys: float
 
+    @classmethod
+    def from_records(cls, label: str, records: Sequence[OutcomeRecord]) -> "SummaryRow":
+        """Accuracy and mean uncertainty levels over per-question outcomes."""
+        return cls(
+            label=label,
+            questions=len(records),
+            accuracy=float(np.mean([r.correct for r in records])),
+            mean_u_intra=float(np.mean([r.profile.u_intra for r in records])),
+            mean_u_inter=float(np.mean([r.profile.u_inter for r in records])),
+            mean_u_sys=float(np.mean([r.profile.u_sys for r in records])),
+        )
+
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -122,20 +134,12 @@ def evaluate_ensemble(
                 profile=profile,
             )
         )
-    summary = SummaryRow(
-        label=label,
-        questions=len(questions),
-        accuracy=float(np.mean([r.correct for r in records])),
-        mean_u_intra=float(np.mean([p.u_intra for p in profiles])),
-        mean_u_inter=float(np.mean([p.u_inter for p in profiles])),
-        mean_u_sys=float(np.mean([p.u_sys for p in profiles])),
-    )
     return EvalResult(
         questions=tuple(questions),
         trajectories=tuple(trajectories),
         profiles=tuple(profiles),
         records=tuple(records),
-        summary=summary,
+        summary=SummaryRow.from_records(label, records),
     )
 
 
@@ -426,15 +430,7 @@ def run_analysis(
     strata = stratify_by_uncertainty(records, boundaries=config.strata_bins)
     write_strata_csv(os.path.join(out_dir, "strata.csv"), strata)
 
-    accuracy = float(np.mean([r.correct for r in records]))
-    row = SummaryRow(
-        label="analysis",
-        questions=len(records),
-        accuracy=accuracy,
-        mean_u_intra=float(np.mean([r.profile.u_intra for r in records])),
-        mean_u_inter=float(np.mean([r.profile.u_inter for r in records])),
-        mean_u_sys=float(np.mean([r.profile.u_sys for r in records])),
-    )
+    row = SummaryRow.from_records("analysis", records)
     return PipelineResult(rows=[row], warnings=warnings, out_dir=out_dir)
 
 

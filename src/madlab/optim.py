@@ -11,7 +11,9 @@ per-visited-context KL(current || reference) over the T+1 rounds, and w_m an
 importance weight (1 for fresh rollouts). Gradients are exact: the surrogate
 term contributes A * rho * score per visit and is exactly zero on
 trajectories in the clipped regime; the KL term contributes
-p * ((log p - log q) - KL) per visited context.
+p * ((log p - log q) - KL) per visited context. Each agent's gradient is
+accumulated into one array shaped like its (rows, K) logit table, indexed by
+context row, and applied as a single whole-table update.
 
 Rollouts always happen under the reference snapshot; the reference refreshes
 every ref_refresh_period iterations, and gradient_step refuses batches whose
@@ -29,7 +31,6 @@ import numpy as np
 from madlab.debate import DebateTrajectory, with_fp
 from madlab.metrics import MetricConfig, full_profile
 from madlab.policy import (
-    DebateContext,
     DebateEnv,
     PolicyTable,
     SyntheticQuestion,
@@ -155,10 +156,8 @@ def surrogate_is_clipped(rho: float, advantage: float, epsilon: float) -> bool:
     return False
 
 
-def _log_probs(policy: PolicyTable, ctx: DebateContext, tilt: np.ndarray | None) -> np.ndarray:
-    z = policy.logits(ctx)
-    if tilt is not None:
-        z = z + tilt
+def _log_probs(policy: PolicyTable, row: int, tilt: np.ndarray) -> np.ndarray:
+    z = policy.logits[row] + tilt
     z = z - z.max()
     return z - math.log(float(np.exp(z).sum()))
 
@@ -233,7 +232,7 @@ def gradient_step(
         cur, ref = state.policies[i], state.reference[i]
         assert cur is not None and ref is not None
         eta = state.coeffs.eta_anchor[i]
-        grads: dict[DebateContext, np.ndarray] = {}
+        grad = np.zeros_like(cur.logits)
         for m, (q, traj) in enumerate(zip(batch.questions, batch.trajectories)):
             w = batch.weights[m]
             a = float(adv.advantages[m, i])
@@ -246,19 +245,16 @@ def gradient_step(
             if a != 0.0 and not surrogate_is_clipped(rho, a, clip.epsilon):
                 coef = w * a * rho
                 for row, s in zip(lp_cur_rows, steps):
-                    g = grads.setdefault(s.ctx, np.zeros(cur.num_labels))
-                    g -= coef * np.exp(row)
-                    g[cur.index[s.answer]] += coef
+                    grad[s.ctx] -= coef * np.exp(row)
+                    grad[s.ctx, cur.index[s.answer]] += coef
             if eta != 0.0:
                 scale = w * eta / len(steps)
                 for lc, lr_row, s in zip(lp_cur_rows, lp_ref_rows, steps):
                     p = np.exp(lc)
                     diff = lc - lr_row
                     kl = float(np.dot(p, diff))
-                    g = grads.setdefault(s.ctx, np.zeros(cur.num_labels))
-                    g -= scale * p * (diff - kl)
-        for ctx, g in grads.items():
-            cur.update(ctx, clip.learn_rate * (g / m_total))
+                    grad[s.ctx] -= scale * p * (diff - kl)
+        cur.update(clip.learn_rate * (grad / m_total))
     return state
 
 
@@ -302,6 +298,8 @@ def train(
     """
     if not train_questions:
         raise ValueError("train() needs at least one question")
+    if not env.honest_indices:
+        raise ValueError("train() needs at least one honest agent; every seat is compromised")
     if initial_policies is None:
         policies: list[PolicyTable | None] = env.initial_policies()
     else:

@@ -7,6 +7,11 @@ biased toward the true answer by skill * (1 - difficulty), plus seeded noise,
 carries each question's private signal. Compromised agents ignore the debate
 and emit a fixed or per-question adversarial target every round.
 
+With K answer labels each difficulty bin owns contexts_per_bin(K) = 1 + 3K^2
+consecutive context rows: the null context first, then (own, mode, agreement)
+in row-major order. A policy is a dense (rows, K) logit array over them, and
+each question's tilts are one read-only (T+1, N, K) tensor computed once.
+
 The environment has a deliberate blind spot: debate-round tilts under-weight
 the first answer label even though ground truth favors it (the aversion fades
 on trivially easy questions), so untrained ensembles systematically herd away
@@ -93,35 +98,39 @@ def answer_labels(size: int) -> tuple[str, ...]:
     return tuple(string.ascii_uppercase[:size])
 
 
-@dataclass(frozen=True)
-class DebateContext:
-    """Observable state a policy conditions on at one round.
+def contexts_per_bin(k: int) -> int:
+    """Rows per difficulty bin: the null context and each (own, mode, agreement)."""
+    return 1 + 3 * k * k
 
-    Round 0 is the per-difficulty-bin null context: no previous answers, so
-    own_prev and peer_mode are None and peer_agreement is 0.
-    """
 
-    question_feature: int
-    own_prev: str | None
-    peer_mode: str | None
-    peer_agreement: int
+def context_key(row: int, labels: Sequence[str]) -> str:
+    """Policy-file key 'bin|own|mode|agreement' of a context row ('-' at round 0)."""
+    k = len(labels)
+    question_feature, offset = divmod(row, contexts_per_bin(k))
+    if offset == 0:
+        return f"{question_feature}|-|-|0"
+    pair, agreement = divmod(offset - 1, 3)
+    own, mode = divmod(pair, k)
+    return f"{question_feature}|{labels[own]}|{labels[mode]}|{agreement}"
 
-    def key(self) -> str:
-        own = self.own_prev if self.own_prev is not None else "-"
-        mode = self.peer_mode if self.peer_mode is not None else "-"
-        return f"{self.question_feature}|{own}|{mode}|{self.peer_agreement}"
 
-    @classmethod
-    def from_key(cls, key: str) -> "DebateContext":
-        parts = key.split("|")
-        if len(parts) != 4:
-            raise ValueError(f"bad context key {key!r}")
-        return cls(
-            question_feature=int(parts[0]),
-            own_prev=None if parts[1] == "-" else parts[1],
-            peer_mode=None if parts[2] == "-" else parts[2],
-            peer_agreement=int(parts[3]),
-        )
+def context_row(key: str, labels: Sequence[str]) -> int:
+    """Inverse of context_key; rejects keys that name no row over these labels."""
+    parts = key.split("|")
+    if len(parts) != 4:
+        raise ValueError(f"bad context key {key!r}")
+    question_feature, own, mode, agreement = int(parts[0]), parts[1], parts[2], int(parts[3])
+    if question_feature < 0:
+        raise ValueError(f"context key {key!r} has a negative difficulty bin")
+    k = len(labels)
+    base = question_feature * contexts_per_bin(k)
+    if own == mode == "-" and agreement == 0:
+        return base
+    if own not in labels or mode not in labels:
+        raise ValueError(f"context key {key!r} names a label outside {','.join(labels)}")
+    if not 0 <= agreement <= 2:
+        raise ValueError(f"context key {key!r} has agreement {agreement} outside 0..2")
+    return base + 1 + (labels.index(own) * k + labels.index(mode)) * 3 + agreement
 
 
 @dataclass(frozen=True)
@@ -165,21 +174,23 @@ def build_context(
     prev_row: Sequence[str] | None,
     agent_index: int,
     order: Sequence[str],
-) -> DebateContext:
-    """Context for one agent at one round; prev_row is None at round 0.
+) -> int:
+    """Context row of one agent at one round; prev_row is None at round 0.
 
     The peer mode ties break order-minimal. The agreement bin splits the
     agreeing-peer fraction into thirds (exact integer arithmetic).
     """
+    k = len(order)
+    base = question_feature * contexts_per_bin(k)
     if prev_row is None:
-        return DebateContext(question_feature, None, None, 0)
-    own = prev_row[agent_index]
+        return base
+    own = order.index(prev_row[agent_index])
     peers = [a for j, a in enumerate(prev_row) if j != agent_index]
     counts: dict[str, int] = {}
     for a in peers:
         counts[a] = counts.get(a, 0) + 1
     top = max(counts.values())
-    mode = next(label for label in order if counts.get(label, 0) == top)
+    mode = next(j for j, label in enumerate(order) if counts.get(label, 0) == top)
     p = len(peers)
     if 3 * top <= p:
         agreement = 0
@@ -187,65 +198,40 @@ def build_context(
         agreement = 1
     else:
         agreement = 2
-    return DebateContext(question_feature, own, mode, agreement)
+    return base + 1 + (own * k + mode) * 3 + agreement
 
 
 class PolicyTable:
-    """Tabular softmax policy: context -> logit vector over the answer space.
+    """Tabular softmax policy: a dense (rows, K) logit array, one row per context.
 
-    Contexts never seen before materialize with zero logits. Updates clamp
-    every logit to +-LOGIT_CLAMP so ratios and KL terms stay finite.
+    Row r is the context named by context_key(r, labels); every row exists
+    from construction on. Construction and updates clamp every logit to
+    +-LOGIT_CLAMP so ratios and KL terms stay finite.
     """
 
-    def __init__(
-        self,
-        labels: Sequence[str],
-        table: dict[DebateContext, np.ndarray] | None = None,
-    ) -> None:
+    def __init__(self, labels: Sequence[str], logits: np.ndarray) -> None:
         self.labels = tuple(labels)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self.table: dict[DebateContext, np.ndarray] = {}
-        if table:
-            for ctx, logits in table.items():
-                self.table[ctx] = np.clip(
-                    np.asarray(logits, dtype=np.float64), -LOGIT_CLAMP, LOGIT_CLAMP
-                )
+        self.logits = np.clip(np.asarray(logits, dtype=np.float64), -LOGIT_CLAMP, LOGIT_CLAMP)
 
-    @property
-    def num_labels(self) -> int:
-        return len(self.labels)
-
-    def logits(self, ctx: DebateContext) -> np.ndarray:
-        row = self.table.get(ctx)
-        if row is None:
-            row = np.zeros(self.num_labels, dtype=np.float64)
-            self.table[ctx] = row
-        return row
-
-    def probs(self, ctx: DebateContext, tilt: np.ndarray | None = None) -> np.ndarray:
-        z = self.logits(ctx)
-        if tilt is not None:
-            z = z + tilt
+    def probs(self, row: int, tilt: np.ndarray) -> np.ndarray:
+        z = self.logits[row] + tilt
         z = z - z.max()
         e = np.exp(z)
         return e / e.sum()
 
-    def update(self, ctx: DebateContext, delta: np.ndarray) -> None:
-        new = self.logits(ctx) + delta
-        self.table[ctx] = np.clip(new, -LOGIT_CLAMP, LOGIT_CLAMP)
+    def update(self, delta: np.ndarray) -> None:
+        """Add a whole-table delta and re-clamp."""
+        self.logits = np.clip(self.logits + delta, -LOGIT_CLAMP, LOGIT_CLAMP)
 
-    def sample(
-        self, ctx: DebateContext, rng: np.random.Generator, tilt: np.ndarray | None = None
-    ) -> str:
-        p = self.probs(ctx, tilt)
+    def sample(self, row: int, rng: np.random.Generator, tilt: np.ndarray) -> str:
+        p = self.probs(row, tilt)
         u = rng.random()
         idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
-        return self.labels[min(idx, self.num_labels - 1)]
+        return self.labels[min(idx, len(self.labels) - 1)]
 
     def copy(self) -> "PolicyTable":
-        clone = PolicyTable(self.labels)
-        clone.table = {ctx: row.copy() for ctx, row in self.table.items()}
-        return clone
+        return PolicyTable(self.labels, self.logits)
 
 
 def parse_difficulty_spec(spec: str) -> tuple[float, float]:
@@ -295,6 +281,8 @@ class EnvConfig:
             raise ValueError("difficulty_bins must be at least 1")
         if self.compromised_count < 0:
             raise ValueError("compromised_count must be non-negative")
+        if self.compromised_count > self.num_agents:
+            raise ValueError(f"compromised_count {self.compromised_count} exceeds num_agents")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not self.skills:
@@ -317,10 +305,10 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class AgentStep:
-    """One (context, round-0 tilt, chosen answer) visit along a trajectory."""
+    """One (context row, tilt, chosen answer) visit along a trajectory."""
 
-    ctx: DebateContext
-    tilt: np.ndarray | None
+    ctx: int
+    tilt: np.ndarray
     answer: str
 
 
@@ -331,14 +319,12 @@ class DebateEnv:
         self.config = config
         self.answer_space = answer_labels(config.answer_space_size)
         self.agents = self._make_agents()
-        self._tilt_cache: dict[tuple[str, int], np.ndarray] = {}
-        self._wobble_cache: dict[tuple[str, int, int], np.ndarray] = {}
-        self._flare_cache: dict[str, str | None] = {}
+        self._tilts: dict[str, np.ndarray] = {}
 
     def _make_agents(self) -> list[AgentSpec]:
         cfg = self.config
         m = cfg.compromised_count
-        honest = max(cfg.num_agents - m, 0)
+        honest = cfg.num_agents - m
         fixed: str | None = None
         if cfg.adversarial_target_policy.startswith("fixed:"):
             fixed = cfg.adversarial_target_policy[len("fixed:") :]
@@ -358,27 +344,22 @@ class DebateEnv:
     def initial_policies(self) -> list[PolicyTable | None]:
         """Fresh untrained policies; compromised seats get None.
 
-        Honest tables pre-populate every reachable context with the inertia
-        and conformity prior; unreachable contexts stay lazy-zero.
+        Every bin starts from the same block: zero logits at the null context
+        and the inertia and conformity prior everywhere else.
         """
-        out: list[PolicyTable | None] = []
-        for spec in self.agents:
-            if spec.kind != HONEST:
-                out.append(None)
-                continue
-            table: dict[DebateContext, np.ndarray] = {}
-            k = len(self.answer_space)
-            for qf in range(self.config.difficulty_bins):
-                table[DebateContext(qf, None, None, 0)] = np.zeros(k)
-                for own in self.answer_space:
-                    for mode in self.answer_space:
-                        for agreement in range(3):
-                            v = np.zeros(k)
-                            v[self.answer_space.index(own)] += OWN_PRIOR
-                            v[self.answer_space.index(mode)] += PEER_PRIOR[agreement]
-                            table[DebateContext(qf, own, mode, agreement)] = v
-            out.append(PolicyTable(self.answer_space, table))
-        return out
+        k = len(self.answer_space)
+        block = np.zeros((contexts_per_bin(k), k))
+        for own in range(k):
+            for mode in range(k):
+                for agreement in range(3):
+                    row = block[1 + (own * k + mode) * 3 + agreement]
+                    row[own] += OWN_PRIOR
+                    row[mode] += PEER_PRIOR[agreement]
+        logits = np.tile(block, (self.config.difficulty_bins, 1))
+        return [
+            PolicyTable(self.answer_space, logits) if spec.kind == HONEST else None
+            for spec in self.agents
+        ]
 
     def generate_questions(self, count: int, label: str) -> list[SyntheticQuestion]:
         """Seeded question batch; ids are stable under count changes.
@@ -400,78 +381,52 @@ class DebateEnv:
             questions.append(SyntheticQuestion(qid, self.answer_space, truth, difficulty))
         return questions
 
-    def signal_tilt(self, question: SyntheticQuestion, agent_index: int) -> np.ndarray:
-        """Round-0 private signal logits for one honest agent on one question."""
-        cache_key = (question.question_id, agent_index)
-        cached = self._tilt_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        spec = self.agents[agent_index]
-        rng = rng_stream(self.config.seed, "signal", question.question_id, agent_index)
-        tilt = rng.normal(0.0, SIGNAL_NOISE, len(self.answer_space))
-        strength = SIGNAL_GAIN * spec.skill * (1.0 - question.difficulty)
-        tilt[self.answer_space.index(question.ground_truth)] += strength
-        self._tilt_cache[cache_key] = tilt
-        return tilt
+    def question_tilts(self, question: SyntheticQuestion) -> np.ndarray:
+        """Read-only (T+1, N, K) logit tilts of every seat at every round.
 
-    def flare_label(self, question: SyntheticQuestion) -> str | None:
-        """The distractor label flaring mid-debate on this question, if any.
-
-        Seeded per question: fires with probability equal to the difficulty
-        (so trivially-easy questions never flare) and picks a wrong label
-        uniformly. Debates shorter than four rounds never flare.
+        Round 0 carries the full private signal. Later rounds carry a damped
+        copy plus fresh per-round noise (a re-reading wobble) so that near-tied
+        debates keep stirring instead of freezing, plus the difficulty-ramped
+        aversion against the first answer label. Below AVERSION_RAMP
+        difficulty the aversion fades out and the signal persistence ramps to
+        full strength, so trivially-easy questions are debated
+        near-deterministically. A question flares with probability equal to
+        its difficulty when rounds >= 4: a uniformly picked wrong label spikes
+        at round rounds-3 and reverses at rounds-2, leaving the last two rounds
+        clean for the ensemble to regroup. Compromised rows stay zero. Computed
+        once per question.
         """
-        if self.config.rounds < 4:
-            return None
-        cached = self._flare_cache.get(question.question_id)
-        if cached is not None or question.question_id in self._flare_cache:
-            return cached
-        rng = rng_stream(self.config.seed, "flare", question.question_id)
-        label: str | None = None
-        if rng.random() < question.difficulty:
-            wrong = [lab for lab in self.answer_space if lab != question.ground_truth]
-            label = wrong[int(rng.integers(len(wrong)))]
-        self._flare_cache[question.question_id] = label
-        return label
-
-    def round_tilt(
-        self, question: SyntheticQuestion, agent_index: int, t: int
-    ) -> np.ndarray | None:
-        """Signal logits entering round t: full at 0, damped afterwards.
-
-        The damped copy carries fresh per-round noise (a re-reading wobble)
-        so that near-tied debates keep stirring instead of freezing, plus the
-        difficulty-ramped aversion against the first answer label. Below
-        AVERSION_RAMP difficulty the aversion fades out and the signal
-        persistence ramps to full strength, so trivially-easy questions are
-        debated near-deterministically. On flaring questions the shared
-        distractor spike lands at round rounds-3 and reverses at rounds-2,
-        leaving the last two rounds clean for the ensemble to regroup.
-        """
-        if t == 0:
-            return self.signal_tilt(question, agent_index)
+        tilts = self._tilts.get(question.question_id)
+        if tilts is not None:
+            return tilts
+        cfg = self.config
+        qid = question.question_id
+        k = len(self.answer_space)
+        honest = self.honest_indices
         ramp = min(1.0, question.difficulty / AVERSION_RAMP)
         persist = SIGNAL_PERSIST + (1.0 - SIGNAL_PERSIST) * (1.0 - ramp)
-        tilt = persist * self.signal_tilt(question, agent_index)
         scale = SIGNAL_WOBBLE + SIGNAL_WOBBLE_SLOPE * question.difficulty
-        if scale != 0.0:
-            cache_key = (question.question_id, agent_index, t)
-            wobble = self._wobble_cache.get(cache_key)
-            if wobble is None:
-                rng = rng_stream(
-                    self.config.seed, "wobble", question.question_id, agent_index, t
-                )
-                wobble = rng.normal(0.0, 1.0, len(self.answer_space))
-                self._wobble_cache[cache_key] = wobble
-            tilt = tilt + scale * wobble
-        push = self.config.rounds - 3
-        if t == push or t == push + 1:
-            label = self.flare_label(question)
-            if label is not None:
-                sign = 1.0 if t == push else -1.0
-                tilt[self.answer_space.index(label)] += sign * FLARE_SCALE
-        tilt[0] += LABEL_AVERSION * ramp
-        return tilt
+        truth = self.answer_space.index(question.ground_truth)
+        tilts = np.zeros((cfg.rounds + 1, len(self.agents), k))
+        for i in honest:
+            signal = rng_stream(cfg.seed, "signal", qid, i).normal(0.0, SIGNAL_NOISE, k)
+            signal[truth] += SIGNAL_GAIN * self.agents[i].skill * (1.0 - question.difficulty)
+            tilts[0, i] = signal
+            for t in range(1, cfg.rounds + 1):
+                wobble = rng_stream(cfg.seed, "wobble", qid, i, t).normal(0.0, 1.0, k)
+                tilts[t, i] = persist * signal + scale * wobble
+        if cfg.rounds >= 4:
+            rng = rng_stream(cfg.seed, "flare", qid)
+            if rng.random() < question.difficulty:
+                wrong = [j for j in range(k) if j != truth]
+                flare = wrong[int(rng.integers(len(wrong)))]
+                push = cfg.rounds - 3
+                tilts[push, honest, flare] += FLARE_SCALE
+                tilts[push + 1, honest, flare] -= FLARE_SCALE
+        tilts[1:, honest, 0] += LABEL_AVERSION * ramp
+        tilts.flags.writeable = False
+        self._tilts[qid] = tilts
+        return tilts
 
     def adversary_answer(self, spec: AgentSpec, question: SyntheticQuestion) -> str:
         """The wrong label a compromised seat advocates on this question."""
@@ -497,6 +452,7 @@ class DebateEnv:
                 f"need {len(self.agents)} policies, got {len(policies)}"
             )
         qf = difficulty_bin(question.difficulty, self.config.difficulty_bins)
+        tilts = self.question_tilts(question)
         rows: list[tuple[str, ...]] = []
         for t in range(self.config.rounds + 1):
             prev = rows[t - 1] if t > 0 else None
@@ -509,9 +465,8 @@ class DebateEnv:
                 if policy is None:
                     raise ValueError(f"honest agent {i} has no policy")
                 ctx = build_context(qf, prev, i, self.answer_space)
-                tilt = self.round_tilt(question, i, t)
                 rng = rng_stream(rollout_seed, "act", question.question_id, t, i)
-                row.append(policy.sample(ctx, rng, tilt))
+                row.append(policy.sample(ctx, rng, tilts[t, i]))
             rows.append(tuple(row))
         return DebateTrajectory(
             question_id=question.question_id,
@@ -523,16 +478,16 @@ class DebateEnv:
     def agent_steps(
         self, question: SyntheticQuestion, traj: "DebateTrajectory", agent_index: int
     ) -> list[AgentStep]:
-        """The (context, tilt, answer) visits of one honest agent, in round order."""
+        """The (context row, tilt, answer) visits of one honest agent, in round order."""
         if self.agents[agent_index].kind != HONEST:
             raise ValueError(f"agent {agent_index} is compromised and has no policy")
         qf = difficulty_bin(question.difficulty, self.config.difficulty_bins)
+        tilts = self.question_tilts(question)
         steps = []
         for t, row in enumerate(traj.rounds):
             prev = traj.rounds[t - 1] if t > 0 else None
             ctx = build_context(qf, prev, agent_index, self.answer_space)
-            tilt = self.round_tilt(question, agent_index, t)
-            steps.append(AgentStep(ctx=ctx, tilt=tilt, answer=row[agent_index]))
+            steps.append(AgentStep(ctx=ctx, tilt=tilts[t, agent_index], answer=row[agent_index]))
         return steps
 
     def trajectory_log_prob(
@@ -556,16 +511,17 @@ def save_policy(
     agent_index: int,
     config_hash: str,
 ) -> None:
-    """Versioned text format: header, then sorted 'context-key<TAB>logits' rows."""
+    """Versioned text format: header, then every 'context-key<TAB>logits' row,
+    sorted by key text."""
 
     def _write(fp: IO[str]) -> None:
         fp.write("# madlab-policy v1\n")
         fp.write(f"# labels: {','.join(policy.labels)}\n")
         fp.write(f"# config-hash: {config_hash}\n")
         fp.write(f"# agent: {agent_index}\n")
-        for ctx in sorted(policy.table, key=lambda c: c.key()):
-            row = policy.table[ctx]
-            fp.write(ctx.key() + "\t" + ",".join(repr(float(v)) for v in row) + "\n")
+        keys = sorted((context_key(r, policy.labels), r) for r in range(len(policy.logits)))
+        for key, r in keys:
+            fp.write(key + "\t" + ",".join(repr(float(v)) for v in policy.logits[r]) + "\n")
 
     with_fp(path_or_fp, "w", _write)
 
@@ -573,8 +529,11 @@ def save_policy(
 def load_policy(path_or_fp: str | IO[str]) -> tuple[PolicyTable, int, str]:
     """Read a policy file; returns (policy, agent_index, config_hash).
 
-    Bad headers, malformed rows, non-finite logits and repeated contexts are
-    rejected with their line number; logits are clamped to +-LOGIT_CLAMP.
+    Bad headers, malformed rows, keys naming a label outside the header or
+    an agreement outside 0..2, non-finite logits and repeated contexts are
+    rejected with their line number. The table spans every bin up to the
+    highest one present; rows the file omits are zero. Logits are clamped to
+    +-LOGIT_CLAMP.
     """
 
     def _read(fp: IO[str]) -> tuple[PolicyTable, int, str]:
@@ -601,24 +560,30 @@ def load_policy(path_or_fp: str | IO[str]) -> tuple[PolicyTable, int, str]:
                     raise ValueError(f"line {n + 1}: bad agent header ({exc})")
         if labels is None:
             raise ValueError("policy file lacks a labels header")
-        table: dict[DebateContext, np.ndarray] = {}
+        entries: list[tuple[int, np.ndarray]] = []
+        seen: set[int] = set()
         for n, line in enumerate(lines[body_start:], start=body_start + 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             try:
                 key, values = line.split("\t")
-                ctx = DebateContext.from_key(key)
-                row = np.array([float(v) for v in values.split(",")], dtype=np.float64)
+                row = context_row(key, labels)
+                logits = np.array([float(v) for v in values.split(",")], dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"line {n}: bad policy row ({exc})")
-            if len(row) != len(labels):
-                raise ValueError(f"line {n}: expected {len(labels)} logits, got {len(row)}")
-            if not np.all(np.isfinite(row)):
+            if len(logits) != len(labels):
+                raise ValueError(f"line {n}: expected {len(labels)} logits, got {len(logits)}")
+            if not np.all(np.isfinite(logits)):
                 raise ValueError(f"line {n}: non-finite logit in {values!r}")
-            if ctx in table:
+            if row in seen:
                 raise ValueError(f"line {n}: context {key!r} repeats an earlier row")
-            table[ctx] = row
+            seen.add(row)
+            entries.append((row, logits))
+        per_bin = contexts_per_bin(len(labels))
+        table = np.zeros((per_bin * (1 + max(seen, default=0) // per_bin), len(labels)))
+        for row, logits in entries:
+            table[row] = logits
         return PolicyTable(labels, table), agent_index, config_hash
 
     return with_fp(path_or_fp, "r", _read)

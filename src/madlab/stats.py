@@ -131,15 +131,18 @@ def pearson_test(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, 
     return r, t, student_t_p_value(t, n - 2)
 
 
+def _moments(group: Sequence[float]) -> tuple[int, float, float]:
+    """(n, mean, sample variance with n-1 denominator) of one of two groups."""
+    n = len(group)
+    if n < 2:
+        raise ValueError("both groups need at least 2 samples")
+    mean = sum(group) / n
+    return n, mean, sum((v - mean) ** 2 for v in group) / (n - 1)
+
+
 def cohens_d(group_a: Sequence[float], group_b: Sequence[float]) -> float:
     """(mean_a - mean_b) / pooled SD, sample variances with n-1 denominators."""
-    n_a, n_b = len(group_a), len(group_b)
-    if n_a < 2 or n_b < 2:
-        raise ValueError("both groups need at least 2 samples")
-    mean_a = sum(group_a) / n_a
-    mean_b = sum(group_b) / n_b
-    var_a = sum((v - mean_a) ** 2 for v in group_a) / (n_a - 1)
-    var_b = sum((v - mean_b) ** 2 for v in group_b) / (n_b - 1)
+    (n_a, mean_a, var_a), (n_b, mean_b, var_b) = _moments(group_a), _moments(group_b)
     pooled = math.sqrt(((n_a - 1) * var_a + (n_b - 1) * var_b) / (n_a + n_b - 2))
     if pooled == 0.0:
         raise ValueError("degenerate groups: pooled standard deviation is zero")
@@ -150,13 +153,7 @@ def welch_t_test(
     group_a: Sequence[float], group_b: Sequence[float]
 ) -> tuple[float, float]:
     """Welch unequal-variance t-test; returns (t, two-sided p)."""
-    n_a, n_b = len(group_a), len(group_b)
-    if n_a < 2 or n_b < 2:
-        raise ValueError("both groups need at least 2 samples")
-    mean_a = sum(group_a) / n_a
-    mean_b = sum(group_b) / n_b
-    var_a = sum((v - mean_a) ** 2 for v in group_a) / (n_a - 1)
-    var_b = sum((v - mean_b) ** 2 for v in group_b) / (n_b - 1)
+    (n_a, mean_a, var_a), (n_b, mean_b, var_b) = _moments(group_a), _moments(group_b)
     se_a, se_b = var_a / n_a, var_b / n_b
     se2 = se_a + se_b
     if se2 == 0.0:

@@ -179,3 +179,28 @@ def test_console_script_entry_point(tiny_config, tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.startswith("label,questions,accuracy")
     assert (out / "summary.csv").is_file()
+
+
+def test_more_compromised_seats_than_agents_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text("[environment]\nnum_agents = 3\ncompromised_count = 7\n", encoding="utf-8")
+    code = main(["baseline", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "compromised_count 7 exceeds num_agents" in err
+
+
+def test_sweep_rejects_more_compromised_seats_than_agents(tiny_config, tmp_path, capsys):
+    code = main(["sweep", "--config", tiny_config, "--out", str(tmp_path / "s"),
+                 "--axis", "compromised", "--values", "1,9"])
+    assert code == 2
+    assert "compromised_count 9 exceeds num_agents" in capsys.readouterr().err
+
+
+def test_train_with_every_seat_compromised_fails(tmp_path, capsys):
+    path = tmp_path / "all.ini"
+    path.write_text(TINY_CONFIG.replace("[udpo]", "compromised_count = 3\n\n[udpo]"),
+                    encoding="utf-8")
+    code = main(["train", "--config", str(path), "--out", str(tmp_path / "t")])
+    assert code == 2
+    assert "needs at least one honest agent" in capsys.readouterr().err

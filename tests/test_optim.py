@@ -32,7 +32,14 @@ from madlab.optim import (
     train,
     write_training_csv,
 )
-from madlab.policy import DebateEnv, EnvConfig, PolicyTable, SyntheticQuestion, save_policy
+from madlab.policy import (
+    DebateEnv,
+    EnvConfig,
+    PolicyTable,
+    SyntheticQuestion,
+    context_key,
+    save_policy,
+)
 from madlab.replay import ReplayConfig
 from madlab.rewards import CoefficientSet, total_reward
 
@@ -136,14 +143,13 @@ def perturbed(policies, scale, seed):
             out.append(None)
             continue
         q = p.copy()
-        for ctx in list(q.table):
-            q.update(ctx, rng.normal(0.0, scale, q.num_labels))
+        q.update(rng.normal(0.0, scale, q.logits.shape))
         out.append(q)
     return out
 
 
 def analytic_gradients(env, policies, reference, batch, coeffs, epsilon):
-    """Per-agent {context: gradient} extracted from a unit-learning-rate step."""
+    """Per-agent (rows, K) gradient extracted from a unit-learning-rate step."""
     state = TrainState(
         policies=[p.copy() if p is not None else None for p in policies],
         reference=[p.copy() if p is not None else None for p in reference],
@@ -151,25 +157,12 @@ def analytic_gradients(env, policies, reference, batch, coeffs, epsilon):
         coeffs=coeffs,
         iteration=0,
     )
-    before = [
-        {ctx: row.copy() for ctx, row in p.table.items()} if p is not None else None
-        for p in state.policies
-    ]
+    before = [p.logits.copy() if p is not None else None for p in state.policies]
     clip = ClipConfig(epsilon=epsilon, learn_rate=1.0, batch_size=1)
     gradient_step(env, state, batch, clip, batch_totals(batch, coeffs))
-    grads = []
-    for i, p in enumerate(state.policies):
-        if p is None:
-            grads.append(None)
-            continue
-        per_ctx = {}
-        for ctx, row in p.table.items():
-            old = before[i].get(ctx, np.zeros(p.num_labels))
-            delta = row - old
-            if np.any(delta != 0.0):
-                per_ctx[ctx] = delta
-        grads.append(per_ctx)
-    return grads
+    return [
+        p.logits - old if p is not None else None for p, old in zip(state.policies, before)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -212,14 +205,14 @@ def test_gradient_matches_central_differences(case):
         visited = set()
         for q, traj in zip(batch.questions, batch.trajectories):
             visited.update(s.ctx for s in env.agent_steps(q, traj, i))
-        for ctx in sorted(visited, key=lambda c: c.key()):
-            for j in range(current[i].num_labels):
-                bump = np.zeros(current[i].num_labels)
-                bump[j] = h
+        for ctx in sorted(visited):
+            for j in range(len(current[i].labels)):
+                bump = np.zeros_like(current[i].logits)
+                bump[ctx, j] = h
                 plus = [p.copy() if p is not None else None for p in current]
-                plus[i].update(ctx, bump)
+                plus[i].update(bump)
                 minus = [p.copy() if p is not None else None for p in current]
-                minus[i].update(ctx, -bump)
+                minus[i].update(-bump)
                 f_plus = objective_value(
                     env, plus, reference, batch, adv, coeffs,
                     ClipConfig(epsilon=epsilon),
@@ -229,10 +222,10 @@ def test_gradient_matches_central_differences(case):
                     ClipConfig(epsilon=epsilon),
                 )[i]
                 fd = (f_plus - f_minus) / (2.0 * h)
-                an = float(grads[i].get(ctx, np.zeros(current[i].num_labels))[j])
+                an = float(grads[i][ctx, j])
                 rel = abs(an - fd) / max(abs(fd), abs(an), 1e-6)
                 assert rel < 1e-4, (
-                    f"case={case} agent={i} ctx={ctx.key()} label={j}: "
+                    f"case={case} agent={i} ctx={context_key(ctx, env.answer_space)} label={j}: "
                     f"analytic={an} fd={fd} rel={rel}"
                 )
                 checked += 1
@@ -269,8 +262,7 @@ def test_fully_clipped_batch_has_exactly_zero_gradient():
     push = np.zeros(4)
     push[0], push[1] = 6.0, -6.0  # drive probability mass hard toward "A"
     for p in current:
-        for ctx in list(p.table):
-            p.update(ctx, push)
+        p.update(push)
     epsilon = 0.2
     for i in env.honest_indices:
         rho_hi = likelihood_ratio(env, current[i], reference[i], i, question, correct)
@@ -284,14 +276,11 @@ def test_fully_clipped_batch_has_exactly_zero_gradient():
         coeffs=coeffs,
         iteration=0,
     )
-    snapshot = [
-        {ctx: row.copy() for ctx, row in p.table.items()} for p in state.policies
-    ]
+    snapshot = [p.logits.copy() for p in state.policies]
     clip = ClipConfig(epsilon=epsilon, learn_rate=1.0)
     gradient_step(env, state, batch, clip, batch_totals(batch, coeffs))
     for p, snap in zip(state.policies, snapshot):
-        for ctx, row in snap.items():
-            assert np.array_equal(p.table[ctx], row), "clipped batch moved a logit"
+        assert np.array_equal(p.logits, snap), "clipped batch moved a logit"
 
 
 # ----------------------------------------------------------------- guards

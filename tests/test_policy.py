@@ -4,23 +4,27 @@ from __future__ import annotations
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
+from madlab import policy as policy_module
 from madlab.debate import validate_trajectory
 from madlab.policy import (
     COMPROMISED,
     HONEST,
     LOGIT_CLAMP,
     AgentSpec,
-    DebateContext,
     DebateEnv,
     EnvConfig,
     PolicyTable,
     SyntheticQuestion,
     answer_labels,
     build_context,
+    context_key,
+    context_row,
+    contexts_per_bin,
     difficulty_bin,
     load_policy,
     parse_difficulty_spec,
@@ -69,70 +73,58 @@ def test_parse_difficulty_spec():
 
 def test_null_context_at_round_zero():
     ctx = build_context(3, None, 0, ("A", "B"))
-    assert ctx == DebateContext(3, None, None, 0)
+    assert ctx == 3 * contexts_per_bin(2)
+    assert context_key(ctx, ("A", "B")) == "3|-|-|0"
 
 
 def test_context_peer_mode_and_agreement_bins():
     order = ("A", "B", "C")
     # 4 peers, 3 agree on B: frac 3/4 -> top third
     ctx = build_context(0, ("A", "B", "B", "B", "C"), 0, order)
-    assert ctx.own_prev == "A" and ctx.peer_mode == "B" and ctx.peer_agreement == 2
+    assert context_key(ctx, order) == "0|A|B|2"
     # 3 peers, 1 each: mode ties break to order-minimal, frac 1/3 -> bottom third
     ctx = build_context(0, ("C", "A", "B", "C"), 3, order)
-    assert ctx.peer_mode == "A" and ctx.peer_agreement == 0
+    assert context_key(ctx, order) == "0|C|A|0"
     # 3 peers, 2 agree: frac 2/3 -> middle third
     ctx = build_context(0, ("B", "C", "C", "A"), 0, order)
-    assert ctx.peer_mode == "C" and ctx.peer_agreement == 1
+    assert context_key(ctx, order) == "0|B|C|1"
 
 
 def test_context_key_round_trip():
-    for ctx in (
-        DebateContext(2, None, None, 0),
-        DebateContext(0, "B", "A", 2),
-        DebateContext(4, "D", "D", 1),
-    ):
-        assert DebateContext.from_key(ctx.key()) == ctx
-
-
-def test_policy_table_lazy_zero_init():
-    table = PolicyTable(("A", "B", "C"))
-    ctx = DebateContext(0, None, None, 0)
-    assert np.array_equal(table.logits(ctx), np.zeros(3))
-    p = table.probs(ctx)
-    assert np.allclose(p, np.full(3, 1 / 3))
+    labels = ("A", "B", "C", "D")
+    keys = [context_key(row, labels) for row in range(2 * contexts_per_bin(4))]
+    assert len(set(keys)) == len(keys) == 98
+    assert keys[0] == "0|-|-|0" and keys[49] == "1|-|-|0" and keys[-1] == "1|D|D|2"
+    for row, key in enumerate(keys):
+        assert context_row(key, labels) == row
 
 
 def test_policy_table_update_clamps():
-    table = PolicyTable(("A", "B"))
-    ctx = DebateContext(0, None, None, 0)
-    table.update(ctx, np.array([100.0, -100.0]))
-    assert np.array_equal(table.logits(ctx), np.array([LOGIT_CLAMP, -LOGIT_CLAMP]))
+    table = PolicyTable(("A", "B"), np.zeros((3, 2)))
+    table.update(np.array([[100.0, -100.0], [1.0, 2.0], [0.0, 0.0]]))
+    assert np.array_equal(table.logits[0], np.array([LOGIT_CLAMP, -LOGIT_CLAMP]))
+    assert np.array_equal(table.logits[1:], np.array([[1.0, 2.0], [0.0, 0.0]]))
 
 
 def test_policy_probs_with_tilt():
-    table = PolicyTable(("A", "B"))
-    ctx = DebateContext(0, None, None, 0)
-    p = table.probs(ctx, tilt=np.array([math.log(3.0), 0.0]))
+    table = PolicyTable(("A", "B"), np.zeros((1, 2)))
+    p = table.probs(0, tilt=np.array([math.log(3.0), 0.0]))
     assert abs(p[0] - 0.75) < 1e-12
 
 
 def test_sample_answer_follows_distribution():
-    table = PolicyTable(("A", "B"))
-    ctx = DebateContext(0, None, None, 0)
-    table.update(ctx, np.array([math.log(9.0), 0.0]))  # P(A) = 0.9
+    table = PolicyTable(("A", "B"), np.array([[math.log(9.0), 0.0]]))  # P(A) = 0.9
     rng = rng_stream(0, "test-sampling")
-    draws = [table.sample(ctx, rng) for _ in range(4000)]
+    draws = [table.sample(0, rng, np.zeros(2)) for _ in range(4000)]
     frac_a = draws.count("A") / len(draws)
     assert abs(frac_a - 0.9) < 0.02
 
 
 def test_policy_copy_is_deep():
-    table = PolicyTable(("A", "B"))
-    ctx = DebateContext(0, None, None, 0)
-    table.update(ctx, np.array([1.0, 0.0]))
+    table = PolicyTable(("A", "B"), np.array([[1.0, 0.0]]))
     clone = table.copy()
-    clone.update(ctx, np.array([5.0, 0.0]))
-    assert table.logits(ctx)[0] == 1.0
+    clone.update(np.array([[5.0, 0.0]]))
+    assert table.logits[0, 0] == 1.0
 
 
 def test_agent_spec_validation():
@@ -153,6 +145,10 @@ def test_env_config_validation():
         EnvConfig(answer_space_size=3, adversarial_target_policy="fixed:D")
     with pytest.raises(ValueError, match="seed"):
         EnvConfig(seed=-1)
+    with pytest.raises(ValueError, match="compromised_count 4 exceeds num_agents"):
+        EnvConfig(num_agents=3, compromised_count=4)
+    # every seat compromised stays legal: attack evaluation uses it
+    assert DebateEnv(EnvConfig(num_agents=3, compromised_count=3)).honest_indices == []
 
 
 def test_generated_questions_are_valid_and_stable():
@@ -207,17 +203,43 @@ def test_signal_tilt_favors_truth_and_scales_with_difficulty():
     env = DebateEnv(EnvConfig(num_agents=2, rounds=1, answer_space_size=4,
                               skills=(1.0,), seed=3, difficulty="fixed:0.0"))
     q = env.generate_questions(1, "t")[0]
-    tilt = env.signal_tilt(q, 0)
+    tilt = env.question_tilts(q)[0, 0]
     truth_idx = q.answer_space.index(q.ground_truth)
     assert tilt[truth_idx] == max(tilt)
     assert tilt[truth_idx] > 3.0
-    # same question and agent give the same tilt object (cached) and values
-    assert env.signal_tilt(q, 0) is tilt
+    # the same question gives the same tensor object (computed once)
+    assert env.question_tilts(q) is env.question_tilts(q)
     env_hard = DebateEnv(EnvConfig(num_agents=2, rounds=1, answer_space_size=4,
                                    skills=(1.0,), seed=3, difficulty="fixed:1.0"))
     q_hard = env_hard.generate_questions(1, "t")[0]
-    tilt_hard = env_hard.signal_tilt(q_hard, 0)
+    tilt_hard = env_hard.question_tilts(q_hard)[0, 0]
     assert abs(tilt_hard).max() < 3.0  # noise only
+
+
+@pytest.mark.parametrize("rounds", [3, 5])
+def test_tilts_are_drawn_once_per_question_and_read_only(monkeypatch, rounds):
+    env = DebateEnv(EnvConfig(num_agents=4, rounds=rounds, compromised_count=1, seed=2))
+    q = env.generate_questions(1, "t")[0]
+    opened = []
+    real_stream = policy_module.rng_stream
+
+    def counting_stream(*tokens):
+        opened.append(tokens[1])
+        return real_stream(*tokens)
+
+    monkeypatch.setattr(policy_module, "rng_stream", counting_stream)
+    pols = env.initial_policies()
+    for seed in range(4):
+        traj = env.rollout_debate(q, pols, seed)
+        env.agent_steps(q, traj, 0)
+    tilt_streams = [p for p in opened if p in ("signal", "wobble", "flare")]
+    assert len(tilt_streams) == 3 * (rounds + 1) + (rounds >= 4)
+    tilts = env.question_tilts(q)
+    assert tilts.shape == (rounds + 1, 4, 4)
+    assert not tilts.flags.writeable
+    assert np.all(tilts[:, 3] == 0.0)  # the compromised seat draws nothing
+    with pytest.raises(ValueError):
+        tilts[0, 0, 0] = 1.0
 
 
 def test_easy_questions_start_mostly_correct():
@@ -278,8 +300,9 @@ def test_policy_serialization_round_trip():
     env = small_env()
     pols = env.initial_policies()
     table = pols[0]
-    ctx = DebateContext(0, None, None, 0)
-    table.update(ctx, np.array([0.125, -1.7, 3.14159]))
+    delta = np.zeros_like(table.logits)
+    delta[0] = [0.125, -1.7, 3.14159]
+    table.update(delta)
     buf = io.StringIO()
     save_policy(buf, table, agent_index=0, config_hash="deadbeef")
     text = buf.getvalue()
@@ -289,9 +312,8 @@ def test_policy_serialization_round_trip():
     loaded, agent_index, config_hash = load_policy(io.StringIO(text))
     assert agent_index == 0
     assert config_hash == "deadbeef"
-    assert set(loaded.table) == set(table.table)
-    for c in table.table:
-        assert np.array_equal(loaded.table[c], table.table[c])
+    assert text.count("\n") == 4 + contexts_per_bin(3)
+    assert np.array_equal(loaded.logits, table.logits)
 
 
 def test_policy_serialization_is_byte_stable():
@@ -314,7 +336,6 @@ def test_load_policy_rejects_garbage():
 
 
 POLICY_HEADER = "# madlab-policy v1\n# labels: A,B\n# agent: 0\n"
-NULL_CTX = DebateContext(0, None, None, 0)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -326,13 +347,38 @@ def test_load_policy_rejects_non_finite_logits(value):
 
 def test_load_policy_clamps_logits_like_the_constructor():
     loaded, _, _ = load_policy(io.StringIO(POLICY_HEADER + "0|-|-|0\t1e300,-1e300\n"))
-    assert np.array_equal(loaded.table[NULL_CTX], np.array([LOGIT_CLAMP, -LOGIT_CLAMP]))
+    assert np.array_equal(loaded.logits[0], np.array([LOGIT_CLAMP, -LOGIT_CLAMP]))
 
 
 def test_load_policy_rejects_repeated_context():
     text = POLICY_HEADER + "0|-|-|0\t1.0,0.0\n0|-|-|0\t2.0,0.0\n"
     with pytest.raises(ValueError, match="line 5: context '0|-|-|0' repeats"):
         load_policy(io.StringIO(text))
+    # the same row spelled differently is still a repeat
+    text = POLICY_HEADER + "1|A|B|2\t1.0,0.0\n01|A|B|2\t2.0,0.0\n"
+    with pytest.raises(ValueError, match=re.escape("line 5: context '01|A|B|2' repeats")):
+        load_policy(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "key, reason",
+    [("0|A|C|1", "label outside A,B"), ("0|A|B|3", "agreement 3 outside 0..2")],
+)
+def test_load_policy_rejects_impossible_context_keys(key, reason):
+    text = POLICY_HEADER + "0|-|-|0\t1.0,0.0\n" + f"{key}\t1.0,0.0\n"
+    with pytest.raises(ValueError, match=f"line 5: bad policy row .*{reason}"):
+        load_policy(io.StringIO(text))
+
+
+def test_load_policy_zero_fills_rows_the_file_omits():
+    text = POLICY_HEADER + "1|B|A|2\t0.5,-0.5\n"
+    loaded, _, _ = load_policy(io.StringIO(text))
+    per_bin = contexts_per_bin(2)
+    assert loaded.logits.shape == (2 * per_bin, 2)
+    row = context_row("1|B|A|2", ("A", "B"))
+    assert np.array_equal(loaded.logits[row], np.array([0.5, -0.5]))
+    loaded.logits[row] = 0.0
+    assert not loaded.logits.any()
 
 
 def test_load_policy_names_a_bad_agent_header():

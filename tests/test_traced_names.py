@@ -1,0 +1,51 @@
+"""Every function the benchmark's traced run wraps still resolves.
+
+perfbench/tracer.py looks each traced name up with ``vars(owner)[attr]``, so a
+rename or a move in src/madlab breaks the traced run. This checks each name in
+perfbench/layers.py's TRACED and WRITERS tables through the tracer's own
+install and uninstall, without writing anything under perfbench/.
+"""
+
+import importlib
+import inspect
+import os
+import sys
+
+import pytest
+
+from madlab import optim, policy
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+@pytest.fixture(scope="module")
+def layers():
+    sys.path.insert(0, PERFBENCH)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # no __pycache__ under perfbench/
+    try:
+        yield importlib.import_module("layers")
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(PERFBENCH)
+
+
+def test_every_traced_name_resolves_like_the_tracer(layers):
+    names = [name for name, _, _ in layers.TRACED] + [name for name, _ in layers.WRITERS]
+    for name in names:
+        module, qualname = name.split(".", 1)
+        tracer = layers.Tracer()
+        try:
+            patched = tracer.install(name, f"madlab.{module}", qualname)
+        except (KeyError, AttributeError) as exc:
+            pytest.fail(f"traced name {name} no longer resolves: {exc!r}")
+        finally:
+            tracer.uninstall()
+        assert patched >= 1, f"traced name {name} patched no binding"
+
+
+def test_traced_amounts_read_the_arguments_they_expect():
+    # layers.py records gradient_step's batch size from its third argument and
+    # each writer's bytes from the path in its first.
+    assert list(inspect.signature(optim.gradient_step).parameters)[2] == "batch"
+    assert list(inspect.signature(policy.save_policy).parameters)[0] == "path_or_fp"
