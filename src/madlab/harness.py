@@ -118,22 +118,17 @@ def evaluate_ensemble(
     same seed and question set replays identically regardless of which
     policies or how many compromised seats are plugged in.
     """
-    seed = env.config.seed
-    trajectories = []
-    profiles = []
-    records = []
-    for q in questions:
-        traj = env.rollout_debate(q, policies, derive_key(seed, "eval", q.question_id))
-        profile = full_profile(traj, metric_config)
-        trajectories.append(traj)
-        profiles.append(profile)
-        records.append(
-            OutcomeRecord(
-                question_id=q.question_id,
-                correct=ensemble_answer(traj) == q.ground_truth,
-                profile=profile,
-            )
+    seeds = [derive_key(env.config.seed, "eval", q.question_id) for q in questions]
+    trajectories, _, _ = env.rollout_batch(questions, policies, seeds)
+    profiles = [full_profile(traj, metric_config) for traj in trajectories]
+    records = [
+        OutcomeRecord(
+            question_id=q.question_id,
+            correct=ensemble_answer(traj) == q.ground_truth,
+            profile=profile,
         )
+        for q, traj, profile in zip(questions, trajectories, profiles)
+    ]
     return EvalResult(
         questions=tuple(questions),
         trajectories=tuple(trajectories),
@@ -241,11 +236,8 @@ def _calibrated_coefficients(
 ) -> CoefficientSet:
     """Warm-up rollouts under the untrained ensemble, then per-agent scaling."""
     policies = env.initial_policies()
-    seed = env.config.seed
-    trajectories = [
-        env.rollout_debate(q, policies, derive_key(seed, "warmup", q.question_id))
-        for q in warmup_questions
-    ]
+    seeds = [derive_key(env.config.seed, "warmup", q.question_id) for q in warmup_questions]
+    trajectories, _, _ = env.rollout_batch(warmup_questions, policies, seeds)
     profile = warmup_profile(trajectories, config.env.num_agents, config.metric)
     return calibrate_coefficients(profile, config.calibration)
 

@@ -11,9 +11,10 @@ per-visited-context KL(current || reference) over the T+1 rounds, and w_m an
 importance weight (1 for fresh rollouts). Gradients are exact: the surrogate
 term contributes A * rho * score per visit and is exactly zero on
 trajectories in the clipped regime; the KL term contributes
-p * ((log p - log q) - KL) per visited context. Each agent's gradient is
-accumulated into one array shaped like its (rows, K) logit table, indexed by
-context row, and applied as a single whole-table update.
+p * ((log p - log q) - KL) per visited context. gradient_step reads each
+visit's context row and answer code from the RolloutBatch, vectorizes over the
+batch, accumulates each agent's gradient with one np.add.at in per-visit order
+into an array shaped like its (rows, K) table and applies one whole-table update.
 
 Rollouts always happen under the reference snapshot; the reference refreshes
 every ref_refresh_period iterations, and gradient_step refuses batches whose
@@ -90,8 +91,10 @@ class TrainState:
 
 @dataclass(frozen=True)
 class RolloutBatch:
-    """Trajectories collected under one reference snapshot.
+    """Trajectories collected under one reference snapshot, with their visits.
 
+    contexts[m, t, i] and answers[m, t, i] are the context row and answer
+    code of agent i at round t of trajectory m, as the rollout recorded them.
     weights are importance weights with batch mean 1; fresh rollouts carry 1.
     """
 
@@ -99,12 +102,19 @@ class RolloutBatch:
     trajectories: tuple[DebateTrajectory, ...]
     weights: tuple[float, ...]
     ref_version: int
+    contexts: np.ndarray
+    answers: np.ndarray
 
     def __post_init__(self) -> None:
         if not (len(self.questions) == len(self.trajectories) == len(self.weights)):
             raise ValueError("batch fields must have equal length")
         if not self.questions:
             raise ValueError("empty batch")
+        first = self.trajectories[0]
+        shape = (len(self.trajectories), len(first.rounds), first.num_agents)
+        if self.contexts.shape != shape or self.answers.shape != shape:
+            raise ValueError(f"visit arrays must be {shape}, got "
+                             f"{self.contexts.shape} and {self.answers.shape}")
 
 
 @dataclass(frozen=True)
@@ -156,10 +166,12 @@ def surrogate_is_clipped(rho: float, advantage: float, epsilon: float) -> bool:
     return False
 
 
-def _log_probs(policy: PolicyTable, row: int, tilt: np.ndarray) -> np.ndarray:
-    z = policy.logits[row] + tilt
-    z = z - z.max()
-    return z - math.log(float(np.exp(z).sum()))
+def _log_probs(policy: PolicyTable, rows: np.ndarray | int, tilts: np.ndarray) -> np.ndarray:
+    z = policy.logits[rows] + tilts
+    z = z - z.max(axis=-1, keepdims=True)
+    # math.log per visit: np.log differs from it in the last bit on some sums.
+    norm = [math.log(s) for s in np.exp(z).sum(axis=-1).ravel().tolist()]
+    return z - np.reshape(norm, z.shape[:-1] + (1,))
 
 
 def kl_anchor(
@@ -228,32 +240,40 @@ def gradient_step(
         )
     adv = compute_advantages(totals)
     m_total = len(batch.trajectories)
+    weights = np.array(batch.weights)
+    tilts = np.stack([env.question_tilts(q) for q in batch.questions])
     for i in env.honest_indices:
         cur, ref = state.policies[i], state.reference[i]
         assert cur is not None and ref is not None
         eta = state.coeffs.eta_anchor[i]
+        rows, answers = batch.contexts[:, :, i], batch.answers[:, :, i, None]
+        lc = _log_probs(cur, rows, tilts[:, :, i])
+        lr = _log_probs(ref, rows, tilts[:, :, i])
+        picked = np.take_along_axis(np.stack([lc, lr]), answers[None], -1)[..., 0]
+        lp = np.zeros((2, m_total))  # rounds added left to right; np.sum pairs 8+ terms
+        for t in range(rows.shape[1]):
+            lp += picked[:, :, t]
+        rho = np.array([math.exp(x) for x in (lp[0] - lp[1]).tolist()])
+        a = adv.advantages[:, i]
+        active = [x != 0.0 and not surrogate_is_clipped(r, x, clip.epsilon) for r, x in zip(rho, a)]
+        # One gradient entry per (part, round, column) of each trajectory, added
+        # in order: part 0 is each round's surrogate score (-coef * p over the
+        # labels, then +coef at the answer), part 1 each round's KL row.
+        p, diff = np.exp(lc), lc - lr
+        kl = (p[..., None, :] @ diff[..., :, None])[..., 0]  # as np.dot; einsum is not
+        coef = (weights * a * rho)[:, None, None]
+        scale = (weights * eta / rows.shape[1])[:, None, None]
+        vals = np.stack([
+            np.concatenate([-(coef * p), np.broadcast_to(coef, answers.shape)], -1),
+            np.concatenate([-(scale * p * (diff - kl)), np.zeros(answers.shape)], -1),
+        ], axis=1)
+        cols = np.concatenate([np.broadcast_to(np.arange(p.shape[-1]), p.shape), answers], -1)
+        keep = np.zeros(vals.shape, dtype=bool)
+        keep[:, 0] = np.array(active)[:, None, None]
+        keep[:, 1, :, :-1] = eta != 0.0
+        rows_at = np.broadcast_to(rows[:, None, :, None], vals.shape)[keep]
         grad = np.zeros_like(cur.logits)
-        for m, (q, traj) in enumerate(zip(batch.questions, batch.trajectories)):
-            w = batch.weights[m]
-            a = float(adv.advantages[m, i])
-            steps = env.agent_steps(q, traj, i)
-            lp_cur_rows = [_log_probs(cur, s.ctx, s.tilt) for s in steps]
-            lp_ref_rows = [_log_probs(ref, s.ctx, s.tilt) for s in steps]
-            lp_cur = sum(float(row[cur.index[s.answer]]) for row, s in zip(lp_cur_rows, steps))
-            lp_ref = sum(float(row[ref.index[s.answer]]) for row, s in zip(lp_ref_rows, steps))
-            rho = math.exp(lp_cur - lp_ref)
-            if a != 0.0 and not surrogate_is_clipped(rho, a, clip.epsilon):
-                coef = w * a * rho
-                for row, s in zip(lp_cur_rows, steps):
-                    grad[s.ctx] -= coef * np.exp(row)
-                    grad[s.ctx, cur.index[s.answer]] += coef
-            if eta != 0.0:
-                scale = w * eta / len(steps)
-                for lc, lr_row, s in zip(lp_cur_rows, lp_ref_rows, steps):
-                    p = np.exp(lc)
-                    diff = lc - lr_row
-                    kl = float(np.dot(p, diff))
-                    grad[s.ctx] -= scale * p * (diff - kl)
+        np.add.at(grad, (rows_at, np.broadcast_to(cols[:, None], vals.shape)[keep]), vals[keep])
         cur.update(clip.learn_rate * (grad / m_total))
     return state
 
@@ -267,17 +287,17 @@ def collect_batch(
     weights: Sequence[float] | None = None,
 ) -> RolloutBatch:
     """Roll out one trajectory per question; each batch slot gets its own stream."""
-    trajectories = tuple(
-        env.rollout_debate(q, policies, derive_key(rollout_seed, m))
-        for m, q in enumerate(questions)
-    )
+    seeds = [derive_key(rollout_seed, m) for m in range(len(questions))]
+    trajectories, contexts, answers = env.rollout_batch(questions, policies, seeds)
     if weights is None:
         weights = (1.0,) * len(questions)
     return RolloutBatch(
         questions=tuple(questions),
-        trajectories=trajectories,
+        trajectories=tuple(trajectories),
         weights=tuple(float(w) for w in weights),
         ref_version=ref_version,
+        contexts=contexts,
+        answers=answers,
     )
 
 

@@ -21,9 +21,10 @@ label turns collectively tempting for one round and then collapses, so
 undefended ensembles hop onto it in lockstep and need the closing rounds to
 recover their answer.
 
-All randomness flows from counter-based streams keyed by hashed scope tokens
-(seed, purpose, question, round, agent); nothing reads ambient entropy, so
-identical (config, seed) reruns are bit-identical.
+All randomness flows from counter-based Philox streams keyed by hashed scope
+tokens (seed, purpose, question, round, agent); nothing reads ambient entropy,
+so identical (config, seed) reruns are bit-identical. An act takes only the
+first uniform of its stream, which philox_uniforms computes for many keys at once.
 """
 
 from __future__ import annotations
@@ -76,20 +77,60 @@ SIGNAL_WOBBLE_SLOPE = 1.2
 # so it only fires when rounds >= 4.
 FLARE_SCALE = 7.0
 
+ACT_KEYS_PER_PASS = 4096  # rollout_batch's acts per Philox pass; bounds its memory
+
 HONEST = "honest"
 COMPROMISED = "compromised"
 
 
+def _key_digest(*tokens: object) -> bytes:
+    text = "|".join(str(t) for t in tokens)
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
+
+
 def derive_key(*tokens: object) -> int:
     """128-bit stream key from hashed scope tokens."""
-    text = "|".join(str(t) for t in tokens)
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
-    return int.from_bytes(digest, "little")
+    return int.from_bytes(_key_digest(*tokens), "little")
 
 
 def rng_stream(*tokens: object) -> np.random.Generator:
     """Independent counter-based generator for one scope."""
     return np.random.Generator(np.random.Philox(key=derive_key(*tokens)))
+
+
+_MASK32 = np.uint64(0xFFFFFFFF)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, on 32-bit halves."""
+    m_lo, m_hi = m & _MASK32, m >> np.uint64(32)
+    x_lo, x_hi = x & _MASK32, x >> np.uint64(32)
+    ll, lh, hl = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
+    mid = (ll >> np.uint64(32)) + (lh & _MASK32) + (hl & _MASK32)
+    hi = m_hi * x_hi + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (mid >> np.uint64(32))
+    return hi, m * x
+
+
+def philox_uniforms(digests: Sequence[bytes]) -> np.ndarray:
+    """First random() of rng_stream's generator for each 16-byte key digest.
+
+    One vectorized Philox4x64-10 pass: numpy's Philox increments its counter
+    from 0 before the first block, so the draw is word 0 of the block at
+    counter (1, 0, 0, 0), mapped to [0, 1) as (x >> 11) * 2**-53.
+    """
+    k0, k1 = np.frombuffer(b"".join(digests), "<u8").reshape(-1, 2).T
+    c1 = c2 = c3 = np.zeros(len(k0), dtype=np.uint64)
+    c0 = c1 + np.uint64(1)
+    with np.errstate(over="ignore"):
+        for r in range(10):
+            if r:
+                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return (c0 >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def answer_labels(size: int) -> tuple[str, ...]:
@@ -223,12 +264,6 @@ class PolicyTable:
     def update(self, delta: np.ndarray) -> None:
         """Add a whole-table delta and re-clamp."""
         self.logits = np.clip(self.logits + delta, -LOGIT_CLAMP, LOGIT_CLAMP)
-
-    def sample(self, row: int, rng: np.random.Generator, tilt: np.ndarray) -> str:
-        p = self.probs(row, tilt)
-        u = rng.random()
-        idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
-        return self.labels[min(idx, len(self.labels) - 1)]
 
     def copy(self) -> "PolicyTable":
         return PolicyTable(self.labels, self.logits)
@@ -447,33 +482,78 @@ class DebateEnv:
         rollout_seed: int,
     ) -> DebateTrajectory:
         """Run one full debate; every draw is keyed (seed, question, round, agent)."""
+        return self.rollout_batch([question], policies, [rollout_seed])[0][0]
+
+    def rollout_batch(
+        self,
+        questions: Sequence[SyntheticQuestion],
+        policies: Sequence[PolicyTable | None],
+        rollout_seeds: Sequence[int],
+    ) -> tuple[list[DebateTrajectory], np.ndarray, np.ndarray]:
+        """Run one debate per question, advancing the whole batch a round at a time.
+
+        Debate b's acts come from the streams (rollout_seeds[b], "act", question
+        id, round, agent), so a trajectory does not depend on the rest of the
+        batch. Returns the trajectories and the (B, T+1, N) context rows and
+        answer codes of every visit (compromised seats included).
+        """
         if len(policies) != len(self.agents):
-            raise ValueError(
-                f"need {len(self.agents)} policies, got {len(policies)}"
-            )
-        qf = difficulty_bin(question.difficulty, self.config.difficulty_bins)
-        tilts = self.question_tilts(question)
-        rows: list[tuple[str, ...]] = []
-        for t in range(self.config.rounds + 1):
-            prev = rows[t - 1] if t > 0 else None
-            row = []
-            for i, spec in enumerate(self.agents):
-                if spec.kind == COMPROMISED:
-                    row.append(self.adversary_answer(spec, question))
-                    continue
-                policy = policies[i]
-                if policy is None:
-                    raise ValueError(f"honest agent {i} has no policy")
-                ctx = build_context(qf, prev, i, self.answer_space)
-                rng = rng_stream(rollout_seed, "act", question.question_id, t, i)
-                row.append(policy.sample(ctx, rng, tilts[t, i]))
-            rows.append(tuple(row))
-        return DebateTrajectory(
-            question_id=question.question_id,
-            answer_space=self.answer_space,
-            rounds=tuple(rows),
-            ground_truth=question.ground_truth,
-        )
+            raise ValueError(f"need {len(self.agents)} policies, got {len(policies)}")
+        if len(rollout_seeds) != len(questions):
+            raise ValueError(f"need {len(questions)} rollout seeds, got {len(rollout_seeds)}")
+        honest = self.honest_indices
+        for i in honest:
+            if policies[i] is None:
+                raise ValueError(f"honest agent {i} has no policy")
+        b, n, k = len(questions), len(self.agents), len(self.answer_space)
+        steps = self.config.rounds + 1
+        contexts, answers = np.empty((2, b, steps, n), dtype=np.int64)
+        if b == 0:
+            return [], contexts, answers
+        for i, spec in enumerate(self.agents):
+            if spec.kind == COMPROMISED:
+                answers[:, :, i] = [[self.answer_space.index(self.adversary_answer(spec, q))]
+                                    for q in questions]
+        bins = [[difficulty_bin(q.difficulty, self.config.difficulty_bins)] for q in questions]
+        base = contexts_per_bin(k) * np.array(bins)
+        tilts = [self.question_tilts(q) for q in questions]
+        chunk = max(1, ACT_KEYS_PER_PASS // (steps * max(1, len(honest))))
+        uniforms = np.concatenate([
+            philox_uniforms([_key_digest(seed, "act", q.question_id, t, i)
+                             for q, seed in zip(questions[j:j + chunk], rollout_seeds[j:j + chunk])
+                             for t in range(steps) for i in honest])
+            for j in range(0, b, chunk)
+        ]).reshape(b, steps, len(honest), 1)
+        logits = np.stack([policies[i].logits for i in honest]) if honest else None
+        contexts[:, 0] = base
+        for t in range(steps):
+            if t:
+                # Peer counts, the order-minimal peer mode and the exact
+                # agreement thirds of build_context, for every seat at once.
+                prev = answers[:, t - 1]
+                own = prev[:, :, None] == np.arange(k)
+                peers = own.sum(axis=1, keepdims=True) - own
+                top = peers.max(axis=-1)
+                agreement = (3 * top > n - 1).astype(np.int64) + (3 * top > 2 * (n - 1))
+                contexts[:, t] = base + 1 + (prev * k + peers.argmax(axis=-1)) * 3 + agreement
+            if logits is None:
+                continue
+            # PolicyTable.probs, then a right-side search of its cumsum, in place.
+            z = logits[np.arange(len(honest)), contexts[:, t, honest]]
+            z += np.stack([tl[t] for tl in tilts])[:, honest]
+            z -= z.max(axis=-1, keepdims=True)
+            np.exp(z, out=z)
+            z /= z.sum(axis=-1, keepdims=True)
+            np.cumsum(z, axis=-1, out=z)
+            answers[:, t, honest] = np.minimum((z <= uniforms[:, t]).sum(axis=-1), k - 1)
+        labels = self.answer_space
+        trajectories = [
+            DebateTrajectory(q.question_id, labels,
+                             tuple(tuple(labels[a] for a in row) for row in codes.tolist()),
+                             q.ground_truth)
+            for q, codes in zip(questions, answers)
+        ]
+        return trajectories, contexts, answers
 
     def agent_steps(
         self, question: SyntheticQuestion, traj: "DebateTrajectory", agent_index: int
@@ -526,21 +606,25 @@ def save_policy(
     with_fp(path_or_fp, "w", _write)
 
 
-def load_policy(path_or_fp: str | IO[str]) -> tuple[PolicyTable, int, str]:
-    """Read a policy file; returns (policy, agent_index, config_hash).
+def load_policy(
+    path_or_fp: str | IO[str], labels: Sequence[str], bins: int
+) -> tuple[PolicyTable, int, str]:
+    """Read a policy file for an environment with these labels and difficulty bins.
 
-    Bad headers, malformed rows, keys naming a label outside the header or
-    an agreement outside 0..2, non-finite logits and repeated contexts are
-    rejected with their line number. The table spans every bin up to the
-    highest one present; rows the file omits are zero. Logits are clamped to
-    +-LOGIT_CLAMP.
+    Returns (policy, agent_index, config_hash); the table has bins *
+    contexts_per_bin(K) rows, zero where the file omits them. Other labels, bad
+    headers, malformed rows, keys naming an unknown label, an agreement outside
+    0..2 or a bin outside 0..bins-1, non-finite logits and repeated contexts
+    are rejected with their line. Logits are clamped to +-LOGIT_CLAMP.
     """
+    labels = tuple(labels)
+    per_bin = contexts_per_bin(len(labels))
 
     def _read(fp: IO[str]) -> tuple[PolicyTable, int, str]:
         lines = fp.readlines()
         if not lines or lines[0].strip() != "# madlab-policy v1":
             raise ValueError("not a v1 policy file")
-        labels: tuple[str, ...] | None = None
+        has_labels = False
         config_hash = ""
         agent_index = -1
         body_start = 0
@@ -550,7 +634,10 @@ def load_policy(path_or_fp: str | IO[str]) -> tuple[PolicyTable, int, str]:
                 break
             body_start = n + 1
             if line.startswith("# labels:"):
-                labels = tuple(line.split(":", 1)[1].strip().split(","))
+                found = line.split(":", 1)[1].strip()
+                if tuple(found.split(",")) != labels:
+                    raise ValueError(f"line {n + 1}: labels {found} differ from {','.join(labels)}")
+                has_labels = True
             elif line.startswith("# config-hash:"):
                 config_hash = line.split(":", 1)[1].strip()
             elif line.startswith("# agent:"):
@@ -558,9 +645,9 @@ def load_policy(path_or_fp: str | IO[str]) -> tuple[PolicyTable, int, str]:
                     agent_index = int(line.split(":", 1)[1].strip())
                 except ValueError as exc:
                     raise ValueError(f"line {n + 1}: bad agent header ({exc})")
-        if labels is None:
+        if not has_labels:
             raise ValueError("policy file lacks a labels header")
-        entries: list[tuple[int, np.ndarray]] = []
+        table = np.zeros((bins * per_bin, len(labels)))
         seen: set[int] = set()
         for n, line in enumerate(lines[body_start:], start=body_start + 1):
             line = line.rstrip("\n")
@@ -572,6 +659,8 @@ def load_policy(path_or_fp: str | IO[str]) -> tuple[PolicyTable, int, str]:
                 logits = np.array([float(v) for v in values.split(",")], dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"line {n}: bad policy row ({exc})")
+            if row >= len(table):
+                raise ValueError(f"line {n}: context {key!r} names a bin outside 0..{bins - 1}")
             if len(logits) != len(labels):
                 raise ValueError(f"line {n}: expected {len(labels)} logits, got {len(logits)}")
             if not np.all(np.isfinite(logits)):
@@ -579,10 +668,6 @@ def load_policy(path_or_fp: str | IO[str]) -> tuple[PolicyTable, int, str]:
             if row in seen:
                 raise ValueError(f"line {n}: context {key!r} repeats an earlier row")
             seen.add(row)
-            entries.append((row, logits))
-        per_bin = contexts_per_bin(len(labels))
-        table = np.zeros((per_bin * (1 + max(seen, default=0) // per_bin), len(labels)))
-        for row, logits in entries:
             table[row] = logits
         return PolicyTable(labels, table), agent_index, config_hash
 

@@ -137,14 +137,17 @@ class ReplayBuffer:
     ) -> None:
         """Re-roll every stored question under the given policies, rescore, restamp.
 
-        score maps each re-rolled trajectory to its priority.
+        All entries roll as one batch; score maps each re-rolled trajectory to
+        its priority. An unknown question id fails before any entry changes.
         """
-        for j, entry in enumerate(self.entries):
-            qid = entry.trajectory.question_id
-            question = questions.get(qid)
-            if question is None:
+        qids = [entry.trajectory.question_id for entry in self.entries]
+        for qid in qids:
+            if qid not in questions:
                 raise ValueError(f"cannot refresh: unknown question_id {qid!r}")
-            traj = env.rollout_debate(question, policies, derive_key(rollout_seed, j))
+        batch = [questions[qid] for qid in qids]
+        seeds = [derive_key(rollout_seed, j) for j in range(len(batch))]
+        trajectories, _, _ = env.rollout_batch(batch, policies, seeds)
+        for entry, traj in zip(self.entries, trajectories):
             entry.trajectory = traj
             entry.score = score(traj)
             entry.policy_version = policy_version

@@ -4,14 +4,20 @@ A refactor proves it keeps behaviour by leaving these literals unchanged. A
 deliberate change of random streams or semantics updates them in the same
 change and says why. The wide variant (5 agents, 5 rounds, one compromised
 seat) covers the distractor flare, the adversary and the 5-voter
-leave-one-out paths that the 3-agent tiny config never reaches.
+leave-one-out paths that the 3-agent tiny config never reaches. The clip/KL
+variant refreshes the reference every third iteration, so the likelihood
+ratio moves off 1 and the clip test and the KL gradient act on the digests.
 """
 
+import dataclasses
 import hashlib
+import math
 import os
 
+from madlab import optim
 from madlab.config import ExperimentConfig, config_hash
 from madlab.harness import run_analysis, run_baseline, run_udpo
+from madlab.optim import ClipConfig
 from test_harness import tiny_config
 
 BASELINE = {
@@ -48,11 +54,31 @@ WIDE_ANALYSIS = {
     "strata.csv": "dd440715d3fdcfc2051231a29fb964f09cd038e738e2d2e94592b403fe3e75d0",
 }
 
+CLIP_KL_UDPO = {
+    "coefficients.csv": "ff3886b12a1d613c764ea3e3f09fe76a6e9dce823f6a5e6176eaa9e6d43f9fdb",
+    "policy_agent_0.txt": "c442887f7032015a0dd1753e831f3a35356e7f0b63bdfbbd0b3c428cbf22d29f",
+    "policy_agent_1.txt": "f34844cc58f234aaa5005e8ca0cbf5dcd23525e0cd901670b7d4d703850ba544",
+    "policy_agent_2.txt": "949b4cb87a7d0cfffca59da5c354a14acd9cf91223e12b01d27fd46c43fd0a55",
+    "profiles.csv": "627c0b3d1ecd9be29c17e3d9a756c4e31a06f383bd3f4f7c86690fa5d6710563",
+    "replay_buffer.jsonl": "1040d1d6da7a2d7b6604380196cdd6ee13d91b112c450d9bae32d04913451bc7",
+    "rewards.csv": "4f27774e101b93b6fa086c4bf178ba81d6b09e897b0580b29772e3988361a246",
+    "summary.csv": "07e1252b727b7ded73dbf678dc38e2602067b24952e7c80d9b551ca8aad66047",
+    "training_metrics.csv": "32505cea8f8d2efaa2ea44b5c8e7b98a240c5e45226529a77bba3968efad593c",
+    "trajectories.jsonl": "06e1e7c16be606df387e8965b1cbf3db8b78e0674aafb23975ebd012a68a4e19",
+}
+
 DEFAULT_CONFIG_HASH = "170f4cd84af4e83e"
 
 
 def wide_config():
     return tiny_config(num_agents=5, rounds=5, compromised_count=1)
+
+
+def clip_kl_config():
+    config = tiny_config(rounds=4)
+    return dataclasses.replace(
+        config, clip=ClipConfig(iterations=6, batch_size=4, ref_refresh_period=3)
+    )
 
 
 def digests(out_dir):
@@ -72,6 +98,24 @@ def test_baseline_artifacts_are_pinned(tmp_path):
 def test_udpo_artifacts_are_pinned(tmp_path):
     run_udpo(tiny_config(), str(tmp_path))
     assert digests(tmp_path) == UDPO
+
+
+def test_clip_kl_udpo_artifacts_are_pinned(tmp_path, monkeypatch):
+    log_ratios = []
+    real_step = optim.gradient_step
+
+    def recording_step(env, state, batch, clip, totals):
+        for i in env.honest_indices:
+            cur, ref = state.policies[i], state.reference[i]
+            for q, traj in zip(batch.questions, batch.trajectories):
+                rho = optim.likelihood_ratio(env, cur, ref, i, q, traj)
+                log_ratios.append(math.log(rho))
+        return real_step(env, state, batch, clip, totals)
+
+    monkeypatch.setattr(optim, "gradient_step", recording_step)
+    run_udpo(clip_kl_config(), str(tmp_path))
+    assert any(lr != 0.0 for lr in log_ratios)
+    assert digests(tmp_path) == CLIP_KL_UDPO
 
 
 def test_wide_baseline_and_analysis_artifacts_are_pinned(tmp_path):

@@ -13,7 +13,10 @@ import math
 import numpy as np
 import pytest
 
+from madlab import optim
+from madlab import policy as policy_module
 from madlab.debate import DebateTrajectory
+from madlab.harness import evaluate_ensemble
 from madlab.metrics import MetricConfig, full_profile
 from madlab.optim import (
     ClipConfig,
@@ -37,10 +40,12 @@ from madlab.policy import (
     EnvConfig,
     PolicyTable,
     SyntheticQuestion,
+    build_context,
     context_key,
+    difficulty_bin,
     save_policy,
 )
-from madlab.replay import ReplayConfig
+from madlab.replay import ReplayBuffer, ReplayConfig
 from madlab.rewards import CoefficientSet, total_reward
 
 MC = MetricConfig()
@@ -57,6 +62,24 @@ def small_env(num_agents=2, rounds=1, seed=17):
             seed=seed,
         )
     )
+
+
+def recorded_visits(env, questions, trajectories):
+    """The (B, T+1, N) context rows and answer codes of hand-built trajectories."""
+    bins = env.config.difficulty_bins
+    contexts = [
+        [
+            [
+                build_context(difficulty_bin(q.difficulty, bins), traj.rounds[t - 1] if t else None,
+                              i, env.answer_space)
+                for i in range(traj.num_agents)
+            ]
+            for t in range(len(traj.rounds))
+        ]
+        for q, traj in zip(questions, trajectories)
+    ]
+    answers = [[[env.answer_space.index(a) for a in row] for row in t.rounds] for t in trajectories]
+    return np.array(contexts), np.array(answers)
 
 
 def batch_totals(batch, coeffs):
@@ -248,11 +271,14 @@ def test_fully_clipped_batch_has_exactly_zero_gradient():
     question = SyntheticQuestion("q0", ("A", "B", "C", "D"), "A", 1.0)
     correct = DebateTrajectory("q0", question.answer_space, (("A", "A"), ("A", "A")), "A")
     wrong = DebateTrajectory("q0", question.answer_space, (("B", "B"), ("B", "B")), "A")
+    contexts, answers = recorded_visits(env, (question, question), (correct, wrong))
     batch = RolloutBatch(
         questions=(question, question),
         trajectories=(correct, wrong),
         weights=(1.0, 1.0),
         ref_version=0,
+        contexts=contexts,
+        answers=answers,
     )
     coeffs = CoefficientSet.uniform(
         2, alpha=0.0, beta=0.0, gamma=0.0, lambda_task=1.0, eta_anchor=0.0
@@ -281,6 +307,116 @@ def test_fully_clipped_batch_has_exactly_zero_gradient():
     gradient_step(env, state, batch, clip, batch_totals(batch, coeffs))
     for p, snap in zip(state.policies, snapshot):
         assert np.array_equal(p.logits, snap), "clipped batch moved a logit"
+
+
+def visit_log_probs(policy, step):
+    z = policy.logits[step.ctx] + step.tilt
+    z = z - z.max()
+    return z - math.log(float(np.exp(z).sum()))
+
+
+def per_visit_gradient_step(env, state, batch, clip, totals):
+    """gradient_step as a loop over each agent's rebuilt steps: the reference
+    the vectorized step must match bit for bit."""
+    adv = compute_advantages(totals)
+    m_total = len(batch.trajectories)
+    for i in env.honest_indices:
+        cur, ref = state.policies[i], state.reference[i]
+        eta = state.coeffs.eta_anchor[i]
+        grad = np.zeros_like(cur.logits)
+        for m, (q, traj) in enumerate(zip(batch.questions, batch.trajectories)):
+            w = batch.weights[m]
+            a = float(adv.advantages[m, i])
+            steps = env.agent_steps(q, traj, i)
+            lp_cur_rows = [visit_log_probs(cur, s) for s in steps]
+            lp_ref_rows = [visit_log_probs(ref, s) for s in steps]
+            lp_cur = sum(float(row[cur.index[s.answer]]) for row, s in zip(lp_cur_rows, steps))
+            lp_ref = sum(float(row[ref.index[s.answer]]) for row, s in zip(lp_ref_rows, steps))
+            rho = math.exp(lp_cur - lp_ref)
+            if a != 0.0 and not surrogate_is_clipped(rho, a, clip.epsilon):
+                coef = w * a * rho
+                for row, s in zip(lp_cur_rows, steps):
+                    grad[s.ctx] -= coef * np.exp(row)
+                    grad[s.ctx, cur.index[s.answer]] += coef
+            if eta != 0.0:
+                scale = w * eta / len(steps)
+                for lc, lr_row, s in zip(lp_cur_rows, lp_ref_rows, steps):
+                    p = np.exp(lc)
+                    diff = lc - lr_row
+                    kl = float(np.dot(p, diff))
+                    grad[s.ctx] -= scale * p * (diff - kl)
+        cur.update(clip.learn_rate * (grad / m_total))
+    return state
+
+
+@pytest.mark.parametrize("k", [2, 4, 12])
+def test_gradient_step_matches_the_per_visit_loop_bit_for_bit(k):
+    env = DebateEnv(EnvConfig(num_agents=5, rounds=4, answer_space_size=k, difficulty_bins=2,
+                              compromised_count=1, seed=12))
+    questions = env.generate_questions(20, "t")
+    coeffs = CoefficientSet.uniform(5, eta_anchor=0.05)
+    clip = ClipConfig(learn_rate=3.0, ref_refresh_period=3)
+    states = [
+        TrainState(policies=env.initial_policies(), reference=env.initial_policies(),
+                   ref_version=0, coeffs=coeffs, iteration=0)
+        for _ in range(2)
+    ]
+    weights = np.random.default_rng(k).uniform(0.5, 1.5, len(questions))
+    clipped = active = 0
+    for it in range(9):
+        fast, slow = states
+        batch = collect_batch(env, questions, fast.reference, fast.ref_version, it,
+                              weights / weights.mean())
+        totals = batch_totals(batch, coeffs)
+        adv = compute_advantages(totals)
+        for i in env.honest_indices:
+            for m, (q, traj) in enumerate(zip(batch.questions, batch.trajectories)):
+                rho = likelihood_ratio(env, fast.policies[i], fast.reference[i], i, q, traj)
+                if surrogate_is_clipped(rho, float(adv.advantages[m, i]), clip.epsilon):
+                    clipped += 1
+                else:
+                    active += 1
+        gradient_step(env, fast, batch, clip, totals)
+        per_visit_gradient_step(env, slow, batch, clip, totals)
+        for i in env.honest_indices:
+            assert np.array_equal(fast.policies[i].logits, slow.policies[i].logits), (it, i)
+        if (it + 1) % clip.ref_refresh_period == 0:
+            for state in states:
+                state.reference = [p.copy() if p is not None else None for p in state.policies]
+                state.ref_version += 1
+    assert clipped > 0 and active > clipped
+
+
+def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
+    env = DebateEnv(EnvConfig(num_agents=4, rounds=3, compromised_count=1, seed=3))
+    questions = env.generate_questions(6, "t")
+    policies = env.initial_policies()
+    opened = []
+    real_stream = policy_module.rng_stream
+
+    def counting_stream(*tokens):
+        opened.append(tokens[1])
+        return real_stream(*tokens)
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("agent_steps rebuilt a batch's visits")
+
+    monkeypatch.setattr(policy_module, "rng_stream", counting_stream)
+    monkeypatch.setattr(optim, "rng_stream", counting_stream)
+    monkeypatch.setattr(DebateEnv, "agent_steps", no_steps)
+    batch = collect_batch(env, questions, policies, 0, 5)
+    evaluate_ensemble(env, questions, policies, MC, "eval")
+    buffer = ReplayBuffer(ReplayConfig())
+    for traj in batch.trajectories:
+        buffer.push(traj, 1.0)
+    buffer.refresh(env, policies, {q.question_id: q for q in questions}, rollout_seed=9,
+                   policy_version=1, score=lambda traj: 1.0)
+    coeffs = CoefficientSet.uniform(4)
+    state = TrainState(policies=policies, reference=env.initial_policies(), ref_version=0,
+                       coeffs=coeffs, iteration=0)
+    gradient_step(env, state, batch, ClipConfig(), batch_totals(batch, coeffs))
+    assert "act" not in opened
+    assert opened.count("signal") == 3 * len(questions)  # tilts still draw through rng_stream
 
 
 # ----------------------------------------------------------------- guards
@@ -379,10 +515,28 @@ def test_collect_batch_deterministic_and_slot_keyed():
 def test_rollout_batch_validation():
     q = SyntheticQuestion("q0", ("A", "B"), "A", 0.0)
     t = DebateTrajectory("q0", ("A", "B"), (("A", "A"),), "A")
+    one, two = np.zeros((1, 1, 2), dtype=np.int64), np.zeros((2, 1, 2), dtype=np.int64)
     with pytest.raises(ValueError):
-        RolloutBatch(questions=(q,), trajectories=(t, t), weights=(1.0,), ref_version=0)
+        RolloutBatch(questions=(q,), trajectories=(t, t), weights=(1.0,), ref_version=0,
+                     contexts=two, answers=two)
     with pytest.raises(ValueError):
-        RolloutBatch(questions=(), trajectories=(), weights=(), ref_version=0)
+        RolloutBatch(questions=(), trajectories=(), weights=(), ref_version=0,
+                     contexts=one[:0], answers=one[:0])
+    RolloutBatch(questions=(q,), trajectories=(t,), weights=(1.0,), ref_version=0,
+                 contexts=one, answers=one)
+
+
+@pytest.mark.parametrize(
+    "contexts_shape, answers_shape",
+    [((2, 1, 2), (1, 1, 2)), ((1, 1, 2), (1, 2, 2)), ((1, 1, 3), (1, 1, 3)), ((1, 2), (1, 2))],
+)
+def test_rollout_batch_rejects_visit_arrays_of_the_wrong_shape(contexts_shape, answers_shape):
+    q = SyntheticQuestion("q0", ("A", "B"), "A", 0.0)
+    t = DebateTrajectory("q0", ("A", "B"), (("A", "A"),), "A")
+    with pytest.raises(ValueError, match="visit arrays"):
+        RolloutBatch(questions=(q,), trajectories=(t,), weights=(1.0,), ref_version=0,
+                     contexts=np.zeros(contexts_shape, dtype=np.int64),
+                     answers=np.zeros(answers_shape, dtype=np.int64))
 
 
 def test_training_csv_golden():

@@ -25,9 +25,11 @@ from madlab.policy import (
     context_key,
     context_row,
     contexts_per_bin,
+    derive_key,
     difficulty_bin,
     load_policy,
     parse_difficulty_spec,
+    philox_uniforms,
     rng_stream,
     save_policy,
 )
@@ -53,6 +55,25 @@ def test_rng_streams_are_reproducible_and_disjoint():
     b = rng_stream(5, "act", "q-1", 0, 1).random(4)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+def test_philox_uniforms_match_numpy_generators():
+    rng = np.random.default_rng(2024)
+    keys = [int.from_bytes(rng.bytes(16), "little") for _ in range(1000)] + [0, 2**128 - 1]
+    expected = [np.random.Generator(np.random.Philox(key=key)).random() for key in keys]
+    assert philox_uniforms([key.to_bytes(16, "little") for key in keys]).tolist() == expected
+
+
+def test_philox_uniforms_match_the_act_streams():
+    tokens = [
+        (derive_key(3, m), "act", f"train-{m:05d}", t, i)
+        for m in range(4)
+        for t in range(6)
+        for i in range(5)
+    ]
+    digests = [derive_key(*tok).to_bytes(16, "little") for tok in tokens]
+    assert philox_uniforms(digests).tolist() == [rng_stream(*tok).random() for tok in tokens]
+    assert philox_uniforms([]).shape == (0,)
 
 
 def test_difficulty_bin_edges():
@@ -113,11 +134,19 @@ def test_policy_probs_with_tilt():
 
 
 def test_sample_answer_follows_distribution():
-    table = PolicyTable(("A", "B"), np.array([[math.log(9.0), 0.0]]))  # P(A) = 0.9
-    rng = rng_stream(0, "test-sampling")
-    draws = [table.sample(0, rng, np.zeros(2)) for _ in range(4000)]
-    frac_a = draws.count("A") / len(draws)
-    assert abs(frac_a - 0.9) < 0.02
+    # Round-0 answers follow the softmax of the null-context logits plus each tilt.
+    env = DebateEnv(EnvConfig(num_agents=2, rounds=1, answer_space_size=2, skills=(0.5,),
+                              seed=8, difficulty="fixed:1.0"))
+    questions = env.generate_questions(2000, "t")
+    policies = env.initial_policies()
+    for p in policies:
+        p.update(np.array([math.log(9.0), 0.0]) * (np.arange(len(p.logits)) == 0)[:, None])
+    seeds = [derive_key(1, m) for m in range(len(questions))]
+    _, _, answers = env.rollout_batch(questions, policies, seeds)
+    expected = np.mean([p.probs(0, env.question_tilts(q)[0, i])[0]
+                        for q in questions for i, p in enumerate(policies)])
+    assert 0.6 < expected < 0.9
+    assert abs(np.mean(answers[:, 0] == 0) - expected) < 0.025
 
 
 def test_policy_copy_is_deep():
@@ -190,6 +219,104 @@ def test_rollout_shape_validity_and_determinism():
         any_differ = any_differ or traj != env.rollout_debate(q, pols, rollout_seed=100)
     # a fresh seed must change something somewhere in the batch
     assert any_differ
+
+
+def per_draw_rollout(env, question, policies, rollout_seed):
+    """The rounds of one debate drawn one act stream at a time: the reference
+    the batched engine reproduces."""
+    qf = difficulty_bin(question.difficulty, env.config.difficulty_bins)
+    tilts = env.question_tilts(question)
+    rows = []
+    for t in range(env.config.rounds + 1):
+        prev = rows[t - 1] if t else None
+        row = []
+        for i, spec in enumerate(env.agents):
+            if spec.kind == COMPROMISED:
+                row.append(env.adversary_answer(spec, question))
+                continue
+            p = policies[i].probs(build_context(qf, prev, i, env.answer_space), tilts[t, i])
+            u = rng_stream(rollout_seed, "act", question.question_id, t, i).random()
+            idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
+            row.append(env.answer_space[min(idx, len(p) - 1)])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def perturbed_policies(env, seed, scale=1.5):
+    rng = np.random.default_rng(seed)
+    policies = env.initial_policies()
+    for p in policies:
+        if p is not None:
+            p.update(rng.normal(0.0, scale, p.logits.shape))
+    return policies
+
+
+ENGINE_CONFIGS = {
+    "default": {},
+    "eval-wide": dict(num_agents=7, rounds=8, difficulty_bins=2, compromised_count=1,
+                      skills=(0.95, 0.88, 0.81, 0.74, 0.67, 0.6, 0.53)),
+    "k2-two-compromised": dict(answer_space_size=2, compromised_count=2),
+    "k12-nine-rounds-three-bins": dict(answer_space_size=12, rounds=9, difficulty_bins=3),
+    "fixed-target": dict(compromised_count=1, adversarial_target_policy="fixed:C"),
+    "max-wrong": dict(num_agents=6, compromised_count=2, adversarial_target_policy="max_wrong"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CONFIGS))
+def test_rollout_batch_matches_per_draw_rollouts(name):
+    env = DebateEnv(EnvConfig(seed=4, **ENGINE_CONFIGS[name]))
+    questions = env.generate_questions(32, "t")
+    policies = perturbed_policies(env, seed=1)
+    seeds = [derive_key(77, m) for m in range(32)]
+    trajectories, contexts, answers = env.rollout_batch(questions, policies, seeds)
+    labels = env.answer_space
+    assert contexts.shape == answers.shape == (32, env.config.rounds + 1, env.config.num_agents)
+    for m, (q, traj) in enumerate(zip(questions, trajectories)):
+        assert traj.rounds == per_draw_rollout(env, q, policies, seeds[m])
+        assert traj.question_id == q.question_id and traj.ground_truth == q.ground_truth
+        qf = difficulty_bin(q.difficulty, env.config.difficulty_bins)
+        for t, row in enumerate(traj.rounds):
+            prev = traj.rounds[t - 1] if t else None
+            for i, answer in enumerate(row):
+                assert contexts[m, t, i] == build_context(qf, prev, i, labels)
+                assert answers[m, t, i] == labels.index(answer)
+    assert len({t.rounds for t in trajectories}) > 1
+
+
+def test_a_trajectory_does_not_depend_on_its_batch():
+    env = DebateEnv(EnvConfig(seed=6, compromised_count=1))
+    questions = env.generate_questions(300, "t")
+    policies = perturbed_policies(env, seed=2)
+    seeds = [derive_key(5, "eval", q.question_id) for q in questions]
+    alone = [env.rollout_batch([q], policies, [s])[0][0] for q, s in zip(questions, seeds)]
+    assert [env.rollout_debate(q, policies, s) for q, s in zip(questions, seeds)] == alone
+    # A batch large enough to take its act draws in several Philox passes.
+    assert env.rollout_batch(questions, policies, seeds)[0] == alone
+    for pos in range(32):
+        batch = questions[1:32]
+        batch.insert(pos, questions[0])
+        batch_seeds = [seeds[questions.index(q)] for q in batch]
+        assert env.rollout_batch(batch, policies, batch_seeds)[0][pos] == alone[0]
+
+
+def test_rollout_batch_rejects_bad_arguments():
+    env = small_env(num_agents=3, compromised_count=1)
+    questions = env.generate_questions(2, "t")
+    policies = env.initial_policies()
+    with pytest.raises(ValueError, match="rollout seeds"):
+        env.rollout_batch(questions, policies, [1])
+    with pytest.raises(ValueError, match="honest agent 1 has no policy"):
+        env.rollout_batch(questions, [policies[0], None, None], [1, 2])
+    trajectories, contexts, answers = env.rollout_batch([], policies, [])
+    assert trajectories == [] and contexts.shape == answers.shape == (0, 3, 3)
+
+
+def test_rollout_batch_with_every_seat_compromised():
+    env = small_env(num_agents=3, compromised_count=3, adversarial_target_policy="fixed:B")
+    questions = env.generate_questions(4, "t")
+    trajectories, _, answers = env.rollout_batch(questions, [None] * 3, [1] * 4)
+    assert all(row == ("B", "B", "B") for t in trajectories for row in t.rounds)
+    assert np.all(answers == 1)
 
 
 def test_rollout_policy_count_mismatch():
@@ -309,7 +436,7 @@ def test_policy_serialization_round_trip():
     assert text.startswith("# madlab-policy v1\n")
     assert "# labels: A,B,C\n" in text
     assert "# config-hash: deadbeef\n" in text
-    loaded, agent_index, config_hash = load_policy(io.StringIO(text))
+    loaded, agent_index, config_hash = load_policy(io.StringIO(text), ("A", "B", "C"), 1)
     assert agent_index == 0
     assert config_hash == "deadbeef"
     assert text.count("\n") == 4 + contexts_per_bin(3)
@@ -329,35 +456,36 @@ def test_policy_serialization_is_byte_stable():
 
 def test_load_policy_rejects_garbage():
     with pytest.raises(ValueError, match="v1"):
-        load_policy(io.StringIO("hello\n"))
+        load_policy(io.StringIO("hello\n"), AB, 1)
     bad = "# madlab-policy v1\n# labels: A,B\n0|-|-|0\t1.0\n"
     with pytest.raises(ValueError, match="line 3"):
-        load_policy(io.StringIO(bad))
+        load_policy(io.StringIO(bad), AB, 1)
 
 
 POLICY_HEADER = "# madlab-policy v1\n# labels: A,B\n# agent: 0\n"
+AB = ("A", "B")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_load_policy_rejects_non_finite_logits(value):
     text = POLICY_HEADER + f"0|-|-|0\t1.0,{value}\n"
     with pytest.raises(ValueError, match="line 4: non-finite"):
-        load_policy(io.StringIO(text))
+        load_policy(io.StringIO(text), AB, 1)
 
 
 def test_load_policy_clamps_logits_like_the_constructor():
-    loaded, _, _ = load_policy(io.StringIO(POLICY_HEADER + "0|-|-|0\t1e300,-1e300\n"))
+    loaded, _, _ = load_policy(io.StringIO(POLICY_HEADER + "0|-|-|0\t1e300,-1e300\n"), AB, 1)
     assert np.array_equal(loaded.logits[0], np.array([LOGIT_CLAMP, -LOGIT_CLAMP]))
 
 
 def test_load_policy_rejects_repeated_context():
     text = POLICY_HEADER + "0|-|-|0\t1.0,0.0\n0|-|-|0\t2.0,0.0\n"
-    with pytest.raises(ValueError, match="line 5: context '0|-|-|0' repeats"):
-        load_policy(io.StringIO(text))
+    with pytest.raises(ValueError, match=re.escape("line 5: context '0|-|-|0' repeats")):
+        load_policy(io.StringIO(text), AB, 2)
     # the same row spelled differently is still a repeat
     text = POLICY_HEADER + "1|A|B|2\t1.0,0.0\n01|A|B|2\t2.0,0.0\n"
     with pytest.raises(ValueError, match=re.escape("line 5: context '01|A|B|2' repeats")):
-        load_policy(io.StringIO(text))
+        load_policy(io.StringIO(text), AB, 2)
 
 
 @pytest.mark.parametrize(
@@ -367,12 +495,12 @@ def test_load_policy_rejects_repeated_context():
 def test_load_policy_rejects_impossible_context_keys(key, reason):
     text = POLICY_HEADER + "0|-|-|0\t1.0,0.0\n" + f"{key}\t1.0,0.0\n"
     with pytest.raises(ValueError, match=f"line 5: bad policy row .*{reason}"):
-        load_policy(io.StringIO(text))
+        load_policy(io.StringIO(text), AB, 1)
 
 
 def test_load_policy_zero_fills_rows_the_file_omits():
     text = POLICY_HEADER + "1|B|A|2\t0.5,-0.5\n"
-    loaded, _, _ = load_policy(io.StringIO(text))
+    loaded, _, _ = load_policy(io.StringIO(text), AB, 2)
     per_bin = contexts_per_bin(2)
     assert loaded.logits.shape == (2 * per_bin, 2)
     row = context_row("1|B|A|2", ("A", "B"))
@@ -384,4 +512,25 @@ def test_load_policy_zero_fills_rows_the_file_omits():
 def test_load_policy_names_a_bad_agent_header():
     text = "# madlab-policy v1\n# labels: A,B\n# agent: seven\n0|-|-|0\t1.0,0.0\n"
     with pytest.raises(ValueError, match="line 3: bad agent header"):
-        load_policy(io.StringIO(text))
+        load_policy(io.StringIO(text), AB, 1)
+
+
+def test_load_policy_always_sizes_the_table_by_the_environment():
+    for text in (POLICY_HEADER, POLICY_HEADER + "0|-|-|0\t1.0,0.0\n"):
+        loaded, _, _ = load_policy(io.StringIO(text), AB, 3)
+        assert loaded.logits.shape == (3 * contexts_per_bin(2), 2)
+
+
+def test_load_policy_rejects_a_bin_outside_the_environment():
+    # Unbounded, this key alone would allocate a 980,049-row table.
+    text = POLICY_HEADER + "0|-|-|0\t1.0,0.0\n" + "20000|-|-|0\t1.0,0.0\n"
+    message = "line 5: context '20000|-|-|0' names a bin outside 0..1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_policy(io.StringIO(text), AB, 2)
+
+
+@pytest.mark.parametrize("header", ["A,B,C", "B,A", "A"])
+def test_load_policy_rejects_labels_other_than_the_environment(header):
+    text = f"# madlab-policy v1\n# labels: {header}\n# agent: 0\n0|-|-|0\t1.0,0.0\n"
+    with pytest.raises(ValueError, match=f"line 2: labels {header} differ from A,B$"):
+        load_policy(io.StringIO(text), AB, 1)
