@@ -23,6 +23,7 @@ from madlab.harness import (
     with_seed,
     write_summary_csv,
 )
+from madlab.rewards import ABLATABLE
 
 
 def _int_list(text: str) -> list[int]:
@@ -30,6 +31,16 @@ def _int_list(text: str) -> list[int]:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
+
+
+def _components(text: str) -> tuple[str, ...]:
+    parts = tuple(part.strip() for part in text.split(","))
+    for part in parts:
+        if part not in ABLATABLE:
+            raise argparse.ArgumentTypeError(
+                f"unknown component {part!r} in {text!r}, expected {'/'.join(ABLATABLE)}"
+            )
+    return parts
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -65,8 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(train)
     train.add_argument(
-        "--zero", choices=("alpha", "beta", "gamma"),
-        help="ablation: zero one calibrated reward component before training",
+        "--zero", type=_components, default=(), metavar="C1,C2,...",
+        help="ablation: zero these calibrated reward components (alpha, beta, gamma) "
+             "before training",
     )
 
     attack = commands.add_parser(
@@ -107,7 +119,7 @@ def _dispatch(args: argparse.Namespace, config: ExperimentConfig, out_dir: str) 
     if args.command == "baseline":
         return run_baseline(config, out_dir)
     if args.command == "train":
-        return run_udpo(config, out_dir, zero_component=args.zero)
+        return run_udpo(config, out_dir, zero_components=args.zero)
     if args.command == "attack":
         m_values = args.compromised
         if m_values is None:

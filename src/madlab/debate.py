@@ -211,7 +211,7 @@ def write_trajectories(
 
 
 def read_trajectories(path_or_fp: str | IO[str]) -> list[DebateTrajectory]:
-    """Read a trajectory .jsonl file, rejecting bad lines with their number."""
+    """Read a trajectory .jsonl file, rejecting bad lines with their path and number."""
     return [traj for traj, _ in read_trajectory_records(path_or_fp)]
 
 
@@ -221,8 +221,10 @@ def read_trajectory_records(
     """Like read_trajectories but also returns each line's raw record.
 
     Callers that carry side-channel fields (replay score, policy version)
-    read those from the raw record.
+    read those from the raw record. Errors name the line, and the file when
+    given a path.
     """
+    where = f"{path_or_fp}: " if isinstance(path_or_fp, str) else ""
 
     def _read(fp: Iterator[str]) -> list[tuple[DebateTrajectory, dict]]:
         out: list[tuple[DebateTrajectory, dict]] = []
@@ -233,13 +235,13 @@ def read_trajectory_records(
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: not valid JSON ({exc.msg})")
+                raise ValueError(f"{where}line {lineno}: not valid JSON ({exc.msg})")
             if not isinstance(record, dict):
-                raise ValueError(f"line {lineno}: record must be a JSON object")
+                raise ValueError(f"{where}line {lineno}: record must be a JSON object")
             try:
                 traj = trajectory_from_record(record)
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}")
+                raise ValueError(f"{where}line {lineno}: {exc}")
             out.append((traj, record))
         return out
 

@@ -23,15 +23,16 @@ from madlab.calibration import (
 from madlab.config import ExperimentConfig, config_hash
 from madlab.debate import (
     DebateTrajectory,
-    ensemble_answer,
     read_trajectories,
     with_fp,
     write_trajectories,
 )
-from madlab.metrics import (
+from madlab.metrics import (  # noqa: F401  full_profile: perfbench's tracer test patches this binding
     MetricConfig,
     UncertaintyProfile,
+    answer_codes,
     full_profile,
+    profiles_from_codes,
     write_profiles_csv,
 )
 from madlab.optim import train, write_training_csv
@@ -119,15 +120,15 @@ def evaluate_ensemble(
     policies or how many compromised seats are plugged in.
     """
     seeds = [derive_key(env.config.seed, "eval", q.question_id) for q in questions]
-    trajectories, _, _ = env.rollout_batch(questions, policies, seeds)
-    profiles = [full_profile(traj, metric_config) for traj in trajectories]
+    trajectories, _, answers = env.rollout_batch(questions, policies, seeds)
+    profiles, winners = profiles_from_codes(answers, len(env.answer_space), metric_config)
     records = [
         OutcomeRecord(
             question_id=q.question_id,
-            correct=ensemble_answer(traj) == q.ground_truth,
+            correct=env.answer_space[w] == q.ground_truth,
             profile=profile,
         )
-        for q, traj, profile in zip(questions, trajectories, profiles)
+        for q, w, profile in zip(questions, winners.tolist(), profiles)
     ]
     return EvalResult(
         questions=tuple(questions),
@@ -244,17 +245,19 @@ def _calibrated_coefficients(
 
 def train_pipeline(
     config: ExperimentConfig,
-    zero_component: str | None = None,
+    zero_components: Sequence[str] = (),
 ):
-    """Shared warm-up -> calibrate -> train core; returns trained state pieces."""
+    """Shared warm-up -> calibrate -> train core; returns trained state pieces.
+
+    zero_components names calibrated reward components to switch off.
+    """
     env = DebateEnv(config.env)
     train_questions = env.generate_questions(config.train_questions, "train")
     warmup_questions, optimisation_questions = split_warmup(
         train_questions, config.calibration.warmup_fraction
     )
     coeffs = _calibrated_coefficients(config, env, warmup_questions)
-    if zero_component is not None:
-        coeffs = coeffs.zeroed(zero_component)
+    coeffs = coeffs.zeroed(*zero_components)
     state, buffer = train(
         env,
         optimisation_questions,
@@ -270,7 +273,7 @@ def train_pipeline(
 def run_udpo(
     config: ExperimentConfig,
     out_dir: str,
-    zero_component: str | None = None,
+    zero_components: Sequence[str] = (),
 ) -> PipelineResult:
     """Train the ensemble and evaluate it on held-out questions.
 
@@ -279,7 +282,7 @@ def run_udpo(
     untrained and trained ensembles on the same held-out set.
     """
     _ensure_out(out_dir)
-    env, state, buffer, coeffs = train_pipeline(config, zero_component)
+    env, state, buffer, coeffs = train_pipeline(config, zero_components)
     eval_questions = env.generate_questions(config.eval_questions, "eval")
     base_result = evaluate_ensemble(
         env, eval_questions, env.initial_policies(), config.metric, "baseline"
@@ -366,6 +369,31 @@ def run_attack(
 # ------------------------------------------------------------------- analysis
 
 
+ANALYSIS_CHUNK = 4096  # trajectories per profiles_from_codes call; bounds its memory
+
+
+def _outcome_records(
+    trajectories: Sequence[DebateTrajectory], metric_config: MetricConfig
+) -> list[OutcomeRecord]:
+    """One OutcomeRecord per supervised trajectory, in input order.
+
+    Trajectories are profiled per (answer space, rounds, agents) group, in
+    chunks of at most ANALYSIS_CHUNK, so inputs may mix those freely.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for j, traj in enumerate(trajectories):
+        key = (traj.answer_space, len(traj.rounds), traj.num_agents)
+        groups.setdefault(key, []).append(j)
+    records: list = [None] * len(trajectories)
+    for (space, _, _), members in groups.items():
+        for start in range(0, len(members), ANALYSIS_CHUNK):
+            chunk = [trajectories[j] for j in members[start : start + ANALYSIS_CHUNK]]
+            profiles, winners = profiles_from_codes(answer_codes(chunk), len(space), metric_config)
+            for j, traj, w, profile in zip(members[start:], chunk, winners.tolist(), profiles):
+                records[j] = OutcomeRecord(traj.question_id, space[w] == traj.ground_truth, profile)
+    return records
+
+
 def run_analysis(
     paths: Sequence[str],
     config: ExperimentConfig,
@@ -384,17 +412,10 @@ def run_analysis(
     records: list[OutcomeRecord] = []
     skipped = 0
     for path in paths:
-        for traj in read_trajectories(path):
-            if traj.ground_truth is None:
-                skipped += 1
-                continue
-            records.append(
-                OutcomeRecord(
-                    question_id=traj.question_id,
-                    correct=ensemble_answer(traj) == traj.ground_truth,
-                    profile=full_profile(traj, config.metric),
-                )
-            )
+        trajectories = read_trajectories(path)
+        supervised = [traj for traj in trajectories if traj.ground_truth is not None]
+        skipped += len(trajectories) - len(supervised)
+        records += _outcome_records(supervised, config.metric)
     if skipped:
         warnings.append(
             f"excluded {skipped} trajectories without ground truth from "

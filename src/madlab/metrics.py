@@ -11,19 +11,26 @@ System: normalized final-round entropy (base = number of distinct final
 answers, 0 when unanimous), a binary disagreement indicator, and leave-one-out
 vote instability, averaged into U_sys. Every metric lives in [0, 1].
 
-full_profile is the single source of these readings: rewards, replay
-priorities, training history and every artifact read a trajectory's profile
-instead of scoring its answer grid again.
+profiles_from_codes is the batch entry point and the single source of these
+readings: it profiles a (B, T+1, N) array of answer codes (indices into the
+answer space) in numpy and returns each debate's ensemble winner with it.
+full_profile is a batch of one. Rewards, replay priorities, training history
+and every artifact read a trajectory's profile instead of scoring its answer
+grid again. The floats equal a per-trajectory evaluation in Python bit for
+bit: conflicts are summed left to right over rounds, and the entropy terms
+come from math.log and are summed in the order labels first appear in the
+final round.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
-from madlab.debate import DebateTrajectory, ensemble_answer, leave_one_out_votes, with_fp
+import numpy as np
+
+from madlab.debate import DebateTrajectory, with_fp
 
 
 @dataclass(frozen=True)
@@ -52,78 +59,87 @@ class UncertaintyProfile:
     u_sys: float
 
 
-def flip_rate(traj: DebateTrajectory) -> float:
-    """Fraction of the N*T adjacent-round transitions where an agent flips."""
-    n, t_rounds = traj.num_agents, traj.num_refinement_rounds
-    flips = 0
-    for prev, cur in zip(traj.rounds, traj.rounds[1:]):
-        flips += sum(a != b for a, b in zip(prev, cur))
-    return flips / (n * t_rounds)
+def answer_codes(trajectories: Sequence[DebateTrajectory]) -> np.ndarray:
+    """(B, T+1, N) answer codes of trajectories that share one answer space and grid shape.
 
-
-def belief_revision(traj: DebateTrajectory) -> float:
-    """Fraction of agents whose final answer differs from their initial one."""
-    first, last = traj.rounds[0], traj.rounds[-1]
-    return sum(a != b for a, b in zip(first, last)) / traj.num_agents
-
-
-def round_conflict(traj: DebateTrajectory, t: int) -> float:
-    """Disagreeing fraction of the N(N-1)/2 unordered agent pairs at round t."""
-    if not 0 <= t < len(traj.rounds):
-        raise ValueError(f"round index {t} out of range")
-    row = traj.rounds[t]
-    n = len(row)
-    # agreeing pairs per label: c choose 2; disagreement is the complement
-    agree = sum(c * (c - 1) // 2 for c in Counter(row).values())
-    total = n * (n - 1) // 2
-    return (total - agree) / total
-
-
-def normalized_entropy(traj: DebateTrajectory) -> float:
-    """Final-round answer entropy normalized by log K, K = distinct answers.
-
-    Defined as 0 when the final round is unanimous (K = 1).
+    A code is the label's index in the first trajectory's answer space.
     """
-    counts = Counter(traj.final_round)
-    k = len(counts)
-    if k == 1:
-        return 0.0
-    n = len(traj.final_round)
-    h = -sum((c / n) * math.log(c / n) for c in counts.values())
-    return h / math.log(k)
+    space = trajectories[0].answer_space
+    index = {label: code for code, label in enumerate(space)}
+    try:
+        codes = [index[a] for traj in trajectories for row in traj.rounds for a in row]
+    except KeyError as exc:
+        raise ValueError(f"label {exc} not in the answer space {space}") from None
+    first = trajectories[0].rounds
+    return np.array(codes, dtype=np.int64).reshape(len(trajectories), len(first), len(first[0]))
 
 
-def disagreement_indicator(traj: DebateTrajectory) -> float:
-    """1.0 unless the final round is unanimous."""
-    return 0.0 if len(set(traj.final_round)) == 1 else 1.0
+def profiles_from_codes(
+    answers: np.ndarray, k: int, config: MetricConfig
+) -> tuple[list[UncertaintyProfile], np.ndarray]:
+    """Every debate's profile and ensemble winner from its answer codes.
+
+    answers[b, t, i] is agent i's answer at round t of debate b, as an index
+    into an answer space of k labels; all B debates have N >= 2 agents and
+    T >= 1 refinement rounds. The winner is the final round's majority code,
+    ties going to the lowest code, which is majority_vote's tie-break in
+    answer-space order. The leave-one-out reading is the fraction of agents
+    whose removal changes that winner.
+    """
+    if answers.ndim != 3 or answers.shape[1] < 2 or answers.shape[2] < 2:
+        raise ValueError(f"need (B, T+1 >= 2, N >= 2) answer codes, got shape {answers.shape}")
+    if answers.size and not 0 <= answers.min() <= answers.max() < k:
+        raise ValueError(f"answer codes must lie in 0..{k - 1}")
+    b, steps, n = answers.shape
+    # counts[b, t, c]: how many agents answer c at round t.
+    slots = np.arange(b * steps)[:, None] * k
+    counts = np.bincount((slots + answers.reshape(b * steps, n)).ravel(), minlength=b * steps * k)
+    counts = counts.reshape(b, steps, k)
+    lam = config.lambda_mix
+    flip = (answers[:, 1:] != answers[:, :-1]).sum(axis=(1, 2)) / (n * (steps - 1))
+    revision = (answers[:, 0] != answers[:, -1]).sum(axis=1) / n
+    intra = lam * flip + (1.0 - lam) * revision
+    pairs = n * (n - 1) // 2
+    conflicts = (pairs - (counts * (counts - 1) // 2).sum(axis=2)) / pairs
+    inter = conflicts[:, 0].copy()
+    for t in range(1, steps):
+        inter += conflicts[:, t]  # left to right, as Python's sum adds them
+    inter /= steps
+
+    final, final_counts = answers[:, -1], counts[:, -1]
+    winners = final_counts.argmax(axis=1)
+    distinct = (final_counts > 0).sum(axis=1)
+    # -sum over distinct labels of p log p, each label's term added where the
+    # label first appears in the final round (Counter's order).
+    term = np.array([0.0] + [(c / n) * math.log(c / n) for c in range(1, n + 1)])
+    voter_terms = term[np.take_along_axis(final_counts, final, axis=1)]
+    neg_h = np.zeros(b)
+    for i in range(n):
+        first = (final[:, :i] != final[:, i : i + 1]).all(axis=1)
+        neg_h += np.where(first, voter_terms[:, i], 0.0)
+    # Unanimous rounds read 0 below; the 1.0 placeholders keep log 1 = 0 out of the division.
+    log_distinct = np.array([1.0, 1.0] + [math.log(d) for d in range(2, n + 1)])
+    entropy = np.where(distinct == 1, 0.0, -neg_h / log_distinct[distinct])
+    disagreement = (distinct > 1).astype(np.float64)
+    loo_counts = final_counts[:, None, :] - (final[:, :, None] == np.arange(k))
+    loo = (loo_counts.argmax(axis=2) != winners[:, None]).sum(axis=1) / n
+    u_sys = (entropy + disagreement + loo) / 3.0
+
+    profiles = [
+        UncertaintyProfile(f, m, ui, tuple(c), ue, h, d, lo, us)
+        for f, m, ui, c, ue, h, d, lo, us in zip(
+            flip.tolist(), revision.tolist(), intra.tolist(), conflicts.tolist(),
+            inter.tolist(), entropy.tolist(), disagreement.tolist(), loo.tolist(),
+            u_sys.tolist(),
+        )
+    ]
+    return profiles, winners
 
 
 def full_profile(traj: DebateTrajectory, config: MetricConfig) -> UncertaintyProfile:
-    """Compute every metric once, reusing the shared pieces.
-
-    The leave-one-out reading is the fraction of agents whose removal changes
-    the final majority answer.
-    """
-    f = flip_rate(traj)
-    m = belief_revision(traj)
-    lam = config.lambda_mix
-    conflicts = tuple(round_conflict(traj, t) for t in range(len(traj.rounds)))
-    h = normalized_entropy(traj)
-    d = disagreement_indicator(traj)
-    full_winner = ensemble_answer(traj)
-    loo_votes = leave_one_out_votes(traj)
-    loo = sum(v.winner != full_winner for v in loo_votes) / len(loo_votes)
-    return UncertaintyProfile(
-        flip_rate=f,
-        belief_revision=m,
-        u_intra=lam * f + (1.0 - lam) * m,
-        round_conflicts=conflicts,
-        u_inter=sum(conflicts) / len(conflicts),
-        entropy_norm=h,
-        disagreement=d,
-        loo_instability=loo,
-        u_sys=(h + d + loo) / 3.0,
-    )
+    """One trajectory's profile: profiles_from_codes over a batch of one."""
+    profiles, _ = profiles_from_codes(answer_codes([traj]), len(traj.answer_space), config)
+    return profiles[0]
 
 
 PROFILE_CSV_HEADER = "question_id,F,M,U_intra,U_inter,H,D,L,U_sys"

@@ -30,7 +30,11 @@ from typing import IO, Sequence
 import numpy as np
 
 from madlab.debate import DebateTrajectory, with_fp
-from madlab.metrics import MetricConfig, full_profile
+from madlab.metrics import (  # noqa: F401  full_profile: perfbench's tracer test patches this binding
+    MetricConfig,
+    full_profile,
+    profiles_from_codes,
+)
 from madlab.policy import (
     DebateEnv,
     PolicyTable,
@@ -331,8 +335,12 @@ def train(
     buffer = ReplayBuffer(replay_config) if replay_config and replay_config.enabled else None
     qmap = {q.question_id: q for q in train_questions}
 
-    def rescore(traj: DebateTrajectory) -> float:
-        return replay_score(total_reward(traj, full_profile(traj, metric_config), coeffs))
+    def scored(trajectories: Sequence[DebateTrajectory], answers: np.ndarray):
+        profiles, _ = profiles_from_codes(answers, len(env.answer_space), metric_config)
+        return profiles, [total_reward(t, p, coeffs) for t, p in zip(trajectories, profiles)]
+
+    def rescore(trajectories: Sequence[DebateTrajectory], answers: np.ndarray) -> list[float]:
+        return [replay_score(r) for r in scored(trajectories, answers)[1]]
 
     for k in range(1, clip.iterations + 1):
         n_replay = 0
@@ -358,8 +366,7 @@ def train(
             derive_key(seed, "rollout", k),
             weights,
         )
-        profiles = [full_profile(t, metric_config) for t in batch.trajectories]
-        rewards = [total_reward(t, p, coeffs) for t, p in zip(batch.trajectories, profiles)]
+        profiles, rewards = scored(batch.trajectories, batch.answers)
         totals = np.array([r.total for r in rewards])
         gradient_step(env, state, batch, clip, totals)
         state.iteration = k

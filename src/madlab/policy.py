@@ -88,6 +88,15 @@ def _key_digest(*tokens: object) -> bytes:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
 
 
+def _act_digests(seed: int, question_id: str, suffixes: Sequence[bytes]) -> list[bytes]:
+    """_key_digest(seed, "act", question_id, t, i) for each encoded "t|i" suffix.
+
+    The "seed|act|question_id|" prefix is formatted once per debate.
+    """
+    prefix = f"{seed}|act|{question_id}|".encode()
+    return [hashlib.blake2b(prefix + suffix, digest_size=16).digest() for suffix in suffixes]
+
+
 def derive_key(*tokens: object) -> int:
     """128-bit stream key from hashed scope tokens."""
     return int.from_bytes(_key_digest(*tokens), "little")
@@ -518,10 +527,10 @@ class DebateEnv:
         base = contexts_per_bin(k) * np.array(bins)
         tilts = [self.question_tilts(q) for q in questions]
         chunk = max(1, ACT_KEYS_PER_PASS // (steps * max(1, len(honest))))
+        suffixes = [f"{t}|{i}".encode() for t in range(steps) for i in honest]
         uniforms = np.concatenate([
-            philox_uniforms([_key_digest(seed, "act", q.question_id, t, i)
-                             for q, seed in zip(questions[j:j + chunk], rollout_seeds[j:j + chunk])
-                             for t in range(steps) for i in honest])
+            philox_uniforms([d for q, seed in zip(questions[j:j + chunk], rollout_seeds[j:j + chunk])
+                             for d in _act_digests(seed, q.question_id, suffixes)])
             for j in range(0, b, chunk)
         ]).reshape(b, steps, len(honest), 1)
         logits = np.stack([policies[i].logits for i in honest]) if honest else None

@@ -133,12 +133,13 @@ class ReplayBuffer:
         questions: Mapping[str, object],
         rollout_seed: int,
         policy_version: int,
-        score: Callable[[DebateTrajectory], float],
+        score: Callable[[list[DebateTrajectory], np.ndarray], Sequence[float]],
     ) -> None:
         """Re-roll every stored question under the given policies, rescore, restamp.
 
-        All entries roll as one batch; score maps each re-rolled trajectory to
-        its priority. An unknown question id fails before any entry changes.
+        All entries roll as one batch; score maps the re-rolled trajectories and
+        their (B, T+1, N) answer codes to one priority each. An unknown
+        question id fails before any entry changes.
         """
         qids = [entry.trajectory.question_id for entry in self.entries]
         for qid in qids:
@@ -146,10 +147,10 @@ class ReplayBuffer:
                 raise ValueError(f"cannot refresh: unknown question_id {qid!r}")
         batch = [questions[qid] for qid in qids]
         seeds = [derive_key(rollout_seed, j) for j in range(len(batch))]
-        trajectories, _, _ = env.rollout_batch(batch, policies, seeds)
-        for entry, traj in zip(self.entries, trajectories):
+        trajectories, _, answers = env.rollout_batch(batch, policies, seeds)
+        for entry, traj, priority in zip(self.entries, trajectories, score(trajectories, answers)):
             entry.trajectory = traj
-            entry.score = score(traj)
+            entry.score = priority
             entry.policy_version = policy_version
 
     def dump(self, path_or_fp: str | IO[str]) -> None:

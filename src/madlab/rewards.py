@@ -11,10 +11,12 @@ because calibration scales it with the same machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from madlab.debate import DebateTrajectory, ensemble_answer
 from madlab.metrics import UncertaintyProfile
+
+ABLATABLE = ("alpha", "beta", "gamma")  # components CoefficientSet.zeroed can switch off
 
 
 @dataclass(frozen=True)
@@ -55,16 +57,12 @@ class CoefficientSet:
             eta_anchor=(eta_anchor,) * num_agents,
         )
 
-    def zeroed(self, component: str) -> "CoefficientSet":
-        """Copy with one component's weights set to 0 (ablation switch)."""
-        zeros = (0.0,) * self.num_agents
-        if component == "alpha":
-            return CoefficientSet(zeros, self.beta, self.gamma, self.lambda_task, self.eta_anchor)
-        if component == "beta":
-            return CoefficientSet(self.alpha, zeros, self.gamma, self.lambda_task, self.eta_anchor)
-        if component == "gamma":
-            return CoefficientSet(self.alpha, self.beta, zeros, self.lambda_task, self.eta_anchor)
-        raise ValueError(f"unknown component {component!r}, expected alpha/beta/gamma")
+    def zeroed(self, *components: str) -> "CoefficientSet":
+        """Copy with the named components' weights set to 0 (ablation switch)."""
+        for component in components:
+            if component not in ABLATABLE:
+                raise ValueError(f"unknown component {component!r}, expected {'/'.join(ABLATABLE)}")
+        return replace(self, **{c: (0.0,) * self.num_agents for c in components})
 
 
 @dataclass(frozen=True)

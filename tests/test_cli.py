@@ -79,6 +79,26 @@ def test_train_zero_alpha_writes_zeroed_coefficients(tiny_config, tmp_path, caps
         assert (out / name).is_file()
 
 
+def test_train_zero_takes_a_comma_list(tiny_config, tmp_path, capsys):
+    out = tmp_path / "task-only"
+    assert main(["train", "--config", tiny_config, "--out", str(out),
+                 "--zero", "alpha,beta,gamma"]) == 0
+    assert "trained,12," in capsys.readouterr().out
+    lines = (out / "coefficients.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 4
+    for line in lines[1:]:
+        assert line.split(",")[1:4] == ["0.000000"] * 3
+        assert float(line.split(",")[4]) > 0.0
+
+
+def test_train_zero_rejects_unknown_component(tiny_config, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["train", "--config", tiny_config, "--out", str(tmp_path / "t"),
+              "--zero", "alpha,lambda"])
+    assert excinfo.value.code == 2
+    assert "unknown component 'lambda'" in capsys.readouterr().err
+
+
 def test_attack_rows_and_majority_warning(tiny_config, tmp_path, capsys):
     out = tmp_path / "attack"
     code = main(["attack", "--config", tiny_config, "--out", str(out),
@@ -111,6 +131,22 @@ def test_analyze_consumes_baseline_trajectories(tiny_config, tmp_path, capsys):
     assert "analysis,12," in captured.out
     for name in ("separation.csv", "selective.csv", "strata.csv"):
         assert (out / name).is_file()
+
+
+def test_analyze_read_error_names_the_file(tiny_config, tmp_path, capsys):
+    base = tmp_path / "base"
+    assert main(["baseline", "--config", tiny_config, "--out", str(base)]) == 0
+    capsys.readouterr()
+    good = base / "trajectories.jsonl"
+    lines = good.read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines[:4] + ["{not json"] + lines[4:]) + "\n", encoding="utf-8")
+    code = main(["analyze", str(good), str(bad),
+                 "--config", tiny_config, "--out", str(tmp_path / "reports")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: line 5: not valid JSON" in err
+    assert f"{good}:" not in err
 
 
 def test_analyze_missing_file_is_runtime_error(tiny_config, tmp_path, capsys):

@@ -7,14 +7,18 @@ import csv
 import dataclasses
 import os
 
+import numpy as np
 import pytest
 
+import brute_oracle as oracle
+from madlab import harness
 from madlab.config import ExperimentConfig
-from madlab.debate import DebateTrajectory, write_trajectories
+from madlab.debate import DebateTrajectory, ensemble_answer, write_trajectories
 from madlab.harness import (
     COEFFICIENTS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
     SWEEP_AXES,
+    SummaryRow,
     rewards_csv_header,
     run_analysis,
     run_attack,
@@ -23,9 +27,11 @@ from madlab.harness import (
     run_udpo,
     with_seed,
 )
+from madlab.metrics import full_profile
 from madlab.optim import ClipConfig
 from madlab.policy import EnvConfig
 from madlab.replay import ReplayConfig
+from madlab.stats import OutcomeRecord
 
 BASELINE_ARTIFACTS = ("summary.csv", "trajectories.jsonl", "profiles.csv", "rewards.csv")
 
@@ -259,6 +265,39 @@ def test_analysis_single_outcome_class_degrades_gracefully(tmp_path):
     assert not (reports / "correlation.csv").exists()
     assert (reports / "selective.csv").is_file()
     assert (reports / "strata.csv").is_file()
+
+
+def test_analysis_groups_mixed_answer_spaces_and_grid_shapes(tmp_path, monkeypatch):
+    # Two answer spaces, two agent counts and two round counts interleaved in
+    # one file; chunks of 3 split each group across several kernel calls.
+    rng = np.random.default_rng(11)
+    shapes = [(("A", "B", "C"), 3, 1), (("x", "y"), 5, 3), (("A", "B", "C"), 5, 1),
+              (("x", "y"), 3, 3)]
+    trajectories = []
+    for j in range(40):
+        space, n, t = shapes[int(rng.integers(len(shapes)))]
+        trajectories.append(DebateTrajectory(
+            question_id=f"mix-{j}",
+            answer_space=space,
+            rounds=oracle.random_rounds(rng, n, t, space),
+            ground_truth=None if j % 9 == 4 else space[int(rng.integers(len(space)))],
+        ))
+    path = tmp_path / "mixed.jsonl"
+    write_trajectories(str(path), trajectories)
+    config = tiny_config()
+    expected = [
+        OutcomeRecord(traj.question_id, ensemble_answer(traj) == traj.ground_truth,
+                      full_profile(traj, config.metric))
+        for traj in trajectories if traj.ground_truth is not None
+    ]
+    monkeypatch.setattr(harness, "ANALYSIS_CHUNK", 3)
+    records = []  # what run_analysis hands its reports, captured at the selective curve
+    monkeypatch.setattr(harness, "selective_prediction_curve",
+                        lambda recs, k_grid: records.extend(recs) or [])
+    result = run_analysis([str(path)], config, str(tmp_path / "reports"))
+    assert records == expected
+    assert result.rows == [SummaryRow.from_records("analysis", expected)]
+    assert any("excluded 4 trajectories" in w for w in result.warnings)
 
 
 def test_analysis_with_no_usable_records_reports_and_stops(tmp_path):

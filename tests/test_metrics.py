@@ -13,14 +13,19 @@ from madlab.metrics import (
     PROFILE_CSV_HEADER,
     MetricConfig,
     UncertaintyProfile,
+    answer_codes,
     full_profile,
-    normalized_entropy,
     profile_csv_row,
-    round_conflict,
+    profiles_from_codes,
     write_profiles_csv,
 )
 
 SPACE3 = ("A", "B", "C")
+LABELS26 = tuple(chr(ord("A") + c) for c in range(26))
+FLOAT_FIELDS = (
+    "flip_rate", "belief_revision", "u_intra", "u_inter",
+    "entropy_norm", "disagreement", "loo_instability", "u_sys",
+)
 
 
 def make_traj(rounds, space=SPACE3):
@@ -107,23 +112,125 @@ def test_unanimous_static_debate_is_all_zero():
 
 def test_round_0_counts_in_inter_uncertainty():
     # disagreement only at round 0 still registers
-    traj = make_traj((("A", "B"), ("A", "A")))
-    assert full_profile(traj, MetricConfig()).u_inter == 0.5
-    assert round_conflict(traj, 0) == 1.0
-    assert round_conflict(traj, 1) == 0.0
-    with pytest.raises(ValueError, match="out of range"):
-        round_conflict(traj, 2)
+    prof = full_profile(make_traj((("A", "B"), ("A", "A"))), MetricConfig())
+    assert prof.round_conflicts == (1.0, 0.0)
+    assert prof.u_inter == 0.5
 
 
 def test_entropy_base_is_distinct_answer_count():
     # two distinct answers among 3 agents: H = -(2/3 ln 2/3 + 1/3 ln 1/3)/ln 2
-    traj = make_traj((("A", "A", "B"), ("A", "A", "B")))
-    expected = oracle.brute_entropy(("A", "A", "B"))
-    assert abs(normalized_entropy(traj) - expected) < 1e-15
-    assert 0.0 < normalized_entropy(traj) < 1.0
+    h = full_profile(make_traj((("A", "A", "B"), ("A", "A", "B"))), MetricConfig()).entropy_norm
+    assert abs(h - oracle.brute_entropy(("A", "A", "B"))) < 1e-15
+    assert 0.0 < h < 1.0
     # all distinct: maximal entropy 1 regardless of K
     traj3 = make_traj((("A", "B", "C"), ("A", "B", "C")))
-    assert abs(normalized_entropy(traj3) - 1.0) < 1e-12
+    assert abs(full_profile(traj3, MetricConfig()).entropy_norm - 1.0) < 1e-12
+
+
+# ------------------------------------------------------------ batched kernel
+
+
+def code_grids(rng, b, n, t, k):
+    """b random (t+1, n) code grids; half of them draw from few labels, so
+    unanimous rounds and tied final rounds are common."""
+    few = rng.integers(0, min(k, 3), size=(b, t + 1, n))
+    any_ = rng.integers(0, k, size=(b, t + 1, n))
+    return np.where(rng.random(b)[:, None, None] < 0.5, few, any_)
+
+
+def check_against_references(codes, k, lam):
+    """profiles_from_codes on a batch equals the brute oracle and full_profile
+    of each debate alone, with exact ==, and its winner is majority_vote's."""
+    cfg = MetricConfig(lambda_mix=lam)
+    space = LABELS26[:k]
+    profiles, winners = profiles_from_codes(codes, k, cfg)
+    assert len(profiles) == len(codes) and winners.shape == (len(codes),)
+    for grid, prof, w in zip(codes.tolist(), profiles, winners.tolist()):
+        rounds = tuple(tuple(space[a] for a in row) for row in grid)
+        final = rounds[-1]
+        assert prof == full_profile(make_traj(rounds, space), cfg)
+        assert space[w] == oracle.brute_majority(final, space)
+        assert prof.flip_rate == oracle.brute_flip_rate(rounds)
+        assert prof.belief_revision == oracle.brute_belief_revision(rounds)
+        assert prof.u_intra == oracle.brute_intra(rounds, lam)
+        assert prof.round_conflicts == tuple(oracle.brute_round_conflict(r) for r in rounds)
+        assert prof.u_inter == oracle.brute_inter(rounds)
+        assert prof.entropy_norm == oracle.brute_entropy(final)
+        assert prof.disagreement == oracle.brute_disagreement(final)
+        assert prof.loo_instability == oracle.brute_loo(final, space)
+        assert prof.u_sys == oracle.brute_usys(final, space)
+        for name in FLOAT_FIELDS:
+            assert type(getattr(prof, name)) is float
+        assert all(type(c) is float for c in prof.round_conflicts)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 26])
+def test_kernel_matches_oracle_and_full_profile_exactly(k):
+    rng = np.random.default_rng(1000 + k)
+    for n in range(2, 8):
+        for t in (1, 2, 4, 7, 8):
+            lam = (0.3, 0.5, 0.85)[(n + t) % 3]
+            check_against_references(code_grids(rng, 12, n, t, k), k, lam)
+
+
+def test_kernel_edge_grids():
+    # N = 2, T = 1: every split final round is a tie, won by the lower code
+    grids = np.array([[[0, 1], [1, 0]], [[1, 1], [1, 1]], [[0, 0], [1, 0]]])
+    check_against_references(grids, 2, 0.5)
+    profiles, winners = profiles_from_codes(grids, 2, MetricConfig())
+    assert winners.tolist() == [0, 1, 0]
+    assert profiles[0].loo_instability == 0.5 and profiles[1].u_sys == 0.0
+    # unanimous rows, and tied final rounds among four and six agents, K = 26
+    unanimous = np.full((1, 4, 5), 25)
+    tied = np.array([[[3, 3, 9, 9], [9, 3, 3, 9], [25, 3, 25, 3]]])
+    tied3 = np.array([[[0] * 6, [5, 2, 7, 2, 7, 5]]])
+    for grids in (unanimous, tied, tied3):
+        check_against_references(grids, 26, 0.3)
+    assert profiles_from_codes(unanimous, 26, MetricConfig())[0][0].u_sys == 0.0
+    assert profiles_from_codes(tied, 26, MetricConfig())[1].tolist() == [3]
+    assert profiles_from_codes(tied3, 26, MetricConfig())[1].tolist() == [2]
+
+
+def test_kernel_matches_oracle_on_wide_ensembles():
+    # np.log and math.log disagree in the last bit on a few shares c/n, 14/37
+    # among them on x86-64 numpy 2.x; these 37-agent final rounds (labels in
+    # order of first appearance) carry that difference into the entropy.
+    rng = np.random.default_rng(37)
+    for counts in ((14, 1, 22), (14, 16, 7), (14, 1, 3, 19), (9, 28)):
+        grids = code_grids(rng, 4, 37, 2, 5)
+        grids[:, -1] = np.repeat(np.arange(len(counts)), counts)
+        check_against_references(grids, 5, 0.5)
+
+
+def test_kernel_does_not_depend_on_the_rest_of_the_batch():
+    rng = np.random.default_rng(7)
+    codes = code_grids(rng, 40, 5, 6, 4)
+    profiles, winners = profiles_from_codes(codes, 4, MetricConfig())
+    for j in range(len(codes)):
+        alone, w = profiles_from_codes(codes[j : j + 1], 4, MetricConfig())
+        assert alone == [profiles[j]] and w.tolist() == [winners[j]]
+    empty, none = profiles_from_codes(codes[:0], 4, MetricConfig())
+    assert empty == [] and none.shape == (0,)
+
+
+def test_kernel_rejects_bad_codes_and_shapes():
+    with pytest.raises(ValueError, match="shape"):
+        profiles_from_codes(np.zeros((3, 1, 4), dtype=np.int64), 2, MetricConfig())
+    with pytest.raises(ValueError, match="shape"):
+        profiles_from_codes(np.zeros((3, 2, 1), dtype=np.int64), 2, MetricConfig())
+    with pytest.raises(ValueError, match="shape"):
+        profiles_from_codes(np.zeros((2, 2), dtype=np.int64), 2, MetricConfig())
+    with pytest.raises(ValueError, match="0..2"):
+        profiles_from_codes(np.full((1, 2, 2), 3), 3, MetricConfig())
+    with pytest.raises(ValueError, match="0..2"):
+        profiles_from_codes(np.full((1, 2, 2), -1), 3, MetricConfig())
+
+
+def test_answer_codes_index_the_answer_space():
+    trajs = [make_traj((("C", "A"), ("B", "B"))), make_traj((("A", "A"), ("C", "B")))]
+    assert answer_codes(trajs).tolist() == [[[2, 0], [1, 1]], [[0, 0], [2, 1]]]
+    with pytest.raises(ValueError, match="'Z' not in the answer space"):
+        answer_codes([make_traj((("A", "Z"), ("A", "A")))])
 
 
 def test_lambda_mix_validation():

@@ -410,7 +410,7 @@ def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
     for traj in batch.trajectories:
         buffer.push(traj, 1.0)
     buffer.refresh(env, policies, {q.question_id: q for q in questions}, rollout_seed=9,
-                   policy_version=1, score=lambda traj: 1.0)
+                   policy_version=1, score=lambda trajs, answers: [1.0] * len(trajs))
     coeffs = CoefficientSet.uniform(4)
     state = TrainState(policies=policies, reference=env.initial_policies(), ref_version=0,
                        coeffs=coeffs, iteration=0)

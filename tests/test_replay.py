@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from madlab.debate import DebateTrajectory, trajectory_to_record
-from madlab.metrics import MetricConfig, full_profile
+from madlab.metrics import MetricConfig, answer_codes, full_profile
 from madlab.policy import DebateEnv, EnvConfig, derive_key, rng_stream
 from madlab.replay import BufferEntry, ReplayBuffer, ReplayConfig, replay_score
 from madlab.rewards import CoefficientSet, total_reward
@@ -33,6 +33,12 @@ def score_of(traj):
     """Replay priority of a trajectory through its profile and rewards."""
     coeffs = CoefficientSet.uniform(traj.num_agents)
     return replay_score(total_reward(traj, full_profile(traj, MC), coeffs))
+
+
+def batch_scores(trajectories, answers):
+    """refresh's score callback: score_of per re-rolled trajectory."""
+    assert (answer_codes(trajectories) == answers).all()
+    return [score_of(traj) for traj in trajectories]
 
 
 def fixed_buffer(eta):
@@ -203,7 +209,7 @@ def test_refresh_rerolls_rescores_and_restamps():
     for j, q in enumerate(questions.values()):
         traj = env.rollout_debate(q, policies, derive_key(100, j))
         buffer.push(traj, score_of(traj), iteration=1, policy_version=0)
-    buffer.refresh(env, policies, questions, rollout_seed=777, policy_version=9, score=score_of)
+    buffer.refresh(env, policies, questions, rollout_seed=777, policy_version=9, score=batch_scores)
     for j, entry in enumerate(buffer.entries):
         q = questions[entry.trajectory.question_id]
         expected = env.rollout_debate(q, policies, derive_key(777, j))
@@ -212,7 +218,7 @@ def test_refresh_rerolls_rescores_and_restamps():
         assert entry.policy_version == 9
     # Same policies and seed: a second refresh is a fixed point.
     snapshot = [(e.trajectory, e.score) for e in buffer.entries]
-    buffer.refresh(env, policies, questions, rollout_seed=777, policy_version=9, score=score_of)
+    buffer.refresh(env, policies, questions, rollout_seed=777, policy_version=9, score=batch_scores)
     assert snapshot == [(e.trajectory, e.score) for e in buffer.entries]
 
 
@@ -223,7 +229,7 @@ def test_refresh_unknown_question_errors():
     buffer.push(make_traj("mystery"), 0.3)
     with pytest.raises(ValueError, match="mystery"):
         buffer.refresh(
-            env, env.initial_policies(), {}, rollout_seed=1, policy_version=1, score=score_of
+            env, env.initial_policies(), {}, rollout_seed=1, policy_version=1, score=batch_scores
         )
 
 

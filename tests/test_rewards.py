@@ -91,6 +91,13 @@ def test_uniform_coefficients_and_zeroed():
     assert zeroed.alpha == coeffs.alpha
     with pytest.raises(ValueError, match="alpha/beta/gamma"):
         coeffs.zeroed("lambda")
+    task_only = coeffs.zeroed("alpha", "beta", "gamma")
+    assert task_only.alpha == task_only.beta == task_only.gamma == (0.0,) * 4
+    assert task_only.lambda_task == coeffs.lambda_task
+    assert task_only.eta_anchor == coeffs.eta_anchor
+    assert coeffs.zeroed() == coeffs
+    with pytest.raises(ValueError, match="'eta_anchor'"):
+        coeffs.zeroed("alpha", "eta_anchor")
 
 
 def test_coefficient_length_mismatch_rejected():
