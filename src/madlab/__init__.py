@@ -9,13 +9,11 @@ a warmup phase, replays uncertain episodes preferentially, and ships the
 statistics needed to read the results.
 """
 
-from madlab.debate import DebateTrajectory, VoteOutcome, majority_vote
+from madlab.debate import DebateTrajectory
 from madlab.metrics import MetricConfig, UncertaintyProfile, full_profile
 
 __all__ = [
     "DebateTrajectory",
-    "VoteOutcome",
-    "majority_vote",
     "MetricConfig",
     "UncertaintyProfile",
     "full_profile",

@@ -3,7 +3,8 @@
 Phase 1 (warm-up) rolls out debates on a held-out warm-up split and averages
 each agent's restricted uncertainty readings: the agent's own flip/revision
 mix, the disagreement share of the answer pairs that contain the agent, and
-how often removing the agent flips the final vote.
+how often removing the agent flips the final vote. The readings come from the
+rollouts' answer codes, counted by the metric kernel's vote helper.
 
 Phase 2 turns that profile into per-agent reward coefficients through
 monotone closed forms: agents that ran hot during warm-up get their
@@ -17,8 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from madlab.debate import DebateTrajectory, ensemble_answer, leave_one_out_votes
-from madlab.metrics import MetricConfig
+import numpy as np
+
+from madlab.metrics import MetricConfig, _votes
 from madlab.rewards import CoefficientSet
 
 
@@ -94,52 +96,37 @@ def split_warmup(
 
 
 def warmup_profile(
-    trajectories: Sequence[DebateTrajectory],
-    num_agents: int,
-    metric_config: MetricConfig | None = None,
+    answers: np.ndarray, k: int, config: MetricConfig
 ) -> AgentUncertaintyProfile:
     """Average each agent's restricted uncertainty readings over warm-up runs.
 
+    answers holds the warm-up debates' (B, T+1, N) answer codes over k labels.
     Per agent i: the flip/revision mix of agent i's own answer sequence; the
     mean disagreement over rounds and peer pairs containing i; and the
-    fraction of trajectories where dropping agent i changes the final vote.
+    fraction of debates where dropping agent i changes the final vote. Sums
+    run over rounds, then over debates, left to right.
     """
-    if not trajectories:
+    if len(answers) == 0:
         raise ValueError("warm-up set must be non-empty")
-    config = metric_config or MetricConfig()
+    counts, _, pivots = _votes(answers, k)
+    b, steps, n = answers.shape
     lam = config.lambda_mix
-    intra = [0.0] * num_agents
-    inter = [0.0] * num_agents
-    loo = [0.0] * num_agents
-    for traj in trajectories:
-        if traj.num_agents != num_agents:
-            raise ValueError(
-                f"trajectory {traj.question_id!r} has {traj.num_agents} agents, "
-                f"expected {num_agents}"
-            )
-        t_rounds = traj.num_refinement_rounds
-        full_winner = ensemble_answer(traj)
-        loo_votes = leave_one_out_votes(traj)
-        for i in range(num_agents):
-            seq = traj.agent_answers(i)
-            flips = sum(a != b for a, b in zip(seq, seq[1:])) / t_rounds
-            revision = float(seq[0] != seq[-1])
-            intra[i] += lam * flips + (1.0 - lam) * revision
-            conflict = 0.0
-            for row in traj.rounds:
-                peers = [a for j, a in enumerate(row) if j != i]
-                conflict += sum(a != row[i] for a in peers) / len(peers)
-            inter[i] += conflict / len(traj.rounds)
-            loo[i] += float(loo_votes[i].winner != full_winner)
-    n = len(trajectories)
-    intra = [v / n for v in intra]
-    inter = [v / n for v in inter]
-    loo = [v / n for v in loo]
+    flips = (answers[:, 1:] != answers[:, :-1]).sum(axis=1) / (steps - 1)
+    revision = (answers[:, 0] != answers[:, -1]).astype(np.float64)
+    # Share of agent i's n - 1 peers that answer differently at round t.
+    conflict = (n - np.take_along_axis(counts, answers, axis=2)) / (n - 1)
+    per_debate = (
+        lam * flips + (1.0 - lam) * revision,
+        np.cumsum(conflict, axis=1)[:, -1] / steps,
+        pivots.astype(np.float64),
+    )
+    # np.cumsum adds left to right like Python's +=; np.sum may pair its terms.
+    intra, inter, loo = (np.cumsum(v, axis=0)[-1] / b for v in per_debate)
     return AgentUncertaintyProfile(
-        u_intra_bar=tuple(intra),
-        u_inter_bar=tuple(inter),
-        loo_bar=tuple(loo),
-        u_sys_bar=tuple((a + b + c) / 3.0 for a, b, c in zip(intra, inter, loo)),
+        u_intra_bar=tuple(intra.tolist()),
+        u_inter_bar=tuple(inter.tolist()),
+        loo_bar=tuple(loo.tolist()),
+        u_sys_bar=tuple(((intra + inter + loo) / 3.0).tolist()),
     )
 
 

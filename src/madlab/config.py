@@ -178,10 +178,6 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(text)
 
 
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
-
-
 def _fmt(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"

@@ -1,29 +1,20 @@
-"""Debate transcripts, majority voting, and the trajectory interchange format.
+"""Debate transcripts and the trajectory interchange format.
 
 A trajectory is a complete (T+1) x N grid of answer labels: round 0 holds the
 initial responses, rounds 1..T the refinements. Labels live in a finite
 ordered answer space; every tie anywhere in the package breaks toward the
-order-minimal label so that reruns are reproducible.
+order-minimal label so that reruns are reproducible. Votes are counted over
+answer codes, in metrics.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Mapping, TypeVar
 
 Label = str
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class VoteOutcome:
-    """Majority-vote result: winning label, per-label counts, tie flag."""
-
-    winner: Label
-    counts: dict[Label, int]
-    was_tie: bool
 
 
 @dataclass(frozen=True)
@@ -42,63 +33,6 @@ class DebateTrajectory:
     @property
     def num_agents(self) -> int:
         return len(self.rounds[0]) if self.rounds else 0
-
-    @property
-    def num_refinement_rounds(self) -> int:
-        """T, the number of refinement rounds after the initial response."""
-        return len(self.rounds) - 1
-
-    @property
-    def final_round(self) -> tuple[Label, ...]:
-        return self.rounds[-1]
-
-    def agent_answers(self, agent: int) -> tuple[Label, ...]:
-        """Answers of one agent across all rounds, in round order."""
-        return tuple(row[agent] for row in self.rounds)
-
-
-def majority_vote(
-    answers: Sequence[Label], order: Sequence[Label] | None = None
-) -> VoteOutcome:
-    """Majority vote with a deterministic order-minimal tie-break.
-
-    order fixes the tie-break ranking; when omitted, labels compare by their
-    natural (lexicographic) order. Raises on an empty ballot.
-    """
-    if not answers:
-        raise ValueError("majority_vote: no voters")
-    counts = Counter(answers)
-    top = max(counts.values())
-    leaders = [label for label, c in counts.items() if c == top]
-    if order is not None:
-        rank = {label: i for i, label in enumerate(order)}
-        try:
-            leaders.sort(key=lambda lab: rank[lab])
-        except KeyError as exc:
-            raise ValueError(f"majority_vote: label {exc} not in the given order")
-    else:
-        leaders.sort()
-    return VoteOutcome(winner=leaders[0], counts=dict(counts), was_tie=len(leaders) > 1)
-
-
-def ensemble_answer(traj: DebateTrajectory) -> Label:
-    """The ensemble's final answer: majority vote over the last round."""
-    return majority_vote(traj.final_round, traj.answer_space).winner
-
-
-def leave_one_out_votes(traj: DebateTrajectory) -> list[VoteOutcome]:
-    """Majority vote of the final round with each agent removed in turn.
-
-    Requires at least 2 agents: removing the only voter leaves no ballot.
-    """
-    final = traj.final_round
-    if len(final) < 2:
-        raise ValueError("leave_one_out_votes: need at least 2 agents")
-    outcomes = []
-    for i in range(len(final)):
-        rest = final[:i] + final[i + 1 :]
-        outcomes.append(majority_vote(rest, traj.answer_space))
-    return outcomes
 
 
 def validate_trajectory(traj: DebateTrajectory) -> list[str]:
@@ -158,6 +92,8 @@ def trajectory_from_record(record: Mapping[str, object]) -> DebateTrajectory:
     for key in ("question_id", "answer_space", "rounds"):
         if key not in record:
             raise ValueError(f"missing field {key!r}")
+    if not isinstance(record["answer_space"], list):
+        raise ValueError("field 'answer_space' must be a list of labels")
     rounds_raw = record["rounds"]
     if not isinstance(rounds_raw, list) or not all(
         isinstance(row, list) for row in rounds_raw
@@ -211,23 +147,15 @@ def write_trajectories(
 
 
 def read_trajectories(path_or_fp: str | IO[str]) -> list[DebateTrajectory]:
-    """Read a trajectory .jsonl file, rejecting bad lines with their path and number."""
-    return [traj for traj, _ in read_trajectory_records(path_or_fp)]
+    """Read a trajectory .jsonl file, rejecting bad lines with their number.
 
-
-def read_trajectory_records(
-    path_or_fp: str | IO[str],
-) -> list[tuple[DebateTrajectory, dict]]:
-    """Like read_trajectories but also returns each line's raw record.
-
-    Callers that carry side-channel fields (replay score, policy version)
-    read those from the raw record. Errors name the line, and the file when
-    given a path.
+    Errors name the line, and the file when given a path. Fields beyond the
+    trajectory's own (replay score, difficulty) are ignored.
     """
     where = f"{path_or_fp}: " if isinstance(path_or_fp, str) else ""
 
-    def _read(fp: Iterator[str]) -> list[tuple[DebateTrajectory, dict]]:
-        out: list[tuple[DebateTrajectory, dict]] = []
+    def _read(fp: Iterator[str]) -> list[DebateTrajectory]:
+        out: list[DebateTrajectory] = []
         for lineno, line in enumerate(fp, start=1):
             line = line.strip()
             if not line:
@@ -239,10 +167,9 @@ def read_trajectory_records(
             if not isinstance(record, dict):
                 raise ValueError(f"{where}line {lineno}: record must be a JSON object")
             try:
-                traj = trajectory_from_record(record)
+                out.append(trajectory_from_record(record))
             except ValueError as exc:
                 raise ValueError(f"{where}line {lineno}: {exc}")
-            out.append((traj, record))
         return out
 
     return with_fp(path_or_fp, "r", _read)

@@ -163,11 +163,11 @@ def write_rewards_csv(
 ) -> None:
     def _write(fp: IO[str]) -> None:
         fp.write(rewards_csv_header(coeffs.num_agents) + "\n")
-        for traj, profile in zip(result.trajectories, result.profiles):
-            vec = total_reward(traj, profile, coeffs)
+        for record in result.records:
+            vec = total_reward(record.profile, record.correct, coeffs)
             totals = ",".join(f"{t:.6f}" for t in vec.total)
             fp.write(
-                f"{traj.question_id},{vec.r_intra:.6f},{vec.r_inter:.6f},"
+                f"{record.question_id},{vec.r_intra:.6f},{vec.r_inter:.6f},"
                 f"{vec.r_sys:.6f},{vec.r_task:.6f},{totals}\n"
             )
 
@@ -238,8 +238,8 @@ def _calibrated_coefficients(
     """Warm-up rollouts under the untrained ensemble, then per-agent scaling."""
     policies = env.initial_policies()
     seeds = [derive_key(env.config.seed, "warmup", q.question_id) for q in warmup_questions]
-    trajectories, _, _ = env.rollout_batch(warmup_questions, policies, seeds)
-    profile = warmup_profile(trajectories, config.env.num_agents, config.metric)
+    _, _, answers = env.rollout_batch(warmup_questions, policies, seeds)
+    profile = warmup_profile(answers, len(env.answer_space), config.metric)
     return calibrate_coefficients(profile, config.calibration)
 
 

@@ -16,10 +16,13 @@ readings: it profiles a (B, T+1, N) array of answer codes (indices into the
 answer space) in numpy and returns each debate's ensemble winner with it.
 full_profile is a batch of one. Rewards, replay priorities, training history
 and every artifact read a trajectory's profile instead of scoring its answer
-grid again. The floats equal a per-trajectory evaluation in Python bit for
-bit: conflicts are summed left to right over rounds, and the entropy terms
-come from math.log and are summed in the order labels first appear in the
-final round.
+grid again, and the task reward reads the winner. The vote is counted once,
+in _votes: per-round answer counts, the final-round winner with its
+lowest-code tie-break, and which agents' removal changes it; warm-up
+calibration reads the same helper. The floats equal a per-trajectory
+evaluation in Python bit for bit: conflicts are summed left to right over
+rounds, and the entropy terms come from math.log and are summed in the order
+labels first appear in the final round.
 """
 
 from __future__ import annotations
@@ -74,6 +77,28 @@ def answer_codes(trajectories: Sequence[DebateTrajectory]) -> np.ndarray:
     return np.array(codes, dtype=np.int64).reshape(len(trajectories), len(first), len(first[0]))
 
 
+def _votes(answers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-round answer counts, each debate's winner and its leave-one-out pivots.
+
+    counts[b, t, c] is how many agents answer c at round t. The winner is the
+    final round's majority code, ties going to the lowest code, so the tie
+    breaks in answer-space order. pivots[b, i] is True when removing agent i
+    from the final round changes that winner.
+    """
+    if answers.ndim != 3 or answers.shape[1] < 2 or answers.shape[2] < 2:
+        raise ValueError(f"need (B, T+1 >= 2, N >= 2) answer codes, got shape {answers.shape}")
+    if answers.size and not 0 <= answers.min() <= answers.max() < k:
+        raise ValueError(f"answer codes must lie in 0..{k - 1}")
+    b, steps, n = answers.shape
+    slots = np.arange(b * steps)[:, None] * k
+    counts = np.bincount((slots + answers.reshape(b * steps, n)).ravel(), minlength=b * steps * k)
+    counts = counts.reshape(b, steps, k)
+    final, final_counts = answers[:, -1], counts[:, -1]
+    winners = final_counts.argmax(axis=1)
+    loo_counts = final_counts[:, None, :] - (final[:, :, None] == np.arange(k))
+    return counts, winners, loo_counts.argmax(axis=2) != winners[:, None]
+
+
 def profiles_from_codes(
     answers: np.ndarray, k: int, config: MetricConfig
 ) -> tuple[list[UncertaintyProfile], np.ndarray]:
@@ -82,19 +107,11 @@ def profiles_from_codes(
     answers[b, t, i] is agent i's answer at round t of debate b, as an index
     into an answer space of k labels; all B debates have N >= 2 agents and
     T >= 1 refinement rounds. The winner is the final round's majority code,
-    ties going to the lowest code, which is majority_vote's tie-break in
-    answer-space order. The leave-one-out reading is the fraction of agents
-    whose removal changes that winner.
+    ties going to the lowest code. The leave-one-out reading is the fraction
+    of agents whose removal changes that winner.
     """
-    if answers.ndim != 3 or answers.shape[1] < 2 or answers.shape[2] < 2:
-        raise ValueError(f"need (B, T+1 >= 2, N >= 2) answer codes, got shape {answers.shape}")
-    if answers.size and not 0 <= answers.min() <= answers.max() < k:
-        raise ValueError(f"answer codes must lie in 0..{k - 1}")
+    counts, winners, pivots = _votes(answers, k)
     b, steps, n = answers.shape
-    # counts[b, t, c]: how many agents answer c at round t.
-    slots = np.arange(b * steps)[:, None] * k
-    counts = np.bincount((slots + answers.reshape(b * steps, n)).ravel(), minlength=b * steps * k)
-    counts = counts.reshape(b, steps, k)
     lam = config.lambda_mix
     flip = (answers[:, 1:] != answers[:, :-1]).sum(axis=(1, 2)) / (n * (steps - 1))
     revision = (answers[:, 0] != answers[:, -1]).sum(axis=1) / n
@@ -107,10 +124,9 @@ def profiles_from_codes(
     inter /= steps
 
     final, final_counts = answers[:, -1], counts[:, -1]
-    winners = final_counts.argmax(axis=1)
     distinct = (final_counts > 0).sum(axis=1)
     # -sum over distinct labels of p log p, each label's term added where the
-    # label first appears in the final round (Counter's order).
+    # label first appears in the final round.
     term = np.array([0.0] + [(c / n) * math.log(c / n) for c in range(1, n + 1)])
     voter_terms = term[np.take_along_axis(final_counts, final, axis=1)]
     neg_h = np.zeros(b)
@@ -121,8 +137,7 @@ def profiles_from_codes(
     log_distinct = np.array([1.0, 1.0] + [math.log(d) for d in range(2, n + 1)])
     entropy = np.where(distinct == 1, 0.0, -neg_h / log_distinct[distinct])
     disagreement = (distinct > 1).astype(np.float64)
-    loo_counts = final_counts[:, None, :] - (final[:, :, None] == np.arange(k))
-    loo = (loo_counts.argmax(axis=2) != winners[:, None]).sum(axis=1) / n
+    loo = pivots.sum(axis=1) / n
     u_sys = (entropy + disagreement + loo) / 3.0
 
     profiles = [

@@ -24,7 +24,7 @@ reference version is stale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
@@ -324,6 +324,11 @@ def train(
         raise ValueError("train() needs at least one question")
     if not env.honest_indices:
         raise ValueError("train() needs at least one honest agent; every seat is compromised")
+    if coeffs.num_agents != env.config.num_agents:
+        raise ValueError(
+            f"coefficient set covers {coeffs.num_agents} agents, "
+            f"the debate has {env.config.num_agents} seats"
+        )
     if initial_policies is None:
         policies: list[PolicyTable | None] = env.initial_policies()
     else:
@@ -336,8 +341,11 @@ def train(
     qmap = {q.question_id: q for q in train_questions}
 
     def scored(trajectories: Sequence[DebateTrajectory], answers: np.ndarray):
-        profiles, _ = profiles_from_codes(answers, len(env.answer_space), metric_config)
-        return profiles, [total_reward(t, p, coeffs) for t, p in zip(trajectories, profiles)]
+        profiles, winners = profiles_from_codes(answers, len(env.answer_space), metric_config)
+        return profiles, [
+            total_reward(p, env.answer_space[w] == t.ground_truth, coeffs)
+            for t, p, w in zip(trajectories, profiles, winners.tolist())
+        ]
 
     def rescore(trajectories: Sequence[DebateTrajectory], answers: np.ndarray) -> list[float]:
         return [replay_score(r) for r in scored(trajectories, answers)[1]]

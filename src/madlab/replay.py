@@ -18,11 +18,7 @@ from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
-from madlab.debate import (
-    DebateTrajectory,
-    read_trajectory_records,
-    write_trajectories,
-)
+from madlab.debate import DebateTrajectory, write_trajectories
 from madlab.policy import derive_key
 from madlab.rewards import RewardVector
 
@@ -167,19 +163,3 @@ class ReplayBuffer:
                 for e in self.entries
             ],
         )
-
-    @classmethod
-    def restore(cls, path_or_fp: str | IO[str], config: ReplayConfig) -> "ReplayBuffer":
-        buffer = cls(config)
-        for traj, record in read_trajectory_records(path_or_fp):
-            if "replay_score" not in record or "policy_version" not in record:
-                raise ValueError(
-                    f"buffer record for {traj.question_id!r} lacks replay_score/policy_version"
-                )
-            buffer.push(
-                traj,
-                float(record["replay_score"]),
-                iteration=int(record.get("inserted_iteration", 0)),
-                policy_version=int(record["policy_version"]),
-            )
-        return buffer

@@ -3,17 +3,17 @@
 The rewards are a map of the trajectory's uncertainty profile, its single
 source: the stance-stability reward is the exact complement of the flip rate,
 and the agreement and system rewards are exact complements of their
-uncertainty levels. A binary task reward against ground truth completes the
-components. Per-agent coefficients weigh the components into each agent's
-total reward; the anchor strength eta rides along in the same coefficient set
-because calibration scales it with the same machinery.
+uncertainty levels. A binary task reward, whether the debate's winner from
+profiles_from_codes is correct, completes the components. Per-agent
+coefficients weigh the components into each agent's total reward; the anchor
+strength eta rides along in the same coefficient set because calibration
+scales it with the same machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from madlab.debate import DebateTrajectory, ensemble_answer
 from madlab.metrics import UncertaintyProfile
 
 ABLATABLE = ("alpha", "beta", "gamma")  # components CoefficientSet.zeroed can switch off
@@ -77,25 +77,18 @@ class RewardVector:
 
 
 def total_reward(
-    traj: DebateTrajectory, profile: UncertaintyProfile, coeffs: CoefficientSet
+    profile: UncertaintyProfile, correct: bool, coeffs: CoefficientSet
 ) -> RewardVector:
     """Weighted per-agent totals over the four shared components.
 
     r_intra = 1 - F, r_inter = 1 - U_inter and r_sys = 1 - U_sys come from
-    the trajectory's profile; r_task is 1 when the ensemble's majority answer
-    matches ground truth, else 0.
+    the trajectory's profile; r_task is 1 when the debate's winner, the final
+    round's majority that profiles_from_codes returns, is correct, else 0.
     """
-    if coeffs.num_agents != traj.num_agents:
-        raise ValueError(
-            f"coefficient set covers {coeffs.num_agents} agents, "
-            f"trajectory has {traj.num_agents}"
-        )
-    if traj.ground_truth is None:
-        raise ValueError("total_reward: unsupervised trajectory (no ground truth)")
     r_i = 1.0 - profile.flip_rate
     r_e = 1.0 - profile.u_inter
     r_s = 1.0 - profile.u_sys
-    r_t = 1.0 if ensemble_answer(traj) == traj.ground_truth else 0.0
+    r_t = 1.0 if correct else 0.0
     totals = tuple(
         coeffs.alpha[i] * r_i
         + coeffs.beta[i] * r_e

@@ -14,9 +14,16 @@ from madlab.calibration import (
     warmup_profile,
 )
 from madlab.debate import DebateTrajectory
-from madlab.metrics import MetricConfig
+from madlab.metrics import MetricConfig, answer_codes
 
 SPACE = ("A", "B")
+LABELS = ("A", "B", "C", "D")
+
+
+def profile_of(trajectories):
+    """warmup_profile over the trajectories' answer codes, lambda_mix 0.5."""
+    k = len(trajectories[0].answer_space)
+    return warmup_profile(answer_codes(trajectories), k, MetricConfig(lambda_mix=0.5))
 
 
 def steady(qid, row):
@@ -40,17 +47,17 @@ def pivot_fixture():
 
 
 def test_steady_agents_have_zero_intra(pivot_fixture):
-    profile = warmup_profile(pivot_fixture, 3)
+    profile = profile_of(pivot_fixture)
     assert profile.u_intra_bar == (0.0, 0.0, 0.0)
 
 
 def test_single_pivotal_trajectory_gives_quarter_loo(pivot_fixture):
-    profile = warmup_profile(pivot_fixture, 3)
+    profile = profile_of(pivot_fixture)
     assert profile.loo_bar == (0.25, 0.0, 0.25)
 
 
 def test_profile_matches_hand_counts(pivot_fixture):
-    profile = warmup_profile(pivot_fixture, 3)
+    profile = profile_of(pivot_fixture)
     # q2: agent 1 disagrees with both peers, agents 0/2 with one of two.
     # q3: agent 2 disagrees with both peers, agents 0/1 with one of two.
     assert profile.u_inter_bar == (0.25, 0.375, 0.375)
@@ -64,7 +71,7 @@ def test_identical_agents_get_identical_profiles():
         steady("q2", ("B", "A", "A")),
         DebateTrajectory("q3", SPACE, (("A", "B", "B"), ("B", "A", "A"))),
     ]
-    profile = warmup_profile(trajs, 3)
+    profile = profile_of(trajs)
     for field in ("u_intra_bar", "u_inter_bar", "loo_bar", "u_sys_bar"):
         values = getattr(profile, field)
         assert values[1] == values[2]
@@ -72,14 +79,15 @@ def test_identical_agents_get_identical_profiles():
 
 def test_profile_matches_brute_force_on_random_grids():
     rng = np.random.default_rng(2024)
-    for _ in range(50):
-        n = int(rng.integers(2, 6))
-        t = int(rng.integers(1, 4))
+    for _ in range(100):
+        n = int(rng.integers(2, 8))
+        t = int(rng.integers(1, 9))
+        space = LABELS[: int(rng.integers(2, 5))]
         trajs = [
-            DebateTrajectory(f"q{j}", SPACE, oracle.random_rounds(rng, n, t, SPACE))
+            DebateTrajectory(f"q{j}", space, oracle.random_rounds(rng, n, t, space))
             for j in range(int(rng.integers(1, 8)))
         ]
-        profile = warmup_profile(trajs, n, MetricConfig(lambda_mix=0.5))
+        profile = profile_of(trajs)
         ref = oracle.brute_agent_profile(
             [(traj.rounds, traj.answer_space) for traj in trajs], n, 0.5
         )
@@ -87,17 +95,19 @@ def test_profile_matches_brute_force_on_random_grids():
             (profile.u_intra_bar, profile.u_inter_bar, profile.loo_bar, profile.u_sys_bar),
             ref,
         ):
-            assert np.allclose(got, want, atol=1e-12)
+            assert got == tuple(want)
 
 
 def test_empty_warmup_set_rejected():
-    with pytest.raises(ValueError):
-        warmup_profile([], 3)
+    with pytest.raises(ValueError, match="non-empty"):
+        warmup_profile(np.zeros((0, 2, 3), dtype=np.int64), 2, MetricConfig())
 
 
-def test_agent_count_mismatch_rejected(pivot_fixture):
-    with pytest.raises(ValueError):
-        warmup_profile(pivot_fixture, 4)
+def test_malformed_answer_codes_rejected():
+    with pytest.raises(ValueError, match="N >= 2"):
+        warmup_profile(np.zeros((4, 2, 1), dtype=np.int64), 2, MetricConfig())
+    with pytest.raises(ValueError, match="0..1"):
+        warmup_profile(np.full((4, 2, 3), 2), 2, MetricConfig())
 
 
 def test_profile_validation():

@@ -11,7 +11,6 @@ from madlab.config import (
     ExperimentConfig,
     canonical_text,
     config_hash,
-    default_config,
     load_config,
     parse_config,
 )
@@ -95,7 +94,7 @@ def test_full_file_parses_every_block():
 
 def test_empty_text_gives_defaults():
     cfg = parse_config("")
-    assert cfg == default_config()
+    assert cfg == ExperimentConfig()
     assert cfg.env.num_agents == 5
     assert cfg.env.rounds == 5
     assert cfg.clip.epsilon == 0.2
@@ -148,11 +147,11 @@ def test_rejects_unknown_or_invalid(text, fragment):
 def test_canonical_text_round_trips():
     cfg = parse_config(FULL_TEXT)
     assert parse_config(canonical_text(cfg)) == cfg
-    assert parse_config(canonical_text(default_config())) == default_config()
+    assert parse_config(canonical_text(ExperimentConfig())) == ExperimentConfig()
 
 
 def test_every_knob_has_exactly_one_canonical_key():
-    text = canonical_text(default_config())
+    text = canonical_text(ExperimentConfig())
     keys = [line.split(" = ")[0] for line in text.splitlines() if " = " in line]
     expected = []
     for f in dataclasses.fields(ExperimentConfig):
@@ -164,7 +163,7 @@ def test_every_knob_has_exactly_one_canonical_key():
 
 
 def test_hash_is_stable_and_sensitive():
-    base = default_config()
+    base = ExperimentConfig()
     again = parse_config("")
     assert config_hash(base) == config_hash(again)
     assert len(config_hash(base)) == 16

@@ -1,8 +1,10 @@
-"""Trajectory container, voting, validation, and .jsonl round-trips."""
+"""Trajectory container, the final-round vote, validation, and .jsonl round-trips."""
 
 from __future__ import annotations
 
 import io
+import json
+import re
 
 import numpy as np
 import pytest
@@ -10,15 +12,13 @@ import pytest
 from brute_oracle import brute_majority, random_rounds
 from madlab.debate import (
     DebateTrajectory,
-    ensemble_answer,
-    leave_one_out_votes,
-    majority_vote,
     read_trajectories,
-    read_trajectory_records,
     trajectory_from_record,
+    trajectory_to_record,
     validate_trajectory,
     write_trajectories,
 )
+from madlab.metrics import _votes, answer_codes
 
 SPACE = ("A", "B", "C")
 
@@ -29,50 +29,53 @@ def make_traj(rounds, ground_truth=None, space=SPACE, qid="q-0"):
     )
 
 
+def vote(final, space=SPACE):
+    """The answer-code kernel's vote on one final round: the counts per label,
+    the winning label and which agents' removal changes the winner."""
+    codes = answer_codes([make_traj((tuple(final), tuple(final)), space=space)])
+    counts, winners, pivots = _votes(codes, len(space))
+    return counts[0, -1].tolist(), space[int(winners[0])], pivots[0].tolist()
+
+
 def test_majority_vote_plain_winner():
-    out = majority_vote(["A", "B", "A"], SPACE)
-    assert out.winner == "A"
-    assert out.counts == {"A": 2, "B": 1}
-    assert not out.was_tie
+    counts, winner, pivots = vote(["A", "B", "A"])
+    assert winner == "A"
+    assert counts == [2, 1, 0]
+    assert pivots == [False, False, False]
 
 
 def test_majority_vote_tie_breaks_order_minimal():
-    out = majority_vote(["B", "A"], SPACE)
-    assert out.winner == "A"
-    assert out.was_tie
+    assert vote(["B", "A"])[1] == "A"
     # order is the declared order, not lexicographic
-    out = majority_vote(["B", "A"], ("B", "A"))
-    assert out.winner == "B"
+    assert vote(["B", "A"], ("B", "A"))[1] == "B"
 
 
 def test_majority_vote_empty_raises():
-    with pytest.raises(ValueError, match="no voters"):
-        majority_vote([], SPACE)
+    with pytest.raises(ValueError, match="N >= 2"):
+        _votes(np.zeros((1, 2, 0), dtype=np.int64), 3)
 
 
 def test_majority_vote_matches_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(300):
-        n = int(rng.integers(1, 7))
+        n = int(rng.integers(2, 7))
         ballot = [SPACE[rng.integers(0, 3)] for _ in range(n)]
-        assert majority_vote(ballot, SPACE).winner == brute_majority(ballot, SPACE)
+        assert vote(ballot)[1] == brute_majority(ballot, SPACE)
 
 
 def test_unanimous_vote_is_stable_under_any_order():
     for order in (SPACE, tuple(reversed(SPACE))):
-        assert majority_vote(["B", "B", "B"], order).winner == "B"
+        assert vote(["B", "B", "B"], order)[1] == "B"
 
 
 def test_leave_one_out_votes_drop_each_agent():
-    traj = make_traj((("A", "B", "B"), ("A", "B", "B")))
-    outs = leave_one_out_votes(traj)
-    assert [o.winner for o in outs] == ["B", "A", "A"]
+    # without agent 0 B still wins; without agent 1 or 2 the A/B tie goes to A
+    assert vote(["A", "B", "B"])[2] == [False, True, True]
 
 
 def test_leave_one_out_single_agent_raises():
-    traj = DebateTrajectory("q", SPACE, (("A",), ("A",)))
-    with pytest.raises(ValueError, match="at least 2"):
-        leave_one_out_votes(traj)
+    with pytest.raises(ValueError, match="N >= 2"):
+        vote(["A"])
 
 
 def test_validate_accepts_good_trajectory():
@@ -146,9 +149,20 @@ def test_jsonl_extra_fields_survive_in_records():
     traj = make_traj((("A", "B"), ("B", "B")))
     buf = io.StringIO()
     write_trajectories(buf, [traj], extras=[{"replay_score": 0.5, "policy_version": 3}])
-    pairs = read_trajectory_records(io.StringIO(buf.getvalue()))
-    assert pairs[0][1]["replay_score"] == 0.5
-    assert pairs[0][1]["policy_version"] == 3
+    record = json.loads(buf.getvalue())
+    assert record["replay_score"] == 0.5
+    assert record["policy_version"] == 3
+    assert read_trajectories(io.StringIO(buf.getvalue())) == [traj]
+
+
+@pytest.mark.parametrize("space", [5, "AB"])
+def test_non_list_answer_space_rejected_with_file_and_line(tmp_path, space):
+    good = trajectory_to_record(make_traj((("A", "B"), ("B", "B"))))
+    path = str(tmp_path / "t.jsonl")
+    with open(path, "w", encoding="utf-8") as fp:
+        fp.write(json.dumps(good) + "\n" + json.dumps(dict(good, answer_space=space)) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: field 'answer_space' must be a list")):
+        read_trajectories(path)
 
 
 def test_relabeling_equivariance_of_vote():
@@ -159,4 +173,4 @@ def test_relabeling_equivariance_of_vote():
     for _ in range(100):
         ballot = [SPACE[rng.integers(0, 3)] for _ in range(int(rng.integers(2, 6)))]
         mapped = [mapping[a] for a in ballot]
-        assert mapping[majority_vote(ballot, SPACE).winner] == majority_vote(mapped, new_space).winner
+        assert mapping[vote(ballot)[1]] == vote(mapped, new_space)[1]

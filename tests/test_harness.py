@@ -13,7 +13,7 @@ import pytest
 import brute_oracle as oracle
 from madlab import harness
 from madlab.config import ExperimentConfig
-from madlab.debate import DebateTrajectory, ensemble_answer, write_trajectories
+from madlab.debate import DebateTrajectory, write_trajectories
 from madlab.harness import (
     COEFFICIENTS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -286,7 +286,8 @@ def test_analysis_groups_mixed_answer_spaces_and_grid_shapes(tmp_path, monkeypat
     write_trajectories(str(path), trajectories)
     config = tiny_config()
     expected = [
-        OutcomeRecord(traj.question_id, ensemble_answer(traj) == traj.ground_truth,
+        OutcomeRecord(traj.question_id,
+                      oracle.brute_majority(traj.rounds[-1], traj.answer_space) == traj.ground_truth,
                       full_profile(traj, config.metric))
         for traj in trajectories if traj.ground_truth is not None
     ]

@@ -47,7 +47,7 @@ def test_every_metric_matches_brute_force():
     rng = np.random.default_rng(12345)
     cfg = MetricConfig(lambda_mix=0.5)
     for traj in random_trajectories(rng, 500):
-        rounds, final, order = traj.rounds, traj.final_round, traj.answer_space
+        rounds, final, order = traj.rounds, traj.rounds[-1], traj.answer_space
         prof = full_profile(traj, cfg)
         assert abs(prof.flip_rate - oracle.brute_flip_rate(rounds)) < 1e-12
         assert abs(prof.belief_revision - oracle.brute_belief_revision(rounds)) < 1e-12
@@ -140,7 +140,7 @@ def code_grids(rng, b, n, t, k):
 
 def check_against_references(codes, k, lam):
     """profiles_from_codes on a batch equals the brute oracle and full_profile
-    of each debate alone, with exact ==, and its winner is majority_vote's."""
+    of each debate alone, with exact ==, and its winner is brute_majority's."""
     cfg = MetricConfig(lambda_mix=lam)
     space = LABELS26[:k]
     profiles, winners = profiles_from_codes(codes, k, cfg)

@@ -6,7 +6,6 @@ Clip behaviour and the objective-at-reference identity are checked on
 hand-built fixtures whose expected values follow directly from construction.
 """
 
-import copy
 import io
 import math
 
@@ -17,7 +16,7 @@ from madlab import optim
 from madlab import policy as policy_module
 from madlab.debate import DebateTrajectory
 from madlab.harness import evaluate_ensemble
-from madlab.metrics import MetricConfig, full_profile
+from madlab.metrics import MetricConfig, profiles_from_codes
 from madlab.optim import (
     ClipConfig,
     IterationStats,
@@ -38,7 +37,6 @@ from madlab.optim import (
 from madlab.policy import (
     DebateEnv,
     EnvConfig,
-    PolicyTable,
     SyntheticQuestion,
     build_context,
     context_key,
@@ -84,9 +82,12 @@ def recorded_visits(env, questions, trajectories):
 
 def batch_totals(batch, coeffs):
     """Per-agent total rewards of every batch trajectory (batch x agents)."""
-    return np.array(
-        [total_reward(t, full_profile(t, MC), coeffs).total for t in batch.trajectories]
-    )
+    space = batch.trajectories[0].answer_space
+    profiles, winners = profiles_from_codes(batch.answers, len(space), MC)
+    return np.array([
+        total_reward(p, space[w] == t.ground_truth, coeffs).total
+        for t, p, w in zip(batch.trajectories, profiles, winners.tolist())
+    ])
 
 
 def fresh_batch(env, n_questions, ref_version=0, rollout_seed=99):
@@ -470,6 +471,14 @@ def test_train_is_deterministic_for_a_seed():
     assert state_a.ref_version == 4  # refreshed every iteration
     assert len(buffer_a) == len(buffer_b) > 0
     assert state_a.history != state_c.history
+
+
+def test_train_rejects_coefficients_for_another_seat_count():
+    env = small_env(num_agents=2, rounds=1, seed=3)
+    questions = env.generate_questions(4, "t")
+    for seats in (1, 3):
+        with pytest.raises(ValueError, match=f"covers {seats} agents.*2 seats"):
+            train(env, questions, CoefficientSet.uniform(seats), ClipConfig(iterations=1), MC, seed=5)
 
 
 def test_train_zero_iterations_keeps_initial_policies():

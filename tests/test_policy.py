@@ -19,7 +19,6 @@ from madlab.policy import (
     DebateEnv,
     EnvConfig,
     PolicyTable,
-    SyntheticQuestion,
     answer_labels,
     build_context,
     context_key,
@@ -213,7 +212,7 @@ def test_rollout_shape_validity_and_determinism():
         traj = env.rollout_debate(q, pols, rollout_seed=99)
         assert validate_trajectory(traj) == []
         assert traj.num_agents == 3
-        assert traj.num_refinement_rounds == 2
+        assert len(traj.rounds) - 1 == 2
         assert traj.ground_truth == q.ground_truth
         assert traj == env.rollout_debate(q, pols, rollout_seed=99)
         any_differ = any_differ or traj != env.rollout_debate(q, pols, rollout_seed=100)

@@ -6,17 +6,16 @@ test against the analytic distribution p ~ score**eta. The critical value
 with an arbitrary-precision special-functions library and frozen here.
 """
 
-import io
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from madlab.debate import DebateTrajectory, trajectory_to_record
+from madlab.debate import DebateTrajectory, read_trajectories
 from madlab.metrics import MetricConfig, answer_codes, full_profile
-from madlab.policy import DebateEnv, EnvConfig, derive_key, rng_stream
-from madlab.replay import BufferEntry, ReplayBuffer, ReplayConfig, replay_score
+from madlab.policy import DebateEnv, EnvConfig, derive_key
+from madlab.replay import ReplayBuffer, ReplayConfig, replay_score
 from madlab.rewards import CoefficientSet, total_reward
 
 MC = MetricConfig()
@@ -32,7 +31,8 @@ def make_traj(qid, rounds=(("A", "B"), ("A", "B"))):
 def score_of(traj):
     """Replay priority of a trajectory through its profile and rewards."""
     coeffs = CoefficientSet.uniform(traj.num_agents)
-    return replay_score(total_reward(traj, full_profile(traj, MC), coeffs))
+    # r_task does not enter the priority
+    return replay_score(total_reward(full_profile(traj, MC), False, coeffs))
 
 
 def batch_scores(trajectories, answers):
@@ -60,7 +60,7 @@ def test_replay_score_is_unit_weight_uncertainty_sum():
         "B",
     )
     profile = full_profile(traj, MC)
-    rewards = total_reward(traj, profile, CoefficientSet.uniform(3))
+    rewards = total_reward(profile, True, CoefficientSet.uniform(3))
     expected = profile.flip_rate + profile.u_inter + profile.u_sys
     assert replay_score(rewards) == pytest.approx(expected, abs=1e-15)
     assert replay_score(rewards) == (
@@ -166,27 +166,17 @@ def test_fifo_eviction_drops_oldest():
 
 
 def test_dump_restore_roundtrip(tmp_path):
+    # the dump reads back: trajectories through read_trajectories, the side
+    # fields of each entry from its line
     buffer = fixed_buffer(1.0)
     path = str(tmp_path / "buffer.jsonl")
     buffer.dump(path)
-    restored = ReplayBuffer.restore(path, buffer.config)
-    assert len(restored) == len(buffer)
-    for a, b in zip(buffer.entries, restored.entries):
-        assert a.trajectory == b.trajectory
-        assert a.score == b.score
-        assert a.policy_version == b.policy_version
-        assert a.inserted_iteration == b.inserted_iteration
-    second = io.StringIO()
-    restored.dump(second)
+    assert read_trajectories(path) == [e.trajectory for e in buffer.entries]
     with open(path, "r", encoding="utf-8") as fp:
-        assert second.getvalue() == fp.read()
-
-
-def test_restore_requires_score_fields():
-    record = trajectory_to_record(make_traj("q0"))
-    line = json.dumps(record)
-    with pytest.raises(ValueError, match="replay_score"):
-        ReplayBuffer.restore(io.StringIO(line + "\n"), ReplayConfig())
+        records = [json.loads(line) for line in fp]
+    assert [(r["replay_score"], r["policy_version"], r["inserted_iteration"]) for r in records] == [
+        (e.score, e.policy_version, e.inserted_iteration) for e in buffer.entries
+    ]
 
 
 # --------------------------------------------------------------------- refresh

@@ -7,7 +7,7 @@ import pytest
 
 import brute_oracle as oracle
 from madlab.debate import DebateTrajectory
-from madlab.metrics import MetricConfig, full_profile
+from madlab.metrics import MetricConfig, answer_codes, full_profile, profiles_from_codes
 from madlab.rewards import CoefficientSet, total_reward
 
 SPACE = ("A", "B", "C")
@@ -19,8 +19,11 @@ def make_traj(rounds, ground_truth=None, space=SPACE):
 
 
 def rewards_of(traj, coeffs=None):
+    """total_reward with r_task read off the kernel's winner, as train scores it."""
     coeffs = coeffs or CoefficientSet.uniform(traj.num_agents)
-    return total_reward(traj, full_profile(traj, CFG), coeffs)
+    space = traj.answer_space
+    profiles, winners = profiles_from_codes(answer_codes([traj]), len(space), CFG)
+    return total_reward(profiles[0], space[int(winners[0])] == traj.ground_truth, coeffs)
 
 
 def test_complement_identities_exact_on_random_trajectories():
@@ -32,11 +35,11 @@ def test_complement_identities_exact_on_random_trajectories():
         space = SPACE[:k]
         traj = make_traj(oracle.random_rounds(rng, n, t, space), "A", space)
         prof = full_profile(traj, CFG)
-        vec = total_reward(traj, prof, CoefficientSet.uniform(n))
+        vec = total_reward(prof, True, CoefficientSet.uniform(n))
         assert vec.r_intra == 1.0 - prof.flip_rate
         assert vec.r_inter == 1.0 - prof.u_inter
         assert vec.r_sys == 1.0 - prof.u_sys
-        final, rounds = traj.final_round, traj.rounds
+        final, rounds = traj.rounds[-1], traj.rounds
         assert abs(vec.r_intra - (1.0 - oracle.brute_flip_rate(rounds))) < 1e-12
         assert abs(vec.r_inter - (1.0 - oracle.brute_inter(rounds))) < 1e-12
         assert abs(vec.r_sys - (1.0 - oracle.brute_usys(final, space))) < 1e-12
@@ -50,15 +53,19 @@ def test_task_reward_binary():
 
 
 def test_task_reward_uses_majority_tie_break():
-    # final round ties A/B; order-minimal winner is A
-    traj = make_traj((("A", "B"), ("A", "B")), ground_truth="A")
-    assert rewards_of(traj).r_task == 1.0
-
-
-def test_task_reward_requires_ground_truth():
-    traj = make_traj((("A", "B"), ("A", "B")))
-    with pytest.raises(ValueError, match="unsupervised"):
-        rewards_of(traj)
+    # tied final rounds: r_task follows the kernel winner, the lowest tied
+    # label in answer-space order, and that winner is the brute-force one
+    rng = np.random.default_rng(17)
+    for space in (SPACE, tuple(reversed(SPACE))):
+        for _ in range(50):
+            # 2 or 3 labels with the same 1 or 2 votes each, in a random seat order
+            labels = rng.choice(3, size=int(rng.integers(2, 4)), replace=False)
+            tied = [space[c] for c in rng.permutation(np.repeat(labels, rng.integers(1, 3)))]
+            rounds = oracle.random_rounds(rng, len(tied), 2, space)[:-1] + (tuple(tied),)
+            winner = oracle.brute_majority(tied, space)
+            assert winner == min(set(tied), key=space.index)
+            for truth in space:
+                assert rewards_of(make_traj(rounds, truth, space)).r_task == float(truth == winner)
 
 
 def test_total_reward_weights_components_per_agent():
@@ -74,12 +81,6 @@ def test_total_reward_weights_components_per_agent():
     assert vec.r_task == 1.0
     assert vec.total[0] == 1.0 * vec.r_intra + 0.5 * vec.r_inter + 0.0 + 1.0
     assert vec.total[1] == 2.0 * vec.r_intra + 0.0 + 1.0 * vec.r_sys + 3.0
-
-
-def test_total_reward_agent_count_mismatch():
-    traj = make_traj((("A", "A"), ("B", "A")))
-    with pytest.raises(ValueError, match="agents"):
-        rewards_of(traj, CoefficientSet.uniform(3))
 
 
 def test_uniform_coefficients_and_zeroed():
