@@ -29,7 +29,6 @@ from madlab.debate import (
 )
 from madlab.metrics import (  # noqa: F401  full_profile: perfbench's tracer test patches this binding
     MetricConfig,
-    UncertaintyProfile,
     answer_codes,
     full_profile,
     profiles_from_codes,
@@ -85,7 +84,6 @@ class EvalResult:
 
     questions: tuple[SyntheticQuestion, ...]
     trajectories: tuple[DebateTrajectory, ...]
-    profiles: tuple[UncertaintyProfile, ...]
     records: tuple[OutcomeRecord, ...]
     summary: SummaryRow
 
@@ -133,7 +131,6 @@ def evaluate_ensemble(
     return EvalResult(
         questions=tuple(questions),
         trajectories=tuple(trajectories),
-        profiles=tuple(profiles),
         records=tuple(records),
         summary=SummaryRow.from_records(label, records),
     )
@@ -194,7 +191,7 @@ def _write_eval_artifacts(out_dir: str, result: EvalResult, coeffs: CoefficientS
     )
     write_profiles_csv(
         os.path.join(out_dir, "profiles.csv"),
-        zip([t.question_id for t in result.trajectories], result.profiles),
+        ((record.question_id, record.profile) for record in result.records),
     )
     write_rewards_csv(os.path.join(out_dir, "rewards.csv"), result, coeffs)
 

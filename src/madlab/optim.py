@@ -245,7 +245,7 @@ def gradient_step(
     adv = compute_advantages(totals)
     m_total = len(batch.trajectories)
     weights = np.array(batch.weights)
-    tilts = np.stack([env.question_tilts(q) for q in batch.questions])
+    tilts = np.stack(env.batch_tilts(batch.questions))
     for i in env.honest_indices:
         cur, ref = state.policies[i], state.reference[i]
         assert cur is not None and ref is not None

@@ -23,8 +23,11 @@ recover their answer.
 
 All randomness flows from counter-based Philox streams keyed by hashed scope
 tokens (seed, purpose, question, round, agent); nothing reads ambient entropy,
-so identical (config, seed) reruns are bit-identical. An act takes only the
-first uniform of its stream, which philox_uniforms computes for many keys at once.
+so identical (config, seed) reruns are bit-identical. rng_stream opens one
+scope's generator. Many streams at once (questions, tilts) are drawn through a
+single Philox reseated at each key, which draws exactly what rng_stream would.
+An act takes only the first uniform of its stream, which philox_uniforms
+computes for many keys at once.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import string
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,7 +80,7 @@ SIGNAL_WOBBLE_SLOPE = 1.2
 # so it only fires when rounds >= 4.
 FLARE_SCALE = 7.0
 
-ACT_KEYS_PER_PASS = 4096  # rollout_batch's acts per Philox pass; bounds its memory
+ACT_KEYS_PER_PASS = 4096  # act or tilt streams per Philox pass; bounds a batch's memory
 
 HONEST = "honest"
 COMPROMISED = "compromised"
@@ -88,13 +91,14 @@ def _key_digest(*tokens: object) -> bytes:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
 
 
-def _act_digests(seed: int, question_id: str, suffixes: Sequence[bytes]) -> list[bytes]:
-    """_key_digest(seed, "act", question_id, t, i) for each encoded "t|i" suffix.
+def _prefixed_digests(prefix: str, suffixes: Sequence[bytes]) -> list[bytes]:
+    """The _key_digest of the token text prefix + suffix for each encoded suffix.
 
-    The "seed|act|question_id|" prefix is formatted once per debate.
+    prefix holds the leading tokens and their trailing "|" (say
+    "seed|act|question_id|" before "t|i"), formatted once per scope.
     """
-    prefix = f"{seed}|act|{question_id}|".encode()
-    return [hashlib.blake2b(prefix + suffix, digest_size=16).digest() for suffix in suffixes]
+    head = prefix.encode()
+    return [hashlib.blake2b(head + suffix, digest_size=16).digest() for suffix in suffixes]
 
 
 def derive_key(*tokens: object) -> int:
@@ -105,6 +109,27 @@ def derive_key(*tokens: object) -> int:
 def rng_stream(*tokens: object) -> np.random.Generator:
     """Independent counter-based generator for one scope."""
     return np.random.Generator(np.random.Philox(key=derive_key(*tokens)))
+
+
+def _reseated_streams(digests: Iterable[bytes]) -> Iterator[np.random.Generator]:
+    """rng_stream's generator for each 16-byte key digest, in order.
+
+    One local Philox is reseated per key: the key words come from the digest,
+    and the counter is reset to 0 and the buffer to empty, which is where
+    Philox(key=...) starts, so every draw matches rng_stream. That skips the
+    unused entropy read a fresh Philox makes. Each yielded generator is valid
+    until the next one is taken.
+    """
+    bits = np.random.Philox(0)  # a fixed seed reads no entropy; every key is reseated
+    gen = np.random.Generator(bits)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for digest in digests:
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": np.frombuffer(digest, "<u8")},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        yield gen
 
 
 _MASK32 = np.uint64(0xFFFFFFFF)
@@ -363,7 +388,7 @@ class DebateEnv:
         self.config = config
         self.answer_space = answer_labels(config.answer_space_size)
         self.agents = self._make_agents()
-        self._tilts: dict[str, np.ndarray] = {}
+        self._tilts: dict[SyntheticQuestion, np.ndarray] = {}
 
     def _make_agents(self) -> list[AgentSpec]:
         cfg = self.config
@@ -416,17 +441,17 @@ class DebateEnv:
         k = len(self.answer_space)
         weights = np.full(k, (1.0 - TRUTH_SKEW) / (k - 1))
         weights[0] = TRUTH_SKEW
+        qids = [f"{label}-{idx:05d}" for idx in range(count)]
+        digests = _prefixed_digests(f"{self.config.seed}|question|", [q.encode() for q in qids])
         questions = []
-        for idx in range(count):
-            qid = f"{label}-{idx:05d}"
-            rng = rng_stream(self.config.seed, "question", qid)
+        for qid, rng in zip(qids, _reseated_streams(digests)):
             truth = self.answer_space[int(rng.choice(k, p=weights))]
             difficulty = lo if lo == hi else float(rng.uniform(lo, hi))
             questions.append(SyntheticQuestion(qid, self.answer_space, truth, difficulty))
         return questions
 
-    def question_tilts(self, question: SyntheticQuestion) -> np.ndarray:
-        """Read-only (T+1, N, K) logit tilts of every seat at every round.
+    def batch_tilts(self, questions: Sequence[SyntheticQuestion]) -> list[np.ndarray]:
+        """Read-only (T+1, N, K) logit tilts of every seat at every round, per question.
 
         Round 0 carries the full private signal. Later rounds carry a damped
         copy plus fresh per-round noise (a re-reading wobble) so that near-tied
@@ -437,40 +462,53 @@ class DebateEnv:
         near-deterministically. A question flares with probability equal to
         its difficulty when rounds >= 4: a uniformly picked wrong label spikes
         at round rounds-3 and reverses at rounds-2, leaving the last two rounds
-        clean for the ensemble to regroup. Compromised rows stay zero. Computed
-        once per question.
+        clean for the ensemble to regroup. Compromised rows stay zero.
+
+        Each tensor is computed once and cached by the question itself, so
+        questions that share an id but not their truth or difficulty get
+        their own. Uncached questions draw their signal and wobble streams
+        through _reseated_streams, in passes over whole questions of at most
+        ACT_KEYS_PER_PASS keys (or one question); a question's tilts do not
+        depend on the rest of the batch.
         """
-        tilts = self._tilts.get(question.question_id)
-        if tilts is not None:
-            return tilts
         cfg = self.config
-        qid = question.question_id
-        k = len(self.answer_space)
-        honest = self.honest_indices
-        ramp = min(1.0, question.difficulty / AVERSION_RAMP)
-        persist = SIGNAL_PERSIST + (1.0 - SIGNAL_PERSIST) * (1.0 - ramp)
-        scale = SIGNAL_WOBBLE + SIGNAL_WOBBLE_SLOPE * question.difficulty
-        truth = self.answer_space.index(question.ground_truth)
-        tilts = np.zeros((cfg.rounds + 1, len(self.agents), k))
-        for i in honest:
-            signal = rng_stream(cfg.seed, "signal", qid, i).normal(0.0, SIGNAL_NOISE, k)
-            signal[truth] += SIGNAL_GAIN * self.agents[i].skill * (1.0 - question.difficulty)
-            tilts[0, i] = signal
-            for t in range(1, cfg.rounds + 1):
-                wobble = rng_stream(cfg.seed, "wobble", qid, i, t).normal(0.0, 1.0, k)
-                tilts[t, i] = persist * signal + scale * wobble
-        if cfg.rounds >= 4:
-            rng = rng_stream(cfg.seed, "flare", qid)
-            if rng.random() < question.difficulty:
-                wrong = [j for j in range(k) if j != truth]
-                flare = wrong[int(rng.integers(len(wrong)))]
+        k, steps, honest = len(self.answer_space), cfg.rounds + 1, self.honest_indices
+        fresh = list(dict.fromkeys(q for q in questions if q not in self._tilts))
+        chunk = max(1, ACT_KEYS_PER_PASS // (steps * max(1, len(honest))))
+        suffixes = {"signal": [f"{i}".encode() for i in honest],
+                    "wobble": [f"{i}|{t}".encode() for t in range(1, steps) for i in honest]}
+        skills = np.array([self.agents[i].skill for i in honest])
+        for start in range(0, len(fresh), chunk):
+            part = fresh[start:start + chunk]
+            c = len(part)
+            digests = [d for q in part for purpose, tail in suffixes.items()
+                       for d in _prefixed_digests(f"{cfg.seed}|{purpose}|{q.question_id}|", tail)]
+            normals = np.array([rng.normal(0.0, 1.0, k) for rng in _reseated_streams(digests)])
+            normals = normals.reshape(c, steps * len(honest), k)
+            signal = SIGNAL_NOISE * normals[:, :len(honest)]
+            wobble = normals[:, len(honest):].reshape(c, cfg.rounds, len(honest), k)
+            difficulty = np.array([q.difficulty for q in part])
+            truth = [self.answer_space.index(q.ground_truth) for q in part]
+            ramp = np.minimum(1.0, difficulty / AVERSION_RAMP)[:, None, None]
+            persist = SIGNAL_PERSIST + (1.0 - SIGNAL_PERSIST) * (1.0 - ramp)
+            scale = SIGNAL_WOBBLE + SIGNAL_WOBBLE_SLOPE * difficulty[:, None, None]
+            signal[np.arange(c), :, truth] += SIGNAL_GAIN * skills * (1.0 - difficulty[:, None])
+            tilts = np.zeros((c, steps, len(self.agents), k))
+            tilts[:, 0, honest] = signal
+            tilts[:, 1:, honest] = persist[..., None] * signal[:, None] + scale[..., None] * wobble
+            if cfg.rounds >= 4:
                 push = cfg.rounds - 3
-                tilts[push, honest, flare] += FLARE_SCALE
-                tilts[push + 1, honest, flare] -= FLARE_SCALE
-        tilts[1:, honest, 0] += LABEL_AVERSION * ramp
-        tilts.flags.writeable = False
-        self._tilts[qid] = tilts
-        return tilts
+                flares = _prefixed_digests(f"{cfg.seed}|flare|", [q.question_id.encode() for q in part])
+                for u, (q, rng) in enumerate(zip(part, _reseated_streams(flares))):
+                    if rng.random() < q.difficulty:
+                        wrong = [j for j in range(k) if j != truth[u]]
+                        flare = wrong[int(rng.integers(len(wrong)))]
+                        tilts[u, push, honest, flare] += FLARE_SCALE
+                        tilts[u, push + 1, honest, flare] -= FLARE_SCALE
+            tilts[:, 1:, honest, 0] += LABEL_AVERSION * ramp
+            tilts.flags.writeable = False
+            self._tilts.update(zip(part, tilts))
+        return [self._tilts[q] for q in questions]
 
     def adversary_answer(self, spec: AgentSpec, question: SyntheticQuestion) -> str:
         """The wrong label a compromised seat advocates on this question."""
@@ -525,12 +563,12 @@ class DebateEnv:
                                     for q in questions]
         bins = [[difficulty_bin(q.difficulty, self.config.difficulty_bins)] for q in questions]
         base = contexts_per_bin(k) * np.array(bins)
-        tilts = [self.question_tilts(q) for q in questions]
+        tilts = self.batch_tilts(questions)
         chunk = max(1, ACT_KEYS_PER_PASS // (steps * max(1, len(honest))))
         suffixes = [f"{t}|{i}".encode() for t in range(steps) for i in honest]
         uniforms = np.concatenate([
             philox_uniforms([d for q, seed in zip(questions[j:j + chunk], rollout_seeds[j:j + chunk])
-                             for d in _act_digests(seed, q.question_id, suffixes)])
+                             for d in _prefixed_digests(f"{seed}|act|{q.question_id}|", suffixes)])
             for j in range(0, b, chunk)
         ]).reshape(b, steps, len(honest), 1)
         logits = np.stack([policies[i].logits for i in honest]) if honest else None
@@ -571,7 +609,7 @@ class DebateEnv:
         if self.agents[agent_index].kind != HONEST:
             raise ValueError(f"agent {agent_index} is compromised and has no policy")
         qf = difficulty_bin(question.difficulty, self.config.difficulty_bins)
-        tilts = self.question_tilts(question)
+        tilts = self.batch_tilts([question])[0]
         steps = []
         for t, row in enumerate(traj.rounds):
             prev = traj.rounds[t - 1] if t > 0 else None

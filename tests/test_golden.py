@@ -7,6 +7,10 @@ seat) covers the distractor flare, the adversary and the 5-voter
 leave-one-out paths that the 3-agent tiny config never reaches. The clip/KL
 variant refreshes the reference every third iteration, so the likelihood
 ratio moves off 1 and the clip test and the KL gradient act on the digests.
+The K = 12 baseline (9 rounds, 3 bins, two max_wrong seats, difficulty over
+all of [0, 1]) draws longer normal vectors, fires flares and sits on both
+sides of AVERSION_RAMP; the K = 3 baseline at fixed difficulty 0.01 sits
+below the ramp, where the aversion fades and the signal persists.
 """
 
 import dataclasses
@@ -18,6 +22,7 @@ from madlab import optim
 from madlab.config import ExperimentConfig, config_hash
 from madlab.harness import run_analysis, run_baseline, run_udpo
 from madlab.optim import ClipConfig
+from madlab.policy import AVERSION_RAMP, DebateEnv
 from test_harness import tiny_config
 
 BASELINE = {
@@ -67,6 +72,20 @@ CLIP_KL_UDPO = {
     "trajectories.jsonl": "06e1e7c16be606df387e8965b1cbf3db8b78e0674aafb23975ebd012a68a4e19",
 }
 
+K12_BASELINE = {
+    "profiles.csv": "000fcfed89dcb4c829f1be581600ab978e04936800ca17be9aa3ed1b40a0a37c",
+    "rewards.csv": "ae978ab7833cc78a6239a1668afbb30d2c7f9e00da3efa983236e62b554d8201",
+    "summary.csv": "6a9ace48a4a07b11074f26394c081e55e63c6de2f905120d9ceddabcfa3a8f4d",
+    "trajectories.jsonl": "272e2d91e5796fdf2373132602b207474fbd1cfd7acfc7acdf4529a943de0fdb",
+}
+
+K3_BELOW_RAMP_BASELINE = {
+    "profiles.csv": "cfe5ff92139ff940a4236baa366263a0a48fb909a20d08aea9d67c2d81895843",
+    "rewards.csv": "eb0d54f2282c2999aaf8100f9d0e65c9eaf502734df5c7e33eeb16d566731d02",
+    "summary.csv": "0cf4fa8f66e395f7067569b93fb3a1b5ec56b8d14a8a895806fd337c321d610c",
+    "trajectories.jsonl": "04a3970da3c30549b5d06d22211e916d94daa2012d68dffd2dd8e36cc4e5c6dc",
+}
+
 DEFAULT_CONFIG_HASH = "170f4cd84af4e83e"
 
 
@@ -79,6 +98,16 @@ def clip_kl_config():
     return dataclasses.replace(
         config, clip=ClipConfig(iterations=6, batch_size=4, ref_refresh_period=3)
     )
+
+
+def k12_config():
+    return tiny_config(num_agents=5, rounds=9, answer_space_size=12, difficulty_bins=3,
+                       compromised_count=2, adversarial_target_policy="max_wrong",
+                       difficulty="uniform:0.0,1.0")
+
+
+def k3_below_ramp_config():
+    return tiny_config(answer_space_size=3, difficulty="fixed:0.01")
 
 
 def digests(out_dir):
@@ -125,6 +154,20 @@ def test_wide_baseline_and_analysis_artifacts_are_pinned(tmp_path):
     analysis = tmp_path / "analysis"
     run_analysis([str(base / "trajectories.jsonl")], tiny_config(), str(analysis))
     assert digests(analysis) == WIDE_ANALYSIS
+
+
+def test_k12_baseline_artifacts_are_pinned(tmp_path):
+    config = k12_config()
+    questions = DebateEnv(config.env).generate_questions(config.eval_questions, "eval")
+    # the pinned questions reach both sides of the aversion ramp
+    assert min(q.difficulty for q in questions) < AVERSION_RAMP < max(q.difficulty for q in questions)
+    run_baseline(config, str(tmp_path))
+    assert digests(tmp_path) == K12_BASELINE
+
+
+def test_k3_below_ramp_baseline_artifacts_are_pinned(tmp_path):
+    run_baseline(k3_below_ramp_config(), str(tmp_path))
+    assert digests(tmp_path) == K3_BELOW_RAMP_BASELINE
 
 
 def test_default_config_hash_is_pinned():

@@ -45,6 +45,7 @@ from madlab.policy import (
 )
 from madlab.replay import ReplayBuffer, ReplayConfig
 from madlab.rewards import CoefficientSet, total_reward
+from test_policy import record_reseated_streams
 
 MC = MetricConfig()
 
@@ -402,6 +403,7 @@ def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
     def no_steps(*args, **kwargs):
         raise AssertionError("agent_steps rebuilt a batch's visits")
 
+    drawn = record_reseated_streams(monkeypatch)
     monkeypatch.setattr(policy_module, "rng_stream", counting_stream)
     monkeypatch.setattr(optim, "rng_stream", counting_stream)
     monkeypatch.setattr(DebateEnv, "agent_steps", no_steps)
@@ -416,8 +418,9 @@ def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
     state = TrainState(policies=policies, reference=env.initial_policies(), ref_version=0,
                        coeffs=coeffs, iteration=0)
     gradient_step(env, state, batch, ClipConfig(), batch_totals(batch, coeffs))
-    assert "act" not in opened
-    assert opened.count("signal") == 3 * len(questions)  # tilts still draw through rng_stream
+    assert opened == []
+    # one tilt stream per (question, honest seat, round), drawn once across all four paths
+    assert sum(len(call) for call in drawn) == len(questions) * 3 * 4
 
 
 # ----------------------------------------------------------------- guards

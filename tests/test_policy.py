@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import re
@@ -19,6 +20,7 @@ from madlab.policy import (
     DebateEnv,
     EnvConfig,
     PolicyTable,
+    SyntheticQuestion,
     answer_labels,
     build_context,
     context_key,
@@ -32,6 +34,7 @@ from madlab.policy import (
     rng_stream,
     save_policy,
 )
+from test_golden import k3_below_ramp_config, k12_config
 
 
 def small_env(**overrides):
@@ -142,8 +145,8 @@ def test_sample_answer_follows_distribution():
         p.update(np.array([math.log(9.0), 0.0]) * (np.arange(len(p.logits)) == 0)[:, None])
     seeds = [derive_key(1, m) for m in range(len(questions))]
     _, _, answers = env.rollout_batch(questions, policies, seeds)
-    expected = np.mean([p.probs(0, env.question_tilts(q)[0, i])[0]
-                        for q in questions for i, p in enumerate(policies)])
+    expected = np.mean([p.probs(0, tilts[0, i])[0]
+                        for tilts in env.batch_tilts(questions) for i, p in enumerate(policies)])
     assert 0.6 < expected < 0.9
     assert abs(np.mean(answers[:, 0] == 0) - expected) < 0.025
 
@@ -220,11 +223,42 @@ def test_rollout_shape_validity_and_determinism():
     assert any_differ
 
 
+def per_stream_tilts(env, question):
+    """One question's (T+1, N, K) tilts, one rng_stream per signal, wobble and
+    flare scope: the reference DebateEnv.batch_tilts reproduces."""
+    cfg = env.config
+    qid = question.question_id
+    k = len(env.answer_space)
+    honest = env.honest_indices
+    ramp = min(1.0, question.difficulty / policy_module.AVERSION_RAMP)
+    persist = policy_module.SIGNAL_PERSIST + (1.0 - policy_module.SIGNAL_PERSIST) * (1.0 - ramp)
+    scale = policy_module.SIGNAL_WOBBLE + policy_module.SIGNAL_WOBBLE_SLOPE * question.difficulty
+    truth = env.answer_space.index(question.ground_truth)
+    tilts = np.zeros((cfg.rounds + 1, len(env.agents), k))
+    for i in honest:
+        signal = rng_stream(cfg.seed, "signal", qid, i).normal(0.0, policy_module.SIGNAL_NOISE, k)
+        signal[truth] += policy_module.SIGNAL_GAIN * env.agents[i].skill * (1.0 - question.difficulty)
+        tilts[0, i] = signal
+        for t in range(1, cfg.rounds + 1):
+            wobble = rng_stream(cfg.seed, "wobble", qid, i, t).normal(0.0, 1.0, k)
+            tilts[t, i] = persist * signal + scale * wobble
+    if cfg.rounds >= 4:
+        rng = rng_stream(cfg.seed, "flare", qid)
+        if rng.random() < question.difficulty:
+            wrong = [j for j in range(k) if j != truth]
+            flare = wrong[int(rng.integers(len(wrong)))]
+            push = cfg.rounds - 3
+            tilts[push, honest, flare] += policy_module.FLARE_SCALE
+            tilts[push + 1, honest, flare] -= policy_module.FLARE_SCALE
+    tilts[1:, honest, 0] += policy_module.LABEL_AVERSION * ramp
+    return tilts
+
+
 def per_draw_rollout(env, question, policies, rollout_seed):
     """The rounds of one debate drawn one act stream at a time: the reference
     the batched engine reproduces."""
     qf = difficulty_bin(question.difficulty, env.config.difficulty_bins)
-    tilts = env.question_tilts(question)
+    tilts = per_stream_tilts(env, question)
     rows = []
     for t in range(env.config.rounds + 1):
         prev = rows[t - 1] if t else None
@@ -329,16 +363,16 @@ def test_signal_tilt_favors_truth_and_scales_with_difficulty():
     env = DebateEnv(EnvConfig(num_agents=2, rounds=1, answer_space_size=4,
                               skills=(1.0,), seed=3, difficulty="fixed:0.0"))
     q = env.generate_questions(1, "t")[0]
-    tilt = env.question_tilts(q)[0, 0]
+    tilt = env.batch_tilts([q])[0][0, 0]
     truth_idx = q.answer_space.index(q.ground_truth)
     assert tilt[truth_idx] == max(tilt)
     assert tilt[truth_idx] > 3.0
     # the same question gives the same tensor object (computed once)
-    assert env.question_tilts(q) is env.question_tilts(q)
+    assert env.batch_tilts([q])[0] is env.batch_tilts([q, q])[1]
     env_hard = DebateEnv(EnvConfig(num_agents=2, rounds=1, answer_space_size=4,
                                    skills=(1.0,), seed=3, difficulty="fixed:1.0"))
     q_hard = env_hard.generate_questions(1, "t")[0]
-    tilt_hard = env_hard.question_tilts(q_hard)[0, 0]
+    tilt_hard = env_hard.batch_tilts([q_hard])[0][0, 0]
     assert abs(tilt_hard).max() < 3.0  # noise only
 
 
@@ -346,26 +380,126 @@ def test_signal_tilt_favors_truth_and_scales_with_difficulty():
 def test_tilts_are_drawn_once_per_question_and_read_only(monkeypatch, rounds):
     env = DebateEnv(EnvConfig(num_agents=4, rounds=rounds, compromised_count=1, seed=2))
     q = env.generate_questions(1, "t")[0]
-    opened = []
-    real_stream = policy_module.rng_stream
-
-    def counting_stream(*tokens):
-        opened.append(tokens[1])
-        return real_stream(*tokens)
-
-    monkeypatch.setattr(policy_module, "rng_stream", counting_stream)
+    drawn = record_reseated_streams(monkeypatch)
+    monkeypatch.setattr(policy_module, "rng_stream", None)  # no tilt opens a stream of its own
     pols = env.initial_policies()
     for seed in range(4):
         traj = env.rollout_debate(q, pols, seed)
         env.agent_steps(q, traj, 0)
-    tilt_streams = [p for p in opened if p in ("signal", "wobble", "flare")]
-    assert len(tilt_streams) == 3 * (rounds + 1) + (rounds >= 4)
-    tilts = env.question_tilts(q)
+    # one signal stream per honest seat, one wobble stream per (seat, round >= 1)
+    # and, from 4 rounds on, one flare stream: each drawn once, none per rollout
+    expected = [derive_key(2, "signal", q.question_id, i) for i in range(3)]
+    expected += [derive_key(2, "wobble", q.question_id, i, t)
+                 for i in range(3) for t in range(1, rounds + 1)]
+    expected += [derive_key(2, "flare", q.question_id)] * (rounds >= 4)
+    keys = [int.from_bytes(d, "little") for call in drawn for d in call]
+    assert sorted(keys) == sorted(expected)
+    tilts = env.batch_tilts([q])[0]
     assert tilts.shape == (rounds + 1, 4, 4)
     assert not tilts.flags.writeable
     assert np.all(tilts[:, 3] == 0.0)  # the compromised seat draws nothing
     with pytest.raises(ValueError):
         tilts[0, 0, 0] = 1.0
+
+
+def record_reseated_streams(monkeypatch):
+    """Route policy._reseated_streams through a recorder; returns the list
+    that receives each call's key digests."""
+    calls = []
+    real = policy_module._reseated_streams
+
+    def recording(digests):
+        calls.append(list(digests))
+        return real(calls[-1])
+
+    monkeypatch.setattr(policy_module, "_reseated_streams", recording)
+    return calls
+
+
+def test_reseated_streams_draw_what_a_fresh_philox_draws():
+    rng = np.random.default_rng(2025)
+    keys = [int.from_bytes(rng.bytes(16), "little") for _ in range(2000)] + [0, 2**128 - 1]
+    sizes = [2 + j % 25 for j in range(len(keys))]
+    digests = [key.to_bytes(16, "little") for key in keys]
+    slow_paths = 0
+    for key, k, gen in zip(keys, sizes, policy_module._reseated_streams(digests)):
+        fresh = np.random.Generator(np.random.Philox(key=key))
+        assert gen.normal(0.0, 1.0, k).tobytes() == fresh.normal(0.0, 1.0, k).tobytes()
+        # words consumed: each normal takes one unless its ziggurat leaves the fast path
+        state = fresh.bit_generator.state
+        slow_paths += 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"] > k
+        assert str(gen.bit_generator.state) == str(state)
+    assert slow_paths > 0
+    # other draws; the one 32-bit integer leaves half a word buffered for the next key
+    p = np.array([0.5, 0.2, 0.2, 0.1])
+
+    def draws(g):
+        return [g.integers(7), g.random(), g.choice(4, p=p), g.uniform(0.1, 0.9),
+                g.random(3).tobytes(), str(g.bit_generator.state)]
+
+    for key, gen in zip(keys, policy_module._reseated_streams(digests)):
+        assert draws(gen) == draws(np.random.Generator(np.random.Philox(key=key)))
+
+
+def test_reseated_streams_match_rng_stream_on_scope_tokens():
+    tokens = [(5, "wobble", f"eval-{q:05d}", i, t) for q in range(3) for i in range(4)
+              for t in range(1, 4)] + [(5, "question", "train-00001"), (5, "flare", "t-00000")]
+    digests = [derive_key(*tok).to_bytes(16, "little") for tok in tokens]
+    for tok, gen in zip(tokens, policy_module._reseated_streams(digests)):
+        stream = rng_stream(*tok)
+        assert gen.normal(0.0, 1.0, 5).tobytes() == stream.normal(0.0, 1.0, 5).tobytes()
+        assert (gen.random(), gen.integers(3)) == (stream.random(), stream.integers(3))
+
+
+TILT_CONFIGS = {
+    "default": {},
+    "eval-wide": ENGINE_CONFIGS["eval-wide"],
+    "golden-k12": dataclasses.asdict(k12_config().env),
+    "golden-k3-below-ramp": dataclasses.asdict(k3_below_ramp_config().env),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TILT_CONFIGS))
+def test_batch_tilts_match_per_stream_tilts(name):
+    config = dict(TILT_CONFIGS[name])
+    config.setdefault("seed", 4)
+    env = DebateEnv(EnvConfig(**config))
+    questions = env.generate_questions(300, "t")
+    tilts = env.batch_tilts(questions)
+    for q, got in zip(questions, tilts):
+        assert got.tobytes() == per_stream_tilts(env, q).tobytes(), q.question_id
+
+
+def test_batch_tilts_do_not_depend_on_the_batch(monkeypatch):
+    config = EnvConfig(seed=6, rounds=5, compromised_count=1)
+    questions = DebateEnv(config).generate_questions(120, "t")
+    alone = [DebateEnv(config).batch_tilts([q])[0] for q in questions]
+    monkeypatch.setattr(policy_module, "ACT_KEYS_PER_PASS", 100)
+    drawn = record_reseated_streams(monkeypatch)
+    env = DebateEnv(config)
+    mixed = questions[60:] + questions[:60] + questions[:5]
+    got = env.batch_tilts(mixed)
+    assert [t.tobytes() for t in got] == [alone[questions.index(q)].tobytes() for q in mixed]
+    # 4 honest seats x 6 rounds = 24 keys per question: 4 questions per pass
+    sizes = [len(call) for call in drawn]
+    assert max(sizes) <= 100 and sizes.count(96) == 30
+    assert sum(sizes) == 120 * 25  # every tilt stream (and each flare stream) drawn once
+    again = env.batch_tilts(questions[:3])
+    assert all(a is b for a, b in zip(again, got[60:63]))
+    assert len(drawn) == len(sizes)  # cached questions draw nothing
+
+
+def test_tilt_cache_is_keyed_by_the_question_not_its_id():
+    env = DebateEnv(EnvConfig(seed=3, difficulty="fixed:0.2"))
+    first = SyntheticQuestion("q1", env.answer_space, "A", 0.2)
+    second = SyntheticQuestion("q1", env.answer_space, "C", 0.2)
+    harder = SyntheticQuestion("q1", env.answer_space, "C", 0.7)
+    tilts = env.batch_tilts([first]) + env.batch_tilts([second, harder])
+    for q, got in zip((first, second, harder), tilts):
+        assert got.tobytes() == per_stream_tilts(env, q).tobytes()
+    # the boost lands on each question's own truth
+    assert tilts[0][0, 0, 0] > tilts[1][0, 0, 0] and tilts[1][0, 0, 2] > tilts[0][0, 0, 2]
+    assert not np.array_equal(tilts[1], tilts[2])
 
 
 def test_easy_questions_start_mostly_correct():
