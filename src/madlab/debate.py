@@ -5,16 +5,28 @@ initial responses, rounds 1..T the refinements. Labels live in a finite
 ordered answer space; every tie anywhere in the package breaks toward the
 order-minimal label so that reruns are reproducible. Votes are counted over
 answer codes, in metrics.
+
+A .jsonl trajectory file is parsed in one place, read_trajectories, and codes
+first: each well-formed record is checked and encoded into answer codes in
+one walk over its labels, grouped by (answer space, T+1, N). Any other record
+goes through trajectory_from_record, so validate_trajectory is the one source
+of error text. The TrajectoryFile it returns hands analysis those groups and
+decodes them back into trajectories only when a caller reads one. A code is
+the label's index in the answer space (answer_index).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator, Mapping, TypeVar
+from functools import cached_property
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+
+import numpy as np
 
 Label = str
 T = TypeVar("T")
+NO_TRUTH = -1  # truth code of a record without ground truth
 
 
 @dataclass(frozen=True)
@@ -33,6 +45,11 @@ class DebateTrajectory:
     @property
     def num_agents(self) -> int:
         return len(self.rounds[0]) if self.rounds else 0
+
+
+def answer_index(space: Sequence[Label]) -> dict[Label, int]:
+    """Each label's answer code: its index in the answer space."""
+    return {label: code for code, label in enumerate(space)}
 
 
 def validate_trajectory(traj: DebateTrajectory) -> list[str]:
@@ -92,6 +109,8 @@ def trajectory_from_record(record: Mapping[str, object]) -> DebateTrajectory:
     for key in ("question_id", "answer_space", "rounds"):
         if key not in record:
             raise ValueError(f"missing field {key!r}")
+    if type(record["question_id"]) not in (str, int):
+        raise ValueError("field 'question_id' must be a string or an integer")
     if not isinstance(record["answer_space"], list):
         raise ValueError("field 'answer_space' must be a list of labels")
     rounds_raw = record["rounds"]
@@ -146,16 +165,101 @@ def write_trajectories(
     with_fp(path_or_fp, "w", _write)
 
 
-def read_trajectories(path_or_fp: str | IO[str]) -> list[DebateTrajectory]:
-    """Read a trajectory .jsonl file, rejecting bad lines with their number.
+@dataclass(frozen=True)
+class CodeGroup:
+    """A file's records of one (answer space, T+1, N) shape, in file order.
+
+    Record j is record positions[j] of the file (blank lines not counted);
+    truth[j] is its ground truth's code or NO_TRUTH; codes[j] its grid's codes.
+    """
+
+    answer_space: tuple[Label, ...]
+    positions: list[int]
+    question_ids: list[str]
+    truth: np.ndarray
+    codes: np.ndarray
+
+
+def _encode(record: dict, spaces: dict) -> tuple | None:
+    """(question id, answer space, grid shape, truth code, codes) of a valid
+    record, else None. Labels and ground truth are str()-coerced as in
+    trajectory_from_record. spaces caches each answer space's label index
+    (None if invalid) by its str() labels, so [1, true] and [1, 1] stay apart.
+    """
+    qid, space_raw, rounds = record.get("question_id"), record.get("answer_space"), record.get("rounds")
+    if type(qid) not in (str, int) or type(space_raw) is not list or type(rounds) is not list:
+        return None
+    space = tuple(map(str, space_raw))
+    if space not in spaces:
+        index = answer_index(space)
+        spaces[space] = index if space and len(index) == len(space) else None
+    index = spaces[space]
+    n = len(rounds[0]) if len(rounds) >= 2 and type(rounds[0]) is list else 0
+    if index is None or n < 2:
+        return None
+    for row in rounds:
+        if type(row) is not list or len(row) != n:  # a string has a length too
+            return None
+    truth = record.get("ground_truth")
+    try:
+        try:
+            codes = [index[a] for row in rounds for a in row]
+        except (KeyError, TypeError):  # a number, bool or list label, or one outside
+            codes = [index[str(a)] for row in rounds for a in row]
+        truth = NO_TRUTH if truth is None else index[str(truth)]
+    except KeyError:
+        return None
+    return str(qid), space, (len(rounds), n), truth, codes
+
+
+class TrajectoryFile(Sequence[DebateTrajectory]):
+    """A trajectory file's records: answer-code groups, and the trajectories in file order.
+
+    groups holds one CodeGroup per (answer space, T+1, N); len() is the record
+    count. The trajectories are decoded from the groups on first access, and
+    the file equals a list holding the same trajectories.
+    """
+
+    def __init__(self, groups: list[CodeGroup]) -> None:
+        self.groups = groups
+        self._count = sum(len(g.positions) for g in groups)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._trajectories[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TrajectoryFile):
+            other = other._trajectories
+        return self._trajectories == other if isinstance(other, list) else NotImplemented
+
+    @cached_property
+    def _trajectories(self) -> list[DebateTrajectory]:
+        out: list = [None] * self._count
+        for g in self.groups:
+            space = g.answer_space
+            grids = np.array(space, dtype=object)[g.codes].tolist()
+            for position, qid, truth, grid in zip(g.positions, g.question_ids, g.truth.tolist(), grids):
+                out[position] = DebateTrajectory(
+                    qid, space, tuple(map(tuple, grid)), None if truth == NO_TRUTH else space[truth]
+                )
+        return out
+
+
+def read_trajectories(path_or_fp: str | IO[str]) -> TrajectoryFile:
+    """Read a trajectory .jsonl file as answer codes, one group per shape.
 
     Errors name the line, and the file when given a path. Fields beyond the
     trajectory's own (replay score, difficulty) are ignored.
     """
     where = f"{path_or_fp}: " if isinstance(path_or_fp, str) else ""
 
-    def _read(fp: Iterator[str]) -> list[DebateTrajectory]:
-        out: list[DebateTrajectory] = []
+    def _read(fp: Iterator[str]) -> TrajectoryFile:
+        spaces: dict = {}
+        groups: dict[tuple, list[tuple]] = {}
+        position = 0
         for lineno, line in enumerate(fp, start=1):
             line = line.strip()
             if not line:
@@ -166,10 +270,21 @@ def read_trajectories(path_or_fp: str | IO[str]) -> list[DebateTrajectory]:
                 raise ValueError(f"{where}line {lineno}: not valid JSON ({exc.msg})")
             if not isinstance(record, dict):
                 raise ValueError(f"{where}line {lineno}: record must be a JSON object")
-            try:
-                out.append(trajectory_from_record(record))
-            except ValueError as exc:
-                raise ValueError(f"{where}line {lineno}: {exc}")
-        return out
+            parsed = _encode(record, spaces)
+            if parsed is None:
+                try:
+                    traj = trajectory_from_record(record)
+                except ValueError as exc:
+                    raise ValueError(f"{where}line {lineno}: {exc}")
+                parsed = _encode(trajectory_to_record(traj), spaces)  # valid, labels str()
+            qid, space, shape, truth, codes = parsed
+            groups.setdefault((space, shape), []).append((position, qid, truth, codes))
+            position += 1
+        out = []
+        for (space, shape), members in groups.items():
+            positions, qids, truths, codes = zip(*members)
+            out.append(CodeGroup(space, list(positions), list(qids), np.array(truths, dtype=np.int64),
+                                 np.array(codes, dtype=np.int64).reshape(-1, *shape)))
+        return TrajectoryFile(out)
 
     return with_fp(path_or_fp, "r", _read)

@@ -22,6 +22,7 @@ from madlab.calibration import (
 )
 from madlab.config import ExperimentConfig, config_hash
 from madlab.debate import (
+    NO_TRUTH,
     DebateTrajectory,
     read_trajectories,
     with_fp,
@@ -29,7 +30,6 @@ from madlab.debate import (
 )
 from madlab.metrics import (  # noqa: F401  full_profile: perfbench's tracer test patches this binding
     MetricConfig,
-    answer_codes,
     full_profile,
     profiles_from_codes,
     write_profiles_csv,
@@ -367,28 +367,7 @@ def run_attack(
 
 
 ANALYSIS_CHUNK = 4096  # trajectories per profiles_from_codes call; bounds its memory
-
-
-def _outcome_records(
-    trajectories: Sequence[DebateTrajectory], metric_config: MetricConfig
-) -> list[OutcomeRecord]:
-    """One OutcomeRecord per supervised trajectory, in input order.
-
-    Trajectories are profiled per (answer space, rounds, agents) group, in
-    chunks of at most ANALYSIS_CHUNK, so inputs may mix those freely.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for j, traj in enumerate(trajectories):
-        key = (traj.answer_space, len(traj.rounds), traj.num_agents)
-        groups.setdefault(key, []).append(j)
-    records: list = [None] * len(trajectories)
-    for (space, _, _), members in groups.items():
-        for start in range(0, len(members), ANALYSIS_CHUNK):
-            chunk = [trajectories[j] for j in members[start : start + ANALYSIS_CHUNK]]
-            profiles, winners = profiles_from_codes(answer_codes(chunk), len(space), metric_config)
-            for j, traj, w, profile in zip(members[start:], chunk, winners.tolist(), profiles):
-                records[j] = OutcomeRecord(traj.question_id, space[w] == traj.ground_truth, profile)
-    return records
+ANALYSIS_REPORTS = ("separation.csv", "correlation.csv", "selective.csv", "strata.csv")
 
 
 def run_analysis(
@@ -399,20 +378,39 @@ def run_analysis(
     """Build the statistics reports from trajectory files.
 
     Accepts any .jsonl in the trajectory format, including externally
-    produced transcripts. Records without ground truth are excluded from
-    accuracy-dependent reports with a count warning; degenerate inputs
-    (too few records, or zero variance) downgrade individual reports to
-    warnings instead of failing the run.
+    produced transcripts that mix answer spaces and grid shapes: each file's
+    answer codes are profiled per shape group, ANALYSIS_CHUNK records at a
+    time, and outcomes keep the input order. Records without ground truth are
+    excluded from accuracy-dependent reports with a count warning; degenerate
+    inputs (too few records, or zero variance) downgrade individual reports
+    to warnings instead of failing the run. Once the input is read, reports
+    an earlier run left in out_dir are removed.
     """
     _ensure_out(out_dir)
     warnings: list[str] = []
     records: list[OutcomeRecord] = []
     skipped = 0
     for path in paths:
-        trajectories = read_trajectories(path)
-        supervised = [traj for traj in trajectories if traj.ground_truth is not None]
-        skipped += len(trajectories) - len(supervised)
-        records += _outcome_records(supervised, config.metric)
+        groups = read_trajectories(path).groups
+        placed: list = [None] * sum(len(g.positions) for g in groups)
+        for g in groups:
+            supervised = np.flatnonzero(g.truth != NO_TRUTH)
+            skipped += len(g.positions) - len(supervised)
+            for start in range(0, len(supervised), ANALYSIS_CHUNK):
+                chunk = supervised[start : start + ANALYSIS_CHUNK]
+                profiles, winners = profiles_from_codes(
+                    g.codes[chunk], len(g.answer_space), config.metric
+                )
+                correct = (winners == g.truth[chunk]).tolist()
+                for j, ok, profile in zip(chunk.tolist(), correct, profiles):
+                    placed[g.positions[j]] = OutcomeRecord(g.question_ids[j], ok, profile)
+        records += [r for r in placed if r is not None]
+    separation, correlation, selective, strata = reports = [
+        os.path.join(out_dir, name) for name in ANALYSIS_REPORTS
+    ]
+    for report in reports:
+        if os.path.exists(report):
+            os.remove(report)
     if skipped:
         warnings.append(
             f"excluded {skipped} trajectories without ground truth from "
@@ -423,22 +421,20 @@ def run_analysis(
         return PipelineResult(rows=[], warnings=warnings, out_dir=out_dir)
 
     try:
-        report = separation_report(records)
-        write_separation_csv(os.path.join(out_dir, "separation.csv"), report)
+        write_separation_csv(separation, separation_report(records))
     except ValueError as exc:
         warnings.append(f"separation report skipped: {exc}")
-        write_separation_csv(os.path.join(out_dir, "separation.csv"), SeparationReport(rows=()))
+        write_separation_csv(separation, SeparationReport(rows=()))
 
     try:
         labels, matrix = correlation_matrix(records)
-        write_correlation_csv(os.path.join(out_dir, "correlation.csv"), labels, matrix)
+        write_correlation_csv(correlation, labels, matrix)
     except ValueError as exc:
         warnings.append(f"correlation matrix skipped: {exc}")
 
     curve = selective_prediction_curve(records, config.k_grid)
-    write_selective_csv(os.path.join(out_dir, "selective.csv"), curve)
-    strata = stratify_by_uncertainty(records, boundaries=config.strata_bins)
-    write_strata_csv(os.path.join(out_dir, "strata.csv"), strata)
+    write_selective_csv(selective, curve)
+    write_strata_csv(strata, stratify_by_uncertainty(records, boundaries=config.strata_bins))
 
     row = SummaryRow.from_records("analysis", records)
     return PipelineResult(rows=[row], warnings=warnings, out_dir=out_dir)

@@ -33,7 +33,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from madlab.debate import DebateTrajectory, with_fp
+from madlab.debate import DebateTrajectory, answer_index, with_fp
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def answer_codes(trajectories: Sequence[DebateTrajectory]) -> np.ndarray:
     A code is the label's index in the first trajectory's answer space.
     """
     space = trajectories[0].answer_space
-    index = {label: code for code, label in enumerate(space)}
+    index = answer_index(space)
     try:
         codes = [index[a] for traj in trajectories for row in traj.rounds for a in row]
     except KeyError as exc:

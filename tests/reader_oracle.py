@@ -1,0 +1,64 @@
+"""The trajectory reader and analysis regrouping as they stood before the
+answer-code reader: a reference for what read_trajectories and run_analysis
+must reproduce.
+
+read_trajectories builds every record through trajectory_from_record, and
+outcome_records regroups the supervised trajectories by (answer space, T+1,
+N) and encodes each group with metrics.answer_codes.
+"""
+
+from __future__ import annotations
+
+import json
+
+from madlab.debate import trajectory_from_record, with_fp
+from madlab.metrics import answer_codes, profiles_from_codes
+from madlab.stats import OutcomeRecord
+
+
+def read_trajectories(path_or_fp):
+    where = f"{path_or_fp}: " if isinstance(path_or_fp, str) else ""
+
+    def _read(fp):
+        out = []
+        for lineno, line in enumerate(fp, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}line {lineno}: not valid JSON ({exc.msg})")
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}line {lineno}: record must be a JSON object")
+            try:
+                out.append(trajectory_from_record(record))
+            except ValueError as exc:
+                raise ValueError(f"{where}line {lineno}: {exc}")
+        return out
+
+    return with_fp(path_or_fp, "r", _read)
+
+
+def outcome_records(trajectories, metric_config, chunk_size=4096):
+    groups = {}
+    for j, traj in enumerate(trajectories):
+        key = (traj.answer_space, len(traj.rounds), traj.num_agents)
+        groups.setdefault(key, []).append(j)
+    records = [None] * len(trajectories)
+    for (space, _, _), members in groups.items():
+        for start in range(0, len(members), chunk_size):
+            chunk = [trajectories[j] for j in members[start : start + chunk_size]]
+            profiles, winners = profiles_from_codes(answer_codes(chunk), len(space), metric_config)
+            for j, traj, w, profile in zip(members[start:], chunk, winners.tolist(), profiles):
+                records[j] = OutcomeRecord(traj.question_id, space[w] == traj.ground_truth, profile)
+    return records
+
+
+def analysis_records(paths, metric_config, chunk_size=4096):
+    """The OutcomeRecords the reports are built from, over every file in order."""
+    records = []
+    for path in paths:
+        supervised = [t for t in read_trajectories(path) if t.ground_truth is not None]
+        records += outcome_records(supervised, metric_config, chunk_size)
+    return records

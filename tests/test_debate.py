@@ -165,6 +165,22 @@ def test_non_list_answer_space_rejected_with_file_and_line(tmp_path, space):
         read_trajectories(path)
 
 
+@pytest.mark.parametrize("qid", [None, True, 1.5, ["q"], {"q": 1}])
+def test_question_id_must_be_a_string_or_an_integer(tmp_path, qid):
+    good = trajectory_to_record(make_traj((("A", "B"), ("B", "B"))))
+    path = str(tmp_path / "t.jsonl")
+    with open(path, "w", encoding="utf-8") as fp:
+        fp.write(json.dumps(good) + "\n" + json.dumps(dict(good, question_id=qid)) + "\n")
+    message = f"{path}: line 2: field 'question_id' must be a string or an integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_trajectories(path)
+
+
+def test_integer_question_id_reads_as_its_digits():
+    record = dict(trajectory_to_record(make_traj((("A", "B"), ("B", "B")))), question_id=7)
+    assert read_trajectories(io.StringIO(json.dumps(record)))[0].question_id == "7"
+
+
 def test_relabeling_equivariance_of_vote():
     # order-preserving bijection commutes with the vote
     rng = np.random.default_rng(11)

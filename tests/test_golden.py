@@ -10,13 +10,18 @@ ratio moves off 1 and the clip test and the KL gradient act on the digests.
 The K = 12 baseline (9 rounds, 3 bins, two max_wrong seats, difficulty over
 all of [0, 1]) draws longer normal vectors, fires flares and sits on both
 sides of AVERSION_RAMP; the K = 3 baseline at fixed difficulty 0.01 sits
-below the ramp, where the aversion fades and the signal persists.
+below the ramp, where the aversion fades and the signal persists. The mixed
+analysis input interleaves answer spaces, grid shapes, unsupervised records,
+numeric labels and blank lines in one file.
 """
 
 import dataclasses
 import hashlib
+import json
 import math
 import os
+
+import numpy as np
 
 from madlab import optim
 from madlab.config import ExperimentConfig, config_hash
@@ -86,7 +91,30 @@ K3_BELOW_RAMP_BASELINE = {
     "trajectories.jsonl": "04a3970da3c30549b5d06d22211e916d94daa2012d68dffd2dd8e36cc4e5c6dc",
 }
 
+MIXED_ANALYSIS = {
+    "correlation.csv": "920849058b28af1ff9846994b64587ea3a076c143a052c9630089a34289b1fed",
+    "selective.csv": "1e08ecd486fea2039ef2ea3b6c93a48321037969df2b6c9152c787182fd0a098",
+    "separation.csv": "e6c4f36e62202d2bd1b513f8fb0c9b2ecf74150570066cd41946d932f0a9ce25",
+    "strata.csv": "3bfe43bb40305ac30f1a22894af92fffa5321b292e3a0b18ca8f943f1cc856ce",
+}
+
+MIXED_ANALYSIS_ROW = (
+    "analysis", 218, 0.8394495412844036, 0.23154943934760447, 0.4081422018348624,
+    0.45410835885191153,
+)
+
 DEFAULT_CONFIG_HASH = "170f4cd84af4e83e"
+
+# (answer space as written, agents, refinement rounds): two answer spaces, one
+# of them also written as JSON numbers (one group mixes both spellings), over
+# two agent counts and two round counts.
+MIXED_SHAPES = (
+    (["A", "B", "C"], 3, 1),
+    (["A", "B", "C"], 5, 3),
+    (["0", "1", "2", "3"], 5, 1),
+    ([0, 1, 2, 3], 3, 3),
+    ([0, 1, 2, 3], 5, 1),
+)
 
 
 def wide_config():
@@ -108,6 +136,42 @@ def k12_config():
 
 def k3_below_ramp_config():
     return tiny_config(answer_space_size=3, difficulty="fixed:0.01")
+
+
+def write_mixed_analysis_input(path, records=240, seed=2026):
+    """A trajectory file mixing answer spaces, grid shapes, missing ground
+    truth, numeric labels that str() into the space, and blank lines.
+
+    Round 0 answers are right with probability 0.65; each later answer keeps
+    the agent's own, copies the previous round's lowest-code plurality, or
+    guesses uniformly.
+    """
+    rng = np.random.default_rng(seed)
+    with open(path, "w", encoding="utf-8") as fp:
+        for j in range(records):
+            space, n, t = MIXED_SHAPES[int(rng.integers(len(MIXED_SHAPES)))]
+            k = len(space)
+            truth = int(rng.integers(k))
+            grid = [[truth if rng.random() < 0.65 else int(rng.integers(k)) for _ in range(n)]]
+            for _ in range(t):
+                prev = grid[-1]
+                plurality = max(range(k), key=lambda c: (prev.count(c), -c))
+                row = []
+                for i in range(n):
+                    u = rng.random()
+                    row.append(prev[i] if u < 0.5 else plurality if u < 0.8 else int(rng.integers(k)))
+                grid.append(row)
+            as_numbers = k == 4 and rng.random() < 0.5
+            label = (lambda c: int(space[c])) if as_numbers else (lambda c: str(space[c]))
+            record = {
+                "question_id": f"mix-{j:03d}" if j % 7 else j,
+                "answer_space": space,
+                "ground_truth": None if rng.random() < 0.1 else label(truth),
+                "rounds": [[label(c) for c in row] for row in grid],
+            }
+            fp.write(json.dumps(record) + "\n")
+            if j % 17 == 5:
+                fp.write("\n" if j % 2 else "   \n")
 
 
 def digests(out_dir):
@@ -154,6 +218,15 @@ def test_wide_baseline_and_analysis_artifacts_are_pinned(tmp_path):
     analysis = tmp_path / "analysis"
     run_analysis([str(base / "trajectories.jsonl")], tiny_config(), str(analysis))
     assert digests(analysis) == WIDE_ANALYSIS
+
+
+def test_mixed_analysis_artifacts_are_pinned(tmp_path):
+    path = tmp_path / "mixed.jsonl"
+    write_mixed_analysis_input(str(path))
+    reports = tmp_path / "reports"
+    result = run_analysis([str(path)], tiny_config(), str(reports))
+    assert digests(reports) == MIXED_ANALYSIS
+    assert [dataclasses.astuple(row) for row in result.rows] == [MIXED_ANALYSIS_ROW]
 
 
 def test_k12_baseline_artifacts_are_pinned(tmp_path):

@@ -301,6 +301,27 @@ def test_analysis_groups_mixed_answer_spaces_and_grid_shapes(tmp_path, monkeypat
     assert any("excluded 4 trajectories" in w for w in result.warnings)
 
 
+def test_analysis_leaves_no_report_from_an_earlier_run(tmp_path):
+    base = tmp_path / "base"
+    run_baseline(tiny_config(), str(base))
+    reports = tmp_path / "reports"
+    run_analysis([str(base / "trajectories.jsonl")], tiny_config(), str(reports))
+    assert sorted(os.listdir(reports)) == [
+        "correlation.csv", "selective.csv", "separation.csv", "strata.csv"]
+    easy = tmp_path / "easy.jsonl"
+    write_trajectories(str(easy), [
+        DebateTrajectory(f"easy-{i}", ("A", "B"), (("A", "A", "A"),) * 3, "A") for i in range(10)
+    ])
+    result = run_analysis([str(easy)], tiny_config(), str(reports))
+    assert any("correlation matrix skipped" in w for w in result.warnings)
+    assert sorted(os.listdir(reports)) == ["selective.csv", "separation.csv", "strata.csv"]
+    free = tmp_path / "free.jsonl"
+    write_trajectories(str(free), [DebateTrajectory("q", ("A", "B"), (("A", "B"), ("A", "B")))])
+    result = run_analysis([str(free)], tiny_config(), str(reports))
+    assert any("no usable trajectories" in w for w in result.warnings)
+    assert os.listdir(reports) == []
+
+
 def test_analysis_with_no_usable_records_reports_and_stops(tmp_path):
     path = tmp_path / "unsupervised.jsonl"
     write_trajectories(

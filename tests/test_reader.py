@@ -1,0 +1,179 @@
+"""The answer-code reader against the reference reader in reader_oracle.
+
+Valid files must give run_analysis the very OutcomeRecords the reference
+regrouping gives, in file order; malformed records must fail with exactly the
+reference message, file and line.
+"""
+
+import importlib
+import json
+import os
+import sys
+
+import pytest
+
+import reader_oracle as oracle
+from madlab import debate, harness
+from madlab.debate import TrajectoryFile, read_trajectories
+from madlab.harness import run_analysis
+from test_golden import write_mixed_analysis_input
+from test_harness import tiny_config
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+GOOD = {"question_id": "q", "answer_space": ["A", "B"], "ground_truth": "A",
+        "rounds": [["A", "B"], ["A", "A"]]}
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    sys.path.insert(0, PERFBENCH)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # no __pycache__ under perfbench/
+    try:
+        yield importlib.import_module("workloads")
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(PERFBENCH)
+
+
+def analysed_records(paths, monkeypatch, tmp_path):
+    """What run_analysis hands its reports, captured at the selective curve."""
+    records = []
+    monkeypatch.setattr(harness, "selective_prediction_curve",
+                        lambda recs, k_grid: records.extend(recs) or [])
+    run_analysis([str(p) for p in paths], tiny_config(), str(tmp_path / "reports"))
+    return records
+
+
+@pytest.mark.parametrize("count", [300, 5000])
+def test_bench_records_match_the_reference(workloads, count, tmp_path, monkeypatch):
+    path = tmp_path / "herding.jsonl"
+    workloads.write_analyze_input(str(path), 8, count)
+    expected = oracle.analysis_records([str(path)], tiny_config().metric)
+    assert analysed_records([path], monkeypatch, tmp_path) == expected
+    assert read_trajectories(str(path)) == oracle.read_trajectories(str(path))
+
+
+def test_mixed_records_match_the_reference_in_file_order(tmp_path, monkeypatch):
+    first, second = tmp_path / "mixed.jsonl", tmp_path / "mixed-2.jsonl"
+    write_mixed_analysis_input(str(first))
+    write_mixed_analysis_input(str(second), records=50, seed=7)
+    expected = oracle.analysis_records([str(first), str(second)], tiny_config().metric, 3)
+    monkeypatch.setattr(harness, "ANALYSIS_CHUNK", 3)
+    assert analysed_records([first, second], monkeypatch, tmp_path) == expected
+    assert read_trajectories(str(first)) == oracle.read_trajectories(str(first))
+
+
+def test_groups_are_keyed_by_the_coerced_answer_space(tmp_path):
+    path = tmp_path / "t.jsonl"
+    free = dict(GOOD, answer_space=["1", "2"], ground_truth=None)
+    lines = [dict(GOOD, answer_space=[1, 2], rounds=[[1, 2], ["2", 2]], ground_truth=2),
+             dict(free, rounds=[["1", "1"], ["1", "2"]]),
+             dict(free, rounds=[["1", "1"], ["1", "2"]], ground_truth="1"),
+             dict(free, rounds=[["1", "1"], ["1", "2"], ["2", "2"]])]
+    path.write_text("".join(json.dumps(r) + "\n\n" for r in lines), encoding="utf-8")
+    groups = read_trajectories(str(path)).groups
+    assert [(g.answer_space, g.codes.shape, g.positions) for g in groups] == [
+        (("1", "2"), (3, 2, 2), [0, 1, 2]), (("1", "2"), (1, 3, 2), [3])]
+    assert groups[0].truth.tolist() == [1, -1, 0]
+    assert groups[0].codes[0].tolist() == [[0, 1], [1, 1]]
+    assert groups[1].truth.tolist() == [-1]
+
+
+def test_file_is_a_sequence_of_its_records_in_file_order(tmp_path):
+    path = tmp_path / "mixed.jsonl"
+    write_mixed_analysis_input(str(path))
+    expected = oracle.read_trajectories(str(path))
+    read = read_trajectories(str(path))
+    assert isinstance(read, TrajectoryFile) and len(read.groups) > 1
+    assert len(read) == len(expected)  # the record count a traced run reports
+    assert read[0] == expected[0] and read[-1] == expected[-1]
+    assert list(read) == expected and read[5:9] == expected[5:9]
+    assert expected == read == read_trajectories(str(path)) != expected[1:]
+    assert read != tuple(expected)
+
+
+def test_valid_records_are_encoded_without_the_validation_path(tmp_path, monkeypatch):
+    # numeric labels, ids and ground truth are str()-coerced by the encoder
+    # itself; trajectory_from_record only writes the error text of a bad record
+    path = tmp_path / "mixed.jsonl"
+    write_mixed_analysis_input(str(path))
+    expected = oracle.read_trajectories(str(path))
+    monkeypatch.setattr(debate, "trajectory_from_record", None)
+    assert read_trajectories(str(path)) == expected
+
+
+MALFORMED = {
+    "empty space": dict(GOOD, answer_space=[], ground_truth=None),
+    "duplicate space": dict(GOOD, answer_space=["A", "B", "A"]),
+    "no rounds": dict(GOOD, rounds=[]),
+    "one agent": dict(GOOD, rounds=[["A"], ["B"]]),
+    "no refinement": dict(GOOD, rounds=[["A", "B"]]),
+    "grid gap": dict(GOOD, rounds=[["A", "B"], ["A"]]),
+    "ragged long row": dict(GOOD, rounds=[["A", "B"], ["A", "B", "A"]]),
+    "label outside": dict(GOOD, rounds=[["A", "Z"], ["A", "A"]]),
+    "truth outside": dict(GOOD, ground_truth="Z"),
+    "numeric truth": dict(GOOD, ground_truth=1),
+    "numeric label": dict(GOOD, rounds=[["A", 0], ["A", "A"]]),
+    "bool label": dict(GOOD, answer_space=["1", "2"], ground_truth=None,
+                       rounds=[[True, "1"], ["1", "1"]]),
+    "unhashable label": dict(GOOD, rounds=[[["A"], "B"], ["A", "A"]]),
+    "unhashable truth": dict(GOOD, ground_truth={"A": 1}),
+    "every problem at once": dict(GOOD, answer_space=["A", "A"], ground_truth="C",
+                                  rounds=[["A"], ["B", "A"]]),
+    "string rows": dict(GOOD, rounds=["AB", "BA"]),
+    "string first row": dict(GOOD, rounds=["AB", ["A", "B"]]),
+    "string later row": dict(GOOD, rounds=[["A", "B"], "AB"]),
+    "number rows": dict(GOOD, rounds=[1, 2]),
+    "object rows": dict(GOOD, rounds=[{"A": 1, "B": 2}, {"A": 1, "B": 2}]),
+    "rounds not a list": dict(GOOD, rounds="AB"),
+    "space a string": dict(GOOD, answer_space="AB"),
+    "space a number": dict(GOOD, answer_space=5),
+    "space null": dict(GOOD, answer_space=None),
+    "space an object": dict(GOOD, answer_space={"A": 0, "B": 1}),
+    "missing id": {k: v for k, v in GOOD.items() if k != "question_id"},
+    "missing space": {k: v for k, v in GOOD.items() if k != "answer_space"},
+    "missing rounds": {k: v for k, v in GOOD.items() if k != "rounds"},
+    "not an object": ["A", "B"],
+}
+
+
+@pytest.mark.parametrize("record", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_record_fails_like_the_reference(tmp_path, record):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(GOOD) + "\n\n" + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as reference:
+        oracle.read_trajectories(str(path))
+    assert str(reference.value).startswith(f"{path}: line 3: ")
+    with pytest.raises(ValueError) as got:
+        read_trajectories(str(path))
+    assert str(got.value) == str(reference.value)
+
+
+def test_space_cache_keeps_true_and_one_apart(tmp_path):
+    # [1, true] is the valid space ("1", "True"); [1, 1] has a duplicate label,
+    # though the two lists compare equal as JSON values.
+    valid = dict(GOOD, answer_space=[1, True], ground_truth=True,
+                 rounds=[["1", "True"], ["True", "True"]])
+    dup = dict(GOOD, answer_space=[1, 1], ground_truth="1", rounds=[["1", "1"], ["1", "1"]])
+    path = tmp_path / "spaces.jsonl"
+    path.write_text(json.dumps(valid) + "\n" + json.dumps(dup) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as reference:
+        oracle.read_trajectories(str(path))
+    assert "line 2: answer_space contains duplicate labels" in str(reference.value)
+    with pytest.raises(ValueError) as got:
+        read_trajectories(str(path))
+    assert str(got.value) == str(reference.value)
+    path.write_text(json.dumps(valid) + "\n" + json.dumps(valid) + "\n", encoding="utf-8")
+    assert read_trajectories(str(path)) == oracle.read_trajectories(str(path))
+
+
+def test_invalid_json_fails_like_the_reference(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(GOOD) + "\n" + json.dumps(GOOD) + " x\n", encoding="utf-8")
+    with pytest.raises(ValueError) as reference:
+        oracle.read_trajectories(str(path))
+    with pytest.raises(ValueError) as got:
+        read_trajectories(str(path))
+    assert str(got.value) == str(reference.value) != ""
