@@ -12,9 +12,10 @@ importance weight (1 for fresh rollouts). Gradients are exact: the surrogate
 term contributes A * rho * score per visit and is exactly zero on
 trajectories in the clipped regime; the KL term contributes
 p * ((log p - log q) - KL) per visited context. gradient_step reads each
-visit's context row and answer code from the RolloutBatch, vectorizes over the
-batch, accumulates each agent's gradient with one np.add.at in per-visit order
-into an array shaped like its (rows, K) table and applies one whole-table update.
+visit's context row and answer code from the RolloutBatch, computes the
+log-probs of all honest agents' visits in one pass over their stacked tables,
+and adds every agent's gradient with one np.bincount in per-visit order before
+one whole-table update per agent.
 
 Rollouts always happen under the reference snapshot; the reference refreshes
 every ref_refresh_period iterations, and gradient_step refuses batches whose
@@ -161,20 +162,17 @@ def clipped_surrogate(rho: float, advantage: float, epsilon: float) -> float:
     return min(rho * advantage, clipped * advantage)
 
 
-def surrogate_is_clipped(rho: float, advantage: float, epsilon: float) -> bool:
-    """True when the min() selects the flat branch, killing the gradient."""
-    if advantage > 0.0:
-        return rho > 1.0 + epsilon
-    if advantage < 0.0:
-        return rho < 1.0 - epsilon
-    return False
+def surrogate_is_clipped(rho, advantage, epsilon: float):
+    """True (elementwise) when the min() selects the flat branch, killing the gradient."""
+    return (advantage > 0.0) & (rho > 1.0 + epsilon) | (advantage < 0.0) & (rho < 1.0 - epsilon)
 
 
-def _log_probs(policy: PolicyTable, rows: np.ndarray | int, tilts: np.ndarray) -> np.ndarray:
-    z = policy.logits[rows] + tilts
+def _log_probs(logits: np.ndarray, rows: np.ndarray | int, tilts: np.ndarray) -> np.ndarray:
+    """Log-softmax of logits[rows] + tilts over the labels, one row per visit."""
+    z = logits[rows] + tilts
     z = z - z.max(axis=-1, keepdims=True)
     # math.log per visit: np.log differs from it in the last bit on some sums.
-    norm = [math.log(s) for s in np.exp(z).sum(axis=-1).ravel().tolist()]
+    norm = list(map(math.log, np.exp(z).sum(axis=-1).ravel().tolist()))
     return z - np.reshape(norm, z.shape[:-1] + (1,))
 
 
@@ -190,8 +188,8 @@ def kl_anchor(
     steps = env.agent_steps(question, traj, agent_index)
     total = 0.0
     for step in steps:
-        lp_cur = _log_probs(current, step.ctx, step.tilt)
-        lp_ref = _log_probs(reference, step.ctx, step.tilt)
+        lp_cur = _log_probs(current.logits, step.ctx, step.tilt)
+        lp_ref = _log_probs(reference.logits, step.ctx, step.tilt)
         p = np.exp(lp_cur)
         total += float(np.dot(p, lp_cur - lp_ref))
     return total / len(steps)
@@ -224,6 +222,16 @@ def objective_value(
     return out
 
 
+_MAX_LOG_RATIO = math.log(np.finfo(np.float64).max)  # math.exp overflows above it
+
+
+def _ratio_error(honest: Sequence[int], log_rho: np.ndarray, size: np.ndarray) -> ValueError:
+    m, h = np.unravel_index(np.argmax(size), size.shape)
+    return ValueError(f"agent {honest[h]}: likelihood ratio overflows at batch slot {m} "
+                      f"(log rho = {float(log_rho[m, h])!r}); no table was changed")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite gradient is raised below
 def gradient_step(
     env: DebateEnv,
     state: TrainState,
@@ -235,50 +243,64 @@ def gradient_step(
 
     totals holds each batch trajectory's per-agent total reward (batch x
     agents); advantages are centered on their batch means. Refuses batches
-    rolled out under a stale reference.
+    rolled out under a stale reference, and raises before changing any table
+    when a likelihood ratio or a gradient is not finite.
     """
     if batch.ref_version != state.ref_version:
         raise ValueError(
             f"stale rollouts: batch reference version {batch.ref_version}, "
             f"state expects {state.ref_version}"
         )
-    adv = compute_advantages(totals)
-    m_total = len(batch.trajectories)
-    weights = np.array(batch.weights)
-    tilts = np.stack(env.batch_tilts(batch.questions))
-    for i in env.honest_indices:
-        cur, ref = state.policies[i], state.reference[i]
-        assert cur is not None and ref is not None
-        eta = state.coeffs.eta_anchor[i]
-        rows, answers = batch.contexts[:, :, i], batch.answers[:, :, i, None]
-        lc = _log_probs(cur, rows, tilts[:, :, i])
-        lr = _log_probs(ref, rows, tilts[:, :, i])
-        picked = np.take_along_axis(np.stack([lc, lr]), answers[None], -1)[..., 0]
-        lp = np.zeros((2, m_total))  # rounds added left to right; np.sum pairs 8+ terms
-        for t in range(rows.shape[1]):
-            lp += picked[:, :, t]
-        rho = np.array([math.exp(x) for x in (lp[0] - lp[1]).tolist()])
-        a = adv.advantages[:, i]
-        active = [x != 0.0 and not surrogate_is_clipped(r, x, clip.epsilon) for r, x in zip(rho, a)]
-        # One gradient entry per (part, round, column) of each trajectory, added
-        # in order: part 0 is each round's surrogate score (-coef * p over the
-        # labels, then +coef at the answer), part 1 each round's KL row.
-        p, diff = np.exp(lc), lc - lr
+    honest = env.honest_indices
+    adv = compute_advantages(totals).advantages[:, honest]
+    m_total, steps = batch.contexts.shape[:2]
+    weights = np.array(batch.weights)[:, None]
+    # The honest tables, current and reference, each stacked into one
+    # (H * rows, K) array; visits index their rows.
+    cur, ref = (np.concatenate([ps[i].logits for i in honest])
+                for ps in (state.policies, state.reference))
+    n_rows, k = len(cur) // len(honest), cur.shape[1]
+    visits = batch.contexts[:, :, honest] + n_rows * np.arange(len(honest))
+    answers = batch.answers[:, :, honest, None]
+    tilts = np.stack(env.batch_tilts(batch.questions))[:, :, honest]
+    lc = _log_probs(cur, visits, tilts)
+    # When the reference equals the current tables (each step at the default
+    # ref_refresh_period = 1), its log-probs are the current ones and each KL
+    # row adds only -0.0, so neither is computed.
+    shared = np.array_equal(cur, ref)
+    lr = lc if shared else _log_probs(ref, visits, tilts)
+    picked = np.take_along_axis(np.stack([lc, lr]), answers[None], -1)[..., 0]
+    lp = picked.cumsum(axis=2)[:, :, -1]  # rounds added left to right; np.sum pairs 8+ terms
+    log_rho = lp[0] - lp[1]
+    if (log_rho > _MAX_LOG_RATIO).any():
+        raise _ratio_error(honest, log_rho, log_rho)
+    rho = np.reshape(list(map(math.exp, log_rho.ravel().tolist())), log_rho.shape)
+    active = (adv != 0.0) & ~surrogate_is_clipped(rho, adv, clip.epsilon)
+    # One gradient entry per (part, round, agent, column) of each trajectory:
+    # part 0 is each round's surrogate score (-coef * p over the labels, then
+    # +coef at the answer), part 1 each round's KL row. np.bincount adds each
+    # bin's entries in this per-visit order from +0.0, as np.add.at would. A
+    # clipped slot or a zero anchor adds only +-0.0, which leaves a bin as it
+    # is, so no entry needs masking.
+    p = np.exp(lc)
+    surrogate = weights * adv * rho
+    coef = np.where(active, surrogate, 0.0)[:, None, :, None]
+    parts = [np.concatenate([-(coef * p), np.broadcast_to(coef, answers.shape)], -1)]
+    if not shared:
+        eta = np.array([state.coeffs.eta_anchor[i] for i in honest])
+        diff = lc - lr
         kl = (p[..., None, :] @ diff[..., :, None])[..., 0]  # as np.dot; einsum is not
-        coef = (weights * a * rho)[:, None, None]
-        scale = (weights * eta / rows.shape[1])[:, None, None]
-        vals = np.stack([
-            np.concatenate([-(coef * p), np.broadcast_to(coef, answers.shape)], -1),
-            np.concatenate([-(scale * p * (diff - kl)), np.zeros(answers.shape)], -1),
-        ], axis=1)
-        cols = np.concatenate([np.broadcast_to(np.arange(p.shape[-1]), p.shape), answers], -1)
-        keep = np.zeros(vals.shape, dtype=bool)
-        keep[:, 0] = np.array(active)[:, None, None]
-        keep[:, 1, :, :-1] = eta != 0.0
-        rows_at = np.broadcast_to(rows[:, None, :, None], vals.shape)[keep]
-        grad = np.zeros_like(cur.logits)
-        np.add.at(grad, (rows_at, np.broadcast_to(cols[:, None], vals.shape)[keep]), vals[keep])
-        cur.update(clip.learn_rate * (grad / m_total))
+        scale = (weights * eta / steps)[:, None, :, None]
+        parts.append(np.concatenate([-(scale * p * (diff - kl)), np.zeros(answers.shape)], -1))
+    vals = np.stack(parts, axis=1)
+    cols = np.concatenate([np.broadcast_to(np.arange(k), p.shape), answers], -1)
+    at = np.broadcast_to((visits[..., None] * k + cols)[:, None], vals.shape)
+    grad = np.bincount(at.ravel(), vals.ravel(), minlength=cur.size).reshape(len(honest), n_rows, k)
+    broken = ~np.isfinite(grad).all(axis=(1, 2))
+    if broken.any():  # only an unclipped slot's ratio can carry a gradient this far
+        raise _ratio_error(honest, log_rho, np.where(active & broken, np.abs(surrogate), 0.0))
+    for h, i in enumerate(honest):
+        state.policies[i].update(clip.learn_rate * (grad[h] / m_total))
     return state
 
 

@@ -27,7 +27,8 @@ so identical (config, seed) reruns are bit-identical. rng_stream opens one
 scope's generator. Many streams at once (questions, tilts) are drawn through a
 single Philox reseated at each key, which draws exactly what rng_stream would.
 An act takes only the first uniform of its stream, which philox_uniforms
-computes for many keys at once.
+computes for many keys at once, on two vector lanes. Keys that share leading
+tokens are hashed from one copied blake2b state of that prefix.
 """
 
 from __future__ import annotations
@@ -95,10 +96,14 @@ def _prefixed_digests(prefix: str, suffixes: Sequence[bytes]) -> list[bytes]:
     """The _key_digest of the token text prefix + suffix for each encoded suffix.
 
     prefix holds the leading tokens and their trailing "|" (say
-    "seed|act|question_id|" before "t|i"), formatted once per scope.
+    "seed|act|question_id|" before "t|i"), formatted and hashed once per
+    scope; each key copies that blake2b state and feeds it only its suffix.
     """
-    head = prefix.encode()
-    return [hashlib.blake2b(head + suffix, digest_size=16).digest() for suffix in suffixes]
+    head = hashlib.blake2b(prefix.encode(), digest_size=16)
+    states = [head.copy() for _ in suffixes]
+    for h, suffix in zip(states, suffixes):
+        h.update(suffix)
+    return [h.digest() for h in states]
 
 
 def derive_key(*tokens: object) -> int:
@@ -133,18 +138,19 @@ def _reseated_streams(digests: Iterable[bytes]) -> Iterator[np.random.Generator]
 
 
 _MASK32 = np.uint64(0xFFFFFFFF)
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+# Philox4x64 multipliers and key increments, one row per lane.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, on 32-bit halves."""
-    m_lo, m_hi = m & _MASK32, m >> np.uint64(32)
+def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products _PHILOX_M * x, on 32-bit halves."""
+    m_lo, m_hi = _PHILOX_M & _MASK32, _PHILOX_M >> np.uint64(32)
     x_lo, x_hi = x & _MASK32, x >> np.uint64(32)
     ll, lh, hl = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
     mid = (ll >> np.uint64(32)) + (lh & _MASK32) + (hl & _MASK32)
     hi = m_hi * x_hi + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (mid >> np.uint64(32))
-    return hi, m * x
+    return hi, _PHILOX_M * x
 
 
 def philox_uniforms(digests: Sequence[bytes]) -> np.ndarray:
@@ -152,19 +158,20 @@ def philox_uniforms(digests: Sequence[bytes]) -> np.ndarray:
 
     One vectorized Philox4x64-10 pass: numpy's Philox increments its counter
     from 0 before the first block, so the draw is word 0 of the block at
-    counter (1, 0, 0, 0), mapped to [0, 1) as (x >> 11) * 2**-53.
+    counter (1, 0, 0, 0), mapped to [0, 1) as (x >> 11) * 2**-53. A round's
+    two products run as one (2, n) lane pair: x holds counter words 0 and 2,
+    y words 1 and 3, and each lane takes hi and lo from the other's product.
     """
-    k0, k1 = np.frombuffer(b"".join(digests), "<u8").reshape(-1, 2).T
-    c1 = c2 = c3 = np.zeros(len(k0), dtype=np.uint64)
-    c0 = c1 + np.uint64(1)
+    key = np.frombuffer(b"".join(digests), "<u8").reshape(-1, 2).T.copy()
+    x, y = np.zeros((2, *key.shape), dtype=np.uint64)
+    x[0] = 1
     with np.errstate(over="ignore"):
         for r in range(10):
             if r:
-                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return (c0 >> np.uint64(11)).astype(np.float64) * 2.0**-53
+                key += _PHILOX_W
+            hi, lo = _mulhilo(x)
+            x, y = hi[::-1] ^ y ^ key, lo[::-1]
+    return (x[0] >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def answer_labels(size: int) -> tuple[str, ...]:
@@ -593,11 +600,10 @@ class DebateEnv:
             z /= z.sum(axis=-1, keepdims=True)
             np.cumsum(z, axis=-1, out=z)
             answers[:, t, honest] = np.minimum((z <= uniforms[:, t]).sum(axis=-1), k - 1)
-        labels = self.answer_space
+        labels = np.array(self.answer_space, dtype=object)
         trajectories = [
-            DebateTrajectory(q.question_id, labels,
-                             tuple(tuple(labels[a] for a in row) for row in codes.tolist()),
-                             q.ground_truth)
+            DebateTrajectory(q.question_id, self.answer_space,
+                             tuple(map(tuple, labels[codes].tolist())), q.ground_truth)
             for q, codes in zip(questions, answers)
         ]
         return trajectories, contexts, answers

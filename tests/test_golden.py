@@ -25,7 +25,7 @@ import numpy as np
 
 from madlab import optim
 from madlab.config import ExperimentConfig, config_hash
-from madlab.harness import run_analysis, run_baseline, run_udpo
+from madlab.harness import run_analysis, run_baseline, run_udpo, with_seed
 from madlab.optim import ClipConfig
 from madlab.policy import AVERSION_RAMP, DebateEnv
 from test_harness import tiny_config
@@ -102,6 +102,24 @@ MIXED_ANALYSIS_ROW = (
     "analysis", 218, 0.8394495412844036, 0.23154943934760447, 0.4081422018348624,
     0.45410835885191153,
 )
+
+# The default config at seed 5: the benchmark's train-default shape (batch
+# 32, a 1,024-entry buffer refreshed every 50 iterations, five honest agents),
+# which no tiny config reaches.
+DEFAULT_SEED5_UDPO = {
+    "coefficients.csv": "5c708890e878faf1c0ed1f5c0b0984bd7015ec89422213dee0a2e93492e2a6dd",
+    "policy_agent_0.txt": "e4c3288d908bb158628fa1726e1381dfb39f2121437818577e0533444ec815d1",
+    "policy_agent_1.txt": "7ccc06e5cd10e7a93055d57545b5193e883f4af297009d5ed277a154651850ee",
+    "policy_agent_2.txt": "85cbcabf081455ab9907fa2cd2081e6403d732fb4d3abb82046d33497d886a14",
+    "policy_agent_3.txt": "9e8a010fa29a1984ab2d7a7abfee2bada0169fd4b4054f4ea7acfdd728098e8b",
+    "policy_agent_4.txt": "12e487f9d7e370dc1496891c2c408dc2eb5f2554f2995667e245297ebfc89d60",
+    "profiles.csv": "a8836bac2585f9e633531aefde6fb4fa858b9c5bea2f6b8196e0cdc4264f1f7c",
+    "replay_buffer.jsonl": "ea7836e07c8748202f22a439766fb44a0fd002da1881c0ff81838d31b8223704",
+    "rewards.csv": "f065d8d6342d785fc16dbe57db908bd7dc0eacc31e5927cf1f90278e610d9c04",
+    "summary.csv": "ff0675e15caf460713236ad0e8bba681975714f0ede9f3644bd8408f21d944d4",
+    "training_metrics.csv": "10a14398d9243520c5c8d6c0ea73cef4715128d05da71c44098c408852030ca8",
+    "trajectories.jsonl": "70d2d5cd211968c0c4dacf785258956798732549fee52eb127694c7f21c40904",
+}
 
 DEFAULT_CONFIG_HASH = "170f4cd84af4e83e"
 
@@ -241,6 +259,11 @@ def test_k12_baseline_artifacts_are_pinned(tmp_path):
 def test_k3_below_ramp_baseline_artifacts_are_pinned(tmp_path):
     run_baseline(k3_below_ramp_config(), str(tmp_path))
     assert digests(tmp_path) == K3_BELOW_RAMP_BASELINE
+
+
+def test_default_config_udpo_artifacts_are_pinned(tmp_path):
+    run_udpo(with_seed(ExperimentConfig(), 5), str(tmp_path))
+    assert digests(tmp_path) == DEFAULT_SEED5_UDPO
 
 
 def test_default_config_hash_is_pinned():

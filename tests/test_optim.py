@@ -6,8 +6,10 @@ Clip behaviour and the objective-at-reference identity are checked on
 hand-built fixtures whose expected values follow directly from construction.
 """
 
+import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from madlab.optim import (
     write_training_csv,
 )
 from madlab.policy import (
+    LOGIT_CLAMP,
     DebateEnv,
     EnvConfig,
     SyntheticQuestion,
@@ -352,12 +355,21 @@ def per_visit_gradient_step(env, state, batch, clip, totals):
 
 
 @pytest.mark.parametrize("k", [2, 4, 12])
-def test_gradient_step_matches_the_per_visit_loop_bit_for_bit(k):
+def test_gradient_step_matches_the_per_visit_loop_bit_for_bit(k, monkeypatch):
     env = DebateEnv(EnvConfig(num_agents=5, rounds=4, answer_space_size=k, difficulty_bins=2,
                               compromised_count=1, seed=12))
     questions = env.generate_questions(20, "t")
-    coeffs = CoefficientSet.uniform(5, eta_anchor=0.05)
+    # per-agent anchors, one of them off, so each agent's KL entries differ
+    coeffs = dataclasses.replace(CoefficientSet.uniform(5), eta_anchor=(0.05, 0.0, 0.3, 0.01, 0.05))
     clip = ClipConfig(learn_rate=3.0, ref_refresh_period=3)
+    log_prob_passes = []
+    real_log_probs = optim._log_probs
+
+    def counting_log_probs(*args):
+        log_prob_passes[-1] += 1
+        return real_log_probs(*args)
+
+    monkeypatch.setattr(optim, "_log_probs", counting_log_probs)
     states = [
         TrainState(policies=env.initial_policies(), reference=env.initial_policies(),
                    ref_version=0, coeffs=coeffs, iteration=0)
@@ -378,6 +390,7 @@ def test_gradient_step_matches_the_per_visit_loop_bit_for_bit(k):
                     clipped += 1
                 else:
                     active += 1
+        log_prob_passes.append(0)
         gradient_step(env, fast, batch, clip, totals)
         per_visit_gradient_step(env, slow, batch, clip, totals)
         for i in env.honest_indices:
@@ -387,6 +400,9 @@ def test_gradient_step_matches_the_per_visit_loop_bit_for_bit(k):
                 state.reference = [p.copy() if p is not None else None for p in state.policies]
                 state.ref_version += 1
     assert clipped > 0 and active > clipped
+    # one log-prob pass right after each reference refresh (reference equals
+    # current), two on the steps between
+    assert log_prob_passes == [1, 2, 2] * 3
 
 
 def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
@@ -438,6 +454,53 @@ def test_gradient_step_rejects_stale_batch():
     )
     with pytest.raises(ValueError, match="stale"):
         gradient_step(env, state, batch, ClipConfig(), batch_totals(batch, state.coeffs))
+
+
+def saturated_batch(rounds, env_seed=6):
+    """Policies at opposite clamps and a hand-built batch on which every
+    honest agent answers the label its current table favours, so each visit
+    adds about 2 * LOGIT_CLAMP to log rho."""
+    env = DebateEnv(EnvConfig(num_agents=2, rounds=rounds, answer_space_size=2,
+                              difficulty="fixed:0.5", seed=env_seed))
+    questions = env.generate_questions(3, "t")
+    trajectories = [DebateTrajectory(q.question_id, env.answer_space, (("A", "A"),) * (rounds + 1),
+                                     q.ground_truth) for q in questions]
+    contexts, answers = recorded_visits(env, questions, trajectories)
+    batch = RolloutBatch(tuple(questions), tuple(trajectories), (1.0,) * 3, 0, contexts, answers)
+    policies = env.initial_policies()
+    reference = [p.copy() for p in policies]
+    for cur, ref in zip(policies, reference):
+        cur.logits[:] = [LOGIT_CLAMP, -LOGIT_CLAMP]
+        ref.logits[:] = [-LOGIT_CLAMP, LOGIT_CLAMP]
+    state = TrainState(policies=policies, reference=reference, ref_version=0,
+                       coeffs=CoefficientSet.uniform(2), iteration=0)
+    return env, state, batch
+
+
+def test_gradient_step_rejects_a_ratio_that_overflows_before_changing_a_table():
+    env, state, batch = saturated_batch(rounds=13)
+    q, traj = batch.questions[0], batch.trajectories[0]
+    log_rho = (env.trajectory_log_prob(state.policies[0], 0, q, traj)
+               - env.trajectory_log_prob(state.reference[0], 0, q, traj))
+    assert log_rho > math.log(np.finfo(float).max)
+    before = [p.logits.copy() for p in state.policies]
+    totals = np.array([[1.0, 1.0], [0.0, 0.0], [-1.0, -1.0]])
+    with pytest.raises(ValueError, match=r"agent 0: likelihood ratio overflows at batch slot 0 "
+                                         r"\(log rho = \d+\.\d+\)") as raised:
+        gradient_step(env, state, batch, ClipConfig(), totals)
+    assert float(re.search(r"log rho = ([\d.]+)", str(raised.value))[1]) == pytest.approx(log_rho)
+    assert all(np.array_equal(p.logits, b) for p, b in zip(state.policies, before))
+
+
+def test_gradient_step_rejects_a_non_finite_gradient_before_changing_a_table():
+    # log rho is about 120, but the second agent's advantages of +-1e300 push
+    # its one unclipped slot (A < 0, the last) past the largest float
+    env, state, batch = saturated_batch(rounds=1)
+    before = [p.logits.copy() for p in state.policies]
+    totals = np.array([[1.0, 1e300], [0.0, 0.0], [-1.0, -1e300]])
+    with pytest.raises(ValueError, match=r"agent 1: likelihood ratio overflows at batch slot 2 "):
+        gradient_step(env, state, batch, ClipConfig(), totals)
+    assert all(np.array_equal(p.logits, b) for p, b in zip(state.policies, before))
 
 
 # ------------------------------------------------------------------ training

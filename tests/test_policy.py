@@ -13,6 +13,7 @@ import pytest
 from madlab import policy as policy_module
 from madlab.debate import validate_trajectory
 from madlab.policy import (
+    ACT_KEYS_PER_PASS,
     COMPROMISED,
     HONEST,
     LOGIT_CLAMP,
@@ -76,6 +77,35 @@ def test_philox_uniforms_match_the_act_streams():
     digests = [derive_key(*tok).to_bytes(16, "little") for tok in tokens]
     assert philox_uniforms(digests).tolist() == [rng_stream(*tok).random() for tok in tokens]
     assert philox_uniforms([]).shape == (0,)
+
+
+@pytest.mark.parametrize("n_keys", [1, ACT_KEYS_PER_PASS + 1])
+def test_philox_uniforms_on_one_key_and_past_a_pass(n_keys):
+    rng = np.random.default_rng(n_keys)
+    digests = [rng.bytes(16) for _ in range(n_keys)]
+    expected = [np.random.Generator(np.random.Philox(key=int.from_bytes(d, "little"))).random()
+                for d in digests]
+    assert philox_uniforms(digests).tolist() == expected
+
+
+@pytest.mark.parametrize("question_id", ["train-00007", "q-\u00e9\u4e2d-\U0001f600"])
+def test_prefixed_digests_match_key_digest_in_every_scope(question_id):
+    seed = 2**64 - 1
+    rollout_seed = derive_key(seed, "rollout", 3)
+    scopes = [  # (leading tokens, trailing tokens of each key) as the environment forms them
+        ((seed, "question"), [(question_id,), ("eval-00000",)]),
+        ((seed, "signal", question_id), [(i,) for i in range(5)]),
+        ((seed, "wobble", question_id), [(i, t) for t in range(1, 4) for i in range(5)]),
+        ((seed, "flare"), [(question_id,), ("train-00008",)]),
+        ((rollout_seed, "act", question_id), [(t, i) for t in range(4) for i in (0, 2, 3)]),
+    ]
+    for head, tails in scopes:
+        prefix = "".join(f"{token}|" for token in head)
+        suffixes = ["|".join(str(token) for token in tail).encode() for tail in tails]
+        assert policy_module._prefixed_digests(prefix, suffixes) == [
+            policy_module._key_digest(*head, *tail) for tail in tails
+        ]
+        assert policy_module._prefixed_digests(prefix, []) == []
 
 
 def test_difficulty_bin_edges():
