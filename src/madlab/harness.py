@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from madlab.debate import (
 )
 from madlab.metrics import (  # noqa: F401  full_profile: perfbench's tracer test patches this binding
     MetricConfig,
+    ProfileBatch,
     full_profile,
     profiles_from_codes,
     write_profiles_csv,
@@ -38,9 +39,9 @@ from madlab.optim import train, write_training_csv
 from madlab.policy import DebateEnv, PolicyTable, SyntheticQuestion, derive_key, save_policy
 from madlab.rewards import CoefficientSet, total_reward
 from madlab.stats import (
-    OutcomeRecord,
     SeparationReport,
     correlation_matrix,
+    metric_columns,
     selective_prediction_curve,
     separation_report,
     stratify_by_uncertainty,
@@ -66,25 +67,26 @@ class SummaryRow:
     mean_u_sys: float
 
     @classmethod
-    def from_records(cls, label: str, records: Sequence[OutcomeRecord]) -> "SummaryRow":
-        """Accuracy and mean uncertainty levels over per-question outcomes."""
+    def from_columns(cls, label: str, correct: np.ndarray, values: Mapping) -> "SummaryRow":
+        """Accuracy and mean uncertainty levels over outcome columns (metric_columns' labels)."""
         return cls(
             label=label,
-            questions=len(records),
-            accuracy=float(np.mean([r.correct for r in records])),
-            mean_u_intra=float(np.mean([r.profile.u_intra for r in records])),
-            mean_u_inter=float(np.mean([r.profile.u_inter for r in records])),
-            mean_u_sys=float(np.mean([r.profile.u_sys for r in records])),
+            questions=len(correct),
+            accuracy=float(np.mean(correct)),
+            mean_u_intra=float(np.mean(values["U_intra"])),
+            mean_u_inter=float(np.mean(values["U_inter"])),
+            mean_u_sys=float(np.mean(values["U_sys"])),
         )
 
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Everything one evaluation pass produces, before persistence."""
+    """Everything one evaluation pass produces, before persistence, in question order."""
 
     questions: tuple[SyntheticQuestion, ...]
     trajectories: tuple[DebateTrajectory, ...]
-    records: tuple[OutcomeRecord, ...]
+    profiles: ProfileBatch
+    correct: np.ndarray
     summary: SummaryRow
 
 
@@ -113,26 +115,22 @@ def evaluate_ensemble(
 ) -> EvalResult:
     """Roll out one debate per question and aggregate outcome statistics.
 
-    Rollout streams are keyed by (seed, "eval", question id) only, so the
-    same seed and question set replays identically regardless of which
-    policies or how many compromised seats are plugged in.
+    The summary and every artifact read the batch's ProfileBatch and its
+    correctness column. Rollout streams are keyed by (seed, "eval", question
+    id) only, so the same seed and question set replays identically
+    regardless of which policies or how many compromised seats are plugged in.
     """
     seeds = [derive_key(env.config.seed, "eval", q.question_id) for q in questions]
     trajectories, _, answers = env.rollout_batch(questions, policies, seeds)
-    profiles, winners = profiles_from_codes(answers, len(env.answer_space), metric_config)
-    records = [
-        OutcomeRecord(
-            question_id=q.question_id,
-            correct=env.answer_space[w] == q.ground_truth,
-            profile=profile,
-        )
-        for q, w, profile in zip(questions, winners.tolist(), profiles)
-    ]
+    profiles = profiles_from_codes(answers, len(env.answer_space), metric_config)
+    correct = np.array([env.answer_space[w] == q.ground_truth
+                        for q, w in zip(questions, profiles.winners.tolist())], dtype=bool)
     return EvalResult(
         questions=tuple(questions),
         trajectories=tuple(trajectories),
-        records=tuple(records),
-        summary=SummaryRow.from_records(label, records),
+        profiles=profiles,
+        correct=correct,
+        summary=SummaryRow.from_columns(label, correct, metric_columns(profiles)),
     )
 
 
@@ -158,15 +156,14 @@ def write_rewards_csv(
     result: EvalResult,
     coeffs: CoefficientSet,
 ) -> None:
+    rewards = total_reward(result.profiles, result.correct, coeffs)
+    rows = np.column_stack([rewards.r_intra, rewards.r_inter, rewards.r_sys, rewards.r_task,
+                            rewards.total]).tolist()
+
     def _write(fp: IO[str]) -> None:
         fp.write(rewards_csv_header(coeffs.num_agents) + "\n")
-        for record in result.records:
-            vec = total_reward(record.profile, record.correct, coeffs)
-            totals = ",".join(f"{t:.6f}" for t in vec.total)
-            fp.write(
-                f"{record.question_id},{vec.r_intra:.6f},{vec.r_inter:.6f},"
-                f"{vec.r_sys:.6f},{vec.r_task:.6f},{totals}\n"
-            )
+        for q, values in zip(result.questions, rows):
+            fp.write(q.question_id + "," + ",".join(f"{v:.6f}" for v in values) + "\n")
 
     with_fp(path_or_fp, "w", _write)
 
@@ -191,7 +188,8 @@ def _write_eval_artifacts(out_dir: str, result: EvalResult, coeffs: CoefficientS
     )
     write_profiles_csv(
         os.path.join(out_dir, "profiles.csv"),
-        ((record.question_id, record.profile) for record in result.records),
+        [q.question_id for q in result.questions],
+        result.profiles,
     )
     write_rewards_csv(os.path.join(out_dir, "rewards.csv"), result, coeffs)
 
@@ -380,31 +378,30 @@ def run_analysis(
     Accepts any .jsonl in the trajectory format, including externally
     produced transcripts that mix answer spaces and grid shapes: each file's
     answer codes are profiled per shape group, ANALYSIS_CHUNK records at a
-    time, and outcomes keep the input order. Records without ground truth are
-    excluded from accuracy-dependent reports with a count warning; degenerate
-    inputs (too few records, or zero variance) downgrade individual reports
-    to warnings instead of failing the run. Once the input is read, reports
-    an earlier run left in out_dir are removed.
+    time; the reports and the summary row read the chunks' metric columns,
+    correctness and question ids, concatenated back into input order. Records
+    without ground truth are excluded from accuracy-dependent reports with a
+    count warning; degenerate inputs (too few records, or zero variance)
+    downgrade individual reports to warnings instead of failing the run. Once
+    the input is read, reports an earlier run left in out_dir are removed.
     """
     _ensure_out(out_dir)
     warnings: list[str] = []
-    records: list[OutcomeRecord] = []
-    skipped = 0
+    chunks = []  # (input positions, correct, metric columns) of each chunk
+    ids: list[str] = []
+    skipped = offset = 0
     for path in paths:
-        groups = read_trajectories(path).groups
-        placed: list = [None] * sum(len(g.positions) for g in groups)
-        for g in groups:
+        trajectories = read_trajectories(path)
+        for g in trajectories.groups:
             supervised = np.flatnonzero(g.truth != NO_TRUTH)
-            skipped += len(g.positions) - len(supervised)
+            skipped += len(g.truth) - len(supervised)
             for start in range(0, len(supervised), ANALYSIS_CHUNK):
                 chunk = supervised[start : start + ANALYSIS_CHUNK]
-                profiles, winners = profiles_from_codes(
-                    g.codes[chunk], len(g.answer_space), config.metric
-                )
-                correct = (winners == g.truth[chunk]).tolist()
-                for j, ok, profile in zip(chunk.tolist(), correct, profiles):
-                    placed[g.positions[j]] = OutcomeRecord(g.question_ids[j], ok, profile)
-        records += [r for r in placed if r is not None]
+                profiles = profiles_from_codes(g.codes[chunk], len(g.answer_space), config.metric)
+                chunks.append((offset + np.asarray(g.positions)[chunk],
+                               profiles.winners == g.truth[chunk], metric_columns(profiles)))
+                ids += [g.question_ids[j] for j in chunk.tolist()]
+        offset += len(trajectories)
     separation, correlation, selective, strata = reports = [
         os.path.join(out_dir, name) for name in ANALYSIS_REPORTS
     ]
@@ -416,27 +413,34 @@ def run_analysis(
             f"excluded {skipped} trajectories without ground truth from "
             "accuracy-dependent reports"
         )
-    if not records:
+    if not chunks:
         warnings.append("no usable trajectories: all reports skipped")
         return PipelineResult(rows=[], warnings=warnings, out_dir=out_dir)
 
+    positions, hits, columns = zip(*chunks)
+    order = np.argsort(np.concatenate(positions))
+    question_ids = [ids[j] for j in order.tolist()]
+    correct = np.concatenate(hits)[order]
+    values = {name: np.concatenate([c[name] for c in columns])[order] for name in columns[0]}
+
     try:
-        write_separation_csv(separation, separation_report(records))
+        write_separation_csv(separation, separation_report(values, correct))
     except ValueError as exc:
         warnings.append(f"separation report skipped: {exc}")
         write_separation_csv(separation, SeparationReport(rows=()))
 
     try:
-        labels, matrix = correlation_matrix(records)
+        labels, matrix = correlation_matrix(values, correct)
         write_correlation_csv(correlation, labels, matrix)
     except ValueError as exc:
         warnings.append(f"correlation matrix skipped: {exc}")
 
-    curve = selective_prediction_curve(records, config.k_grid)
+    u_sys = values["U_sys"]
+    curve = selective_prediction_curve(u_sys, correct, question_ids, config.k_grid)
     write_selective_csv(selective, curve)
-    write_strata_csv(strata, stratify_by_uncertainty(records, boundaries=config.strata_bins))
+    write_strata_csv(strata, stratify_by_uncertainty(u_sys, correct, boundaries=config.strata_bins))
 
-    row = SummaryRow.from_records("analysis", records)
+    row = SummaryRow.from_columns("analysis", correct, values)
     return PipelineResult(rows=[row], warnings=warnings, out_dir=out_dir)
 
 

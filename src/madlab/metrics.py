@@ -13,11 +13,12 @@ vote instability, averaged into U_sys. Every metric lives in [0, 1].
 
 profiles_from_codes is the batch entry point and the single source of these
 readings: it profiles a (B, T+1, N) array of answer codes (indices into the
-answer space) in numpy and returns each debate's ensemble winner with it.
-full_profile is a batch of one. Rewards, replay priorities, training history
-and every artifact read a trajectory's profile instead of scoring its answer
-grid again, and the task reward reads the winner. The vote is counted once,
-in _votes: per-round answer counts, the final-round winner with its
+answer space) in numpy into a ProfileBatch, each reading a (B,) column, plus
+the (B, T+1) round conflicts and each debate's winner. Rewards, replay
+priorities, training history, summaries, artifacts and the statistics
+reports read the columns without building per-debate objects; full_profile
+is a batch of one that returns an UncertaintyProfile. The vote is counted
+once, in _votes: per-round answer counts, the final-round winner with its
 lowest-code tie-break, and which agents' removal changes it; warm-up
 calibration reads the same helper. The floats equal a per-trajectory
 evaluation in Python bit for bit: conflicts are summed left to right over
@@ -28,8 +29,8 @@ labels first appear in the final round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -60,6 +61,31 @@ class UncertaintyProfile:
     disagreement: float
     loo_instability: float
     u_sys: float
+
+
+@dataclass(frozen=True, eq=False)
+class ProfileBatch:
+    """The readings of B debates as columns, named as in UncertaintyProfile.
+
+    Each reading is a (B,) float64 array, round_conflicts is (B, T+1), and
+    winners holds each debate's ensemble winner code.
+    """
+
+    flip_rate: np.ndarray
+    belief_revision: np.ndarray
+    u_intra: np.ndarray
+    round_conflicts: np.ndarray
+    u_inter: np.ndarray
+    entropy_norm: np.ndarray
+    disagreement: np.ndarray
+    loo_instability: np.ndarray
+    u_sys: np.ndarray
+    winners: np.ndarray
+
+    def profile(self, j: int) -> UncertaintyProfile:
+        """Debate j's readings as Python floats."""
+        values = {f.name: getattr(self, f.name)[j].tolist() for f in fields(UncertaintyProfile)}
+        return UncertaintyProfile(**dict(values, round_conflicts=tuple(values["round_conflicts"])))
 
 
 def answer_codes(trajectories: Sequence[DebateTrajectory]) -> np.ndarray:
@@ -99,10 +125,8 @@ def _votes(answers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return counts, winners, loo_counts.argmax(axis=2) != winners[:, None]
 
 
-def profiles_from_codes(
-    answers: np.ndarray, k: int, config: MetricConfig
-) -> tuple[list[UncertaintyProfile], np.ndarray]:
-    """Every debate's profile and ensemble winner from its answer codes.
+def profiles_from_codes(answers: np.ndarray, k: int, config: MetricConfig) -> ProfileBatch:
+    """Every debate's readings and ensemble winner from its answer codes.
 
     answers[b, t, i] is agent i's answer at round t of debate b, as an index
     into an answer space of k labels; all B debates have N >= 2 agents and
@@ -140,50 +164,30 @@ def profiles_from_codes(
     loo = pivots.sum(axis=1) / n
     u_sys = (entropy + disagreement + loo) / 3.0
 
-    profiles = [
-        UncertaintyProfile(f, m, ui, tuple(c), ue, h, d, lo, us)
-        for f, m, ui, c, ue, h, d, lo, us in zip(
-            flip.tolist(), revision.tolist(), intra.tolist(), conflicts.tolist(),
-            inter.tolist(), entropy.tolist(), disagreement.tolist(), loo.tolist(),
-            u_sys.tolist(),
-        )
-    ]
-    return profiles, winners
+    return ProfileBatch(flip, revision, intra, conflicts, inter, entropy, disagreement, loo,
+                        u_sys, winners)
 
 
 def full_profile(traj: DebateTrajectory, config: MetricConfig) -> UncertaintyProfile:
     """One trajectory's profile: profiles_from_codes over a batch of one."""
-    profiles, _ = profiles_from_codes(answer_codes([traj]), len(traj.answer_space), config)
-    return profiles[0]
+    return profiles_from_codes(answer_codes([traj]), len(traj.answer_space), config).profile(0)
 
 
 PROFILE_CSV_HEADER = "question_id,F,M,U_intra,U_inter,H,D,L,U_sys"
 
 
-def profile_csv_row(question_id: str, profile: UncertaintyProfile) -> str:
-    """Fixed 6-decimal CSV row matching PROFILE_CSV_HEADER."""
-    values = (
-        profile.flip_rate,
-        profile.belief_revision,
-        profile.u_intra,
-        profile.u_inter,
-        profile.entropy_norm,
-        profile.disagreement,
-        profile.loo_instability,
-        profile.u_sys,
-    )
-    return question_id + "," + ",".join(f"{v:.6f}" for v in values)
-
-
 def write_profiles_csv(
-    path_or_fp: str | IO[str],
-    rows: Iterable[tuple[str, UncertaintyProfile]],
+    path_or_fp: str | IO[str], question_ids: Sequence[str], profiles: ProfileBatch
 ) -> None:
-    """Write (question_id, profile) pairs as a profiles CSV."""
+    """Write each debate's readings as a profiles CSV row, 6-decimal fixed."""
+    rows = np.column_stack([
+        profiles.flip_rate, profiles.belief_revision, profiles.u_intra, profiles.u_inter,
+        profiles.entropy_norm, profiles.disagreement, profiles.loo_instability, profiles.u_sys,
+    ]).tolist()
 
     def _write(fp: IO[str]) -> None:
         fp.write(PROFILE_CSV_HEADER + "\n")
-        for question_id, profile in rows:
-            fp.write(profile_csv_row(question_id, profile) + "\n")
+        for question_id, values in zip(question_ids, rows):
+            fp.write(question_id + "," + ",".join(f"{v:.6f}" for v in values) + "\n")
 
     with_fp(path_or_fp, "w", _write)

@@ -363,14 +363,13 @@ def train(
     qmap = {q.question_id: q for q in train_questions}
 
     def scored(trajectories: Sequence[DebateTrajectory], answers: np.ndarray):
-        profiles, winners = profiles_from_codes(answers, len(env.answer_space), metric_config)
-        return profiles, [
-            total_reward(p, env.answer_space[w] == t.ground_truth, coeffs)
-            for t, p, w in zip(trajectories, profiles, winners.tolist())
-        ]
+        profiles = profiles_from_codes(answers, len(env.answer_space), metric_config)
+        correct = [env.answer_space[w] == t.ground_truth
+                   for t, w in zip(trajectories, profiles.winners.tolist())]
+        return profiles, total_reward(profiles, correct, coeffs)
 
     def rescore(trajectories: Sequence[DebateTrajectory], answers: np.ndarray) -> list[float]:
-        return [replay_score(r) for r in scored(trajectories, answers)[1]]
+        return replay_score(scored(trajectories, answers)[1]).tolist()
 
     for k in range(1, clip.iterations + 1):
         n_replay = 0
@@ -397,25 +396,21 @@ def train(
             weights,
         )
         profiles, rewards = scored(batch.trajectories, batch.answers)
-        totals = np.array([r.total for r in rewards])
-        gradient_step(env, state, batch, clip, totals)
+        gradient_step(env, state, batch, clip, rewards.total)
         state.iteration = k
-        honest = env.honest_indices
         state.history.append(
             IterationStats(
                 iteration=k,
-                accuracy=float(np.mean([r.r_task for r in rewards])),
-                mean_u_intra=float(np.mean([p.u_intra for p in profiles])),
-                mean_u_inter=float(np.mean([p.u_inter for p in profiles])),
-                mean_u_sys=float(np.mean([p.u_sys for p in profiles])),
-                mean_total_reward=float(totals[:, honest].mean()),
+                accuracy=float(np.mean(rewards.r_task)),
+                mean_u_intra=float(np.mean(profiles.u_intra)),
+                mean_u_inter=float(np.mean(profiles.u_inter)),
+                mean_u_sys=float(np.mean(profiles.u_sys)),
+                mean_total_reward=float(rewards.total[:, env.honest_indices].mean()),
             )
         )
         if buffer is not None:
-            for traj, r in zip(batch.trajectories, rewards):
-                buffer.push(
-                    traj, replay_score(r), iteration=k, policy_version=state.ref_version
-                )
+            for traj, priority in zip(batch.trajectories, replay_score(rewards).tolist()):
+                buffer.push(traj, priority, iteration=k, policy_version=state.ref_version)
             if replay_config.refresh_period and k % replay_config.refresh_period == 0:
                 buffer.refresh(
                     env,

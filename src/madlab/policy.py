@@ -478,9 +478,12 @@ class DebateEnv:
         ACT_KEYS_PER_PASS keys (or one question); a question's tilts do not
         depend on the rest of the batch.
         """
+        cached = [self._tilts.get(q) for q in questions]
+        fresh = list(dict.fromkeys(q for q, t in zip(questions, cached) if t is None))
+        if not fresh:
+            return cached
         cfg = self.config
         k, steps, honest = len(self.answer_space), cfg.rounds + 1, self.honest_indices
-        fresh = list(dict.fromkeys(q for q in questions if q not in self._tilts))
         chunk = max(1, ACT_KEYS_PER_PASS // (steps * max(1, len(honest))))
         suffixes = {"signal": [f"{i}".encode() for i in honest],
                     "wobble": [f"{i}|{t}".encode() for t in range(1, steps) for i in honest]}

@@ -20,7 +20,7 @@ import numpy as np
 
 from madlab.debate import DebateTrajectory, write_trajectories
 from madlab.policy import derive_key
-from madlab.rewards import RewardVector
+from madlab.rewards import RewardBatch
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class ReplayConfig:
             raise ValueError("refresh_period must be non-negative")
 
 
-def replay_score(rewards: RewardVector) -> float:
-    """Priority of one trajectory: the unit-weight sum of its reward complements.
+def replay_score(rewards: RewardBatch) -> np.ndarray:
+    """(B,) priorities: each trajectory's unit-weight sum of its reward complements.
 
     Summing 1 - r, not F + U_inter + U_sys, is deliberate: the two differ in
     the last bit on some trajectories, and stored priorities follow the

@@ -1,20 +1,23 @@
-"""Uncertainty-shaped rewards for debate trajectories.
+"""Uncertainty-shaped rewards for batches of debate trajectories.
 
-The rewards are a map of the trajectory's uncertainty profile, its single
+The rewards are a map of the batch's ProfileBatch columns, their single
 source: the stance-stability reward is the exact complement of the flip rate,
 and the agreement and system rewards are exact complements of their
 uncertainty levels. A binary task reward, whether the debate's winner from
 profiles_from_codes is correct, completes the components. Per-agent
-coefficients weigh the components into each agent's total reward; the anchor
-strength eta rides along in the same coefficient set because calibration
-scales it with the same machinery.
+coefficients weigh the components into each agent's total reward, one array
+expression over the batch and the agents; the anchor strength eta rides along
+in the same coefficient set because calibration scales it with the same
+machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from madlab.metrics import UncertaintyProfile
+import numpy as np
+
+from madlab.metrics import ProfileBatch
 
 ABLATABLE = ("alpha", "beta", "gamma")  # components CoefficientSet.zeroed can switch off
 
@@ -65,35 +68,33 @@ class CoefficientSet:
         return replace(self, **{c: (0.0,) * self.num_agents for c in components})
 
 
-@dataclass(frozen=True)
-class RewardVector:
-    """Shared reward components plus each agent's weighted total."""
+@dataclass(frozen=True, eq=False)
+class RewardBatch:
+    """Shared (B,) reward components plus each agent's weighted (B, N) total."""
 
-    r_intra: float
-    r_inter: float
-    r_sys: float
-    r_task: float
-    total: tuple[float, ...]
+    r_intra: np.ndarray
+    r_inter: np.ndarray
+    r_sys: np.ndarray
+    r_task: np.ndarray
+    total: np.ndarray
 
 
-def total_reward(
-    profile: UncertaintyProfile, correct: bool, coeffs: CoefficientSet
-) -> RewardVector:
-    """Weighted per-agent totals over the four shared components.
+def total_reward(profiles: ProfileBatch, correct: np.ndarray,
+                 coeffs: CoefficientSet) -> RewardBatch:
+    """Weighted per-agent totals over the four shared components, per debate.
 
     r_intra = 1 - F, r_inter = 1 - U_inter and r_sys = 1 - U_sys come from
-    the trajectory's profile; r_task is 1 when the debate's winner, the final
-    round's majority that profiles_from_codes returns, is correct, else 0.
+    the batch's profile columns; r_task is 1 where correct holds, that is
+    where the debate's winner, the final round's majority that
+    profiles_from_codes returns, is right, else 0. Each total adds
+    alpha*r_intra + beta*r_inter + gamma*r_sys + lambda*r_task left to right.
     """
-    r_i = 1.0 - profile.flip_rate
-    r_e = 1.0 - profile.u_inter
-    r_s = 1.0 - profile.u_sys
-    r_t = 1.0 if correct else 0.0
-    totals = tuple(
-        coeffs.alpha[i] * r_i
-        + coeffs.beta[i] * r_e
-        + coeffs.gamma[i] * r_s
-        + coeffs.lambda_task[i] * r_t
-        for i in range(coeffs.num_agents)
-    )
-    return RewardVector(r_intra=r_i, r_inter=r_e, r_sys=r_s, r_task=r_t, total=totals)
+    r_i = 1.0 - profiles.flip_rate
+    r_e = 1.0 - profiles.u_inter
+    r_s = 1.0 - profiles.u_sys
+    r_t = np.asarray(correct, dtype=np.float64)
+    alpha, beta, gamma, lam = np.array([coeffs.alpha, coeffs.beta, coeffs.gamma,
+                                        coeffs.lambda_task], dtype=np.float64)
+    totals = (alpha * r_i[:, None] + beta * r_e[:, None] + gamma * r_s[:, None]
+              + lam * r_t[:, None])
+    return RewardBatch(r_intra=r_i, r_inter=r_e, r_sys=r_s, r_task=r_t, total=totals)

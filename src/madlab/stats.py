@@ -4,6 +4,10 @@ Failure/success separation (Welch t-test and pooled-SD Cohen's d),
 Pearson correlation with significance, selective prediction curves
 (retain the lowest-uncertainty k%), and uncertainty stratification.
 
+The reports read columns: the uncertainty metrics' float arrays by report
+label (metric_columns), a bool array of correct answers and, for the
+selective curve, the question ids. Sums run left to right, through np.cumsum.
+
 The t-distribution CDF is computed here via the regularized incomplete
 beta function (Lentz continued fraction, absolute error < 1e-8) so the
 package needs no statistics dependency.
@@ -12,18 +16,24 @@ package needs no statistics dependency.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Mapping, Sequence
+
+import numpy as np
 
 from madlab.debate import with_fp
-from madlab.metrics import UncertaintyProfile
+from madlab.metrics import ProfileBatch
 
-METRIC_FIELDS = {
-    "U_intra": "u_intra",
-    "U_inter": "u_inter",
-    "U_sys": "u_sys",
-}
+
+def metric_columns(profiles: ProfileBatch) -> dict[str, np.ndarray]:
+    """The reported uncertainty columns of a profile batch, by report label."""
+    return {"U_intra": profiles.u_intra, "U_inter": profiles.u_inter, "U_sys": profiles.u_sys}
+
+
+def _sum(values: np.ndarray) -> float:
+    """Left-to-right sum of a non-empty array; np.sum pairs its terms."""
+    return float(np.cumsum(values)[-1])
+
 
 _BETA_EPS = 1e-15
 _BETA_TINY = 1e-300
@@ -107,15 +117,14 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(x)
     if n < 2:
         raise ValueError("need at least 2 paired samples")
-    mean_x = sum(x) / n
-    mean_y = sum(y) / n
-    dx = [v - mean_x for v in x]
-    dy = [v - mean_y for v in y]
-    ss_x = sum(v * v for v in dx)
-    ss_y = sum(v * v for v in dy)
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    dx = x - _sum(x) / n
+    dy = y - _sum(y) / n
+    ss_x = _sum(dx * dx)
+    ss_y = _sum(dy * dy)
     if ss_x == 0.0 or ss_y == 0.0:
         raise ValueError("degenerate sample: zero variance")
-    r = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss_x * ss_y)
+    r = _sum(dx * dy) / math.sqrt(ss_x * ss_y)
     return min(max(r, -1.0), 1.0)
 
 
@@ -136,8 +145,10 @@ def _moments(group: Sequence[float]) -> tuple[int, float, float]:
     n = len(group)
     if n < 2:
         raise ValueError("both groups need at least 2 samples")
-    mean = sum(group) / n
-    return n, mean, sum((v - mean) ** 2 for v in group) / (n - 1)
+    group = np.asarray(group, dtype=np.float64)
+    mean = _sum(group) / n
+    d = group - mean
+    return n, mean, _sum(d * d) / (n - 1)
 
 
 def cohens_d(group_a: Sequence[float], group_b: Sequence[float]) -> float:
@@ -166,23 +177,6 @@ def welch_t_test(
 
 
 @dataclass(frozen=True)
-class OutcomeRecord:
-    """Per-question evaluation outcome: correctness plus the uncertainty profile."""
-
-    question_id: str
-    correct: bool
-    profile: UncertaintyProfile
-
-    def metric(self, name: str) -> float:
-        try:
-            return getattr(self.profile, METRIC_FIELDS[name])
-        except KeyError:
-            raise ValueError(
-                f"unknown metric {name!r}; expected one of {sorted(METRIC_FIELDS)}"
-            )
-
-
-@dataclass(frozen=True)
 class MetricSeparation:
     """Failure-vs-success contrast of one uncertainty metric."""
 
@@ -205,25 +199,25 @@ class SeparationReport:
         raise ValueError(f"no separation row for metric {name!r}")
 
 
-def separation_report(records: Sequence[OutcomeRecord]) -> SeparationReport:
+def separation_report(values: Mapping[str, np.ndarray], correct: np.ndarray) -> SeparationReport:
     """Contrast each uncertainty metric between failed and successful questions."""
-    fails = [r for r in records if not r.correct]
-    succs = [r for r in records if r.correct]
-    if len(fails) < 2 or len(succs) < 2:
+    succs = np.asarray(correct, dtype=bool)
+    fails = ~succs
+    n_fail, n_succ = int(fails.sum()), int(succs.sum())
+    if n_fail < 2 or n_succ < 2:
         raise ValueError(
             "no contrast: need at least 2 records in each outcome class, got "
-            f"{len(fails)} failures / {len(succs)} successes"
+            f"{n_fail} failures / {n_succ} successes"
         )
     rows = []
-    for name in METRIC_FIELDS:
-        f_vals = [r.metric(name) for r in fails]
-        s_vals = [r.metric(name) for r in succs]
+    for name, column in values.items():
+        f_vals, s_vals = column[fails], column[succs]
         t, p = welch_t_test(f_vals, s_vals)
         rows.append(
             MetricSeparation(
                 metric=name,
-                mean_fail=sum(f_vals) / len(f_vals),
-                mean_success=sum(s_vals) / len(s_vals),
+                mean_fail=_sum(f_vals) / n_fail,
+                mean_success=_sum(s_vals) / n_succ,
                 cohens_d=cohens_d(f_vals, s_vals),
                 t_statistic=t,
                 p_value=p,
@@ -233,28 +227,30 @@ def separation_report(records: Sequence[OutcomeRecord]) -> SeparationReport:
 
 
 def selective_prediction_curve(
-    records: Sequence[OutcomeRecord],
+    values: np.ndarray,
+    correct: np.ndarray,
+    question_ids: Sequence[str],
     k_grid: Sequence[float],
-    metric: str = "U_sys",
 ) -> list[tuple[float, float, int]]:
     """Accuracy when only the lowest-uncertainty k% of questions are retained.
 
-    Sorts ascending by the chosen metric (ties break by question_id), keeps
-    ceil(k*n/100) records per k, and reports (k, retained accuracy, n kept).
+    Sorts ascending by the metric values (ties break by question id), keeps
+    ceil(k*n/100) questions per k, and reports (k, retained accuracy, n kept).
     k = 100 reproduces overall accuracy.
     """
-    if not records:
+    n = len(values)
+    if not n:
         raise ValueError("selective prediction needs at least one record")
     for k in k_grid:
         if not 0.0 < k <= 100.0:
             raise ValueError(f"retention percentage must be in (0, 100], got {k}")
-    ranked = sorted(records, key=lambda r: (r.metric(metric), r.question_id))
-    n = len(ranked)
+    by_id = np.array(sorted(range(n), key=question_ids.__getitem__), dtype=np.intp)
+    ranked = by_id[np.argsort(np.asarray(values)[by_id], kind="stable")]
+    hits = np.cumsum(np.asarray(correct, dtype=bool)[ranked]).tolist()
     curve = []
     for k in k_grid:
-        kept = ranked[: math.ceil(k * n / 100.0)]
-        accuracy = sum(r.correct for r in kept) / len(kept)
-        curve.append((float(k), accuracy, len(kept)))
+        kept = math.ceil(k * n / 100.0)
+        curve.append((float(k), hits[kept - 1] / kept, kept))
     return curve
 
 
@@ -279,43 +275,39 @@ def check_strata_boundaries(boundaries: Sequence[float]) -> list[float]:
 
 
 def stratify_by_uncertainty(
-    records: Sequence[OutcomeRecord],
-    metric: str = "U_sys",
+    values: np.ndarray,
+    correct: np.ndarray,
     boundaries: Sequence[float] = (0.2, 0.4, 0.6, 0.8),
 ) -> list[StrataBin]:
-    """Bucket records into uncertainty bands and report per-band accuracy.
+    """Bucket questions into uncertainty bands and report per-band accuracy.
 
     Default boundaries carve [0, 1] into five bands. Empty bands are kept
     with count 0 and accuracy None.
     """
-    if not records:
+    if not len(values):
         raise ValueError("stratification needs at least one record")
     bounds = check_strata_boundaries(boundaries)
     edges = [0.0] + bounds + [1.0]
-    counts = [0] * (len(edges) - 1)
-    correct = [0] * (len(edges) - 1)
-    for r in records:
-        idx = bisect_right(bounds, r.metric(metric))
-        counts[idx] += 1
-        correct[idx] += int(r.correct)
+    band = np.searchsorted(bounds, values, side="right")  # bisect_right per value
+    counts = np.bincount(band, minlength=len(edges) - 1).tolist()
+    hits = np.bincount(band[np.asarray(correct, dtype=bool)], minlength=len(edges) - 1).tolist()
     return [
         StrataBin(
             lo=edges[i],
             hi=edges[i + 1],
             count=counts[i],
-            accuracy=(correct[i] / counts[i]) if counts[i] else None,
+            accuracy=(hits[i] / counts[i]) if counts[i] else None,
         )
         for i in range(len(counts))
     ]
 
 
 def correlation_matrix(
-    records: Sequence[OutcomeRecord],
+    values: Mapping[str, np.ndarray], correct: np.ndarray
 ) -> tuple[tuple[str, ...], list[list[float]]]:
-    """Symmetric Pearson matrix over the three metrics plus correctness."""
-    labels = tuple(METRIC_FIELDS) + ("accuracy",)
-    series = [[r.metric(name) for r in records] for name in METRIC_FIELDS]
-    series.append([float(r.correct) for r in records])
+    """Symmetric Pearson matrix over the metric columns plus correctness."""
+    labels = tuple(values) + ("accuracy",)
+    series = list(values.values()) + [np.asarray(correct, dtype=np.float64)]
     size = len(series)
     matrix = [[1.0] * size for _ in range(size)]
     for i in range(size):

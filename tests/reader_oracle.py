@@ -13,7 +13,7 @@ import json
 
 from madlab.debate import trajectory_from_record, with_fp
 from madlab.metrics import answer_codes, profiles_from_codes
-from madlab.stats import OutcomeRecord
+from stats_oracle import OutcomeRecord
 
 
 def read_trajectories(path_or_fp):
@@ -49,9 +49,10 @@ def outcome_records(trajectories, metric_config, chunk_size=4096):
     for (space, _, _), members in groups.items():
         for start in range(0, len(members), chunk_size):
             chunk = [trajectories[j] for j in members[start : start + chunk_size]]
-            profiles, winners = profiles_from_codes(answer_codes(chunk), len(space), metric_config)
-            for j, traj, w, profile in zip(members[start:], chunk, winners.tolist(), profiles):
-                records[j] = OutcomeRecord(traj.question_id, space[w] == traj.ground_truth, profile)
+            profiles = profiles_from_codes(answer_codes(chunk), len(space), metric_config)
+            for u, (j, traj) in enumerate(zip(members[start:], chunk)):
+                correct = space[profiles.winners[u]] == traj.ground_truth
+                records[j] = OutcomeRecord(traj.question_id, correct, profiles.profile(u))
     return records
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import brute_oracle as oracle
+import stats_oracle
 from madlab import harness
 from madlab.config import ExperimentConfig
 from madlab.debate import DebateTrajectory, write_trajectories
@@ -18,7 +19,6 @@ from madlab.harness import (
     COEFFICIENTS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
     SWEEP_AXES,
-    SummaryRow,
     rewards_csv_header,
     run_analysis,
     run_attack,
@@ -31,7 +31,7 @@ from madlab.metrics import full_profile
 from madlab.optim import ClipConfig
 from madlab.policy import EnvConfig
 from madlab.replay import ReplayConfig
-from madlab.stats import OutcomeRecord
+from madlab.stats import SeparationReport
 
 BASELINE_ARTIFACTS = ("summary.csv", "trajectories.jsonl", "profiles.csv", "rewards.csv")
 
@@ -52,6 +52,31 @@ def tiny_config(**env_overrides) -> ExperimentConfig:
         train_questions=30,
         eval_questions=12,
     )
+
+
+def analysed_columns(paths, config, out_dir, monkeypatch):
+    """What run_analysis hands its reports, captured at the separation report
+    and the selective curve: (metric columns, correct, question ids), and the
+    run's result."""
+    handed = []
+    monkeypatch.setattr(harness, "separation_report", lambda values, correct: handed.extend(
+        [values, correct]) or SeparationReport(rows=()))
+    monkeypatch.setattr(harness, "selective_prediction_curve", lambda values, correct, ids, k_grid:
+                        handed.append((values, correct, ids)) or [])
+    result = run_analysis([str(p) for p in paths], config, str(out_dir))
+    values, correct, (u_sys, selective_correct, ids) = handed
+    assert u_sys is values["U_sys"] and selective_correct is correct
+    return (values, correct, ids), result
+
+
+def assert_same_columns(got, expected):
+    """Equal (metric columns, correct, question ids) triples, bit for bit and in order."""
+    (values, correct, ids), (want_values, want_correct, want_ids) = got, expected
+    assert ids == want_ids
+    assert correct.dtype == bool and np.array_equal(correct, want_correct)
+    assert list(values) == list(want_values)
+    for name, column in values.items():
+        assert np.array_equal(column, want_values[name])
 
 
 # ------------------------------------------------------------ format goldens
@@ -286,18 +311,16 @@ def test_analysis_groups_mixed_answer_spaces_and_grid_shapes(tmp_path, monkeypat
     write_trajectories(str(path), trajectories)
     config = tiny_config()
     expected = [
-        OutcomeRecord(traj.question_id,
-                      oracle.brute_majority(traj.rounds[-1], traj.answer_space) == traj.ground_truth,
-                      full_profile(traj, config.metric))
+        stats_oracle.OutcomeRecord(
+            traj.question_id,
+            oracle.brute_majority(traj.rounds[-1], traj.answer_space) == traj.ground_truth,
+            full_profile(traj, config.metric))
         for traj in trajectories if traj.ground_truth is not None
     ]
     monkeypatch.setattr(harness, "ANALYSIS_CHUNK", 3)
-    records = []  # what run_analysis hands its reports, captured at the selective curve
-    monkeypatch.setattr(harness, "selective_prediction_curve",
-                        lambda recs, k_grid: records.extend(recs) or [])
-    result = run_analysis([str(path)], config, str(tmp_path / "reports"))
-    assert records == expected
-    assert result.rows == [SummaryRow.from_records("analysis", expected)]
+    handed, result = analysed_columns([path], config, tmp_path / "reports", monkeypatch)
+    assert_same_columns(handed, stats_oracle.record_columns(expected))
+    assert result.rows == [stats_oracle.summary_from_records("analysis", expected)]
     assert any("excluded 4 trajectories" in w for w in result.warnings)
 
 

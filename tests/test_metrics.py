@@ -12,10 +12,9 @@ from madlab.debate import DebateTrajectory
 from madlab.metrics import (
     PROFILE_CSV_HEADER,
     MetricConfig,
-    UncertaintyProfile,
+    ProfileBatch,
     answer_codes,
     full_profile,
-    profile_csv_row,
     profiles_from_codes,
     write_profiles_csv,
 )
@@ -143,9 +142,14 @@ def check_against_references(codes, k, lam):
     of each debate alone, with exact ==, and its winner is brute_majority's."""
     cfg = MetricConfig(lambda_mix=lam)
     space = LABELS26[:k]
-    profiles, winners = profiles_from_codes(codes, k, cfg)
-    assert len(profiles) == len(codes) and winners.shape == (len(codes),)
-    for grid, prof, w in zip(codes.tolist(), profiles, winners.tolist()):
+    batch = profiles_from_codes(codes, k, cfg)
+    assert batch.winners.shape == (len(codes),)
+    for name in FLOAT_FIELDS:
+        column = getattr(batch, name)
+        assert column.dtype == np.float64 and column.shape == (len(codes),)
+    assert batch.round_conflicts.shape == codes.shape[:2]
+    profiles = [batch.profile(j) for j in range(len(codes))]
+    for grid, prof, w in zip(codes.tolist(), profiles, batch.winners.tolist()):
         rounds = tuple(tuple(space[a] for a in row) for row in grid)
         final = rounds[-1]
         assert prof == full_profile(make_traj(rounds, space), cfg)
@@ -177,18 +181,18 @@ def test_kernel_edge_grids():
     # N = 2, T = 1: every split final round is a tie, won by the lower code
     grids = np.array([[[0, 1], [1, 0]], [[1, 1], [1, 1]], [[0, 0], [1, 0]]])
     check_against_references(grids, 2, 0.5)
-    profiles, winners = profiles_from_codes(grids, 2, MetricConfig())
-    assert winners.tolist() == [0, 1, 0]
-    assert profiles[0].loo_instability == 0.5 and profiles[1].u_sys == 0.0
+    batch = profiles_from_codes(grids, 2, MetricConfig())
+    assert batch.winners.tolist() == [0, 1, 0]
+    assert batch.loo_instability[0] == 0.5 and batch.u_sys[1] == 0.0
     # unanimous rows, and tied final rounds among four and six agents, K = 26
     unanimous = np.full((1, 4, 5), 25)
     tied = np.array([[[3, 3, 9, 9], [9, 3, 3, 9], [25, 3, 25, 3]]])
     tied3 = np.array([[[0] * 6, [5, 2, 7, 2, 7, 5]]])
     for grids in (unanimous, tied, tied3):
         check_against_references(grids, 26, 0.3)
-    assert profiles_from_codes(unanimous, 26, MetricConfig())[0][0].u_sys == 0.0
-    assert profiles_from_codes(tied, 26, MetricConfig())[1].tolist() == [3]
-    assert profiles_from_codes(tied3, 26, MetricConfig())[1].tolist() == [2]
+    assert profiles_from_codes(unanimous, 26, MetricConfig()).u_sys[0] == 0.0
+    assert profiles_from_codes(tied, 26, MetricConfig()).winners.tolist() == [3]
+    assert profiles_from_codes(tied3, 26, MetricConfig()).winners.tolist() == [2]
 
 
 def test_kernel_matches_oracle_on_wide_ensembles():
@@ -205,12 +209,12 @@ def test_kernel_matches_oracle_on_wide_ensembles():
 def test_kernel_does_not_depend_on_the_rest_of_the_batch():
     rng = np.random.default_rng(7)
     codes = code_grids(rng, 40, 5, 6, 4)
-    profiles, winners = profiles_from_codes(codes, 4, MetricConfig())
+    batch = profiles_from_codes(codes, 4, MetricConfig())
     for j in range(len(codes)):
-        alone, w = profiles_from_codes(codes[j : j + 1], 4, MetricConfig())
-        assert alone == [profiles[j]] and w.tolist() == [winners[j]]
-    empty, none = profiles_from_codes(codes[:0], 4, MetricConfig())
-    assert empty == [] and none.shape == (0,)
+        alone = profiles_from_codes(codes[j : j + 1], 4, MetricConfig())
+        assert alone.profile(0) == batch.profile(j) and alone.winners.tolist() == [batch.winners[j]]
+    empty = profiles_from_codes(codes[:0], 4, MetricConfig())
+    assert empty.winners.shape == (0,) and empty.u_sys.shape == (0,)
 
 
 def test_kernel_rejects_bad_codes_and_shapes():
@@ -241,16 +245,16 @@ def test_lambda_mix_validation():
 
 
 def test_profile_csv_format():
-    prof = UncertaintyProfile(
-        flip_rate=0.25, belief_revision=0.5, u_intra=0.375,
-        round_conflicts=(0.0, 1.0, 1.0), u_inter=2 / 3,
-        entropy_norm=1.0, disagreement=1.0, loo_instability=0.5, u_sys=5 / 6,
+    batch = ProfileBatch(
+        flip_rate=np.array([0.25]), belief_revision=np.array([0.5]), u_intra=np.array([0.375]),
+        round_conflicts=np.array([[0.0, 1.0, 1.0]]), u_inter=np.array([2 / 3]),
+        entropy_norm=np.array([1.0]), disagreement=np.array([1.0]),
+        loo_instability=np.array([0.5]), u_sys=np.array([5 / 6]), winners=np.array([0]),
     )
     assert PROFILE_CSV_HEADER == "question_id,F,M,U_intra,U_inter,H,D,L,U_sys"
-    row = profile_csv_row("q-7", prof)
-    assert row == "q-7,0.250000,0.500000,0.375000,0.666667,1.000000,1.000000,0.500000,0.833333"
+    row = "q-7,0.250000,0.500000,0.375000,0.666667,1.000000,1.000000,0.500000,0.833333"
     buf = io.StringIO()
-    write_profiles_csv(buf, [("q-7", prof)])
+    write_profiles_csv(buf, ["q-7"], batch)
     lines = buf.getvalue().splitlines()
     assert lines[0] == PROFILE_CSV_HEADER
     assert lines[1] == row

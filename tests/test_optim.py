@@ -87,11 +87,10 @@ def recorded_visits(env, questions, trajectories):
 def batch_totals(batch, coeffs):
     """Per-agent total rewards of every batch trajectory (batch x agents)."""
     space = batch.trajectories[0].answer_space
-    profiles, winners = profiles_from_codes(batch.answers, len(space), MC)
-    return np.array([
-        total_reward(p, space[w] == t.ground_truth, coeffs).total
-        for t, p, w in zip(batch.trajectories, profiles, winners.tolist())
-    ])
+    profiles = profiles_from_codes(batch.answers, len(space), MC)
+    correct = [space[w] == t.ground_truth
+               for t, w in zip(batch.trajectories, profiles.winners.tolist())]
+    return total_reward(profiles, correct, coeffs).total
 
 
 def fresh_batch(env, n_questions, ref_version=0, rollout_seed=99):

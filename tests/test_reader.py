@@ -1,8 +1,8 @@
 """The answer-code reader against the reference reader in reader_oracle.
 
-Valid files must give run_analysis the very OutcomeRecords the reference
-regrouping gives, in file order; malformed records must fail with exactly the
-reference message, file and line.
+Valid files must give run_analysis's reports the very columns that the
+reference regrouping's outcome records give, in file order; malformed records
+must fail with exactly the reference message, file and line.
 """
 
 import importlib
@@ -13,11 +13,11 @@ import sys
 import pytest
 
 import reader_oracle as oracle
+import stats_oracle
 from madlab import debate, harness
 from madlab.debate import TrajectoryFile, read_trajectories
-from madlab.harness import run_analysis
 from test_golden import write_mixed_analysis_input
-from test_harness import tiny_config
+from test_harness import analysed_columns, assert_same_columns, tiny_config
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -37,21 +37,13 @@ def workloads():
         sys.path.remove(PERFBENCH)
 
 
-def analysed_records(paths, monkeypatch, tmp_path):
-    """What run_analysis hands its reports, captured at the selective curve."""
-    records = []
-    monkeypatch.setattr(harness, "selective_prediction_curve",
-                        lambda recs, k_grid: records.extend(recs) or [])
-    run_analysis([str(p) for p in paths], tiny_config(), str(tmp_path / "reports"))
-    return records
-
-
 @pytest.mark.parametrize("count", [300, 5000])
 def test_bench_records_match_the_reference(workloads, count, tmp_path, monkeypatch):
     path = tmp_path / "herding.jsonl"
     workloads.write_analyze_input(str(path), 8, count)
     expected = oracle.analysis_records([str(path)], tiny_config().metric)
-    assert analysed_records([path], monkeypatch, tmp_path) == expected
+    handed, _ = analysed_columns([path], tiny_config(), tmp_path / "reports", monkeypatch)
+    assert_same_columns(handed, stats_oracle.record_columns(expected))
     assert read_trajectories(str(path)) == oracle.read_trajectories(str(path))
 
 
@@ -61,7 +53,8 @@ def test_mixed_records_match_the_reference_in_file_order(tmp_path, monkeypatch):
     write_mixed_analysis_input(str(second), records=50, seed=7)
     expected = oracle.analysis_records([str(first), str(second)], tiny_config().metric, 3)
     monkeypatch.setattr(harness, "ANALYSIS_CHUNK", 3)
-    assert analysed_records([first, second], monkeypatch, tmp_path) == expected
+    handed, _ = analysed_columns([first, second], tiny_config(), tmp_path / "reports", monkeypatch)
+    assert_same_columns(handed, stats_oracle.record_columns(expected))
     assert read_trajectories(str(first)) == oracle.read_trajectories(str(first))
 
 

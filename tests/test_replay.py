@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from madlab.debate import DebateTrajectory, read_trajectories
-from madlab.metrics import MetricConfig, answer_codes, full_profile
+from madlab.metrics import MetricConfig, answer_codes, profiles_from_codes
 from madlab.policy import DebateEnv, EnvConfig, derive_key
 from madlab.replay import ReplayBuffer, ReplayConfig, replay_score
 from madlab.rewards import CoefficientSet, total_reward
@@ -28,17 +28,19 @@ def make_traj(qid, rounds=(("A", "B"), ("A", "B"))):
     return DebateTrajectory(qid, ("A", "B"), rounds, "A")
 
 
-def score_of(traj):
-    """Replay priority of a trajectory through its profile and rewards."""
-    coeffs = CoefficientSet.uniform(traj.num_agents)
-    # r_task does not enter the priority
-    return replay_score(total_reward(full_profile(traj, MC), False, coeffs))
-
-
 def batch_scores(trajectories, answers):
-    """refresh's score callback: score_of per re-rolled trajectory."""
+    """refresh's score callback: each re-rolled trajectory's priority through
+    the batch's profiles and rewards."""
     assert (answer_codes(trajectories) == answers).all()
-    return [score_of(traj) for traj in trajectories]
+    profiles = profiles_from_codes(answers, len(trajectories[0].answer_space), MC)
+    coeffs = CoefficientSet.uniform(trajectories[0].num_agents)
+    # r_task does not enter the priority
+    return replay_score(total_reward(profiles, np.zeros(len(answers), dtype=bool), coeffs)).tolist()
+
+
+def score_of(traj):
+    """Replay priority of one trajectory, scored as a batch of one."""
+    return batch_scores([traj], answer_codes([traj]))[0]
 
 
 def fixed_buffer(eta):
@@ -59,13 +61,13 @@ def test_replay_score_is_unit_weight_uncertainty_sum():
         (("A", "B", "C"), ("A", "B", "B"), ("B", "B", "C")),
         "B",
     )
-    profile = full_profile(traj, MC)
-    rewards = total_reward(profile, True, CoefficientSet.uniform(3))
+    profile = profiles_from_codes(answer_codes([traj]), 3, MC)
+    rewards = total_reward(profile, [True], CoefficientSet.uniform(3))
     expected = profile.flip_rate + profile.u_inter + profile.u_sys
     assert replay_score(rewards) == pytest.approx(expected, abs=1e-15)
-    assert replay_score(rewards) == (
+    assert np.array_equal(replay_score(rewards), (
         (1.0 - rewards.r_intra) + (1.0 - rewards.r_inter) + (1.0 - rewards.r_sys)
-    )
+    ))
 
 
 def test_negative_score_rejected():

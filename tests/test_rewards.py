@@ -1,4 +1,5 @@
-"""Reward components, complement identities, and coefficient weighting."""
+"""Reward components, complement identities, coefficient weighting, and the
+array rewards and priorities against the per-trajectory formulas."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import pytest
 import brute_oracle as oracle
 from madlab.debate import DebateTrajectory
 from madlab.metrics import MetricConfig, answer_codes, full_profile, profiles_from_codes
+from madlab.replay import replay_score
 from madlab.rewards import CoefficientSet, total_reward
 
 SPACE = ("A", "B", "C")
@@ -18,12 +20,38 @@ def make_traj(rounds, ground_truth=None, space=SPACE):
     return DebateTrajectory("q", tuple(space), rounds, ground_truth)
 
 
-def rewards_of(traj, coeffs=None):
-    """total_reward with r_task read off the kernel's winner, as train scores it."""
+def scalar_rewards(profile, correct, coeffs):
+    """The per-trajectory reward formula: (r_intra, r_inter, r_sys, r_task, totals)."""
+    r_i = 1.0 - profile.flip_rate
+    r_e = 1.0 - profile.u_inter
+    r_s = 1.0 - profile.u_sys
+    r_t = 1.0 if correct else 0.0
+    totals = tuple(
+        coeffs.alpha[i] * r_i
+        + coeffs.beta[i] * r_e
+        + coeffs.gamma[i] * r_s
+        + coeffs.lambda_task[i] * r_t
+        for i in range(coeffs.num_agents)
+    )
+    return r_i, r_e, r_s, r_t, totals
+
+
+def scalar_replay_score(r_intra, r_inter, r_sys):
+    """The per-trajectory priority: the unit-weight sum of the reward complements."""
+    return (1.0 - r_intra) + (1.0 - r_inter) + (1.0 - r_sys)
+
+
+def rewards_of(traj, coeffs=None, correct=None):
+    """One trajectory's rewards as a batch of one; r_task is read off the
+    kernel's winner, as train scores it, unless correct is given."""
     coeffs = coeffs or CoefficientSet.uniform(traj.num_agents)
     space = traj.answer_space
-    profiles, winners = profiles_from_codes(answer_codes([traj]), len(space), CFG)
-    return total_reward(profiles[0], space[int(winners[0])] == traj.ground_truth, coeffs)
+    profiles = profiles_from_codes(answer_codes([traj]), len(space), CFG)
+    if correct is None:
+        correct = space[int(profiles.winners[0])] == traj.ground_truth
+    rewards = total_reward(profiles, [correct], coeffs)
+    assert rewards.total.shape == (1, coeffs.num_agents)
+    return rewards
 
 
 def test_complement_identities_exact_on_random_trajectories():
@@ -35,7 +63,7 @@ def test_complement_identities_exact_on_random_trajectories():
         space = SPACE[:k]
         traj = make_traj(oracle.random_rounds(rng, n, t, space), "A", space)
         prof = full_profile(traj, CFG)
-        vec = total_reward(prof, True, CoefficientSet.uniform(n))
+        vec = rewards_of(traj, CoefficientSet.uniform(n), correct=True)
         assert vec.r_intra == 1.0 - prof.flip_rate
         assert vec.r_inter == 1.0 - prof.u_inter
         assert vec.r_sys == 1.0 - prof.u_sys
@@ -79,8 +107,8 @@ def test_total_reward_weights_components_per_agent():
     assert vec.r_inter == 1.0 - 2 / 3
     assert vec.r_sys == 1.0 - 5 / 6
     assert vec.r_task == 1.0
-    assert vec.total[0] == 1.0 * vec.r_intra + 0.5 * vec.r_inter + 0.0 + 1.0
-    assert vec.total[1] == 2.0 * vec.r_intra + 0.0 + 1.0 * vec.r_sys + 3.0
+    assert vec.total[0, 0] == 1.0 * vec.r_intra + 0.5 * vec.r_inter + 0.0 + 1.0
+    assert vec.total[0, 1] == 2.0 * vec.r_intra + 0.0 + 1.0 * vec.r_sys + 3.0
 
 
 def test_uniform_coefficients_and_zeroed():
@@ -112,5 +140,26 @@ def test_reward_range_with_unit_coefficients():
     for _ in range(200):
         traj = make_traj(oracle.random_rounds(rng, 3, 2, SPACE), ground_truth="A")
         vec = rewards_of(traj, coeffs)
-        for tot in vec.total:
+        for tot in vec.total[0]:
             assert 0.0 <= tot <= 4.0
+
+
+def test_array_rewards_and_priorities_equal_the_per_trajectory_formulas():
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        b, n = int(rng.integers(1, 40)), int(rng.integers(2, 7))
+        steps, k = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+        profiles = profiles_from_codes(rng.integers(0, k, size=(b, steps, n)), k,
+                                       MetricConfig(lambda_mix=float(rng.uniform())))
+        correct = rng.random(b) < 0.5
+        weighted = CoefficientSet(*(tuple(rng.uniform(0.0, 3.0, n).tolist()) for _ in range(5)))
+        for coeffs in (CoefficientSet.uniform(n), weighted,
+                       weighted.zeroed("alpha", "beta", "gamma"), weighted.zeroed("beta")):
+            rewards = total_reward(profiles, correct, coeffs)
+            scalar = [scalar_rewards(profiles.profile(j), ok, coeffs)
+                      for j, ok in enumerate(correct.tolist())]
+            for got, column in zip((rewards.r_intra, rewards.r_inter, rewards.r_sys,
+                                    rewards.r_task, rewards.total), zip(*scalar)):
+                assert np.array_equal(got, np.array(column))
+            assert np.array_equal(replay_score(rewards),
+                                  np.array([scalar_replay_score(*row[:3]) for row in scalar]))

@@ -1,4 +1,5 @@
-"""Statistics layer against frozen high-precision oracle values.
+"""Statistics layer against frozen high-precision oracle values, and the
+columnar reports against the record-based ones in stats_oracle.
 
 The expected constants were computed beforehand with an arbitrary-precision
 library (30 significant digits, rounded to double) independently of this
@@ -13,14 +14,17 @@ import math
 import numpy as np
 import pytest
 
-from madlab.metrics import UncertaintyProfile
+import stats_oracle as oracle
+from madlab.harness import SummaryRow
+from madlab.metrics import MetricConfig, profiles_from_codes
 from madlab.stats import (
-    OutcomeRecord,
     SELECTIVE_CSV_HEADER,
     SEPARATION_CSV_HEADER,
     STRATA_CSV_HEADER,
+    SeparationReport,
     cohens_d,
     correlation_matrix,
+    metric_columns,
     pearson_r,
     pearson_test,
     regularized_incomplete_beta,
@@ -37,18 +41,35 @@ from madlab.stats import (
 
 
 def make_record(qid, correct, ui=0.0, ue=0.0, us=0.0):
-    profile = UncertaintyProfile(
-        flip_rate=ui,
-        belief_revision=ui,
-        u_intra=ui,
-        round_conflicts=(ue,),
-        u_inter=ue,
-        entropy_norm=us,
-        disagreement=us,
-        loo_instability=us,
-        u_sys=us,
-    )
-    return OutcomeRecord(question_id=qid, correct=correct, profile=profile)
+    """One question's outcome: (question id, correct, metric values by report label)."""
+    return qid, correct, {"U_intra": ui, "U_inter": ue, "U_sys": us}
+
+
+def columns(records):
+    """(values, correct, question ids) of make_record outcomes, as the reports read them."""
+    values = {name: np.array([r[2][name] for r in records], dtype=np.float64)
+              for name in ("U_intra", "U_inter", "U_sys")}
+    return values, np.array([r[1] for r in records], dtype=bool), [r[0] for r in records]
+
+
+def separation(records):
+    values, correct, _ = columns(records)
+    return separation_report(values, correct)
+
+
+def correlation(records):
+    values, correct, _ = columns(records)
+    return correlation_matrix(values, correct)
+
+
+def selective(records, k_grid):
+    values, correct, ids = columns(records)
+    return selective_prediction_curve(values["U_sys"], correct, ids, k_grid)
+
+
+def stratify(records, **kwargs):
+    values, correct, _ = columns(records)
+    return stratify_by_uncertainty(values["U_sys"], correct, **kwargs)
 
 
 # --- incomplete beta / t CDF ------------------------------------------------
@@ -230,7 +251,7 @@ def test_separation_report_directions_and_errors():
         make_record("q4", True, ui=0.2, ue=0.1, us=0.2),
         make_record("q5", True, ui=0.3, ue=0.3, us=0.05),
     ]
-    report = separation_report(records)
+    report = separation(records)
     assert {row.metric for row in report.rows} == {"U_intra", "U_inter", "U_sys"}
     for row in report.rows:
         assert row.mean_fail > row.mean_success
@@ -243,7 +264,7 @@ def test_separation_report_directions_and_errors():
 def test_separation_report_requires_both_classes():
     records = [make_record(f"q{i}", True, us=i / 10) for i in range(5)]
     with pytest.raises(ValueError, match="no contrast"):
-        separation_report(records)
+        separation(records)
 
 
 # --- selective prediction ------------------------------------------------------
@@ -251,16 +272,16 @@ def test_separation_report_requires_both_classes():
 
 def test_selective_curve_k100_is_overall_accuracy():
     records = [make_record(f"q{i}", i % 3 == 0, us=i / 10) for i in range(10)]
-    curve = selective_prediction_curve(records, [100.0])
+    curve = selective(records, [100.0])
     k, acc, n = curve[0]
     assert (k, n) == (100.0, 10)
-    assert acc == pytest.approx(sum(r.correct for r in records) / 10, abs=1e-12)
+    assert acc == pytest.approx(sum(r[1] for r in records) / 10, abs=1e-12)
 
 
 def test_selective_curve_low_uncertainty_correct_construction():
     records = [make_record(f"g{i}", True, us=0.1) for i in range(5)]
     records += [make_record(f"x{i}", False, us=0.9) for i in range(5)]
-    curve = selective_prediction_curve(records, [10, 50, 100])
+    curve = selective(records, [10, 50, 100])
     assert curve[0] == (10.0, 1.0, 1)
     assert curve[1] == (50.0, 1.0, 5)
     assert curve[2][1] == pytest.approx(0.5, abs=1e-12)
@@ -268,7 +289,7 @@ def test_selective_curve_low_uncertainty_correct_construction():
 
 def test_selective_curve_retention_counts_use_ceiling():
     records = [make_record(f"q{i}", True, us=i / 10) for i in range(7)]
-    curve = selective_prediction_curve(records, [30, 43, 100])
+    curve = selective(records, [30, 43, 100])
     assert [n for _, _, n in curve] == [3, 4, 7]  # ceil(0.30*7)=3, ceil(0.43*7)=4
 
 
@@ -277,17 +298,17 @@ def test_selective_curve_ties_break_by_question_id():
         make_record("b", False, us=0.5),
         make_record("a", True, us=0.5),
     ]
-    curve = selective_prediction_curve(records, [50.0])
+    curve = selective(records, [50.0])
     assert curve[0] == (50.0, 1.0, 1)  # "a" sorts first and is correct
 
 
 def test_selective_curve_input_validation():
     with pytest.raises(ValueError):
-        selective_prediction_curve([], [50.0])
+        selective([], [50.0])
     with pytest.raises(ValueError):
-        selective_prediction_curve([make_record("q", True)], [0.0])
+        selective([make_record("q", True)], [0.0])
     with pytest.raises(ValueError):
-        selective_prediction_curve([make_record("q", True)], [101.0])
+        selective([make_record("q", True)], [101.0])
 
 
 # --- stratification -------------------------------------------------------------
@@ -295,7 +316,7 @@ def test_selective_curve_input_validation():
 
 def test_stratify_all_zero_lands_in_first_bin():
     records = [make_record(f"q{i}", True, us=0.0) for i in range(4)]
-    strata = stratify_by_uncertainty(records)
+    strata = stratify(records)
     assert [b.count for b in strata] == [4, 0, 0, 0, 0]
     assert strata[0].accuracy == 1.0
     assert all(b.accuracy is None for b in strata[1:])
@@ -304,7 +325,7 @@ def test_stratify_all_zero_lands_in_first_bin():
 def test_stratify_uniform_spread_fills_all_bins():
     records = [make_record(f"q{i}", i % 2 == 0, us=u) for i, u in
                enumerate([0.1, 0.3, 0.5, 0.7, 0.9])]
-    strata = stratify_by_uncertainty(records)
+    strata = stratify(records)
     assert [b.count for b in strata] == [1, 1, 1, 1, 1]
     assert [(b.lo, b.hi) for b in strata] == [
         (0.0, 0.2), (0.2, 0.4), (0.4, 0.6), (0.6, 0.8), (0.8, 1.0)
@@ -316,21 +337,21 @@ def test_stratify_boundary_values_go_up_and_one_is_kept():
         make_record("q0", True, us=0.2),   # exactly on a boundary -> bin 2
         make_record("q1", False, us=1.0),  # top of range -> last bin
     ]
-    strata = stratify_by_uncertainty(records)
+    strata = stratify(records)
     assert strata[1].count == 1
     assert strata[4].count == 1
 
 
 def test_stratify_validation():
     with pytest.raises(ValueError):
-        stratify_by_uncertainty([])
+        stratify([])
     rec = [make_record("q", True, us=0.5)]
     with pytest.raises(ValueError):
-        stratify_by_uncertainty(rec, boundaries=())
+        stratify(rec, boundaries=())
     with pytest.raises(ValueError):
-        stratify_by_uncertainty(rec, boundaries=(0.4, 0.2))
+        stratify(rec, boundaries=(0.4, 0.2))
     with pytest.raises(ValueError):
-        stratify_by_uncertainty(rec, boundaries=(0.0, 0.5))
+        stratify(rec, boundaries=(0.0, 0.5))
 
 
 # --- correlation matrix -----------------------------------------------------------
@@ -350,7 +371,7 @@ def test_correlation_matrix_shape_and_symmetry():
                 us=u * 0.8 + 0.1,
             )
         )
-    labels, matrix = correlation_matrix(records)
+    labels, matrix = correlation(records)
     assert labels == ("U_intra", "U_inter", "U_sys", "accuracy")
     for i in range(4):
         assert matrix[i][i] == 1.0
@@ -364,7 +385,7 @@ def test_correlation_matrix_degenerate_column_raises():
     records = [make_record(f"q{i}", True, ui=i / 10, ue=i / 10, us=i / 10)
                for i in range(5)]
     with pytest.raises(ValueError, match="degenerate"):
-        correlation_matrix(records)  # accuracy column is constant
+        correlation(records)  # accuracy column is constant
 
 
 # --- CSV writers --------------------------------------------------------------------
@@ -378,7 +399,7 @@ def test_csv_writers_emit_declared_headers():
         make_record("q3", True, ui=0.2, ue=0.1, us=0.2),
     ]
     buf = io.StringIO()
-    write_separation_csv(buf, separation_report(records))
+    write_separation_csv(buf, separation(records))
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == SEPARATION_CSV_HEADER
     assert len(lines) == 4
@@ -395,21 +416,116 @@ def test_csv_writers_emit_declared_headers():
         )
         for i in range(12)
     ]
-    labels, matrix = correlation_matrix(noisy)
+    labels, matrix = correlation(noisy)
     write_correlation_csv(buf, labels, matrix)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "metric,U_intra,U_inter,U_sys,accuracy"
     assert len(lines) == 5
 
     buf = io.StringIO()
-    write_selective_csv(buf, selective_prediction_curve(records, [50, 100]))
+    write_selective_csv(buf, selective(records, [50, 100]))
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == SELECTIVE_CSV_HEADER
     assert len(lines) == 3
 
     buf = io.StringIO()
-    write_strata_csv(buf, stratify_by_uncertainty(records))
+    write_strata_csv(buf, stratify(records))
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == STRATA_CSV_HEADER
     assert len(lines) == 6
     assert lines[3].endswith(",0,nan")  # empty middle bin
+
+
+# --- columnar reports against the record-based oracle --------------------------------
+
+
+K_GRID = (5.0, 10.0, 33.3, 50.0, 66.7, 90.0, 100.0)
+BINS = (0.2, 0.4, 0.6, 0.8)
+
+
+def csv_text(writer, *args):
+    buf = io.StringIO()
+    writer(buf, *args)
+    return buf.getvalue()
+
+
+def run_reports(separation_of, correlation_of, selective_of, strata_of):
+    """Each report's result, its CSV text and the warnings, with the
+    separation and correlation reports degraded as run_analysis degrades them."""
+    results, texts, warnings = [], [], []
+    try:
+        report = separation_of()
+    except ValueError as exc:
+        warnings.append(f"separation report skipped: {exc}")
+        report = SeparationReport(rows=())
+    results.append(report)
+    texts.append(csv_text(write_separation_csv, report))
+    try:
+        labels, matrix = correlation_of()
+        results.append((labels, matrix))
+        texts.append(csv_text(write_correlation_csv, labels, matrix))
+    except ValueError as exc:
+        warnings.append(f"correlation matrix skipped: {exc}")
+    for name in ("U_sys", "U_intra", "U_inter"):
+        curve, strata = selective_of(name), strata_of(name)
+        results += [curve, strata]
+        texts += [csv_text(write_selective_csv, curve), csv_text(write_strata_csv, strata)]
+    return results, texts, warnings
+
+
+def outcome_case(rng, case):
+    """Random outcomes of one kind: (question ids, correct, ProfileBatch)."""
+    n = int(rng.integers(1, 7)) if case == "tiny" else int(rng.integers(20, 300))
+    if case == "ties":  # two or three agents, one refinement round: few distinct U values
+        agents, steps, k = int(rng.integers(2, 4)), 2, 2
+    else:
+        agents, steps, k = int(rng.integers(2, 7)), int(rng.integers(2, 6)), int(rng.integers(2, 5))
+    codes = rng.integers(0, k, size=(n, steps, agents))
+    if case == "zero-variance":
+        codes[:] = codes[0]
+    profiles = profiles_from_codes(codes, k, MetricConfig(lambda_mix=float(rng.uniform())))
+    correct = profiles.winners == rng.integers(0, k, size=n)
+    if case == "single-class":
+        correct[:] = bool(rng.integers(2))
+    # ids drawn from a small pool: they repeat and come in no particular order
+    ids = [f"q{int(j)}" for j in rng.integers(0, max(1, n // 3), size=n)]
+    return ids, correct, profiles
+
+
+# What each degenerate case must make run_analysis warn, somewhere in its draws.
+CASES = {
+    "ties": (),
+    "wide": (),
+    "single-class": ("no contrast",),
+    "zero-variance": ("degenerate variance in both groups", "degenerate sample: zero variance"),
+    "tiny": ("no contrast", "need at least 2 paired samples"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_columnar_reports_write_what_the_record_reports_write(case):
+    rng = np.random.default_rng(list(CASES).index(case))
+    warned = []
+    for _ in range(25):
+        ids, correct, profiles = outcome_case(rng, case)
+        records = [oracle.OutcomeRecord(qid, ok, profiles.profile(j))
+                   for j, (qid, ok) in enumerate(zip(ids, correct.tolist()))]
+        values = metric_columns(profiles)
+        expected = run_reports(
+            lambda: oracle.separation_report(records),
+            lambda: oracle.correlation_matrix(records),
+            lambda name: oracle.selective_prediction_curve(records, K_GRID, metric=name),
+            lambda name: oracle.stratify_by_uncertainty(records, metric=name, boundaries=BINS),
+        )
+        got = run_reports(
+            lambda: separation_report(values, correct),
+            lambda: correlation_matrix(values, correct),
+            lambda name: selective_prediction_curve(values[name], correct, ids, K_GRID),
+            lambda name: stratify_by_uncertainty(values[name], correct, boundaries=BINS),
+        )
+        assert got == expected
+        assert SummaryRow.from_columns("s", correct, values) == oracle.summary_from_records(
+            "s", records)
+        warned += got[2]
+    for text in CASES[case]:
+        assert any(text in w for w in warned), text

@@ -13,7 +13,8 @@ import sys
 
 import pytest
 
-from madlab import optim, policy
+import madlab
+from madlab import harness, metrics, optim, policy
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -49,3 +50,11 @@ def test_traced_amounts_read_the_arguments_they_expect():
     # each writer's bytes from the path in its first.
     assert list(inspect.signature(optim.gradient_step).parameters)[2] == "batch"
     assert list(inspect.signature(policy.save_policy).parameters)[0] == "path_or_fp"
+
+
+def test_modules_keep_the_bindings_the_tracer_test_patches():
+    # perfbench's test_tracer_patches_every_binding_and_restores_them checks
+    # that patching metrics.full_profile also patches the package's and these
+    # modules' bindings; harness and optim keep their import for that test alone.
+    for module in (madlab, harness, optim):
+        assert vars(module)["full_profile"] is metrics.full_profile, module.__name__
