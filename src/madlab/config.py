@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -75,17 +76,24 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
+def _parse_float(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value.strip()!r}")
+    return number
+
+
 def _parse_float_list(value: str) -> tuple[float, ...]:
     parts = [p.strip() for p in value.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 _PARSERS: dict[type, Callable[[str], object]] = {
     bool: _parse_bool,
     int: int,
-    float: float,
+    float: _parse_float,
     str: str,
     tuple: _parse_float_list,
 }

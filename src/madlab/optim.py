@@ -15,7 +15,9 @@ p * ((log p - log q) - KL) per visited context. gradient_step reads each
 visit's context row and answer code from the RolloutBatch, computes the
 log-probs of all honest agents' visits in one pass over their stacked tables,
 and adds every agent's gradient with one np.bincount in per-visit order before
-one whole-table update per agent.
+one whole-table update per agent. Training never evaluates L_i itself; its
+scalar form, one trajectory at a time, lives with the tests as the reference
+this gradient is checked against.
 
 Rollouts always happen under the reference snapshot; the reference refreshes
 every ref_refresh_period iterations, and gradient_step refuses batches whose
@@ -122,44 +124,12 @@ class RolloutBatch:
                              f"{self.contexts.shape} and {self.answers.shape}")
 
 
-@dataclass(frozen=True)
-class AdvantageEstimate:
-    """Per-agent batch-mean baselines and centered advantages (batch x agents)."""
-
-    baselines: tuple[float, ...]
-    advantages: np.ndarray
-
-
-def compute_advantages(totals: np.ndarray) -> AdvantageEstimate:
-    """Center per-agent totals on their batch means."""
+def compute_advantages(totals: np.ndarray) -> np.ndarray:
+    """Per-agent totals (batch x agents) centered on their batch means."""
     totals = np.asarray(totals, dtype=np.float64)
     if totals.ndim != 2 or totals.shape[0] == 0:
         raise ValueError("totals must be a non-empty (batch x agents) array")
-    baselines = totals.mean(axis=0)
-    return AdvantageEstimate(
-        baselines=tuple(float(b) for b in baselines),
-        advantages=totals - baselines,
-    )
-
-
-def likelihood_ratio(
-    env: DebateEnv,
-    current: PolicyTable,
-    reference: PolicyTable,
-    agent_index: int,
-    question: SyntheticQuestion,
-    traj: DebateTrajectory,
-) -> float:
-    """exp(log pi_theta(tau) - log pi_ref(tau)) for one honest agent."""
-    lp_cur = env.trajectory_log_prob(current, agent_index, question, traj)
-    lp_ref = env.trajectory_log_prob(reference, agent_index, question, traj)
-    return math.exp(lp_cur - lp_ref)
-
-
-def clipped_surrogate(rho: float, advantage: float, epsilon: float) -> float:
-    """min(rho * A, clip(rho, 1-eps, 1+eps) * A); reduces to A at rho = 1."""
-    clipped = min(max(rho, 1.0 - epsilon), 1.0 + epsilon)
-    return min(rho * advantage, clipped * advantage)
+    return totals - totals.mean(axis=0)
 
 
 def surrogate_is_clipped(rho, advantage, epsilon: float):
@@ -174,52 +144,6 @@ def _log_probs(logits: np.ndarray, rows: np.ndarray | int, tilts: np.ndarray) ->
     # math.log per visit: np.log differs from it in the last bit on some sums.
     norm = list(map(math.log, np.exp(z).sum(axis=-1).ravel().tolist()))
     return z - np.reshape(norm, z.shape[:-1] + (1,))
-
-
-def kl_anchor(
-    env: DebateEnv,
-    current: PolicyTable,
-    reference: PolicyTable,
-    agent_index: int,
-    question: SyntheticQuestion,
-    traj: DebateTrajectory,
-) -> float:
-    """Mean per-visited-context KL(current || reference) over the T+1 rounds."""
-    steps = env.agent_steps(question, traj, agent_index)
-    total = 0.0
-    for step in steps:
-        lp_cur = _log_probs(current.logits, step.ctx, step.tilt)
-        lp_ref = _log_probs(reference.logits, step.ctx, step.tilt)
-        p = np.exp(lp_cur)
-        total += float(np.dot(p, lp_cur - lp_ref))
-    return total / len(steps)
-
-
-def objective_value(
-    env: DebateEnv,
-    policies: Sequence[PolicyTable | None],
-    reference: Sequence[PolicyTable | None],
-    batch: RolloutBatch,
-    advantages: AdvantageEstimate,
-    coeffs: CoefficientSet,
-    clip: ClipConfig,
-) -> dict[int, float]:
-    """Per-honest-agent objective on a fixed batch with fixed advantages."""
-    out: dict[int, float] = {}
-    m_total = len(batch.trajectories)
-    for i in env.honest_indices:
-        cur, ref = policies[i], reference[i]
-        assert cur is not None and ref is not None
-        surr = 0.0
-        kl = 0.0
-        for m, (q, traj) in enumerate(zip(batch.questions, batch.trajectories)):
-            w = batch.weights[m]
-            a = float(advantages.advantages[m, i])
-            rho = likelihood_ratio(env, cur, ref, i, q, traj)
-            surr += w * clipped_surrogate(rho, a, clip.epsilon)
-            kl += w * kl_anchor(env, cur, ref, i, q, traj)
-        out[i] = surr / m_total - coeffs.eta_anchor[i] * kl / m_total
-    return out
 
 
 _MAX_LOG_RATIO = math.log(np.finfo(np.float64).max)  # math.exp overflows above it
@@ -252,7 +176,7 @@ def gradient_step(
             f"state expects {state.ref_version}"
         )
     honest = env.honest_indices
-    adv = compute_advantages(totals).advantages[:, honest]
+    adv = compute_advantages(totals)[:, honest]
     m_total, steps = batch.contexts.shape[:2]
     weights = np.array(batch.weights)[:, None]
     # The honest tables, current and reference, each stacked into one

@@ -11,6 +11,9 @@ With K answer labels each difficulty bin owns contexts_per_bin(K) = 1 + 3K^2
 consecutive context rows: the null context first, then (own, mode, agreement)
 in row-major order. A policy is a dense (rows, K) logit array over them, and
 each question's tilts are one read-only (T+1, N, K) tensor computed once.
+_round_contexts is the one context formula: rollout_batch applies it to the
+whole batch each round, and agent_steps rebuilds one agent's visits along a
+recorded trajectory from it.
 
 The environment has a deliberate blind spot: debate-round tilts under-weight
 the first answer label even though ground truth favors it (the aversion fades
@@ -196,25 +199,6 @@ def context_key(row: int, labels: Sequence[str]) -> str:
     return f"{question_feature}|{labels[own]}|{labels[mode]}|{agreement}"
 
 
-def context_row(key: str, labels: Sequence[str]) -> int:
-    """Inverse of context_key; rejects keys that name no row over these labels."""
-    parts = key.split("|")
-    if len(parts) != 4:
-        raise ValueError(f"bad context key {key!r}")
-    question_feature, own, mode, agreement = int(parts[0]), parts[1], parts[2], int(parts[3])
-    if question_feature < 0:
-        raise ValueError(f"context key {key!r} has a negative difficulty bin")
-    k = len(labels)
-    base = question_feature * contexts_per_bin(k)
-    if own == mode == "-" and agreement == 0:
-        return base
-    if own not in labels or mode not in labels:
-        raise ValueError(f"context key {key!r} names a label outside {','.join(labels)}")
-    if not 0 <= agreement <= 2:
-        raise ValueError(f"context key {key!r} has agreement {agreement} outside 0..2")
-    return base + 1 + (labels.index(own) * k + labels.index(mode)) * 3 + agreement
-
-
 @dataclass(frozen=True)
 class AgentSpec:
     """One seat in the ensemble: honest with a skill, or compromised."""
@@ -251,36 +235,19 @@ def difficulty_bin(difficulty: float, bins: int) -> int:
     return min(int(difficulty * bins), bins - 1)
 
 
-def build_context(
-    question_feature: int,
-    prev_row: Sequence[str] | None,
-    agent_index: int,
-    order: Sequence[str],
-) -> int:
-    """Context row of one agent at one round; prev_row is None at round 0.
+def _round_contexts(base: np.ndarray | int, prev: np.ndarray, k: int) -> np.ndarray:
+    """Context rows of every seat in the round after the answer codes prev (B, N).
 
-    The peer mode ties break order-minimal. The agreement bin splits the
-    agreeing-peer fraction into thirds (exact integer arithmetic).
+    base is each debate's difficulty-bin offset, broadcast against (B, N).
+    The peer mode ties break order-minimal, and the agreement bin splits the
+    agreeing-peer fraction into thirds in exact integer arithmetic.
     """
-    k = len(order)
-    base = question_feature * contexts_per_bin(k)
-    if prev_row is None:
-        return base
-    own = order.index(prev_row[agent_index])
-    peers = [a for j, a in enumerate(prev_row) if j != agent_index]
-    counts: dict[str, int] = {}
-    for a in peers:
-        counts[a] = counts.get(a, 0) + 1
-    top = max(counts.values())
-    mode = next(j for j, label in enumerate(order) if counts.get(label, 0) == top)
-    p = len(peers)
-    if 3 * top <= p:
-        agreement = 0
-    elif 3 * top <= 2 * p:
-        agreement = 1
-    else:
-        agreement = 2
-    return base + 1 + (own * k + mode) * 3 + agreement
+    n = prev.shape[-1]
+    own = prev[:, :, None] == np.arange(k)
+    peers = own.sum(axis=1, keepdims=True) - own
+    top = peers.max(axis=-1)
+    agreement = (3 * top > n - 1).astype(np.int64) + (3 * top > 2 * (n - 1))
+    return base + 1 + (prev * k + peers.argmax(axis=-1)) * 3 + agreement
 
 
 class PolicyTable:
@@ -293,14 +260,7 @@ class PolicyTable:
 
     def __init__(self, labels: Sequence[str], logits: np.ndarray) -> None:
         self.labels = tuple(labels)
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.logits = np.clip(np.asarray(logits, dtype=np.float64), -LOGIT_CLAMP, LOGIT_CLAMP)
-
-    def probs(self, row: int, tilt: np.ndarray) -> np.ndarray:
-        z = self.logits[row] + tilt
-        z = z - z.max()
-        e = np.exp(z)
-        return e / e.sum()
 
     def update(self, delta: np.ndarray) -> None:
         """Add a whole-table delta and re-clamp."""
@@ -585,17 +545,11 @@ class DebateEnv:
         contexts[:, 0] = base
         for t in range(steps):
             if t:
-                # Peer counts, the order-minimal peer mode and the exact
-                # agreement thirds of build_context, for every seat at once.
-                prev = answers[:, t - 1]
-                own = prev[:, :, None] == np.arange(k)
-                peers = own.sum(axis=1, keepdims=True) - own
-                top = peers.max(axis=-1)
-                agreement = (3 * top > n - 1).astype(np.int64) + (3 * top > 2 * (n - 1))
-                contexts[:, t] = base + 1 + (prev * k + peers.argmax(axis=-1)) * 3 + agreement
+                contexts[:, t] = _round_contexts(base, answers[:, t - 1], k)
             if logits is None:
                 continue
-            # PolicyTable.probs, then a right-side search of its cumsum, in place.
+            # The softmax of each visit's logits plus tilt, then a right-side
+            # search of its cumsum, in place.
             z = logits[np.arange(len(honest)), contexts[:, t, honest]]
             z += np.stack([tl[t] for tl in tilts])[:, honest]
             z -= z.max(axis=-1, keepdims=True)
@@ -617,28 +571,13 @@ class DebateEnv:
         """The (context row, tilt, answer) visits of one honest agent, in round order."""
         if self.agents[agent_index].kind != HONEST:
             raise ValueError(f"agent {agent_index} is compromised and has no policy")
-        qf = difficulty_bin(question.difficulty, self.config.difficulty_bins)
+        k = len(self.answer_space)
+        base = difficulty_bin(question.difficulty, self.config.difficulty_bins) * contexts_per_bin(k)
+        codes = np.array([[self.answer_space.index(a) for a in row] for row in traj.rounds])
+        rows = [base] + _round_contexts(base, codes[:-1], k)[:, agent_index].tolist()
         tilts = self.batch_tilts([question])[0]
-        steps = []
-        for t, row in enumerate(traj.rounds):
-            prev = traj.rounds[t - 1] if t > 0 else None
-            ctx = build_context(qf, prev, agent_index, self.answer_space)
-            steps.append(AgentStep(ctx=ctx, tilt=tilts[t, agent_index], answer=row[agent_index]))
-        return steps
-
-    def trajectory_log_prob(
-        self,
-        policy: PolicyTable,
-        agent_index: int,
-        question: SyntheticQuestion,
-        traj: "DebateTrajectory",
-    ) -> float:
-        """log pi(trajectory) for one honest agent: sum over rounds 0..T."""
-        total = 0.0
-        for step in self.agent_steps(question, traj, agent_index):
-            p = policy.probs(step.ctx, step.tilt)
-            total += float(np.log(p[policy.index[step.answer]]))
-        return total
+        return [AgentStep(ctx=ctx, tilt=tilts[t, agent_index], answer=row[agent_index])
+                for t, (ctx, row) in enumerate(zip(rows, traj.rounds))]
 
 
 def save_policy(
@@ -660,71 +599,3 @@ def save_policy(
             fp.write(key + "\t" + ",".join(repr(float(v)) for v in policy.logits[r]) + "\n")
 
     with_fp(path_or_fp, "w", _write)
-
-
-def load_policy(
-    path_or_fp: str | IO[str], labels: Sequence[str], bins: int
-) -> tuple[PolicyTable, int, str]:
-    """Read a policy file for an environment with these labels and difficulty bins.
-
-    Returns (policy, agent_index, config_hash); the table has bins *
-    contexts_per_bin(K) rows, zero where the file omits them. Other labels, bad
-    headers, malformed rows, keys naming an unknown label, an agreement outside
-    0..2 or a bin outside 0..bins-1, non-finite logits and repeated contexts
-    are rejected with their line. Logits are clamped to +-LOGIT_CLAMP.
-    """
-    labels = tuple(labels)
-    per_bin = contexts_per_bin(len(labels))
-
-    def _read(fp: IO[str]) -> tuple[PolicyTable, int, str]:
-        lines = fp.readlines()
-        if not lines or lines[0].strip() != "# madlab-policy v1":
-            raise ValueError("not a v1 policy file")
-        has_labels = False
-        config_hash = ""
-        agent_index = -1
-        body_start = 0
-        for n, line in enumerate(lines):
-            if not line.startswith("#"):
-                body_start = n
-                break
-            body_start = n + 1
-            if line.startswith("# labels:"):
-                found = line.split(":", 1)[1].strip()
-                if tuple(found.split(",")) != labels:
-                    raise ValueError(f"line {n + 1}: labels {found} differ from {','.join(labels)}")
-                has_labels = True
-            elif line.startswith("# config-hash:"):
-                config_hash = line.split(":", 1)[1].strip()
-            elif line.startswith("# agent:"):
-                try:
-                    agent_index = int(line.split(":", 1)[1].strip())
-                except ValueError as exc:
-                    raise ValueError(f"line {n + 1}: bad agent header ({exc})")
-        if not has_labels:
-            raise ValueError("policy file lacks a labels header")
-        table = np.zeros((bins * per_bin, len(labels)))
-        seen: set[int] = set()
-        for n, line in enumerate(lines[body_start:], start=body_start + 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                key, values = line.split("\t")
-                row = context_row(key, labels)
-                logits = np.array([float(v) for v in values.split(",")], dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"line {n}: bad policy row ({exc})")
-            if row >= len(table):
-                raise ValueError(f"line {n}: context {key!r} names a bin outside 0..{bins - 1}")
-            if len(logits) != len(labels):
-                raise ValueError(f"line {n}: expected {len(labels)} logits, got {len(logits)}")
-            if not np.all(np.isfinite(logits)):
-                raise ValueError(f"line {n}: non-finite logit in {values!r}")
-            if row in seen:
-                raise ValueError(f"line {n}: context {key!r} repeats an earlier row")
-            seen.add(row)
-            table[row] = logits
-        return PolicyTable(labels, table), agent_index, config_hash
-
-    return with_fp(path_or_fp, "r", _read)

@@ -1,7 +1,7 @@
 """Statistical analyses over per-question debate outcomes.
 
 Failure/success separation (Welch t-test and pooled-SD Cohen's d),
-Pearson correlation with significance, selective prediction curves
+Pearson correlation matrices, selective prediction curves
 (retain the lowest-uncertainty k%), and uncertainty stratification.
 
 The reports read columns: the uncertainty metrics' float arrays by report
@@ -128,18 +128,6 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     return min(max(r, -1.0), 1.0)
 
 
-def pearson_test(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float]:
-    """(r, t, two-sided p) under the no-correlation null with n-2 df."""
-    r = pearson_r(x, y)
-    n = len(x)
-    if n < 3:
-        raise ValueError("significance needs at least 3 paired samples")
-    if 1.0 - r * r <= 0.0:
-        return r, math.copysign(math.inf, r), 0.0
-    t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return r, t, student_t_p_value(t, n - 2)
-
-
 def _moments(group: Sequence[float]) -> tuple[int, float, float]:
     """(n, mean, sample variance with n-1 denominator) of one of two groups."""
     n = len(group)
@@ -191,12 +179,6 @@ class MetricSeparation:
 @dataclass(frozen=True)
 class SeparationReport:
     rows: tuple[MetricSeparation, ...]
-
-    def for_metric(self, name: str) -> MetricSeparation:
-        for row in self.rows:
-            if row.metric == name:
-                return row
-        raise ValueError(f"no separation row for metric {name!r}")
 
 
 def separation_report(values: Mapping[str, np.ndarray], correct: np.ndarray) -> SeparationReport:

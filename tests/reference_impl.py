@@ -1,0 +1,145 @@
+"""The clipped, reference-anchored objective one trajectory at a time: the
+scalar reference the batched engine in madlab.policy and madlab.optim must
+reproduce.
+
+build_context rebuilds one agent's context row from a round's labels with a
+dict of peer counts, probs is a table row's softmax, and trajectory_log_prob,
+likelihood_ratio, kl_anchor and objective_value evaluate the objective of
+madlab.optim on one (question, trajectory, agent) at a time. The tests check
+rollout_batch's recorded contexts against build_context, gradient_step against
+central differences of objective_value, and the clip fixtures against
+likelihood_ratio. kl_anchor shares the log-softmax of gradient_step.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from madlab.debate import DebateTrajectory
+from madlab.optim import ClipConfig, RolloutBatch, _log_probs
+from madlab.policy import DebateEnv, PolicyTable, SyntheticQuestion, contexts_per_bin
+from madlab.rewards import CoefficientSet
+
+
+def build_context(
+    question_feature: int,
+    prev_row: Sequence[str] | None,
+    agent_index: int,
+    order: Sequence[str],
+) -> int:
+    """Context row of one agent at one round; prev_row is None at round 0.
+
+    The peer mode ties break order-minimal. The agreement bin splits the
+    agreeing-peer fraction into thirds (exact integer arithmetic).
+    """
+    k = len(order)
+    base = question_feature * contexts_per_bin(k)
+    if prev_row is None:
+        return base
+    own = order.index(prev_row[agent_index])
+    peers = [a for j, a in enumerate(prev_row) if j != agent_index]
+    counts: dict[str, int] = {}
+    for a in peers:
+        counts[a] = counts.get(a, 0) + 1
+    top = max(counts.values())
+    mode = next(j for j, label in enumerate(order) if counts.get(label, 0) == top)
+    p = len(peers)
+    if 3 * top <= p:
+        agreement = 0
+    elif 3 * top <= 2 * p:
+        agreement = 1
+    else:
+        agreement = 2
+    return base + 1 + (own * k + mode) * 3 + agreement
+
+
+def probs(policy: PolicyTable, row: int, tilt: np.ndarray) -> np.ndarray:
+    """Softmax of one table row plus a tilt."""
+    z = policy.logits[row] + tilt
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def trajectory_log_prob(
+    env: DebateEnv,
+    policy: PolicyTable,
+    agent_index: int,
+    question: SyntheticQuestion,
+    traj: DebateTrajectory,
+) -> float:
+    """log pi(trajectory) for one honest agent: sum over rounds 0..T."""
+    total = 0.0
+    for step in env.agent_steps(question, traj, agent_index):
+        p = probs(policy, step.ctx, step.tilt)
+        total += float(np.log(p[policy.labels.index(step.answer)]))
+    return total
+
+
+def likelihood_ratio(
+    env: DebateEnv,
+    current: PolicyTable,
+    reference: PolicyTable,
+    agent_index: int,
+    question: SyntheticQuestion,
+    traj: DebateTrajectory,
+) -> float:
+    """exp(log pi_theta(tau) - log pi_ref(tau)) for one honest agent."""
+    lp_cur = trajectory_log_prob(env, current, agent_index, question, traj)
+    lp_ref = trajectory_log_prob(env, reference, agent_index, question, traj)
+    return math.exp(lp_cur - lp_ref)
+
+
+def clipped_surrogate(rho: float, advantage: float, epsilon: float) -> float:
+    """min(rho * A, clip(rho, 1-eps, 1+eps) * A); reduces to A at rho = 1."""
+    clipped = min(max(rho, 1.0 - epsilon), 1.0 + epsilon)
+    return min(rho * advantage, clipped * advantage)
+
+
+def kl_anchor(
+    env: DebateEnv,
+    current: PolicyTable,
+    reference: PolicyTable,
+    agent_index: int,
+    question: SyntheticQuestion,
+    traj: DebateTrajectory,
+) -> float:
+    """Mean per-visited-context KL(current || reference) over the T+1 rounds."""
+    steps = env.agent_steps(question, traj, agent_index)
+    total = 0.0
+    for step in steps:
+        lp_cur = _log_probs(current.logits, step.ctx, step.tilt)
+        lp_ref = _log_probs(reference.logits, step.ctx, step.tilt)
+        p = np.exp(lp_cur)
+        total += float(np.dot(p, lp_cur - lp_ref))
+    return total / len(steps)
+
+
+def objective_value(
+    env: DebateEnv,
+    policies: Sequence[PolicyTable | None],
+    reference: Sequence[PolicyTable | None],
+    batch: RolloutBatch,
+    advantages: np.ndarray,
+    coeffs: CoefficientSet,
+    clip: ClipConfig,
+) -> dict[int, float]:
+    """Per-honest-agent objective on a fixed batch with fixed (batch x agents) advantages."""
+    out: dict[int, float] = {}
+    m_total = len(batch.trajectories)
+    for i in env.honest_indices:
+        cur, ref = policies[i], reference[i]
+        assert cur is not None and ref is not None
+        surr = 0.0
+        kl = 0.0
+        for m, (q, traj) in enumerate(zip(batch.questions, batch.trajectories)):
+            w = batch.weights[m]
+            a = float(advantages[m, i])
+            rho = likelihood_ratio(env, cur, ref, i, q, traj)
+            surr += w * clipped_surrogate(rho, a, clip.epsilon)
+            kl += w * kl_anchor(env, cur, ref, i, q, traj)
+        out[i] = surr / m_total - coeffs.eta_anchor[i] * kl / m_total
+    return out

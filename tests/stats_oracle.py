@@ -5,7 +5,8 @@ Each report walks per-question OutcomeRecords and reads every value through
 OutcomeRecord.metric, summing with Python's sum; summary_from_records is the
 record form of harness.SummaryRow.from_columns. The result types, the band
 checks and the t distribution are shared with madlab.stats, which did not
-change them.
+change them. pearson_test, a correlation's significance, has no report in
+madlab.stats; it stays here to check student_t_p_value on frozen values.
 """
 
 from __future__ import annotations
@@ -51,6 +52,18 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError("degenerate sample: zero variance")
     r = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss_x * ss_y)
     return min(max(r, -1.0), 1.0)
+
+
+def pearson_test(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float]:
+    """(r, t, two-sided p) under the no-correlation null with n-2 df."""
+    r = pearson_r(x, y)
+    n = len(x)
+    if n < 3:
+        raise ValueError("significance needs at least 3 paired samples")
+    if 1.0 - r * r <= 0.0:
+        return r, math.copysign(math.inf, r), 0.0
+    t = r * math.sqrt((n - 2) / (1.0 - r * r))
+    return r, t, student_t_p_value(t, n - 2)
 
 
 def _moments(group: Sequence[float]) -> tuple[int, float, float]:

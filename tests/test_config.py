@@ -136,12 +136,23 @@ def test_partial_override_keeps_other_defaults():
         ("[environment]\ntrain_questions = 1\n", "train_questions"),
         ("garbage without a section\n", "malformed"),
         ("[DEFAULT]\nfoo = 1\n", "DEFAULT"),
+        ("[udpo]\nlearn_rate = nan\n", "[udpo] learn_rate: expected a finite number, got 'nan'"),
+        ("[udpo]\nepsilon = inf\n", "[udpo] epsilon: expected a finite number, got 'inf'"),
+        ("[udpo]\nkappa = -Infinity\n", "[udpo] kappa: expected a finite number"),
+        ("[replay]\npriority_exponent = NaN\n", "[replay] priority_exponent: expected a finite"),
+        ("[analysis]\nstrata_bins = 0.2,nan,0.8\n", "[analysis] strata_bins: expected a finite"),
+        ("[analysis]\nk_grid = 10,1e400\n", "[analysis] k_grid: expected a finite number"),
     ],
 )
 def test_rejects_unknown_or_invalid(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+def test_a_large_finite_epsilon_is_accepted():
+    # a wide enough band turns the clip off; only non-finite values are rejected
+    assert parse_config("[udpo]\nepsilon = 1e300\n").clip.epsilon == 1e300
 
 
 def test_canonical_text_round_trips():

@@ -28,6 +28,7 @@ from madlab.config import ExperimentConfig, config_hash
 from madlab.harness import run_analysis, run_baseline, run_udpo, with_seed
 from madlab.optim import ClipConfig
 from madlab.policy import AVERSION_RAMP, DebateEnv
+from reference_impl import likelihood_ratio
 from test_harness import tiny_config
 
 BASELINE = {
@@ -219,7 +220,7 @@ def test_clip_kl_udpo_artifacts_are_pinned(tmp_path, monkeypatch):
         for i in env.honest_indices:
             cur, ref = state.policies[i], state.reference[i]
             for q, traj in zip(batch.questions, batch.trajectories):
-                rho = optim.likelihood_ratio(env, cur, ref, i, q, traj)
+                rho = likelihood_ratio(env, cur, ref, i, q, traj)
                 log_ratios.append(math.log(rho))
         return real_step(env, state, batch, clip, totals)
 

