@@ -8,18 +8,17 @@ answer codes, in metrics.
 
 A .jsonl trajectory file is parsed in one place, read_trajectories, and codes
 first: each well-formed record is checked and encoded into answer codes in
-one walk over its labels, grouped by (answer space, T+1, N). Any other record
-goes through trajectory_from_record, so validate_trajectory is the one source
-of error text. The TrajectoryFile it returns hands analysis those groups and
-decodes them back into trajectories only when a caller reads one. A code is
-the label's index in the answer space (answer_index).
+one walk over its labels, grouped by (answer space, T+1, N). _encode rejects
+exactly the records trajectory_from_record rejects, and a rejected record
+fails with trajectory_from_record's error, so validate_trajectory is the one
+source of error text. The TrajectoryFile it returns hands analysis those
+groups. A code is the label's index in the answer space (answer_index).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -212,13 +211,9 @@ def _encode(record: dict, spaces: dict) -> tuple | None:
     return str(qid), space, (len(rounds), n), truth, codes
 
 
-class TrajectoryFile(Sequence[DebateTrajectory]):
-    """A trajectory file's records: answer-code groups, and the trajectories in file order.
-
-    groups holds one CodeGroup per (answer space, T+1, N); len() is the record
-    count. The trajectories are decoded from the groups on first access, and
-    the file equals a list holding the same trajectories.
-    """
+class TrajectoryFile:
+    """A trajectory file's records as answer codes: groups holds one CodeGroup
+    per (answer space, T+1, N), and len() is the record count."""
 
     def __init__(self, groups: list[CodeGroup]) -> None:
         self.groups = groups
@@ -226,26 +221,6 @@ class TrajectoryFile(Sequence[DebateTrajectory]):
 
     def __len__(self) -> int:
         return self._count
-
-    def __getitem__(self, index):
-        return self._trajectories[index]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TrajectoryFile):
-            other = other._trajectories
-        return self._trajectories == other if isinstance(other, list) else NotImplemented
-
-    @cached_property
-    def _trajectories(self) -> list[DebateTrajectory]:
-        out: list = [None] * self._count
-        for g in self.groups:
-            space = g.answer_space
-            grids = np.array(space, dtype=object)[g.codes].tolist()
-            for position, qid, truth, grid in zip(g.positions, g.question_ids, g.truth.tolist(), grids):
-                out[position] = DebateTrajectory(
-                    qid, space, tuple(map(tuple, grid)), None if truth == NO_TRUTH else space[truth]
-                )
-        return out
 
 
 def read_trajectories(path_or_fp: str | IO[str]) -> TrajectoryFile:
@@ -273,10 +248,10 @@ def read_trajectories(path_or_fp: str | IO[str]) -> TrajectoryFile:
             parsed = _encode(record, spaces)
             if parsed is None:
                 try:
-                    traj = trajectory_from_record(record)
+                    trajectory_from_record(record)
                 except ValueError as exc:
                     raise ValueError(f"{where}line {lineno}: {exc}")
-                parsed = _encode(trajectory_to_record(traj), spaces)  # valid, labels str()
+                raise AssertionError(f"{where}line {lineno}: a valid record was not encoded")
             qid, space, shape, truth, codes = parsed
             groups.setdefault((space, shape), []).append((position, qid, truth, codes))
             position += 1

@@ -96,7 +96,6 @@ class PipelineResult:
 
     rows: list[SummaryRow]
     warnings: list[str] = field(default_factory=list)
-    out_dir: str = ""
 
 
 def with_seed(config: ExperimentConfig, seed: int | None) -> ExperimentConfig:
@@ -219,7 +218,7 @@ def run_baseline(config: ExperimentConfig, out_dir: str) -> PipelineResult:
     )
     _write_eval_artifacts(out_dir, result, coeffs)
     write_summary_csv(os.path.join(out_dir, "summary.csv"), [result.summary])
-    return PipelineResult(rows=[result.summary], out_dir=out_dir)
+    return PipelineResult(rows=[result.summary])
 
 
 # ------------------------------------------------------------------- training
@@ -300,10 +299,15 @@ def run_udpo(
     _write_eval_artifacts(out_dir, trained_result, coeffs)
     rows = [base_result.summary, trained_result.summary]
     write_summary_csv(os.path.join(out_dir, "summary.csv"), rows)
-    return PipelineResult(rows=rows, out_dir=out_dir)
+    return PipelineResult(rows=rows)
 
 
 # --------------------------------------------------------------------- attack
+
+
+def _majority_warning(m: int, n: int) -> list[str]:
+    """The warning for m compromised seats of n, if they leave no honest majority."""
+    return [f"m={m} of {n} agents: no honest majority possible"] if 2 * m >= n else []
 
 
 def run_attack(
@@ -337,28 +341,18 @@ def run_attack(
     ]
     warnings = []
     for m in m_values:
-        if 2 * m >= n:
-            warnings.append(
-                f"m={m} of {n} agents: no honest majority possible"
-            )
+        warnings += _majority_warning(m, n)
         attack_env = DebateEnv(
             dataclasses.replace(clean_config.env, compromised_count=m)
         )
-        seats_untrained: list[PolicyTable | None] = [None] * n
-        seats_trained: list[PolicyTable | None] = [None] * n
-        for i in attack_env.honest_indices:
-            seats_untrained[i] = untrained[i]
-            seats_trained[i] = state.policies[i]
-        rows.append(
-            evaluate_ensemble(attack_env, eval_questions, seats_untrained,
-                              config.metric, f"untrained_m{m}").summary
-        )
-        rows.append(
-            evaluate_ensemble(attack_env, eval_questions, seats_trained,
-                              config.metric, f"trained_m{m}").summary
-        )
+        # the honest seats come first: the last m seats turn adversary
+        for arm, policies in (("untrained", untrained), ("trained", state.policies)):
+            rows.append(
+                evaluate_ensemble(attack_env, eval_questions, policies[: n - m] + [None] * m,
+                                  config.metric, f"{arm}_m{m}").summary
+            )
     write_summary_csv(os.path.join(out_dir, "summary.csv"), rows)
-    return PipelineResult(rows=rows, warnings=warnings, out_dir=out_dir)
+    return PipelineResult(rows=rows, warnings=warnings)
 
 
 # ------------------------------------------------------------------- analysis
@@ -415,7 +409,7 @@ def run_analysis(
         )
     if not chunks:
         warnings.append("no usable trajectories: all reports skipped")
-        return PipelineResult(rows=[], warnings=warnings, out_dir=out_dir)
+        return PipelineResult(rows=[], warnings=warnings)
 
     positions, hits, columns = zip(*chunks)
     order = np.argsort(np.concatenate(positions))
@@ -441,7 +435,7 @@ def run_analysis(
     write_strata_csv(strata, stratify_by_uncertainty(u_sys, correct, boundaries=config.strata_bins))
 
     row = SummaryRow.from_columns("analysis", correct, values)
-    return PipelineResult(rows=[row], warnings=warnings, out_dir=out_dir)
+    return PipelineResult(rows=[row], warnings=warnings)
 
 
 # ---------------------------------------------------------------------- sweep
@@ -471,11 +465,7 @@ def run_sweep(
             env_config = dataclasses.replace(config.env, rounds=value)
         else:
             env_config = dataclasses.replace(config.env, compromised_count=value)
-            if 2 * value >= config.env.num_agents:
-                warnings.append(
-                    f"m={value} of {config.env.num_agents} agents: "
-                    "no honest majority possible"
-                )
+            warnings += _majority_warning(value, config.env.num_agents)
         env = DebateEnv(env_config)
         questions = env.generate_questions(config.eval_questions, "eval")
         result = evaluate_ensemble(
@@ -483,4 +473,4 @@ def run_sweep(
         )
         rows.append(result.summary)
     write_summary_csv(os.path.join(out_dir, "summary.csv"), rows)
-    return PipelineResult(rows=rows, warnings=warnings, out_dir=out_dir)
+    return PipelineResult(rows=rows, warnings=warnings)

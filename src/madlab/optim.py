@@ -186,7 +186,7 @@ def gradient_step(
     n_rows, k = len(cur) // len(honest), cur.shape[1]
     visits = batch.contexts[:, :, honest] + n_rows * np.arange(len(honest))
     answers = batch.answers[:, :, honest, None]
-    tilts = np.stack(env.batch_tilts(batch.questions))[:, :, honest]
+    tilts = np.stack(env.batch_tilts(batch.questions))
     lc = _log_probs(cur, visits, tilts)
     # When the reference equals the current tables (each step at the default
     # ref_refresh_period = 1), its log-probs are the current ones and each KL
@@ -259,7 +259,6 @@ def train(
     metric_config: MetricConfig,
     seed: int,
     replay_config: ReplayConfig | None = None,
-    initial_policies: Sequence[PolicyTable | None] | None = None,
 ) -> tuple[TrainState, ReplayBuffer | None]:
     """Full training loop: rollout under the reference, step, refresh, replay.
 
@@ -275,10 +274,7 @@ def train(
             f"coefficient set covers {coeffs.num_agents} agents, "
             f"the debate has {env.config.num_agents} seats"
         )
-    if initial_policies is None:
-        policies: list[PolicyTable | None] = env.initial_policies()
-    else:
-        policies = [p.copy() if p is not None else None for p in initial_policies]
+    policies = env.initial_policies()
     reference = [p.copy() if p is not None else None for p in policies]
     state = TrainState(
         policies=policies, reference=reference, ref_version=0, coeffs=coeffs, iteration=0

@@ -4,13 +4,16 @@ Honest agents are tabular softmax policies over a context made of (difficulty
 bin, own previous answer, peer modal answer, peer agreement bin). Round 0 uses
 the null context (no previous answers); a per-(question, agent) logit tilt
 biased toward the true answer by skill * (1 - difficulty), plus seeded noise,
-carries each question's private signal. Compromised agents ignore the debate
-and emit a fixed or per-question adversarial target every round.
+carries each question's private signal. The honest seats come first: with
+compromised_count = m of N seats, seats 0..H-1 (H = N - m) are honest and the
+last m are compromised. Compromised seats ignore the debate and emit one
+adversarial target per question (adversary_answer) every round.
 
 With K answer labels each difficulty bin owns contexts_per_bin(K) = 1 + 3K^2
 consecutive context rows: the null context first, then (own, mode, agreement)
 in row-major order. A policy is a dense (rows, K) logit array over them, and
-each question's tilts are one read-only (T+1, N, K) tensor computed once.
+each question's tilts are one read-only (T+1, H, K) tensor of the honest
+seats, computed once; an honest seat's tilt row is its seat index.
 _round_contexts is the one context formula: rollout_batch applies it to the
 whole batch each round, and agent_steps rebuilds one agent's visits along a
 recorded trajectory from it.
@@ -85,9 +88,6 @@ SIGNAL_WOBBLE_SLOPE = 1.2
 FLARE_SCALE = 7.0
 
 ACT_KEYS_PER_PASS = 4096  # act or tilt streams per Philox pass; bounds a batch's memory
-
-HONEST = "honest"
-COMPROMISED = "compromised"
 
 
 def _key_digest(*tokens: object) -> bytes:
@@ -197,21 +197,6 @@ def context_key(row: int, labels: Sequence[str]) -> str:
     pair, agreement = divmod(offset - 1, 3)
     own, mode = divmod(pair, k)
     return f"{question_feature}|{labels[own]}|{labels[mode]}|{agreement}"
-
-
-@dataclass(frozen=True)
-class AgentSpec:
-    """One seat in the ensemble: honest with a skill, or compromised."""
-
-    kind: str
-    skill: float = 0.5
-    adversarial_target: str | None = None  # None means per-question minimal wrong label
-
-    def __post_init__(self) -> None:
-        if self.kind not in (HONEST, COMPROMISED):
-            raise ValueError(f"unknown agent kind {self.kind!r}")
-        if not 0.0 <= self.skill <= 1.0:
-            raise ValueError(f"skill must be in [0, 1], got {self.skill}")
 
 
 @dataclass(frozen=True)
@@ -349,36 +334,28 @@ class AgentStep:
 
 
 class DebateEnv:
-    """Deterministic simulator tying questions, agents, and policies together."""
+    """Deterministic simulator tying questions, agents, and policies together.
+
+    honest_indices lists the honest seats 0..H-1; skills holds their skills,
+    config.skills repeated to length H.
+    """
 
     def __init__(self, config: EnvConfig) -> None:
         self.config = config
         self.answer_space = answer_labels(config.answer_space_size)
-        self.agents = self._make_agents()
+        h = config.num_agents - config.compromised_count
+        self.honest_indices = list(range(h))
+        self.skills = np.array([config.skills[i % len(config.skills)] for i in range(h)])
         self._tilts: dict[SyntheticQuestion, np.ndarray] = {}
 
-    def _make_agents(self) -> list[AgentSpec]:
-        cfg = self.config
-        m = cfg.compromised_count
-        honest = cfg.num_agents - m
-        fixed: str | None = None
-        if cfg.adversarial_target_policy.startswith("fixed:"):
-            fixed = cfg.adversarial_target_policy[len("fixed:") :]
-        agents = [
-            AgentSpec(HONEST, skill=cfg.skills[i % len(cfg.skills)]) for i in range(honest)
-        ]
-        agents += [
-            AgentSpec(COMPROMISED, adversarial_target=fixed)
-            for _ in range(cfg.num_agents - honest)
-        ]
-        return agents
-
-    @property
-    def honest_indices(self) -> list[int]:
-        return [i for i, a in enumerate(self.agents) if a.kind == HONEST]
+    def _questions_per_pass(self) -> int:
+        """Questions whose act (or tilt) streams fit one Philox pass: at most
+        ACT_KEYS_PER_PASS keys, or one question."""
+        keys = (self.config.rounds + 1) * max(1, len(self.honest_indices))
+        return max(1, ACT_KEYS_PER_PASS // keys)
 
     def initial_policies(self) -> list[PolicyTable | None]:
-        """Fresh untrained policies; compromised seats get None.
+        """Fresh untrained policies of the honest seats, then None for each compromised one.
 
         Every bin starts from the same block: zero logits at the null context
         and the inertia and conformity prior everywhere else.
@@ -392,10 +369,8 @@ class DebateEnv:
                     row[own] += OWN_PRIOR
                     row[mode] += PEER_PRIOR[agreement]
         logits = np.tile(block, (self.config.difficulty_bins, 1))
-        return [
-            PolicyTable(self.answer_space, logits) if spec.kind == HONEST else None
-            for spec in self.agents
-        ]
+        return ([PolicyTable(self.answer_space, logits) for _ in self.honest_indices]
+                + [None] * self.config.compromised_count)
 
     def generate_questions(self, count: int, label: str) -> list[SyntheticQuestion]:
         """Seeded question batch; ids are stable under count changes.
@@ -418,7 +393,7 @@ class DebateEnv:
         return questions
 
     def batch_tilts(self, questions: Sequence[SyntheticQuestion]) -> list[np.ndarray]:
-        """Read-only (T+1, N, K) logit tilts of every seat at every round, per question.
+        """Read-only (T+1, H, K) logit tilts of every honest seat at every round, per question.
 
         Round 0 carries the full private signal. Later rounds carry a damped
         copy plus fresh per-round noise (a re-reading wobble) so that near-tied
@@ -429,7 +404,7 @@ class DebateEnv:
         near-deterministically. A question flares with probability equal to
         its difficulty when rounds >= 4: a uniformly picked wrong label spikes
         at round rounds-3 and reverses at rounds-2, leaving the last two rounds
-        clean for the ensemble to regroup. Compromised rows stay zero.
+        clean for the ensemble to regroup. Compromised seats have no tilts.
 
         Each tensor is computed once and cached by the question itself, so
         questions that share an id but not their truth or difficulty get
@@ -444,28 +419,27 @@ class DebateEnv:
             return cached
         cfg = self.config
         k, steps, honest = len(self.answer_space), cfg.rounds + 1, self.honest_indices
-        chunk = max(1, ACT_KEYS_PER_PASS // (steps * max(1, len(honest))))
+        h, chunk = len(honest), self._questions_per_pass()
         suffixes = {"signal": [f"{i}".encode() for i in honest],
                     "wobble": [f"{i}|{t}".encode() for t in range(1, steps) for i in honest]}
-        skills = np.array([self.agents[i].skill for i in honest])
         for start in range(0, len(fresh), chunk):
             part = fresh[start:start + chunk]
             c = len(part)
             digests = [d for q in part for purpose, tail in suffixes.items()
                        for d in _prefixed_digests(f"{cfg.seed}|{purpose}|{q.question_id}|", tail)]
             normals = np.array([rng.normal(0.0, 1.0, k) for rng in _reseated_streams(digests)])
-            normals = normals.reshape(c, steps * len(honest), k)
-            signal = SIGNAL_NOISE * normals[:, :len(honest)]
-            wobble = normals[:, len(honest):].reshape(c, cfg.rounds, len(honest), k)
+            normals = normals.reshape(c, steps * h, k)
+            signal = SIGNAL_NOISE * normals[:, :h]
+            wobble = normals[:, h:].reshape(c, cfg.rounds, h, k)
             difficulty = np.array([q.difficulty for q in part])
             truth = [self.answer_space.index(q.ground_truth) for q in part]
             ramp = np.minimum(1.0, difficulty / AVERSION_RAMP)[:, None, None]
             persist = SIGNAL_PERSIST + (1.0 - SIGNAL_PERSIST) * (1.0 - ramp)
             scale = SIGNAL_WOBBLE + SIGNAL_WOBBLE_SLOPE * difficulty[:, None, None]
-            signal[np.arange(c), :, truth] += SIGNAL_GAIN * skills * (1.0 - difficulty[:, None])
-            tilts = np.zeros((c, steps, len(self.agents), k))
-            tilts[:, 0, honest] = signal
-            tilts[:, 1:, honest] = persist[..., None] * signal[:, None] + scale[..., None] * wobble
+            signal[np.arange(c), :, truth] += SIGNAL_GAIN * self.skills * (1.0 - difficulty[:, None])
+            tilts = np.empty((c, steps, h, k))
+            tilts[:, 0] = signal
+            tilts[:, 1:] = persist[..., None] * signal[:, None] + scale[..., None] * wobble
             if cfg.rounds >= 4:
                 push = cfg.rounds - 3
                 flares = _prefixed_digests(f"{cfg.seed}|flare|", [q.question_id.encode() for q in part])
@@ -473,24 +447,21 @@ class DebateEnv:
                     if rng.random() < q.difficulty:
                         wrong = [j for j in range(k) if j != truth[u]]
                         flare = wrong[int(rng.integers(len(wrong)))]
-                        tilts[u, push, honest, flare] += FLARE_SCALE
-                        tilts[u, push + 1, honest, flare] -= FLARE_SCALE
-            tilts[:, 1:, honest, 0] += LABEL_AVERSION * ramp
+                        tilts[u, push, :, flare] += FLARE_SCALE
+                        tilts[u, push + 1, :, flare] -= FLARE_SCALE
+            tilts[:, 1:, :, 0] += LABEL_AVERSION * ramp
             tilts.flags.writeable = False
             self._tilts.update(zip(part, tilts))
         return [self._tilts[q] for q in questions]
 
-    def adversary_answer(self, spec: AgentSpec, question: SyntheticQuestion) -> str:
-        """The wrong label a compromised seat advocates on this question."""
-        if spec.adversarial_target is not None:
-            return spec.adversarial_target
-        order = self.answer_space
-        if self.config.adversarial_target_policy == "max_wrong":
-            order = tuple(reversed(order))
-        for label in order:
-            if label != question.ground_truth:
-                return label
-        raise ValueError("answer space has no wrong label to target")
+    def adversary_answer(self, question: SyntheticQuestion) -> str:
+        """The label every compromised seat advocates on this question: the
+        fixed:X target X, or the first (min_wrong) or last (max_wrong) wrong label."""
+        target = self.config.adversarial_target_policy
+        if target.startswith("fixed:"):
+            return target[len("fixed:") :]
+        order = self.answer_space if target == "min_wrong" else self.answer_space[::-1]
+        return next(label for label in order if label != question.ground_truth)
 
     def rollout_debate(
         self,
@@ -511,36 +482,38 @@ class DebateEnv:
 
         Debate b's acts come from the streams (rollout_seeds[b], "act", question
         id, round, agent), so a trajectory does not depend on the rest of the
-        batch. Returns the trajectories and the (B, T+1, N) context rows and
-        answer codes of every visit (compromised seats included).
+        batch. The H honest seats draw from their tables and tilts, and the
+        last m answer columns hold each question's adversary_answer. Returns
+        the trajectories and the (B, T+1, N) context rows and answer codes of
+        every visit (compromised seats included).
         """
-        if len(policies) != len(self.agents):
-            raise ValueError(f"need {len(self.agents)} policies, got {len(policies)}")
+        n = self.config.num_agents
+        if len(policies) != n:
+            raise ValueError(f"need {n} policies, got {len(policies)}")
         if len(rollout_seeds) != len(questions):
             raise ValueError(f"need {len(questions)} rollout seeds, got {len(rollout_seeds)}")
         honest = self.honest_indices
         for i in honest:
             if policies[i] is None:
                 raise ValueError(f"honest agent {i} has no policy")
-        b, n, k = len(questions), len(self.agents), len(self.answer_space)
+        b, h, k = len(questions), len(honest), len(self.answer_space)
         steps = self.config.rounds + 1
         contexts, answers = np.empty((2, b, steps, n), dtype=np.int64)
         if b == 0:
             return [], contexts, answers
-        for i, spec in enumerate(self.agents):
-            if spec.kind == COMPROMISED:
-                answers[:, :, i] = [[self.answer_space.index(self.adversary_answer(spec, q))]
-                                    for q in questions]
+        if h < n:
+            answers[:, :, h:] = np.array([self.answer_space.index(self.adversary_answer(q))
+                                          for q in questions])[:, None, None]
         bins = [[difficulty_bin(q.difficulty, self.config.difficulty_bins)] for q in questions]
         base = contexts_per_bin(k) * np.array(bins)
         tilts = self.batch_tilts(questions)
-        chunk = max(1, ACT_KEYS_PER_PASS // (steps * max(1, len(honest))))
+        chunk = self._questions_per_pass()
         suffixes = [f"{t}|{i}".encode() for t in range(steps) for i in honest]
         uniforms = np.concatenate([
             philox_uniforms([d for q, seed in zip(questions[j:j + chunk], rollout_seeds[j:j + chunk])
                              for d in _prefixed_digests(f"{seed}|act|{q.question_id}|", suffixes)])
             for j in range(0, b, chunk)
-        ]).reshape(b, steps, len(honest), 1)
+        ]).reshape(b, steps, h, 1)
         logits = np.stack([policies[i].logits for i in honest]) if honest else None
         contexts[:, 0] = base
         for t in range(steps):
@@ -550,13 +523,13 @@ class DebateEnv:
                 continue
             # The softmax of each visit's logits plus tilt, then a right-side
             # search of its cumsum, in place.
-            z = logits[np.arange(len(honest)), contexts[:, t, honest]]
-            z += np.stack([tl[t] for tl in tilts])[:, honest]
+            z = logits[np.arange(h), contexts[:, t, :h]]
+            z += np.stack([tl[t] for tl in tilts])
             z -= z.max(axis=-1, keepdims=True)
             np.exp(z, out=z)
             z /= z.sum(axis=-1, keepdims=True)
             np.cumsum(z, axis=-1, out=z)
-            answers[:, t, honest] = np.minimum((z <= uniforms[:, t]).sum(axis=-1), k - 1)
+            answers[:, t, :h] = np.minimum((z <= uniforms[:, t]).sum(axis=-1), k - 1)
         labels = np.array(self.answer_space, dtype=object)
         trajectories = [
             DebateTrajectory(q.question_id, self.answer_space,
@@ -568,8 +541,9 @@ class DebateEnv:
     def agent_steps(
         self, question: SyntheticQuestion, traj: "DebateTrajectory", agent_index: int
     ) -> list[AgentStep]:
-        """The (context row, tilt, answer) visits of one honest agent, in round order."""
-        if self.agents[agent_index].kind != HONEST:
+        """The (context row, tilt, answer) visits of one honest agent, in round
+        order; its tilts are row agent_index of the question's (T+1, H, K) tilts."""
+        if agent_index not in self.honest_indices:
             raise ValueError(f"agent {agent_index} is compromised and has no policy")
         k = len(self.answer_space)
         base = difficulty_bin(question.difficulty, self.config.difficulty_bins) * contexts_per_bin(k)

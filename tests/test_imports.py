@@ -6,9 +6,10 @@ module with ast and fails on any imported name the module never references.
 Names listed in a module's __all__ count as references (re-exports).
 
 A path that only the tests still call leaves its definitions behind. Every
-module-level function and class, and every public method, must be referenced
-by name somewhere in src/madlab (an attribute read counts), be listed in an
-__all__, or be a name the benchmark's traced run wraps (perfbench/layers.py).
+module-level function, class and assigned name (but __all__ and __version__),
+and every public method, must be referenced by name somewhere in src/madlab
+(an attribute read counts; an assignment does not), be listed in an __all__,
+or be a name the benchmark's traced run wraps (perfbench/layers.py).
 """
 
 import ast
@@ -38,7 +39,7 @@ def referenced_names(tree: ast.Module) -> set[str]:
     names = set()
     annotations = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
@@ -74,12 +75,16 @@ def test_allowed_imports_are_still_imported():
 
 def defined_names(module: str, tree: ast.Module) -> list[tuple[str, str]]:
     """(dotted name as perfbench/layers.py spells it, bare name) of each
-    module-level function or class and each public method."""
+    module-level function, class or assigned name and each public method."""
     stem = module[: -len(".py")]
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out.append((f"{stem}.{node.name}", node.name))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(f"{stem}.{t.id}", t.id) for t in targets
+                    if isinstance(t, ast.Name) and t.id not in ("__all__", "__version__")]
         if isinstance(node, ast.ClassDef):
             out += [(f"{stem}.{node.name}.{item.name}", item.name) for item in node.body
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))

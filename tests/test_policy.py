@@ -13,10 +13,7 @@ from madlab import policy as policy_module
 from madlab.debate import validate_trajectory
 from madlab.policy import (
     ACT_KEYS_PER_PASS,
-    COMPROMISED,
-    HONEST,
     LOGIT_CLAMP,
-    AgentSpec,
     DebateEnv,
     EnvConfig,
     PolicyTable,
@@ -188,13 +185,6 @@ def test_policy_copy_is_deep():
     assert table.logits[0, 0] == 1.0
 
 
-def test_agent_spec_validation():
-    with pytest.raises(ValueError):
-        AgentSpec("sneaky")
-    with pytest.raises(ValueError):
-        AgentSpec(HONEST, skill=1.5)
-
-
 def test_env_config_validation():
     with pytest.raises(ValueError, match="num_agents"):
         EnvConfig(num_agents=1)
@@ -208,6 +198,9 @@ def test_env_config_validation():
         EnvConfig(seed=-1)
     with pytest.raises(ValueError, match="compromised_count 4 exceeds num_agents"):
         EnvConfig(num_agents=3, compromised_count=4)
+    for skill in (1.5, -0.1):
+        with pytest.raises(ValueError, match=r"skills must be in \[0, 1\]"):
+            EnvConfig(skills=(0.5, skill))
     # every seat compromised stays legal: attack evaluation uses it
     assert DebateEnv(EnvConfig(num_agents=3, compromised_count=3)).honest_indices == []
 
@@ -254,8 +247,8 @@ def test_rollout_shape_validity_and_determinism():
 
 
 def per_stream_tilts(env, question):
-    """One question's (T+1, N, K) tilts, one rng_stream per signal, wobble and
-    flare scope: the reference DebateEnv.batch_tilts reproduces."""
+    """One question's (T+1, H, K) honest-seat tilts, one rng_stream per signal,
+    wobble and flare scope: the reference DebateEnv.batch_tilts reproduces."""
     cfg = env.config
     qid = question.question_id
     k = len(env.answer_space)
@@ -264,10 +257,11 @@ def per_stream_tilts(env, question):
     persist = policy_module.SIGNAL_PERSIST + (1.0 - policy_module.SIGNAL_PERSIST) * (1.0 - ramp)
     scale = policy_module.SIGNAL_WOBBLE + policy_module.SIGNAL_WOBBLE_SLOPE * question.difficulty
     truth = env.answer_space.index(question.ground_truth)
-    tilts = np.zeros((cfg.rounds + 1, len(env.agents), k))
+    tilts = np.zeros((cfg.rounds + 1, len(honest), k))
     for i in honest:
+        skill = cfg.skills[i % len(cfg.skills)]
         signal = rng_stream(cfg.seed, "signal", qid, i).normal(0.0, policy_module.SIGNAL_NOISE, k)
-        signal[truth] += policy_module.SIGNAL_GAIN * env.agents[i].skill * (1.0 - question.difficulty)
+        signal[truth] += policy_module.SIGNAL_GAIN * skill * (1.0 - question.difficulty)
         tilts[0, i] = signal
         for t in range(1, cfg.rounds + 1):
             wobble = rng_stream(cfg.seed, "wobble", qid, i, t).normal(0.0, 1.0, k)
@@ -278,9 +272,9 @@ def per_stream_tilts(env, question):
             wrong = [j for j in range(k) if j != truth]
             flare = wrong[int(rng.integers(len(wrong)))]
             push = cfg.rounds - 3
-            tilts[push, honest, flare] += policy_module.FLARE_SCALE
-            tilts[push + 1, honest, flare] -= policy_module.FLARE_SCALE
-    tilts[1:, honest, 0] += policy_module.LABEL_AVERSION * ramp
+            tilts[push, :, flare] += policy_module.FLARE_SCALE
+            tilts[push + 1, :, flare] -= policy_module.FLARE_SCALE
+    tilts[1:, :, 0] += policy_module.LABEL_AVERSION * ramp
     return tilts
 
 
@@ -293,9 +287,9 @@ def per_draw_rollout(env, question, policies, rollout_seed):
     for t in range(env.config.rounds + 1):
         prev = rows[t - 1] if t else None
         row = []
-        for i, spec in enumerate(env.agents):
-            if spec.kind == COMPROMISED:
-                row.append(env.adversary_answer(spec, question))
+        for i in range(env.config.num_agents):
+            if i not in env.honest_indices:
+                row.append(env.adversary_answer(question))
                 continue
             p = probs(policies[i], build_context(qf, prev, i, env.answer_space), tilts[t, i])
             u = rng_stream(rollout_seed, "act", question.question_id, t, i).random()
@@ -427,9 +421,8 @@ def test_tilts_are_drawn_once_per_question_and_read_only(monkeypatch, rounds):
     keys = [int.from_bytes(d, "little") for call in drawn for d in call]
     assert sorted(keys) == sorted(expected)
     tilts = env.batch_tilts([q])[0]
-    assert tilts.shape == (rounds + 1, 4, 4)
+    assert tilts.shape == (rounds + 1, 3, 4)  # the compromised seat has no row
     assert not tilts.flags.writeable
-    assert np.all(tilts[:, 3] == 0.0)  # the compromised seat draws nothing
     with pytest.raises(ValueError):
         tilts[0, 0, 0] = 1.0
 
@@ -548,9 +541,38 @@ def test_easy_questions_start_mostly_correct():
     assert correct / total > 0.85
 
 
+@pytest.mark.parametrize("n, m", [(2, 0), (4, 2), (5, 1), (3, 3), (7, 6)])
+def test_honest_seats_come_first(n, m):
+    env = small_env(num_agents=n, compromised_count=m, skills=(0.9, 0.4))
+    assert env.honest_indices == list(range(n - m))
+    policies = env.initial_policies()
+    assert [p is None for p in policies] == [False] * (n - m) + [True] * m
+    assert env.skills.tolist() == [(0.9, 0.4)[i % 2] for i in range(n - m)]
+
+
+ADVERSARY_RULES = {  # rule: the label the compromised seats answer on truths A, B, C, D
+    "min_wrong": "BAAA",
+    "max_wrong": "DDDC",
+    "fixed:C": "CCCC",
+    "fixed:A": "AAAA",
+}
+
+
+@pytest.mark.parametrize("rule", sorted(ADVERSARY_RULES))
+def test_compromised_answer_columns_follow_the_rule(rule):
+    env = small_env(num_agents=5, compromised_count=2, answer_space_size=4,
+                    adversarial_target_policy=rule)
+    questions = [SyntheticQuestion(f"q{j}", env.answer_space, truth, 0.3)
+                 for j, truth in enumerate("ABCD")]
+    trajectories, _, answers = env.rollout_batch(questions, env.initial_policies(), [1, 2, 3, 4])
+    expected = [env.answer_space.index(label) for label in ADVERSARY_RULES[rule]]
+    assert np.all(answers[:, :, 3:] == np.array(expected)[:, None, None])
+    assert [{row[3:] for row in t.rounds} for t in trajectories] == [
+        {(label, label)} for label in ADVERSARY_RULES[rule]]
+
+
 def test_compromised_agents_hammer_target_every_round():
     env = small_env(num_agents=4, compromised_count=2)
-    assert [a.kind for a in env.agents] == [HONEST, HONEST, COMPROMISED, COMPROMISED]
     q = env.generate_questions(1, "t")[0]
     traj = env.rollout_debate(q, env.initial_policies(), 7)
     wrong = next(lab for lab in q.answer_space if lab != q.ground_truth)

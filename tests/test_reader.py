@@ -10,12 +10,13 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 import reader_oracle as oracle
 import stats_oracle
 from madlab import debate, harness
-from madlab.debate import TrajectoryFile, read_trajectories
+from madlab.debate import _encode, read_trajectories, trajectory_from_record
 from test_golden import write_mixed_analysis_input
 from test_harness import analysed_columns, assert_same_columns, tiny_config
 
@@ -23,6 +24,11 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 
 GOOD = {"question_id": "q", "answer_space": ["A", "B"], "ground_truth": "A",
         "rounds": [["A", "B"], ["A", "A"]]}
+
+
+def decoded(path):
+    """The trajectories read_trajectories reads from path, in file order."""
+    return oracle.trajectories_of(read_trajectories(str(path)))
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +50,7 @@ def test_bench_records_match_the_reference(workloads, count, tmp_path, monkeypat
     expected = oracle.analysis_records([str(path)], tiny_config().metric)
     handed, _ = analysed_columns([path], tiny_config(), tmp_path / "reports", monkeypatch)
     assert_same_columns(handed, stats_oracle.record_columns(expected))
-    assert read_trajectories(str(path)) == oracle.read_trajectories(str(path))
+    assert decoded(path) == oracle.read_trajectories(str(path))
 
 
 def test_mixed_records_match_the_reference_in_file_order(tmp_path, monkeypatch):
@@ -55,7 +61,10 @@ def test_mixed_records_match_the_reference_in_file_order(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "ANALYSIS_CHUNK", 3)
     handed, _ = analysed_columns([first, second], tiny_config(), tmp_path / "reports", monkeypatch)
     assert_same_columns(handed, stats_oracle.record_columns(expected))
-    assert read_trajectories(str(first)) == oracle.read_trajectories(str(first))
+    read, trajectories = read_trajectories(str(first)), oracle.read_trajectories(str(first))
+    assert len(read.groups) > 1
+    assert len(read) == len(trajectories)  # the record count a traced run reports
+    assert oracle.trajectories_of(read) == trajectories
 
 
 def test_groups_are_keyed_by_the_coerced_answer_space(tmp_path):
@@ -74,19 +83,6 @@ def test_groups_are_keyed_by_the_coerced_answer_space(tmp_path):
     assert groups[1].truth.tolist() == [-1]
 
 
-def test_file_is_a_sequence_of_its_records_in_file_order(tmp_path):
-    path = tmp_path / "mixed.jsonl"
-    write_mixed_analysis_input(str(path))
-    expected = oracle.read_trajectories(str(path))
-    read = read_trajectories(str(path))
-    assert isinstance(read, TrajectoryFile) and len(read.groups) > 1
-    assert len(read) == len(expected)  # the record count a traced run reports
-    assert read[0] == expected[0] and read[-1] == expected[-1]
-    assert list(read) == expected and read[5:9] == expected[5:9]
-    assert expected == read == read_trajectories(str(path)) != expected[1:]
-    assert read != tuple(expected)
-
-
 def test_valid_records_are_encoded_without_the_validation_path(tmp_path, monkeypatch):
     # numeric labels, ids and ground truth are str()-coerced by the encoder
     # itself; trajectory_from_record only writes the error text of a bad record
@@ -94,7 +90,7 @@ def test_valid_records_are_encoded_without_the_validation_path(tmp_path, monkeyp
     write_mixed_analysis_input(str(path))
     expected = oracle.read_trajectories(str(path))
     monkeypatch.setattr(debate, "trajectory_from_record", None)
-    assert read_trajectories(str(path)) == expected
+    assert decoded(path) == expected
 
 
 MALFORMED = {
@@ -144,6 +140,50 @@ def test_malformed_record_fails_like_the_reference(tmp_path, record):
     assert str(got.value) == str(reference.value)
 
 
+def rejected(record):
+    """Whether trajectory_from_record rejects a record."""
+    try:
+        trajectory_from_record(record)
+    except ValueError:
+        return True
+    return False
+
+
+def random_record(rng):
+    """A record of mixed-type id, space, grid and truth, often a valid one."""
+    values = ["A", "B", "C", "1", 1, 2, True, 1.0, None, ["A"], {"A": 1}, "AB"]
+    spaces = [["A", "B"], ["A", "B", "C"], [1, 2], [1, True], ["A", "A"], [], "AB", None]
+    space = spaces[rng.integers(len(spaces))]
+    labels = space if isinstance(space, list) and space else ["A", "B"]
+
+    def label():
+        return values[rng.integers(len(values))] if rng.random() < 0.02 else labels[rng.integers(len(labels))]
+
+    n, steps = (int(rng.integers(2, 4)) - (rng.random() < 0.1) for _ in range(2))
+    record = {"question_id": ["q", 7, True, 1.5, None][rng.integers(5)] if rng.random() < 0.2 else "q",
+              "answer_space": space, "ground_truth": label() if rng.random() < 0.8 else None,
+              "rounds": [[label() for _ in range(n + (rng.random() < 0.1))] for _ in range(steps)]}
+    if rng.random() < 0.1:
+        del record[["question_id", "answer_space", "rounds"][rng.integers(3)]]
+    return record
+
+
+def test_encoder_and_validator_reject_the_same_records(tmp_path):
+    # read_trajectories asks trajectory_from_record only for the error text of
+    # a record _encode rejects, so the two must reject exactly the same records
+    path = tmp_path / "mixed.jsonl"
+    write_mixed_analysis_input(str(path))
+    with open(path, encoding="utf-8") as fp:
+        records = [json.loads(line) for line in fp if line.strip()]
+    records += [r for r in MALFORMED.values() if isinstance(r, dict)]
+    rng = np.random.default_rng(14)
+    records += [random_record(rng) for _ in range(3000)]
+    spaces: dict = {}
+    verdicts = [(_encode(r, spaces) is None, rejected(r)) for r in records]
+    assert [r for r, (enc, val) in zip(records, verdicts) if enc != val] == []
+    assert 500 < sum(enc for enc, _ in verdicts) < len(records) - 500
+
+
 def test_space_cache_keeps_true_and_one_apart(tmp_path):
     # [1, true] is the valid space ("1", "True"); [1, 1] has a duplicate label,
     # though the two lists compare equal as JSON values.
@@ -159,7 +199,7 @@ def test_space_cache_keeps_true_and_one_apart(tmp_path):
         read_trajectories(str(path))
     assert str(got.value) == str(reference.value)
     path.write_text(json.dumps(valid) + "\n" + json.dumps(valid) + "\n", encoding="utf-8")
-    assert read_trajectories(str(path)) == oracle.read_trajectories(str(path))
+    assert decoded(path) == oracle.read_trajectories(str(path))
 
 
 def test_invalid_json_fails_like_the_reference(tmp_path):

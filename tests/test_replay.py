@@ -17,6 +17,7 @@ from madlab.metrics import MetricConfig, answer_codes, profiles_from_codes
 from madlab.policy import DebateEnv, EnvConfig, derive_key
 from madlab.replay import ReplayBuffer, ReplayConfig, replay_score
 from madlab.rewards import CoefficientSet, total_reward
+from reader_oracle import trajectories_of
 
 MC = MetricConfig()
 CHI2_CRIT_DF4_ALPHA01 = 13.276704135987625
@@ -173,7 +174,7 @@ def test_dump_restore_roundtrip(tmp_path):
     buffer = fixed_buffer(1.0)
     path = str(tmp_path / "buffer.jsonl")
     buffer.dump(path)
-    assert read_trajectories(path) == [e.trajectory for e in buffer.entries]
+    assert trajectories_of(read_trajectories(path)) == [e.trajectory for e in buffer.entries]
     with open(path, "r", encoding="utf-8") as fp:
         records = [json.loads(line) for line in fp]
     assert [(r["replay_score"], r["policy_version"], r["inserted_iteration"]) for r in records] == [
