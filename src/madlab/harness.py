@@ -465,7 +465,7 @@ def run_sweep(
             env_config = dataclasses.replace(config.env, rounds=value)
         else:
             env_config = dataclasses.replace(config.env, compromised_count=value)
-            warnings += _majority_warning(value, config.env.num_agents)
+        warnings += _majority_warning(env_config.compromised_count, env_config.num_agents)
         env = DebateEnv(env_config)
         questions = env.generate_questions(config.eval_questions, "eval")
         result = evaluate_ensemble(

@@ -30,15 +30,16 @@ recover their answer.
 All randomness flows from counter-based Philox streams keyed by hashed scope
 tokens (seed, purpose, question, round, agent); nothing reads ambient entropy,
 so identical (config, seed) reruns are bit-identical. rng_stream opens one
-scope's generator. Many streams at once (questions, tilts) are drawn through a
-single Philox reseated at each key, which draws exactly what rng_stream would.
-An act takes only the first uniform of its stream, which philox_uniforms
-computes for many keys at once, on two vector lanes. Keys that share leading
-tokens are hashed from one copied blake2b state of that prefix.
+scope's generator. Many streams at once draw what it would from one vectorized
+Philox pass (_philox_blocks): an act's first uniform, a question's first two, a
+tilt row's first K normals on numpy's ziggurat fast path (_stream_normals). Keys
+off that path, and flares, draw from one Philox reseated at each key. Keys that
+share leading tokens are hashed from one copied blake2b state of that prefix.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import string
 from dataclasses import dataclass
@@ -156,25 +157,90 @@ def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, _PHILOX_M * x
 
 
-def philox_uniforms(digests: Sequence[bytes]) -> np.ndarray:
-    """First random() of rng_stream's generator for each 16-byte key digest.
+def _philox_blocks(digests: Sequence[bytes], blocks: int) -> np.ndarray:
+    """Philox(key).random_raw(4 * blocks) for each 16-byte key digest, as rows.
 
-    One vectorized Philox4x64-10 pass: numpy's Philox increments its counter
-    from 0 before the first block, so the draw is word 0 of the block at
-    counter (1, 0, 0, 0), mapped to [0, 1) as (x >> 11) * 2**-53. A round's
-    two products run as one (2, n) lane pair: x holds counter words 0 and 2,
-    y words 1 and 3, and each lane takes hi and lo from the other's product.
+    One Philox4x64-10 pass over every (key, block): numpy's Philox increments
+    its counter from 0 before each block, so block b runs at counter (b + 1,
+    0, 0, 0). A round's two products run as one (2, n) lane pair: x holds
+    counter (and output) words 0 and 2, y 1 and 3, each taking hi and lo from
+    the other's product.
     """
-    key = np.frombuffer(b"".join(digests), "<u8").reshape(-1, 2).T.copy()
+    key = np.frombuffer(b"".join(digests), "<u8").reshape(-1, 2).T.repeat(blocks, axis=1)
     x, y = np.zeros((2, *key.shape), dtype=np.uint64)
-    x[0] = 1
+    x[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(digests))
     with np.errstate(over="ignore"):
         for r in range(10):
             if r:
                 key += _PHILOX_W
             hi, lo = _mulhilo(x)
             x, y = hi[::-1] ^ y ^ key, lo[::-1]
-    return (x[0] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(len(digests), 4 * blocks)
+
+
+def _unit_doubles(words: np.ndarray) -> np.ndarray:
+    """numpy's random() of each raw word: (w >> 11) * 2**-53, in [0, 1)."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def philox_uniforms(digests: Sequence[bytes]) -> np.ndarray:
+    """First random() of rng_stream's generator for each 16-byte key digest."""
+    return _unit_doubles(_philox_blocks(digests, 1)[:, 0])
+
+
+ZIGGURAT_NOR_R = 3.6541528853610088  # numpy's ziggurat_nor_r: right edge of the base strip
+
+
+@functools.cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's standard_normal ziggurat tables (wi, ki), read back from numpy once.
+
+    Each probe injects one word through Philox's documented state (buffer,
+    buffer_pos = 0); rabs = 1 returns wi[idx]. ki[idx] is estimated from the
+    strip edges less a small margin, and kept only if rabs = ki - 1 still takes
+    the fast path (one word read, no new block). Otherwise it is 0 and that
+    index always falls back, so every entry is exact or conservative.
+    """
+    bits = np.random.Philox(0)  # a fixed seed reads no entropy; every probe sets the buffer
+    gen = np.random.Generator(bits)
+    state = bits.state
+
+    def probe(idx: int, rabs: int) -> tuple[float, bool]:
+        state.update(buffer=np.array([(rabs << 9) | idx, 0, 0, 0], dtype=np.uint64), buffer_pos=0)
+        bits.state = state
+        value, after = float(gen.standard_normal()), bits.state
+        return value, after["buffer_pos"] == 1 and not after["state"]["counter"].any()
+
+    wi, fast = zip(*(probe(idx, 1) for idx in range(256)))
+    edges = [ZIGGURAT_NOR_R / wi[0]] + [2.0**52 * wi[i - 1] / wi[i] for i in range(1, 256)]
+    ki = np.zeros(256, dtype=np.uint64)
+    for idx, edge in enumerate(edges):
+        guess = min(int(edge), 2**52) - 4
+        if fast[idx] and guess > 0 and probe(idx, guess - 1)[1]:
+            ki[idx] = guess
+    wi = np.array(wi)
+    wi.flags.writeable = ki.flags.writeable = False
+    return wi, ki
+
+
+def _stream_normals(digests: Sequence[bytes], k: int) -> np.ndarray:
+    """rng_stream's normal(0.0, 1.0, k) for each 16-byte key digest, as rows.
+
+    Each of a key's first k raw words runs numpy's ziggurat fast path: idx =
+    w & 0xFF, sign bit 8, rabs = the next 52 bits, x = +-rabs * wi[idx], kept
+    iff rabs < ki[idx], returned as 0.0 + 1.0 * x. A key with any word off it
+    (about 6% of keys at K = 4) is drawn in full through _reseated_streams.
+    """
+    wi, ki = _ziggurat_tables()
+    words = _philox_blocks(digests, -(-k // 4))[:, :k]
+    idx = (words & np.uint64(0xFF)).astype(np.intp)
+    rabs = (words >> np.uint64(9)) & np.uint64(2**52 - 1)
+    x = rabs.astype(np.float64) * wi[idx]
+    normals = 0.0 + 1.0 * np.where(words & np.uint64(0x100) != 0, -x, x)
+    slow = np.flatnonzero(~(rabs < ki[idx]).all(axis=1))
+    for j, rng in zip(slow, _reseated_streams([digests[j] for j in slow])):
+        normals[j] = rng.normal(0.0, 1.0, k)
+    return normals
 
 
 def answer_labels(size: int) -> tuple[str, ...]:
@@ -378,19 +444,22 @@ class DebateEnv:
         Ground truth lands on the first answer label with probability
         TRUTH_SKEW and uniformly on the rest, pairing with the prior's
         LABEL_AVERSION to give untrained ensembles a systematic blind spot.
+        One Philox pass draws each id's choice(K, p=weights) (word 0's uniform
+        searched in the weights' cdf) and uniform(lo, hi) (word 1's), exactly.
         """
         lo, hi = parse_difficulty_spec(self.config.difficulty)
         k = len(self.answer_space)
         weights = np.full(k, (1.0 - TRUTH_SKEW) / (k - 1))
         weights[0] = TRUTH_SKEW
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
         qids = [f"{label}-{idx:05d}" for idx in range(count)]
         digests = _prefixed_digests(f"{self.config.seed}|question|", [q.encode() for q in qids])
-        questions = []
-        for qid, rng in zip(qids, _reseated_streams(digests)):
-            truth = self.answer_space[int(rng.choice(k, p=weights))]
-            difficulty = lo if lo == hi else float(rng.uniform(lo, hi))
-            questions.append(SyntheticQuestion(qid, self.answer_space, truth, difficulty))
-        return questions
+        uniforms = _unit_doubles(_philox_blocks(digests, 1)[:, :2])
+        truths = cdf.searchsorted(uniforms[:, 0], side="right").tolist()
+        difficulties = [lo] * count if lo == hi else (lo + (hi - lo) * uniforms[:, 1]).tolist()
+        return [SyntheticQuestion(qid, self.answer_space, self.answer_space[truth], difficulty)
+                for qid, truth, difficulty in zip(qids, truths, difficulties)]
 
     def batch_tilts(self, questions: Sequence[SyntheticQuestion]) -> list[np.ndarray]:
         """Read-only (T+1, H, K) logit tilts of every honest seat at every round, per question.
@@ -408,10 +477,11 @@ class DebateEnv:
 
         Each tensor is computed once and cached by the question itself, so
         questions that share an id but not their truth or difficulty get
-        their own. Uncached questions draw their signal and wobble streams
-        through _reseated_streams, in passes over whole questions of at most
-        ACT_KEYS_PER_PASS keys (or one question); a question's tilts do not
-        depend on the rest of the batch.
+        their own. Uncached questions draw their signal and wobble normals
+        through _stream_normals (ziggurat fast path, scalar fallback) and
+        their flare through _reseated_streams, in passes over whole questions
+        of at most ACT_KEYS_PER_PASS keys (or one question); a question's
+        tilts do not depend on the rest of the batch.
         """
         cached = [self._tilts.get(q) for q in questions]
         fresh = list(dict.fromkeys(q for q, t in zip(questions, cached) if t is None))
@@ -427,8 +497,7 @@ class DebateEnv:
             c = len(part)
             digests = [d for q in part for purpose, tail in suffixes.items()
                        for d in _prefixed_digests(f"{cfg.seed}|{purpose}|{q.question_id}|", tail)]
-            normals = np.array([rng.normal(0.0, 1.0, k) for rng in _reseated_streams(digests)])
-            normals = normals.reshape(c, steps * h, k)
+            normals = _stream_normals(digests, k).reshape(c, steps * h, k)
             signal = SIGNAL_NOISE * normals[:, :h]
             wobble = normals[:, h:].reshape(c, cfg.rounds, h, k)
             difficulty = np.array([q.difficulty for q in part])

@@ -9,6 +9,8 @@ madlab.optim on one (question, trajectory, agent) at a time. The tests check
 rollout_batch's recorded contexts against build_context, gradient_step against
 central differences of objective_value, and the clip fixtures against
 likelihood_ratio. kl_anchor shares the log-softmax of gradient_step.
+per_stream_questions draws each question from its own rng_stream, the way
+DebateEnv.generate_questions must reproduce from one vectorized Philox pass.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ import numpy as np
 
 from madlab.debate import DebateTrajectory
 from madlab.optim import ClipConfig, RolloutBatch, _log_probs
-from madlab.policy import DebateEnv, PolicyTable, SyntheticQuestion, contexts_per_bin
+from madlab.policy import (
+    TRUTH_SKEW,
+    DebateEnv,
+    PolicyTable,
+    SyntheticQuestion,
+    contexts_per_bin,
+    parse_difficulty_spec,
+    rng_stream,
+)
 from madlab.rewards import CoefficientSet
 
 
@@ -143,3 +153,20 @@ def objective_value(
             kl += w * kl_anchor(env, cur, ref, i, q, traj)
         out[i] = surr / m_total - coeffs.eta_anchor[i] * kl / m_total
     return out
+
+
+def per_stream_questions(env: DebateEnv, count: int, label: str) -> list[SyntheticQuestion]:
+    """generate_questions one rng_stream per question: a choice(K, p=weights)
+    for the truth, then a uniform(lo, hi) for the difficulty unless lo == hi."""
+    lo, hi = parse_difficulty_spec(env.config.difficulty)
+    k = len(env.answer_space)
+    weights = np.full(k, (1.0 - TRUTH_SKEW) / (k - 1))
+    weights[0] = TRUTH_SKEW
+    questions = []
+    for idx in range(count):
+        qid = f"{label}-{idx:05d}"
+        rng = rng_stream(env.config.seed, "question", qid)
+        truth = env.answer_space[int(rng.choice(k, p=weights))]
+        difficulty = lo if lo == hi else float(rng.uniform(lo, hi))
+        questions.append(SyntheticQuestion(qid, env.answer_space, truth, difficulty))
+    return questions

@@ -378,6 +378,13 @@ def test_sweep_compromised_axis_warns_without_majority(tmp_path):
     assert result.warnings == ["m=2 of 3 agents: no honest majority possible"]
 
 
+def test_sweep_agents_axis_warns_without_majority(tmp_path):
+    config = tiny_config(num_agents=5, compromised_count=2, skills=(0.9, 0.7, 0.5))
+    result = run_sweep(config, str(tmp_path), "agents", [4, 5])
+    assert [r.label for r in result.rows] == ["agents=4", "agents=5"]
+    assert result.warnings == ["m=2 of 4 agents: no honest majority possible"]
+
+
 def test_sweep_rejects_unknown_axis_and_empty_values(tmp_path):
     with pytest.raises(ValueError, match="axis"):
         run_sweep(tiny_config(), str(tmp_path), "temperature", [1])

@@ -52,7 +52,7 @@ from reference_impl import (
     objective_value,
     trajectory_log_prob,
 )
-from test_policy import record_reseated_streams
+from test_policy import record_tilt_streams
 
 MC = MetricConfig()
 
@@ -427,7 +427,7 @@ def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
     def no_steps(*args, **kwargs):
         raise AssertionError("agent_steps rebuilt a batch's visits")
 
-    drawn = record_reseated_streams(monkeypatch)
+    drawn = record_tilt_streams(monkeypatch)
     monkeypatch.setattr(policy_module, "rng_stream", counting_stream)
     monkeypatch.setattr(optim, "rng_stream", counting_stream)
     monkeypatch.setattr(DebateEnv, "agent_steps", no_steps)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from madlab.policy import (
     rng_stream,
     save_policy,
 )
-from reference_impl import build_context, probs, trajectory_log_prob
+from reference_impl import build_context, per_stream_questions, probs, trajectory_log_prob
 from test_golden import k3_below_ramp_config, k12_config
 
 
@@ -406,7 +408,7 @@ def test_signal_tilt_favors_truth_and_scales_with_difficulty():
 def test_tilts_are_drawn_once_per_question_and_read_only(monkeypatch, rounds):
     env = DebateEnv(EnvConfig(num_agents=4, rounds=rounds, compromised_count=1, seed=2))
     q = env.generate_questions(1, "t")[0]
-    drawn = record_reseated_streams(monkeypatch)
+    drawn = record_tilt_streams(monkeypatch)
     monkeypatch.setattr(policy_module, "rng_stream", None)  # no tilt opens a stream of its own
     pols = env.initial_policies()
     for seed in range(4):
@@ -427,17 +429,31 @@ def test_tilts_are_drawn_once_per_question_and_read_only(monkeypatch, rounds):
         tilts[0, 0, 0] = 1.0
 
 
-def record_reseated_streams(monkeypatch):
-    """Route policy._reseated_streams through a recorder; returns the list
-    that receives each call's key digests."""
+def record_tilt_streams(monkeypatch):
+    """Route policy._stream_normals and policy._reseated_streams through a
+    recorder; returns the list that receives each call's key digests. The
+    reseated fallback inside a _stream_normals call belongs to that call and
+    is not recorded again."""
     calls = []
-    real = policy_module._reseated_streams
+    inside = []
+    real_normals, real_streams = policy_module._stream_normals, policy_module._reseated_streams
 
-    def recording(digests):
+    def normals(digests, k):
         calls.append(list(digests))
-        return real(calls[-1])
+        inside.append(True)
+        try:
+            return real_normals(calls[-1], k)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(policy_module, "_reseated_streams", recording)
+    def streams(digests):
+        if inside:
+            return real_streams(digests)
+        calls.append(list(digests))
+        return real_streams(calls[-1])
+
+    monkeypatch.setattr(policy_module, "_stream_normals", normals)
+    monkeypatch.setattr(policy_module, "_reseated_streams", streams)
     return calls
 
 
@@ -476,6 +492,80 @@ def test_reseated_streams_match_rng_stream_on_scope_tokens():
         assert (gen.random(), gen.integers(3)) == (stream.random(), stream.integers(3))
 
 
+def random_keys(seed, count):
+    rng = np.random.default_rng(seed)
+    return [int.from_bytes(rng.bytes(16), "little") for _ in range(count)] + [0, 2**128 - 1]
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_philox_blocks_match_random_raw(blocks):
+    keys = random_keys(blocks, 300)
+    got = policy_module._philox_blocks([key.to_bytes(16, "little") for key in keys], blocks)
+    expected = [np.random.Philox(key=key).random_raw(4 * blocks) for key in keys]
+    assert got.dtype == np.uint64 and got.shape == (len(keys), 4 * blocks)
+    assert np.array_equal(got, np.array(expected))
+    assert policy_module._philox_blocks([], blocks).shape == (0, 4 * blocks)
+
+
+def test_stream_normals_match_fresh_philox_normals(monkeypatch):
+    fallback = []
+    real = policy_module._reseated_streams
+
+    def recording(digests):
+        fallback.extend(digests)
+        return real(digests)
+
+    monkeypatch.setattr(policy_module, "_reseated_streams", recording)
+    for k in range(2, 27):
+        keys = random_keys(100 + k, 400)
+        digests = [key.to_bytes(16, "little") for key in keys]
+        fallback.clear()
+        got = policy_module._stream_normals(digests, k)
+        for key, row in zip(keys, got):
+            fresh = np.random.Generator(np.random.Philox(key=key)).normal(0.0, 1.0, k)
+            assert row.tobytes() == fresh.tobytes(), (k, key)
+        # some keys left the fast path and were drawn by the scalar fallback, not all
+        assert 0 < len(fallback) < len(keys) // 2, k
+    assert policy_module._stream_normals([], 4).shape == (0, 4)
+
+
+def test_ziggurat_tables_are_exact_or_conservative():
+    wi, ki = policy_module._ziggurat_tables()
+    assert policy_module._ziggurat_tables()[1] is ki  # derived once
+    assert not wi.flags.writeable and not ki.flags.writeable
+    # numpy's ki[1] is 0, so index 1 always falls back; every other entry is kept
+    assert ki[1] == 0 and np.count_nonzero(ki) == 255
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    state = bits.state
+    for idx in np.flatnonzero(ki):
+        for rabs in (1, int(ki[idx]) - 1):
+            for sign in (0, 1):
+                state["buffer"] = np.array([(rabs << 9) | (sign << 8) | int(idx), 0, 0, 0],
+                                           dtype=np.uint64)
+                state["buffer_pos"] = 0
+                bits.state = state
+                value = gen.standard_normal()
+                # the fast path consumed one word and returned +-rabs * wi[idx]
+                assert bits.state["buffer_pos"] == 1, (idx, rabs)
+                assert value == (-1.0) ** sign * (rabs * wi[idx]), (idx, rabs)
+
+
+def test_ziggurat_tables_are_derived_lazily():
+    code = ("import madlab.cli, madlab.policy as p; "
+            "print(p._ziggurat_tables.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("k", [2, 4, 7, 26])
+def test_generate_questions_match_per_stream_questions(k):
+    for spec in ("uniform", "uniform:0.0,0.8", "uniform:0.3,0.35", "fixed:0.6"):
+        env = small_env(answer_space_size=k, difficulty=spec, seed=9 + k)
+        assert env.generate_questions(500, "t") == per_stream_questions(env, 500, "t")
+    assert env.generate_questions(0, "t") == []
+
+
 TILT_CONFIGS = {
     "default": {},
     "eval-wide": ENGINE_CONFIGS["eval-wide"],
@@ -500,7 +590,7 @@ def test_batch_tilts_do_not_depend_on_the_batch(monkeypatch):
     questions = DebateEnv(config).generate_questions(120, "t")
     alone = [DebateEnv(config).batch_tilts([q])[0] for q in questions]
     monkeypatch.setattr(policy_module, "ACT_KEYS_PER_PASS", 100)
-    drawn = record_reseated_streams(monkeypatch)
+    drawn = record_tilt_streams(monkeypatch)
     env = DebateEnv(config)
     mixed = questions[60:] + questions[:60] + questions[:5]
     got = env.batch_tilts(mixed)
