@@ -27,23 +27,27 @@ label turns collectively tempting for one round and then collapses, so
 undefended ensembles hop onto it in lockstep and need the closing rounds to
 recover their answer.
 
-All randomness flows from counter-based Philox streams keyed by hashed scope
-tokens (seed, purpose, question, round, agent); nothing reads ambient entropy,
-so identical (config, seed) reruns are bit-identical. rng_stream opens one
-scope's generator. Many streams at once draw what it would from one vectorized
-Philox pass (_philox_blocks): an act's first uniform, a question's first two, a
-tilt row's first K normals on numpy's ziggurat fast path (_stream_normals). Keys
-off that path, and flares, draw from one Philox reseated at each key. Keys that
-share leading tokens are hashed from one copied blake2b state of that prefix.
+All randomness flows from counter-based Philox4x64 streams keyed by hashed
+scope tokens; nothing reads ambient entropy, so identical (config, seed) reruns
+are bit-identical. Each scope hashes one key and reads its draws at fixed
+counter positions: word j of a key is word j % 4 of its Philox block j // 4,
+and one vectorized pass (_philox_blocks) draws the blocks of many keys. A
+question's key (seed, "question", id) gives its truth (word 0) and difficulty
+(word 1). Its tilt key (seed, "tilt", id) lays the tilt normals out as [round,
+seat (stride N), label], pairing words for Box-Muller, and the two words after
+them decide the flare. A debate's act key (rollout seed, "act", id) gives seat
+i its round-t uniform at word t * N + i. The stride of N seats keeps an honest
+seat's draws independent of compromised_count, and the round-major layout keeps
+earlier rounds independent of the number of rounds. rng_stream opens one
+scope's numpy Generator for draws off these paths.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import string
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -88,26 +92,12 @@ SIGNAL_WOBBLE_SLOPE = 1.2
 # so it only fires when rounds >= 4.
 FLARE_SCALE = 7.0
 
-ACT_KEYS_PER_PASS = 4096  # act or tilt streams per Philox pass; bounds a batch's memory
+PHILOX_BLOCKS_PER_PASS = 4096  # bounds a Philox pass's memory
 
 
 def _key_digest(*tokens: object) -> bytes:
     text = "|".join(str(t) for t in tokens)
     return hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
-
-
-def _prefixed_digests(prefix: str, suffixes: Sequence[bytes]) -> list[bytes]:
-    """The _key_digest of the token text prefix + suffix for each encoded suffix.
-
-    prefix holds the leading tokens and their trailing "|" (say
-    "seed|act|question_id|" before "t|i"), formatted and hashed once per
-    scope; each key copies that blake2b state and feeds it only its suffix.
-    """
-    head = hashlib.blake2b(prefix.encode(), digest_size=16)
-    states = [head.copy() for _ in suffixes]
-    for h, suffix in zip(states, suffixes):
-        h.update(suffix)
-    return [h.digest() for h in states]
 
 
 def derive_key(*tokens: object) -> int:
@@ -118,27 +108,6 @@ def derive_key(*tokens: object) -> int:
 def rng_stream(*tokens: object) -> np.random.Generator:
     """Independent counter-based generator for one scope."""
     return np.random.Generator(np.random.Philox(key=derive_key(*tokens)))
-
-
-def _reseated_streams(digests: Iterable[bytes]) -> Iterator[np.random.Generator]:
-    """rng_stream's generator for each 16-byte key digest, in order.
-
-    One local Philox is reseated per key: the key words come from the digest,
-    and the counter is reset to 0 and the buffer to empty, which is where
-    Philox(key=...) starts, so every draw matches rng_stream. That skips the
-    unused entropy read a fresh Philox makes. Each yielded generator is valid
-    until the next one is taken.
-    """
-    bits = np.random.Philox(0)  # a fixed seed reads no entropy; every key is reseated
-    gen = np.random.Generator(bits)
-    zeros = np.zeros(4, dtype=np.uint64)
-    for digest in digests:
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": np.frombuffer(digest, "<u8")},
-            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-        yield gen
 
 
 _MASK32 = np.uint64(0xFFFFFFFF)
@@ -183,64 +152,26 @@ def _unit_doubles(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def philox_uniforms(digests: Sequence[bytes]) -> np.ndarray:
-    """First random() of rng_stream's generator for each 16-byte key digest."""
-    return _unit_doubles(_philox_blocks(digests, 1)[:, 0])
+def _box_muller(words: np.ndarray) -> np.ndarray:
+    """Standard normals from raw words, one Box-Muller pair per two words.
 
-
-ZIGGURAT_NOR_R = 3.6541528853610088  # numpy's ziggurat_nor_r: right edge of the base strip
-
-
-@functools.cache
-def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
-    """numpy's standard_normal ziggurat tables (wi, ki), read back from numpy once.
-
-    Each probe injects one word through Philox's documented state (buffer,
-    buffer_pos = 0); rabs = 1 returns wi[idx]. ki[idx] is estimated from the
-    strip edges less a small margin, and kept only if rabs = ki - 1 still takes
-    the fast path (one word read, no new block). Otherwise it is 0 and that
-    index always falls back, so every entry is exact or conservative.
+    Normal j reads uniforms u1, u2 from words 2 * (j // 2) and 2 * (j // 2) + 1:
+    r * cos(2 pi u2) for even j and r * sin(2 pi u2) for odd j, with r =
+    sqrt(-2 log(1 - u1)), finite on all of u1's range [0, 1).
     """
-    bits = np.random.Philox(0)  # a fixed seed reads no entropy; every probe sets the buffer
-    gen = np.random.Generator(bits)
-    state = bits.state
-
-    def probe(idx: int, rabs: int) -> tuple[float, bool]:
-        state.update(buffer=np.array([(rabs << 9) | idx, 0, 0, 0], dtype=np.uint64), buffer_pos=0)
-        bits.state = state
-        value, after = float(gen.standard_normal()), bits.state
-        return value, after["buffer_pos"] == 1 and not after["state"]["counter"].any()
-
-    wi, fast = zip(*(probe(idx, 1) for idx in range(256)))
-    edges = [ZIGGURAT_NOR_R / wi[0]] + [2.0**52 * wi[i - 1] / wi[i] for i in range(1, 256)]
-    ki = np.zeros(256, dtype=np.uint64)
-    for idx, edge in enumerate(edges):
-        guess = min(int(edge), 2**52) - 4
-        if fast[idx] and guess > 0 and probe(idx, guess - 1)[1]:
-            ki[idx] = guess
-    wi = np.array(wi)
-    wi.flags.writeable = ki.flags.writeable = False
-    return wi, ki
-
-
-def _stream_normals(digests: Sequence[bytes], k: int) -> np.ndarray:
-    """rng_stream's normal(0.0, 1.0, k) for each 16-byte key digest, as rows.
-
-    Each of a key's first k raw words runs numpy's ziggurat fast path: idx =
-    w & 0xFF, sign bit 8, rabs = the next 52 bits, x = +-rabs * wi[idx], kept
-    iff rabs < ki[idx], returned as 0.0 + 1.0 * x. A key with any word off it
-    (about 6% of keys at K = 4) is drawn in full through _reseated_streams.
-    """
-    wi, ki = _ziggurat_tables()
-    words = _philox_blocks(digests, -(-k // 4))[:, :k]
-    idx = (words & np.uint64(0xFF)).astype(np.intp)
-    rabs = (words >> np.uint64(9)) & np.uint64(2**52 - 1)
-    x = rabs.astype(np.float64) * wi[idx]
-    normals = 0.0 + 1.0 * np.where(words & np.uint64(0x100) != 0, -x, x)
-    slow = np.flatnonzero(~(rabs < ki[idx]).all(axis=1))
-    for j, rng in zip(slow, _reseated_streams([digests[j] for j in slow])):
-        normals[j] = rng.normal(0.0, 1.0, k)
+    u = _unit_doubles(words)
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
+    theta = 2.0 * np.pi * u[..., 1::2]
+    normals = np.empty_like(u)
+    normals[..., 0::2] = r * np.cos(theta)
+    normals[..., 1::2] = r * np.sin(theta)
     return normals
+
+
+def _keys_per_pass(words: int) -> int:
+    """Keys whose first `words` words fit one Philox pass of at most
+    PHILOX_BLOCKS_PER_PASS blocks, or one key."""
+    return max(1, PHILOX_BLOCKS_PER_PASS // -(-words // 4))
 
 
 def answer_labels(size: int) -> tuple[str, ...]:
@@ -414,12 +345,6 @@ class DebateEnv:
         self.skills = np.array([config.skills[i % len(config.skills)] for i in range(h)])
         self._tilts: dict[SyntheticQuestion, np.ndarray] = {}
 
-    def _questions_per_pass(self) -> int:
-        """Questions whose act (or tilt) streams fit one Philox pass: at most
-        ACT_KEYS_PER_PASS keys, or one question."""
-        keys = (self.config.rounds + 1) * max(1, len(self.honest_indices))
-        return max(1, ACT_KEYS_PER_PASS // keys)
-
     def initial_policies(self) -> list[PolicyTable | None]:
         """Fresh untrained policies of the honest seats, then None for each compromised one.
 
@@ -454,7 +379,7 @@ class DebateEnv:
         cdf = weights.cumsum()
         cdf /= cdf[-1]
         qids = [f"{label}-{idx:05d}" for idx in range(count)]
-        digests = _prefixed_digests(f"{self.config.seed}|question|", [q.encode() for q in qids])
+        digests = [_key_digest(self.config.seed, "question", qid) for qid in qids]
         uniforms = _unit_doubles(_philox_blocks(digests, 1)[:, :2])
         truths = cdf.searchsorted(uniforms[:, 0], side="right").tolist()
         difficulties = [lo] * count if lo == hi else (lo + (hi - lo) * uniforms[:, 1]).tolist()
@@ -477,47 +402,47 @@ class DebateEnv:
 
         Each tensor is computed once and cached by the question itself, so
         questions that share an id but not their truth or difficulty get
-        their own. Uncached questions draw their signal and wobble normals
-        through _stream_normals (ziggurat fast path, scalar fallback) and
-        their flare through _reseated_streams, in passes over whole questions
-        of at most ACT_KEYS_PER_PASS keys (or one question); a question's
-        tilts do not depend on the rest of the batch.
+        their own. An uncached question reads everything from its one tilt
+        key (seed, "tilt", id): the (T+1, N, K) normals, round 0 the signal
+        and later rounds the wobble, of which the honest rows are kept, then
+        the flare's fire and pick uniforms. Passes run over whole questions,
+        PHILOX_BLOCKS_PER_PASS blocks at most (or one question), so a
+        question's tilts do not depend on the rest of the batch.
         """
         cached = [self._tilts.get(q) for q in questions]
         fresh = list(dict.fromkeys(q for q, t in zip(questions, cached) if t is None))
         if not fresh:
             return cached
         cfg = self.config
-        k, steps, honest = len(self.answer_space), cfg.rounds + 1, self.honest_indices
-        h, chunk = len(honest), self._questions_per_pass()
-        suffixes = {"signal": [f"{i}".encode() for i in honest],
-                    "wobble": [f"{i}|{t}".encode() for t in range(1, steps) for i in honest]}
+        n, k, steps = cfg.num_agents, len(self.answer_space), cfg.rounds + 1
+        h, normals = len(self.honest_indices), steps * n * k
+        paired = normals + normals % 2  # Box-Muller takes words in pairs
+        words = paired + 2
+        chunk = _keys_per_pass(words)
         for start in range(0, len(fresh), chunk):
             part = fresh[start:start + chunk]
             c = len(part)
-            digests = [d for q in part for purpose, tail in suffixes.items()
-                       for d in _prefixed_digests(f"{cfg.seed}|{purpose}|{q.question_id}|", tail)]
-            normals = _stream_normals(digests, k).reshape(c, steps * h, k)
-            signal = SIGNAL_NOISE * normals[:, :h]
-            wobble = normals[:, h:].reshape(c, cfg.rounds, h, k)
+            raw = _philox_blocks([_key_digest(cfg.seed, "tilt", q.question_id) for q in part],
+                                 -(-words // 4))
+            noise = _box_muller(raw[:, :paired])[:, :normals].reshape(c, steps, n, k)[:, :, :h]
             difficulty = np.array([q.difficulty for q in part])
-            truth = [self.answer_space.index(q.ground_truth) for q in part]
+            truth = np.array([self.answer_space.index(q.ground_truth) for q in part])
             ramp = np.minimum(1.0, difficulty / AVERSION_RAMP)[:, None, None]
             persist = SIGNAL_PERSIST + (1.0 - SIGNAL_PERSIST) * (1.0 - ramp)
             scale = SIGNAL_WOBBLE + SIGNAL_WOBBLE_SLOPE * difficulty[:, None, None]
+            signal = SIGNAL_NOISE * noise[:, 0]
             signal[np.arange(c), :, truth] += SIGNAL_GAIN * self.skills * (1.0 - difficulty[:, None])
             tilts = np.empty((c, steps, h, k))
             tilts[:, 0] = signal
-            tilts[:, 1:] = persist[..., None] * signal[:, None] + scale[..., None] * wobble
+            tilts[:, 1:] = persist[..., None] * signal[:, None] + scale[..., None] * noise[:, 1:]
             if cfg.rounds >= 4:
                 push = cfg.rounds - 3
-                flares = _prefixed_digests(f"{cfg.seed}|flare|", [q.question_id.encode() for q in part])
-                for u, (q, rng) in enumerate(zip(part, _reseated_streams(flares))):
-                    if rng.random() < q.difficulty:
-                        wrong = [j for j in range(k) if j != truth[u]]
-                        flare = wrong[int(rng.integers(len(wrong)))]
-                        tilts[u, push, :, flare] += FLARE_SCALE
-                        tilts[u, push + 1, :, flare] -= FLARE_SCALE
+                fire, pick = _unit_doubles(raw[:, paired:words]).T
+                fired = np.flatnonzero(fire < difficulty)
+                wrong = (pick[fired] * (k - 1)).astype(np.intp)
+                flare = wrong + (wrong >= truth[fired])  # the wrong labels in order, truth skipped
+                tilts[fired, push, :, flare] += FLARE_SCALE
+                tilts[fired, push + 1, :, flare] -= FLARE_SCALE
             tilts[:, 1:, :, 0] += LABEL_AVERSION * ramp
             tilts.flags.writeable = False
             self._tilts.update(zip(part, tilts))
@@ -538,7 +463,7 @@ class DebateEnv:
         policies: Sequence[PolicyTable | None],
         rollout_seed: int,
     ) -> DebateTrajectory:
-        """Run one full debate; every draw is keyed (seed, question, round, agent)."""
+        """Run one full debate; its acts read the key (rollout_seed, "act", question id)."""
         return self.rollout_batch([question], policies, [rollout_seed])[0][0]
 
     def rollout_batch(
@@ -549,12 +474,15 @@ class DebateEnv:
     ) -> tuple[list[DebateTrajectory], np.ndarray, np.ndarray]:
         """Run one debate per question, advancing the whole batch a round at a time.
 
-        Debate b's acts come from the streams (rollout_seeds[b], "act", question
-        id, round, agent), so a trajectory does not depend on the rest of the
-        batch. The H honest seats draw from their tables and tilts, and the
-        last m answer columns hold each question's adversary_answer. Returns
-        the trajectories and the (B, T+1, N) context rows and answer codes of
-        every visit (compromised seats included).
+        Debate b's acts read one key, (rollout_seeds[b], "act", question id):
+        seat i's uniform at round t is word t * N + i, searched in the cumsum
+        of the softmax of its table row plus tilt. Passes run over whole
+        debates, PHILOX_BLOCKS_PER_PASS blocks at most (or one debate), so a
+        trajectory does not depend on the rest of the batch. The H honest
+        seats draw from their tables and tilts, and the last m answer columns
+        hold each question's adversary_answer. Returns the trajectories and
+        the (B, T+1, N) context rows and answer codes of every visit
+        (compromised seats included).
         """
         n = self.config.num_agents
         if len(policies) != n:
@@ -576,13 +504,14 @@ class DebateEnv:
         bins = [[difficulty_bin(q.difficulty, self.config.difficulty_bins)] for q in questions]
         base = contexts_per_bin(k) * np.array(bins)
         tilts = self.batch_tilts(questions)
-        chunk = self._questions_per_pass()
-        suffixes = [f"{t}|{i}".encode() for t in range(steps) for i in honest]
+        words = steps * n
+        chunk = _keys_per_pass(words)
+        digests = [_key_digest(seed, "act", q.question_id)
+                   for q, seed in zip(questions, rollout_seeds)]
         uniforms = np.concatenate([
-            philox_uniforms([d for q, seed in zip(questions[j:j + chunk], rollout_seeds[j:j + chunk])
-                             for d in _prefixed_digests(f"{seed}|act|{q.question_id}|", suffixes)])
+            _unit_doubles(_philox_blocks(digests[j:j + chunk], -(-words // 4))[:, :words])
             for j in range(0, b, chunk)
-        ]).reshape(b, steps, h, 1)
+        ]).reshape(b, steps, n, 1)[:, :, :h]
         logits = np.stack([policies[i].logits for i in honest]) if honest else None
         contexts[:, 0] = base
         for t in range(steps):

@@ -11,6 +11,10 @@ central differences of objective_value, and the clip fixtures against
 likelihood_ratio. kl_anchor shares the log-softmax of gradient_step.
 per_stream_questions draws each question from its own rng_stream, the way
 DebateEnv.generate_questions must reproduce from one vectorized Philox pass.
+Acts and tilts have no Generator draws to match: each debate and each
+question reads raw words of its one Philox key at fixed positions, and
+test_policy's per_draw_rollout and per_stream_tilts index numpy's own
+Philox.random_raw at those positions one word at a time.
 """
 
 from __future__ import annotations

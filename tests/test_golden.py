@@ -2,15 +2,19 @@
 
 A refactor proves it keeps behaviour by leaving these literals unchanged. A
 deliberate change of random streams or semantics updates them in the same
-change and says why. The wide variant (5 agents, 5 rounds, one compromised
-seat) covers the distractor flare, the adversary and the 5-voter
-leave-one-out paths that the 3-agent tiny config never reaches. The clip/KL
-variant refreshes the reference every third iteration, so the likelihood
-ratio moves off 1 and the clip test and the KL gradient act on the digests.
-The K = 12 baseline (9 rounds, 3 bins, two max_wrong seats, difficulty over
-all of [0, 1]) draws longer normal vectors, fires flares and sits on both
-sides of AVERSION_RAMP; the K = 3 baseline at fixed difficulty 0.01 sits
-below the ramp, where the aversion fades and the signal persists. The mixed
+change and says why; the last such change gave every debate's acts and every
+question's tilts one Philox key each. The digests hold for the numpy build
+they were pinned with: the tilt normals (Box-Muller's log1p, sqrt, cos and
+sin), like the softmax's np.exp, run numpy ufuncs, whose last bits may differ
+between builds. The wide variant (5 agents, 5 rounds, one compromised seat)
+covers the distractor flare, the adversary and the 5-voter leave-one-out
+paths that the 3-agent tiny config never reaches. The clip/KL variant
+refreshes the reference every third iteration, so the likelihood ratio moves
+off 1 and the clip test and the KL gradient act on the digests. The K = 12
+baseline (9 rounds, 3 bins, two max_wrong seats, difficulty over all of [0,
+1]) draws longer normal vectors, fires flares and sits on both sides of
+AVERSION_RAMP; the K = 3 baseline at fixed difficulty 0.01 sits below the
+ramp, where the aversion fades and the signal persists. The mixed
 analysis input interleaves answer spaces, grid shapes, unsupervised records,
 numeric labels and blank lines in one file.
 """
@@ -32,64 +36,64 @@ from reference_impl import likelihood_ratio
 from test_harness import tiny_config
 
 BASELINE = {
-    "profiles.csv": "ae97a676fd88a0d30d4f5387308748612c2703e521a65c07db749856b8ff8eae",
-    "rewards.csv": "9061ad8e2ba74810bcc8b3b438f3a585dd07ccc4fd7d34b0ece1f8b09ed94ca6",
-    "summary.csv": "4a062ac6df3e4580c3a734da7b174af17d87223febbe6d73b016d437c52d751c",
-    "trajectories.jsonl": "b727a9712be18330fd0f605d2ab03d82dabae8e83d20e4717e1063a6c14b553c",
+    "profiles.csv": "6d5ad215a38f79d211ed6687ab910297eb881aad1547a8f8359efc05e3a6a603",
+    "rewards.csv": "9c6858cecc164c9c690d679f68f0034601dd2e662e8a9e08465294ea1bc2859a",
+    "summary.csv": "b6cff3b90cfd573a73567e3432bdff65bd82b85b9f0a4948edcfb0c5433d00d0",
+    "trajectories.jsonl": "ed3429f94b64a88d6fef472ad16d409be65bbbe08e6bb9c89e61aeac276cfafa",
 }
 
 UDPO = {
-    "coefficients.csv": "21ae7dfea05907204ee44076d3d6506bf9ebb8439c0df260af7a857543c9cf4e",
-    "policy_agent_0.txt": "5e1237b408a66c4306e918e48940a0b82f044748f34fa0ec83da30302588e556",
-    "policy_agent_1.txt": "720129304620ee9866aa3899c377b3c48383aa6bb8ab442b0e141b08cdc7a35d",
-    "policy_agent_2.txt": "0bbf97c258070a75a6dd5973b88d83a2921a99b73a8f31f92ef8ee33005a31b4",
-    "profiles.csv": "0cdd97139650d1ce495a029cc46dea09fb09703b3567a0c6edf0d7a320f69f9d",
-    "replay_buffer.jsonl": "8e7fddc7eae9dbabf5449ac0643b44b8cf5f906c20ba1d677ba447ce4cda4d54",
-    "rewards.csv": "76016e9b3d782f309e110ebb60e472aa19992196c6856ce85a0426c7088d422a",
-    "summary.csv": "0f99bdfb43c0cd55ad1bc0bd32951aba124d8eb981dd38592a94d44646e04b2c",
-    "training_metrics.csv": "b2f9ddc47ac8d1f75946eedb473e799c16ee4f0a1838344b266d1cb027c0ea15",
-    "trajectories.jsonl": "67af1b8cf9164220e377589f534d3cfa9c301302606e9c311f0392e1a990f887",
+    "coefficients.csv": "4a948c4c305929fc28ba71cd361332ee46ef70c8348b3246d664047c3fa79123",
+    "policy_agent_0.txt": "46358a373810b9d455a268c42dd3c808b1b21fb5fed70255a6ad4525372594fa",
+    "policy_agent_1.txt": "3aa8c40ff19d68783578767cc6a5864c93050a6e62f2a2dec2c84de9ba2e3707",
+    "policy_agent_2.txt": "fc495ea3f75ea25cfa7710819b0d8060e266d6820e3e958c3d4c2d17de9adbf8",
+    "profiles.csv": "6d5ad215a38f79d211ed6687ab910297eb881aad1547a8f8359efc05e3a6a603",
+    "replay_buffer.jsonl": "f296f3eabdddaa59029efbde124caf1ea50c2a410ae2548c1e0aa83b28d6742b",
+    "rewards.csv": "dca23d74a63c576106dc4989d1f936231b6fa342769a08405a3fc370e8b8cfe7",
+    "summary.csv": "a2da5d146b4158d8710ea6ba6a88a1a7040caa3bac4dcd1a098e64f7347893e5",
+    "training_metrics.csv": "73f5f233d72bf136969c025fe60021f0186f6f5464143dff96b599eec31d4996",
+    "trajectories.jsonl": "ed3429f94b64a88d6fef472ad16d409be65bbbe08e6bb9c89e61aeac276cfafa",
 }
 
 WIDE_BASELINE = {
-    "profiles.csv": "657785704af328b8450ef6b1b764c84204dbd345ec400be4fe594ce957d5ad65",
-    "rewards.csv": "c7509a0fa0f9404098dffe4ab3b086fea258f0022466150cd19ff68657b4710e",
-    "summary.csv": "05644bfcf788f8c040162f6932a4136e21fd1f928d58e487c565933a0b420ffe",
-    "trajectories.jsonl": "78fae530a3d0086275b821247c41575da3d028aaa8ec66027d0945b228282f66",
+    "profiles.csv": "39198291e9752b4950838396eda7b5b6d09b0959d9c7644d4f7351b043c148cf",
+    "rewards.csv": "313d90de1311bdf5f9e3f4ecd37c829a0ef582db796a7d50cb44a5320489738c",
+    "summary.csv": "0ce181421a2d9867d142eab13528f862afbe15a169a4c03f8dafce7c88b0d320",
+    "trajectories.jsonl": "1a9ddddc327e3c49e8ca1d9176a71d833c4cd662f969c158eaf708c6e51d190a",
 }
 
 WIDE_ANALYSIS = {
-    "correlation.csv": "b7e1db6a28ef38efa00c032b496fa4be34c299aa63eda0404ebf930afebac6b2",
-    "selective.csv": "5430715f06c1c940592529dccbfa4358a1130057fc5ddd139763947c82157e8c",
-    "separation.csv": "4e34f25c973e4317ca1d7b5333e39d2f907e31f052f02ceadf027a2f99c5cf73",
-    "strata.csv": "dd440715d3fdcfc2051231a29fb964f09cd038e738e2d2e94592b403fe3e75d0",
+    "correlation.csv": "50563add99614dfdeae8c3ae2043b32b4a5655f9db596f709493d5fed83ce59f",
+    "selective.csv": "950640703399f0f2bcacba9fcfe4c4d4eae330e77e0150098692b590fdd0b99d",
+    "separation.csv": "d0ade5859d46980bd905d5265ed9acf4294a6acee10ca8dcbe731ce23a06f181",
+    "strata.csv": "418466fbd062a7795afc1aedf8dc260827b69487be9476df79fef2d7ccd60de2",
 }
 
 CLIP_KL_UDPO = {
-    "coefficients.csv": "ff3886b12a1d613c764ea3e3f09fe76a6e9dce823f6a5e6176eaa9e6d43f9fdb",
-    "policy_agent_0.txt": "c442887f7032015a0dd1753e831f3a35356e7f0b63bdfbbd0b3c428cbf22d29f",
-    "policy_agent_1.txt": "f34844cc58f234aaa5005e8ca0cbf5dcd23525e0cd901670b7d4d703850ba544",
-    "policy_agent_2.txt": "949b4cb87a7d0cfffca59da5c354a14acd9cf91223e12b01d27fd46c43fd0a55",
-    "profiles.csv": "627c0b3d1ecd9be29c17e3d9a756c4e31a06f383bd3f4f7c86690fa5d6710563",
-    "replay_buffer.jsonl": "1040d1d6da7a2d7b6604380196cdd6ee13d91b112c450d9bae32d04913451bc7",
-    "rewards.csv": "4f27774e101b93b6fa086c4bf178ba81d6b09e897b0580b29772e3988361a246",
-    "summary.csv": "07e1252b727b7ded73dbf678dc38e2602067b24952e7c80d9b551ca8aad66047",
-    "training_metrics.csv": "32505cea8f8d2efaa2ea44b5c8e7b98a240c5e45226529a77bba3968efad593c",
-    "trajectories.jsonl": "06e1e7c16be606df387e8965b1cbf3db8b78e0674aafb23975ebd012a68a4e19",
+    "coefficients.csv": "115e8094a4d7e18bbf9b10edaccf72f17673e16cbdb8c852b4b8146bfaeb237c",
+    "policy_agent_0.txt": "c43a92eddaff03a31b7b10fa55e97478ed1c95fbe08705007e419a6e06a228d4",
+    "policy_agent_1.txt": "901180422e7093cee73ef23457244891cde2258718a91cef7f87260a5a13ae5f",
+    "policy_agent_2.txt": "a571b79fb13b6b13ba665912fe6690a7c4122e59b80d942a479cde24e9653c14",
+    "profiles.csv": "c9bc85dc61a10b84ff5c0b64534b582aceaccfae97f0b795ef2f7826bedf1611",
+    "replay_buffer.jsonl": "8cabca655ebbef3813f3cffbbbeb80aebf10fdf1fd053172bcc0b0c2d57751dd",
+    "rewards.csv": "9b80e5d75b0a9a53e96b0244b7698fb4932cae896d672933fafdbad6a923e346",
+    "summary.csv": "dec8e5ae799b00668d3a516b9e47b3c30dc85c05a7712210e6aa223586648029",
+    "training_metrics.csv": "16926cc205e57f45bec9338da7c16b9107c4827089f428a4d0a199449ce73e85",
+    "trajectories.jsonl": "8b580f8f415a7fa494f02f9581a33e382d54328fea9c5e0af07691d9b511a1b6",
 }
 
 K12_BASELINE = {
-    "profiles.csv": "000fcfed89dcb4c829f1be581600ab978e04936800ca17be9aa3ed1b40a0a37c",
-    "rewards.csv": "ae978ab7833cc78a6239a1668afbb30d2c7f9e00da3efa983236e62b554d8201",
-    "summary.csv": "6a9ace48a4a07b11074f26394c081e55e63c6de2f905120d9ceddabcfa3a8f4d",
-    "trajectories.jsonl": "272e2d91e5796fdf2373132602b207474fbd1cfd7acfc7acdf4529a943de0fdb",
+    "profiles.csv": "7f64370b0a2e455495ee9025e94cf162ed036fb8d99340eb35d38c8f5a3af0bc",
+    "rewards.csv": "8f10f1a84d49d795c893ffdd29d4218acd1c3618e96df6faad9f6c32d14b42d5",
+    "summary.csv": "a649074109fcfcdcf19c227124840edf19eb6c5d916cca045695e3bc9dc58c87",
+    "trajectories.jsonl": "8a72418a9ffc033f47209108a9d7c78a50410bf872ffea7ba516dfc25532c869",
 }
 
 K3_BELOW_RAMP_BASELINE = {
-    "profiles.csv": "cfe5ff92139ff940a4236baa366263a0a48fb909a20d08aea9d67c2d81895843",
-    "rewards.csv": "eb0d54f2282c2999aaf8100f9d0e65c9eaf502734df5c7e33eeb16d566731d02",
-    "summary.csv": "0cf4fa8f66e395f7067569b93fb3a1b5ec56b8d14a8a895806fd337c321d610c",
-    "trajectories.jsonl": "04a3970da3c30549b5d06d22211e916d94daa2012d68dffd2dd8e36cc4e5c6dc",
+    "profiles.csv": "202b8e35e9396a8d994999fc072b78f18b689bbc6fee68424b5bac78c3e84323",
+    "rewards.csv": "020727ed750bb59554d44e974c4fa6b9b0fef1f62d6fdc06992d0217736ea496",
+    "summary.csv": "fbe166dd1e786bb466634d3f3d653cf30befb19687ded9864c9edb2830122f5a",
+    "trajectories.jsonl": "e3478f31a08010b171bc912920376cdd377fab5dd49b71a84cea085e3f942595",
 }
 
 MIXED_ANALYSIS = {
@@ -108,18 +112,18 @@ MIXED_ANALYSIS_ROW = (
 # 32, a 1,024-entry buffer refreshed every 50 iterations, five honest agents),
 # which no tiny config reaches.
 DEFAULT_SEED5_UDPO = {
-    "coefficients.csv": "5c708890e878faf1c0ed1f5c0b0984bd7015ec89422213dee0a2e93492e2a6dd",
-    "policy_agent_0.txt": "e4c3288d908bb158628fa1726e1381dfb39f2121437818577e0533444ec815d1",
-    "policy_agent_1.txt": "7ccc06e5cd10e7a93055d57545b5193e883f4af297009d5ed277a154651850ee",
-    "policy_agent_2.txt": "85cbcabf081455ab9907fa2cd2081e6403d732fb4d3abb82046d33497d886a14",
-    "policy_agent_3.txt": "9e8a010fa29a1984ab2d7a7abfee2bada0169fd4b4054f4ea7acfdd728098e8b",
-    "policy_agent_4.txt": "12e487f9d7e370dc1496891c2c408dc2eb5f2554f2995667e245297ebfc89d60",
-    "profiles.csv": "a8836bac2585f9e633531aefde6fb4fa858b9c5bea2f6b8196e0cdc4264f1f7c",
-    "replay_buffer.jsonl": "ea7836e07c8748202f22a439766fb44a0fd002da1881c0ff81838d31b8223704",
-    "rewards.csv": "f065d8d6342d785fc16dbe57db908bd7dc0eacc31e5927cf1f90278e610d9c04",
-    "summary.csv": "ff0675e15caf460713236ad0e8bba681975714f0ede9f3644bd8408f21d944d4",
-    "training_metrics.csv": "10a14398d9243520c5c8d6c0ea73cef4715128d05da71c44098c408852030ca8",
-    "trajectories.jsonl": "70d2d5cd211968c0c4dacf785258956798732549fee52eb127694c7f21c40904",
+    "coefficients.csv": "71565583f3fa2d2ccf914e2a92788b323edec44ec87b2db0c4b56f2d1c23c058",
+    "policy_agent_0.txt": "11d0fcf824c93e7ba54009cf831e538058827144c4612f20ae5e4dc0e90b9c9c",
+    "policy_agent_1.txt": "4db6bdbfac87ee826051fa23a25389ed69f19495c4ea65935c1ce0a3a9affd99",
+    "policy_agent_2.txt": "be85f57c8e1b5f853f2677ecfb90264d8893d463d2476157b2fcb8a7bcf5c7d0",
+    "policy_agent_3.txt": "24e1331139163b16f71ee997a1e90941fe32c382569d700dea09d6d3afcf3818",
+    "policy_agent_4.txt": "f9dfd7286daf8ad2553955acc229c12c11a6deb963d05ad2853a74ebd90efc32",
+    "profiles.csv": "04cdf51d6f8ebe705a70824474a20d231dbb81e78fa1fdec62a0b52895d15c3b",
+    "replay_buffer.jsonl": "2dcecb53b66dbe0cb46bf4eda587fa35a61c8198bb431ba234c7d492d9d198e3",
+    "rewards.csv": "6301bf9a1260ccc6a1224191dd156a99a6484f20ece5699cf1745b150a540d15",
+    "summary.csv": "d642ffde7810ad693b74fff6b6067a09b8db6f746f692b9343817d79367d3990",
+    "training_metrics.csv": "7db835dc8efedaf0b1e4a4746598c816e61ffc37df6c0d5a0713b965870c15d6",
+    "trajectories.jsonl": "9f66632c1a26e244377c69ae990d1cc940b152c27ecd30380b5e683883a2d79a",
 }
 
 DEFAULT_CONFIG_HASH = "170f4cd84af4e83e"

@@ -39,6 +39,7 @@ from madlab.policy import (
     EnvConfig,
     SyntheticQuestion,
     context_key,
+    derive_key,
     difficulty_bin,
     save_policy,
 )
@@ -52,7 +53,7 @@ from reference_impl import (
     objective_value,
     trajectory_log_prob,
 )
-from test_policy import record_tilt_streams
+from test_policy import record_philox_passes
 
 MC = MetricConfig()
 
@@ -427,7 +428,7 @@ def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
     def no_steps(*args, **kwargs):
         raise AssertionError("agent_steps rebuilt a batch's visits")
 
-    drawn = record_tilt_streams(monkeypatch)
+    passes = record_philox_passes(monkeypatch)
     monkeypatch.setattr(policy_module, "rng_stream", counting_stream)
     monkeypatch.setattr(optim, "rng_stream", counting_stream)
     monkeypatch.setattr(DebateEnv, "agent_steps", no_steps)
@@ -443,8 +444,16 @@ def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
                        coeffs=coeffs, iteration=0)
     gradient_step(env, state, batch, ClipConfig(), batch_totals(batch, coeffs))
     assert opened == []
-    # one tilt stream per (question, honest seat, round), drawn once across all four paths
-    assert sum(len(call) for call in drawn) == len(questions) * 3 * 4
+    # one tilt key per question, drawn once across all four paths, and one
+    # act key per debate of the batch, the evaluation and the refresh
+    (tilt_keys, _), *act_passes = passes
+    assert tilt_keys == [policy_module._key_digest(3, "tilt", q.question_id) for q in questions]
+    rollout_seeds = ([derive_key(5, m) for m in range(6)]
+                     + [derive_key(3, "eval", q.question_id) for q in questions]
+                     + [derive_key(9, j) for j in range(6)])
+    assert [d for keys, _ in act_passes for d in keys] == [
+        policy_module._key_digest(seed, "act", q.question_id)
+        for seed, q in zip(rollout_seeds, questions * 3)]
 
 
 # ----------------------------------------------------------------- guards

@@ -5,8 +5,6 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ import pytest
 from madlab import policy as policy_module
 from madlab.debate import validate_trajectory
 from madlab.policy import (
-    ACT_KEYS_PER_PASS,
     LOGIT_CLAMP,
     DebateEnv,
     EnvConfig,
@@ -26,7 +23,6 @@ from madlab.policy import (
     derive_key,
     difficulty_bin,
     parse_difficulty_spec,
-    philox_uniforms,
     rng_stream,
     save_policy,
 )
@@ -54,54 +50,6 @@ def test_rng_streams_are_reproducible_and_disjoint():
     b = rng_stream(5, "act", "q-1", 0, 1).random(4)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
-
-
-def test_philox_uniforms_match_numpy_generators():
-    rng = np.random.default_rng(2024)
-    keys = [int.from_bytes(rng.bytes(16), "little") for _ in range(1000)] + [0, 2**128 - 1]
-    expected = [np.random.Generator(np.random.Philox(key=key)).random() for key in keys]
-    assert philox_uniforms([key.to_bytes(16, "little") for key in keys]).tolist() == expected
-
-
-def test_philox_uniforms_match_the_act_streams():
-    tokens = [
-        (derive_key(3, m), "act", f"train-{m:05d}", t, i)
-        for m in range(4)
-        for t in range(6)
-        for i in range(5)
-    ]
-    digests = [derive_key(*tok).to_bytes(16, "little") for tok in tokens]
-    assert philox_uniforms(digests).tolist() == [rng_stream(*tok).random() for tok in tokens]
-    assert philox_uniforms([]).shape == (0,)
-
-
-@pytest.mark.parametrize("n_keys", [1, ACT_KEYS_PER_PASS + 1])
-def test_philox_uniforms_on_one_key_and_past_a_pass(n_keys):
-    rng = np.random.default_rng(n_keys)
-    digests = [rng.bytes(16) for _ in range(n_keys)]
-    expected = [np.random.Generator(np.random.Philox(key=int.from_bytes(d, "little"))).random()
-                for d in digests]
-    assert philox_uniforms(digests).tolist() == expected
-
-
-@pytest.mark.parametrize("question_id", ["train-00007", "q-\u00e9\u4e2d-\U0001f600"])
-def test_prefixed_digests_match_key_digest_in_every_scope(question_id):
-    seed = 2**64 - 1
-    rollout_seed = derive_key(seed, "rollout", 3)
-    scopes = [  # (leading tokens, trailing tokens of each key) as the environment forms them
-        ((seed, "question"), [(question_id,), ("eval-00000",)]),
-        ((seed, "signal", question_id), [(i,) for i in range(5)]),
-        ((seed, "wobble", question_id), [(i, t) for t in range(1, 4) for i in range(5)]),
-        ((seed, "flare"), [(question_id,), ("train-00008",)]),
-        ((rollout_seed, "act", question_id), [(t, i) for t in range(4) for i in (0, 2, 3)]),
-    ]
-    for head, tails in scopes:
-        prefix = "".join(f"{token}|" for token in head)
-        suffixes = ["|".join(str(token) for token in tail).encode() for tail in tails]
-        assert policy_module._prefixed_digests(prefix, suffixes) == [
-            policy_module._key_digest(*head, *tail) for tail in tails
-        ]
-        assert policy_module._prefixed_digests(prefix, []) == []
 
 
 def test_difficulty_bin_edges():
@@ -248,54 +196,78 @@ def test_rollout_shape_validity_and_determinism():
     assert any_differ
 
 
+def philox_words(count, *tokens):
+    """Words 0..count-1 of the Philox stream keyed by the hashed scope tokens,
+    from numpy's own Philox."""
+    return np.random.Philox(key=derive_key(*tokens)).random_raw(count)
+
+
+def unit(word):
+    """numpy's random() of one raw word."""
+    return (int(word) >> 11) * 2.0**-53
+
+
 def per_stream_tilts(env, question):
-    """One question's (T+1, H, K) honest-seat tilts, one rng_stream per signal,
-    wobble and flare scope: the reference DebateEnv.batch_tilts reproduces."""
+    """One question's (T+1, H, K) honest-seat tilts read word by word from its
+    tilt key: the reference DebateEnv.batch_tilts reproduces.
+
+    Normal (t, i, label) is number j = (t * N + i) * K + label, the cosine
+    (even j) or sine (odd j) half of the Box-Muller pair on words j - j % 2
+    and j - j % 2 + 1. The two words after the normals, their count rounded
+    up to even, are the flare's fire and pick uniforms.
+    """
     cfg = env.config
-    qid = question.question_id
-    k = len(env.answer_space)
-    honest = env.honest_indices
+    n, k, steps = cfg.num_agents, len(env.answer_space), cfg.rounds + 1
+    paired = steps * n * k + steps * n * k % 2
+    words = philox_words(paired + 2, cfg.seed, "tilt", question.question_id)
+
+    def normal(t, i, label):
+        j = (t * n + i) * k + label
+        u1, u2 = unit(words[j - j % 2]), unit(words[j - j % 2 + 1])
+        trig = np.sin if j % 2 else np.cos
+        return np.sqrt(-2.0 * np.log1p(-u1)) * trig(2.0 * np.pi * u2)
+
     ramp = min(1.0, question.difficulty / policy_module.AVERSION_RAMP)
     persist = policy_module.SIGNAL_PERSIST + (1.0 - policy_module.SIGNAL_PERSIST) * (1.0 - ramp)
     scale = policy_module.SIGNAL_WOBBLE + policy_module.SIGNAL_WOBBLE_SLOPE * question.difficulty
     truth = env.answer_space.index(question.ground_truth)
-    tilts = np.zeros((cfg.rounds + 1, len(honest), k))
-    for i in honest:
+    tilts = np.zeros((steps, len(env.honest_indices), k))
+    for i in env.honest_indices:
         skill = cfg.skills[i % len(cfg.skills)]
-        signal = rng_stream(cfg.seed, "signal", qid, i).normal(0.0, policy_module.SIGNAL_NOISE, k)
+        signal = np.array([policy_module.SIGNAL_NOISE * normal(0, i, label) for label in range(k)])
         signal[truth] += policy_module.SIGNAL_GAIN * skill * (1.0 - question.difficulty)
         tilts[0, i] = signal
-        for t in range(1, cfg.rounds + 1):
-            wobble = rng_stream(cfg.seed, "wobble", qid, i, t).normal(0.0, 1.0, k)
+        for t in range(1, steps):
+            wobble = np.array([normal(t, i, label) for label in range(k)])
             tilts[t, i] = persist * signal + scale * wobble
-    if cfg.rounds >= 4:
-        rng = rng_stream(cfg.seed, "flare", qid)
-        if rng.random() < question.difficulty:
-            wrong = [j for j in range(k) if j != truth]
-            flare = wrong[int(rng.integers(len(wrong)))]
-            push = cfg.rounds - 3
-            tilts[push, :, flare] += policy_module.FLARE_SCALE
-            tilts[push + 1, :, flare] -= policy_module.FLARE_SCALE
+    if cfg.rounds >= 4 and unit(words[paired]) < question.difficulty:
+        wrong = [j for j in range(k) if j != truth]
+        flare = wrong[math.floor(unit(words[paired + 1]) * (k - 1))]
+        push = cfg.rounds - 3
+        tilts[push, :, flare] += policy_module.FLARE_SCALE
+        tilts[push + 1, :, flare] -= policy_module.FLARE_SCALE
     tilts[1:, :, 0] += policy_module.LABEL_AVERSION * ramp
     return tilts
 
 
 def per_draw_rollout(env, question, policies, rollout_seed):
-    """The rounds of one debate drawn one act stream at a time: the reference
-    the batched engine reproduces."""
+    """The rounds of one debate drawn one act at a time from its act key, seat
+    i at round t reading word t * N + i: the reference the batched engine
+    reproduces."""
     qf = difficulty_bin(question.difficulty, env.config.difficulty_bins)
     tilts = per_stream_tilts(env, question)
+    n, steps = env.config.num_agents, env.config.rounds + 1
+    words = philox_words(steps * n, rollout_seed, "act", question.question_id)
     rows = []
-    for t in range(env.config.rounds + 1):
+    for t in range(steps):
         prev = rows[t - 1] if t else None
         row = []
-        for i in range(env.config.num_agents):
+        for i in range(n):
             if i not in env.honest_indices:
                 row.append(env.adversary_answer(question))
                 continue
             p = probs(policies[i], build_context(qf, prev, i, env.answer_space), tilts[t, i])
-            u = rng_stream(rollout_seed, "act", question.question_id, t, i).random()
-            idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
+            idx = int(np.searchsorted(np.cumsum(p), unit(words[t * n + i]), side="right"))
             row.append(env.answer_space[min(idx, len(p) - 1)])
         rows.append(tuple(row))
     return tuple(rows)
@@ -344,15 +316,19 @@ def test_rollout_batch_matches_per_draw_rollouts(name):
     assert len({t.rounds for t in trajectories}) > 1
 
 
-def test_a_trajectory_does_not_depend_on_its_batch():
+def test_a_trajectory_does_not_depend_on_its_batch(monkeypatch):
     env = DebateEnv(EnvConfig(seed=6, compromised_count=1))
     questions = env.generate_questions(300, "t")
     policies = perturbed_policies(env, seed=2)
     seeds = [derive_key(5, "eval", q.question_id) for q in questions]
     alone = [env.rollout_batch([q], policies, [s])[0][0] for q, s in zip(questions, seeds)]
     assert [env.rollout_debate(q, policies, s) for q, s in zip(questions, seeds)] == alone
-    # A batch large enough to take its act draws in several Philox passes.
+    # A batch that takes its act draws in several Philox passes: 6 rounds x 5
+    # seats = 30 act words, 8 blocks, per debate, so 8 debates per 64-block pass.
+    monkeypatch.setattr(policy_module, "PHILOX_BLOCKS_PER_PASS", 64)
+    passes = record_philox_passes(monkeypatch)
     assert env.rollout_batch(questions, policies, seeds)[0] == alone
+    assert [(len(keys), blocks) for keys, blocks in passes] == [(8, 8)] * 37 + [(4, 8)]
     for pos in range(32):
         batch = questions[1:32]
         batch.insert(pos, questions[0])
@@ -408,20 +384,18 @@ def test_signal_tilt_favors_truth_and_scales_with_difficulty():
 def test_tilts_are_drawn_once_per_question_and_read_only(monkeypatch, rounds):
     env = DebateEnv(EnvConfig(num_agents=4, rounds=rounds, compromised_count=1, seed=2))
     q = env.generate_questions(1, "t")[0]
-    drawn = record_tilt_streams(monkeypatch)
-    monkeypatch.setattr(policy_module, "rng_stream", None)  # no tilt opens a stream of its own
+    passes = record_philox_passes(monkeypatch)
+    monkeypatch.setattr(policy_module, "rng_stream", None)  # no draw opens a generator of its own
     pols = env.initial_policies()
     for seed in range(4):
         traj = env.rollout_debate(q, pols, seed)
         env.agent_steps(q, traj, 0)
-    # one signal stream per honest seat, one wobble stream per (seat, round >= 1)
-    # and, from 4 rounds on, one flare stream: each drawn once, none per rollout
-    expected = [derive_key(2, "signal", q.question_id, i) for i in range(3)]
-    expected += [derive_key(2, "wobble", q.question_id, i, t)
-                 for i in range(3) for t in range(1, rounds + 1)]
-    expected += [derive_key(2, "flare", q.question_id)] * (rounds >= 4)
-    keys = [int.from_bytes(d, "little") for call in drawn for d in call]
-    assert sorted(keys) == sorted(expected)
+    # one tilt key, drawn once: (T+1) x 4 seats x 4 labels normals and 2 flare
+    # words; then one act key per debate: (T+1) x 4 seats words
+    steps = rounds + 1
+    tilt = ([policy_module._key_digest(2, "tilt", q.question_id)], -(-(steps * 16 + 2) // 4))
+    acts = [([policy_module._key_digest(seed, "act", q.question_id)], steps) for seed in range(4)]
+    assert passes == [tilt] + acts
     tilts = env.batch_tilts([q])[0]
     assert tilts.shape == (rounds + 1, 3, 4)  # the compromised seat has no row
     assert not tilts.flags.writeable
@@ -429,67 +403,18 @@ def test_tilts_are_drawn_once_per_question_and_read_only(monkeypatch, rounds):
         tilts[0, 0, 0] = 1.0
 
 
-def record_tilt_streams(monkeypatch):
-    """Route policy._stream_normals and policy._reseated_streams through a
-    recorder; returns the list that receives each call's key digests. The
-    reseated fallback inside a _stream_normals call belongs to that call and
-    is not recorded again."""
-    calls = []
-    inside = []
-    real_normals, real_streams = policy_module._stream_normals, policy_module._reseated_streams
+def record_philox_passes(monkeypatch):
+    """Route policy._philox_blocks through a recorder; returns the list that
+    receives each pass's (key digests, blocks per key)."""
+    passes = []
+    real = policy_module._philox_blocks
 
-    def normals(digests, k):
-        calls.append(list(digests))
-        inside.append(True)
-        try:
-            return real_normals(calls[-1], k)
-        finally:
-            inside.pop()
+    def recording(digests, blocks):
+        passes.append((list(digests), blocks))
+        return real(digests, blocks)
 
-    def streams(digests):
-        if inside:
-            return real_streams(digests)
-        calls.append(list(digests))
-        return real_streams(calls[-1])
-
-    monkeypatch.setattr(policy_module, "_stream_normals", normals)
-    monkeypatch.setattr(policy_module, "_reseated_streams", streams)
-    return calls
-
-
-def test_reseated_streams_draw_what_a_fresh_philox_draws():
-    rng = np.random.default_rng(2025)
-    keys = [int.from_bytes(rng.bytes(16), "little") for _ in range(2000)] + [0, 2**128 - 1]
-    sizes = [2 + j % 25 for j in range(len(keys))]
-    digests = [key.to_bytes(16, "little") for key in keys]
-    slow_paths = 0
-    for key, k, gen in zip(keys, sizes, policy_module._reseated_streams(digests)):
-        fresh = np.random.Generator(np.random.Philox(key=key))
-        assert gen.normal(0.0, 1.0, k).tobytes() == fresh.normal(0.0, 1.0, k).tobytes()
-        # words consumed: each normal takes one unless its ziggurat leaves the fast path
-        state = fresh.bit_generator.state
-        slow_paths += 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"] > k
-        assert str(gen.bit_generator.state) == str(state)
-    assert slow_paths > 0
-    # other draws; the one 32-bit integer leaves half a word buffered for the next key
-    p = np.array([0.5, 0.2, 0.2, 0.1])
-
-    def draws(g):
-        return [g.integers(7), g.random(), g.choice(4, p=p), g.uniform(0.1, 0.9),
-                g.random(3).tobytes(), str(g.bit_generator.state)]
-
-    for key, gen in zip(keys, policy_module._reseated_streams(digests)):
-        assert draws(gen) == draws(np.random.Generator(np.random.Philox(key=key)))
-
-
-def test_reseated_streams_match_rng_stream_on_scope_tokens():
-    tokens = [(5, "wobble", f"eval-{q:05d}", i, t) for q in range(3) for i in range(4)
-              for t in range(1, 4)] + [(5, "question", "train-00001"), (5, "flare", "t-00000")]
-    digests = [derive_key(*tok).to_bytes(16, "little") for tok in tokens]
-    for tok, gen in zip(tokens, policy_module._reseated_streams(digests)):
-        stream = rng_stream(*tok)
-        assert gen.normal(0.0, 1.0, 5).tobytes() == stream.normal(0.0, 1.0, 5).tobytes()
-        assert (gen.random(), gen.integers(3)) == (stream.random(), stream.integers(3))
+    monkeypatch.setattr(policy_module, "_philox_blocks", recording)
+    return passes
 
 
 def random_keys(seed, count):
@@ -505,57 +430,6 @@ def test_philox_blocks_match_random_raw(blocks):
     assert got.dtype == np.uint64 and got.shape == (len(keys), 4 * blocks)
     assert np.array_equal(got, np.array(expected))
     assert policy_module._philox_blocks([], blocks).shape == (0, 4 * blocks)
-
-
-def test_stream_normals_match_fresh_philox_normals(monkeypatch):
-    fallback = []
-    real = policy_module._reseated_streams
-
-    def recording(digests):
-        fallback.extend(digests)
-        return real(digests)
-
-    monkeypatch.setattr(policy_module, "_reseated_streams", recording)
-    for k in range(2, 27):
-        keys = random_keys(100 + k, 400)
-        digests = [key.to_bytes(16, "little") for key in keys]
-        fallback.clear()
-        got = policy_module._stream_normals(digests, k)
-        for key, row in zip(keys, got):
-            fresh = np.random.Generator(np.random.Philox(key=key)).normal(0.0, 1.0, k)
-            assert row.tobytes() == fresh.tobytes(), (k, key)
-        # some keys left the fast path and were drawn by the scalar fallback, not all
-        assert 0 < len(fallback) < len(keys) // 2, k
-    assert policy_module._stream_normals([], 4).shape == (0, 4)
-
-
-def test_ziggurat_tables_are_exact_or_conservative():
-    wi, ki = policy_module._ziggurat_tables()
-    assert policy_module._ziggurat_tables()[1] is ki  # derived once
-    assert not wi.flags.writeable and not ki.flags.writeable
-    # numpy's ki[1] is 0, so index 1 always falls back; every other entry is kept
-    assert ki[1] == 0 and np.count_nonzero(ki) == 255
-    bits = np.random.Philox(0)
-    gen = np.random.Generator(bits)
-    state = bits.state
-    for idx in np.flatnonzero(ki):
-        for rabs in (1, int(ki[idx]) - 1):
-            for sign in (0, 1):
-                state["buffer"] = np.array([(rabs << 9) | (sign << 8) | int(idx), 0, 0, 0],
-                                           dtype=np.uint64)
-                state["buffer_pos"] = 0
-                bits.state = state
-                value = gen.standard_normal()
-                # the fast path consumed one word and returned +-rabs * wi[idx]
-                assert bits.state["buffer_pos"] == 1, (idx, rabs)
-                assert value == (-1.0) ** sign * (rabs * wi[idx]), (idx, rabs)
-
-
-def test_ziggurat_tables_are_derived_lazily():
-    code = ("import madlab.cli, madlab.policy as p; "
-            "print(p._ziggurat_tables.cache_info().currsize)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize("k", [2, 4, 7, 26])
@@ -589,19 +463,67 @@ def test_batch_tilts_do_not_depend_on_the_batch(monkeypatch):
     config = EnvConfig(seed=6, rounds=5, compromised_count=1)
     questions = DebateEnv(config).generate_questions(120, "t")
     alone = [DebateEnv(config).batch_tilts([q])[0] for q in questions]
-    monkeypatch.setattr(policy_module, "ACT_KEYS_PER_PASS", 100)
-    drawn = record_tilt_streams(monkeypatch)
+    monkeypatch.setattr(policy_module, "PHILOX_BLOCKS_PER_PASS", 100)
+    passes = record_philox_passes(monkeypatch)
     env = DebateEnv(config)
     mixed = questions[60:] + questions[:60] + questions[:5]
     got = env.batch_tilts(mixed)
     assert [t.tobytes() for t in got] == [alone[questions.index(q)].tobytes() for q in mixed]
-    # 4 honest seats x 6 rounds = 24 keys per question: 4 questions per pass
-    sizes = [len(call) for call in drawn]
-    assert max(sizes) <= 100 and sizes.count(96) == 30
-    assert sum(sizes) == 120 * 25  # every tilt stream (and each flare stream) drawn once
+    # 6 rounds x 5 seats x 4 labels = 120 normals and 2 flare words, 31 blocks,
+    # per question: 3 questions per 100-block pass, each tilt key drawn once
+    assert [(len(keys), blocks) for keys, blocks in passes] == [(3, 31)] * 40
+    assert [d for keys, _ in passes for d in keys] == [
+        policy_module._key_digest(6, "tilt", q.question_id) for q in mixed[:120]]
     again = env.batch_tilts(questions[:3])
     assert all(a is b for a, b in zip(again, got[60:63]))
-    assert len(drawn) == len(sizes)  # cached questions draw nothing
+    assert len(passes) == 40  # cached questions draw nothing
+
+
+def test_box_muller_is_finite_at_the_edges_and_standard_normal():
+    # u1 = 0 gives r = 0; the top word gives u1 = 1 - 2**-53 and r about 8.6
+    edges = policy_module._box_muller(np.array([0, 0, 2**64 - 1, 2**64 - 1], dtype=np.uint64))
+    assert edges[:2].tolist() == [0.0, 0.0] and np.all(np.isfinite(edges))
+    assert 8.5 < math.hypot(*edges[2:]) < 8.7
+    # Kolmogorov-Smirnov against N(0, 1) at level 0.001, fixed before the run:
+    # reject if sqrt(n) * D exceeds 1.949. Cosine and sine halves separately.
+    words = policy_module._philox_blocks([policy_module._key_digest(0, "box-muller")], 5000)
+    normals = policy_module._box_muller(words.ravel())
+    for half in (normals[0::2], normals[1::2]):
+        x = np.sort(half)
+        cdf = 0.5 * (1.0 + np.array([math.erf(v / math.sqrt(2.0)) for v in x]))
+        n = len(x)
+        d = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+        assert math.sqrt(n) * d < 1.949, d
+
+
+def test_honest_seats_do_not_depend_on_the_compromised_count():
+    # run_attack compares ensembles that differ only in their compromised seats
+    questions = DebateEnv(EnvConfig(num_agents=6, seed=7)).generate_questions(200, "t")
+    seeds = [derive_key(3, m) for m in range(200)]
+    runs = {}
+    for m in (0, 1, 2, 4):
+        env = DebateEnv(EnvConfig(num_agents=6, compromised_count=m, seed=7))
+        _, _, answers = env.rollout_batch(questions, perturbed_policies(env, seed=3), seeds)
+        runs[m] = env.batch_tilts(questions), answers[:, 0]
+    clean_tilts, clean_answers = runs[0]
+    for m, (tilts, answers) in runs.items():
+        h = 6 - m
+        assert all(t.tobytes() == c[:, :h].tobytes() for t, c in zip(tilts, clean_tilts)), m
+        assert np.array_equal(answers[:, :h], clean_answers[:, :h]), m
+
+
+def test_earlier_rounds_do_not_depend_on_later_rounds():
+    # an early stop after round t must see the debate a longer run would have had
+    runs = []
+    for rounds in (2, 3):
+        env = DebateEnv(EnvConfig(rounds=rounds, compromised_count=1, seed=8))
+        questions = env.generate_questions(200, "t")
+        seeds = [derive_key(4, m) for m in range(200)]
+        _, _, answers = env.rollout_batch(questions, perturbed_policies(env, seed=4), seeds)
+        runs.append((env.batch_tilts(questions), answers))
+    (short_tilts, short_answers), (long_tilts, long_answers) = runs
+    assert all(s.tobytes() == t[:3].tobytes() for s, t in zip(short_tilts, long_tilts))
+    assert np.array_equal(short_answers, long_answers[:, :3])
 
 
 def test_tilt_cache_is_keyed_by_the_question_not_its_id():
