@@ -1,10 +1,12 @@
 """Debate transcripts and the trajectory interchange format.
 
-A trajectory is a complete (T+1) x N grid of answer labels: round 0 holds the
-initial responses, rounds 1..T the refinements. Labels live in a finite
-ordered answer space; every tie anywhere in the package breaks toward the
-order-minimal label so that reruns are reproducible. Votes are counted over
-answer codes, in metrics.
+In memory a debate is its question and a (T+1) x N grid of answer codes: a
+code is the label's index in the finite ordered answer space (answer_index),
+round 0 holds the initial responses and rounds 1..T the refinements. Labels
+appear only in .jsonl trajectory files, which write_trajectories formats from
+codes and read_trajectories encodes back. Every tie anywhere in the package
+breaks toward the order-minimal label so that reruns are reproducible. Votes
+are counted over answer codes, in metrics.
 
 A .jsonl trajectory file is parsed in one place, read_trajectories, and codes
 first: each well-formed record is checked and encoded into answer codes in
@@ -12,14 +14,15 @@ one walk over its labels, grouped by (answer space, T+1, N). _encode rejects
 exactly the records trajectory_from_record rejects, and a rejected record
 fails with trajectory_from_record's error, so validate_trajectory is the one
 source of error text. The TrajectoryFile it returns hands analysis those
-groups. A code is the label's index in the answer space (answer_index).
+groups. DebateTrajectory, a record's label grid, serves that error path and
+metrics.full_profile.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,10 +43,6 @@ class DebateTrajectory:
     answer_space: tuple[Label, ...]
     rounds: tuple[tuple[Label, ...], ...]
     ground_truth: Label | None = None
-
-    @property
-    def num_agents(self) -> int:
-        return len(self.rounds[0]) if self.rounds else 0
 
 
 def answer_index(space: Sequence[Label]) -> dict[Label, int]:
@@ -88,21 +87,6 @@ def validate_trajectory(traj: DebateTrajectory) -> list[str]:
     return problems
 
 
-def trajectory_to_record(
-    traj: DebateTrajectory, extra: Mapping[str, object] | None = None
-) -> dict:
-    """JSON-serializable record for one trajectory line."""
-    record: dict[str, object] = {
-        "question_id": traj.question_id,
-        "answer_space": list(traj.answer_space),
-        "ground_truth": traj.ground_truth,
-        "rounds": [list(row) for row in traj.rounds],
-    }
-    if extra:
-        record.update(extra)
-    return record
-
-
 def trajectory_from_record(record: Mapping[str, object]) -> DebateTrajectory:
     """Build and validate a trajectory from a parsed record. Raises ValueError."""
     for key in ("question_id", "answer_space", "rounds"):
@@ -144,22 +128,29 @@ def with_fp(path_or_fp: str | IO[str], mode: str, use: Callable[[IO[str]], T]) -
 
 def write_trajectories(
     path_or_fp: str | IO[str],
-    trajectories: Iterable[DebateTrajectory],
-    extras: Iterable[Mapping[str, object]] | None = None,
+    questions: Sequence,
+    answers: Sequence[np.ndarray],
+    extras: Sequence[Mapping[str, object]] | None = None,
 ) -> None:
-    """Write trajectories as one JSON record per line.
+    """Write debates as one JSON record per line.
 
-    extras, when given, is a parallel iterable of additional per-line fields
-    (used by the replay-buffer dump format).
+    questions are policy.SyntheticQuestions sharing one answer space, and
+    answers[b] is question b's (T+1, N) grid of answer codes in it; the labels
+    are formatted from codes once per call. extras, when given, is a parallel
+    sequence of additional per-line fields (used by the replay-buffer dump).
     """
 
     def _write(fp: IO[str]) -> None:
-        if extras is None:
-            for traj in trajectories:
-                fp.write(json.dumps(trajectory_to_record(traj)) + "\n")
-        else:
-            for traj, extra in zip(trajectories, extras):
-                fp.write(json.dumps(trajectory_to_record(traj, extra)) + "\n")
+        if not questions:
+            return
+        space = list(questions[0].answer_space)
+        grids = np.array(space, dtype=object)[np.asarray(answers)]
+        for j, (q, grid) in enumerate(zip(questions, grids)):
+            record = {"question_id": q.question_id, "answer_space": space,
+                      "ground_truth": q.ground_truth, "rounds": grid.tolist()}
+            if extras is not None:
+                record.update(extras[j])
+            fp.write(json.dumps(record) + "\n")
 
     with_fp(path_or_fp, "w", _write)
 

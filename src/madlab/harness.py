@@ -21,13 +21,7 @@ from madlab.calibration import (
     warmup_profile,
 )
 from madlab.config import ExperimentConfig, config_hash
-from madlab.debate import (
-    NO_TRUTH,
-    DebateTrajectory,
-    read_trajectories,
-    with_fp,
-    write_trajectories,
-)
+from madlab.debate import NO_TRUTH, read_trajectories, with_fp, write_trajectories
 from madlab.metrics import (  # noqa: F401  full_profile: perfbench's tracer test patches this binding
     MetricConfig,
     ProfileBatch,
@@ -81,10 +75,13 @@ class SummaryRow:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Everything one evaluation pass produces, before persistence, in question order."""
+    """Everything one evaluation pass produces, before persistence, in question order.
+
+    answers[b] is question b's (T+1, N) grid of answer codes.
+    """
 
     questions: tuple[SyntheticQuestion, ...]
-    trajectories: tuple[DebateTrajectory, ...]
+    answers: np.ndarray
     profiles: ProfileBatch
     correct: np.ndarray
     summary: SummaryRow
@@ -120,13 +117,13 @@ def evaluate_ensemble(
     regardless of which policies or how many compromised seats are plugged in.
     """
     seeds = [derive_key(env.config.seed, "eval", q.question_id) for q in questions]
-    trajectories, _, answers = env.rollout_batch(questions, policies, seeds)
+    _, answers = env.rollout_batch(questions, policies, seeds)
     profiles = profiles_from_codes(answers, len(env.answer_space), metric_config)
     correct = np.array([env.answer_space[w] == q.ground_truth
                         for q, w in zip(questions, profiles.winners.tolist())], dtype=bool)
     return EvalResult(
         questions=tuple(questions),
-        trajectories=tuple(trajectories),
+        answers=answers,
         profiles=profiles,
         correct=correct,
         summary=SummaryRow.from_columns(label, correct, metric_columns(profiles)),
@@ -182,7 +179,8 @@ def write_coefficients_csv(path_or_fp: str | IO[str], coeffs: CoefficientSet) ->
 def _write_eval_artifacts(out_dir: str, result: EvalResult, coeffs: CoefficientSet) -> None:
     write_trajectories(
         os.path.join(out_dir, "trajectories.jsonl"),
-        result.trajectories,
+        result.questions,
+        result.answers,
         extras=[{"difficulty": q.difficulty} for q in result.questions],
     )
     write_profiles_csv(
@@ -232,7 +230,7 @@ def _calibrated_coefficients(
     """Warm-up rollouts under the untrained ensemble, then per-agent scaling."""
     policies = env.initial_policies()
     seeds = [derive_key(env.config.seed, "warmup", q.question_id) for q in warmup_questions]
-    _, _, answers = env.rollout_batch(warmup_questions, policies, seeds)
+    _, answers = env.rollout_batch(warmup_questions, policies, seeds)
     profile = warmup_profile(answers, len(env.answer_space), config.metric)
     return calibrate_coefficients(profile, config.calibration)
 

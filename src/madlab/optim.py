@@ -32,7 +32,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from madlab.debate import DebateTrajectory, with_fp
+from madlab.debate import with_fp
 from madlab.metrics import (  # noqa: F401  full_profile: perfbench's tracer test patches this binding
     MetricConfig,
     full_profile,
@@ -98,30 +98,28 @@ class TrainState:
 
 @dataclass(frozen=True)
 class RolloutBatch:
-    """Trajectories collected under one reference snapshot, with their visits.
+    """Debates collected under one reference snapshot, with their visits.
 
-    contexts[m, t, i] and answers[m, t, i] are the context row and answer
-    code of agent i at round t of trajectory m, as the rollout recorded them.
-    weights are importance weights with batch mean 1; fresh rollouts carry 1.
+    trajectories[m, t, i] and contexts[m, t, i] are the answer code and context
+    row of agent i at round t of debate m, as the rollout recorded them; the
+    benchmark's traced run reads len(trajectories) as the batch size. weights
+    are importance weights with batch mean 1; fresh rollouts carry 1.
     """
 
     questions: tuple[SyntheticQuestion, ...]
-    trajectories: tuple[DebateTrajectory, ...]
+    trajectories: np.ndarray
     weights: tuple[float, ...]
     ref_version: int
     contexts: np.ndarray
-    answers: np.ndarray
 
     def __post_init__(self) -> None:
         if not (len(self.questions) == len(self.trajectories) == len(self.weights)):
             raise ValueError("batch fields must have equal length")
         if not self.questions:
             raise ValueError("empty batch")
-        first = self.trajectories[0]
-        shape = (len(self.trajectories), len(first.rounds), first.num_agents)
-        if self.contexts.shape != shape or self.answers.shape != shape:
-            raise ValueError(f"visit arrays must be {shape}, got "
-                             f"{self.contexts.shape} and {self.answers.shape}")
+        if self.trajectories.ndim != 3 or self.contexts.shape != self.trajectories.shape:
+            raise ValueError(f"visit arrays must be one (B, T+1, N) shape, got "
+                             f"{self.contexts.shape} and {self.trajectories.shape}")
 
 
 def compute_advantages(totals: np.ndarray) -> np.ndarray:
@@ -185,8 +183,8 @@ def gradient_step(
                 for ps in (state.policies, state.reference))
     n_rows, k = len(cur) // len(honest), cur.shape[1]
     visits = batch.contexts[:, :, honest] + n_rows * np.arange(len(honest))
-    answers = batch.answers[:, :, honest, None]
-    tilts = np.stack(env.batch_tilts(batch.questions))
+    answers = batch.trajectories[:, :, honest, None]
+    tilts = env.batch_tilts(batch.questions)
     lc = _log_probs(cur, visits, tilts)
     # When the reference equals the current tables (each step at the default
     # ref_refresh_period = 1), its log-probs are the current ones and each KL
@@ -236,18 +234,17 @@ def collect_batch(
     rollout_seed: int,
     weights: Sequence[float] | None = None,
 ) -> RolloutBatch:
-    """Roll out one trajectory per question; each batch slot gets its own stream."""
+    """Roll out one debate per question; each batch slot gets its own stream."""
     seeds = [derive_key(rollout_seed, m) for m in range(len(questions))]
-    trajectories, contexts, answers = env.rollout_batch(questions, policies, seeds)
+    contexts, answers = env.rollout_batch(questions, policies, seeds)
     if weights is None:
         weights = (1.0,) * len(questions)
     return RolloutBatch(
         questions=tuple(questions),
-        trajectories=tuple(trajectories),
+        trajectories=answers,
         weights=tuple(float(w) for w in weights),
         ref_version=ref_version,
         contexts=contexts,
-        answers=answers,
     )
 
 
@@ -280,16 +277,15 @@ def train(
         policies=policies, reference=reference, ref_version=0, coeffs=coeffs, iteration=0
     )
     buffer = ReplayBuffer(replay_config) if replay_config and replay_config.enabled else None
-    qmap = {q.question_id: q for q in train_questions}
 
-    def scored(trajectories: Sequence[DebateTrajectory], answers: np.ndarray):
+    def scored(questions: Sequence[SyntheticQuestion], answers: np.ndarray):
         profiles = profiles_from_codes(answers, len(env.answer_space), metric_config)
-        correct = [env.answer_space[w] == t.ground_truth
-                   for t, w in zip(trajectories, profiles.winners.tolist())]
+        correct = [env.answer_space[w] == q.ground_truth
+                   for q, w in zip(questions, profiles.winners.tolist())]
         return profiles, total_reward(profiles, correct, coeffs)
 
-    def rescore(trajectories: Sequence[DebateTrajectory], answers: np.ndarray) -> list[float]:
-        return replay_score(scored(trajectories, answers)[1]).tolist()
+    def rescore(questions: Sequence[SyntheticQuestion], answers: np.ndarray) -> list[float]:
+        return replay_score(scored(questions, answers)[1]).tolist()
 
     for k in range(1, clip.iterations + 1):
         n_replay = 0
@@ -305,7 +301,7 @@ def train(
         if n_replay > 0:
             sampled = buffer.sample(n_replay, rng_stream(seed, "replay", k))
             for entry, w in sampled:
-                questions.append(qmap[entry.trajectory.question_id])
+                questions.append(entry.question)
                 weights.append(w)
         batch = collect_batch(
             env,
@@ -315,7 +311,7 @@ def train(
             derive_key(seed, "rollout", k),
             weights,
         )
-        profiles, rewards = scored(batch.trajectories, batch.answers)
+        profiles, rewards = scored(batch.questions, batch.trajectories)
         gradient_step(env, state, batch, clip, rewards.total)
         state.iteration = k
         state.history.append(
@@ -329,13 +325,13 @@ def train(
             )
         )
         if buffer is not None:
-            for traj, priority in zip(batch.trajectories, replay_score(rewards).tolist()):
-                buffer.push(traj, priority, iteration=k, policy_version=state.ref_version)
+            for q, codes, priority in zip(batch.questions, batch.trajectories,
+                                          replay_score(rewards).tolist()):
+                buffer.push(q, codes, priority, iteration=k, policy_version=state.ref_version)
             if replay_config.refresh_period and k % replay_config.refresh_period == 0:
                 buffer.refresh(
                     env,
                     state.policies,
-                    qmap,
                     rollout_seed=derive_key(seed, "buffer-refresh", k),
                     policy_version=state.ref_version,
                     score=rescore,

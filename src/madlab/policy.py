@@ -12,11 +12,13 @@ adversarial target per question (adversary_answer) every round.
 With K answer labels each difficulty bin owns contexts_per_bin(K) = 1 + 3K^2
 consecutive context rows: the null context first, then (own, mode, agreement)
 in row-major order. A policy is a dense (rows, K) logit array over them, and
-each question's tilts are one read-only (T+1, H, K) tensor of the honest
-seats, computed once; an honest seat's tilt row is its seat index.
+each question's tilts are one (T+1, H, K) tensor of the honest seats,
+computed once; an honest seat's tilt row is its seat index. A debate in memory
+is its question and a (T+1, N) grid of answer codes, each an index into the
+answer space; labels appear only where debate.write_trajectories writes them.
 _round_contexts is the one context formula: rollout_batch applies it to the
 whole batch each round, and agent_steps rebuilds one agent's visits along a
-recorded trajectory from it.
+recorded grid from it.
 
 The environment has a deliberate blind spot: debate-round tilts under-weight
 the first answer label even though ground truth favors it (the aversion fades
@@ -51,7 +53,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from madlab.debate import DebateTrajectory, with_fp
+from madlab.debate import with_fp
 
 LOGIT_CLAMP = 30.0
 
@@ -323,11 +325,11 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class AgentStep:
-    """One (context row, tilt, chosen answer) visit along a trajectory."""
+    """One (context row, tilt, chosen answer code) visit along a debate."""
 
     ctx: int
     tilt: np.ndarray
-    answer: str
+    answer: int
 
 
 class DebateEnv:
@@ -386,8 +388,8 @@ class DebateEnv:
         return [SyntheticQuestion(qid, self.answer_space, self.answer_space[truth], difficulty)
                 for qid, truth, difficulty in zip(qids, truths, difficulties)]
 
-    def batch_tilts(self, questions: Sequence[SyntheticQuestion]) -> list[np.ndarray]:
-        """Read-only (T+1, H, K) logit tilts of every honest seat at every round, per question.
+    def batch_tilts(self, questions: Sequence[SyntheticQuestion]) -> np.ndarray:
+        """(B, T+1, H, K) logit tilts of every honest seat at every round of each question.
 
         Round 0 carries the full private signal. Later rounds carry a damped
         copy plus fresh per-round noise (a re-reading wobble) so that near-tied
@@ -400,19 +402,18 @@ class DebateEnv:
         at round rounds-3 and reverses at rounds-2, leaving the last two rounds
         clean for the ensemble to regroup. Compromised seats have no tilts.
 
-        Each tensor is computed once and cached by the question itself, so
-        questions that share an id but not their truth or difficulty get
-        their own. An uncached question reads everything from its one tilt
-        key (seed, "tilt", id): the (T+1, N, K) normals, round 0 the signal
-        and later rounds the wobble, of which the honest rows are kept, then
-        the flare's fire and pick uniforms. Passes run over whole questions,
-        PHILOX_BLOCKS_PER_PASS blocks at most (or one question), so a
-        question's tilts do not depend on the rest of the batch.
+        Each question's (T+1, H, K) tensor is computed once and cached by
+        the question itself, so questions that share an id but not their
+        truth or difficulty get their own; each call stacks the batch's
+        tensors into a fresh array. An uncached question reads everything
+        from its one tilt key (seed, "tilt", id): the (T+1, N, K) normals,
+        round 0 the signal and later rounds the wobble, of which the honest
+        rows are kept, then the flare's fire and pick uniforms. Passes run
+        over whole questions, PHILOX_BLOCKS_PER_PASS blocks at most (or one
+        question), so a question's tilts do not depend on the rest of the
+        batch.
         """
-        cached = [self._tilts.get(q) for q in questions]
-        fresh = list(dict.fromkeys(q for q, t in zip(questions, cached) if t is None))
-        if not fresh:
-            return cached
+        fresh = list(dict.fromkeys(q for q in questions if q not in self._tilts))
         cfg = self.config
         n, k, steps = cfg.num_agents, len(self.answer_space), cfg.rounds + 1
         h, normals = len(self.honest_indices), steps * n * k
@@ -444,9 +445,8 @@ class DebateEnv:
                 tilts[fired, push, :, flare] += FLARE_SCALE
                 tilts[fired, push + 1, :, flare] -= FLARE_SCALE
             tilts[:, 1:, :, 0] += LABEL_AVERSION * ramp
-            tilts.flags.writeable = False
             self._tilts.update(zip(part, tilts))
-        return [self._tilts[q] for q in questions]
+        return np.array([self._tilts[q] for q in questions]).reshape(len(questions), steps, h, k)
 
     def adversary_answer(self, question: SyntheticQuestion) -> str:
         """The label every compromised seat advocates on this question: the
@@ -462,27 +462,27 @@ class DebateEnv:
         question: SyntheticQuestion,
         policies: Sequence[PolicyTable | None],
         rollout_seed: int,
-    ) -> DebateTrajectory:
-        """Run one full debate; its acts read the key (rollout_seed, "act", question id)."""
-        return self.rollout_batch([question], policies, [rollout_seed])[0][0]
+    ) -> np.ndarray:
+        """One full debate's (T+1, N) answer codes; its acts read the key
+        (rollout_seed, "act", question id)."""
+        return self.rollout_batch([question], policies, [rollout_seed])[1][0]
 
     def rollout_batch(
         self,
         questions: Sequence[SyntheticQuestion],
         policies: Sequence[PolicyTable | None],
         rollout_seeds: Sequence[int],
-    ) -> tuple[list[DebateTrajectory], np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Run one debate per question, advancing the whole batch a round at a time.
 
         Debate b's acts read one key, (rollout_seeds[b], "act", question id):
         seat i's uniform at round t is word t * N + i, searched in the cumsum
         of the softmax of its table row plus tilt. Passes run over whole
         debates, PHILOX_BLOCKS_PER_PASS blocks at most (or one debate), so a
-        trajectory does not depend on the rest of the batch. The H honest
-        seats draw from their tables and tilts, and the last m answer columns
-        hold each question's adversary_answer. Returns the trajectories and
-        the (B, T+1, N) context rows and answer codes of every visit
-        (compromised seats included).
+        debate does not depend on the rest of the batch. The H honest seats
+        draw from their tables and tilts, and the last m answer columns hold
+        each question's adversary_answer. Returns the (B, T+1, N) context
+        rows and answer codes of every visit (compromised seats included).
         """
         n = self.config.num_agents
         if len(policies) != n:
@@ -497,7 +497,7 @@ class DebateEnv:
         steps = self.config.rounds + 1
         contexts, answers = np.empty((2, b, steps, n), dtype=np.int64)
         if b == 0:
-            return [], contexts, answers
+            return contexts, answers
         if h < n:
             answers[:, :, h:] = np.array([self.answer_space.index(self.adversary_answer(q))
                                           for q in questions])[:, None, None]
@@ -522,34 +522,28 @@ class DebateEnv:
             # The softmax of each visit's logits plus tilt, then a right-side
             # search of its cumsum, in place.
             z = logits[np.arange(h), contexts[:, t, :h]]
-            z += np.stack([tl[t] for tl in tilts])
+            z += tilts[:, t]
             z -= z.max(axis=-1, keepdims=True)
             np.exp(z, out=z)
             z /= z.sum(axis=-1, keepdims=True)
             np.cumsum(z, axis=-1, out=z)
             answers[:, t, :h] = np.minimum((z <= uniforms[:, t]).sum(axis=-1), k - 1)
-        labels = np.array(self.answer_space, dtype=object)
-        trajectories = [
-            DebateTrajectory(q.question_id, self.answer_space,
-                             tuple(map(tuple, labels[codes].tolist())), q.ground_truth)
-            for q, codes in zip(questions, answers)
-        ]
-        return trajectories, contexts, answers
+        return contexts, answers
 
     def agent_steps(
-        self, question: SyntheticQuestion, traj: "DebateTrajectory", agent_index: int
+        self, question: SyntheticQuestion, answers: np.ndarray, agent_index: int
     ) -> list[AgentStep]:
-        """The (context row, tilt, answer) visits of one honest agent, in round
-        order; its tilts are row agent_index of the question's (T+1, H, K) tilts."""
+        """The (context row, tilt, answer code) visits of one honest agent along
+        a debate's (T+1, N) answer codes, in round order; its tilts are row
+        agent_index of the question's (T+1, H, K) tilts."""
         if agent_index not in self.honest_indices:
             raise ValueError(f"agent {agent_index} is compromised and has no policy")
         k = len(self.answer_space)
         base = difficulty_bin(question.difficulty, self.config.difficulty_bins) * contexts_per_bin(k)
-        codes = np.array([[self.answer_space.index(a) for a in row] for row in traj.rounds])
-        rows = [base] + _round_contexts(base, codes[:-1], k)[:, agent_index].tolist()
+        rows = [base] + _round_contexts(base, answers[:-1], k)[:, agent_index].tolist()
         tilts = self.batch_tilts([question])[0]
-        return [AgentStep(ctx=ctx, tilt=tilts[t, agent_index], answer=row[agent_index])
-                for t, (ctx, row) in enumerate(zip(rows, traj.rounds))]
+        return [AgentStep(ctx=ctx, tilt=tilts[t, agent_index], answer=answer)
+                for t, (ctx, answer) in enumerate(zip(rows, answers[:, agent_index].tolist()))]
 
 
 def save_policy(

@@ -1,10 +1,10 @@
 """Uncertainty-prioritized experience replay with importance weights.
 
-Stored trajectories carry a non-negative priority score
-U = (1 - r_intra) + (1 - r_inter) + (1 - r_sys), the unit-weight sum of the
-complements of the trajectory's reward components. Sampling draws with
-probability proportional to U**eta; eta = 0, or an all-zero buffer, degrades
-to uniform.
+Each entry is a question and its debate's (T+1, N) answer codes with a
+non-negative priority score U = (1 - r_intra) + (1 - r_inter) + (1 - r_sys),
+the unit-weight sum of the complements of the debate's reward components.
+Sampling draws with probability proportional to U**eta; eta = 0, or an
+all-zero buffer, degrades to uniform.
 Each draw gets the importance weight (1/len) / p, renormalized so the batch
 mean is exactly 1 (so eta = 0 yields all-ones weights). Capacity eviction is
 FIFO.
@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from madlab.debate import DebateTrajectory, write_trajectories
-from madlab.policy import derive_key
+from madlab.debate import write_trajectories
+from madlab.policy import SyntheticQuestion, derive_key
 from madlab.rewards import RewardBatch
 
 
@@ -56,14 +56,17 @@ def replay_score(rewards: RewardBatch) -> np.ndarray:
 
 @dataclass
 class BufferEntry:
-    trajectory: DebateTrajectory
+    """A stored debate: its question and (T+1, N) answer codes, with their priority."""
+
+    question: SyntheticQuestion
+    answers: np.ndarray
     score: float
     inserted_iteration: int
     policy_version: int
 
 
 class ReplayBuffer:
-    """FIFO-bounded store of scored trajectories with prioritized sampling."""
+    """FIFO-bounded store of scored debates with prioritized sampling."""
 
     def __init__(self, config: ReplayConfig) -> None:
         self.config = config
@@ -74,7 +77,8 @@ class ReplayBuffer:
 
     def push(
         self,
-        traj: DebateTrajectory,
+        question: SyntheticQuestion,
+        answers: np.ndarray,
         score: float,
         iteration: int = 0,
         policy_version: int = 0,
@@ -83,7 +87,8 @@ class ReplayBuffer:
             raise ValueError(f"replay score must be non-negative, got {score}")
         self.entries.append(
             BufferEntry(
-                trajectory=traj,
+                question=question,
+                answers=answers,
                 score=float(score),
                 inserted_iteration=iteration,
                 policy_version=policy_version,
@@ -126,26 +131,20 @@ class ReplayBuffer:
         self,
         env,
         policies: Sequence,
-        questions: Mapping[str, object],
         rollout_seed: int,
         policy_version: int,
-        score: Callable[[list[DebateTrajectory], np.ndarray], Sequence[float]],
+        score: Callable[[list[SyntheticQuestion], np.ndarray], Sequence[float]],
     ) -> None:
         """Re-roll every stored question under the given policies, rescore, restamp.
 
-        All entries roll as one batch; score maps the re-rolled trajectories and
-        their (B, T+1, N) answer codes to one priority each. An unknown
-        question id fails before any entry changes.
+        All entries roll as one batch; score maps the questions and their
+        re-rolled (B, T+1, N) answer codes to one priority each.
         """
-        qids = [entry.trajectory.question_id for entry in self.entries]
-        for qid in qids:
-            if qid not in questions:
-                raise ValueError(f"cannot refresh: unknown question_id {qid!r}")
-        batch = [questions[qid] for qid in qids]
-        seeds = [derive_key(rollout_seed, j) for j in range(len(batch))]
-        trajectories, _, answers = env.rollout_batch(batch, policies, seeds)
-        for entry, traj, priority in zip(self.entries, trajectories, score(trajectories, answers)):
-            entry.trajectory = traj
+        questions = [entry.question for entry in self.entries]
+        seeds = [derive_key(rollout_seed, j) for j in range(len(questions))]
+        _, answers = env.rollout_batch(questions, policies, seeds)
+        for entry, codes, priority in zip(self.entries, answers, score(questions, answers)):
+            entry.answers = codes
             entry.score = priority
             entry.policy_version = policy_version
 
@@ -153,7 +152,8 @@ class ReplayBuffer:
         """Trajectory .jsonl with replay_score / policy_version side fields."""
         write_trajectories(
             path_or_fp,
-            [e.trajectory for e in self.entries],
+            [e.question for e in self.entries],
+            [e.answers for e in self.entries],
             extras=[
                 {
                     "replay_score": e.score,

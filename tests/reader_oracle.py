@@ -6,6 +6,9 @@ read_trajectories builds every record through trajectory_from_record, and
 outcome_records regroups the supervised trajectories by (answer space, T+1,
 N) and encodes each group with metrics.answer_codes. trajectories_of decodes
 the answer-code reader's groups back into trajectories, to compare the two.
+trajectory_record and write_records write hand-made trajectories in the file
+format, for inputs no debate batch produces: records without ground truth, or
+several answer spaces in one file.
 """
 
 from __future__ import annotations
@@ -43,6 +46,18 @@ def read_trajectories(path_or_fp):
     return with_fp(path_or_fp, "r", _read)
 
 
+def trajectory_record(traj):
+    """One hand-made trajectory's .jsonl record, in the order the writer lays out its keys."""
+    return {"question_id": traj.question_id, "answer_space": list(traj.answer_space),
+            "ground_truth": traj.ground_truth, "rounds": [list(row) for row in traj.rounds]}
+
+
+def write_records(path_or_fp, trajectories):
+    """Write hand-made trajectories as one JSON record per line."""
+    with_fp(path_or_fp, "w", lambda fp: fp.writelines(
+        json.dumps(trajectory_record(traj)) + "\n" for traj in trajectories))
+
+
 def trajectories_of(read):
     """The trajectories of a debate.TrajectoryFile in file order, decoded from its groups."""
     out = [None] * len(read)
@@ -59,7 +74,7 @@ def trajectories_of(read):
 def outcome_records(trajectories, metric_config, chunk_size=4096):
     groups = {}
     for j, traj in enumerate(trajectories):
-        key = (traj.answer_space, len(traj.rounds), traj.num_agents)
+        key = (traj.answer_space, len(traj.rounds), len(traj.rounds[0]))
         groups.setdefault(key, []).append(j)
     records = [None] * len(trajectories)
     for (space, _, _), members in groups.items():

@@ -1,20 +1,21 @@
-"""The clipped, reference-anchored objective one trajectory at a time: the
+"""The clipped, reference-anchored objective one debate at a time: the
 scalar reference the batched engine in madlab.policy and madlab.optim must
 reproduce.
 
 build_context rebuilds one agent's context row from a round's labels with a
 dict of peer counts, probs is a table row's softmax, and trajectory_log_prob,
 likelihood_ratio, kl_anchor and objective_value evaluate the objective of
-madlab.optim on one (question, trajectory, agent) at a time. The tests check
-rollout_batch's recorded contexts against build_context, gradient_step against
-central differences of objective_value, and the clip fixtures against
-likelihood_ratio. kl_anchor shares the log-softmax of gradient_step.
-per_stream_questions draws each question from its own rng_stream, the way
-DebateEnv.generate_questions must reproduce from one vectorized Philox pass.
-Acts and tilts have no Generator draws to match: each debate and each
-question reads raw words of its one Philox key at fixed positions, and
-test_policy's per_draw_rollout and per_stream_tilts index numpy's own
-Philox.random_raw at those positions one word at a time.
+madlab.optim on one (question, answer codes, agent) at a time; a debate's
+answer codes are its (T+1, N) grid, as RolloutBatch.trajectories holds them.
+The tests check rollout_batch's recorded contexts against build_context,
+gradient_step against central differences of objective_value, and the clip
+fixtures against likelihood_ratio. kl_anchor shares the log-softmax of
+gradient_step. per_stream_questions draws each question from its own
+rng_stream, the way DebateEnv.generate_questions must reproduce from one
+vectorized Philox pass. Acts and tilts have no Generator draws to match: each
+debate and each question reads raw words of its one Philox key at fixed
+positions, and test_policy's per_draw_rollout and per_stream_tilts index
+numpy's own Philox.random_raw at those positions one word at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from madlab.debate import DebateTrajectory
 from madlab.optim import ClipConfig, RolloutBatch, _log_probs
 from madlab.policy import (
     TRUTH_SKEW,
@@ -83,13 +83,13 @@ def trajectory_log_prob(
     policy: PolicyTable,
     agent_index: int,
     question: SyntheticQuestion,
-    traj: DebateTrajectory,
+    answers: np.ndarray,
 ) -> float:
-    """log pi(trajectory) for one honest agent: sum over rounds 0..T."""
+    """log pi(answers) for one honest agent: sum over rounds 0..T."""
     total = 0.0
-    for step in env.agent_steps(question, traj, agent_index):
+    for step in env.agent_steps(question, answers, agent_index):
         p = probs(policy, step.ctx, step.tilt)
-        total += float(np.log(p[policy.labels.index(step.answer)]))
+        total += float(np.log(p[step.answer]))
     return total
 
 
@@ -99,11 +99,11 @@ def likelihood_ratio(
     reference: PolicyTable,
     agent_index: int,
     question: SyntheticQuestion,
-    traj: DebateTrajectory,
+    answers: np.ndarray,
 ) -> float:
     """exp(log pi_theta(tau) - log pi_ref(tau)) for one honest agent."""
-    lp_cur = trajectory_log_prob(env, current, agent_index, question, traj)
-    lp_ref = trajectory_log_prob(env, reference, agent_index, question, traj)
+    lp_cur = trajectory_log_prob(env, current, agent_index, question, answers)
+    lp_ref = trajectory_log_prob(env, reference, agent_index, question, answers)
     return math.exp(lp_cur - lp_ref)
 
 
@@ -119,10 +119,10 @@ def kl_anchor(
     reference: PolicyTable,
     agent_index: int,
     question: SyntheticQuestion,
-    traj: DebateTrajectory,
+    answers: np.ndarray,
 ) -> float:
     """Mean per-visited-context KL(current || reference) over the T+1 rounds."""
-    steps = env.agent_steps(question, traj, agent_index)
+    steps = env.agent_steps(question, answers, agent_index)
     total = 0.0
     for step in steps:
         lp_cur = _log_probs(current.logits, step.ctx, step.tilt)
@@ -149,12 +149,12 @@ def objective_value(
         assert cur is not None and ref is not None
         surr = 0.0
         kl = 0.0
-        for m, (q, traj) in enumerate(zip(batch.questions, batch.trajectories)):
+        for m, (q, answers) in enumerate(zip(batch.questions, batch.trajectories)):
             w = batch.weights[m]
             a = float(advantages[m, i])
-            rho = likelihood_ratio(env, cur, ref, i, q, traj)
+            rho = likelihood_ratio(env, cur, ref, i, q, answers)
             surr += w * clipped_surrogate(rho, a, clip.epsilon)
-            kl += w * kl_anchor(env, cur, ref, i, q, traj)
+            kl += w * kl_anchor(env, cur, ref, i, q, answers)
         out[i] = surr / m_total - coeffs.eta_anchor[i] * kl / m_total
     return out
 

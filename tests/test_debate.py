@@ -9,17 +9,17 @@ import re
 import numpy as np
 import pytest
 
-from brute_oracle import brute_majority, random_rounds
+from brute_oracle import brute_majority
 from madlab.debate import (
     DebateTrajectory,
     read_trajectories,
     trajectory_from_record,
-    trajectory_to_record,
     validate_trajectory,
     write_trajectories,
 )
 from madlab.metrics import _votes, answer_codes
-from reader_oracle import trajectories_of
+from madlab.policy import DebateEnv, EnvConfig, SyntheticQuestion
+from reader_oracle import trajectories_of, trajectory_record, write_records
 
 SPACE = ("A", "B", "C")
 
@@ -111,20 +111,55 @@ def test_validate_rejects_bad_ground_truth_and_dup_space():
 
 def test_jsonl_round_trip_preserves_everything():
     rng = np.random.default_rng(3)
-    trajs = [
-        make_traj(random_rounds(rng, 3, 2, SPACE), ground_truth="B", qid=f"q-{k}")
-        for k in range(20)
-    ]
+    questions = [SyntheticQuestion(f"q-{k}", SPACE, "B", 0.5) for k in range(20)]
+    codes = rng.integers(0, len(SPACE), size=(20, 3, 3))
     buf = io.StringIO()
-    write_trajectories(buf, trajs)
+    write_trajectories(buf, questions, codes)
     back = read_trajectories(io.StringIO(buf.getvalue()))
-    assert trajectories_of(back) == trajs
+    labels = np.array(SPACE, dtype=object)[codes].tolist()
+    assert trajectories_of(back) == [
+        make_traj(tuple(map(tuple, grid)), ground_truth="B", qid=q.question_id)
+        for q, grid in zip(questions, labels)
+    ]
+
+
+# The eval-wide benchmark's shape (7 agents, 8 rounds, one compromised seat),
+# and K = 12 labels with two max_wrong seats.
+ROUND_TRIP_CONFIGS = {
+    "eval-wide": EnvConfig(num_agents=7, rounds=8, difficulty_bins=2, compromised_count=1,
+                           skills=(0.95, 0.88, 0.81, 0.74, 0.67, 0.6, 0.53)),
+    "k12": EnvConfig(num_agents=5, rounds=9, answer_space_size=12, difficulty_bins=3,
+                     compromised_count=2, adversarial_target_policy="max_wrong",
+                     difficulty="uniform:0.0,1.0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_CONFIGS))
+def test_written_debates_read_back_as_their_codes(name):
+    env = DebateEnv(ROUND_TRIP_CONFIGS[name])
+    questions = env.generate_questions(64, "rt")
+    _, answers = env.rollout_batch(questions, env.initial_policies(), list(range(64)))
+    assert len(np.unique(answers)) > 2
+    buf = io.StringIO()
+    write_trajectories(buf, questions, answers)
+    [group] = read_trajectories(io.StringIO(buf.getvalue())).groups
+    assert group.answer_space == env.answer_space
+    np.testing.assert_array_equal(group.codes, answers)
+    assert group.truth.tolist() == [env.answer_space.index(q.ground_truth) for q in questions]
+    assert group.question_ids == [q.question_id for q in questions]
+    assert group.positions == list(range(len(questions)))
+
+
+def test_write_trajectories_of_no_debates_writes_an_empty_file():
+    buf = io.StringIO()
+    write_trajectories(buf, [], [])
+    assert buf.getvalue() == ""
 
 
 def test_jsonl_null_ground_truth_round_trips():
     traj = make_traj((("A", "B"), ("B", "B")))
     buf = io.StringIO()
-    write_trajectories(buf, [traj])
+    write_records(buf, [traj])
     assert '"ground_truth": null' in buf.getvalue()
     assert trajectories_of(read_trajectories(io.StringIO(buf.getvalue())))[0].ground_truth is None
 
@@ -147,18 +182,20 @@ def test_jsonl_missing_field_rejected():
 
 
 def test_jsonl_extra_fields_survive_in_records():
-    traj = make_traj((("A", "B"), ("B", "B")))
+    question = SyntheticQuestion("q-0", SPACE, "A", 0.5)
     buf = io.StringIO()
-    write_trajectories(buf, [traj], extras=[{"replay_score": 0.5, "policy_version": 3}])
+    write_trajectories(buf, [question], np.array([[[0, 1], [1, 1]]]),
+                       extras=[{"replay_score": 0.5, "policy_version": 3}])
     record = json.loads(buf.getvalue())
     assert record["replay_score"] == 0.5
     assert record["policy_version"] == 3
-    assert trajectories_of(read_trajectories(io.StringIO(buf.getvalue()))) == [traj]
+    assert trajectories_of(read_trajectories(io.StringIO(buf.getvalue()))) == [
+        make_traj((("A", "B"), ("B", "B")), ground_truth="A")]
 
 
 @pytest.mark.parametrize("space", [5, "AB"])
 def test_non_list_answer_space_rejected_with_file_and_line(tmp_path, space):
-    good = trajectory_to_record(make_traj((("A", "B"), ("B", "B"))))
+    good = trajectory_record(make_traj((("A", "B"), ("B", "B"))))
     path = str(tmp_path / "t.jsonl")
     with open(path, "w", encoding="utf-8") as fp:
         fp.write(json.dumps(good) + "\n" + json.dumps(dict(good, answer_space=space)) + "\n")
@@ -168,7 +205,7 @@ def test_non_list_answer_space_rejected_with_file_and_line(tmp_path, space):
 
 @pytest.mark.parametrize("qid", [None, True, 1.5, ["q"], {"q": 1}])
 def test_question_id_must_be_a_string_or_an_integer(tmp_path, qid):
-    good = trajectory_to_record(make_traj((("A", "B"), ("B", "B"))))
+    good = trajectory_record(make_traj((("A", "B"), ("B", "B"))))
     path = str(tmp_path / "t.jsonl")
     with open(path, "w", encoding="utf-8") as fp:
         fp.write(json.dumps(good) + "\n" + json.dumps(dict(good, question_id=qid)) + "\n")
@@ -178,7 +215,7 @@ def test_question_id_must_be_a_string_or_an_integer(tmp_path, qid):
 
 
 def test_integer_question_id_reads_as_its_digits():
-    record = dict(trajectory_to_record(make_traj((("A", "B"), ("B", "B")))), question_id=7)
+    record = dict(trajectory_record(make_traj((("A", "B"), ("B", "B")))), question_id=7)
     assert trajectories_of(read_trajectories(io.StringIO(json.dumps(record))))[0].question_id == "7"
 
 

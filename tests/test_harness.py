@@ -14,7 +14,7 @@ import brute_oracle as oracle
 import stats_oracle
 from madlab import harness
 from madlab.config import ExperimentConfig
-from madlab.debate import DebateTrajectory, write_trajectories
+from madlab.debate import DebateTrajectory
 from madlab.harness import (
     COEFFICIENTS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -32,6 +32,7 @@ from madlab.optim import ClipConfig
 from madlab.policy import EnvConfig
 from madlab.replay import ReplayConfig
 from madlab.stats import SeparationReport
+from reader_oracle import write_records
 
 BASELINE_ARTIFACTS = ("summary.csv", "trajectories.jsonl", "profiles.csv", "rewards.csv")
 
@@ -261,7 +262,7 @@ def test_analysis_counts_records_without_ground_truth(tmp_path):
         supervised_lines = fp.read()
     with open(path, "w", encoding="utf-8") as fp:
         fp.write(supervised_lines)
-        write_trajectories(fp, unsupervised)
+        write_records(fp, unsupervised)
     result = run_analysis([str(path)], tiny_config(), str(tmp_path / "reports"))
     assert result.rows[0].questions == 12
     assert any("excluded 3 trajectories" in w for w in result.warnings)
@@ -279,7 +280,7 @@ def test_analysis_single_outcome_class_degrades_gracefully(tmp_path):
         )
         for i in range(4)
     ]
-    write_trajectories(str(path), trajectories)
+    write_records(str(path), trajectories)
     reports = tmp_path / "reports"
     result = run_analysis([str(path)], tiny_config(), str(reports))
     assert result.rows[0].accuracy == 1.0
@@ -308,7 +309,7 @@ def test_analysis_groups_mixed_answer_spaces_and_grid_shapes(tmp_path, monkeypat
             ground_truth=None if j % 9 == 4 else space[int(rng.integers(len(space)))],
         ))
     path = tmp_path / "mixed.jsonl"
-    write_trajectories(str(path), trajectories)
+    write_records(str(path), trajectories)
     config = tiny_config()
     expected = [
         stats_oracle.OutcomeRecord(
@@ -332,14 +333,14 @@ def test_analysis_leaves_no_report_from_an_earlier_run(tmp_path):
     assert sorted(os.listdir(reports)) == [
         "correlation.csv", "selective.csv", "separation.csv", "strata.csv"]
     easy = tmp_path / "easy.jsonl"
-    write_trajectories(str(easy), [
+    write_records(str(easy), [
         DebateTrajectory(f"easy-{i}", ("A", "B"), (("A", "A", "A"),) * 3, "A") for i in range(10)
     ])
     result = run_analysis([str(easy)], tiny_config(), str(reports))
     assert any("correlation matrix skipped" in w for w in result.warnings)
     assert sorted(os.listdir(reports)) == ["selective.csv", "separation.csv", "strata.csv"]
     free = tmp_path / "free.jsonl"
-    write_trajectories(str(free), [DebateTrajectory("q", ("A", "B"), (("A", "B"), ("A", "B")))])
+    write_records(str(free), [DebateTrajectory("q", ("A", "B"), (("A", "B"), ("A", "B")))])
     result = run_analysis([str(free)], tiny_config(), str(reports))
     assert any("no usable trajectories" in w for w in result.warnings)
     assert os.listdir(reports) == []
@@ -347,7 +348,7 @@ def test_analysis_leaves_no_report_from_an_earlier_run(tmp_path):
 
 def test_analysis_with_no_usable_records_reports_and_stops(tmp_path):
     path = tmp_path / "unsupervised.jsonl"
-    write_trajectories(
+    write_records(
         str(path),
         [
             DebateTrajectory(

@@ -10,6 +10,10 @@ module-level function, class and assigned name (but __all__ and __version__),
 and every public method, must be referenced by name somewhere in src/madlab
 (an attribute read counts; an assignment does not), be listed in an __all__,
 or be a name the benchmark's traced run wraps (perfbench/layers.py).
+
+A debate in memory is its question and answer codes; label grids belong to
+the file format. Only debate.py, metrics.py (full_profile, answer_codes) and
+the package's __init__.py may name DebateTrajectory.
 """
 
 import ast
@@ -108,3 +112,19 @@ def test_every_definition_is_used_by_the_package(layers):
     # The only allowance: the traced run still wraps these two scalar rollout
     # entry points, which nothing in the package calls.
     assert unused == {"policy.DebateEnv.rollout_debate", "policy.DebateEnv.agent_steps"}
+
+
+LABEL_GRID_MODULES = {"__init__.py", "debate.py", "metrics.py"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_file_format_modules_name_debate_trajectory(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fp:
+        tree = ast.parse(fp.read(), filename=module)
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {alias.asname or alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    named |= referenced_names(tree)
+    # the allowed modules do name it, so the list cannot go stale unnoticed
+    assert ("DebateTrajectory" in named) == (module in LABEL_GRID_MODULES)

@@ -17,7 +17,6 @@ import pytest
 
 from madlab import optim
 from madlab import policy as policy_module
-from madlab.debate import DebateTrajectory
 from madlab.harness import evaluate_ensemble
 from madlab.metrics import MetricConfig, profiles_from_codes
 from madlab.optim import (
@@ -71,30 +70,29 @@ def small_env(num_agents=2, rounds=1, seed=17):
     )
 
 
-def recorded_visits(env, questions, trajectories):
-    """The (B, T+1, N) context rows and answer codes of hand-built trajectories."""
+def recorded_contexts(env, questions, answers):
+    """The (B, T+1, N) context rows of hand-built (B, T+1, N) answer codes."""
     bins = env.config.difficulty_bins
-    contexts = [
+    grids = np.array(env.answer_space)[answers].tolist()
+    return np.array([
         [
             [
-                build_context(difficulty_bin(q.difficulty, bins), traj.rounds[t - 1] if t else None,
+                build_context(difficulty_bin(q.difficulty, bins), grid[t - 1] if t else None,
                               i, env.answer_space)
-                for i in range(traj.num_agents)
+                for i in range(len(grid[0]))
             ]
-            for t in range(len(traj.rounds))
+            for t in range(len(grid))
         ]
-        for q, traj in zip(questions, trajectories)
-    ]
-    answers = [[[env.answer_space.index(a) for a in row] for row in t.rounds] for t in trajectories]
-    return np.array(contexts), np.array(answers)
+        for q, grid in zip(questions, grids)
+    ])
 
 
 def batch_totals(batch, coeffs):
-    """Per-agent total rewards of every batch trajectory (batch x agents)."""
-    space = batch.trajectories[0].answer_space
-    profiles = profiles_from_codes(batch.answers, len(space), MC)
-    correct = [space[w] == t.ground_truth
-               for t, w in zip(batch.trajectories, profiles.winners.tolist())]
+    """Per-agent total rewards of every batch debate (batch x agents)."""
+    space = batch.questions[0].answer_space
+    profiles = profiles_from_codes(batch.trajectories, len(space), MC)
+    correct = [space[w] == q.ground_truth
+               for q, w in zip(batch.questions, profiles.winners.tolist())]
     return total_reward(profiles, correct, coeffs).total
 
 
@@ -282,16 +280,14 @@ def test_fully_clipped_batch_has_exactly_zero_gradient():
         )
     )
     question = SyntheticQuestion("q0", ("A", "B", "C", "D"), "A", 1.0)
-    correct = DebateTrajectory("q0", question.answer_space, (("A", "A"), ("A", "A")), "A")
-    wrong = DebateTrajectory("q0", question.answer_space, (("B", "B"), ("B", "B")), "A")
-    contexts, answers = recorded_visits(env, (question, question), (correct, wrong))
+    correct, wrong = answers = np.array([np.zeros((2, 2), dtype=np.int64),
+                                         np.ones((2, 2), dtype=np.int64)])  # all A, all B
     batch = RolloutBatch(
         questions=(question, question),
-        trajectories=(correct, wrong),
+        trajectories=answers,
         weights=(1.0, 1.0),
         ref_version=0,
-        contexts=contexts,
-        answers=answers,
+        contexts=recorded_contexts(env, (question, question), answers),
     )
     coeffs = CoefficientSet.uniform(
         2, alpha=0.0, beta=0.0, gamma=0.0, lambda_task=1.0, eta_anchor=0.0
@@ -343,7 +339,7 @@ def per_visit_gradient_step(env, state, batch, clip, totals):
             steps = env.agent_steps(q, traj, i)
             lp_cur_rows = [visit_log_probs(cur, s) for s in steps]
             lp_ref_rows = [visit_log_probs(ref, s) for s in steps]
-            picks = [cur.labels.index(s.answer) for s in steps]
+            picks = [s.answer for s in steps]
             lp_cur = sum(float(row[j]) for row, j in zip(lp_cur_rows, picks))
             lp_ref = sum(float(row[j]) for row, j in zip(lp_ref_rows, picks))
             rho = math.exp(lp_cur - lp_ref)
@@ -435,10 +431,10 @@ def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
     batch = collect_batch(env, questions, policies, 0, 5)
     evaluate_ensemble(env, questions, policies, MC, "eval")
     buffer = ReplayBuffer(ReplayConfig())
-    for traj in batch.trajectories:
-        buffer.push(traj, 1.0)
-    buffer.refresh(env, policies, {q.question_id: q for q in questions}, rollout_seed=9,
-                   policy_version=1, score=lambda trajs, answers: [1.0] * len(trajs))
+    for q, codes in zip(batch.questions, batch.trajectories):
+        buffer.push(q, codes, 1.0)
+    buffer.refresh(env, policies, rollout_seed=9, policy_version=1,
+                   score=lambda qs, answers: [1.0] * len(qs))
     coeffs = CoefficientSet.uniform(4)
     state = TrainState(policies=policies, reference=env.initial_policies(), ref_version=0,
                        coeffs=coeffs, iteration=0)
@@ -480,10 +476,9 @@ def saturated_batch(rounds, env_seed=6):
     env = DebateEnv(EnvConfig(num_agents=2, rounds=rounds, answer_space_size=2,
                               difficulty="fixed:0.5", seed=env_seed))
     questions = env.generate_questions(3, "t")
-    trajectories = [DebateTrajectory(q.question_id, env.answer_space, (("A", "A"),) * (rounds + 1),
-                                     q.ground_truth) for q in questions]
-    contexts, answers = recorded_visits(env, questions, trajectories)
-    batch = RolloutBatch(tuple(questions), tuple(trajectories), (1.0,) * 3, 0, contexts, answers)
+    answers = np.zeros((3, rounds + 1, 2), dtype=np.int64)  # every answer A
+    batch = RolloutBatch(tuple(questions), answers, (1.0,) * 3, 0,
+                         recorded_contexts(env, questions, answers))
     policies = env.initial_policies()
     reference = [p.copy() for p in policies]
     for cur, ref in zip(policies, reference):
@@ -598,37 +593,34 @@ def test_collect_batch_deterministic_and_slot_keyed():
     slots = [q] * 6
     batch1 = collect_batch(env, slots, policies, 0, rollout_seed=44)
     batch2 = collect_batch(env, slots, policies, 0, rollout_seed=44)
-    assert batch1.trajectories == batch2.trajectories
-    assert len({t.rounds for t in batch1.trajectories}) > 1, (
+    assert np.array_equal(batch1.trajectories, batch2.trajectories)
+    assert len(np.unique(batch1.trajectories, axis=0)) > 1, (
         "identical slots should draw from distinct streams"
     )
 
 
 def test_rollout_batch_validation():
     q = SyntheticQuestion("q0", ("A", "B"), "A", 0.0)
-    t = DebateTrajectory("q0", ("A", "B"), (("A", "A"),), "A")
     one, two = np.zeros((1, 1, 2), dtype=np.int64), np.zeros((2, 1, 2), dtype=np.int64)
     with pytest.raises(ValueError):
-        RolloutBatch(questions=(q,), trajectories=(t, t), weights=(1.0,), ref_version=0,
-                     contexts=two, answers=two)
+        RolloutBatch(questions=(q,), trajectories=two, weights=(1.0,), ref_version=0,
+                     contexts=two)
     with pytest.raises(ValueError):
-        RolloutBatch(questions=(), trajectories=(), weights=(), ref_version=0,
-                     contexts=one[:0], answers=one[:0])
-    RolloutBatch(questions=(q,), trajectories=(t,), weights=(1.0,), ref_version=0,
-                 contexts=one, answers=one)
+        RolloutBatch(questions=(), trajectories=one[:0], weights=(), ref_version=0,
+                     contexts=one[:0])
+    RolloutBatch(questions=(q,), trajectories=one, weights=(1.0,), ref_version=0, contexts=one)
 
 
 @pytest.mark.parametrize(
     "contexts_shape, answers_shape",
-    [((2, 1, 2), (1, 1, 2)), ((1, 1, 2), (1, 2, 2)), ((1, 1, 3), (1, 1, 3)), ((1, 2), (1, 2))],
+    [((2, 1, 2), (1, 1, 2)), ((1, 1, 2), (1, 2, 2)), ((1, 1, 3), (1, 1, 2)), ((1, 2), (1, 2))],
 )
 def test_rollout_batch_rejects_visit_arrays_of_the_wrong_shape(contexts_shape, answers_shape):
     q = SyntheticQuestion("q0", ("A", "B"), "A", 0.0)
-    t = DebateTrajectory("q0", ("A", "B"), (("A", "A"),), "A")
     with pytest.raises(ValueError, match="visit arrays"):
-        RolloutBatch(questions=(q,), trajectories=(t,), weights=(1.0,), ref_version=0,
-                     contexts=np.zeros(contexts_shape, dtype=np.int64),
-                     answers=np.zeros(answers_shape, dtype=np.int64))
+        RolloutBatch(questions=(q,), trajectories=np.zeros(answers_shape, dtype=np.int64),
+                     weights=(1.0,), ref_version=0,
+                     contexts=np.zeros(contexts_shape, dtype=np.int64))
 
 
 def test_training_csv_golden():

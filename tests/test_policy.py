@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from madlab import policy as policy_module
-from madlab.debate import validate_trajectory
 from madlab.policy import (
     LOGIT_CLAMP,
     DebateEnv,
@@ -121,7 +120,7 @@ def test_sample_answer_follows_distribution():
     for p in policies:
         p.update(np.array([math.log(9.0), 0.0]) * (np.arange(len(p.logits)) == 0)[:, None])
     seeds = [derive_key(1, m) for m in range(len(questions))]
-    _, _, answers = env.rollout_batch(questions, policies, seeds)
+    _, answers = env.rollout_batch(questions, policies, seeds)
     expected = np.mean([probs(p, 0, tilts[0, i])[0]
                         for tilts in env.batch_tilts(questions) for i, p in enumerate(policies)])
     assert 0.6 < expected < 0.9
@@ -185,13 +184,12 @@ def test_rollout_shape_validity_and_determinism():
     pols = env.initial_policies()
     any_differ = False
     for q in qs:
-        traj = env.rollout_debate(q, pols, rollout_seed=99)
-        assert validate_trajectory(traj) == []
-        assert traj.num_agents == 3
-        assert len(traj.rounds) - 1 == 2
-        assert traj.ground_truth == q.ground_truth
-        assert traj == env.rollout_debate(q, pols, rollout_seed=99)
-        any_differ = any_differ or traj != env.rollout_debate(q, pols, rollout_seed=100)
+        codes = env.rollout_debate(q, pols, rollout_seed=99)
+        assert codes.shape == (2 + 1, 3) and codes.dtype == np.int64  # (T+1, N)
+        assert 0 <= codes.min() and codes.max() < len(env.answer_space)
+        assert np.array_equal(codes, env.rollout_debate(q, pols, rollout_seed=99))
+        any_differ = any_differ or not np.array_equal(
+            codes, env.rollout_debate(q, pols, rollout_seed=100))
     # a fresh seed must change something somewhere in the batch
     assert any_differ
 
@@ -299,21 +297,22 @@ def test_rollout_batch_matches_per_draw_rollouts(name):
     questions = env.generate_questions(32, "t")
     policies = perturbed_policies(env, seed=1)
     seeds = [derive_key(77, m) for m in range(32)]
-    trajectories, contexts, answers = env.rollout_batch(questions, policies, seeds)
+    contexts, answers = env.rollout_batch(questions, policies, seeds)
     labels = env.answer_space
     assert contexts.shape == answers.shape == (32, env.config.rounds + 1, env.config.num_agents)
-    for m, (q, traj) in enumerate(zip(questions, trajectories)):
-        assert traj.rounds == per_draw_rollout(env, q, policies, seeds[m])
-        assert traj.question_id == q.question_id and traj.ground_truth == q.ground_truth
+    for m, q in enumerate(questions):
+        rounds = per_draw_rollout(env, q, policies, seeds[m])
         qf = difficulty_bin(q.difficulty, env.config.difficulty_bins)
-        for t, row in enumerate(traj.rounds):
-            prev = traj.rounds[t - 1] if t else None
+        for t, row in enumerate(rounds):
+            prev = rounds[t - 1] if t else None
             for i, answer in enumerate(row):
                 assert contexts[m, t, i] == build_context(qf, prev, i, labels)
                 assert answers[m, t, i] == labels.index(answer)
         for i in env.honest_indices:
-            assert [s.ctx for s in env.agent_steps(q, traj, i)] == contexts[m, :, i].tolist()
-    assert len({t.rounds for t in trajectories}) > 1
+            steps = env.agent_steps(q, answers[m], i)
+            assert [s.ctx for s in steps] == contexts[m, :, i].tolist()
+            assert [s.answer for s in steps] == answers[m, :, i].tolist()
+    assert len(np.unique(answers, axis=0)) > 1
 
 
 def test_a_trajectory_does_not_depend_on_its_batch(monkeypatch):
@@ -321,19 +320,20 @@ def test_a_trajectory_does_not_depend_on_its_batch(monkeypatch):
     questions = env.generate_questions(300, "t")
     policies = perturbed_policies(env, seed=2)
     seeds = [derive_key(5, "eval", q.question_id) for q in questions]
-    alone = [env.rollout_batch([q], policies, [s])[0][0] for q, s in zip(questions, seeds)]
-    assert [env.rollout_debate(q, policies, s) for q, s in zip(questions, seeds)] == alone
+    alone = np.array([env.rollout_batch([q], policies, [s])[1][0] for q, s in zip(questions, seeds)])
+    assert np.array_equal([env.rollout_debate(q, policies, s) for q, s in zip(questions, seeds)],
+                          alone)
     # A batch that takes its act draws in several Philox passes: 6 rounds x 5
     # seats = 30 act words, 8 blocks, per debate, so 8 debates per 64-block pass.
     monkeypatch.setattr(policy_module, "PHILOX_BLOCKS_PER_PASS", 64)
     passes = record_philox_passes(monkeypatch)
-    assert env.rollout_batch(questions, policies, seeds)[0] == alone
+    assert np.array_equal(env.rollout_batch(questions, policies, seeds)[1], alone)
     assert [(len(keys), blocks) for keys, blocks in passes] == [(8, 8)] * 37 + [(4, 8)]
     for pos in range(32):
         batch = questions[1:32]
         batch.insert(pos, questions[0])
         batch_seeds = [seeds[questions.index(q)] for q in batch]
-        assert env.rollout_batch(batch, policies, batch_seeds)[0][pos] == alone[0]
+        assert np.array_equal(env.rollout_batch(batch, policies, batch_seeds)[1][pos], alone[0])
 
 
 def test_rollout_batch_rejects_bad_arguments():
@@ -344,16 +344,15 @@ def test_rollout_batch_rejects_bad_arguments():
         env.rollout_batch(questions, policies, [1])
     with pytest.raises(ValueError, match="honest agent 1 has no policy"):
         env.rollout_batch(questions, [policies[0], None, None], [1, 2])
-    trajectories, contexts, answers = env.rollout_batch([], policies, [])
-    assert trajectories == [] and contexts.shape == answers.shape == (0, 3, 3)
+    contexts, answers = env.rollout_batch([], policies, [])
+    assert contexts.shape == answers.shape == (0, 3, 3)
 
 
 def test_rollout_batch_with_every_seat_compromised():
     env = small_env(num_agents=3, compromised_count=3, adversarial_target_policy="fixed:B")
     questions = env.generate_questions(4, "t")
-    trajectories, _, answers = env.rollout_batch(questions, [None] * 3, [1] * 4)
-    assert all(row == ("B", "B", "B") for t in trajectories for row in t.rounds)
-    assert np.all(answers == 1)
+    _, answers = env.rollout_batch(questions, [None] * 3, [1] * 4)
+    assert answers.shape == (4, 3, 3) and np.all(answers == 1)
 
 
 def test_rollout_policy_count_mismatch():
@@ -371,8 +370,10 @@ def test_signal_tilt_favors_truth_and_scales_with_difficulty():
     truth_idx = q.answer_space.index(q.ground_truth)
     assert tilt[truth_idx] == max(tilt)
     assert tilt[truth_idx] > 3.0
-    # the same question gives the same tensor object (computed once)
-    assert env.batch_tilts([q])[0] is env.batch_tilts([q, q])[1]
+    # a batch stacks each question's tensor
+    both = env.batch_tilts([q, q])
+    assert both.shape == (2, 2, 2, 4) and np.array_equal(both[1], env.batch_tilts([q])[0])
+    assert env.batch_tilts([]).shape == (0, 2, 2, 4)
     env_hard = DebateEnv(EnvConfig(num_agents=2, rounds=1, answer_space_size=4,
                                    skills=(1.0,), seed=3, difficulty="fixed:1.0"))
     q_hard = env_hard.generate_questions(1, "t")[0]
@@ -381,26 +382,26 @@ def test_signal_tilt_favors_truth_and_scales_with_difficulty():
 
 
 @pytest.mark.parametrize("rounds", [3, 5])
-def test_tilts_are_drawn_once_per_question_and_read_only(monkeypatch, rounds):
+def test_tilts_are_drawn_once_per_question_and_copied_out(monkeypatch, rounds):
     env = DebateEnv(EnvConfig(num_agents=4, rounds=rounds, compromised_count=1, seed=2))
     q = env.generate_questions(1, "t")[0]
     passes = record_philox_passes(monkeypatch)
     monkeypatch.setattr(policy_module, "rng_stream", None)  # no draw opens a generator of its own
     pols = env.initial_policies()
     for seed in range(4):
-        traj = env.rollout_debate(q, pols, seed)
-        env.agent_steps(q, traj, 0)
+        env.agent_steps(q, env.rollout_debate(q, pols, seed), 0)
     # one tilt key, drawn once: (T+1) x 4 seats x 4 labels normals and 2 flare
     # words; then one act key per debate: (T+1) x 4 seats words
     steps = rounds + 1
     tilt = ([policy_module._key_digest(2, "tilt", q.question_id)], -(-(steps * 16 + 2) // 4))
     acts = [([policy_module._key_digest(seed, "act", q.question_id)], steps) for seed in range(4)]
     assert passes == [tilt] + acts
-    tilts = env.batch_tilts([q])[0]
-    assert tilts.shape == (rounds + 1, 3, 4)  # the compromised seat has no row
-    assert not tilts.flags.writeable
-    with pytest.raises(ValueError):
-        tilts[0, 0, 0] = 1.0
+    tilts = env.batch_tilts([q])
+    assert tilts.shape == (1, rounds + 1, 3, 4)  # the compromised seat has no row
+    # each batch is a copy: a caller writing into it leaves the cached tensor as it was
+    first = tilts.copy()
+    tilts += 1.0
+    assert np.array_equal(env.batch_tilts([q]), first)
 
 
 def record_philox_passes(monkeypatch):
@@ -474,8 +475,7 @@ def test_batch_tilts_do_not_depend_on_the_batch(monkeypatch):
     assert [(len(keys), blocks) for keys, blocks in passes] == [(3, 31)] * 40
     assert [d for keys, _ in passes for d in keys] == [
         policy_module._key_digest(6, "tilt", q.question_id) for q in mixed[:120]]
-    again = env.batch_tilts(questions[:3])
-    assert all(a is b for a, b in zip(again, got[60:63]))
+    assert np.array_equal(env.batch_tilts(questions[:3]), got[60:63])
     assert len(passes) == 40  # cached questions draw nothing
 
 
@@ -503,7 +503,7 @@ def test_honest_seats_do_not_depend_on_the_compromised_count():
     runs = {}
     for m in (0, 1, 2, 4):
         env = DebateEnv(EnvConfig(num_agents=6, compromised_count=m, seed=7))
-        _, _, answers = env.rollout_batch(questions, perturbed_policies(env, seed=3), seeds)
+        _, answers = env.rollout_batch(questions, perturbed_policies(env, seed=3), seeds)
         runs[m] = env.batch_tilts(questions), answers[:, 0]
     clean_tilts, clean_answers = runs[0]
     for m, (tilts, answers) in runs.items():
@@ -519,7 +519,7 @@ def test_earlier_rounds_do_not_depend_on_later_rounds():
         env = DebateEnv(EnvConfig(rounds=rounds, compromised_count=1, seed=8))
         questions = env.generate_questions(200, "t")
         seeds = [derive_key(4, m) for m in range(200)]
-        _, _, answers = env.rollout_batch(questions, perturbed_policies(env, seed=4), seeds)
+        _, answers = env.rollout_batch(questions, perturbed_policies(env, seed=4), seeds)
         runs.append((env.batch_tilts(questions), answers))
     (short_tilts, short_answers), (long_tilts, long_answers) = runs
     assert all(s.tobytes() == t[:3].tobytes() for s, t in zip(short_tilts, long_tilts))
@@ -531,7 +531,7 @@ def test_tilt_cache_is_keyed_by_the_question_not_its_id():
     first = SyntheticQuestion("q1", env.answer_space, "A", 0.2)
     second = SyntheticQuestion("q1", env.answer_space, "C", 0.2)
     harder = SyntheticQuestion("q1", env.answer_space, "C", 0.7)
-    tilts = env.batch_tilts([first]) + env.batch_tilts([second, harder])
+    tilts = np.concatenate([env.batch_tilts([first]), env.batch_tilts([second, harder])])
     for q, got in zip((first, second, harder), tilts):
         assert got.tobytes() == per_stream_tilts(env, q).tobytes()
     # the boost lands on each question's own truth
@@ -547,8 +547,8 @@ def test_easy_questions_start_mostly_correct():
     correct = 0
     total = 0
     for q in qs:
-        traj = env.rollout_debate(q, pols, rollout_seed=1)
-        correct += sum(a == q.ground_truth for a in traj.rounds[0])
+        codes = env.rollout_debate(q, pols, rollout_seed=1)
+        correct += int((codes[0] == env.answer_space.index(q.ground_truth)).sum())
         total += 5
     assert correct / total > 0.85
 
@@ -576,50 +576,47 @@ def test_compromised_answer_columns_follow_the_rule(rule):
                     adversarial_target_policy=rule)
     questions = [SyntheticQuestion(f"q{j}", env.answer_space, truth, 0.3)
                  for j, truth in enumerate("ABCD")]
-    trajectories, _, answers = env.rollout_batch(questions, env.initial_policies(), [1, 2, 3, 4])
+    _, answers = env.rollout_batch(questions, env.initial_policies(), [1, 2, 3, 4])
     expected = [env.answer_space.index(label) for label in ADVERSARY_RULES[rule]]
     assert np.all(answers[:, :, 3:] == np.array(expected)[:, None, None])
-    assert [{row[3:] for row in t.rounds} for t in trajectories] == [
-        {(label, label)} for label in ADVERSARY_RULES[rule]]
 
 
 def test_compromised_agents_hammer_target_every_round():
     env = small_env(num_agents=4, compromised_count=2)
     q = env.generate_questions(1, "t")[0]
-    traj = env.rollout_debate(q, env.initial_policies(), 7)
+    codes = env.rollout_debate(q, env.initial_policies(), 7)
     wrong = next(lab for lab in q.answer_space if lab != q.ground_truth)
-    for row in traj.rounds:
-        assert row[2] == wrong and row[3] == wrong
+    assert np.all(codes[:, 2:] == env.answer_space.index(wrong))
 
 
 def test_fixed_adversarial_target():
     env = small_env(num_agents=3, compromised_count=1,
                     adversarial_target_policy="fixed:C")
     q = env.generate_questions(1, "t")[0]
-    traj = env.rollout_debate(q, env.initial_policies(), 7)
-    assert all(row[2] == "C" for row in traj.rounds)
+    codes = env.rollout_debate(q, env.initial_policies(), 7)
+    assert np.all(codes[:, 2] == env.answer_space.index("C"))
 
 
 def test_trajectory_log_prob_matches_manual_product():
     env = small_env()
     q = env.generate_questions(1, "t")[0]
     pols = env.initial_policies()
-    traj = env.rollout_debate(q, pols, 42)
+    codes = env.rollout_debate(q, pols, 42)
     for i in env.honest_indices:
         manual = 0.0
-        for step in env.agent_steps(q, traj, i):
+        for t, step in enumerate(env.agent_steps(q, codes, i)):
             p = probs(pols[i], step.ctx, step.tilt)
-            manual += math.log(p[env.answer_space.index(step.answer)])
-        assert abs(trajectory_log_prob(env, pols[i], i, q, traj) - manual) < 1e-12
-        assert trajectory_log_prob(env, pols[i], i, q, traj) < 0.0
+            manual += math.log(p[codes[t, i]])
+        assert abs(trajectory_log_prob(env, pols[i], i, q, codes) - manual) < 1e-12
+        assert trajectory_log_prob(env, pols[i], i, q, codes) < 0.0
 
 
 def test_agent_steps_rejects_compromised_index():
     env = small_env(num_agents=3, compromised_count=1)
     q = env.generate_questions(1, "t")[0]
-    traj = env.rollout_debate(q, env.initial_policies(), 1)
+    codes = env.rollout_debate(q, env.initial_policies(), 1)
     with pytest.raises(ValueError, match="compromised"):
-        env.agent_steps(q, traj, 2)
+        env.agent_steps(q, codes, 2)
 
 
 def test_policy_serialization_round_trip():

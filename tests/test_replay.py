@@ -14,10 +14,9 @@ import pytest
 
 from madlab.debate import DebateTrajectory, read_trajectories
 from madlab.metrics import MetricConfig, answer_codes, profiles_from_codes
-from madlab.policy import DebateEnv, EnvConfig, derive_key
+from madlab.policy import DebateEnv, EnvConfig, SyntheticQuestion, derive_key
 from madlab.replay import ReplayBuffer, ReplayConfig, replay_score
 from madlab.rewards import CoefficientSet, total_reward
-from reader_oracle import trajectories_of
 
 MC = MetricConfig()
 CHI2_CRIT_DF4_ALPHA01 = 13.276704135987625
@@ -25,30 +24,31 @@ CHI2_CRIT_DF4_ALPHA01 = 13.276704135987625
 FIXED_SCORES = (0.1, 0.2, 0.3, 0.2, 0.7)
 
 
-def make_traj(qid, rounds=(("A", "B"), ("A", "B"))):
-    return DebateTrajectory(qid, ("A", "B"), rounds, "A")
+def make_debate(qid, codes=((0, 1), (0, 1))):
+    """A question over (A, B) with truth A, and its debate's answer codes."""
+    return SyntheticQuestion(qid, ("A", "B"), "A", 0.5), np.array(codes)
 
 
-def batch_scores(trajectories, answers):
-    """refresh's score callback: each re-rolled trajectory's priority through
-    the batch's profiles and rewards."""
-    assert (answer_codes(trajectories) == answers).all()
-    profiles = profiles_from_codes(answers, len(trajectories[0].answer_space), MC)
-    coeffs = CoefficientSet.uniform(trajectories[0].num_agents)
+def batch_scores(questions, answers):
+    """refresh's score callback: each re-rolled debate's priority through the
+    batch's profiles and rewards."""
+    assert answers.shape[0] == len(questions)
+    profiles = profiles_from_codes(answers, len(questions[0].answer_space), MC)
+    coeffs = CoefficientSet.uniform(answers.shape[2])
     # r_task does not enter the priority
     return replay_score(total_reward(profiles, np.zeros(len(answers), dtype=bool), coeffs)).tolist()
 
 
-def score_of(traj):
-    """Replay priority of one trajectory, scored as a batch of one."""
-    return batch_scores([traj], answer_codes([traj]))[0]
+def score_of(question, codes):
+    """Replay priority of one debate, scored as a batch of one."""
+    return batch_scores([question], codes[None])[0]
 
 
 def fixed_buffer(eta):
     config = ReplayConfig(priority_exponent=eta, capacity=16)
     buffer = ReplayBuffer(config)
     for j, score in enumerate(FIXED_SCORES):
-        buffer.push(make_traj(f"q{j}"), score, iteration=j, policy_version=0)
+        buffer.push(*make_debate(f"q{j}"), score, iteration=j, policy_version=0)
     return buffer
 
 
@@ -74,7 +74,7 @@ def test_replay_score_is_unit_weight_uncertainty_sum():
 def test_negative_score_rejected():
     buffer = ReplayBuffer(ReplayConfig())
     with pytest.raises(ValueError, match="non-negative"):
-        buffer.push(make_traj("q0"), -0.1)
+        buffer.push(*make_debate("q0"), -0.1)
 
 
 # ------------------------------------------------------------------ sampling
@@ -86,7 +86,7 @@ def test_sampling_law_matches_priority_exponent(eta):
     n_draws = 10_000
     rng = np.random.default_rng(2024)
     draws = buffer.sample(n_draws, rng)
-    counts = Counter(entry.trajectory.question_id for entry, _ in draws)
+    counts = Counter(entry.question.question_id for entry, _ in draws)
     scores = np.array(FIXED_SCORES)
     if eta == 0.0:
         probs = np.full(len(scores), 1.0 / len(scores))
@@ -111,10 +111,10 @@ def test_zero_scores_fall_back_to_uniform():
     config = ReplayConfig(priority_exponent=1.0)
     buffer = ReplayBuffer(config)
     for j in range(4):
-        buffer.push(make_traj(f"q{j}"), 0.0)
+        buffer.push(*make_debate(f"q{j}"), 0.0)
     draws = buffer.sample(32, np.random.default_rng(3))
     assert all(w == 1.0 for _, w in draws)
-    assert {e.trajectory.question_id for e, _ in draws} <= {f"q{j}" for j in range(4)}
+    assert {e.question.question_id for e, _ in draws} <= {f"q{j}" for j in range(4)}
 
 
 def test_importance_weights_follow_inverse_probability():
@@ -123,7 +123,7 @@ def test_importance_weights_follow_inverse_probability():
     probs = scores / scores.sum()
     by_qid = {f"q{j}": probs[j] for j in range(len(scores))}
     draws = buffer.sample(50, np.random.default_rng(11))
-    raw = np.array([1.0 / (len(scores) * by_qid[e.trajectory.question_id]) for e, _ in draws])
+    raw = np.array([1.0 / (len(scores) * by_qid[e.question.question_id]) for e, _ in draws])
     expected = raw / raw.mean()
     got = np.array([w for _, w in draws])
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -159,9 +159,9 @@ def test_sample_edge_cases():
 def test_fifo_eviction_drops_oldest():
     buffer = ReplayBuffer(ReplayConfig(capacity=100))
     for j in range(150):
-        buffer.push(make_traj(f"q{j:03d}"), 0.5, iteration=j)
+        buffer.push(*make_debate(f"q{j:03d}"), 0.5, iteration=j)
     assert len(buffer) == 100
-    kept = [e.trajectory.question_id for e in buffer.entries]
+    kept = [e.question.question_id for e in buffer.entries]
     assert kept == [f"q{j:03d}" for j in range(50, 150)]
 
 
@@ -169,12 +169,15 @@ def test_fifo_eviction_drops_oldest():
 
 
 def test_dump_restore_roundtrip(tmp_path):
-    # the dump reads back: trajectories through read_trajectories, the side
-    # fields of each entry from its line
+    # the dump reads back: each entry's question and codes through
+    # read_trajectories, its side fields from its line
     buffer = fixed_buffer(1.0)
     path = str(tmp_path / "buffer.jsonl")
     buffer.dump(path)
-    assert trajectories_of(read_trajectories(path)) == [e.trajectory for e in buffer.entries]
+    [group] = read_trajectories(path).groups
+    assert group.question_ids == [e.question.question_id for e in buffer.entries]
+    assert group.truth.tolist() == [0] * len(buffer)
+    np.testing.assert_array_equal(group.codes, [e.answers for e in buffer.entries])
     with open(path, "r", encoding="utf-8") as fp:
         records = [json.loads(line) for line in fp]
     assert [(r["replay_score"], r["policy_version"], r["inserted_iteration"]) for r in records] == [
@@ -196,34 +199,23 @@ def test_refresh_rerolls_rescores_and_restamps():
             seed=5,
         )
     )
-    questions = {q.question_id: q for q in env.generate_questions(3, "t")}
+    questions = env.generate_questions(3, "t")
     policies = env.initial_policies()
     buffer = ReplayBuffer(ReplayConfig())
-    for j, q in enumerate(questions.values()):
-        traj = env.rollout_debate(q, policies, derive_key(100, j))
-        buffer.push(traj, score_of(traj), iteration=1, policy_version=0)
-    buffer.refresh(env, policies, questions, rollout_seed=777, policy_version=9, score=batch_scores)
-    for j, entry in enumerate(buffer.entries):
-        q = questions[entry.trajectory.question_id]
+    for j, q in enumerate(questions):
+        codes = env.rollout_debate(q, policies, derive_key(100, j))
+        buffer.push(q, codes, score_of(q, codes), iteration=1, policy_version=0)
+    buffer.refresh(env, policies, rollout_seed=777, policy_version=9, score=batch_scores)
+    assert [e.question for e in buffer.entries] == questions
+    for j, (q, entry) in enumerate(zip(questions, buffer.entries)):
         expected = env.rollout_debate(q, policies, derive_key(777, j))
-        assert entry.trajectory == expected
-        assert entry.score == score_of(expected)
+        np.testing.assert_array_equal(entry.answers, expected)
+        assert entry.score == score_of(q, expected)
         assert entry.policy_version == 9
     # Same policies and seed: a second refresh is a fixed point.
-    snapshot = [(e.trajectory, e.score) for e in buffer.entries]
-    buffer.refresh(env, policies, questions, rollout_seed=777, policy_version=9, score=batch_scores)
-    assert snapshot == [(e.trajectory, e.score) for e in buffer.entries]
-
-
-def test_refresh_unknown_question_errors():
-    env = DebateEnv(EnvConfig(num_agents=2, rounds=1, answer_space_size=4,
-                              skills=(0.9, 0.8), seed=5))
-    buffer = ReplayBuffer(ReplayConfig())
-    buffer.push(make_traj("mystery"), 0.3)
-    with pytest.raises(ValueError, match="mystery"):
-        buffer.refresh(
-            env, env.initial_policies(), {}, rollout_seed=1, policy_version=1, score=batch_scores
-        )
+    snapshot = [(e.answers.tolist(), e.score) for e in buffer.entries]
+    buffer.refresh(env, policies, rollout_seed=777, policy_version=9, score=batch_scores)
+    assert snapshot == [(e.answers.tolist(), e.score) for e in buffer.entries]
 
 
 # ----------------------------------------------------------------- validation

@@ -44,7 +44,7 @@ def scalar_replay_score(r_intra, r_inter, r_sys):
 def rewards_of(traj, coeffs=None, correct=None):
     """One trajectory's rewards as a batch of one; r_task is read off the
     kernel's winner, as train scores it, unless correct is given."""
-    coeffs = coeffs or CoefficientSet.uniform(traj.num_agents)
+    coeffs = coeffs or CoefficientSet.uniform(len(traj.rounds[0]))
     space = traj.answer_space
     profiles = profiles_from_codes(answer_codes([traj]), len(space), CFG)
     if correct is None:

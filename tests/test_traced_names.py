@@ -36,6 +36,17 @@ def test_traced_amounts_read_the_arguments_they_expect():
     assert list(inspect.signature(policy.save_policy).parameters)[0] == "path_or_fp"
 
 
+def test_traced_batch_size_reads_the_batch_collect_batch_returns(layers):
+    # gradient_step's amount is len(batch.trajectories): the batch's slot count
+    env = policy.DebateEnv(policy.EnvConfig(num_agents=3, rounds=2, compromised_count=1))
+    questions = env.generate_questions(7, "t")
+    policies = env.initial_policies()
+    batch = optim.collect_batch(env, questions, policies, 0, rollout_seed=1)
+    state = optim.TrainState(policies=policies, reference=policies, ref_version=0,
+                             coeffs=None, iteration=0)
+    assert layers._batch_trajectories((env, state, batch), {}, None) == len(questions)
+
+
 def test_modules_keep_the_bindings_the_tracer_test_patches():
     # perfbench's test_tracer_patches_every_binding_and_restores_them checks
     # that patching metrics.full_profile also patches the package's and these
