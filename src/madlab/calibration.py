@@ -50,10 +50,6 @@ class AgentUncertaintyProfile:
                 if not 0.0 <= v <= 1.0:
                     raise ValueError(f"{name} values must be in [0, 1], got {v}")
 
-    @property
-    def num_agents(self) -> int:
-        return len(self.u_intra_bar)
-
 
 @dataclass(frozen=True)
 class CalibrationConfig:

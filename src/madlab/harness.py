@@ -117,7 +117,7 @@ def evaluate_ensemble(
     regardless of which policies or how many compromised seats are plugged in.
     """
     seeds = [derive_key(env.config.seed, "eval", q.question_id) for q in questions]
-    _, answers = env.rollout_batch(questions, policies, seeds)
+    _, answers = env.rollout_batch(questions, env.batch_tilts(questions), policies, seeds)
     profiles = profiles_from_codes(answers, len(env.answer_space), metric_config)
     correct = np.array([env.answer_space[w] == q.ground_truth
                         for q, w in zip(questions, profiles.winners.tolist())], dtype=bool)
@@ -230,7 +230,8 @@ def _calibrated_coefficients(
     """Warm-up rollouts under the untrained ensemble, then per-agent scaling."""
     policies = env.initial_policies()
     seeds = [derive_key(env.config.seed, "warmup", q.question_id) for q in warmup_questions]
-    _, answers = env.rollout_batch(warmup_questions, policies, seeds)
+    tilts = env.batch_tilts(warmup_questions)
+    _, answers = env.rollout_batch(warmup_questions, tilts, policies, seeds)
     profile = warmup_profile(answers, len(env.answer_space), config.metric)
     return calibrate_coefficients(profile, config.calibration)
 

@@ -12,7 +12,7 @@ importance weight (1 for fresh rollouts). Gradients are exact: the surrogate
 term contributes A * rho * score per visit and is exactly zero on
 trajectories in the clipped regime; the KL term contributes
 p * ((log p - log q) - KL) per visited context. gradient_step reads each
-visit's context row and answer code from the RolloutBatch, computes the
+visit's context row, answer code and tilt from the RolloutBatch, computes the
 log-probs of all honest agents' visits in one pass over their stacked tables,
 and adds every agent's gradient with one np.bincount in per-visit order before
 one whole-table update per agent. Training never evaluates L_i itself; its
@@ -92,7 +92,6 @@ class TrainState:
     reference: list[PolicyTable | None]
     ref_version: int
     coeffs: CoefficientSet
-    iteration: int
     history: list[IterationStats] = field(default_factory=list)
 
 
@@ -101,9 +100,9 @@ class RolloutBatch:
     """Debates collected under one reference snapshot, with their visits.
 
     trajectories[m, t, i] and contexts[m, t, i] are the answer code and context
-    row of agent i at round t of debate m, as the rollout recorded them; the
-    benchmark's traced run reads len(trajectories) as the batch size. weights
-    are importance weights with batch mean 1; fresh rollouts carry 1.
+    row of agent i at round t of debate m, and tilts[m] its (T+1, H, K) tilts,
+    as recorded; the benchmark's traced run reads len(trajectories) as the batch
+    size. weights are importance weights, batch mean 1; fresh slots carry 1.
     """
 
     questions: tuple[SyntheticQuestion, ...]
@@ -111,15 +110,17 @@ class RolloutBatch:
     weights: tuple[float, ...]
     ref_version: int
     contexts: np.ndarray
+    tilts: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (len(self.questions) == len(self.trajectories) == len(self.weights)):
+        if len({len(f) for f in (self.questions, self.trajectories, self.weights, self.tilts)}) > 1:
             raise ValueError("batch fields must have equal length")
         if not self.questions:
             raise ValueError("empty batch")
-        if self.trajectories.ndim != 3 or self.contexts.shape != self.trajectories.shape:
-            raise ValueError(f"visit arrays must be one (B, T+1, N) shape, got "
-                             f"{self.contexts.shape} and {self.trajectories.shape}")
+        if (self.trajectories.ndim != 3 or self.contexts.shape != self.trajectories.shape
+                or self.tilts.shape[:2] != self.contexts.shape[:2]):
+            raise ValueError(f"visit arrays (B, T+1, N) and tilts (B, T+1, H, K) must agree, got "
+                             f"{self.contexts.shape} {self.trajectories.shape} {self.tilts.shape}")
 
 
 def compute_advantages(totals: np.ndarray) -> np.ndarray:
@@ -184,13 +185,12 @@ def gradient_step(
     n_rows, k = len(cur) // len(honest), cur.shape[1]
     visits = batch.contexts[:, :, honest] + n_rows * np.arange(len(honest))
     answers = batch.trajectories[:, :, honest, None]
-    tilts = env.batch_tilts(batch.questions)
-    lc = _log_probs(cur, visits, tilts)
+    lc = _log_probs(cur, visits, batch.tilts)
     # When the reference equals the current tables (each step at the default
     # ref_refresh_period = 1), its log-probs are the current ones and each KL
     # row adds only -0.0, so neither is computed.
     shared = np.array_equal(cur, ref)
-    lr = lc if shared else _log_probs(ref, visits, tilts)
+    lr = lc if shared else _log_probs(ref, visits, batch.tilts)
     picked = np.take_along_axis(np.stack([lc, lr]), answers[None], -1)[..., 0]
     lp = picked.cumsum(axis=2)[:, :, -1]  # rounds added left to right; np.sum pairs 8+ terms
     log_rho = lp[0] - lp[1]
@@ -229,22 +229,22 @@ def gradient_step(
 def collect_batch(
     env: DebateEnv,
     questions: Sequence[SyntheticQuestion],
+    tilts: np.ndarray,
     policies: Sequence[PolicyTable | None],
     ref_version: int,
     rollout_seed: int,
-    weights: Sequence[float] | None = None,
+    weights: Sequence[float],
 ) -> RolloutBatch:
-    """Roll out one debate per question; each batch slot gets its own stream."""
+    """Roll out one debate per question on its tilts; each batch slot gets its own stream."""
     seeds = [derive_key(rollout_seed, m) for m in range(len(questions))]
-    contexts, answers = env.rollout_batch(questions, policies, seeds)
-    if weights is None:
-        weights = (1.0,) * len(questions)
+    contexts, answers = env.rollout_batch(questions, tilts, policies, seeds)
     return RolloutBatch(
         questions=tuple(questions),
         trajectories=answers,
         weights=tuple(float(w) for w in weights),
         ref_version=ref_version,
         contexts=contexts,
+        tilts=tilts,
     )
 
 
@@ -273,9 +273,8 @@ def train(
         )
     policies = env.initial_policies()
     reference = [p.copy() if p is not None else None for p in policies]
-    state = TrainState(
-        policies=policies, reference=reference, ref_version=0, coeffs=coeffs, iteration=0
-    )
+    state = TrainState(policies=policies, reference=reference, ref_version=0, coeffs=coeffs)
+    train_tilts = env.batch_tilts(train_questions)
     buffer = ReplayBuffer(replay_config) if replay_config and replay_config.enabled else None
 
     def scored(questions: Sequence[SyntheticQuestion], answers: np.ndarray):
@@ -297,15 +296,18 @@ def train(
             len(train_questions), size=n_fresh, replace=len(train_questions) < n_fresh
         )
         questions = [train_questions[int(j)] for j in idx]
+        tilts = [train_tilts[int(j)] for j in idx]  # row views, which the buffer keeps
         weights = [1.0] * n_fresh
         if n_replay > 0:
             sampled = buffer.sample(n_replay, rng_stream(seed, "replay", k))
             for entry, w in sampled:
                 questions.append(entry.question)
+                tilts.append(entry.tilts)
                 weights.append(w)
         batch = collect_batch(
             env,
             questions,
+            np.stack(tilts),
             state.reference,
             state.ref_version,
             derive_key(seed, "rollout", k),
@@ -313,7 +315,6 @@ def train(
         )
         profiles, rewards = scored(batch.questions, batch.trajectories)
         gradient_step(env, state, batch, clip, rewards.total)
-        state.iteration = k
         state.history.append(
             IterationStats(
                 iteration=k,
@@ -325,9 +326,9 @@ def train(
             )
         )
         if buffer is not None:
-            for q, codes, priority in zip(batch.questions, batch.trajectories,
-                                          replay_score(rewards).tolist()):
-                buffer.push(q, codes, priority, iteration=k, policy_version=state.ref_version)
+            for q, t, codes, priority in zip(batch.questions, tilts, batch.trajectories,
+                                             replay_score(rewards).tolist()):
+                buffer.push(q, t, codes, priority, iteration=k, policy_version=state.ref_version)
             if replay_config.refresh_period and k % replay_config.refresh_period == 0:
                 buffer.refresh(
                     env,

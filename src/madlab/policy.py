@@ -11,11 +11,11 @@ adversarial target per question (adversary_answer) every round.
 
 With K answer labels each difficulty bin owns contexts_per_bin(K) = 1 + 3K^2
 consecutive context rows: the null context first, then (own, mode, agreement)
-in row-major order. A policy is a dense (rows, K) logit array over them, and
-each question's tilts are one (T+1, H, K) tensor of the honest seats,
-computed once; an honest seat's tilt row is its seat index. A debate in memory
-is its question and a (T+1, N) grid of answer codes, each an index into the
-answer space; labels appear only where debate.write_trajectories writes them.
+in row-major order. A policy is a dense (rows, K) logit array over them. A
+question's (T+1, H, K) tilts, row i for honest seat i, are drawn once by its
+owner (batch_tilts) and passed down; the env keeps none. A debate in memory is
+its question and a (T+1, N) grid of answer codes, each an index into the answer
+space; labels appear only where debate.write_trajectories writes them.
 _round_contexts is the one context formula: rollout_batch applies it to the
 whole batch each round, and agent_steps rebuilds one agent's visits along a
 recorded grid from it.
@@ -345,7 +345,6 @@ class DebateEnv:
         h = config.num_agents - config.compromised_count
         self.honest_indices = list(range(h))
         self.skills = np.array([config.skills[i % len(config.skills)] for i in range(h)])
-        self._tilts: dict[SyntheticQuestion, np.ndarray] = {}
 
     def initial_policies(self) -> list[PolicyTable | None]:
         """Fresh untrained policies of the honest seats, then None for each compromised one.
@@ -402,26 +401,23 @@ class DebateEnv:
         at round rounds-3 and reverses at rounds-2, leaving the last two rounds
         clean for the ensemble to regroup. Compromised seats have no tilts.
 
-        Each question's (T+1, H, K) tensor is computed once and cached by
-        the question itself, so questions that share an id but not their
-        truth or difficulty get their own; each call stacks the batch's
-        tensors into a fresh array. An uncached question reads everything
-        from its one tilt key (seed, "tilt", id): the (T+1, N, K) normals,
-        round 0 the signal and later rounds the wobble, of which the honest
-        rows are kept, then the flare's fire and pick uniforms. Passes run
-        over whole questions, PHILOX_BLOCKS_PER_PASS blocks at most (or one
-        question), so a question's tilts do not depend on the rest of the
-        batch.
+        Every call draws every question it is given into one fresh array;
+        nothing is cached. A question reads everything from its one tilt key
+        (seed, "tilt", id): the (T+1, N, K) normals, round 0 the signal and
+        later rounds the wobble, of which the honest rows are kept, then the
+        flare's fire and pick uniforms. Passes run over whole questions,
+        PHILOX_BLOCKS_PER_PASS blocks at most (or one question), so a
+        question's tilts do not depend on the rest of the batch.
         """
-        fresh = list(dict.fromkeys(q for q in questions if q not in self._tilts))
         cfg = self.config
         n, k, steps = cfg.num_agents, len(self.answer_space), cfg.rounds + 1
         h, normals = len(self.honest_indices), steps * n * k
         paired = normals + normals % 2  # Box-Muller takes words in pairs
         words = paired + 2
         chunk = _keys_per_pass(words)
-        for start in range(0, len(fresh), chunk):
-            part = fresh[start:start + chunk]
+        out = np.empty((len(questions), steps, h, k))
+        for start in range(0, len(questions), chunk):
+            part = questions[start:start + chunk]
             c = len(part)
             raw = _philox_blocks([_key_digest(cfg.seed, "tilt", q.question_id) for q in part],
                                  -(-words // 4))
@@ -433,7 +429,7 @@ class DebateEnv:
             scale = SIGNAL_WOBBLE + SIGNAL_WOBBLE_SLOPE * difficulty[:, None, None]
             signal = SIGNAL_NOISE * noise[:, 0]
             signal[np.arange(c), :, truth] += SIGNAL_GAIN * self.skills * (1.0 - difficulty[:, None])
-            tilts = np.empty((c, steps, h, k))
+            tilts = out[start:start + c]
             tilts[:, 0] = signal
             tilts[:, 1:] = persist[..., None] * signal[:, None] + scale[..., None] * noise[:, 1:]
             if cfg.rounds >= 4:
@@ -445,8 +441,7 @@ class DebateEnv:
                 tilts[fired, push, :, flare] += FLARE_SCALE
                 tilts[fired, push + 1, :, flare] -= FLARE_SCALE
             tilts[:, 1:, :, 0] += LABEL_AVERSION * ramp
-            self._tilts.update(zip(part, tilts))
-        return np.array([self._tilts[q] for q in questions]).reshape(len(questions), steps, h, k)
+        return out
 
     def adversary_answer(self, question: SyntheticQuestion) -> str:
         """The label every compromised seat advocates on this question: the
@@ -464,12 +459,14 @@ class DebateEnv:
         rollout_seed: int,
     ) -> np.ndarray:
         """One full debate's (T+1, N) answer codes; its acts read the key
-        (rollout_seed, "act", question id)."""
-        return self.rollout_batch([question], policies, [rollout_seed])[1][0]
+        (rollout_seed, "act", question id) and it draws its own tilts."""
+        return self.rollout_batch([question], self.batch_tilts([question]), policies,
+                                  [rollout_seed])[1][0]
 
     def rollout_batch(
         self,
         questions: Sequence[SyntheticQuestion],
+        tilts: np.ndarray,
         policies: Sequence[PolicyTable | None],
         rollout_seeds: Sequence[int],
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -480,9 +477,9 @@ class DebateEnv:
         of the softmax of its table row plus tilt. Passes run over whole
         debates, PHILOX_BLOCKS_PER_PASS blocks at most (or one debate), so a
         debate does not depend on the rest of the batch. The H honest seats
-        draw from their tables and tilts, and the last m answer columns hold
-        each question's adversary_answer. Returns the (B, T+1, N) context
-        rows and answer codes of every visit (compromised seats included).
+        draw from their tables and tilts (batch_tilts of the questions), and the
+        last m answer columns hold each question's adversary_answer. Returns the
+        (B, T+1, N) context rows and answer codes of every seat's visits.
         """
         n = self.config.num_agents
         if len(policies) != n:
@@ -498,12 +495,13 @@ class DebateEnv:
         contexts, answers = np.empty((2, b, steps, n), dtype=np.int64)
         if b == 0:
             return contexts, answers
+        if tilts.shape != (b, steps, h, k):
+            raise ValueError(f"need (B, T+1, H, K) = {(b, steps, h, k)} tilts, got {tilts.shape}")
         if h < n:
             answers[:, :, h:] = np.array([self.answer_space.index(self.adversary_answer(q))
                                           for q in questions])[:, None, None]
         bins = [[difficulty_bin(q.difficulty, self.config.difficulty_bins)] for q in questions]
         base = contexts_per_bin(k) * np.array(bins)
-        tilts = self.batch_tilts(questions)
         words = steps * n
         chunk = _keys_per_pass(words)
         digests = [_key_digest(seed, "act", q.question_id)

@@ -1,8 +1,8 @@
 """Uncertainty-prioritized experience replay with importance weights.
 
-Each entry is a question and its debate's (T+1, N) answer codes with a
-non-negative priority score U = (1 - r_intra) + (1 - r_inter) + (1 - r_sys),
-the unit-weight sum of the complements of the debate's reward components.
+Each entry is a question, its (T+1, H, K) tilts and its debate's (T+1, N)
+answer codes, with a non-negative priority U = (1 - r_intra) + (1 - r_inter) +
+(1 - r_sys), the unit-weight sum of the complements of its reward components.
 Sampling draws with probability proportional to U**eta; eta = 0, or an
 all-zero buffer, degrades to uniform.
 Each draw gets the importance weight (1/len) / p, renormalized so the batch
@@ -56,9 +56,10 @@ def replay_score(rewards: RewardBatch) -> np.ndarray:
 
 @dataclass
 class BufferEntry:
-    """A stored debate: its question and (T+1, N) answer codes, with their priority."""
+    """A stored, scored debate: its question, (T+1, H, K) tilts and (T+1, N) answer codes."""
 
     question: SyntheticQuestion
+    tilts: np.ndarray
     answers: np.ndarray
     score: float
     inserted_iteration: int
@@ -78,6 +79,7 @@ class ReplayBuffer:
     def push(
         self,
         question: SyntheticQuestion,
+        tilts: np.ndarray,
         answers: np.ndarray,
         score: float,
         iteration: int = 0,
@@ -88,6 +90,7 @@ class ReplayBuffer:
         self.entries.append(
             BufferEntry(
                 question=question,
+                tilts=tilts,
                 answers=answers,
                 score=float(score),
                 inserted_iteration=iteration,
@@ -137,12 +140,13 @@ class ReplayBuffer:
     ) -> None:
         """Re-roll every stored question under the given policies, rescore, restamp.
 
-        All entries roll as one batch; score maps the questions and their
-        re-rolled (B, T+1, N) answer codes to one priority each.
+        All entries roll as one batch on their stored tilts; score maps the
+        questions and re-rolled (B, T+1, N) answer codes to one priority each.
         """
         questions = [entry.question for entry in self.entries]
         seeds = [derive_key(rollout_seed, j) for j in range(len(questions))]
-        _, answers = env.rollout_batch(questions, policies, seeds)
+        tilts = np.array([entry.tilts for entry in self.entries])  # shape (0,) when empty
+        _, answers = env.rollout_batch(questions, tilts, policies, seeds)
         for entry, codes, priority in zip(self.entries, answers, score(questions, answers)):
             entry.answers = codes
             entry.score = priority

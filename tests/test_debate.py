@@ -138,7 +138,8 @@ ROUND_TRIP_CONFIGS = {
 def test_written_debates_read_back_as_their_codes(name):
     env = DebateEnv(ROUND_TRIP_CONFIGS[name])
     questions = env.generate_questions(64, "rt")
-    _, answers = env.rollout_batch(questions, env.initial_policies(), list(range(64)))
+    _, answers = env.rollout_batch(questions, env.batch_tilts(questions), env.initial_policies(),
+                                   list(range(64)))
     assert len(np.unique(answers)) > 2
     buf = io.StringIO()
     write_trajectories(buf, questions, answers)

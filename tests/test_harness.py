@@ -5,7 +5,9 @@ equals the clean evaluation)."""
 
 import csv
 import dataclasses
+import gc
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from madlab.harness import (
     COEFFICIENTS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
     SWEEP_AXES,
+    evaluate_ensemble,
     rewards_csv_header,
     run_analysis,
     run_attack,
@@ -27,9 +30,9 @@ from madlab.harness import (
     run_udpo,
     with_seed,
 )
-from madlab.metrics import full_profile
+from madlab.metrics import MetricConfig, full_profile
 from madlab.optim import ClipConfig
-from madlab.policy import EnvConfig
+from madlab.policy import DebateEnv, EnvConfig
 from madlab.replay import ReplayConfig
 from madlab.stats import SeparationReport
 from reader_oracle import write_records
@@ -128,6 +131,27 @@ def test_baseline_reruns_are_byte_identical(tmp_path):
     run_baseline(tiny_config(), str(b))
     for name in BASELINE_ARTIFACTS:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_a_long_lived_env_keeps_nothing_of_the_questions_it_evaluated():
+    # Memory stays bounded as the number of questions grows: on eval-wide's
+    # shape, two evaluations of 1,000 fresh questions each, results dropped,
+    # leave less than 256 KB allocated. An env that kept every question's
+    # tilts would hold about 3.7 MB here.
+    env = DebateEnv(EnvConfig(num_agents=7, rounds=8, difficulty_bins=2, compromised_count=1,
+                              skills=(0.95, 0.88, 0.81, 0.74, 0.67, 0.6, 0.53)))
+    policies = env.initial_policies()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for label in ("first", "second"):
+            evaluate_ensemble(env, env.generate_questions(1000, label), policies, MetricConfig(),
+                              label)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 256 * 1024, f"{kept} bytes kept"
 
 
 def test_with_seed_replaces_only_the_seed():

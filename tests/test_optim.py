@@ -96,10 +96,17 @@ def batch_totals(batch, coeffs):
     return total_reward(profiles, correct, coeffs).total
 
 
+def fresh_collect(env, questions, policies, ref_version, rollout_seed, weights=None):
+    """collect_batch on the questions' own tilts, weights 1 unless given."""
+    weights = [1.0] * len(questions) if weights is None else weights
+    return collect_batch(env, questions, env.batch_tilts(questions), policies, ref_version,
+                         rollout_seed, weights)
+
+
 def fresh_batch(env, n_questions, ref_version=0, rollout_seed=99):
     questions = env.generate_questions(n_questions, "t")
     policies = env.initial_policies()
-    batch = collect_batch(env, questions, policies, ref_version, rollout_seed)
+    batch = fresh_collect(env, questions, policies, ref_version, rollout_seed)
     return policies, batch
 
 
@@ -189,7 +196,6 @@ def analytic_gradients(env, policies, reference, batch, coeffs, epsilon):
         reference=[p.copy() if p is not None else None for p in reference],
         ref_version=batch.ref_version,
         coeffs=coeffs,
-        iteration=0,
     )
     before = [p.logits.copy() if p is not None else None for p in state.policies]
     clip = ClipConfig(epsilon=epsilon, learn_rate=1.0, batch_size=1)
@@ -223,7 +229,7 @@ def test_gradient_matches_central_differences(case):
     current = perturbed(base_policies, scale, seed=71)
     reference = [p.copy() if p is not None else None for p in base_policies]
     questions = env.generate_questions(5, "t")
-    batch = collect_batch(env, questions, reference, 0, 31)
+    batch = fresh_collect(env, questions, reference, 0, 31)
     totals = batch_totals(batch, coeffs)
     adv = compute_advantages(totals)
     for i in env.honest_indices:
@@ -288,6 +294,7 @@ def test_fully_clipped_batch_has_exactly_zero_gradient():
         weights=(1.0, 1.0),
         ref_version=0,
         contexts=recorded_contexts(env, (question, question), answers),
+        tilts=env.batch_tilts([question, question]),
     )
     coeffs = CoefficientSet.uniform(
         2, alpha=0.0, beta=0.0, gamma=0.0, lambda_task=1.0, eta_anchor=0.0
@@ -309,7 +316,6 @@ def test_fully_clipped_batch_has_exactly_zero_gradient():
         reference=reference,
         ref_version=0,
         coeffs=coeffs,
-        iteration=0,
     )
     snapshot = [p.logits.copy() for p in state.policies]
     clip = ClipConfig(epsilon=epsilon, learn_rate=1.0)
@@ -377,14 +383,14 @@ def test_gradient_step_matches_the_per_visit_loop_bit_for_bit(k, monkeypatch):
     monkeypatch.setattr(optim, "_log_probs", counting_log_probs)
     states = [
         TrainState(policies=env.initial_policies(), reference=env.initial_policies(),
-                   ref_version=0, coeffs=coeffs, iteration=0)
+                   ref_version=0, coeffs=coeffs)
         for _ in range(2)
     ]
     weights = np.random.default_rng(k).uniform(0.5, 1.5, len(questions))
     clipped = active = 0
     for it in range(9):
         fast, slow = states
-        batch = collect_batch(env, questions, fast.reference, fast.ref_version, it,
+        batch = fresh_collect(env, questions, fast.reference, fast.ref_version, it,
                               weights / weights.mean())
         totals = batch_totals(batch, coeffs)
         adv = compute_advantages(totals)
@@ -414,6 +420,7 @@ def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
     env = DebateEnv(EnvConfig(num_agents=4, rounds=3, compromised_count=1, seed=3))
     questions = env.generate_questions(6, "t")
     policies = env.initial_policies()
+    tilts = env.batch_tilts(questions)
     opened = []
     real_stream = policy_module.rng_stream
 
@@ -428,28 +435,31 @@ def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
     monkeypatch.setattr(policy_module, "rng_stream", counting_stream)
     monkeypatch.setattr(optim, "rng_stream", counting_stream)
     monkeypatch.setattr(DebateEnv, "agent_steps", no_steps)
-    batch = collect_batch(env, questions, policies, 0, 5)
+    batch = collect_batch(env, questions, tilts, policies, 0, 5, [1.0] * 6)
+    evaluate_ensemble(env, questions, policies, MC, "eval")
     evaluate_ensemble(env, questions, policies, MC, "eval")
     buffer = ReplayBuffer(ReplayConfig())
-    for q, codes in zip(batch.questions, batch.trajectories):
-        buffer.push(q, codes, 1.0)
+    for q, t, codes in zip(batch.questions, tilts, batch.trajectories):
+        buffer.push(q, t, codes, 1.0)
     buffer.refresh(env, policies, rollout_seed=9, policy_version=1,
                    score=lambda qs, answers: [1.0] * len(qs))
     coeffs = CoefficientSet.uniform(4)
     state = TrainState(policies=policies, reference=env.initial_policies(), ref_version=0,
-                       coeffs=coeffs, iteration=0)
+                       coeffs=coeffs)
     gradient_step(env, state, batch, ClipConfig(), batch_totals(batch, coeffs))
     assert opened == []
-    # one tilt key per question, drawn once across all four paths, and one
-    # act key per debate of the batch, the evaluation and the refresh
-    (tilt_keys, _), *act_passes = passes
-    assert tilt_keys == [policy_module._key_digest(3, "tilt", q.question_id) for q in questions]
-    rollout_seeds = ([derive_key(5, m) for m in range(6)]
-                     + [derive_key(3, "eval", q.question_id) for q in questions]
-                     + [derive_key(9, j) for j in range(6)])
-    assert [d for keys, _ in act_passes for d in keys] == [
-        policy_module._key_digest(seed, "act", q.question_id)
-        for seed, q in zip(rollout_seeds, questions * 3)]
+    # collect_batch, refresh and gradient_step draw no tilt key: only each
+    # evaluate_ensemble call draws one per question, and every other pass is
+    # one act key per debate of the batch, the evaluations and the refresh
+    tilt_keys = [policy_module._key_digest(3, "tilt", q.question_id) for q in questions]
+
+    def act_keys(seeds):
+        return [policy_module._key_digest(s, "act", q.question_id) for s, q in zip(seeds, questions)]
+
+    eval_acts = act_keys([derive_key(3, "eval", q.question_id) for q in questions])
+    assert [d for keys, _ in passes for d in keys] == (
+        act_keys([derive_key(5, m) for m in range(6)]) + 2 * (tilt_keys + eval_acts)
+        + act_keys([derive_key(9, j) for j in range(6)]))
 
 
 # ----------------------------------------------------------------- guards
@@ -463,7 +473,6 @@ def test_gradient_step_rejects_stale_batch():
         reference=[p.copy() if p is not None else None for p in policies],
         ref_version=0,
         coeffs=CoefficientSet.uniform(2),
-        iteration=0,
     )
     with pytest.raises(ValueError, match="stale"):
         gradient_step(env, state, batch, ClipConfig(), batch_totals(batch, state.coeffs))
@@ -478,14 +487,14 @@ def saturated_batch(rounds, env_seed=6):
     questions = env.generate_questions(3, "t")
     answers = np.zeros((3, rounds + 1, 2), dtype=np.int64)  # every answer A
     batch = RolloutBatch(tuple(questions), answers, (1.0,) * 3, 0,
-                         recorded_contexts(env, questions, answers))
+                         recorded_contexts(env, questions, answers), env.batch_tilts(questions))
     policies = env.initial_policies()
     reference = [p.copy() for p in policies]
     for cur, ref in zip(policies, reference):
         cur.logits[:] = [LOGIT_CLAMP, -LOGIT_CLAMP]
         ref.logits[:] = [-LOGIT_CLAMP, LOGIT_CLAMP]
     state = TrainState(policies=policies, reference=reference, ref_version=0,
-                       coeffs=CoefficientSet.uniform(2), iteration=0)
+                       coeffs=CoefficientSet.uniform(2))
     return env, state, batch
 
 
@@ -572,7 +581,6 @@ def test_train_zero_iterations_keeps_initial_policies():
         replay_config=ReplayConfig(),
     )
     assert state.history == []
-    assert state.iteration == 0
     assert policies_text(state.policies) == policies_text(env.initial_policies())
     assert buffer is not None and len(buffer) == 0
 
@@ -591,8 +599,8 @@ def test_collect_batch_deterministic_and_slot_keyed():
     q = env.generate_questions(1, "t")[0]
     policies = env.initial_policies()
     slots = [q] * 6
-    batch1 = collect_batch(env, slots, policies, 0, rollout_seed=44)
-    batch2 = collect_batch(env, slots, policies, 0, rollout_seed=44)
+    batch1 = fresh_collect(env, slots, policies, 0, rollout_seed=44)
+    batch2 = fresh_collect(env, slots, policies, 0, rollout_seed=44)
     assert np.array_equal(batch1.trajectories, batch2.trajectories)
     assert len(np.unique(batch1.trajectories, axis=0)) > 1, (
         "identical slots should draw from distinct streams"
@@ -602,25 +610,34 @@ def test_collect_batch_deterministic_and_slot_keyed():
 def test_rollout_batch_validation():
     q = SyntheticQuestion("q0", ("A", "B"), "A", 0.0)
     one, two = np.zeros((1, 1, 2), dtype=np.int64), np.zeros((2, 1, 2), dtype=np.int64)
+    tilts = np.zeros((1, 1, 2, 2))
     with pytest.raises(ValueError):
         RolloutBatch(questions=(q,), trajectories=two, weights=(1.0,), ref_version=0,
-                     contexts=two)
+                     contexts=two, tilts=tilts)
     with pytest.raises(ValueError):
         RolloutBatch(questions=(), trajectories=one[:0], weights=(), ref_version=0,
-                     contexts=one[:0])
-    RolloutBatch(questions=(q,), trajectories=one, weights=(1.0,), ref_version=0, contexts=one)
+                     contexts=one[:0], tilts=tilts[:0])
+    # one question's tilts would broadcast over a two-debate batch
+    with pytest.raises(ValueError, match="equal length"):
+        RolloutBatch(questions=(q, q), trajectories=two, weights=(1.0, 1.0), ref_version=0,
+                     contexts=two, tilts=tilts)
+    RolloutBatch(questions=(q,), trajectories=one, weights=(1.0,), ref_version=0, contexts=one,
+                 tilts=tilts)
 
 
 @pytest.mark.parametrize(
     "contexts_shape, answers_shape",
-    [((2, 1, 2), (1, 1, 2)), ((1, 1, 2), (1, 2, 2)), ((1, 1, 3), (1, 1, 2)), ((1, 2), (1, 2))],
+    # the last case's visit arrays agree, but the one-round tilts do not
+    [((2, 1, 2), (1, 1, 2)), ((1, 1, 2), (1, 2, 2)), ((1, 1, 3), (1, 1, 2)), ((1, 2), (1, 2)),
+     ((1, 2, 2), (1, 2, 2))],
 )
 def test_rollout_batch_rejects_visit_arrays_of_the_wrong_shape(contexts_shape, answers_shape):
     q = SyntheticQuestion("q0", ("A", "B"), "A", 0.0)
     with pytest.raises(ValueError, match="visit arrays"):
         RolloutBatch(questions=(q,), trajectories=np.zeros(answers_shape, dtype=np.int64),
                      weights=(1.0,), ref_version=0,
-                     contexts=np.zeros(contexts_shape, dtype=np.int64))
+                     contexts=np.zeros(contexts_shape, dtype=np.int64),
+                     tilts=np.zeros((1, 1, 2, 2)))
 
 
 def test_training_csv_golden():

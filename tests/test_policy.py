@@ -5,11 +5,14 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
 from madlab import policy as policy_module
+from madlab.metrics import MetricConfig
+from madlab.optim import ClipConfig, train
 from madlab.policy import (
     LOGIT_CLAMP,
     DebateEnv,
@@ -25,6 +28,8 @@ from madlab.policy import (
     rng_stream,
     save_policy,
 )
+from madlab.replay import ReplayConfig
+from madlab.rewards import CoefficientSet
 from reference_impl import build_context, per_stream_questions, probs, trajectory_log_prob
 from test_golden import k3_below_ramp_config, k12_config
 
@@ -120,9 +125,10 @@ def test_sample_answer_follows_distribution():
     for p in policies:
         p.update(np.array([math.log(9.0), 0.0]) * (np.arange(len(p.logits)) == 0)[:, None])
     seeds = [derive_key(1, m) for m in range(len(questions))]
-    _, answers = env.rollout_batch(questions, policies, seeds)
+    batch = env.batch_tilts(questions)
+    _, answers = env.rollout_batch(questions, batch, policies, seeds)
     expected = np.mean([probs(p, 0, tilts[0, i])[0]
-                        for tilts in env.batch_tilts(questions) for i, p in enumerate(policies)])
+                        for tilts in batch for i, p in enumerate(policies)])
     assert 0.6 < expected < 0.9
     assert abs(np.mean(answers[:, 0] == 0) - expected) < 0.025
 
@@ -297,7 +303,7 @@ def test_rollout_batch_matches_per_draw_rollouts(name):
     questions = env.generate_questions(32, "t")
     policies = perturbed_policies(env, seed=1)
     seeds = [derive_key(77, m) for m in range(32)]
-    contexts, answers = env.rollout_batch(questions, policies, seeds)
+    contexts, answers = env.rollout_batch(questions, env.batch_tilts(questions), policies, seeds)
     labels = env.answer_space
     assert contexts.shape == answers.shape == (32, env.config.rounds + 1, env.config.num_agents)
     for m, q in enumerate(questions):
@@ -320,38 +326,51 @@ def test_a_trajectory_does_not_depend_on_its_batch(monkeypatch):
     questions = env.generate_questions(300, "t")
     policies = perturbed_policies(env, seed=2)
     seeds = [derive_key(5, "eval", q.question_id) for q in questions]
-    alone = np.array([env.rollout_batch([q], policies, [s])[1][0] for q, s in zip(questions, seeds)])
+    tilts = env.batch_tilts(questions)
+    alone = np.array([env.rollout_batch([q], t[None], policies, [s])[1][0]
+                      for q, t, s in zip(questions, tilts, seeds)])
     assert np.array_equal([env.rollout_debate(q, policies, s) for q, s in zip(questions, seeds)],
                           alone)
     # A batch that takes its act draws in several Philox passes: 6 rounds x 5
     # seats = 30 act words, 8 blocks, per debate, so 8 debates per 64-block pass.
     monkeypatch.setattr(policy_module, "PHILOX_BLOCKS_PER_PASS", 64)
     passes = record_philox_passes(monkeypatch)
-    assert np.array_equal(env.rollout_batch(questions, policies, seeds)[1], alone)
+    assert np.array_equal(env.rollout_batch(questions, tilts, policies, seeds)[1], alone)
     assert [(len(keys), blocks) for keys, blocks in passes] == [(8, 8)] * 37 + [(4, 8)]
     for pos in range(32):
-        batch = questions[1:32]
-        batch.insert(pos, questions[0])
-        batch_seeds = [seeds[questions.index(q)] for q in batch]
-        assert np.array_equal(env.rollout_batch(batch, policies, batch_seeds)[1][pos], alone[0])
+        order = list(range(1, 32))
+        order.insert(pos, 0)
+        batch = [questions[j] for j in order]
+        batch_seeds = [seeds[j] for j in order]
+        got = env.rollout_batch(batch, tilts[order], policies, batch_seeds)[1][pos]
+        assert np.array_equal(got, alone[0])
 
 
 def test_rollout_batch_rejects_bad_arguments():
     env = small_env(num_agents=3, compromised_count=1)
     questions = env.generate_questions(2, "t")
     policies = env.initial_policies()
+    tilts = env.batch_tilts(questions)
     with pytest.raises(ValueError, match="rollout seeds"):
-        env.rollout_batch(questions, policies, [1])
+        env.rollout_batch(questions, tilts, policies, [1])
     with pytest.raises(ValueError, match="honest agent 1 has no policy"):
-        env.rollout_batch(questions, [policies[0], None, None], [1, 2])
-    contexts, answers = env.rollout_batch([], policies, [])
+        env.rollout_batch(questions, tilts, [policies[0], None, None], [1, 2])
+    # tilts of another batch, another round count or with the compromised
+    # seat's row would broadcast or misalign: each is refused by name
+    longer = DebateEnv(dataclasses.replace(env.config, rounds=3)).batch_tilts(questions)
+    wider = DebateEnv(dataclasses.replace(env.config, compromised_count=0)).batch_tilts(questions)
+    for bad in (tilts[:1], longer, wider):
+        expected = re.escape(f"need (B, T+1, H, K) = (2, 3, 2, 3) tilts, got {bad.shape}")
+        with pytest.raises(ValueError, match=expected):
+            env.rollout_batch(questions, bad, policies, [1, 2])
+    contexts, answers = env.rollout_batch([], env.batch_tilts([]), policies, [])
     assert contexts.shape == answers.shape == (0, 3, 3)
 
 
 def test_rollout_batch_with_every_seat_compromised():
     env = small_env(num_agents=3, compromised_count=3, adversarial_target_policy="fixed:B")
     questions = env.generate_questions(4, "t")
-    _, answers = env.rollout_batch(questions, [None] * 3, [1] * 4)
+    _, answers = env.rollout_batch(questions, env.batch_tilts(questions), [None] * 3, [1] * 4)
     assert answers.shape == (4, 3, 3) and np.all(answers == 1)
 
 
@@ -383,25 +402,32 @@ def test_signal_tilt_favors_truth_and_scales_with_difficulty():
 
 @pytest.mark.parametrize("rounds", [3, 5])
 def test_tilts_are_drawn_once_per_question_and_copied_out(monkeypatch, rounds):
+    # train draws each training question's tilt key once, in one pass before
+    # the first iteration; fresh slots, replay samples and buffer refreshes
+    # all reuse those rows, and every later pass draws act keys only
     env = DebateEnv(EnvConfig(num_agents=4, rounds=rounds, compromised_count=1, seed=2))
-    q = env.generate_questions(1, "t")[0]
+    questions = env.generate_questions(6, "t")
     passes = record_philox_passes(monkeypatch)
-    monkeypatch.setattr(policy_module, "rng_stream", None)  # no draw opens a generator of its own
-    pols = env.initial_policies()
-    for seed in range(4):
-        env.agent_steps(q, env.rollout_debate(q, pols, seed), 0)
-    # one tilt key, drawn once: (T+1) x 4 seats x 4 labels normals and 2 flare
-    # words; then one act key per debate: (T+1) x 4 seats words
-    steps = rounds + 1
-    tilt = ([policy_module._key_digest(2, "tilt", q.question_id)], -(-(steps * 16 + 2) // 4))
-    acts = [([policy_module._key_digest(seed, "act", q.question_id)], steps) for seed in range(4)]
-    assert passes == [tilt] + acts
-    tilts = env.batch_tilts([q])
-    assert tilts.shape == (1, rounds + 1, 3, 4)  # the compromised seat has no row
-    # each batch is a copy: a caller writing into it leaves the cached tensor as it was
+    replay = ReplayConfig(capacity=8, refresh_period=2)
+    _, buffer = train(env, questions, CoefficientSet.uniform(4),
+                      ClipConfig(batch_size=4, iterations=5), MetricConfig(), 9, replay)
+    # (T+1) x 4 seats x 4 labels normals and 2 flare words per tilt key
+    tilt_keys = [policy_module._key_digest(2, "tilt", q.question_id) for q in questions]
+    assert passes[0] == (tilt_keys, -(-((rounds + 1) * 16 + 2) // 4))
+    drawn = [d for keys, _ in passes for d in keys]
+    assert [d for d in drawn if d in tilt_keys] == tilt_keys
+    assert len(drawn) == 6 + 5 * 4 + 2 * 8  # tilts, then 5 batches and 2 full-buffer refreshes
+    # the buffer holds row views of the one array of training tilts, not
+    # per-batch copies; each row is its own question's tilts
+    tilts = env.batch_tilts(questions)
+    assert tilts.shape == (6, rounds + 1, 3, 4)  # the compromised seat has no row
+    assert len({id(entry.tilts.base) for entry in buffer.entries}) == 1
+    for entry in buffer.entries:
+        assert np.array_equal(entry.tilts, tilts[questions.index(entry.question)])
+    # every batch_tilts call is a fresh array: writing into one leaves the next as it was
     first = tilts.copy()
     tilts += 1.0
-    assert np.array_equal(env.batch_tilts([q]), first)
+    assert np.array_equal(env.batch_tilts(questions), first)
 
 
 def record_philox_passes(monkeypatch):
@@ -471,12 +497,15 @@ def test_batch_tilts_do_not_depend_on_the_batch(monkeypatch):
     got = env.batch_tilts(mixed)
     assert [t.tobytes() for t in got] == [alone[questions.index(q)].tobytes() for q in mixed]
     # 6 rounds x 5 seats x 4 labels = 120 normals and 2 flare words, 31 blocks,
-    # per question: 3 questions per 100-block pass, each tilt key drawn once
-    assert [(len(keys), blocks) for keys, blocks in passes] == [(3, 31)] * 40
+    # per question: 3 questions per 100-block pass, one tilt key per question
+    # given, repeats included
+    assert [(len(keys), blocks) for keys, blocks in passes] == [(3, 31)] * 41 + [(2, 31)]
     assert [d for keys, _ in passes for d in keys] == [
-        policy_module._key_digest(6, "tilt", q.question_id) for q in mixed[:120]]
+        policy_module._key_digest(6, "tilt", q.question_id) for q in mixed]
+    # the environment keeps nothing: a second call draws its questions again
     assert np.array_equal(env.batch_tilts(questions[:3]), got[60:63])
-    assert len(passes) == 40  # cached questions draw nothing
+    assert passes[42:] == [([policy_module._key_digest(6, "tilt", q.question_id)
+                             for q in questions[:3]], 31)]
 
 
 def test_box_muller_is_finite_at_the_edges_and_standard_normal():
@@ -503,8 +532,9 @@ def test_honest_seats_do_not_depend_on_the_compromised_count():
     runs = {}
     for m in (0, 1, 2, 4):
         env = DebateEnv(EnvConfig(num_agents=6, compromised_count=m, seed=7))
-        _, answers = env.rollout_batch(questions, perturbed_policies(env, seed=3), seeds)
-        runs[m] = env.batch_tilts(questions), answers[:, 0]
+        tilts = env.batch_tilts(questions)
+        _, answers = env.rollout_batch(questions, tilts, perturbed_policies(env, seed=3), seeds)
+        runs[m] = tilts, answers[:, 0]
     clean_tilts, clean_answers = runs[0]
     for m, (tilts, answers) in runs.items():
         h = 6 - m
@@ -519,8 +549,9 @@ def test_earlier_rounds_do_not_depend_on_later_rounds():
         env = DebateEnv(EnvConfig(rounds=rounds, compromised_count=1, seed=8))
         questions = env.generate_questions(200, "t")
         seeds = [derive_key(4, m) for m in range(200)]
-        _, answers = env.rollout_batch(questions, perturbed_policies(env, seed=4), seeds)
-        runs.append((env.batch_tilts(questions), answers))
+        tilts = env.batch_tilts(questions)
+        _, answers = env.rollout_batch(questions, tilts, perturbed_policies(env, seed=4), seeds)
+        runs.append((tilts, answers))
     (short_tilts, short_answers), (long_tilts, long_answers) = runs
     assert all(s.tobytes() == t[:3].tobytes() for s, t in zip(short_tilts, long_tilts))
     assert np.array_equal(short_answers, long_answers[:, :3])
@@ -576,7 +607,8 @@ def test_compromised_answer_columns_follow_the_rule(rule):
                     adversarial_target_policy=rule)
     questions = [SyntheticQuestion(f"q{j}", env.answer_space, truth, 0.3)
                  for j, truth in enumerate("ABCD")]
-    _, answers = env.rollout_batch(questions, env.initial_policies(), [1, 2, 3, 4])
+    _, answers = env.rollout_batch(questions, env.batch_tilts(questions), env.initial_policies(),
+                                   [1, 2, 3, 4])
     expected = [env.answer_space.index(label) for label in ADVERSARY_RULES[rule]]
     assert np.all(answers[:, :, 3:] == np.array(expected)[:, None, None])
 

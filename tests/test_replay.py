@@ -25,8 +25,10 @@ FIXED_SCORES = (0.1, 0.2, 0.3, 0.2, 0.7)
 
 
 def make_debate(qid, codes=((0, 1), (0, 1))):
-    """A question over (A, B) with truth A, and its debate's answer codes."""
-    return SyntheticQuestion(qid, ("A", "B"), "A", 0.5), np.array(codes)
+    """A question over (A, B) with truth A, its (T+1, H, K) tilts (zero) and
+    its debate's answer codes."""
+    codes = np.array(codes)
+    return SyntheticQuestion(qid, ("A", "B"), "A", 0.5), np.zeros((*codes.shape, 2)), codes
 
 
 def batch_scores(questions, answers):
@@ -202,11 +204,13 @@ def test_refresh_rerolls_rescores_and_restamps():
     questions = env.generate_questions(3, "t")
     policies = env.initial_policies()
     buffer = ReplayBuffer(ReplayConfig())
-    for j, q in enumerate(questions):
+    tilts = list(env.batch_tilts(questions))
+    for j, (q, t) in enumerate(zip(questions, tilts)):
         codes = env.rollout_debate(q, policies, derive_key(100, j))
-        buffer.push(q, codes, score_of(q, codes), iteration=1, policy_version=0)
+        buffer.push(q, t, codes, score_of(q, codes), iteration=1, policy_version=0)
     buffer.refresh(env, policies, rollout_seed=777, policy_version=9, score=batch_scores)
     assert [e.question for e in buffer.entries] == questions
+    assert all(e.tilts is t for e, t in zip(buffer.entries, tilts))  # kept, not redrawn
     for j, (q, entry) in enumerate(zip(questions, buffer.entries)):
         expected = env.rollout_debate(q, policies, derive_key(777, j))
         np.testing.assert_array_equal(entry.answers, expected)
@@ -216,6 +220,8 @@ def test_refresh_rerolls_rescores_and_restamps():
     snapshot = [(e.answers.tolist(), e.score) for e in buffer.entries]
     buffer.refresh(env, policies, rollout_seed=777, policy_version=9, score=batch_scores)
     assert snapshot == [(e.answers.tolist(), e.score) for e in buffer.entries]
+    # an empty buffer has nothing to re-roll
+    ReplayBuffer(ReplayConfig()).refresh(env, policies, 777, 9, score=lambda qs, answers: [])
 
 
 # ----------------------------------------------------------------- validation

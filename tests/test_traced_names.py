@@ -12,7 +12,7 @@ import inspect
 import pytest
 
 import madlab
-from madlab import harness, metrics, optim, policy
+from madlab import harness, metrics, optim, policy, replay
 
 
 def test_every_traced_name_resolves_like_the_tracer(layers):
@@ -31,9 +31,11 @@ def test_every_traced_name_resolves_like_the_tracer(layers):
 
 def test_traced_amounts_read_the_arguments_they_expect():
     # layers.py records gradient_step's batch size from its third argument and
-    # each writer's bytes from the path in its first.
+    # each writer's bytes from the path in its first (ReplayBuffer.dump's
+    # second, after self).
     assert list(inspect.signature(optim.gradient_step).parameters)[2] == "batch"
     assert list(inspect.signature(policy.save_policy).parameters)[0] == "path_or_fp"
+    assert list(inspect.signature(replay.ReplayBuffer.dump).parameters)[1] == "path_or_fp"
 
 
 def test_traced_batch_size_reads_the_batch_collect_batch_returns(layers):
@@ -41,9 +43,9 @@ def test_traced_batch_size_reads_the_batch_collect_batch_returns(layers):
     env = policy.DebateEnv(policy.EnvConfig(num_agents=3, rounds=2, compromised_count=1))
     questions = env.generate_questions(7, "t")
     policies = env.initial_policies()
-    batch = optim.collect_batch(env, questions, policies, 0, rollout_seed=1)
-    state = optim.TrainState(policies=policies, reference=policies, ref_version=0,
-                             coeffs=None, iteration=0)
+    batch = optim.collect_batch(env, questions, env.batch_tilts(questions), policies, 0,
+                                rollout_seed=1, weights=[1.0] * 7)
+    state = optim.TrainState(policies=policies, reference=policies, ref_version=0, coeffs=None)
     assert layers._batch_trajectories((env, state, batch), {}, None) == len(questions)
 
 
