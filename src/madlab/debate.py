@@ -135,8 +135,8 @@ def write_trajectories(
     """Write debates as one JSON record per line.
 
     questions are policy.SyntheticQuestions sharing one answer space, and
-    answers[b] is question b's (T+1, N) grid of answer codes in it; the labels
-    are formatted from codes once per call. extras, when given, is a parallel
+    answers[b] is question b's (T+1, N) grid of answer codes in it; grids and
+    truths become labels here, once per call. extras, when given, is a parallel
     sequence of additional per-line fields (used by the replay-buffer dump).
     """
 
@@ -147,7 +147,7 @@ def write_trajectories(
         grids = np.array(space, dtype=object)[np.asarray(answers)]
         for j, (q, grid) in enumerate(zip(questions, grids)):
             record = {"question_id": q.question_id, "answer_space": space,
-                      "ground_truth": q.ground_truth, "rounds": grid.tolist()}
+                      "ground_truth": space[q.truth], "rounds": grid.tolist()}
             if extras is not None:
                 record.update(extras[j])
             fp.write(json.dumps(record) + "\n")

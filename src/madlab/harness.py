@@ -105,22 +105,22 @@ def with_seed(config: ExperimentConfig, seed: int | None) -> ExperimentConfig:
 def evaluate_ensemble(
     env: DebateEnv,
     questions: Sequence[SyntheticQuestion],
+    tilts: np.ndarray,
     policies: Sequence[PolicyTable | None],
     metric_config: MetricConfig,
     label: str,
 ) -> EvalResult:
-    """Roll out one debate per question and aggregate outcome statistics.
+    """Roll out one debate per question on its tilts and aggregate outcome statistics.
 
     The summary and every artifact read the batch's ProfileBatch and its
-    correctness column. Rollout streams are keyed by (seed, "eval", question
-    id) only, so the same seed and question set replays identically
-    regardless of which policies or how many compromised seats are plugged in.
+    correctness column, winner code == truth code. Rollout streams are keyed by
+    (seed, "eval", question id) only, so a question set replays identically
+    under any policies and any number of compromised seats.
     """
     seeds = [derive_key(env.config.seed, "eval", q.question_id) for q in questions]
-    _, answers = env.rollout_batch(questions, env.batch_tilts(questions), policies, seeds)
+    _, answers = env.rollout_batch(questions, tilts, policies, seeds)
     profiles = profiles_from_codes(answers, len(env.answer_space), metric_config)
-    correct = np.array([env.answer_space[w] == q.ground_truth
-                        for q, w in zip(questions, profiles.winners.tolist())], dtype=bool)
+    correct = profiles.winners == np.array([q.truth for q in questions])
     return EvalResult(
         questions=tuple(questions),
         answers=answers,
@@ -191,20 +191,18 @@ def _write_eval_artifacts(out_dir: str, result: EvalResult, coeffs: CoefficientS
     write_rewards_csv(os.path.join(out_dir, "rewards.csv"), result, coeffs)
 
 
-def _ensure_out(out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-
-
 # ----------------------------------------------------------------- baseline
 
 
 def run_baseline(config: ExperimentConfig, out_dir: str) -> PipelineResult:
     """Evaluate the untrained ensemble on a fresh question set."""
-    _ensure_out(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     env = DebateEnv(config.env)
     questions = env.generate_questions(config.eval_questions, "eval")
+    # drawn in the call, so the tilts are freed before the artifacts are written
     result = evaluate_ensemble(
-        env, questions, env.initial_policies(), config.metric, "baseline"
+        env, questions, env.batch_tilts(questions), env.initial_policies(), config.metric,
+        "baseline"
     )
     coeffs = CoefficientSet.uniform(
         config.env.num_agents,
@@ -226,11 +224,11 @@ def _calibrated_coefficients(
     config: ExperimentConfig,
     env: DebateEnv,
     warmup_questions: Sequence[SyntheticQuestion],
+    tilts: np.ndarray,
 ) -> CoefficientSet:
-    """Warm-up rollouts under the untrained ensemble, then per-agent scaling."""
+    """Warm-up rollouts on their tilts under the untrained ensemble, then per-agent scaling."""
     policies = env.initial_policies()
     seeds = [derive_key(env.config.seed, "warmup", q.question_id) for q in warmup_questions]
-    tilts = env.batch_tilts(warmup_questions)
     _, answers = env.rollout_batch(warmup_questions, tilts, policies, seeds)
     profile = warmup_profile(answers, len(env.answer_space), config.metric)
     return calibrate_coefficients(profile, config.calibration)
@@ -246,14 +244,17 @@ def train_pipeline(
     """
     env = DebateEnv(config.env)
     train_questions = env.generate_questions(config.train_questions, "train")
+    train_tilts = env.batch_tilts(train_questions)
     warmup_questions, optimisation_questions = split_warmup(
         train_questions, config.calibration.warmup_fraction
     )
-    coeffs = _calibrated_coefficients(config, env, warmup_questions)
+    warm = len(warmup_questions)
+    coeffs = _calibrated_coefficients(config, env, warmup_questions, train_tilts[:warm])
     coeffs = coeffs.zeroed(*zero_components)
     state, buffer = train(
         env,
         optimisation_questions,
+        train_tilts[warm:],
         coeffs,
         config.clip,
         config.metric,
@@ -274,14 +275,15 @@ def run_udpo(
     curve, the replay-buffer contents, and a two-row summary comparing the
     untrained and trained ensembles on the same held-out set.
     """
-    _ensure_out(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     env, state, buffer, coeffs = train_pipeline(config, zero_components)
     eval_questions = env.generate_questions(config.eval_questions, "eval")
+    eval_tilts = env.batch_tilts(eval_questions)
     base_result = evaluate_ensemble(
-        env, eval_questions, env.initial_policies(), config.metric, "baseline"
+        env, eval_questions, eval_tilts, env.initial_policies(), config.metric, "baseline"
     )
     trained_result = evaluate_ensemble(
-        env, eval_questions, state.policies, config.metric, "trained"
+        env, eval_questions, eval_tilts, state.policies, config.metric, "trained"
     )
     digest = config_hash(config)
     for i in env.honest_indices:
@@ -325,17 +327,18 @@ def run_attack(
             raise ValueError(f"compromised count must be non-negative, got {m}")
         if m > n:
             raise ValueError(f"compromised count {m} exceeds the {n}-agent ensemble")
-    _ensure_out(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     clean_config = dataclasses.replace(
         config, env=dataclasses.replace(config.env, compromised_count=0)
     )
     env, state, _, _ = train_pipeline(clean_config)
     eval_questions = env.generate_questions(config.eval_questions, "eval")
+    eval_tilts = env.batch_tilts(eval_questions)
     untrained = env.initial_policies()
     rows = [
-        evaluate_ensemble(env, eval_questions, untrained, config.metric,
+        evaluate_ensemble(env, eval_questions, eval_tilts, untrained, config.metric,
                           "untrained_clean").summary,
-        evaluate_ensemble(env, eval_questions, state.policies, config.metric,
+        evaluate_ensemble(env, eval_questions, eval_tilts, state.policies, config.metric,
                           "trained_clean").summary,
     ]
     warnings = []
@@ -344,11 +347,12 @@ def run_attack(
         attack_env = DebateEnv(
             dataclasses.replace(clean_config.env, compromised_count=m)
         )
-        # the honest seats come first: the last m seats turn adversary
+        # the honest seats come first: the last m seats turn adversary and lose their tilts
         for arm, policies in (("untrained", untrained), ("trained", state.policies)):
             rows.append(
-                evaluate_ensemble(attack_env, eval_questions, policies[: n - m] + [None] * m,
-                                  config.metric, f"{arm}_m{m}").summary
+                evaluate_ensemble(attack_env, eval_questions, eval_tilts[:, :, : n - m],
+                                  policies[: n - m] + [None] * m, config.metric,
+                                  f"{arm}_m{m}").summary
             )
     write_summary_csv(os.path.join(out_dir, "summary.csv"), rows)
     return PipelineResult(rows=rows, warnings=warnings)
@@ -378,7 +382,7 @@ def run_analysis(
     downgrade individual reports to warnings instead of failing the run. Once
     the input is read, reports an earlier run left in out_dir are removed.
     """
-    _ensure_out(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     warnings: list[str] = []
     chunks = []  # (input positions, correct, metric columns) of each chunk
     ids: list[str] = []
@@ -440,7 +444,7 @@ def run_analysis(
 # ---------------------------------------------------------------------- sweep
 
 
-SWEEP_AXES = ("agents", "rounds", "compromised")
+SWEEP_AXES = {"agents": "num_agents", "rounds": "rounds", "compromised": "compromised_count"}
 
 
 def run_sweep(
@@ -451,24 +455,20 @@ def run_sweep(
 ) -> PipelineResult:
     """Baseline evaluation per axis value, one summary row each."""
     if axis not in SWEEP_AXES:
-        raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise ValueError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     if not values:
         raise ValueError("sweep needs at least one axis value")
-    _ensure_out(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     rows = []
     warnings: list[str] = []
     for value in values:
-        if axis == "agents":
-            env_config = dataclasses.replace(config.env, num_agents=value)
-        elif axis == "rounds":
-            env_config = dataclasses.replace(config.env, rounds=value)
-        else:
-            env_config = dataclasses.replace(config.env, compromised_count=value)
+        env_config = dataclasses.replace(config.env, **{SWEEP_AXES[axis]: value})
         warnings += _majority_warning(env_config.compromised_count, env_config.num_agents)
         env = DebateEnv(env_config)
         questions = env.generate_questions(config.eval_questions, "eval")
         result = evaluate_ensemble(
-            env, questions, env.initial_policies(), config.metric, f"{axis}={value}"
+            env, questions, env.batch_tilts(questions), env.initial_policies(), config.metric,
+            f"{axis}={value}"
         )
         rows.append(result.summary)
     write_summary_csv(os.path.join(out_dir, "summary.csv"), rows)

@@ -251,6 +251,7 @@ def collect_batch(
 def train(
     env: DebateEnv,
     train_questions: Sequence[SyntheticQuestion],
+    train_tilts: np.ndarray,
     coeffs: CoefficientSet,
     clip: ClipConfig,
     metric_config: MetricConfig,
@@ -259,11 +260,13 @@ def train(
 ) -> tuple[TrainState, ReplayBuffer | None]:
     """Full training loop: rollout under the reference, step, refresh, replay.
 
-    Every random draw is keyed by (seed, purpose, iteration, ...), so a rerun
-    with the same arguments reproduces the trajectory of states exactly.
+    train_tilts[j] is train_questions[j]'s tilts. Every random draw is keyed by
+    (seed, purpose, iteration, ...), so same-argument reruns match exactly.
     """
     if not train_questions:
         raise ValueError("train() needs at least one question")
+    if len(train_tilts) != len(train_questions):
+        raise ValueError(f"{len(train_tilts)} tilt rows for {len(train_questions)} questions")
     if not env.honest_indices:
         raise ValueError("train() needs at least one honest agent; every seat is compromised")
     if coeffs.num_agents != env.config.num_agents:
@@ -274,13 +277,11 @@ def train(
     policies = env.initial_policies()
     reference = [p.copy() if p is not None else None for p in policies]
     state = TrainState(policies=policies, reference=reference, ref_version=0, coeffs=coeffs)
-    train_tilts = env.batch_tilts(train_questions)
     buffer = ReplayBuffer(replay_config) if replay_config and replay_config.enabled else None
 
     def scored(questions: Sequence[SyntheticQuestion], answers: np.ndarray):
         profiles = profiles_from_codes(answers, len(env.answer_space), metric_config)
-        correct = [env.answer_space[w] == q.ground_truth
-                   for q, w in zip(questions, profiles.winners.tolist())]
+        correct = profiles.winners == np.array([q.truth for q in questions])
         return profiles, total_reward(profiles, correct, coeffs)
 
     def rescore(questions: Sequence[SyntheticQuestion], answers: np.ndarray) -> list[float]:

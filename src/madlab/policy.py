@@ -6,16 +6,16 @@ the null context (no previous answers); a per-(question, agent) logit tilt
 biased toward the true answer by skill * (1 - difficulty), plus seeded noise,
 carries each question's private signal. The honest seats come first: with
 compromised_count = m of N seats, seats 0..H-1 (H = N - m) are honest and the
-last m are compromised. Compromised seats ignore the debate and emit one
-adversarial target per question (adversary_answer) every round.
+last m are compromised. Compromised seats ignore the debate and answer
+adversary[truth] (see DebateEnv) every round.
 
 With K answer labels each difficulty bin owns contexts_per_bin(K) = 1 + 3K^2
 consecutive context rows: the null context first, then (own, mode, agreement)
 in row-major order. A policy is a dense (rows, K) logit array over them. A
 question's (T+1, H, K) tilts, row i for honest seat i, are drawn once by its
-owner (batch_tilts) and passed down; the env keeps none. A debate in memory is
-its question and a (T+1, N) grid of answer codes, each an index into the answer
-space; labels appear only where debate.write_trajectories writes them.
+owner (batch_tilts) and passed down; the env keeps none. A question's truth and
+a debate's (T+1, N) answers are codes, indices into the answer space; their
+labels appear only where debate.write_trajectories writes them.
 _round_contexts is the one context formula: rollout_batch applies it to the
 whole batch each round, and agent_steps rebuilds one agent's visits along a
 recorded grid from it.
@@ -200,16 +200,16 @@ def context_key(row: int, labels: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class SyntheticQuestion:
-    """A task instance: id, answer space, true answer, difficulty in [0, 1]."""
+    """A task instance: id, answer space, the true answer's code, difficulty in [0, 1]."""
 
     question_id: str
     answer_space: tuple[str, ...]
-    ground_truth: str
+    truth: int
     difficulty: float
 
     def __post_init__(self) -> None:
-        if self.ground_truth not in self.answer_space:
-            raise ValueError("ground_truth outside the answer space")
+        if not 0 <= self.truth < len(self.answer_space):
+            raise ValueError(f"truth code {self.truth} outside the answer space")
         if not 0.0 <= self.difficulty <= 1.0:
             raise ValueError(f"difficulty must be in [0, 1], got {self.difficulty}")
 
@@ -345,6 +345,14 @@ class DebateEnv:
         h = config.num_agents - config.compromised_count
         self.honest_indices = list(range(h))
         self.skills = np.array([config.skills[i % len(config.skills)] for i in range(h)])
+        k, target = len(self.answer_space), config.adversarial_target_policy
+        # adversary[c]: every compromised seat's answer code when the truth is c
+        if target == "min_wrong":  # the first other label
+            self.adversary = np.array([1] + [0] * (k - 1))
+        elif target == "max_wrong":  # the last other label
+            self.adversary = np.array([k - 1] * (k - 1) + [k - 2])
+        else:  # fixed:X, whatever the truth
+            self.adversary = np.full(k, self.answer_space.index(target[len("fixed:") :]))
 
     def initial_policies(self) -> list[PolicyTable | None]:
         """Fresh untrained policies of the honest seats, then None for each compromised one.
@@ -383,8 +391,8 @@ class DebateEnv:
         digests = [_key_digest(self.config.seed, "question", qid) for qid in qids]
         uniforms = _unit_doubles(_philox_blocks(digests, 1)[:, :2])
         truths = cdf.searchsorted(uniforms[:, 0], side="right").tolist()
-        difficulties = [lo] * count if lo == hi else (lo + (hi - lo) * uniforms[:, 1]).tolist()
-        return [SyntheticQuestion(qid, self.answer_space, self.answer_space[truth], difficulty)
+        difficulties = (lo + (hi - lo) * uniforms[:, 1]).tolist()
+        return [SyntheticQuestion(qid, self.answer_space, truth, difficulty)
                 for qid, truth, difficulty in zip(qids, truths, difficulties)]
 
     def batch_tilts(self, questions: Sequence[SyntheticQuestion]) -> np.ndarray:
@@ -423,7 +431,7 @@ class DebateEnv:
                                  -(-words // 4))
             noise = _box_muller(raw[:, :paired])[:, :normals].reshape(c, steps, n, k)[:, :, :h]
             difficulty = np.array([q.difficulty for q in part])
-            truth = np.array([self.answer_space.index(q.ground_truth) for q in part])
+            truth = np.array([q.truth for q in part])
             ramp = np.minimum(1.0, difficulty / AVERSION_RAMP)[:, None, None]
             persist = SIGNAL_PERSIST + (1.0 - SIGNAL_PERSIST) * (1.0 - ramp)
             scale = SIGNAL_WOBBLE + SIGNAL_WOBBLE_SLOPE * difficulty[:, None, None]
@@ -442,15 +450,6 @@ class DebateEnv:
                 tilts[fired, push + 1, :, flare] -= FLARE_SCALE
             tilts[:, 1:, :, 0] += LABEL_AVERSION * ramp
         return out
-
-    def adversary_answer(self, question: SyntheticQuestion) -> str:
-        """The label every compromised seat advocates on this question: the
-        fixed:X target X, or the first (min_wrong) or last (max_wrong) wrong label."""
-        target = self.config.adversarial_target_policy
-        if target.startswith("fixed:"):
-            return target[len("fixed:") :]
-        order = self.answer_space if target == "min_wrong" else self.answer_space[::-1]
-        return next(label for label in order if label != question.ground_truth)
 
     def rollout_debate(
         self,
@@ -478,7 +477,7 @@ class DebateEnv:
         debates, PHILOX_BLOCKS_PER_PASS blocks at most (or one debate), so a
         debate does not depend on the rest of the batch. The H honest seats
         draw from their tables and tilts (batch_tilts of the questions), and the
-        last m answer columns hold each question's adversary_answer. Returns the
+        last m answer columns hold each question's adversary[truth]. Returns the
         (B, T+1, N) context rows and answer codes of every seat's visits.
         """
         n = self.config.num_agents
@@ -498,8 +497,7 @@ class DebateEnv:
         if tilts.shape != (b, steps, h, k):
             raise ValueError(f"need (B, T+1, H, K) = {(b, steps, h, k)} tilts, got {tilts.shape}")
         if h < n:
-            answers[:, :, h:] = np.array([self.answer_space.index(self.adversary_answer(q))
-                                          for q in questions])[:, None, None]
+            answers[:, :, h:] = self.adversary[[q.truth for q in questions]][:, None, None]
         bins = [[difficulty_bin(q.difficulty, self.config.difficulty_bins)] for q in questions]
         base = contexts_per_bin(k) * np.array(bins)
         words = steps * n

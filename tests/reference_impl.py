@@ -170,7 +170,7 @@ def per_stream_questions(env: DebateEnv, count: int, label: str) -> list[Synthet
     for idx in range(count):
         qid = f"{label}-{idx:05d}"
         rng = rng_stream(env.config.seed, "question", qid)
-        truth = env.answer_space[int(rng.choice(k, p=weights))]
+        truth = int(rng.choice(k, p=weights))
         difficulty = lo if lo == hi else float(rng.uniform(lo, hi))
         questions.append(SyntheticQuestion(qid, env.answer_space, truth, difficulty))
     return questions

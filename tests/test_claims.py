@@ -25,8 +25,10 @@ def gains(config, zero_components=()):
     """(Δaccuracy, ΔU_sys) of the trained ensemble over the untrained one."""
     env, state, _, _ = train_pipeline(config, zero_components)
     questions = env.generate_questions(config.eval_questions, "eval")
-    before = evaluate_ensemble(env, questions, env.initial_policies(), config.metric, "b").summary
-    after = evaluate_ensemble(env, questions, state.policies, config.metric, "t").summary
+    tilts = env.batch_tilts(questions)
+    before = evaluate_ensemble(env, questions, tilts, env.initial_policies(), config.metric,
+                               "b").summary
+    after = evaluate_ensemble(env, questions, tilts, state.policies, config.metric, "t").summary
     return after.accuracy - before.accuracy, after.mean_u_sys - before.mean_u_sys
 
 

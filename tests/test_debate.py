@@ -111,7 +111,7 @@ def test_validate_rejects_bad_ground_truth_and_dup_space():
 
 def test_jsonl_round_trip_preserves_everything():
     rng = np.random.default_rng(3)
-    questions = [SyntheticQuestion(f"q-{k}", SPACE, "B", 0.5) for k in range(20)]
+    questions = [SyntheticQuestion(f"q-{k}", SPACE, 1, 0.5) for k in range(20)]
     codes = rng.integers(0, len(SPACE), size=(20, 3, 3))
     buf = io.StringIO()
     write_trajectories(buf, questions, codes)
@@ -146,7 +146,7 @@ def test_written_debates_read_back_as_their_codes(name):
     [group] = read_trajectories(io.StringIO(buf.getvalue())).groups
     assert group.answer_space == env.answer_space
     np.testing.assert_array_equal(group.codes, answers)
-    assert group.truth.tolist() == [env.answer_space.index(q.ground_truth) for q in questions]
+    assert group.truth.tolist() == [q.truth for q in questions]
     assert group.question_ids == [q.question_id for q in questions]
     assert group.positions == list(range(len(questions)))
 
@@ -183,7 +183,7 @@ def test_jsonl_missing_field_rejected():
 
 
 def test_jsonl_extra_fields_survive_in_records():
-    question = SyntheticQuestion("q-0", SPACE, "A", 0.5)
+    question = SyntheticQuestion("q-0", SPACE, 0, 0.5)
     buf = io.StringIO()
     write_trajectories(buf, [question], np.array([[[0, 1], [1, 1]]]),
                        extras=[{"replay_score": 0.5, "policy_version": 3}])

@@ -145,8 +145,9 @@ def test_a_long_lived_env_keeps_nothing_of_the_questions_it_evaluated():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for label in ("first", "second"):
-            evaluate_ensemble(env, env.generate_questions(1000, label), policies, MetricConfig(),
-                              label)
+            questions = env.generate_questions(1000, label)
+            evaluate_ensemble(env, questions, env.batch_tilts(questions), policies,
+                              MetricConfig(), label)
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:

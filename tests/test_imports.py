@@ -13,7 +13,9 @@ or be a name the benchmark's traced run wraps (perfbench/layers.py).
 
 A debate in memory is its question and answer codes; label grids belong to
 the file format. Only debate.py, metrics.py (full_profile, answer_codes) and
-the package's __init__.py may name DebateTrajectory.
+the package's __init__.py may name DebateTrajectory. Likewise a question's
+truth is an answer code in memory, and only debate.py, which reads and writes
+the files' ground_truth labels, may name ground_truth.
 """
 
 import ast
@@ -128,3 +130,9 @@ def test_only_the_file_format_modules_name_debate_trajectory(module):
     named |= referenced_names(tree)
     # the allowed modules do name it, so the list cannot go stale unnoticed
     assert ("DebateTrajectory" in named) == (module in LABEL_GRID_MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_file_format_module_names_ground_truth(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fp:
+        assert ("ground_truth" in fp.read()) == (module == "debate.py")

@@ -89,10 +89,8 @@ def recorded_contexts(env, questions, answers):
 
 def batch_totals(batch, coeffs):
     """Per-agent total rewards of every batch debate (batch x agents)."""
-    space = batch.questions[0].answer_space
-    profiles = profiles_from_codes(batch.trajectories, len(space), MC)
-    correct = [space[w] == q.ground_truth
-               for q, w in zip(batch.questions, profiles.winners.tolist())]
+    profiles = profiles_from_codes(batch.trajectories, len(batch.questions[0].answer_space), MC)
+    correct = profiles.winners == [q.truth for q in batch.questions]
     return total_reward(profiles, correct, coeffs).total
 
 
@@ -285,7 +283,7 @@ def test_fully_clipped_batch_has_exactly_zero_gradient():
             seed=9,
         )
     )
-    question = SyntheticQuestion("q0", ("A", "B", "C", "D"), "A", 1.0)
+    question = SyntheticQuestion("q0", ("A", "B", "C", "D"), 0, 1.0)
     correct, wrong = answers = np.array([np.zeros((2, 2), dtype=np.int64),
                                          np.ones((2, 2), dtype=np.int64)])  # all A, all B
     batch = RolloutBatch(
@@ -436,8 +434,8 @@ def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
     monkeypatch.setattr(optim, "rng_stream", counting_stream)
     monkeypatch.setattr(DebateEnv, "agent_steps", no_steps)
     batch = collect_batch(env, questions, tilts, policies, 0, 5, [1.0] * 6)
-    evaluate_ensemble(env, questions, policies, MC, "eval")
-    evaluate_ensemble(env, questions, policies, MC, "eval")
+    evaluate_ensemble(env, questions, tilts, policies, MC, "eval")
+    evaluate_ensemble(env, questions, tilts, policies, MC, "eval")
     buffer = ReplayBuffer(ReplayConfig())
     for q, t, codes in zip(batch.questions, tilts, batch.trajectories):
         buffer.push(q, t, codes, 1.0)
@@ -448,17 +446,16 @@ def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
                        coeffs=coeffs)
     gradient_step(env, state, batch, ClipConfig(), batch_totals(batch, coeffs))
     assert opened == []
-    # collect_batch, refresh and gradient_step draw no tilt key: only each
-    # evaluate_ensemble call draws one per question, and every other pass is
-    # one act key per debate of the batch, the evaluations and the refresh
-    tilt_keys = [policy_module._key_digest(3, "tilt", q.question_id) for q in questions]
+    # collect_batch, evaluate_ensemble, refresh and gradient_step draw no tilt
+    # key: every pass is one act key per debate of the batch, the evaluations
+    # and the refresh
 
     def act_keys(seeds):
         return [policy_module._key_digest(s, "act", q.question_id) for s, q in zip(seeds, questions)]
 
     eval_acts = act_keys([derive_key(3, "eval", q.question_id) for q in questions])
     assert [d for keys, _ in passes for d in keys] == (
-        act_keys([derive_key(5, m) for m in range(6)]) + 2 * (tilt_keys + eval_acts)
+        act_keys([derive_key(5, m) for m in range(6)]) + 2 * eval_acts
         + act_keys([derive_key(9, j) for j in range(6)]))
 
 
@@ -547,7 +544,8 @@ def test_train_is_deterministic_for_a_seed():
     replay = ReplayConfig(capacity=32, fraction=0.25, refresh_period=2)
 
     def run(seed):
-        state, buffer = train(env, questions, coeffs, clip, MC, seed, replay)
+        state, buffer = train(env, questions, env.batch_tilts(questions), coeffs, clip, MC, seed,
+                              replay)
         return state, buffer
 
     state_a, buffer_a = run(11)
@@ -563,9 +561,17 @@ def test_train_is_deterministic_for_a_seed():
 def test_train_rejects_coefficients_for_another_seat_count():
     env = small_env(num_agents=2, rounds=1, seed=3)
     questions = env.generate_questions(4, "t")
+    tilts = env.batch_tilts(questions)
     for seats in (1, 3):
         with pytest.raises(ValueError, match=f"covers {seats} agents.*2 seats"):
-            train(env, questions, CoefficientSet.uniform(seats), ClipConfig(iterations=1), MC, seed=5)
+            train(env, questions, tilts, CoefficientSet.uniform(seats), ClipConfig(iterations=1),
+                  MC, seed=5)
+    # tilts of a longer question list fit every batch's shape, yet each
+    # question would read another question's row: refused, naming both lengths
+    longer = env.batch_tilts(env.generate_questions(5, "t"))
+    with pytest.raises(ValueError, match="5 tilt rows for 4 questions"):
+        train(env, questions, longer, CoefficientSet.uniform(2), ClipConfig(iterations=1), MC,
+              seed=5)
 
 
 def test_train_zero_iterations_keeps_initial_policies():
@@ -574,6 +580,7 @@ def test_train_zero_iterations_keeps_initial_policies():
     state, buffer = train(
         env,
         questions,
+        env.batch_tilts(questions),
         CoefficientSet.uniform(2),
         ClipConfig(iterations=0),
         MC,
@@ -608,7 +615,7 @@ def test_collect_batch_deterministic_and_slot_keyed():
 
 
 def test_rollout_batch_validation():
-    q = SyntheticQuestion("q0", ("A", "B"), "A", 0.0)
+    q = SyntheticQuestion("q0", ("A", "B"), 0, 0.0)
     one, two = np.zeros((1, 1, 2), dtype=np.int64), np.zeros((2, 1, 2), dtype=np.int64)
     tilts = np.zeros((1, 1, 2, 2))
     with pytest.raises(ValueError):
@@ -632,7 +639,7 @@ def test_rollout_batch_validation():
      ((1, 2, 2), (1, 2, 2))],
 )
 def test_rollout_batch_rejects_visit_arrays_of_the_wrong_shape(contexts_shape, answers_shape):
-    q = SyntheticQuestion("q0", ("A", "B"), "A", 0.0)
+    q = SyntheticQuestion("q0", ("A", "B"), 0, 0.0)
     with pytest.raises(ValueError, match="visit arrays"):
         RolloutBatch(questions=(q,), trajectories=np.zeros(answers_shape, dtype=np.int64),
                      weights=(1.0,), ref_version=0,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import io
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from madlab import policy as policy_module
+from madlab.harness import run_attack, run_udpo
 from madlab.metrics import MetricConfig
 from madlab.optim import ClipConfig, train
 from madlab.policy import (
@@ -32,6 +34,7 @@ from madlab.replay import ReplayConfig
 from madlab.rewards import CoefficientSet
 from reference_impl import build_context, per_stream_questions, probs, trajectory_log_prob
 from test_golden import k3_below_ramp_config, k12_config
+from test_harness import tiny_config
 
 
 def small_env(**overrides):
@@ -170,12 +173,12 @@ def test_generated_questions_are_valid_and_stable():
     assert qs3[:10] == qs1
     assert [q.question_id for q in qs1[:2]] == ["train-00000", "train-00001"]
     for q in qs1:
-        assert q.ground_truth in q.answer_space
+        assert 0 <= q.truth < len(q.answer_space)
         assert 0.0 <= q.difficulty <= 1.0
     # different labels give different questions
     qs_eval = env.generate_questions(10, "eval")
     assert qs_eval[0].question_id == "eval-00000"
-    assert any(a.ground_truth != b.ground_truth or a.difficulty != b.difficulty
+    assert any(a.truth != b.truth or a.difficulty != b.difficulty
                for a, b in zip(qs1, qs_eval))
 
 
@@ -234,7 +237,7 @@ def per_stream_tilts(env, question):
     ramp = min(1.0, question.difficulty / policy_module.AVERSION_RAMP)
     persist = policy_module.SIGNAL_PERSIST + (1.0 - policy_module.SIGNAL_PERSIST) * (1.0 - ramp)
     scale = policy_module.SIGNAL_WOBBLE + policy_module.SIGNAL_WOBBLE_SLOPE * question.difficulty
-    truth = env.answer_space.index(question.ground_truth)
+    truth = question.truth
     tilts = np.zeros((steps, len(env.honest_indices), k))
     for i in env.honest_indices:
         skill = cfg.skills[i % len(cfg.skills)]
@@ -254,10 +257,21 @@ def per_stream_tilts(env, question):
     return tilts
 
 
+def adversary_label(rule, truth, labels):
+    """The label compromised seats answer on truth code `truth`: the fixed:X
+    target X, or the first (min_wrong) or last (max_wrong) other label."""
+    if rule.startswith("fixed:"):
+        return rule[len("fixed:") :]
+    order = labels if rule == "min_wrong" else labels[::-1]
+    return next(label for label in order if label != labels[truth])
+
+
 def per_draw_rollout(env, question, policies, rollout_seed):
     """The rounds of one debate drawn one act at a time from its act key, seat
-    i at round t reading word t * N + i: the reference the batched engine
-    reproduces."""
+    i at round t reading word t * N + i, and the compromised seats answering
+    adversary_label: the reference the batched engine reproduces."""
+    target = adversary_label(env.config.adversarial_target_policy, question.truth,
+                             env.answer_space)
     qf = difficulty_bin(question.difficulty, env.config.difficulty_bins)
     tilts = per_stream_tilts(env, question)
     n, steps = env.config.num_agents, env.config.rounds + 1
@@ -268,7 +282,7 @@ def per_draw_rollout(env, question, policies, rollout_seed):
         row = []
         for i in range(n):
             if i not in env.honest_indices:
-                row.append(env.adversary_answer(question))
+                row.append(target)
                 continue
             p = probs(policies[i], build_context(qf, prev, i, env.answer_space), tilts[t, i])
             idx = int(np.searchsorted(np.cumsum(p), unit(words[t * n + i]), side="right"))
@@ -386,9 +400,8 @@ def test_signal_tilt_favors_truth_and_scales_with_difficulty():
                               skills=(1.0,), seed=3, difficulty="fixed:0.0"))
     q = env.generate_questions(1, "t")[0]
     tilt = env.batch_tilts([q])[0][0, 0]
-    truth_idx = q.answer_space.index(q.ground_truth)
-    assert tilt[truth_idx] == max(tilt)
-    assert tilt[truth_idx] > 3.0
+    assert tilt[q.truth] == max(tilt)
+    assert tilt[q.truth] > 3.0
     # a batch stacks each question's tensor
     both = env.batch_tilts([q, q])
     assert both.shape == (2, 2, 2, 4) and np.array_equal(both[1], env.batch_tilts([q])[0])
@@ -402,32 +415,50 @@ def test_signal_tilt_favors_truth_and_scales_with_difficulty():
 
 @pytest.mark.parametrize("rounds", [3, 5])
 def test_tilts_are_drawn_once_per_question_and_copied_out(monkeypatch, rounds):
-    # train draws each training question's tilt key once, in one pass before
-    # the first iteration; fresh slots, replay samples and buffer refreshes
-    # all reuse those rows, and every later pass draws act keys only
+    # the caller draws each training question's tilt key once, in one pass;
+    # train's fresh slots, replay samples and buffer refreshes all reuse those
+    # rows, so every pass train makes draws act keys only
     env = DebateEnv(EnvConfig(num_agents=4, rounds=rounds, compromised_count=1, seed=2))
     questions = env.generate_questions(6, "t")
     passes = record_philox_passes(monkeypatch)
-    replay = ReplayConfig(capacity=8, refresh_period=2)
-    _, buffer = train(env, questions, CoefficientSet.uniform(4),
-                      ClipConfig(batch_size=4, iterations=5), MetricConfig(), 9, replay)
+    tilts = env.batch_tilts(questions)
     # (T+1) x 4 seats x 4 labels normals and 2 flare words per tilt key
     tilt_keys = [policy_module._key_digest(2, "tilt", q.question_id) for q in questions]
-    assert passes[0] == (tilt_keys, -(-((rounds + 1) * 16 + 2) // 4))
-    drawn = [d for keys, _ in passes for d in keys]
-    assert [d for d in drawn if d in tilt_keys] == tilt_keys
-    assert len(drawn) == 6 + 5 * 4 + 2 * 8  # tilts, then 5 batches and 2 full-buffer refreshes
+    assert passes == [(tilt_keys, -(-((rounds + 1) * 16 + 2) // 4))]
+    assert tilts.shape == (6, rounds + 1, 3, 4)  # the compromised seat has no row
+    replay = ReplayConfig(capacity=8, refresh_period=2)
+    _, buffer = train(env, questions, tilts, CoefficientSet.uniform(4),
+                      ClipConfig(batch_size=4, iterations=5), MetricConfig(), 9, replay)
+    drawn = [d for keys, _ in passes[1:] for d in keys]
+    assert not set(drawn) & set(tilt_keys)
+    assert len(drawn) == 5 * 4 + 2 * 8  # 5 batches and 2 full-buffer refreshes
     # the buffer holds row views of the one array of training tilts, not
     # per-batch copies; each row is its own question's tilts
-    tilts = env.batch_tilts(questions)
-    assert tilts.shape == (6, rounds + 1, 3, 4)  # the compromised seat has no row
-    assert len({id(entry.tilts.base) for entry in buffer.entries}) == 1
+    assert all(entry.tilts.base is tilts for entry in buffer.entries)
     for entry in buffer.entries:
         assert np.array_equal(entry.tilts, tilts[questions.index(entry.question)])
     # every batch_tilts call is a fresh array: writing into one leaves the next as it was
     first = tilts.copy()
     tilts += 1.0
     assert np.array_equal(env.batch_tilts(questions), first)
+
+
+@pytest.mark.parametrize("run", [
+    run_udpo,
+    lambda config, out: run_attack(config, out, m_values=[1, 2]),
+], ids=["udpo", "attack-m1-m2"])
+def test_each_question_set_draws_its_tilts_once(tmp_path, monkeypatch, run):
+    # run_udpo evaluates its eval set twice and this attack six times, and
+    # the training set feeds both the warm-up and train(); each pipeline
+    # still draws every question's tilt key exactly once
+    config = tiny_config()
+    passes = record_philox_passes(monkeypatch)
+    run(config, str(tmp_path))
+    drawn = collections.Counter(d for keys, _ in passes for d in keys)
+    for label, count in (("train", config.train_questions), ("eval", config.eval_questions)):
+        for j in range(count):
+            key = policy_module._key_digest(config.env.seed, "tilt", f"{label}-{j:05d}")
+            assert drawn[key] == 1, (label, j, drawn[key])
 
 
 def record_philox_passes(monkeypatch):
@@ -559,9 +590,9 @@ def test_earlier_rounds_do_not_depend_on_later_rounds():
 
 def test_tilt_cache_is_keyed_by_the_question_not_its_id():
     env = DebateEnv(EnvConfig(seed=3, difficulty="fixed:0.2"))
-    first = SyntheticQuestion("q1", env.answer_space, "A", 0.2)
-    second = SyntheticQuestion("q1", env.answer_space, "C", 0.2)
-    harder = SyntheticQuestion("q1", env.answer_space, "C", 0.7)
+    first = SyntheticQuestion("q1", env.answer_space, 0, 0.2)
+    second = SyntheticQuestion("q1", env.answer_space, 2, 0.2)
+    harder = SyntheticQuestion("q1", env.answer_space, 2, 0.7)
     tilts = np.concatenate([env.batch_tilts([first]), env.batch_tilts([second, harder])])
     for q, got in zip((first, second, harder), tilts):
         assert got.tobytes() == per_stream_tilts(env, q).tobytes()
@@ -579,7 +610,7 @@ def test_easy_questions_start_mostly_correct():
     total = 0
     for q in qs:
         codes = env.rollout_debate(q, pols, rollout_seed=1)
-        correct += int((codes[0] == env.answer_space.index(q.ground_truth)).sum())
+        correct += int((codes[0] == q.truth).sum())
         total += 5
     assert correct / total > 0.85
 
@@ -605,20 +636,22 @@ ADVERSARY_RULES = {  # rule: the label the compromised seats answer on truths A,
 def test_compromised_answer_columns_follow_the_rule(rule):
     env = small_env(num_agents=5, compromised_count=2, answer_space_size=4,
                     adversarial_target_policy=rule)
-    questions = [SyntheticQuestion(f"q{j}", env.answer_space, truth, 0.3)
-                 for j, truth in enumerate("ABCD")]
+    questions = [SyntheticQuestion(f"q{j}", env.answer_space, j, 0.3) for j in range(4)]
     _, answers = env.rollout_batch(questions, env.batch_tilts(questions), env.initial_policies(),
                                    [1, 2, 3, 4])
     expected = [env.answer_space.index(label) for label in ADVERSARY_RULES[rule]]
     assert np.all(answers[:, :, 3:] == np.array(expected)[:, None, None])
+    # per_draw_rollout's reference rule agrees with the table
+    reference = "".join(adversary_label(rule, j, env.answer_space) for j in range(4))
+    assert reference == ADVERSARY_RULES[rule]
 
 
 def test_compromised_agents_hammer_target_every_round():
     env = small_env(num_agents=4, compromised_count=2)
     q = env.generate_questions(1, "t")[0]
     codes = env.rollout_debate(q, env.initial_policies(), 7)
-    wrong = next(lab for lab in q.answer_space if lab != q.ground_truth)
-    assert np.all(codes[:, 2:] == env.answer_space.index(wrong))
+    wrong = next(c for c in range(len(q.answer_space)) if c != q.truth)
+    assert np.all(codes[:, 2:] == wrong)
 
 
 def test_fixed_adversarial_target():

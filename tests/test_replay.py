@@ -28,7 +28,7 @@ def make_debate(qid, codes=((0, 1), (0, 1))):
     """A question over (A, B) with truth A, its (T+1, H, K) tilts (zero) and
     its debate's answer codes."""
     codes = np.array(codes)
-    return SyntheticQuestion(qid, ("A", "B"), "A", 0.5), np.zeros((*codes.shape, 2)), codes
+    return SyntheticQuestion(qid, ("A", "B"), 0, 0.5), np.zeros((*codes.shape, 2)), codes
 
 
 def batch_scores(questions, answers):
