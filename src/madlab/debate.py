@@ -10,17 +10,20 @@ are counted over answer codes, in metrics.
 
 A .jsonl trajectory file is parsed in one place, read_trajectories, and codes
 first: each well-formed record is checked and encoded into answer codes in
-one walk over its labels, grouped by (answer space, T+1, N). _encode rejects
-exactly the records trajectory_from_record rejects, and a rejected record
-fails with trajectory_from_record's error, so validate_trajectory is the one
-source of error text. The TrajectoryFile it returns hands analysis those
-groups. DebateTrajectory, a record's label grid, serves that error path and
+one walk over its labels, and streams straight into the flat typed buffers
+of its (answer space, T+1, N) group, so no per-record object outlives its
+line. _encode rejects exactly the records trajectory_from_record rejects,
+and a rejected record fails with trajectory_from_record's error, so
+validate_trajectory is the one source of error text. The TrajectoryFile it
+returns hands analysis those groups as numpy views of the buffers.
+DebateTrajectory, a record's label grid, serves that error path and
 metrics.full_profile.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from typing import IO, Callable, Iterator, Mapping, Sequence, TypeVar
 
@@ -161,6 +164,8 @@ class CodeGroup:
 
     Record j is record positions[j] of the file (blank lines not counted);
     truth[j] is its ground truth's code or NO_TRUTH; codes[j] its grid's codes.
+    truth is int64; codes is uint8 for a space of at most 256 labels, else
+    int64. Both wrap the reader's flat buffers without a copy.
     """
 
     answer_space: tuple[Label, ...]
@@ -224,16 +229,22 @@ def read_trajectories(path_or_fp: str | IO[str]) -> TrajectoryFile:
 
     def _read(fp: Iterator[str]) -> TrajectoryFile:
         spaces: dict = {}
-        groups: dict[tuple, list[tuple]] = {}
+        groups: dict[tuple, tuple[list, list, array, array]] = {}
+        decode = json.JSONDecoder().raw_decode
         position = 0
         for lineno, line in enumerate(fp, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}line {lineno}: not valid JSON ({exc.msg})")
+                record, end = decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(line):  # json.loads words the error (a BOM, extra data)
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{where}line {lineno}: not valid JSON ({exc.msg})")
             if not isinstance(record, dict):
                 raise ValueError(f"{where}line {lineno}: record must be a JSON object")
             parsed = _encode(record, spaces)
@@ -244,13 +255,18 @@ def read_trajectories(path_or_fp: str | IO[str]) -> TrajectoryFile:
                     raise ValueError(f"{where}line {lineno}: {exc}")
                 raise AssertionError(f"{where}line {lineno}: a valid record was not encoded")
             qid, space, shape, truth, codes = parsed
-            groups.setdefault((space, shape), []).append((position, qid, truth, codes))
+            if (space, shape) not in groups:  # one byte a code while the codes fit in one
+                groups[space, shape] = ([], [], array("q"), array("B" if len(space) <= 256 else "q"))
+            positions, qids, truths, grids = groups[space, shape]
+            positions.append(position)
+            qids.append(qid)
+            truths.append(truth)
+            grids.extend(codes)
             position += 1
-        out = []
-        for (space, shape), members in groups.items():
-            positions, qids, truths, codes = zip(*members)
-            out.append(CodeGroup(space, list(positions), list(qids), np.array(truths, dtype=np.int64),
-                                 np.array(codes, dtype=np.int64).reshape(-1, *shape)))
-        return TrajectoryFile(out)
+        return TrajectoryFile([
+            CodeGroup(space, positions, qids, np.frombuffer(truths, np.int64),
+                      np.frombuffer(grids, grids.typecode).reshape(-1, *shape))
+            for (space, shape), (positions, qids, truths, grids) in groups.items()
+        ])
 
     return with_fp(path_or_fp, "r", _read)

@@ -392,10 +392,11 @@ def run_analysis(
         for g in trajectories.groups:
             supervised = np.flatnonzero(g.truth != NO_TRUTH)
             skipped += len(g.truth) - len(supervised)
+            in_input = offset + np.asarray(g.positions)
             for start in range(0, len(supervised), ANALYSIS_CHUNK):
                 chunk = supervised[start : start + ANALYSIS_CHUNK]
                 profiles = profiles_from_codes(g.codes[chunk], len(g.answer_space), config.metric)
-                chunks.append((offset + np.asarray(g.positions)[chunk],
+                chunks.append((in_input[chunk],
                                profiles.winners == g.truth[chunk], metric_columns(profiles)))
                 ids += [g.question_ids[j] for j in chunk.tolist()]
         offset += len(trajectories)

@@ -588,7 +588,7 @@ def test_earlier_rounds_do_not_depend_on_later_rounds():
     assert np.array_equal(short_answers, long_answers[:, :3])
 
 
-def test_tilt_cache_is_keyed_by_the_question_not_its_id():
+def test_tilts_follow_the_question_truth_and_difficulty_not_its_id():
     env = DebateEnv(EnvConfig(seed=3, difficulty="fixed:0.2"))
     first = SyntheticQuestion("q1", env.answer_space, 0, 0.2)
     second = SyntheticQuestion("q1", env.answer_space, 2, 0.2)

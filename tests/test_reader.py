@@ -5,10 +5,12 @@ reference regrouping's outcome records give, in file order; malformed records
 must fail with exactly the reference message, file and line.
 """
 
+import dataclasses
 import importlib
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ import reader_oracle as oracle
 import stats_oracle
 from madlab import debate, harness
 from madlab.debate import _encode, read_trajectories, trajectory_from_record
+from madlab.metrics import profiles_from_codes
 from test_golden import write_mixed_analysis_input
 from test_harness import analysed_columns, assert_same_columns, tiny_config
 
@@ -202,11 +205,69 @@ def test_space_cache_keeps_true_and_one_apart(tmp_path):
     assert decoded(path) == oracle.read_trajectories(str(path))
 
 
-def test_invalid_json_fails_like_the_reference(tmp_path):
+NOT_JSON = {
+    "trailing data": (json.dumps(GOOD) + " x", "Extra data"),
+    "BOM prefix": ("\ufeff" + json.dumps(GOOD), "Unexpected UTF-8 BOM"),
+    "truncated": (json.dumps(GOOD)[:-3], "Expecting"),
+    "bare bracket": ("]", "Expecting value"),
+}
+
+
+@pytest.mark.parametrize("line, words", NOT_JSON.values(), ids=NOT_JSON.keys())
+def test_invalid_json_fails_like_the_reference(tmp_path, line, words):
     path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps(GOOD) + "\n" + json.dumps(GOOD) + " x\n", encoding="utf-8")
+    path.write_text(json.dumps(GOOD) + "\n" + line + "\n", encoding="utf-8")
     with pytest.raises(ValueError) as reference:
         oracle.read_trajectories(str(path))
+    assert str(reference.value).startswith(f"{path}: line 2: not valid JSON ({words}")
     with pytest.raises(ValueError) as got:
         read_trajectories(str(path))
-    assert str(got.value) == str(reference.value) != ""
+    assert str(got.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("k, dtype", [(4, np.uint8), (256, np.uint8), (257, np.int64), (300, np.int64)])
+def test_codes_are_bytes_up_to_256_labels(tmp_path, k, dtype):
+    space = [f"L{c}" for c in range(k)]
+    rows = [[space[0], space[-1]], [space[k // 2], space[-1]], [space[-1], space[-1]]]
+    path = tmp_path / "wide.jsonl"
+    record = dict(GOOD, answer_space=space, ground_truth=space[-2], rounds=rows)
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    [group] = read_trajectories(str(path)).groups
+    assert group.codes.dtype == dtype and group.truth.dtype == np.int64
+    assert group.codes.tolist() == [[[0, k - 1], [k // 2, k - 1], [k - 1, k - 1]]]
+    assert group.truth.tolist() == [k - 2]
+    assert decoded(path) == oracle.read_trajectories(str(path))
+
+
+BENCH_RECORDS = 5000
+
+
+@pytest.fixture(scope="module")
+def bench_input(workloads, tmp_path_factory):
+    """5,000 records of the analyze-large input (seed 8)."""
+    path = tmp_path_factory.mktemp("bench") / "herding.jsonl"
+    workloads.write_analyze_input(str(path), 8, BENCH_RECORDS)
+    return str(path)
+
+
+def test_byte_codes_profile_like_int64_codes(bench_input):
+    [group] = read_trajectories(bench_input).groups
+    assert group.codes.dtype == np.uint8
+    k, config = len(group.answer_space), tiny_config().metric
+    narrow = profiles_from_codes(group.codes, k, config)
+    wide = profiles_from_codes(group.codes.astype(np.int64), k, config)
+    for field in dataclasses.fields(narrow):
+        assert np.array_equal(getattr(narrow, field.name), getattr(wide, field.name)), field.name
+
+
+def test_reading_holds_a_few_hundred_bytes_per_record(bench_input):
+    # the records stream into flat typed buffers; no per-record list or
+    # tuple of codes lives until the end of the file
+    tracemalloc.start()
+    try:
+        read = read_trajectories(bench_input)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(read) == BENCH_RECORDS
+    assert peak <= 400 * BENCH_RECORDS, f"{peak / BENCH_RECORDS:.0f} bytes per record"
