@@ -30,7 +30,7 @@ from madlab.metrics import (  # noqa: F401  full_profile: perfbench's tracer tes
     write_profiles_csv,
 )
 from madlab.optim import train, write_training_csv
-from madlab.policy import DebateEnv, PolicyTable, SyntheticQuestion, derive_key, save_policy
+from madlab.policy import DebateEnv, SyntheticQuestion, derive_key, save_policy
 from madlab.rewards import CoefficientSet, total_reward
 from madlab.stats import (
     SeparationReport,
@@ -106,11 +106,12 @@ def evaluate_ensemble(
     env: DebateEnv,
     questions: Sequence[SyntheticQuestion],
     tilts: np.ndarray,
-    policies: Sequence[PolicyTable | None],
+    policies: np.ndarray,
     metric_config: MetricConfig,
     label: str,
 ) -> EvalResult:
-    """Roll out one debate per question on its tilts and aggregate outcome statistics.
+    """Roll out one debate per question on its tilts under the honest seats'
+    (H, rows, K) logits and aggregate outcome statistics.
 
     The summary and every artifact read the batch's ProfileBatch and its
     correctness column, winner code == truth code. Rollout streams are keyed by
@@ -289,6 +290,7 @@ def run_udpo(
     for i in env.honest_indices:
         save_policy(
             os.path.join(out_dir, f"policy_agent_{i}.txt"),
+            env.answer_space,
             state.policies[i],
             i,
             digest,
@@ -351,7 +353,7 @@ def run_attack(
         for arm, policies in (("untrained", untrained), ("trained", state.policies)):
             rows.append(
                 evaluate_ensemble(attack_env, eval_questions, eval_tilts[:, :, : n - m],
-                                  policies[: n - m] + [None] * m, config.metric,
+                                  policies[: n - m], config.metric,
                                   f"{arm}_m{m}").summary
             )
     write_summary_csv(os.path.join(out_dir, "summary.csv"), rows)
@@ -363,6 +365,36 @@ def run_attack(
 
 ANALYSIS_CHUNK = 4096  # trajectories per profiles_from_codes call; bounds its memory
 ANALYSIS_REPORTS = ("separation.csv", "correlation.csv", "selective.csv", "strata.csv")
+
+
+def _read_outcomes(
+    paths: Sequence[str], metric_config: MetricConfig
+) -> tuple[list[str], np.ndarray, dict[str, np.ndarray], int]:
+    """Question ids, correctness and metric columns of the supervised records
+    of the trajectory files, in input order, and the count of the others. The
+    files' buffers and the chunks' columns are freed when this returns."""
+    chunks = []  # (input positions, correct, metric columns) of each chunk
+    ids: list[str] = []
+    skipped = offset = 0
+    for path in paths:
+        trajectories = read_trajectories(path)
+        for g in trajectories.groups:
+            supervised = np.flatnonzero(g.truth != NO_TRUTH)
+            skipped += len(g.truth) - len(supervised)
+            in_input = offset + np.asarray(g.positions)
+            for start in range(0, len(supervised), ANALYSIS_CHUNK):
+                chunk = supervised[start : start + ANALYSIS_CHUNK]
+                profiles = profiles_from_codes(g.codes[chunk], len(g.answer_space), metric_config)
+                chunks.append((in_input[chunk],
+                               profiles.winners == g.truth[chunk], metric_columns(profiles)))
+                ids += [g.question_ids[j] for j in chunk.tolist()]
+        offset += len(trajectories)
+    if not chunks:
+        return ids, np.zeros(0, dtype=bool), {}, skipped
+    positions, hits, columns = zip(*chunks)
+    order = np.argsort(np.concatenate(positions))
+    values = {name: np.concatenate([c[name] for c in columns])[order] for name in columns[0]}
+    return [ids[j] for j in order.tolist()], np.concatenate(hits)[order], values, skipped
 
 
 def run_analysis(
@@ -384,22 +416,7 @@ def run_analysis(
     """
     os.makedirs(out_dir, exist_ok=True)
     warnings: list[str] = []
-    chunks = []  # (input positions, correct, metric columns) of each chunk
-    ids: list[str] = []
-    skipped = offset = 0
-    for path in paths:
-        trajectories = read_trajectories(path)
-        for g in trajectories.groups:
-            supervised = np.flatnonzero(g.truth != NO_TRUTH)
-            skipped += len(g.truth) - len(supervised)
-            in_input = offset + np.asarray(g.positions)
-            for start in range(0, len(supervised), ANALYSIS_CHUNK):
-                chunk = supervised[start : start + ANALYSIS_CHUNK]
-                profiles = profiles_from_codes(g.codes[chunk], len(g.answer_space), config.metric)
-                chunks.append((in_input[chunk],
-                               profiles.winners == g.truth[chunk], metric_columns(profiles)))
-                ids += [g.question_ids[j] for j in chunk.tolist()]
-        offset += len(trajectories)
+    question_ids, correct, values, skipped = _read_outcomes(paths, config.metric)
     separation, correlation, selective, strata = reports = [
         os.path.join(out_dir, name) for name in ANALYSIS_REPORTS
     ]
@@ -411,15 +428,9 @@ def run_analysis(
             f"excluded {skipped} trajectories without ground truth from "
             "accuracy-dependent reports"
         )
-    if not chunks:
+    if not question_ids:
         warnings.append("no usable trajectories: all reports skipped")
         return PipelineResult(rows=[], warnings=warnings)
-
-    positions, hits, columns = zip(*chunks)
-    order = np.argsort(np.concatenate(positions))
-    question_ids = [ids[j] for j in order.tolist()]
-    correct = np.concatenate(hits)[order]
-    values = {name: np.concatenate([c[name] for c in columns])[order] for name in columns[0]}
 
     try:
         write_separation_csv(separation, separation_report(values, correct))

@@ -13,11 +13,12 @@ term contributes A * rho * score per visit and is exactly zero on
 trajectories in the clipped regime; the KL term contributes
 p * ((log p - log q) - KL) per visited context. gradient_step reads each
 visit's context row, answer code and tilt from the RolloutBatch, computes the
-log-probs of all honest agents' visits in one pass over their stacked tables,
-and adds every agent's gradient with one np.bincount in per-visit order before
-one whole-table update per agent. Training never evaluates L_i itself; its
-scalar form, one trajectory at a time, lives with the tests as the reference
-this gradient is checked against.
+log-probs of all honest agents' visits in one pass over the (H, rows, K) logit
+array, and adds every agent's gradient with one np.bincount in per-visit order
+before one update of the whole array, clamped to +-LOGIT_CLAMP so ratios and
+KL terms stay finite. Training never evaluates L_i itself; its scalar form,
+one trajectory at a time, lives with the tests as the reference this gradient
+is checked against.
 
 Rollouts always happen under the reference snapshot; the reference refreshes
 every ref_refresh_period iterations, and gradient_step refuses batches whose
@@ -39,8 +40,8 @@ from madlab.metrics import (  # noqa: F401  full_profile: perfbench's tracer tes
     profiles_from_codes,
 )
 from madlab.policy import (
+    LOGIT_CLAMP,
     DebateEnv,
-    PolicyTable,
     SyntheticQuestion,
     derive_key,
     rng_stream,
@@ -86,10 +87,15 @@ class IterationStats:
 
 @dataclass
 class TrainState:
-    """Mutable training snapshot; never shared across threads."""
+    """Mutable training snapshot; never shared across threads.
 
-    policies: list[PolicyTable | None]
-    reference: list[PolicyTable | None]
+    policies and reference are (H, rows, K) logit arrays, block i honest seat
+    i's table. Training never writes into either: gradient_step binds a new
+    policies array, so a reference may be the very array it was taken from.
+    """
+
+    policies: np.ndarray
+    reference: np.ndarray
     ref_version: int
     coeffs: CoefficientSet
     history: list[IterationStats] = field(default_factory=list)
@@ -101,8 +107,9 @@ class RolloutBatch:
 
     trajectories[m, t, i] and contexts[m, t, i] are the answer code and context
     row of agent i at round t of debate m, and tilts[m] its (T+1, H, K) tilts,
-    as recorded; the benchmark's traced run reads len(trajectories) as the batch
-    size. weights are importance weights, batch mean 1; fresh slots carry 1.
+    as recorded under the reference's (H, rows, K) logits; the benchmark's
+    traced run reads len(trajectories) as the batch size. weights are
+    importance weights, batch mean 1; fresh slots carry 1.
     """
 
     questions: tuple[SyntheticQuestion, ...]
@@ -167,7 +174,8 @@ def gradient_step(
     totals holds each batch trajectory's per-agent total reward (batch x
     agents); advantages are centered on their batch means. Refuses batches
     rolled out under a stale reference, and raises before changing any table
-    when a likelihood ratio or a gradient is not finite.
+    when a likelihood ratio or a gradient is not finite. The stepped logits
+    are a new array bound to state.policies; the array it held is unchanged.
     """
     if batch.ref_version != state.ref_version:
         raise ValueError(
@@ -178,12 +186,11 @@ def gradient_step(
     adv = compute_advantages(totals)[:, honest]
     m_total, steps = batch.contexts.shape[:2]
     weights = np.array(batch.weights)[:, None]
-    # The honest tables, current and reference, each stacked into one
-    # (H * rows, K) array; visits index their rows.
-    cur, ref = (np.concatenate([ps[i].logits for i in honest])
-                for ps in (state.policies, state.reference))
-    n_rows, k = len(cur) // len(honest), cur.shape[1]
-    visits = batch.contexts[:, :, honest] + n_rows * np.arange(len(honest))
+    # The current and reference logits as (H * rows, K) arrays; visits index
+    # their rows.
+    h, n_rows, k = state.policies.shape
+    cur, ref = state.policies.reshape(-1, k), state.reference.reshape(-1, k)
+    visits = batch.contexts[:, :, honest] + n_rows * np.arange(h)
     answers = batch.trajectories[:, :, honest, None]
     lc = _log_probs(cur, visits, batch.tilts)
     # When the reference equals the current tables (each step at the default
@@ -217,12 +224,12 @@ def gradient_step(
     vals = np.stack(parts, axis=1)
     cols = np.concatenate([np.broadcast_to(np.arange(k), p.shape), answers], -1)
     at = np.broadcast_to((visits[..., None] * k + cols)[:, None], vals.shape)
-    grad = np.bincount(at.ravel(), vals.ravel(), minlength=cur.size).reshape(len(honest), n_rows, k)
+    grad = np.bincount(at.ravel(), vals.ravel(), minlength=cur.size).reshape(h, n_rows, k)
     broken = ~np.isfinite(grad).all(axis=(1, 2))
     if broken.any():  # only an unclipped slot's ratio can carry a gradient this far
         raise _ratio_error(honest, log_rho, np.where(active & broken, np.abs(surrogate), 0.0))
-    for h, i in enumerate(honest):
-        state.policies[i].update(clip.learn_rate * (grad[h] / m_total))
+    state.policies = np.clip(state.policies + clip.learn_rate * (grad / m_total),
+                             -LOGIT_CLAMP, LOGIT_CLAMP)
     return state
 
 
@@ -230,7 +237,7 @@ def collect_batch(
     env: DebateEnv,
     questions: Sequence[SyntheticQuestion],
     tilts: np.ndarray,
-    policies: Sequence[PolicyTable | None],
+    policies: np.ndarray,
     ref_version: int,
     rollout_seed: int,
     weights: Sequence[float],
@@ -275,8 +282,7 @@ def train(
             f"the debate has {env.config.num_agents} seats"
         )
     policies = env.initial_policies()
-    reference = [p.copy() if p is not None else None for p in policies]
-    state = TrainState(policies=policies, reference=reference, ref_version=0, coeffs=coeffs)
+    state = TrainState(policies=policies, reference=policies, ref_version=0, coeffs=coeffs)
     buffer = ReplayBuffer(replay_config) if replay_config and replay_config.enabled else None
 
     def scored(questions: Sequence[SyntheticQuestion], answers: np.ndarray):
@@ -339,7 +345,7 @@ def train(
                     score=rescore,
                 )
         if k % clip.ref_refresh_period == 0:
-            state.reference = [p.copy() if p is not None else None for p in state.policies]
+            state.reference = state.policies
             state.ref_version += 1
     return state, buffer
 

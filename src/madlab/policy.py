@@ -11,7 +11,8 @@ adversary[truth] (see DebateEnv) every round.
 
 With K answer labels each difficulty bin owns contexts_per_bin(K) = 1 + 3K^2
 consecutive context rows: the null context first, then (own, mode, agreement)
-in row-major order. A policy is a dense (rows, K) logit array over them. A
+in row-major order. The honest seats' policies are one (H, rows, K) logit
+array over them, block i seat i's table; compromised seats have none. A
 question's (T+1, H, K) tilts, row i for honest seat i, are drawn once by its
 owner (batch_tilts) and passed down; the env keeps none. A question's truth and
 a debate's (T+1, N) answers are codes, indices into the answer space; their
@@ -234,26 +235,6 @@ def _round_contexts(base: np.ndarray | int, prev: np.ndarray, k: int) -> np.ndar
     return base + 1 + (prev * k + peers.argmax(axis=-1)) * 3 + agreement
 
 
-class PolicyTable:
-    """Tabular softmax policy: a dense (rows, K) logit array, one row per context.
-
-    Row r is the context named by context_key(r, labels); every row exists
-    from construction on. Construction and updates clamp every logit to
-    +-LOGIT_CLAMP so ratios and KL terms stay finite.
-    """
-
-    def __init__(self, labels: Sequence[str], logits: np.ndarray) -> None:
-        self.labels = tuple(labels)
-        self.logits = np.clip(np.asarray(logits, dtype=np.float64), -LOGIT_CLAMP, LOGIT_CLAMP)
-
-    def update(self, delta: np.ndarray) -> None:
-        """Add a whole-table delta and re-clamp."""
-        self.logits = np.clip(self.logits + delta, -LOGIT_CLAMP, LOGIT_CLAMP)
-
-    def copy(self) -> "PolicyTable":
-        return PolicyTable(self.labels, self.logits)
-
-
 def parse_difficulty_spec(spec: str) -> tuple[float, float]:
     """Difficulty sampling range (lo, hi); fixed values have lo == hi.
 
@@ -354,11 +335,11 @@ class DebateEnv:
         else:  # fixed:X, whatever the truth
             self.adversary = np.full(k, self.answer_space.index(target[len("fixed:") :]))
 
-    def initial_policies(self) -> list[PolicyTable | None]:
-        """Fresh untrained policies of the honest seats, then None for each compromised one.
+    def initial_policies(self) -> np.ndarray:
+        """Fresh untrained (H, rows, K) logits of the honest seats, block i seat i's table.
 
-        Every bin starts from the same block: zero logits at the null context
-        and the inertia and conformity prior everywhere else.
+        Every seat's every bin starts from the same block: zero logits at the
+        null context and the inertia and conformity prior everywhere else.
         """
         k = len(self.answer_space)
         block = np.zeros((contexts_per_bin(k), k))
@@ -368,9 +349,7 @@ class DebateEnv:
                     row = block[1 + (own * k + mode) * 3 + agreement]
                     row[own] += OWN_PRIOR
                     row[mode] += PEER_PRIOR[agreement]
-        logits = np.tile(block, (self.config.difficulty_bins, 1))
-        return ([PolicyTable(self.answer_space, logits) for _ in self.honest_indices]
-                + [None] * self.config.compromised_count)
+        return np.tile(block, (len(self.honest_indices), self.config.difficulty_bins, 1))
 
     def generate_questions(self, count: int, label: str) -> list[SyntheticQuestion]:
         """Seeded question batch; ids are stable under count changes.
@@ -454,7 +433,7 @@ class DebateEnv:
     def rollout_debate(
         self,
         question: SyntheticQuestion,
-        policies: Sequence[PolicyTable | None],
+        policies: np.ndarray,
         rollout_seed: int,
     ) -> np.ndarray:
         """One full debate's (T+1, N) answer codes; its acts read the key
@@ -466,7 +445,7 @@ class DebateEnv:
         self,
         questions: Sequence[SyntheticQuestion],
         tilts: np.ndarray,
-        policies: Sequence[PolicyTable | None],
+        policies: np.ndarray,
         rollout_seeds: Sequence[int],
     ) -> tuple[np.ndarray, np.ndarray]:
         """Run one debate per question, advancing the whole batch a round at a time.
@@ -476,20 +455,18 @@ class DebateEnv:
         of the softmax of its table row plus tilt. Passes run over whole
         debates, PHILOX_BLOCKS_PER_PASS blocks at most (or one debate), so a
         debate does not depend on the rest of the batch. The H honest seats
-        draw from their tables and tilts (batch_tilts of the questions), and the
-        last m answer columns hold each question's adversary[truth]. Returns the
-        (B, T+1, N) context rows and answer codes of every seat's visits.
+        draw from their blocks of the (H, rows, K) policy logits and their
+        tilts (batch_tilts of the questions), and the last m answer columns
+        hold each question's adversary[truth]. Returns the (B, T+1, N) context
+        rows and answer codes of every seat's visits.
         """
         n = self.config.num_agents
-        if len(policies) != n:
-            raise ValueError(f"need {n} policies, got {len(policies)}")
-        if len(rollout_seeds) != len(questions):
-            raise ValueError(f"need {len(questions)} rollout seeds, got {len(rollout_seeds)}")
-        honest = self.honest_indices
-        for i in honest:
-            if policies[i] is None:
-                raise ValueError(f"honest agent {i} has no policy")
-        b, h, k = len(questions), len(honest), len(self.answer_space)
+        b, h, k = len(questions), len(self.honest_indices), len(self.answer_space)
+        shape = (h, self.config.difficulty_bins * contexts_per_bin(k), k)
+        if policies.shape != shape:
+            raise ValueError(f"need (H, rows, K) = {shape} policy logits, got {policies.shape}")
+        if len(rollout_seeds) != b:
+            raise ValueError(f"need {b} rollout seeds, got {len(rollout_seeds)}")
         steps = self.config.rounds + 1
         contexts, answers = np.empty((2, b, steps, n), dtype=np.int64)
         if b == 0:
@@ -508,16 +485,13 @@ class DebateEnv:
             _unit_doubles(_philox_blocks(digests[j:j + chunk], -(-words // 4))[:, :words])
             for j in range(0, b, chunk)
         ]).reshape(b, steps, n, 1)[:, :, :h]
-        logits = np.stack([policies[i].logits for i in honest]) if honest else None
         contexts[:, 0] = base
         for t in range(steps):
             if t:
                 contexts[:, t] = _round_contexts(base, answers[:, t - 1], k)
-            if logits is None:
-                continue
             # The softmax of each visit's logits plus tilt, then a right-side
             # search of its cumsum, in place.
-            z = logits[np.arange(h), contexts[:, t, :h]]
+            z = policies[np.arange(h), contexts[:, t, :h]]
             z += tilts[:, t]
             z -= z.max(axis=-1, keepdims=True)
             np.exp(z, out=z)
@@ -544,20 +518,21 @@ class DebateEnv:
 
 def save_policy(
     path_or_fp: str | IO[str],
-    policy: PolicyTable,
+    labels: Sequence[str],
+    logits: np.ndarray,
     agent_index: int,
     config_hash: str,
 ) -> None:
-    """Versioned text format: header, then every 'context-key<TAB>logits' row,
-    sorted by key text."""
+    """Versioned text format of one seat's (rows, K) logits: header, then every
+    'context-key<TAB>logits' row, sorted by key text."""
 
     def _write(fp: IO[str]) -> None:
         fp.write("# madlab-policy v1\n")
-        fp.write(f"# labels: {','.join(policy.labels)}\n")
+        fp.write(f"# labels: {','.join(labels)}\n")
         fp.write(f"# config-hash: {config_hash}\n")
         fp.write(f"# agent: {agent_index}\n")
-        keys = sorted((context_key(r, policy.labels), r) for r in range(len(policy.logits)))
+        keys = sorted((context_key(r, labels), r) for r in range(len(logits)))
         for key, r in keys:
-            fp.write(key + "\t" + ",".join(repr(float(v)) for v in policy.logits[r]) + "\n")
+            fp.write(key + "\t" + ",".join(repr(float(v)) for v in logits[r]) + "\n")
 
     with_fp(path_or_fp, "w", _write)

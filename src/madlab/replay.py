@@ -133,12 +133,13 @@ class ReplayBuffer:
     def refresh(
         self,
         env,
-        policies: Sequence,
+        policies: np.ndarray,
         rollout_seed: int,
         policy_version: int,
         score: Callable[[list[SyntheticQuestion], np.ndarray], Sequence[float]],
     ) -> None:
-        """Re-roll every stored question under the given policies, rescore, restamp.
+        """Re-roll every stored question under the honest seats' (H, rows, K)
+        logits, rescore, restamp.
 
         All entries roll as one batch on their stored tilts; score maps the
         questions and re-rolled (B, T+1, N) answer codes to one priority each.

@@ -29,7 +29,6 @@ from madlab.optim import ClipConfig, RolloutBatch, _log_probs
 from madlab.policy import (
     TRUTH_SKEW,
     DebateEnv,
-    PolicyTable,
     SyntheticQuestion,
     contexts_per_bin,
     parse_difficulty_spec,
@@ -70,9 +69,9 @@ def build_context(
     return base + 1 + (own * k + mode) * 3 + agreement
 
 
-def probs(policy: PolicyTable, row: int, tilt: np.ndarray) -> np.ndarray:
-    """Softmax of one table row plus a tilt."""
-    z = policy.logits[row] + tilt
+def probs(policy: np.ndarray, row: int, tilt: np.ndarray) -> np.ndarray:
+    """Softmax of one row of a seat's (rows, K) logits plus a tilt."""
+    z = policy[row] + tilt
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
@@ -80,7 +79,7 @@ def probs(policy: PolicyTable, row: int, tilt: np.ndarray) -> np.ndarray:
 
 def trajectory_log_prob(
     env: DebateEnv,
-    policy: PolicyTable,
+    policy: np.ndarray,
     agent_index: int,
     question: SyntheticQuestion,
     answers: np.ndarray,
@@ -95,8 +94,8 @@ def trajectory_log_prob(
 
 def likelihood_ratio(
     env: DebateEnv,
-    current: PolicyTable,
-    reference: PolicyTable,
+    current: np.ndarray,
+    reference: np.ndarray,
     agent_index: int,
     question: SyntheticQuestion,
     answers: np.ndarray,
@@ -115,8 +114,8 @@ def clipped_surrogate(rho: float, advantage: float, epsilon: float) -> float:
 
 def kl_anchor(
     env: DebateEnv,
-    current: PolicyTable,
-    reference: PolicyTable,
+    current: np.ndarray,
+    reference: np.ndarray,
     agent_index: int,
     question: SyntheticQuestion,
     answers: np.ndarray,
@@ -125,8 +124,8 @@ def kl_anchor(
     steps = env.agent_steps(question, answers, agent_index)
     total = 0.0
     for step in steps:
-        lp_cur = _log_probs(current.logits, step.ctx, step.tilt)
-        lp_ref = _log_probs(reference.logits, step.ctx, step.tilt)
+        lp_cur = _log_probs(current, step.ctx, step.tilt)
+        lp_ref = _log_probs(reference, step.ctx, step.tilt)
         p = np.exp(lp_cur)
         total += float(np.dot(p, lp_cur - lp_ref))
     return total / len(steps)
@@ -134,19 +133,19 @@ def kl_anchor(
 
 def objective_value(
     env: DebateEnv,
-    policies: Sequence[PolicyTable | None],
-    reference: Sequence[PolicyTable | None],
+    policies: np.ndarray,
+    reference: np.ndarray,
     batch: RolloutBatch,
     advantages: np.ndarray,
     coeffs: CoefficientSet,
     clip: ClipConfig,
 ) -> dict[int, float]:
-    """Per-honest-agent objective on a fixed batch with fixed (batch x agents) advantages."""
+    """Per-honest-agent objective on a fixed batch with fixed (batch x agents)
+    advantages; policies and reference are (H, rows, K) logit arrays."""
     out: dict[int, float] = {}
     m_total = len(batch.trajectories)
     for i in env.honest_indices:
         cur, ref = policies[i], reference[i]
-        assert cur is not None and ref is not None
         surr = 0.0
         kl = 0.0
         for m, (q, answers) in enumerate(zip(batch.questions, batch.trajectories)):

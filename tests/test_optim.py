@@ -52,7 +52,7 @@ from reference_impl import (
     objective_value,
     trajectory_log_prob,
 )
-from test_policy import record_philox_passes
+from test_policy import perturbed, record_philox_passes
 
 MC = MetricConfig()
 
@@ -158,7 +158,7 @@ def test_surrogate_is_clipped_regions():
 def test_objective_and_kl_vanish_at_reference():
     env = small_env(num_agents=3, rounds=2, seed=4)
     policies, batch = fresh_batch(env, 8)
-    reference = [p.copy() if p is not None else None for p in policies]
+    reference = policies.copy()
     coeffs = CoefficientSet.uniform(3)
     totals = batch_totals(batch, coeffs)
     adv = compute_advantages(totals)
@@ -174,33 +174,13 @@ def test_objective_and_kl_vanish_at_reference():
 # ------------------------------------------------------- finite differences
 
 
-def perturbed(policies, scale, seed):
-    rng = np.random.default_rng(seed)
-    out = []
-    for p in policies:
-        if p is None:
-            out.append(None)
-            continue
-        q = p.copy()
-        q.update(rng.normal(0.0, scale, q.logits.shape))
-        out.append(q)
-    return out
-
-
 def analytic_gradients(env, policies, reference, batch, coeffs, epsilon):
-    """Per-agent (rows, K) gradient extracted from a unit-learning-rate step."""
-    state = TrainState(
-        policies=[p.copy() if p is not None else None for p in policies],
-        reference=[p.copy() if p is not None else None for p in reference],
-        ref_version=batch.ref_version,
-        coeffs=coeffs,
-    )
-    before = [p.logits.copy() if p is not None else None for p in state.policies]
+    """(H, rows, K) gradient extracted from a unit-learning-rate step."""
+    state = TrainState(policies=policies, reference=reference, ref_version=batch.ref_version,
+                       coeffs=coeffs)
     clip = ClipConfig(epsilon=epsilon, learn_rate=1.0, batch_size=1)
     gradient_step(env, state, batch, clip, batch_totals(batch, coeffs))
-    return [
-        p.logits - old if p is not None else None for p, old in zip(state.policies, before)
-    ]
+    return state.policies - policies
 
 
 @pytest.mark.parametrize(
@@ -224,8 +204,8 @@ def test_gradient_matches_central_differences(case):
         coeffs = CoefficientSet.uniform(2)
         epsilon = 0.5
         scale = 0.05  # keep every ratio inside the clip band
-    current = perturbed(base_policies, scale, seed=71)
-    reference = [p.copy() if p is not None else None for p in base_policies]
+    current = perturbed(base_policies, seed=71, scale=scale)
+    reference = base_policies
     questions = env.generate_questions(5, "t")
     batch = fresh_collect(env, questions, reference, 0, 31)
     totals = batch_totals(batch, coeffs)
@@ -244,13 +224,10 @@ def test_gradient_matches_central_differences(case):
         for q, traj in zip(batch.questions, batch.trajectories):
             visited.update(s.ctx for s in env.agent_steps(q, traj, i))
         for ctx in sorted(visited):
-            for j in range(len(current[i].labels)):
-                bump = np.zeros_like(current[i].logits)
-                bump[ctx, j] = h
-                plus = [p.copy() if p is not None else None for p in current]
-                plus[i].update(bump)
-                minus = [p.copy() if p is not None else None for p in current]
-                minus[i].update(-bump)
+            for j in range(len(env.answer_space)):
+                plus, minus = current.copy(), current.copy()
+                plus[i, ctx, j] += h
+                minus[i, ctx, j] -= h
                 f_plus = objective_value(
                     env, plus, reference, batch, adv, coeffs,
                     ClipConfig(epsilon=epsilon),
@@ -298,11 +275,9 @@ def test_fully_clipped_batch_has_exactly_zero_gradient():
         2, alpha=0.0, beta=0.0, gamma=0.0, lambda_task=1.0, eta_anchor=0.0
     )
     reference = env.initial_policies()
-    current = [p.copy() if p is not None else None for p in reference]
     push = np.zeros(4)
     push[0], push[1] = 6.0, -6.0  # drive probability mass hard toward "A"
-    for p in current:
-        p.update(push)
+    current = reference + push
     epsilon = 0.2
     for i in env.honest_indices:
         rho_hi = likelihood_ratio(env, current[i], reference[i], i, question, correct)
@@ -315,15 +290,38 @@ def test_fully_clipped_batch_has_exactly_zero_gradient():
         ref_version=0,
         coeffs=coeffs,
     )
-    snapshot = [p.logits.copy() for p in state.policies]
     clip = ClipConfig(epsilon=epsilon, learn_rate=1.0)
     gradient_step(env, state, batch, clip, batch_totals(batch, coeffs))
-    for p, snap in zip(state.policies, snapshot):
-        assert np.array_equal(p.logits, snap), "clipped batch moved a logit"
+    assert np.array_equal(state.policies, current), "clipped batch moved a logit"
+
+
+def test_gradient_step_clamps_every_logit():
+    # advantages of +-1e12 push the visited logits far past the clamp
+    env = small_env(num_agents=2, rounds=1, seed=2)
+    policies, batch = fresh_batch(env, 3)
+    state = TrainState(policies=policies, reference=policies, ref_version=0,
+                       coeffs=CoefficientSet.uniform(2))
+    totals = np.array([[1e12, 1e12], [0.0, 0.0], [-1e12, -1e12]])
+    gradient_step(env, state, batch, ClipConfig(learn_rate=1.0), totals)
+    assert np.abs(state.policies).max() == LOGIT_CLAMP
+
+
+def test_gradient_step_binds_a_new_array_and_leaves_its_input_unchanged():
+    # the reference snapshot and run_udpo's untrained baseline arm both keep
+    # the array a step starts from
+    env = small_env(num_agents=3, rounds=2, seed=4)
+    policies, batch = fresh_batch(env, 8)
+    snapshot = policies.tobytes()
+    state = TrainState(policies=policies, reference=policies, ref_version=0,
+                       coeffs=CoefficientSet.uniform(3))
+    gradient_step(env, state, batch, ClipConfig(), batch_totals(batch, state.coeffs))
+    assert state.policies is not policies and state.reference is policies
+    assert policies.tobytes() == snapshot
+    assert not np.array_equal(state.policies, policies)
 
 
 def visit_log_probs(policy, step):
-    z = policy.logits[step.ctx] + step.tilt
+    z = policy[step.ctx] + step.tilt
     z = z - z.max()
     return z - math.log(float(np.exp(z).sum()))
 
@@ -333,10 +331,11 @@ def per_visit_gradient_step(env, state, batch, clip, totals):
     the vectorized step must match bit for bit."""
     adv = compute_advantages(totals)
     m_total = len(batch.trajectories)
+    stepped = np.empty_like(state.policies)
     for i in env.honest_indices:
         cur, ref = state.policies[i], state.reference[i]
         eta = state.coeffs.eta_anchor[i]
-        grad = np.zeros_like(cur.logits)
+        grad = np.zeros_like(cur)
         for m, (q, traj) in enumerate(zip(batch.questions, batch.trajectories)):
             w = batch.weights[m]
             a = float(adv[m, i])
@@ -359,7 +358,8 @@ def per_visit_gradient_step(env, state, batch, clip, totals):
                     diff = lc - lr_row
                     kl = float(np.dot(p, diff))
                     grad[s.ctx] -= scale * p * (diff - kl)
-        cur.update(clip.learn_rate * (grad / m_total))
+        stepped[i] = np.clip(cur + clip.learn_rate * (grad / m_total), -LOGIT_CLAMP, LOGIT_CLAMP)
+    state.policies = stepped
     return state
 
 
@@ -402,11 +402,10 @@ def test_gradient_step_matches_the_per_visit_loop_bit_for_bit(k, monkeypatch):
         log_prob_passes.append(0)
         gradient_step(env, fast, batch, clip, totals)
         per_visit_gradient_step(env, slow, batch, clip, totals)
-        for i in env.honest_indices:
-            assert np.array_equal(fast.policies[i].logits, slow.policies[i].logits), (it, i)
+        assert np.array_equal(fast.policies, slow.policies), it
         if (it + 1) % clip.ref_refresh_period == 0:
             for state in states:
-                state.reference = [p.copy() if p is not None else None for p in state.policies]
+                state.reference = state.policies
                 state.ref_version += 1
     assert clipped > 0 and active > clipped
     # one log-prob pass right after each reference refresh (reference equals
@@ -465,12 +464,8 @@ def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
 def test_gradient_step_rejects_stale_batch():
     env = small_env(num_agents=2, rounds=1, seed=2)
     policies, batch = fresh_batch(env, 3, ref_version=4)
-    state = TrainState(
-        policies=policies,
-        reference=[p.copy() if p is not None else None for p in policies],
-        ref_version=0,
-        coeffs=CoefficientSet.uniform(2),
-    )
+    state = TrainState(policies=policies, reference=policies, ref_version=0,
+                       coeffs=CoefficientSet.uniform(2))
     with pytest.raises(ValueError, match="stale"):
         gradient_step(env, state, batch, ClipConfig(), batch_totals(batch, state.coeffs))
 
@@ -486,11 +481,8 @@ def saturated_batch(rounds, env_seed=6):
     batch = RolloutBatch(tuple(questions), answers, (1.0,) * 3, 0,
                          recorded_contexts(env, questions, answers), env.batch_tilts(questions))
     policies = env.initial_policies()
-    reference = [p.copy() for p in policies]
-    for cur, ref in zip(policies, reference):
-        cur.logits[:] = [LOGIT_CLAMP, -LOGIT_CLAMP]
-        ref.logits[:] = [-LOGIT_CLAMP, LOGIT_CLAMP]
-    state = TrainState(policies=policies, reference=reference, ref_version=0,
+    policies[:] = [LOGIT_CLAMP, -LOGIT_CLAMP]
+    state = TrainState(policies=policies, reference=-policies, ref_version=0,
                        coeffs=CoefficientSet.uniform(2))
     return env, state, batch
 
@@ -501,37 +493,34 @@ def test_gradient_step_rejects_a_ratio_that_overflows_before_changing_a_table():
     log_rho = (trajectory_log_prob(env, state.policies[0], 0, q, traj)
                - trajectory_log_prob(env, state.reference[0], 0, q, traj))
     assert log_rho > math.log(np.finfo(float).max)
-    before = [p.logits.copy() for p in state.policies]
+    before = state.policies.copy()
     totals = np.array([[1.0, 1.0], [0.0, 0.0], [-1.0, -1.0]])
     with pytest.raises(ValueError, match=r"agent 0: likelihood ratio overflows at batch slot 0 "
                                          r"\(log rho = \d+\.\d+\)") as raised:
         gradient_step(env, state, batch, ClipConfig(), totals)
     assert float(re.search(r"log rho = ([\d.]+)", str(raised.value))[1]) == pytest.approx(log_rho)
-    assert all(np.array_equal(p.logits, b) for p, b in zip(state.policies, before))
+    assert np.array_equal(state.policies, before)
 
 
 def test_gradient_step_rejects_a_non_finite_gradient_before_changing_a_table():
     # log rho is about 120, but the second agent's advantages of +-1e300 push
     # its one unclipped slot (A < 0, the last) past the largest float
     env, state, batch = saturated_batch(rounds=1)
-    before = [p.logits.copy() for p in state.policies]
+    before = state.policies.copy()
     totals = np.array([[1.0, 1e300], [0.0, 0.0], [-1.0, -1e300]])
     with pytest.raises(ValueError, match=r"agent 1: likelihood ratio overflows at batch slot 2 "):
         gradient_step(env, state, batch, ClipConfig(), totals)
-    assert all(np.array_equal(p.logits, b) for p, b in zip(state.policies, before))
+    assert np.array_equal(state.policies, before)
 
 
 # ------------------------------------------------------------------ training
 
 
-def policies_text(policies):
+def policies_text(env, policies):
     chunks = []
-    for i, p in enumerate(policies):
-        if p is None:
-            chunks.append(f"agent {i}: adversary")
-            continue
+    for i, logits in enumerate(policies):
         buf = io.StringIO()
-        save_policy(buf, p, i, "deadbeefdeadbeef")
+        save_policy(buf, env.answer_space, logits, i, "deadbeefdeadbeef")
         chunks.append(buf.getvalue())
     return "\n".join(chunks)
 
@@ -552,7 +541,7 @@ def test_train_is_deterministic_for_a_seed():
     state_b, buffer_b = run(11)
     state_c, _ = run(12)
     assert state_a.history == state_b.history
-    assert policies_text(state_a.policies) == policies_text(state_b.policies)
+    assert policies_text(env, state_a.policies) == policies_text(env, state_b.policies)
     assert state_a.ref_version == 4  # refreshed every iteration
     assert len(buffer_a) == len(buffer_b) > 0
     assert state_a.history != state_c.history
@@ -588,7 +577,7 @@ def test_train_zero_iterations_keeps_initial_policies():
         replay_config=ReplayConfig(),
     )
     assert state.history == []
-    assert policies_text(state.policies) == policies_text(env.initial_policies())
+    assert policies_text(env, state.policies) == policies_text(env, env.initial_policies())
     assert buffer is not None and len(buffer) == 0
 
 

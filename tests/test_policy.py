@@ -19,7 +19,6 @@ from madlab.policy import (
     LOGIT_CLAMP,
     DebateEnv,
     EnvConfig,
-    PolicyTable,
     SyntheticQuestion,
     answer_labels,
     context_key,
@@ -106,16 +105,8 @@ def test_context_key_round_trip():
         assert int(question_feature) * contexts_per_bin(4) + offset + int(agreement) == row
 
 
-def test_policy_table_update_clamps():
-    table = PolicyTable(("A", "B"), np.zeros((3, 2)))
-    table.update(np.array([[100.0, -100.0], [1.0, 2.0], [0.0, 0.0]]))
-    assert np.array_equal(table.logits[0], np.array([LOGIT_CLAMP, -LOGIT_CLAMP]))
-    assert np.array_equal(table.logits[1:], np.array([[1.0, 2.0], [0.0, 0.0]]))
-
-
 def test_policy_probs_with_tilt():
-    table = PolicyTable(("A", "B"), np.zeros((1, 2)))
-    p = probs(table, 0, tilt=np.array([math.log(3.0), 0.0]))
+    p = probs(np.zeros((1, 2)), 0, tilt=np.array([math.log(3.0), 0.0]))
     assert abs(p[0] - 0.75) < 1e-12
 
 
@@ -125,8 +116,7 @@ def test_sample_answer_follows_distribution():
                               seed=8, difficulty="fixed:1.0"))
     questions = env.generate_questions(2000, "t")
     policies = env.initial_policies()
-    for p in policies:
-        p.update(np.array([math.log(9.0), 0.0]) * (np.arange(len(p.logits)) == 0)[:, None])
+    policies[:, 0, 0] += math.log(9.0)
     seeds = [derive_key(1, m) for m in range(len(questions))]
     batch = env.batch_tilts(questions)
     _, answers = env.rollout_batch(questions, batch, policies, seeds)
@@ -134,13 +124,6 @@ def test_sample_answer_follows_distribution():
                         for tilts in batch for i, p in enumerate(policies)])
     assert 0.6 < expected < 0.9
     assert abs(np.mean(answers[:, 0] == 0) - expected) < 0.025
-
-
-def test_policy_copy_is_deep():
-    table = PolicyTable(("A", "B"), np.array([[1.0, 0.0]]))
-    clone = table.copy()
-    clone.update(np.array([[5.0, 0.0]]))
-    assert table.logits[0, 0] == 1.0
 
 
 def test_env_config_validation():
@@ -291,13 +274,11 @@ def per_draw_rollout(env, question, policies, rollout_seed):
     return tuple(rows)
 
 
-def perturbed_policies(env, seed, scale=1.5):
+def perturbed(policies, seed, scale=1.5):
+    """A new (H, rows, K) logit array: policies plus seeded normal noise,
+    clamped to +-LOGIT_CLAMP as a training step clamps."""
     rng = np.random.default_rng(seed)
-    policies = env.initial_policies()
-    for p in policies:
-        if p is not None:
-            p.update(rng.normal(0.0, scale, p.logits.shape))
-    return policies
+    return np.clip(policies + rng.normal(0.0, scale, policies.shape), -LOGIT_CLAMP, LOGIT_CLAMP)
 
 
 ENGINE_CONFIGS = {
@@ -315,7 +296,7 @@ ENGINE_CONFIGS = {
 def test_rollout_batch_matches_per_draw_rollouts(name):
     env = DebateEnv(EnvConfig(seed=4, **ENGINE_CONFIGS[name]))
     questions = env.generate_questions(32, "t")
-    policies = perturbed_policies(env, seed=1)
+    policies = perturbed(env.initial_policies(), seed=1)
     seeds = [derive_key(77, m) for m in range(32)]
     contexts, answers = env.rollout_batch(questions, env.batch_tilts(questions), policies, seeds)
     labels = env.answer_space
@@ -338,7 +319,7 @@ def test_rollout_batch_matches_per_draw_rollouts(name):
 def test_a_trajectory_does_not_depend_on_its_batch(monkeypatch):
     env = DebateEnv(EnvConfig(seed=6, compromised_count=1))
     questions = env.generate_questions(300, "t")
-    policies = perturbed_policies(env, seed=2)
+    policies = perturbed(env.initial_policies(), seed=2)
     seeds = [derive_key(5, "eval", q.question_id) for q in questions]
     tilts = env.batch_tilts(questions)
     alone = np.array([env.rollout_batch([q], t[None], policies, [s])[1][0]
@@ -367,8 +348,6 @@ def test_rollout_batch_rejects_bad_arguments():
     tilts = env.batch_tilts(questions)
     with pytest.raises(ValueError, match="rollout seeds"):
         env.rollout_batch(questions, tilts, policies, [1])
-    with pytest.raises(ValueError, match="honest agent 1 has no policy"):
-        env.rollout_batch(questions, tilts, [policies[0], None, None], [1, 2])
     # tilts of another batch, another round count or with the compromised
     # seat's row would broadcast or misalign: each is refused by name
     longer = DebateEnv(dataclasses.replace(env.config, rounds=3)).batch_tilts(questions)
@@ -384,15 +363,24 @@ def test_rollout_batch_rejects_bad_arguments():
 def test_rollout_batch_with_every_seat_compromised():
     env = small_env(num_agents=3, compromised_count=3, adversarial_target_policy="fixed:B")
     questions = env.generate_questions(4, "t")
-    _, answers = env.rollout_batch(questions, env.batch_tilts(questions), [None] * 3, [1] * 4)
+    no_seats = np.zeros((0, contexts_per_bin(3), 3))
+    _, answers = env.rollout_batch(questions, env.batch_tilts(questions), no_seats, [1] * 4)
     assert answers.shape == (4, 3, 3) and np.all(answers == 1)
 
 
-def test_rollout_policy_count_mismatch():
-    env = small_env()
-    q = env.generate_questions(1, "t")[0]
-    with pytest.raises(ValueError, match="policies"):
-        env.rollout_debate(q, env.initial_policies()[:2], 0)
+def test_rollout_refuses_policy_logits_of_the_wrong_shape():
+    # 2 honest seats of 3, 2 difficulty bins of 28 rows, 3 labels
+    env = small_env(compromised_count=1, difficulty_bins=2)
+    questions = env.generate_questions(2, "t")
+    tilts = env.batch_tilts(questions)
+    policies = env.initial_policies()
+    wider = DebateEnv(dataclasses.replace(env.config, compromised_count=0)).initial_policies()
+    for bad in (policies[:1], wider, policies[:, :28], policies[..., :2], policies[0]):
+        expected = re.escape(f"need (H, rows, K) = (2, 56, 3) policy logits, got {bad.shape}")
+        with pytest.raises(ValueError, match=expected):
+            env.rollout_batch(questions, tilts, bad, [1, 2])
+        with pytest.raises(ValueError, match=expected):
+            env.rollout_debate(questions[0], bad, 0)
 
 
 def test_signal_tilt_favors_truth_and_scales_with_difficulty():
@@ -564,7 +552,8 @@ def test_honest_seats_do_not_depend_on_the_compromised_count():
     for m in (0, 1, 2, 4):
         env = DebateEnv(EnvConfig(num_agents=6, compromised_count=m, seed=7))
         tilts = env.batch_tilts(questions)
-        _, answers = env.rollout_batch(questions, tilts, perturbed_policies(env, seed=3), seeds)
+        _, answers = env.rollout_batch(questions, tilts, perturbed(env.initial_policies(), 3),
+                                       seeds)
         runs[m] = tilts, answers[:, 0]
     clean_tilts, clean_answers = runs[0]
     for m, (tilts, answers) in runs.items():
@@ -581,7 +570,8 @@ def test_earlier_rounds_do_not_depend_on_later_rounds():
         questions = env.generate_questions(200, "t")
         seeds = [derive_key(4, m) for m in range(200)]
         tilts = env.batch_tilts(questions)
-        _, answers = env.rollout_batch(questions, tilts, perturbed_policies(env, seed=4), seeds)
+        _, answers = env.rollout_batch(questions, tilts, perturbed(env.initial_policies(), 4),
+                                       seeds)
         runs.append((tilts, answers))
     (short_tilts, short_answers), (long_tilts, long_answers) = runs
     assert all(s.tobytes() == t[:3].tobytes() for s, t in zip(short_tilts, long_tilts))
@@ -619,8 +609,7 @@ def test_easy_questions_start_mostly_correct():
 def test_honest_seats_come_first(n, m):
     env = small_env(num_agents=n, compromised_count=m, skills=(0.9, 0.4))
     assert env.honest_indices == list(range(n - m))
-    policies = env.initial_policies()
-    assert [p is None for p in policies] == [False] * (n - m) + [True] * m
+    assert env.initial_policies().shape == (n - m, contexts_per_bin(3), 3)
     assert env.skills.tolist() == [(0.9, 0.4)[i % 2] for i in range(n - m)]
 
 
@@ -686,13 +675,10 @@ def test_agent_steps_rejects_compromised_index():
 
 def test_policy_serialization_round_trip():
     env = small_env()
-    pols = env.initial_policies()
-    table = pols[0]
-    delta = np.zeros_like(table.logits)
-    delta[0] = [0.125, -1.7, 3.14159]
-    table.update(delta)
+    logits = env.initial_policies()[0]
+    logits[0] += [0.125, -1.7, 3.14159]
     buf = io.StringIO()
-    save_policy(buf, table, agent_index=0, config_hash="deadbeef")
+    save_policy(buf, env.answer_space, logits, agent_index=0, config_hash="deadbeef")
     text = buf.getvalue()
     assert text.startswith("# madlab-policy v1\n")
     assert "# labels: A,B,C\n" in text
@@ -702,17 +688,17 @@ def test_policy_serialization_round_trip():
     # every row once, under its context key, each logit as its exact repr
     rows = dict(line.split("\t") for line in text.splitlines()[4:])
     assert list(rows) == sorted(rows)
-    keys = [context_key(r, table.labels) for r in range(len(table.logits))]
+    keys = [context_key(r, env.answer_space) for r in range(len(logits))]
     loaded = np.array([[float(v) for v in rows[key].split(",")] for key in keys])
-    assert np.array_equal(loaded, table.logits)
+    assert np.array_equal(loaded, logits)
 
 
 def test_policy_serialization_is_byte_stable():
     env = small_env()
-    table = env.initial_policies()[0]
+    logits = env.initial_policies()[0]
     bufs = []
     for _ in range(2):
         buf = io.StringIO()
-        save_policy(buf, table, 0, "c0ffee")
+        save_policy(buf, env.answer_space, logits, 0, "c0ffee")
         bufs.append(buf.getvalue())
     assert bufs[0] == bufs[1]
