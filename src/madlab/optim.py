@@ -23,6 +23,10 @@ is checked against.
 Rollouts always happen under the reference snapshot; the reference refreshes
 every ref_refresh_period iterations, and gradient_step refuses batches whose
 reference version is stale.
+
+Each of train's batches is one index array into its question set and tilts:
+the fresh picks, then the rows the replay buffer samples by priority; the
+buffer stores each scored debate under its question's row.
 """
 
 from __future__ import annotations
@@ -263,12 +267,13 @@ def train(
     clip: ClipConfig,
     metric_config: MetricConfig,
     seed: int,
-    replay_config: ReplayConfig | None = None,
+    replay_config: ReplayConfig,
 ) -> tuple[TrainState, ReplayBuffer | None]:
     """Full training loop: rollout under the reference, step, refresh, replay.
 
-    train_tilts[j] is train_questions[j]'s tilts. Every random draw is keyed by
-    (seed, purpose, iteration, ...), so same-argument reruns match exactly.
+    train_tilts[j] is train_questions[j]'s tilts; the buffer is None when
+    replay_config.enabled is false. Every random draw is keyed by (seed,
+    purpose, iteration, ...), so same-argument reruns match exactly.
     """
     if not train_questions:
         raise ValueError("train() needs at least one question")
@@ -283,7 +288,8 @@ def train(
         )
     policies = env.initial_policies()
     state = TrainState(policies=policies, reference=policies, ref_version=0, coeffs=coeffs)
-    buffer = ReplayBuffer(replay_config) if replay_config and replay_config.enabled else None
+    buffer = (ReplayBuffer(replay_config, train_questions, train_tilts)
+              if replay_config.enabled else None)
 
     def scored(questions: Sequence[SyntheticQuestion], answers: np.ndarray):
         profiles = profiles_from_codes(answers, len(env.answer_space), metric_config)
@@ -296,25 +302,21 @@ def train(
     for k in range(1, clip.iterations + 1):
         n_replay = 0
         if buffer is not None and len(buffer) > 0:
-            n_replay = min(int(round(replay_config.fraction * clip.batch_size)), clip.batch_size)
+            n_replay = int(round(replay_config.fraction * clip.batch_size))
         n_fresh = clip.batch_size - n_replay
         pick_rng = rng_stream(seed, "pick", k)
         idx = pick_rng.choice(
             len(train_questions), size=n_fresh, replace=len(train_questions) < n_fresh
         )
-        questions = [train_questions[int(j)] for j in idx]
-        tilts = [train_tilts[int(j)] for j in idx]  # row views, which the buffer keeps
-        weights = [1.0] * n_fresh
+        weights = np.ones(n_fresh)
         if n_replay > 0:
-            sampled = buffer.sample(n_replay, rng_stream(seed, "replay", k))
-            for entry, w in sampled:
-                questions.append(entry.question)
-                tilts.append(entry.tilts)
-                weights.append(w)
+            replayed, replay_weights = buffer.sample(n_replay, rng_stream(seed, "replay", k))
+            idx = np.concatenate([idx, replayed])
+            weights = np.concatenate([weights, replay_weights])
         batch = collect_batch(
             env,
-            questions,
-            np.stack(tilts),
+            [train_questions[j] for j in idx.tolist()],
+            train_tilts[idx],
             state.reference,
             state.ref_version,
             derive_key(seed, "rollout", k),
@@ -333,9 +335,7 @@ def train(
             )
         )
         if buffer is not None:
-            for q, t, codes, priority in zip(batch.questions, tilts, batch.trajectories,
-                                             replay_score(rewards).tolist()):
-                buffer.push(q, t, codes, priority, iteration=k, policy_version=state.ref_version)
+            buffer.push(idx, batch.trajectories, replay_score(rewards), k, state.ref_version)
             if replay_config.refresh_period and k % replay_config.refresh_period == 0:
                 buffer.refresh(
                     env,

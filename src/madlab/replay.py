@@ -1,18 +1,19 @@
 """Uncertainty-prioritized experience replay with importance weights.
 
-Each entry is a question, its (T+1, H, K) tilts and its debate's (T+1, N)
-answer codes, with a non-negative priority U = (1 - r_intra) + (1 - r_inter) +
-(1 - r_sys), the unit-weight sum of the complements of its reward components.
-Sampling draws with probability proportional to U**eta; eta = 0, or an
-all-zero buffer, degrades to uniform.
+A buffer serves one training question set and its tilts. Each entry is a
+question's row in that set, its debate's (T+1, N) answer codes and a
+non-negative priority U = (1 - r_intra) + (1 - r_inter) + (1 - r_sys), the
+unit-weight sum of the complements of its reward components; the entries are
+one array per field, oldest first. Sampling draws with probability
+proportional to U**eta; eta = 0, or an all-zero buffer, degrades to uniform,
+and a U**eta that overflows is refused.
 Each draw gets the importance weight (1/len) / p, renormalized so the batch
 mean is exactly 1 (so eta = 0 yields all-ones weights). Capacity eviction is
-FIFO.
+FIFO: a push keeps the newest capacity entries.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import IO, Callable, Sequence
 
@@ -54,81 +55,74 @@ def replay_score(rewards: RewardBatch) -> np.ndarray:
     return (1.0 - rewards.r_intra) + (1.0 - rewards.r_inter) + (1.0 - rewards.r_sys)
 
 
-@dataclass
-class BufferEntry:
-    """A stored, scored debate: its question, (T+1, H, K) tilts and (T+1, N) answer codes."""
-
-    question: SyntheticQuestion
-    tilts: np.ndarray
-    answers: np.ndarray
-    score: float
-    inserted_iteration: int
-    policy_version: int
-
-
 class ReplayBuffer:
-    """FIFO-bounded store of scored debates with prioritized sampling."""
+    """FIFO-bounded store of scored debates over one question set, with
+    prioritized sampling.
 
-    def __init__(self, config: ReplayConfig) -> None:
+    questions[j]'s tilts are tilts[j]. The entries are parallel arrays, oldest
+    first: index (the question's row), answers ((T+1, N) codes each), score,
+    inserted_iteration and policy_version.
+    """
+
+    def __init__(
+        self, config: ReplayConfig, questions: Sequence[SyntheticQuestion], tilts: np.ndarray
+    ) -> None:
         self.config = config
-        self.entries: deque[BufferEntry] = deque(maxlen=config.capacity)
+        self.questions = questions
+        self.tilts = tilts
+        empty = np.empty(0, dtype=np.int64)  # fields are rebound, never written into
+        self.index = self.answers = self.inserted_iteration = self.policy_version = empty
+        self.score = np.empty(0)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.index)
 
-    def push(
-        self,
-        question: SyntheticQuestion,
-        tilts: np.ndarray,
-        answers: np.ndarray,
-        score: float,
-        iteration: int = 0,
-        policy_version: int = 0,
-    ) -> None:
-        if score < 0.0:
-            raise ValueError(f"replay score must be non-negative, got {score}")
-        self.entries.append(
-            BufferEntry(
-                question=question,
-                tilts=tilts,
-                answers=answers,
-                score=float(score),
-                inserted_iteration=iteration,
-                policy_version=policy_version,
-            )
-        )
+    def push(self, index: np.ndarray, answers: np.ndarray, scores: np.ndarray, iteration: int,
+             policy_version: int) -> None:
+        """Append B debates (question rows, (B, T+1, N) codes, priorities);
+        keep the newest capacity entries."""
+        scores = np.asarray(scores, dtype=np.float64)
+        if (scores < 0.0).any():
+            raise ValueError(f"replay score must be non-negative, got {scores.min()}")
+        new = [index, answers, scores, np.full(len(index), iteration),
+               np.full(len(index), policy_version)]
+        old = [self.index, self.answers, self.score, self.inserted_iteration, self.policy_version]
+        if len(self):  # answers takes its (T+1, N) shape from the first push
+            new = [np.concatenate(pair) for pair in zip(old, new)]
+        (self.index, self.answers, self.score, self.inserted_iteration,
+         self.policy_version) = (np.asarray(f)[-self.config.capacity:] for f in new)
 
     def _probabilities(self) -> np.ndarray:
-        n = len(self.entries)
+        n = len(self)
         eta = self.config.priority_exponent
         if eta == 0.0:
             return np.full(n, 1.0 / n)
-        scores = np.array([e.score for e in self.entries], dtype=np.float64)
-        weights = scores**eta
-        total = weights.sum()
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite sum is raised below
+            weights = self.score**eta
+            total = weights.sum()
+        if not np.isfinite(total):
+            raise ValueError(f"replay priorities score**priority_exponent overflow at "
+                             f"priority_exponent = {eta}; lower it")
         if total == 0.0:
             return np.full(n, 1.0 / n)
         return weights / total
 
-    def sample(
-        self, count: int, rng: np.random.Generator
-    ) -> list[tuple[BufferEntry, float]]:
-        """Draw entries with p ~ score**eta; returns (entry, importance weight).
+    def sample(self, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Draw entries with p ~ score**eta; returns their question rows and
+        importance weights.
 
         Weights are (1/len)/p renormalized to batch mean 1, so uniform
         sampling (eta = 0) gives every draw weight exactly 1.
         """
+        n = len(self)
         if count == 0:
-            return []
-        if not self.entries:
+            return self.index[:0], np.ones(0)
+        if not n:
             raise ValueError("cannot sample from an empty replay buffer")
         probs = self._probabilities()
-        n = len(self.entries)
-        idx = rng.choice(n, size=count, replace=True, p=probs)
-        raw = 1.0 / (n * probs[idx])
-        weights = raw / raw.mean()
-        items = list(self.entries)
-        return [(items[int(j)], float(w)) for j, w in zip(idx, weights)]
+        drawn = rng.choice(n, size=count, replace=True, p=probs)
+        raw = 1.0 / (n * probs[drawn])
+        return self.index[drawn], raw / raw.mean()
 
     def refresh(
         self,
@@ -141,30 +135,24 @@ class ReplayBuffer:
         """Re-roll every stored question under the honest seats' (H, rows, K)
         logits, rescore, restamp.
 
-        All entries roll as one batch on their stored tilts; score maps the
+        All entries roll as one batch on their questions' tilts; score maps the
         questions and re-rolled (B, T+1, N) answer codes to one priority each.
         """
-        questions = [entry.question for entry in self.entries]
+        questions = [self.questions[j] for j in self.index.tolist()]
         seeds = [derive_key(rollout_seed, j) for j in range(len(questions))]
-        tilts = np.array([entry.tilts for entry in self.entries])  # shape (0,) when empty
-        _, answers = env.rollout_batch(questions, tilts, policies, seeds)
-        for entry, codes, priority in zip(self.entries, answers, score(questions, answers)):
-            entry.answers = codes
-            entry.score = priority
-            entry.policy_version = policy_version
+        _, self.answers = env.rollout_batch(questions, self.tilts[self.index], policies, seeds)
+        self.score = np.asarray(score(questions, self.answers), dtype=np.float64)
+        self.policy_version = np.full(len(self), policy_version)
 
     def dump(self, path_or_fp: str | IO[str]) -> None:
         """Trajectory .jsonl with replay_score / policy_version side fields."""
         write_trajectories(
             path_or_fp,
-            [e.question for e in self.entries],
-            [e.answers for e in self.entries],
+            [self.questions[j] for j in self.index.tolist()],
+            self.answers,
             extras=[
-                {
-                    "replay_score": e.score,
-                    "policy_version": e.policy_version,
-                    "inserted_iteration": e.inserted_iteration,
-                }
-                for e in self.entries
+                {"replay_score": s, "policy_version": v, "inserted_iteration": i}
+                for s, v, i in zip(self.score.tolist(), self.policy_version.tolist(),
+                                   self.inserted_iteration.tolist())
             ],
         )

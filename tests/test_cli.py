@@ -1,11 +1,13 @@
 """End-to-end tests for the command-line surface: argument wiring,
 exit codes, artifact creation, and stream routing."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import madlab
 from madlab.cli import main
 
 TINY_CONFIG = """\
@@ -207,10 +209,13 @@ def test_invalid_seed_is_config_error(tiny_config, tmp_path, capsys):
 
 def test_console_script_entry_point(tiny_config, tmp_path):
     out = tmp_path / "script"
+    # the child imports the madlab this process imported, installed or not
+    src = os.path.dirname(os.path.dirname(madlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "madlab.cli", "baseline",
          "--config", tiny_config, "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("label,questions,accuracy")

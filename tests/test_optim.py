@@ -435,9 +435,8 @@ def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
     batch = collect_batch(env, questions, tilts, policies, 0, 5, [1.0] * 6)
     evaluate_ensemble(env, questions, tilts, policies, MC, "eval")
     evaluate_ensemble(env, questions, tilts, policies, MC, "eval")
-    buffer = ReplayBuffer(ReplayConfig())
-    for q, t, codes in zip(batch.questions, tilts, batch.trajectories):
-        buffer.push(q, t, codes, 1.0)
+    buffer = ReplayBuffer(ReplayConfig(), questions, tilts)
+    buffer.push(np.arange(6), batch.trajectories, np.ones(6), iteration=1, policy_version=0)
     buffer.refresh(env, policies, rollout_seed=9, policy_version=1,
                    score=lambda qs, answers: [1.0] * len(qs))
     coeffs = CoefficientSet.uniform(4)
@@ -547,6 +546,59 @@ def test_train_is_deterministic_for_a_seed():
     assert state_a.history != state_c.history
 
 
+def test_full_replay_fraction_draws_every_later_batch_from_the_buffer(monkeypatch):
+    # fraction = 1.0: the first batch is all fresh picks, since the buffer is
+    # empty; every later one is all replayed rows, with an empty fresh-index
+    # array. Reruns stay byte-identical.
+    env = small_env(num_agents=3, rounds=2, seed=6)
+    questions = env.generate_questions(12, "t")
+    tilts = env.batch_tilts(questions)
+    clip = ClipConfig(batch_size=6, iterations=4)
+    replay = ReplayConfig(capacity=10, fraction=1.0, refresh_period=2)
+    picks, samples, batches = [], [], []
+    real_stream, real_sample, real_collect = optim.rng_stream, ReplayBuffer.sample, collect_batch
+
+    class RecordedPicks:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def choice(self, *args, **kwargs):
+            picks.append(self.rng.choice(*args, **kwargs))
+            return picks[-1]
+
+    def recording_sample(self, count, rng):
+        samples.append(real_sample(self, count, rng))
+        return samples[-1]
+
+    def recording_collect(env, questions, *args):
+        batches.append(real_collect(env, questions, *args))
+        return batches[-1]
+
+    monkeypatch.setattr(optim, "rng_stream", lambda *tokens: (
+        RecordedPicks(real_stream(*tokens)) if tokens[1] == "pick" else real_stream(*tokens)))
+    monkeypatch.setattr(ReplayBuffer, "sample", recording_sample)
+    monkeypatch.setattr(optim, "collect_batch", recording_collect)
+
+    def run():
+        for log in (picks, samples, batches):
+            log.clear()
+        state, buffer = train(env, questions, tilts, CoefficientSet.uniform(3), clip, MC, 11,
+                              replay)
+        dump = io.StringIO()
+        buffer.dump(dump)
+        return state.history, policies_text(env, state.policies), dump.getvalue()
+
+    first = run()
+    assert run() == first
+    assert [len(p) for p in picks] == [6, 0, 0, 0]
+    assert batches[0].questions == tuple(questions[j] for j in picks[0])
+    assert batches[0].weights == (1.0,) * 6
+    assert len(samples) == 3
+    for batch, (rows, weights) in zip(batches[1:], samples):
+        assert batch.questions == tuple(questions[j] for j in rows)
+        assert batch.weights == tuple(weights.tolist())
+
+
 def test_train_rejects_coefficients_for_another_seat_count():
     env = small_env(num_agents=2, rounds=1, seed=3)
     questions = env.generate_questions(4, "t")
@@ -554,13 +606,13 @@ def test_train_rejects_coefficients_for_another_seat_count():
     for seats in (1, 3):
         with pytest.raises(ValueError, match=f"covers {seats} agents.*2 seats"):
             train(env, questions, tilts, CoefficientSet.uniform(seats), ClipConfig(iterations=1),
-                  MC, seed=5)
+                  MC, seed=5, replay_config=ReplayConfig())
     # tilts of a longer question list fit every batch's shape, yet each
     # question would read another question's row: refused, naming both lengths
     longer = env.batch_tilts(env.generate_questions(5, "t"))
     with pytest.raises(ValueError, match="5 tilt rows for 4 questions"):
         train(env, questions, longer, CoefficientSet.uniform(2), ClipConfig(iterations=1), MC,
-              seed=5)
+              seed=5, replay_config=ReplayConfig())
 
 
 def test_train_zero_iterations_keeps_initial_policies():

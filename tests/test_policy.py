@@ -420,11 +420,13 @@ def test_tilts_are_drawn_once_per_question_and_copied_out(monkeypatch, rounds):
     drawn = [d for keys, _ in passes[1:] for d in keys]
     assert not set(drawn) & set(tilt_keys)
     assert len(drawn) == 5 * 4 + 2 * 8  # 5 batches and 2 full-buffer refreshes
-    # the buffer holds row views of the one array of training tilts, not
-    # per-batch copies; each row is its own question's tilts
-    assert all(entry.tilts.base is tilts for entry in buffer.entries)
-    for entry in buffer.entries:
-        assert np.array_equal(entry.tilts, tilts[questions.index(entry.question)])
+    # the buffer reads the one array of training tilts, not per-batch
+    # copies, and each stored index names the question its debate was rolled
+    # on: the compromised seat answers adversary[truth] of that question
+    assert buffer.tilts is tilts and buffer.questions is questions
+    assert len(buffer) == 8
+    for j, codes in zip(buffer.index.tolist(), buffer.answers):
+        assert (codes[:, 3] == env.adversary[questions[j].truth]).all()
     # every batch_tilts call is a fresh array: writing into one leaves the next as it was
     first = tilts.copy()
     tilts += 1.0

@@ -7,6 +7,7 @@ with an arbitrary-precision special-functions library and frozen here.
 """
 
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -24,11 +25,14 @@ CHI2_CRIT_DF4_ALPHA01 = 13.276704135987625
 FIXED_SCORES = (0.1, 0.2, 0.3, 0.2, 0.7)
 
 
-def make_debate(qid, codes=((0, 1), (0, 1))):
-    """A question over (A, B) with truth A, its (T+1, H, K) tilts (zero) and
-    its debate's answer codes."""
-    codes = np.array(codes)
-    return SyntheticQuestion(qid, ("A", "B"), 0, 0.5), np.zeros((*codes.shape, 2)), codes
+CODES = np.array([(0, 1), (0, 1)])  # one debate's (T+1, N) answer codes
+
+
+def make_buffer(config, count):
+    """A buffer over questions q0, q1, ... over (A, B) with truth A, and their
+    zero (T+1, H, K) tilts."""
+    questions = [SyntheticQuestion(f"q{j}", ("A", "B"), 0, 0.5) for j in range(count)]
+    return ReplayBuffer(config, questions, np.zeros((count, *CODES.shape, 2)))
 
 
 def batch_scores(questions, answers):
@@ -46,11 +50,11 @@ def score_of(question, codes):
     return batch_scores([question], codes[None])[0]
 
 
-def fixed_buffer(eta):
-    config = ReplayConfig(priority_exponent=eta, capacity=16)
-    buffer = ReplayBuffer(config)
-    for j, score in enumerate(FIXED_SCORES):
-        buffer.push(*make_debate(f"q{j}"), score, iteration=j, policy_version=0)
+def fixed_buffer(eta, scores=FIXED_SCORES):
+    """Question j pushed alone at iteration j with priority scores[j]."""
+    buffer = make_buffer(ReplayConfig(priority_exponent=eta, capacity=16), len(scores))
+    for j, score in enumerate(scores):
+        buffer.push([j], CODES[None], [score], iteration=j, policy_version=0)
     return buffer
 
 
@@ -74,9 +78,10 @@ def test_replay_score_is_unit_weight_uncertainty_sum():
 
 
 def test_negative_score_rejected():
-    buffer = ReplayBuffer(ReplayConfig())
+    buffer = make_buffer(ReplayConfig(), 2)
     with pytest.raises(ValueError, match="non-negative"):
-        buffer.push(*make_debate("q0"), -0.1)
+        buffer.push([0, 1], np.stack([CODES, CODES]), [0.2, -0.1], iteration=0, policy_version=0)
+    assert len(buffer) == 0
 
 
 # ------------------------------------------------------------------ sampling
@@ -87,8 +92,8 @@ def test_sampling_law_matches_priority_exponent(eta):
     buffer = fixed_buffer(eta)
     n_draws = 10_000
     rng = np.random.default_rng(2024)
-    draws = buffer.sample(n_draws, rng)
-    counts = Counter(entry.question.question_id for entry, _ in draws)
+    rows, _ = buffer.sample(n_draws, rng)
+    counts = Counter(rows.tolist())
     scores = np.array(FIXED_SCORES)
     if eta == 0.0:
         probs = np.full(len(scores), 1.0 / len(scores))
@@ -97,7 +102,7 @@ def test_sampling_law_matches_priority_exponent(eta):
         probs = weights / weights.sum()
     expected = probs * n_draws
     chi2 = sum(
-        (counts.get(f"q{j}", 0) - expected[j]) ** 2 / expected[j]
+        (counts.get(j, 0) - expected[j]) ** 2 / expected[j]
         for j in range(len(scores))
     )
     assert chi2 < CHI2_CRIT_DF4_ALPHA01, f"eta={eta}: chi2={chi2}"
@@ -105,29 +110,24 @@ def test_sampling_law_matches_priority_exponent(eta):
 
 def test_eta_zero_weights_are_exactly_one():
     buffer = fixed_buffer(0.0)
-    draws = buffer.sample(64, np.random.default_rng(7))
-    assert all(w == 1.0 for _, w in draws)
+    _, weights = buffer.sample(64, np.random.default_rng(7))
+    assert (weights == 1.0).all()
 
 
 def test_zero_scores_fall_back_to_uniform():
-    config = ReplayConfig(priority_exponent=1.0)
-    buffer = ReplayBuffer(config)
-    for j in range(4):
-        buffer.push(*make_debate(f"q{j}"), 0.0)
-    draws = buffer.sample(32, np.random.default_rng(3))
-    assert all(w == 1.0 for _, w in draws)
-    assert {e.question.question_id for e, _ in draws} <= {f"q{j}" for j in range(4)}
+    buffer = fixed_buffer(1.0, scores=(0.0,) * 4)
+    rows, weights = buffer.sample(32, np.random.default_rng(3))
+    assert (weights == 1.0).all()
+    assert set(rows.tolist()) <= {0, 1, 2, 3}
 
 
 def test_importance_weights_follow_inverse_probability():
     buffer = fixed_buffer(1.0)
     scores = np.array(FIXED_SCORES)
     probs = scores / scores.sum()
-    by_qid = {f"q{j}": probs[j] for j in range(len(scores))}
-    draws = buffer.sample(50, np.random.default_rng(11))
-    raw = np.array([1.0 / (len(scores) * by_qid[e.question.question_id]) for e, _ in draws])
+    rows, got = buffer.sample(50, np.random.default_rng(11))
+    raw = 1.0 / (len(scores) * probs[rows])
     expected = raw / raw.mean()
-    got = np.array([w for _, w in draws])
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     assert got.mean() == pytest.approx(1.0, abs=1e-12)
 
@@ -142,29 +142,57 @@ def test_importance_weighted_mean_recovers_uniform_expectation():
     raw_times_f = scores / (len(scores) * probs)
     sd = float(np.sqrt(np.dot(probs, raw_times_f**2) - target**2))
     n_draws = 20_000
-    draws = buffer.sample(n_draws, np.random.default_rng(99))
-    est = float(np.mean([w * e.score for e, w in draws]))
+    rows, weights = buffer.sample(n_draws, np.random.default_rng(99))
+    est = float(np.mean(weights * scores[rows]))
     tol = 4.0 * sd / np.sqrt(n_draws)
     assert abs(est - target) < tol, f"estimate {est} vs {target} (tol {tol})"
 
 
 def test_sample_edge_cases():
-    buffer = ReplayBuffer(ReplayConfig())
-    assert buffer.sample(0, np.random.default_rng(0)) == []
+    buffer = make_buffer(ReplayConfig(), 1)
+    rows, weights = buffer.sample(0, np.random.default_rng(0))
+    assert len(rows) == len(weights) == 0
     with pytest.raises(ValueError, match="empty"):
         buffer.sample(1, np.random.default_rng(0))
+
+
+def test_overflowing_priorities_are_refused_without_warnings():
+    # 3**1000 overflows float64, so the weights' sum is not finite
+    buffer = fixed_buffer(1000.0, scores=(2.0, 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="priority_exponent = 1000.0"):
+            buffer.sample(4, np.random.default_rng(0))
+        # 3**600 is finite: sampled as before, almost surely the larger score
+        rows, _ = fixed_buffer(600.0, scores=(2.0, 3.0)).sample(4, np.random.default_rng(0))
+    assert rows.tolist() == [1] * 4
 
 
 # ------------------------------------------------------------------ eviction
 
 
 def test_fifo_eviction_drops_oldest():
-    buffer = ReplayBuffer(ReplayConfig(capacity=100))
+    buffer = make_buffer(ReplayConfig(capacity=100), 150)
     for j in range(150):
-        buffer.push(*make_debate(f"q{j:03d}"), 0.5, iteration=j)
+        buffer.push([j], CODES[None], [0.5], iteration=j, policy_version=0)
     assert len(buffer) == 100
-    kept = [e.question.question_id for e in buffer.entries]
-    assert kept == [f"q{j:03d}" for j in range(50, 150)]
+    assert buffer.index.tolist() == list(range(50, 150))
+    assert buffer.inserted_iteration.tolist() == list(range(50, 150))
+
+
+def test_one_push_beyond_capacity_keeps_the_newest_in_order():
+    buffer = make_buffer(ReplayConfig(capacity=4), 10)
+    answers = np.arange(10)[:, None, None] % 2 * np.ones(CODES.shape, dtype=np.int64)
+    buffer.push(np.arange(10), answers, np.arange(10) / 10, iteration=1, policy_version=0)
+    assert buffer.index.tolist() == [6, 7, 8, 9]
+    assert buffer.score.tolist() == [0.6, 0.7, 0.8, 0.9]
+    np.testing.assert_array_equal(buffer.answers, answers[6:])
+    # a second, smaller push evicts from the front of the first
+    buffer.push([0, 1], answers[:2], [0.0, 0.1], iteration=2, policy_version=1)
+    assert buffer.index.tolist() == [8, 9, 0, 1]
+    assert buffer.inserted_iteration.tolist() == [1, 1, 2, 2]
+    assert buffer.policy_version.tolist() == [0, 0, 1, 1]
+    np.testing.assert_array_equal(buffer.answers, answers[[8, 9, 0, 1]])
 
 
 # -------------------------------------------------------------- persistence
@@ -177,13 +205,13 @@ def test_dump_restore_roundtrip(tmp_path):
     path = str(tmp_path / "buffer.jsonl")
     buffer.dump(path)
     [group] = read_trajectories(path).groups
-    assert group.question_ids == [e.question.question_id for e in buffer.entries]
+    assert group.question_ids == [buffer.questions[j].question_id for j in buffer.index]
     assert group.truth.tolist() == [0] * len(buffer)
-    np.testing.assert_array_equal(group.codes, [e.answers for e in buffer.entries])
+    np.testing.assert_array_equal(group.codes, buffer.answers)
     with open(path, "r", encoding="utf-8") as fp:
         records = [json.loads(line) for line in fp]
     assert [(r["replay_score"], r["policy_version"], r["inserted_iteration"]) for r in records] == [
-        (e.score, e.policy_version, e.inserted_iteration) for e in buffer.entries
+        (score, 0, j) for j, score in enumerate(FIXED_SCORES)
     ]
 
 
@@ -203,25 +231,28 @@ def test_refresh_rerolls_rescores_and_restamps():
     )
     questions = env.generate_questions(3, "t")
     policies = env.initial_policies()
-    buffer = ReplayBuffer(ReplayConfig())
-    tilts = list(env.batch_tilts(questions))
-    for j, (q, t) in enumerate(zip(questions, tilts)):
-        codes = env.rollout_debate(q, policies, derive_key(100, j))
-        buffer.push(q, t, codes, score_of(q, codes), iteration=1, policy_version=0)
+    tilts = env.batch_tilts(questions)
+    buffer = ReplayBuffer(ReplayConfig(), questions, tilts)
+    codes = np.stack([env.rollout_debate(q, policies, derive_key(100, j))
+                      for j, q in enumerate(questions)])
+    buffer.push(np.arange(3), codes, [score_of(q, c) for q, c in zip(questions, codes)],
+                iteration=1, policy_version=0)
     buffer.refresh(env, policies, rollout_seed=777, policy_version=9, score=batch_scores)
-    assert [e.question for e in buffer.entries] == questions
-    assert all(e.tilts is t for e, t in zip(buffer.entries, tilts))  # kept, not redrawn
-    for j, (q, entry) in enumerate(zip(questions, buffer.entries)):
+    assert buffer.index.tolist() == [0, 1, 2]
+    assert buffer.tilts is tilts  # kept, not redrawn
+    for j, q in enumerate(questions):
         expected = env.rollout_debate(q, policies, derive_key(777, j))
-        np.testing.assert_array_equal(entry.answers, expected)
-        assert entry.score == score_of(q, expected)
-        assert entry.policy_version == 9
+        np.testing.assert_array_equal(buffer.answers[j], expected)
+        assert buffer.score[j] == score_of(q, expected)
+    assert buffer.policy_version.tolist() == [9] * 3
+    assert buffer.inserted_iteration.tolist() == [1] * 3
     # Same policies and seed: a second refresh is a fixed point.
-    snapshot = [(e.answers.tolist(), e.score) for e in buffer.entries]
+    snapshot = (buffer.answers.tolist(), buffer.score.tolist())
     buffer.refresh(env, policies, rollout_seed=777, policy_version=9, score=batch_scores)
-    assert snapshot == [(e.answers.tolist(), e.score) for e in buffer.entries]
+    assert snapshot == (buffer.answers.tolist(), buffer.score.tolist())
     # an empty buffer has nothing to re-roll
-    ReplayBuffer(ReplayConfig()).refresh(env, policies, 777, 9, score=lambda qs, answers: [])
+    ReplayBuffer(ReplayConfig(), questions, tilts).refresh(env, policies, 777, 9,
+                                                           score=lambda qs, answers: [])
 
 
 # ----------------------------------------------------------------- validation
