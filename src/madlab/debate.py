@@ -1,4 +1,4 @@
-"""Debate transcripts and the trajectory interchange format.
+"""Debate transcripts and the artifact formats: JSONL trajectories and CSV tables.
 
 In memory a debate is its question and a (T+1) x N grid of answer codes: a
 code is the label's index in the finite ordered answer space (answer_index),
@@ -18,6 +18,9 @@ validate_trajectory is the one source of error text. The TrajectoryFile it
 returns hands analysis those groups as numpy views of the buffers.
 DebateTrajectory, a record's label grid, serves that error path and
 metrics.full_profile.
+
+Every CSV artifact goes through write_csv, which owns the cell rule: a float
+is written 6-decimal fixed, None as nan, any other cell with str().
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
-from typing import IO, Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -129,6 +132,22 @@ def with_fp(path_or_fp: str | IO[str], mode: str, use: Callable[[IO[str]], T]) -
     return use(path_or_fp)
 
 
+def write_csv(path_or_fp: str | IO[str], header: str, rows: Iterable[Iterable[object]]) -> None:
+    """Write a CSV artifact: the header line, then one comma-joined line per row.
+
+    A float cell is written 6-decimal fixed, None as nan, and any other cell
+    with str(), so a cell that needs another format arrives as a string.
+    """
+
+    def _write(fp: IO[str]) -> None:
+        fp.write(header + "\n")
+        for row in rows:  # float first, the common cell; numpy float64 is one
+            fp.write(",".join(f"{v:.6f}" if isinstance(v, float) else "nan" if v is None
+                              else str(v) for v in row) + "\n")
+
+    with_fp(path_or_fp, "w", _write)
+
+
 def write_trajectories(
     path_or_fp: str | IO[str],
     questions: Sequence,
@@ -140,7 +159,8 @@ def write_trajectories(
     questions are policy.SyntheticQuestions sharing one answer space, and
     answers[b] is question b's (T+1, N) grid of answer codes in it; grids and
     truths become labels here, once per call. extras, when given, is a parallel
-    sequence of additional per-line fields (used by the replay-buffer dump).
+    sequence of additional per-line fields: the replay-buffer dump's, or the
+    eval artifacts' difficulty.
     """
 
     def _write(fp: IO[str]) -> None:

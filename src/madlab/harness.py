@@ -21,7 +21,7 @@ from madlab.calibration import (
     warmup_profile,
 )
 from madlab.config import ExperimentConfig, config_hash
-from madlab.debate import NO_TRUTH, read_trajectories, with_fp, write_trajectories
+from madlab.debate import NO_TRUTH, read_trajectories, write_csv, write_trajectories
 from madlab.metrics import (  # noqa: F401  full_profile: perfbench's tracer test patches this binding
     MetricConfig,
     ProfileBatch,
@@ -132,15 +132,7 @@ def evaluate_ensemble(
 
 
 def write_summary_csv(path_or_fp: str | IO[str], rows: Sequence[SummaryRow]) -> None:
-    def _write(fp: IO[str]) -> None:
-        fp.write(SUMMARY_CSV_HEADER + "\n")
-        for r in rows:
-            fp.write(
-                f"{r.label},{r.questions},{r.accuracy:.6f},{r.mean_u_intra:.6f},"
-                f"{r.mean_u_inter:.6f},{r.mean_u_sys:.6f}\n"
-            )
-
-    with_fp(path_or_fp, "w", _write)
+    write_csv(path_or_fp, SUMMARY_CSV_HEADER, map(dataclasses.astuple, rows))
 
 
 def rewards_csv_header(num_agents: int) -> str:
@@ -156,25 +148,14 @@ def write_rewards_csv(
     rewards = total_reward(result.profiles, result.correct, coeffs)
     rows = np.column_stack([rewards.r_intra, rewards.r_inter, rewards.r_sys, rewards.r_task,
                             rewards.total]).tolist()
-
-    def _write(fp: IO[str]) -> None:
-        fp.write(rewards_csv_header(coeffs.num_agents) + "\n")
-        for q, values in zip(result.questions, rows):
-            fp.write(q.question_id + "," + ",".join(f"{v:.6f}" for v in values) + "\n")
-
-    with_fp(path_or_fp, "w", _write)
+    write_csv(path_or_fp, rewards_csv_header(coeffs.num_agents),
+              ([q.question_id, *values] for q, values in zip(result.questions, rows)))
 
 
 def write_coefficients_csv(path_or_fp: str | IO[str], coeffs: CoefficientSet) -> None:
-    def _write(fp: IO[str]) -> None:
-        fp.write(COEFFICIENTS_CSV_HEADER + "\n")
-        for i in range(coeffs.num_agents):
-            fp.write(
-                f"{i},{coeffs.alpha[i]:.6f},{coeffs.beta[i]:.6f},{coeffs.gamma[i]:.6f},"
-                f"{coeffs.lambda_task[i]:.6f},{coeffs.eta_anchor[i]:.6f}\n"
-            )
-
-    with_fp(path_or_fp, "w", _write)
+    write_csv(path_or_fp, COEFFICIENTS_CSV_HEADER,
+              zip(range(coeffs.num_agents), coeffs.alpha, coeffs.beta, coeffs.gamma,
+                  coeffs.lambda_task, coeffs.eta_anchor))
 
 
 def _write_eval_artifacts(out_dir: str, result: EvalResult, coeffs: CoefficientSet) -> None:
@@ -324,16 +305,11 @@ def run_attack(
     the last m seats replaced by adversaries, for each requested m.
     """
     n = config.env.num_agents
-    for m in m_values:
-        if m < 0:
-            raise ValueError(f"compromised count must be non-negative, got {m}")
-        if m > n:
-            raise ValueError(f"compromised count {m} exceeds the {n}-agent ensemble")
+    clean_env = dataclasses.replace(config.env, compromised_count=0)
+    # EnvConfig refuses a bad m, so every arm is checked before training
+    attack_configs = [dataclasses.replace(clean_env, compromised_count=m) for m in m_values]
     os.makedirs(out_dir, exist_ok=True)
-    clean_config = dataclasses.replace(
-        config, env=dataclasses.replace(config.env, compromised_count=0)
-    )
-    env, state, _, _ = train_pipeline(clean_config)
+    env, state, _, _ = train_pipeline(dataclasses.replace(config, env=clean_env))
     eval_questions = env.generate_questions(config.eval_questions, "eval")
     eval_tilts = env.batch_tilts(eval_questions)
     untrained = env.initial_policies()
@@ -344,11 +320,9 @@ def run_attack(
                           "trained_clean").summary,
     ]
     warnings = []
-    for m in m_values:
+    for m, attack_config in zip(m_values, attack_configs):
         warnings += _majority_warning(m, n)
-        attack_env = DebateEnv(
-            dataclasses.replace(clean_config.env, compromised_count=m)
-        )
+        attack_env = DebateEnv(attack_config)
         # the honest seats come first: the last m seats turn adversary and lose their tilts
         for arm, policies in (("untrained", untrained), ("trained", state.policies)):
             rows.append(
@@ -470,11 +444,12 @@ def run_sweep(
         raise ValueError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     if not values:
         raise ValueError("sweep needs at least one axis value")
+    # EnvConfig refuses a bad value, so every value is checked before the first evaluation
+    env_configs = [dataclasses.replace(config.env, **{SWEEP_AXES[axis]: v}) for v in values]
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     warnings: list[str] = []
-    for value in values:
-        env_config = dataclasses.replace(config.env, **{SWEEP_AXES[axis]: value})
+    for value, env_config in zip(values, env_configs):
         warnings += _majority_warning(env_config.compromised_count, env_config.num_agents)
         env = DebateEnv(env_config)
         questions = env.generate_questions(config.eval_questions, "eval")

@@ -34,7 +34,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from madlab.debate import DebateTrajectory, answer_index, with_fp
+from madlab.debate import DebateTrajectory, answer_index, write_csv
 
 
 @dataclass(frozen=True)
@@ -179,15 +179,10 @@ PROFILE_CSV_HEADER = "question_id,F,M,U_intra,U_inter,H,D,L,U_sys"
 def write_profiles_csv(
     path_or_fp: str | IO[str], question_ids: Sequence[str], profiles: ProfileBatch
 ) -> None:
-    """Write each debate's readings as a profiles CSV row, 6-decimal fixed."""
+    """Write each debate's readings as one profiles CSV row."""
     rows = np.column_stack([
         profiles.flip_rate, profiles.belief_revision, profiles.u_intra, profiles.u_inter,
         profiles.entropy_norm, profiles.disagreement, profiles.loo_instability, profiles.u_sys,
     ]).tolist()
-
-    def _write(fp: IO[str]) -> None:
-        fp.write(PROFILE_CSV_HEADER + "\n")
-        for question_id, values in zip(question_ids, rows):
-            fp.write(question_id + "," + ",".join(f"{v:.6f}" for v in values) + "\n")
-
-    with_fp(path_or_fp, "w", _write)
+    write_csv(path_or_fp, PROFILE_CSV_HEADER,
+              ([question_id, *values] for question_id, values in zip(question_ids, rows)))

@@ -32,12 +32,12 @@ buffer stores each scored debate under its question's row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
 
-from madlab.debate import with_fp
+from madlab.debate import write_csv
 from madlab.metrics import (  # noqa: F401  full_profile: perfbench's tracer test patches this binding
     MetricConfig,
     full_profile,
@@ -134,12 +134,22 @@ class RolloutBatch:
                              f"{self.contexts.shape} {self.trajectories.shape} {self.tilts.shape}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite advantage is raised below
 def compute_advantages(totals: np.ndarray) -> np.ndarray:
-    """Per-agent totals (batch x agents) centered on their batch means."""
+    """Per-agent totals (batch x agents) centered on their batch means; raises, naming
+    the agent and batch slot, when a total or a total's batch mean is not finite."""
     totals = np.asarray(totals, dtype=np.float64)
     if totals.ndim != 2 or totals.shape[0] == 0:
         raise ValueError("totals must be a non-empty (batch x agents) array")
-    return totals - totals.mean(axis=0)
+    finite = np.isfinite(totals)
+    adv = totals - totals.mean(axis=0)
+    broken = ~np.isfinite(adv) if finite.all() else ~finite
+    if broken.any():
+        m, i = np.unravel_index(np.argmax(broken), broken.shape)
+        why = "is not finite" if not finite[m, i] else "is finite, but its batch mean is not finite"
+        raise ValueError(
+            f"agent {i}: reward total at batch slot {m} ({float(totals[m, i])!r}) {why}")
+    return adv
 
 
 def surrogate_is_clipped(rho, advantage, epsilon: float):
@@ -354,14 +364,5 @@ TRAINING_CSV_HEADER = "iter,accuracy,mean_U_intra,mean_U_inter,mean_U_sys,mean_t
 
 
 def write_training_csv(path_or_fp: str | IO[str], history: Sequence[IterationStats]) -> None:
-    """Training-curve CSV, 6-decimal fixed."""
-
-    def _write(fp: IO[str]) -> None:
-        fp.write(TRAINING_CSV_HEADER + "\n")
-        for row in history:
-            fp.write(
-                f"{row.iteration},{row.accuracy:.6f},{row.mean_u_intra:.6f},"
-                f"{row.mean_u_inter:.6f},{row.mean_u_sys:.6f},{row.mean_total_reward:.6f}\n"
-            )
-
-    with_fp(path_or_fp, "w", _write)
+    """Training-curve CSV, one row per iteration."""
+    write_csv(path_or_fp, TRAINING_CSV_HEADER, map(astuple, history))

@@ -16,12 +16,12 @@ package needs no statistics dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from madlab.debate import with_fp
+from madlab.debate import write_csv
 from madlab.metrics import ProfileBatch
 
 
@@ -306,15 +306,9 @@ STRATA_CSV_HEADER = "bin_lo,bin_hi,count,accuracy"
 
 
 def write_separation_csv(path_or_fp: str | IO[str], report: SeparationReport) -> None:
-    def _write(fp: IO[str]) -> None:
-        fp.write(SEPARATION_CSV_HEADER + "\n")
-        for row in report.rows:
-            fp.write(
-                f"{row.metric},{row.mean_fail:.6f},{row.mean_success:.6f},"
-                f"{row.cohens_d:.6f},{row.t_statistic:.6f},{row.p_value:.6e}\n"
-            )
-
-    with_fp(path_or_fp, "w", _write)
+    write_csv(path_or_fp, SEPARATION_CSV_HEADER,
+              ((r.metric, r.mean_fail, r.mean_success, r.cohens_d, r.t_statistic,
+                f"{r.p_value:.6e}") for r in report.rows))
 
 
 def write_correlation_csv(
@@ -322,30 +316,15 @@ def write_correlation_csv(
     labels: Sequence[str],
     matrix: Sequence[Sequence[float]],
 ) -> None:
-    def _write(fp: IO[str]) -> None:
-        fp.write("metric," + ",".join(labels) + "\n")
-        for label, row in zip(labels, matrix):
-            fp.write(label + "," + ",".join(f"{v:.6f}" for v in row) + "\n")
-
-    with_fp(path_or_fp, "w", _write)
+    write_csv(path_or_fp, "metric," + ",".join(labels),
+              ([label, *row] for label, row in zip(labels, matrix)))
 
 
 def write_selective_csv(
     path_or_fp: str | IO[str], curve: Sequence[tuple[float, float, int]]
 ) -> None:
-    def _write(fp: IO[str]) -> None:
-        fp.write(SELECTIVE_CSV_HEADER + "\n")
-        for k, accuracy, n in curve:
-            fp.write(f"{k:.6f},{accuracy:.6f},{n}\n")
-
-    with_fp(path_or_fp, "w", _write)
+    write_csv(path_or_fp, SELECTIVE_CSV_HEADER, curve)
 
 
 def write_strata_csv(path_or_fp: str | IO[str], strata: Sequence[StrataBin]) -> None:
-    def _write(fp: IO[str]) -> None:
-        fp.write(STRATA_CSV_HEADER + "\n")
-        for b in strata:
-            acc = "nan" if b.accuracy is None else f"{b.accuracy:.6f}"
-            fp.write(f"{b.lo:.6f},{b.hi:.6f},{b.count},{acc}\n")
-
-    with_fp(path_or_fp, "w", _write)
+    write_csv(path_or_fp, STRATA_CSV_HEADER, map(astuple, strata))

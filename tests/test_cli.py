@@ -245,3 +245,35 @@ def test_train_with_every_seat_compromised_fails(tmp_path, capsys):
     code = main(["train", "--config", str(path), "--out", str(tmp_path / "t")])
     assert code == 2
     assert "needs at least one honest agent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("udpo", ["kappa = 1e308", "alpha_base = 1e308\nbeta_base = 1e308"])
+def test_train_blames_an_overflowing_reward_total_not_the_ratio(tmp_path, capsys, udpo):
+    path = tmp_path / "overflow.ini"
+    path.write_text("[environment]\ntrain_questions = 40\neval_questions = 12\n\n"
+                    f"[udpo]\niterations = 3\n{udpo}\n", encoding="utf-8")
+    code = main(["train", "--config", str(path), "--out", str(tmp_path / "t")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "agent 0: reward total at batch slot 0 (" in err and "not finite" in err
+    assert "likelihood ratio" not in err
+
+
+def test_every_csv_artifact_line_has_a_cell_per_header_column(tiny_config, tmp_path, capsys):
+    runs = {"baseline": [], "train": [], "attack": ["--compromised", "1", "--compromised", "2"],
+            "sweep": ["--axis", "compromised", "--values", "0,1,2"]}
+    for command, extra in runs.items():
+        assert main([command, "--config", tiny_config, "--out", str(tmp_path / command),
+                     *extra]) == 0
+    train = tmp_path / "train"
+    assert main(["analyze", str(train / "trajectories.jsonl"), str(train / "replay_buffer.jsonl"),
+                 "--config", tiny_config, "--out", str(tmp_path / "analyze")]) == 0
+    tables = sorted(tmp_path.glob("*/*.csv"))
+    assert {p.name for p in tables} == {
+        "summary.csv", "profiles.csv", "rewards.csv", "coefficients.csv", "training_metrics.csv",
+        "separation.csv", "correlation.csv", "selective.csv", "strata.csv"}
+    for path in tables:
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines, path
+        for lineno, line in enumerate(lines, start=2):
+            assert line.count(",") == header.count(","), f"{path} line {lineno}: {line}"

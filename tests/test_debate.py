@@ -15,6 +15,7 @@ from madlab.debate import (
     read_trajectories,
     trajectory_from_record,
     validate_trajectory,
+    write_csv,
     write_trajectories,
 )
 from madlab.metrics import _votes, answer_codes
@@ -155,6 +156,21 @@ def test_write_trajectories_of_no_debates_writes_an_empty_file():
     buf = io.StringIO()
     write_trajectories(buf, [], [])
     assert buf.getvalue() == ""
+
+
+@pytest.mark.parametrize("to_path", [True, False], ids=["path", "stream"])
+def test_write_csv_cell_rule(tmp_path, to_path):
+    # floats (numpy's too) 6-decimal fixed, None as nan, anything else str()
+    rows = [(0.1, np.float64(2.5), -0.0, None), (3, "q-7", f"{1.5e-9:.6e}", float("nan"))]
+    expected = "a,b,c,d\n0.100000,2.500000,-0.000000,nan\n3,q-7,1.500000e-09,nan\n"
+    if to_path:
+        path = tmp_path / "table.csv"
+        write_csv(str(path), "a,b,c,d", rows)
+        assert path.read_bytes() == expected.encode("utf-8")
+    else:
+        buf = io.StringIO()
+        write_csv(buf, "a,b,c,d", iter(rows))
+        assert not buf.closed and buf.getvalue() == expected
 
 
 def test_jsonl_null_ground_truth_round_trips():

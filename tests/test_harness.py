@@ -250,6 +250,23 @@ def test_attack_rejects_invalid_seat_counts(tmp_path, bad_m):
         run_attack(tiny_config(), str(tmp_path), m_values=[bad_m])
 
 
+@pytest.mark.parametrize("run, error", [
+    (lambda out: run_attack(tiny_config(), out, m_values=[1, 4]), "compromised_count 4 exceeds"),
+    (lambda out: run_attack(tiny_config(), out, m_values=[1, -1]), "non-negative"),
+    (lambda out: run_sweep(tiny_config(), out, "agents", [5, 1]), "num_agents must be at least 2"),
+    (lambda out: run_sweep(tiny_config(), out, "compromised", [1, 9]), "compromised_count 9 exceeds"),
+], ids=["attack-too-many", "attack-negative", "sweep-agents", "sweep-compromised"])
+def test_a_bad_seat_count_among_good_ones_fails_before_any_evaluation(
+    tmp_path, monkeypatch, run, error
+):
+    calls = []
+    for name in ("train_pipeline", "evaluate_ensemble"):
+        monkeypatch.setattr(harness, name, lambda *args, name=name, **kwargs: calls.append(name))
+    with pytest.raises(ValueError, match=error):
+        run(str(tmp_path))
+    assert calls == []
+
+
 # ------------------------------------------------------------------ analysis
 
 

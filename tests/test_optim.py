@@ -127,6 +127,19 @@ def test_compute_advantages_rejects_empty():
         compute_advantages(np.zeros(4))
 
 
+def test_compute_advantages_rejects_a_non_finite_total_or_batch_mean():
+    totals = np.ones((4, 3))
+    totals[2, 1] = np.inf
+    totals[3, 0] = np.nan
+    # the first in batch order is named
+    with pytest.raises(ValueError, match=r"agent 1: reward total at batch slot 2 \(inf\) is not finite"):
+        compute_advantages(totals)
+    # each total is finite, but their sum, and so the batch mean, is not
+    with pytest.raises(ValueError, match=r"agent 2: reward total at batch slot 0 \(1e\+308\) is finite, "
+                                         r"but its batch mean is not finite"):
+        compute_advantages(np.array([[0.0, 0.0, 1e308], [0.0, 0.0, 1e308]]))
+
+
 # ------------------------------------------------------------ clip primitives
 
 

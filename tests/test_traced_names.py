@@ -7,12 +7,13 @@ install and uninstall; conftest's layers fixture imports that file without
 writing anything under perfbench/.
 """
 
+import importlib
 import inspect
 
 import pytest
 
 import madlab
-from madlab import harness, metrics, optim, policy, replay
+from madlab import harness, metrics, optim, policy
 
 
 def test_every_traced_name_resolves_like_the_tracer(layers):
@@ -29,13 +30,18 @@ def test_every_traced_name_resolves_like_the_tracer(layers):
         assert patched >= 1, f"traced name {name} patched no binding"
 
 
-def test_traced_amounts_read_the_arguments_they_expect():
+def test_traced_amounts_read_the_arguments_they_expect(layers):
     # layers.py records gradient_step's batch size from its third argument and
     # each writer's bytes from the path in its first (ReplayBuffer.dump's
     # second, after self).
     assert list(inspect.signature(optim.gradient_step).parameters)[2] == "batch"
-    assert list(inspect.signature(policy.save_policy).parameters)[0] == "path_or_fp"
-    assert list(inspect.signature(replay.ReplayBuffer.dump).parameters)[1] == "path_or_fp"
+    for name, _ in layers.WRITERS:
+        module, *owners, attr = name.split(".")
+        holder = importlib.import_module(f"madlab.{module}")
+        for owner in owners:
+            holder = getattr(holder, owner)
+        assert list(inspect.signature(getattr(holder, attr)).parameters)[len(owners)] == \
+            "path_or_fp", name
 
 
 def test_traced_batch_size_reads_the_batch_collect_batch_returns(layers):
