@@ -71,6 +71,13 @@ class CalibrationConfig:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in (0, 1)")
+        top = 1.0 + self.kappa  # the largest factor calibration scales a base by
+        if not math.isfinite(self.alpha_base * top + self.beta_base * top
+                             + self.gamma_base * top + self.lambda_base):
+            raise ValueError("alpha_base, beta_base, gamma_base, lambda_base and kappa "
+                             "overflow the largest reward total")
+        if not math.isfinite(self.eta_base * top):
+            raise ValueError("eta_base and kappa overflow the largest anchor strength")
 
 
 def split_warmup(

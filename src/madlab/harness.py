@@ -120,6 +120,7 @@ def evaluate_ensemble(
     """
     seeds = [derive_key(env.config.seed, "eval", q.question_id) for q in questions]
     _, answers = env.rollout_batch(questions, tilts, policies, seeds)
+    del tilts  # a caller that drew the tilts inline frees them before profiling
     profiles = profiles_from_codes(answers, len(env.answer_space), metric_config)
     correct = profiles.winners == np.array([q.truth for q in questions])
     return EvalResult(

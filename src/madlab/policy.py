@@ -19,7 +19,9 @@ a debate's (T+1, N) answers are codes, indices into the answer space; their
 labels appear only where debate.write_trajectories writes them.
 _round_contexts is the one context formula: rollout_batch applies it to the
 whole batch each round, and agent_steps rebuilds one agent's visits along a
-recorded grid from it.
+recorded grid from it. rollout_batch runs its rounds label-major: the visits'
+logits plus tilts form a (K, B, H) stack, so each reduction over the K labels
+is elementwise work on (B, H) slabs, summed in numpy's own order (_label_sum).
 
 The environment has a deliberate blind spot: debate-round tilts under-weight
 the first answer label even though ground truth favors it (the aversion fades
@@ -34,15 +36,15 @@ All randomness flows from counter-based Philox4x64 streams keyed by hashed
 scope tokens; nothing reads ambient entropy, so identical (config, seed) reruns
 are bit-identical. Each scope hashes one key and reads its draws at fixed
 counter positions: word j of a key is word j % 4 of its Philox block j // 4,
-and one vectorized pass (_philox_blocks) draws the blocks of many keys. A
-question's key (seed, "question", id) gives its truth (word 0) and difficulty
-(word 1). Its tilt key (seed, "tilt", id) lays the tilt normals out as [round,
-seat (stride N), label], pairing words for Box-Muller, and the two words after
-them decide the flare. A debate's act key (rollout seed, "act", id) gives seat
-i its round-t uniform at word t * N + i. The stride of N seats keeps an honest
-seat's draws independent of compromised_count, and the round-major layout keeps
-earlier rounds independent of the number of rounds. rng_stream opens one
-scope's numpy Generator for draws off these paths.
+and _philox_blocks reads many keys' blocks from one numpy Philox, reseated to
+each key in turn. A question's key (seed, "question", id) gives its truth (word
+0) and difficulty (word 1). Its tilt key (seed, "tilt", id) lays the tilt
+normals out as [round, seat (stride N), label], pairing words for Box-Muller,
+and the two words after them decide the flare. A debate's act key (rollout
+seed, "act", id) gives seat i its round-t uniform at word t * N + i. The stride
+of N seats keeps an honest seat's draws independent of compromised_count, and
+the round-major layout keeps earlier rounds independent of the number of
+rounds. rng_stream opens one scope's numpy Generator for draws off these paths.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ SIGNAL_WOBBLE_SLOPE = 1.2
 # so it only fires when rounds >= 4.
 FLARE_SCALE = 7.0
 
-PHILOX_BLOCKS_PER_PASS = 4096  # bounds a Philox pass's memory
+PHILOX_BLOCKS_PER_PASS = 4096  # bounds the raw words (and normals) a pass holds
 
 
 def _key_digest(*tokens: object) -> bytes:
@@ -108,46 +110,30 @@ def derive_key(*tokens: object) -> int:
     return int.from_bytes(_key_digest(*tokens), "little")
 
 
+def _reseat(gen: np.random.Philox, key: Sequence[int]) -> np.random.Philox:
+    """gen at counter 0 under a key's two words with nothing buffered, the state
+    Philox(key=...) starts in; a gen built as Philox(0) reads no entropy."""
+    gen.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
 def rng_stream(*tokens: object) -> np.random.Generator:
-    """Independent counter-based generator for one scope."""
-    return np.random.Generator(np.random.Philox(key=derive_key(*tokens)))
-
-
-_MASK32 = np.uint64(0xFFFFFFFF)
-# Philox4x64 multipliers and key increments, one row per lane.
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-
-
-def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products _PHILOX_M * x, on 32-bit halves."""
-    m_lo, m_hi = _PHILOX_M & _MASK32, _PHILOX_M >> np.uint64(32)
-    x_lo, x_hi = x & _MASK32, x >> np.uint64(32)
-    ll, lh, hl = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
-    mid = (ll >> np.uint64(32)) + (lh & _MASK32) + (hl & _MASK32)
-    hi = m_hi * x_hi + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (mid >> np.uint64(32))
-    return hi, _PHILOX_M * x
+    """Independent counter-based generator for one scope: numpy's Philox keyed by
+    derive_key(*tokens)."""
+    key = np.frombuffer(_key_digest(*tokens), "<u8").tolist()
+    return np.random.Generator(_reseat(np.random.Philox(0), key))
 
 
 def _philox_blocks(digests: Sequence[bytes], blocks: int) -> np.ndarray:
-    """Philox(key).random_raw(4 * blocks) for each 16-byte key digest, as rows.
-
-    One Philox4x64-10 pass over every (key, block): numpy's Philox increments
-    its counter from 0 before each block, so block b runs at counter (b + 1,
-    0, 0, 0). A round's two products run as one (2, n) lane pair: x holds
-    counter (and output) words 0 and 2, y 1 and 3, each taking hi and lo from
-    the other's product.
-    """
-    key = np.frombuffer(b"".join(digests), "<u8").reshape(-1, 2).T.repeat(blocks, axis=1)
-    x, y = np.zeros((2, *key.shape), dtype=np.uint64)
-    x[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(digests))
-    with np.errstate(over="ignore"):
-        for r in range(10):
-            if r:
-                key += _PHILOX_W
-            hi, lo = _mulhilo(x)
-            x, y = hi[::-1] ^ y ^ key, lo[::-1]
-    return np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(len(digests), 4 * blocks)
+    """Philox(key).random_raw(4 * blocks) for each 16-byte key digest, as rows,
+    read by one numpy Philox reseated to each key in turn."""
+    keys = np.frombuffer(b"".join(digests), "<u8").reshape(-1, 2).tolist()
+    out = np.empty((len(keys), 4 * blocks), dtype=np.uint64)
+    gen = np.random.Philox(0)
+    for row, key in zip(out, keys):
+        row[:] = _reseat(gen, key).random_raw(4 * blocks)
+    return out
 
 
 def _unit_doubles(words: np.ndarray) -> np.ndarray:
@@ -223,16 +209,32 @@ def difficulty_bin(difficulty: float, bins: int) -> int:
 def _round_contexts(base: np.ndarray | int, prev: np.ndarray, k: int) -> np.ndarray:
     """Context rows of every seat in the round after the answer codes prev (B, N).
 
-    base is each debate's difficulty-bin offset, broadcast against (B, N).
-    The peer mode ties break order-minimal, and the agreement bin splits the
-    agreeing-peer fraction into thirds in exact integer arithmetic.
+    base is each debate's difficulty-bin offset, broadcast against (B, N). A
+    seat's peers on label c are the debate's count of c (one bincount) less
+    its own answer's. The peer mode is the first label to reach the top peer
+    count (ranking peers * K + K - 1 - c), and the agreement bin splits the
+    agreeing-peer fraction into thirds, all in exact integer arithmetic.
     """
-    n = prev.shape[-1]
-    own = prev[:, :, None] == np.arange(k)
-    peers = own.sum(axis=1, keepdims=True) - own
-    top = peers.max(axis=-1)
+    b, n = prev.shape
+    labels = np.arange(k)[:, None, None]
+    counts = np.bincount((prev + k * np.arange(b)[:, None]).ravel(), minlength=b * k)
+    rank = (counts.reshape(b, k).T[:, :, None] - (prev == labels)) * k + (k - 1 - labels)
+    top, tie = np.divmod(rank.max(axis=0), k)
     agreement = (3 * top > n - 1).astype(np.int64) + (3 * top > 2 * (n - 1))
-    return base + 1 + (prev * k + peers.argmax(axis=-1)) * 3 + agreement
+    return base + 1 + (prev * k + k - 1 - tie) * 3 + agreement
+
+
+def _label_sum(z: np.ndarray) -> np.ndarray:
+    """z.sum(axis=0) of a (K, ...) stack in numpy's order for a contiguous last
+    axis of length K, so a label-major softmax keeps every bit: in order below
+    K = 8; from 8 to numpy's 128-element block, eight lane sums over labels j,
+    j + 8, ..., combined pairwise, then the tail in order."""
+    k = len(z)
+    if k < 8:
+        return sum(z[1:], z[0])
+    head = k - k % 8
+    r = sum((z[j:j + 8] for j in range(8, head, 8)), z[:8])
+    return sum(z[head:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
 def parse_difficulty_spec(spec: str) -> tuple[float, float]:
@@ -455,10 +457,11 @@ class DebateEnv:
         of the softmax of its table row plus tilt. Passes run over whole
         debates, PHILOX_BLOCKS_PER_PASS blocks at most (or one debate), so a
         debate does not depend on the rest of the batch. The H honest seats
-        draw from their blocks of the (H, rows, K) policy logits and their
-        tilts (batch_tilts of the questions), and the last m answer columns
-        hold each question's adversary[truth]. Returns the (B, T+1, N) context
-        rows and answer codes of every seat's visits.
+        draw from their blocks of the (H, rows, K) policy logits, gathered
+        label-major from one (K, H * rows) transpose, and their tilts
+        (batch_tilts of the questions); the last m answer columns hold each
+        question's adversary[truth]. Returns the (B, T+1, N) context rows and
+        answer codes of every seat's visits.
         """
         n = self.config.num_agents
         b, h, k = len(questions), len(self.honest_indices), len(self.answer_space)
@@ -484,20 +487,23 @@ class DebateEnv:
         uniforms = np.concatenate([
             _unit_doubles(_philox_blocks(digests[j:j + chunk], -(-words // 4))[:, :words])
             for j in range(0, b, chunk)
-        ]).reshape(b, steps, n, 1)[:, :, :h]
+        ]).reshape(b, steps, n)[:, :, :h]
+        table = policies.transpose(2, 0, 1).reshape(k, -1)
+        seat_rows = np.arange(h) * shape[1]
         contexts[:, 0] = base
         for t in range(steps):
             if t:
                 contexts[:, t] = _round_contexts(base, answers[:, t - 1], k)
-            # The softmax of each visit's logits plus tilt, then a right-side
-            # search of its cumsum, in place.
-            z = policies[np.arange(h), contexts[:, t, :h]]
-            z += tilts[:, t]
-            z -= z.max(axis=-1, keepdims=True)
+            # Each visit's softmax, then a right-side search of its cumsum's
+            # first K - 1 entries, so the answer stops at K - 1.
+            z = table.take(contexts[:, t, :h] + seat_rows, axis=1)
+            z += tilts[:, t].transpose(2, 0, 1)
+            z -= z.max(axis=0)
             np.exp(z, out=z)
-            z /= z.sum(axis=-1, keepdims=True)
-            np.cumsum(z, axis=-1, out=z)
-            answers[:, t, :h] = np.minimum((z <= uniforms[:, t]).sum(axis=-1), k - 1)
+            z /= _label_sum(z)
+            for c in range(1, k - 1):
+                z[c] += z[c - 1]
+            answers[:, t, :h] = (z[:-1] <= uniforms[:, t]).sum(axis=0)
         return contexts, answers
 
     def agent_steps(

@@ -7,7 +7,9 @@ dict of peer counts, probs is a table row's softmax, and trajectory_log_prob,
 likelihood_ratio, kl_anchor and objective_value evaluate the objective of
 madlab.optim on one (question, answer codes, agent) at a time; a debate's
 answer codes are its (T+1, N) grid, as RolloutBatch.trajectories holds them.
-The tests check rollout_batch's recorded contexts against build_context,
+broadcast_round_contexts is the earlier whole-batch form of the context
+formula, an oracle for policy._round_contexts. The tests check
+rollout_batch's recorded contexts against build_context,
 gradient_step against central differences of objective_value, and the clip
 fixtures against likelihood_ratio. kl_anchor shares the log-softmax of
 gradient_step. per_stream_questions draws each question from its own
@@ -67,6 +69,18 @@ def build_context(
     else:
         agreement = 2
     return base + 1 + (own * k + mode) * 3 + agreement
+
+
+def broadcast_round_contexts(base: np.ndarray | int, prev: np.ndarray, k: int) -> np.ndarray:
+    """policy._round_contexts on one (B, N, K) one-hot broadcast: each seat's
+    peers per label are the label's column sum less its own one-hot row, the
+    mode their first argmax."""
+    n = prev.shape[-1]
+    own = prev[:, :, None] == np.arange(k)
+    peers = own.sum(axis=1, keepdims=True) - own
+    top = peers.max(axis=-1)
+    agreement = (3 * top > n - 1).astype(np.int64) + (3 * top > 2 * (n - 1))
+    return base + 1 + (prev * k + peers.argmax(axis=-1)) * 3 + agreement
 
 
 def probs(policy: np.ndarray, row: int, tilt: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line surface: argument wiring,
 exit codes, artifact creation, and stream routing."""
 
+import math
 import os
 import subprocess
 import sys
@@ -247,16 +248,39 @@ def test_train_with_every_seat_compromised_fails(tmp_path, capsys):
     assert "needs at least one honest agent" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("udpo", ["kappa = 1e308", "alpha_base = 1e308\nbeta_base = 1e308"])
-def test_train_blames_an_overflowing_reward_total_not_the_ratio(tmp_path, capsys, udpo):
+OVERFLOWING_UDPO = {
+    "kappa": ("kappa = 1e308", "alpha_base, beta_base, gamma_base, lambda_base and kappa"),
+    "alpha-beta": ("alpha_base = 1e308\nbeta_base = 1e308",
+                   "alpha_base, beta_base, gamma_base, lambda_base and kappa"),
+    "eta": ("eta_base = 1e308\nkappa = 1", "eta_base and kappa overflow the largest anchor"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_UDPO))
+def test_overflowing_reward_coefficients_are_config_errors(tmp_path, capsys, name):
+    # the largest total calibration can weigh would be inf, so the run is
+    # refused before any rollout instead of writing inf into rewards.csv
+    udpo, message = OVERFLOWING_UDPO[name]
     path = tmp_path / "overflow.ini"
     path.write_text("[environment]\ntrain_questions = 40\neval_questions = 12\n\n"
                     f"[udpo]\niterations = 3\n{udpo}\n", encoding="utf-8")
-    code = main(["train", "--config", str(path), "--out", str(tmp_path / "t")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "agent 0: reward total at batch slot 0 (" in err and "not finite" in err
-    assert "likelihood ratio" not in err
+    for command in ("baseline", "train"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err, err
+        assert not (tmp_path / command).exists()
+
+
+def test_large_finite_reward_coefficients_are_accepted(tmp_path, capsys):
+    path = tmp_path / "large.ini"
+    path.write_text("[environment]\neval_questions = 12\n\n"
+                    "[udpo]\nalpha_base = 1e300\nbeta_base = 1e300\nkappa = 1e5\n",
+                    encoding="utf-8")
+    assert main(["baseline", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
+    _, *rows = (tmp_path / "b" / "rewards.csv").read_text(encoding="utf-8").splitlines()
+    cells = [float(cell) for row in rows for cell in row.split(",")[1:]]
+    assert len(rows) == 12 and all(math.isfinite(c) for c in cells) and max(cells) > 1e300
+    assert "RuntimeWarning" not in capsys.readouterr().err
 
 
 def test_every_csv_artifact_line_has_a_cell_per_header_column(tiny_config, tmp_path, capsys):

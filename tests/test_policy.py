@@ -10,9 +10,10 @@ import re
 
 import numpy as np
 import pytest
+from numpy.random import bit_generator
 
 from madlab import policy as policy_module
-from madlab.harness import run_attack, run_udpo
+from madlab.harness import run_attack, run_baseline, run_udpo
 from madlab.metrics import MetricConfig
 from madlab.optim import ClipConfig, train
 from madlab.policy import (
@@ -31,7 +32,13 @@ from madlab.policy import (
 )
 from madlab.replay import ReplayConfig
 from madlab.rewards import CoefficientSet
-from reference_impl import build_context, per_stream_questions, probs, trajectory_log_prob
+from reference_impl import (
+    broadcast_round_contexts,
+    build_context,
+    per_stream_questions,
+    probs,
+    trajectory_log_prob,
+)
 from test_golden import k3_below_ramp_config, k12_config
 from test_harness import tiny_config
 
@@ -56,6 +63,9 @@ def test_rng_streams_are_reproducible_and_disjoint():
     b = rng_stream(5, "act", "q-1", 0, 1).random(4)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+    # the same draws as numpy's Philox built on the key
+    fresh = np.random.Generator(np.random.Philox(key=derive_key(5, "act", "q-1", 0, 0)))
+    assert np.array_equal(a1, fresh.random(4))
 
 
 def test_difficulty_bin_edges():
@@ -92,6 +102,30 @@ def test_context_peer_mode_and_agreement_bins():
         assert context_key(build_context(0, prev_row, i, order), order) == key
         codes = np.array([[order.index(a) for a in prev_row]])
         assert context_key(int(policy_module._round_contexts(0, codes, 3)[0, i]), order) == key
+
+
+@pytest.mark.parametrize("batch", [0, 1, 1000])
+def test_round_contexts_match_the_broadcast_oracle(batch):
+    rng = np.random.default_rng(batch)
+    for k in range(2, 27):
+        for n in range(2, 10):
+            # few distinct answers per debate, so peer-mode ties are common
+            prev = rng.integers(0, rng.integers(1, k + 1), (batch, n))
+            base = contexts_per_bin(k) * rng.integers(0, 3, (batch, 1))
+            got = policy_module._round_contexts(base, prev, k)
+            assert got.shape == (batch, n)
+            assert np.array_equal(got, broadcast_round_contexts(base, prev, k)), (k, n)
+
+
+@pytest.mark.parametrize("k", range(2, 27))
+def test_label_sum_adds_in_numpys_order(k):
+    # a softmax over the leading label axis must normalize bit for bit as
+    # numpy sums a contiguous last axis, pairwise from K = 8 up
+    rng = np.random.default_rng(k)
+    z = np.exp(rng.normal(0.0, 3.0, (5000, 6, k)))
+    expected = z.sum(axis=-1)
+    assert policy_module._label_sum(z.transpose(2, 0, 1)).tobytes() == expected.tobytes()
+    assert policy_module._label_sum(np.moveaxis(z, -1, 0).copy()).tobytes() == expected.tobytes()
 
 
 def test_context_key_round_trip():
@@ -283,6 +317,12 @@ def perturbed(policies, seed, scale=1.5):
 
 ENGINE_CONFIGS = {
     "default": {},
+    # K = 7, 8, 16 and 26: each side of _label_sum's switch to lane sums, and the widest K
+    "k7-six-agents": dict(answer_space_size=7, num_agents=6, compromised_count=1),
+    "k8-two-bins": dict(answer_space_size=8, rounds=4, difficulty_bins=2),
+    "k16-four-agents": dict(answer_space_size=16, num_agents=4, rounds=3),
+    "k26-nine-agents": dict(answer_space_size=26, num_agents=9, rounds=4, compromised_count=2,
+                            skills=(0.99, 0.9, 0.8)),
     "eval-wide": dict(num_agents=7, rounds=8, difficulty_bins=2, compromised_count=1,
                       skills=(0.95, 0.88, 0.81, 0.74, 0.67, 0.6, 0.53)),
     "k2-two-compromised": dict(answer_space_size=2, compromised_count=2),
@@ -472,12 +512,29 @@ def random_keys(seed, count):
 
 @pytest.mark.parametrize("blocks", [1, 2, 3])
 def test_philox_blocks_match_random_raw(blocks):
+    # one generator is reseated per key, so repeated keys and keys in
+    # reverse order each read exactly what a fresh Philox(key=...) reads
     keys = random_keys(blocks, 300)
+    keys += keys[::-1] + keys[:1] * 3
     got = policy_module._philox_blocks([key.to_bytes(16, "little") for key in keys], blocks)
     expected = [np.random.Philox(key=key).random_raw(4 * blocks) for key in keys]
     assert got.dtype == np.uint64 and got.shape == (len(keys), 4 * blocks)
     assert np.array_equal(got, np.array(expected))
     assert policy_module._philox_blocks([], blocks).shape == (0, 4 * blocks)
+
+
+def test_no_run_reads_os_entropy(tmp_path, monkeypatch):
+    # every draw comes from a hashed key: a run that asked numpy for OS
+    # entropy (a SeedSequence without one) would fail here
+    def refuse(bits):
+        raise AssertionError(f"{bits} bits of OS entropy read")
+
+    monkeypatch.setattr(bit_generator, "randbits", refuse)
+    with pytest.raises(AssertionError, match="OS entropy"):
+        np.random.SeedSequence()
+    config = tiny_config()
+    run_udpo(config, str(tmp_path / "train"))
+    run_baseline(config, str(tmp_path / "baseline"))
 
 
 @pytest.mark.parametrize("k", [2, 4, 7, 26])
