@@ -4,12 +4,14 @@ Phase 1 (warm-up) rolls out debates on a held-out warm-up split and averages
 each agent's restricted uncertainty readings: the agent's own flip/revision
 mix, the disagreement share of the answer pairs that contain the agent, and
 how often removing the agent flips the final vote. The readings come from the
-rollouts' answer codes, counted by the metric kernel's vote helper.
+rollouts' answer codes, counted by the metric kernel's vote helper, as one
+(3, N) array with a column per seat.
 
-Phase 2 turns that profile into per-agent reward coefficients through
-monotone closed forms: agents that ran hot during warm-up get their
-uncertainty-facing coefficients scaled up — and their task weight scaled
-down — so optimization pressure lands where the instability is.
+Phase 2 turns those readings into per-agent reward coefficients, one (N,)
+array each, through monotone closed forms: agents that ran hot during warm-up
+get their uncertainty-facing coefficients scaled up — and their task weight
+scaled down — so optimization pressure lands where the instability is. All-zero
+readings return every coefficient at its base value.
 """
 
 from __future__ import annotations
@@ -22,33 +24,6 @@ import numpy as np
 
 from madlab.metrics import MetricConfig, _votes
 from madlab.rewards import CoefficientSet
-
-
-@dataclass(frozen=True)
-class AgentUncertaintyProfile:
-    """Per-agent mean uncertainty readings from the warm-up phase.
-
-    u_sys_bar is the per-agent mean of the other three readings.
-    """
-
-    u_intra_bar: tuple[float, ...]
-    u_inter_bar: tuple[float, ...]
-    loo_bar: tuple[float, ...]
-    u_sys_bar: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.u_intra_bar)
-        if n == 0:
-            raise ValueError("profile must cover at least one agent")
-        for name in ("u_intra_bar", "u_inter_bar", "loo_bar", "u_sys_bar"):
-            values = getattr(self, name)
-            if len(values) != n:
-                raise ValueError(
-                    f"{name} has {len(values)} entries, expected {n}"
-                )
-            for v in values:
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"{name} values must be in [0, 1], got {v}")
 
 
 @dataclass(frozen=True)
@@ -98,16 +73,16 @@ def split_warmup(
     return list(questions[:n_warm]), list(questions[n_warm:])
 
 
-def warmup_profile(
-    answers: np.ndarray, k: int, config: MetricConfig
-) -> AgentUncertaintyProfile:
-    """Average each agent's restricted uncertainty readings over warm-up runs.
+def warmup_profile(answers: np.ndarray, k: int, config: MetricConfig) -> np.ndarray:
+    """Each agent's restricted uncertainty readings, averaged over warm-up runs.
 
     answers holds the warm-up debates' (B, T+1, N) answer codes over k labels.
-    Per agent i: the flip/revision mix of agent i's own answer sequence; the
-    mean disagreement over rounds and peer pairs containing i; and the
-    fraction of debates where dropping agent i changes the final vote. Sums
-    run over rounds, then over debates, left to right.
+    Returns a (3, N) float64 array in [0, 1]; column i holds agent i's U_intra,
+    the flip/revision mix of its own answer sequence; its U_inter, the mean
+    disagreement over rounds and peer pairs containing i; and its
+    leave-one-out reading, the fraction of debates where dropping agent i
+    changes the final vote. Sums run over rounds, then over debates, left to
+    right.
     """
     if len(answers) == 0:
         raise ValueError("warm-up set must be non-empty")
@@ -124,33 +99,24 @@ def warmup_profile(
         pivots.astype(np.float64),
     )
     # np.cumsum adds left to right like Python's +=; np.sum may pair its terms.
-    intra, inter, loo = (np.cumsum(v, axis=0)[-1] / b for v in per_debate)
-    return AgentUncertaintyProfile(
-        u_intra_bar=tuple(intra.tolist()),
-        u_inter_bar=tuple(inter.tolist()),
-        loo_bar=tuple(loo.tolist()),
-        u_sys_bar=tuple(((intra + inter + loo) / 3.0).tolist()),
-    )
+    return np.cumsum(per_debate, axis=1)[:, -1] / b
 
 
-def calibrate_coefficients(
-    profile: AgentUncertaintyProfile, config: CalibrationConfig
-) -> CoefficientSet:
-    """Closed-form per-agent coefficients from a warm-up profile.
+def calibrate_coefficients(readings: np.ndarray, config: CalibrationConfig) -> CoefficientSet:
+    """Closed-form per-agent coefficients from warmup_profile's (3, N) readings.
 
-    alpha, beta, gamma, and the anchor strength scale up linearly with their
-    profile reading; the task weight scales down with the agent's overall
-    instability. kappa = 0 returns every coefficient at its base value.
+    alpha, beta and gamma scale up linearly with U_intra, U_inter and the
+    leave-one-out reading; the anchor strength scales up, and the task weight
+    down, with the system reading, the mean of the three. kappa = 0 or an
+    all-zero reading returns every coefficient at its base value.
     """
+    intra, inter, loo = readings
+    u_sys = (intra + inter + loo) / 3.0
     k = config.kappa
     return CoefficientSet(
-        alpha=tuple(config.alpha_base * (1.0 + k * u) for u in profile.u_intra_bar),
-        beta=tuple(config.beta_base * (1.0 + k * u) for u in profile.u_inter_bar),
-        gamma=tuple(config.gamma_base * (1.0 + k * u) for u in profile.loo_bar),
-        lambda_task=tuple(
-            config.lambda_base / (1.0 + k * u) for u in profile.u_sys_bar
-        ),
-        eta_anchor=tuple(
-            config.eta_base * (1.0 + k * u) for u in profile.u_sys_bar
-        ),
+        alpha=config.alpha_base * (1.0 + k * intra),
+        beta=config.beta_base * (1.0 + k * inter),
+        gamma=config.gamma_base * (1.0 + k * loo),
+        lambda_task=config.lambda_base / (1.0 + k * u_sys),
+        eta_anchor=config.eta_base * (1.0 + k * u_sys),
     )

@@ -187,14 +187,8 @@ def run_baseline(config: ExperimentConfig, out_dir: str) -> PipelineResult:
         env, questions, env.batch_tilts(questions), env.initial_policies(), config.metric,
         "baseline"
     )
-    coeffs = CoefficientSet.uniform(
-        config.env.num_agents,
-        alpha=config.calibration.alpha_base,
-        beta=config.calibration.beta_base,
-        gamma=config.calibration.gamma_base,
-        lambda_task=config.calibration.lambda_base,
-        eta_anchor=config.calibration.eta_base,
-    )
+    # all-zero readings: every seat's coefficients at their base values
+    coeffs = calibrate_coefficients(np.zeros((3, config.env.num_agents)), config.calibration)
     _write_eval_artifacts(out_dir, result, coeffs)
     write_summary_csv(os.path.join(out_dir, "summary.csv"), [result.summary])
     return PipelineResult(rows=[result.summary])
@@ -213,8 +207,8 @@ def _calibrated_coefficients(
     policies = env.initial_policies()
     seeds = [derive_key(env.config.seed, "warmup", q.question_id) for q in warmup_questions]
     _, answers = env.rollout_batch(warmup_questions, tilts, policies, seeds)
-    profile = warmup_profile(answers, len(env.answer_space), config.metric)
-    return calibrate_coefficients(profile, config.calibration)
+    readings = warmup_profile(answers, len(env.answer_space), config.metric)
+    return calibrate_coefficients(readings, config.calibration)
 
 
 def train_pipeline(
@@ -269,7 +263,7 @@ def run_udpo(
         env, eval_questions, eval_tilts, state.policies, config.metric, "trained"
     )
     digest = config_hash(config)
-    for i in env.honest_indices:
+    for i in range(env.honest):
         save_policy(
             os.path.join(out_dir, f"policy_agent_{i}.txt"),
             env.answer_space,

@@ -112,13 +112,13 @@ class RolloutBatch:
     trajectories[m, t, i] and contexts[m, t, i] are the answer code and context
     row of agent i at round t of debate m, and tilts[m] its (T+1, H, K) tilts,
     as recorded under the reference's (H, rows, K) logits; the benchmark's
-    traced run reads len(trajectories) as the batch size. weights are
-    importance weights, batch mean 1; fresh slots carry 1.
+    traced run reads len(trajectories) as the batch size. weights is the (B,)
+    float64 array of importance weights, batch mean 1; fresh slots carry 1.
     """
 
     questions: tuple[SyntheticQuestion, ...]
     trajectories: np.ndarray
-    weights: tuple[float, ...]
+    weights: np.ndarray
     ref_version: int
     contexts: np.ndarray
     tilts: np.ndarray
@@ -169,9 +169,9 @@ def _log_probs(logits: np.ndarray, rows: np.ndarray | int, tilts: np.ndarray) ->
 _MAX_LOG_RATIO = math.log(np.finfo(np.float64).max)  # math.exp overflows above it
 
 
-def _ratio_error(honest: Sequence[int], log_rho: np.ndarray, size: np.ndarray) -> ValueError:
+def _ratio_error(log_rho: np.ndarray, size: np.ndarray) -> ValueError:
     m, h = np.unravel_index(np.argmax(size), size.shape)
-    return ValueError(f"agent {honest[h]}: likelihood ratio overflows at batch slot {m} "
+    return ValueError(f"agent {h}: likelihood ratio overflows at batch slot {m} "
                       f"(log rho = {float(log_rho[m, h])!r}); no table was changed")
 
 
@@ -196,16 +196,16 @@ def gradient_step(
             f"stale rollouts: batch reference version {batch.ref_version}, "
             f"state expects {state.ref_version}"
         )
-    honest = env.honest_indices
-    adv = compute_advantages(totals)[:, honest]
+    # The honest seats come first, so their columns are the first H.
+    h, n_rows, k = state.policies.shape
+    adv = compute_advantages(totals)[:, :h]
     m_total, steps = batch.contexts.shape[:2]
-    weights = np.array(batch.weights)[:, None]
+    weights = batch.weights[:, None]
     # The current and reference logits as (H * rows, K) arrays; visits index
     # their rows.
-    h, n_rows, k = state.policies.shape
     cur, ref = state.policies.reshape(-1, k), state.reference.reshape(-1, k)
-    visits = batch.contexts[:, :, honest] + n_rows * np.arange(h)
-    answers = batch.trajectories[:, :, honest, None]
+    visits = batch.contexts[:, :, :h] + n_rows * np.arange(h)
+    answers = batch.trajectories[:, :, :h, None]
     lc = _log_probs(cur, visits, batch.tilts)
     # When the reference equals the current tables (each step at the default
     # ref_refresh_period = 1), its log-probs are the current ones and each KL
@@ -216,7 +216,7 @@ def gradient_step(
     lp = picked.cumsum(axis=2)[:, :, -1]  # rounds added left to right; np.sum pairs 8+ terms
     log_rho = lp[0] - lp[1]
     if (log_rho > _MAX_LOG_RATIO).any():
-        raise _ratio_error(honest, log_rho, log_rho)
+        raise _ratio_error(log_rho, log_rho)
     rho = np.reshape(list(map(math.exp, log_rho.ravel().tolist())), log_rho.shape)
     active = (adv != 0.0) & ~surrogate_is_clipped(rho, adv, clip.epsilon)
     # One gradient entry per (part, round, agent, column) of each trajectory:
@@ -230,7 +230,7 @@ def gradient_step(
     coef = np.where(active, surrogate, 0.0)[:, None, :, None]
     parts = [np.concatenate([-(coef * p), np.broadcast_to(coef, answers.shape)], -1)]
     if not shared:
-        eta = np.array([state.coeffs.eta_anchor[i] for i in honest])
+        eta = state.coeffs.eta_anchor[:h]
         diff = lc - lr
         kl = (p[..., None, :] @ diff[..., :, None])[..., 0]  # as np.dot; einsum is not
         scale = (weights * eta / steps)[:, None, :, None]
@@ -241,7 +241,7 @@ def gradient_step(
     grad = np.bincount(at.ravel(), vals.ravel(), minlength=cur.size).reshape(h, n_rows, k)
     broken = ~np.isfinite(grad).all(axis=(1, 2))
     if broken.any():  # only an unclipped slot's ratio can carry a gradient this far
-        raise _ratio_error(honest, log_rho, np.where(active & broken, np.abs(surrogate), 0.0))
+        raise _ratio_error(log_rho, np.where(active & broken, np.abs(surrogate), 0.0))
     state.policies = np.clip(state.policies + clip.learn_rate * (grad / m_total),
                              -LOGIT_CLAMP, LOGIT_CLAMP)
     return state
@@ -262,7 +262,7 @@ def collect_batch(
     return RolloutBatch(
         questions=tuple(questions),
         trajectories=answers,
-        weights=tuple(float(w) for w in weights),
+        weights=np.asarray(weights, dtype=np.float64),
         ref_version=ref_version,
         contexts=contexts,
         tilts=tilts,
@@ -289,7 +289,7 @@ def train(
         raise ValueError("train() needs at least one question")
     if len(train_tilts) != len(train_questions):
         raise ValueError(f"{len(train_tilts)} tilt rows for {len(train_questions)} questions")
-    if not env.honest_indices:
+    if not env.honest:
         raise ValueError("train() needs at least one honest agent; every seat is compromised")
     if coeffs.num_agents != env.config.num_agents:
         raise ValueError(
@@ -341,7 +341,8 @@ def train(
                 mean_u_intra=float(np.mean(profiles.u_intra)),
                 mean_u_inter=float(np.mean(profiles.u_inter)),
                 mean_u_sys=float(np.mean(profiles.u_sys)),
-                mean_total_reward=float(rewards.total[:, env.honest_indices].mean()),
+                # the honest columns copied column-major: the order this mean was pinned in
+                mean_total_reward=float(rewards.total[:, :env.honest].copy(order="F").mean()),
             )
         )
         if buffer is not None:

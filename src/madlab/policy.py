@@ -318,15 +318,15 @@ class AgentStep:
 class DebateEnv:
     """Deterministic simulator tying questions, agents, and policies together.
 
-    honest_indices lists the honest seats 0..H-1; skills holds their skills,
-    config.skills repeated to length H.
+    honest is H, the count of honest seats: they come first, as seats
+    0..H-1, so every per-seat array's honest part is its first H entries.
+    skills holds their skills, config.skills repeated to length H.
     """
 
     def __init__(self, config: EnvConfig) -> None:
         self.config = config
         self.answer_space = answer_labels(config.answer_space_size)
-        h = config.num_agents - config.compromised_count
-        self.honest_indices = list(range(h))
+        self.honest = h = config.num_agents - config.compromised_count
         self.skills = np.array([config.skills[i % len(config.skills)] for i in range(h)])
         k, target = len(self.answer_space), config.adversarial_target_policy
         # adversary[c]: every compromised seat's answer code when the truth is c
@@ -351,7 +351,7 @@ class DebateEnv:
                     row = block[1 + (own * k + mode) * 3 + agreement]
                     row[own] += OWN_PRIOR
                     row[mode] += PEER_PRIOR[agreement]
-        return np.tile(block, (len(self.honest_indices), self.config.difficulty_bins, 1))
+        return np.tile(block, (self.honest, self.config.difficulty_bins, 1))
 
     def generate_questions(self, count: int, label: str) -> list[SyntheticQuestion]:
         """Seeded question batch; ids are stable under count changes.
@@ -400,7 +400,7 @@ class DebateEnv:
         """
         cfg = self.config
         n, k, steps = cfg.num_agents, len(self.answer_space), cfg.rounds + 1
-        h, normals = len(self.honest_indices), steps * n * k
+        h, normals = self.honest, steps * n * k
         paired = normals + normals % 2  # Box-Muller takes words in pairs
         words = paired + 2
         chunk = _keys_per_pass(words)
@@ -464,7 +464,7 @@ class DebateEnv:
         answer codes of every seat's visits.
         """
         n = self.config.num_agents
-        b, h, k = len(questions), len(self.honest_indices), len(self.answer_space)
+        b, h, k = len(questions), self.honest, len(self.answer_space)
         shape = (h, self.config.difficulty_bins * contexts_per_bin(k), k)
         if policies.shape != shape:
             raise ValueError(f"need (H, rows, K) = {shape} policy logits, got {policies.shape}")
@@ -512,7 +512,7 @@ class DebateEnv:
         """The (context row, tilt, answer code) visits of one honest agent along
         a debate's (T+1, N) answer codes, in round order; its tilts are row
         agent_index of the question's (T+1, H, K) tilts."""
-        if agent_index not in self.honest_indices:
+        if not 0 <= agent_index < self.honest:
             raise ValueError(f"agent {agent_index} is compromised and has no policy")
         k = len(self.answer_space)
         base = difficulty_bin(question.difficulty, self.config.difficulty_bins) * contexts_per_bin(k)

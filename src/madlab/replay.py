@@ -95,8 +95,6 @@ class ReplayBuffer:
     def _probabilities(self) -> np.ndarray:
         n = len(self)
         eta = self.config.priority_exponent
-        if eta == 0.0:
-            return np.full(n, 1.0 / n)
         with np.errstate(over="ignore", invalid="ignore"):  # an infinite sum is raised below
             weights = self.score**eta
             total = weights.sum()

@@ -5,10 +5,10 @@ source: the stance-stability reward is the exact complement of the flip rate,
 and the agreement and system rewards are exact complements of their
 uncertainty levels. A binary task reward, whether the debate's winner from
 profiles_from_codes is correct, completes the components. Per-agent
-coefficients weigh the components into each agent's total reward, one array
-expression over the batch and the agents; the anchor strength eta rides along
-in the same coefficient set because calibration scales it with the same
-machinery.
+coefficients, one (N,) array per component, weigh the components into each
+agent's total reward, one array expression over the batch and the agents; the
+anchor strength eta rides along in the same coefficient set because
+calibration scales it with the same machinery.
 """
 
 from __future__ import annotations
@@ -22,15 +22,16 @@ from madlab.metrics import ProfileBatch
 ABLATABLE = ("alpha", "beta", "gamma")  # components CoefficientSet.zeroed can switch off
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """Per-agent reward weights (alpha, beta, gamma, lambda) and KL strength eta."""
+    """Per-agent reward weights (alpha, beta, gamma, lambda) and KL strength eta,
+    one (N,) float64 array each, entry i seat i's."""
 
-    alpha: tuple[float, ...]
-    beta: tuple[float, ...]
-    gamma: tuple[float, ...]
-    lambda_task: tuple[float, ...]
-    eta_anchor: tuple[float, ...]
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    lambda_task: np.ndarray
+    eta_anchor: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.alpha)
@@ -42,30 +43,12 @@ class CoefficientSet:
     def num_agents(self) -> int:
         return len(self.alpha)
 
-    @classmethod
-    def uniform(
-        cls,
-        num_agents: int,
-        alpha: float = 1.0,
-        beta: float = 1.0,
-        gamma: float = 1.0,
-        lambda_task: float = 1.0,
-        eta_anchor: float = 0.01,
-    ) -> "CoefficientSet":
-        return cls(
-            alpha=(alpha,) * num_agents,
-            beta=(beta,) * num_agents,
-            gamma=(gamma,) * num_agents,
-            lambda_task=(lambda_task,) * num_agents,
-            eta_anchor=(eta_anchor,) * num_agents,
-        )
-
     def zeroed(self, *components: str) -> "CoefficientSet":
         """Copy with the named components' weights set to 0 (ablation switch)."""
         for component in components:
             if component not in ABLATABLE:
                 raise ValueError(f"unknown component {component!r}, expected {'/'.join(ABLATABLE)}")
-        return replace(self, **{c: (0.0,) * self.num_agents for c in components})
+        return replace(self, **{c: np.zeros(self.num_agents) for c in components})
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +76,6 @@ def total_reward(profiles: ProfileBatch, correct: np.ndarray,
     r_e = 1.0 - profiles.u_inter
     r_s = 1.0 - profiles.u_sys
     r_t = np.asarray(correct, dtype=np.float64)
-    alpha, beta, gamma, lam = np.array([coeffs.alpha, coeffs.beta, coeffs.gamma,
-                                        coeffs.lambda_task], dtype=np.float64)
-    totals = (alpha * r_i[:, None] + beta * r_e[:, None] + gamma * r_s[:, None]
-              + lam * r_t[:, None])
+    totals = (coeffs.alpha * r_i[:, None] + coeffs.beta * r_e[:, None]
+              + coeffs.gamma * r_s[:, None] + coeffs.lambda_task * r_t[:, None])
     return RewardBatch(r_intra=r_i, r_inter=r_e, r_sys=r_s, r_task=r_t, total=totals)

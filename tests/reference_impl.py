@@ -18,15 +18,19 @@ vectorized Philox pass. Acts and tilts have no Generator draws to match: each
 debate and each question reads raw words of its one Philox key at fixed
 positions, and test_policy's per_draw_rollout and per_stream_tilts index
 numpy's own Philox.random_raw at those positions one word at a time.
+uniform_coefficients is the coefficient set the tests share: every seat at
+CalibrationConfig's bases, the values an all-zero warm-up reading gives.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Sequence
 
 import numpy as np
 
+from madlab.calibration import CalibrationConfig, calibrate_coefficients
 from madlab.optim import ClipConfig, RolloutBatch, _log_probs
 from madlab.policy import (
     TRUTH_SKEW,
@@ -37,6 +41,13 @@ from madlab.policy import (
     rng_stream,
 )
 from madlab.rewards import CoefficientSet
+
+
+def uniform_coefficients(num_agents: int, **values: float) -> CoefficientSet:
+    """Every seat's coefficients at CalibrationConfig's bases, or at the values
+    given by field name (alpha, beta, gamma, lambda_task, eta_anchor)."""
+    bases = calibrate_coefficients(np.zeros((3, num_agents)), CalibrationConfig())
+    return dataclasses.replace(bases, **{f: np.full(num_agents, v) for f, v in values.items()})
 
 
 def build_context(
@@ -158,7 +169,7 @@ def objective_value(
     advantages; policies and reference are (H, rows, K) logit arrays."""
     out: dict[int, float] = {}
     m_total = len(batch.trajectories)
-    for i in env.honest_indices:
+    for i in range(env.honest):
         cur, ref = policies[i], reference[i]
         surr = 0.0
         kl = 0.0

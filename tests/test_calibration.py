@@ -7,7 +7,6 @@ import pytest
 
 import brute_oracle as oracle
 from madlab.calibration import (
-    AgentUncertaintyProfile,
     CalibrationConfig,
     calibrate_coefficients,
     split_warmup,
@@ -47,22 +46,21 @@ def pivot_fixture():
 
 
 def test_steady_agents_have_zero_intra(pivot_fixture):
-    profile = profile_of(pivot_fixture)
-    assert profile.u_intra_bar == (0.0, 0.0, 0.0)
+    intra, _, _ = profile_of(pivot_fixture)
+    assert intra.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_single_pivotal_trajectory_gives_quarter_loo(pivot_fixture):
-    profile = profile_of(pivot_fixture)
-    assert profile.loo_bar == (0.25, 0.0, 0.25)
+    _, _, loo = profile_of(pivot_fixture)
+    assert loo.tolist() == [0.25, 0.0, 0.25]
 
 
 def test_profile_matches_hand_counts(pivot_fixture):
-    profile = profile_of(pivot_fixture)
+    readings = profile_of(pivot_fixture)
+    assert readings.shape == (3, 3) and readings.dtype == np.float64
     # q2: agent 1 disagrees with both peers, agents 0/2 with one of two.
     # q3: agent 2 disagrees with both peers, agents 0/1 with one of two.
-    assert profile.u_inter_bar == (0.25, 0.375, 0.375)
-    expected_sys = ((0.0 + 0.25 + 0.25) / 3, 0.375 / 3, (0.375 + 0.25) / 3)
-    assert profile.u_sys_bar == pytest.approx(expected_sys, abs=1e-15)
+    assert readings[1].tolist() == [0.25, 0.375, 0.375]
 
 
 def test_identical_agents_get_identical_profiles():
@@ -71,14 +69,13 @@ def test_identical_agents_get_identical_profiles():
         steady("q2", ("B", "A", "A")),
         DebateTrajectory("q3", SPACE, (("A", "B", "B"), ("B", "A", "A"))),
     ]
-    profile = profile_of(trajs)
-    for field in ("u_intra_bar", "u_inter_bar", "loo_bar", "u_sys_bar"):
-        values = getattr(profile, field)
-        assert values[1] == values[2]
+    readings = profile_of(trajs)
+    assert readings[:, 1].tolist() == readings[:, 2].tolist()
 
 
 def test_profile_matches_brute_force_on_random_grids():
     rng = np.random.default_rng(2024)
+    config = CalibrationConfig(kappa=1.0)
     for _ in range(100):
         n = int(rng.integers(2, 8))
         t = int(rng.integers(1, 9))
@@ -87,15 +84,17 @@ def test_profile_matches_brute_force_on_random_grids():
             DebateTrajectory(f"q{j}", space, oracle.random_rounds(rng, n, t, space))
             for j in range(int(rng.integers(1, 8)))
         ]
-        profile = profile_of(trajs)
-        ref = oracle.brute_agent_profile(
+        readings = profile_of(trajs)
+        intra, inter, loo, usys = oracle.brute_agent_profile(
             [(traj.rounds, traj.answer_space) for traj in trajs], n, 0.5
         )
-        for got, want in zip(
-            (profile.u_intra_bar, profile.u_inter_bar, profile.loo_bar, profile.u_sys_bar),
-            ref,
-        ):
-            assert got == tuple(want)
+        assert readings.shape == (3, n) and readings.dtype == np.float64
+        assert ((0.0 <= readings) & (readings <= 1.0)).all()
+        assert readings.tolist() == [intra, inter, loo]
+        # calibration's system reading is the oracle's mean of the three
+        coeffs = calibrate_coefficients(readings, config)
+        assert coeffs.lambda_task.tolist() == [1.0 / (1.0 + u) for u in usys]
+        assert coeffs.eta_anchor.tolist() == [0.01 * (1.0 + u) for u in usys]
 
 
 def test_empty_warmup_set_rejected():
@@ -110,53 +109,64 @@ def test_malformed_answer_codes_rejected():
         warmup_profile(np.full((4, 2, 3), 2), 2, MetricConfig())
 
 
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        AgentUncertaintyProfile((), (), (), ())
-    with pytest.raises(ValueError):
-        AgentUncertaintyProfile((0.5,), (0.5, 0.5), (0.5,), (0.5,))
-    with pytest.raises(ValueError):
-        AgentUncertaintyProfile((1.5,), (0.5,), (0.5,), (0.5,))
+def readings_of(intra=0.0, inter=0.0, loo=0.0):
+    """One agent's (3, 1) warm-up readings."""
+    return np.array([[intra], [inter], [loo]])
 
 
-def make_profile(intra=0.0, inter=0.0, loo=0.0, sys_=0.0):
-    return AgentUncertaintyProfile((intra,), (inter,), (loo,), (sys_,))
+BASES = (("alpha", "alpha_base"), ("beta", "beta_base"), ("gamma", "gamma_base"),
+         ("lambda_task", "lambda_base"), ("eta_anchor", "eta_base"))
 
 
 def test_zero_kappa_returns_bases():
     config = CalibrationConfig(kappa=0.0, eta_base=0.01)
-    coeffs = calibrate_coefficients(make_profile(0.7, 0.3, 0.9, 0.6), config)
-    assert coeffs.alpha == (1.0,)
-    assert coeffs.beta == (1.0,)
-    assert coeffs.gamma == (1.0,)
-    assert coeffs.lambda_task == (1.0,)
-    assert coeffs.eta_anchor == (0.01,)
+    coeffs = calibrate_coefficients(readings_of(0.7, 0.3, 0.9), config)
+    for field, base in BASES:
+        assert getattr(coeffs, field).tolist() == [getattr(config, base)]
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 1.5, 4.0, 1e6])
+def test_zero_readings_return_every_base_bit_for_bit(kappa):
+    # run_baseline's coefficients: each base times or over exactly 1.0
+    rng = np.random.default_rng(int(2 * kappa))  # bases with many mantissa bits
+    config = CalibrationConfig(kappa=kappa, **{base: float(rng.uniform(0.001, 3.0))
+                                               for _, base in BASES})
+    coeffs = calibrate_coefficients(np.zeros((3, 4)), config)
+    for field, base in BASES:
+        values = getattr(coeffs, field)
+        assert values.dtype == np.float64
+        assert values.tolist() == [getattr(config, base)] * 4
 
 
 def test_intra_scaling_worked_example():
-    coeffs = calibrate_coefficients(make_profile(intra=0.2), CalibrationConfig())
-    assert coeffs.alpha == (1.3,)
+    coeffs = calibrate_coefficients(readings_of(intra=0.2), CalibrationConfig())
+    assert coeffs.alpha.tolist() == [1.3]
 
 
 def test_task_weight_worked_example():
-    coeffs = calibrate_coefficients(make_profile(sys_=0.4), CalibrationConfig())
-    assert coeffs.lambda_task == (0.625,)
+    # system reading (0.25 + 0.5 + 0.75) / 3 = 0.5; kappa 1.5
+    coeffs = calibrate_coefficients(readings_of(0.25, 0.5, 0.75), CalibrationConfig())
+    assert coeffs.lambda_task.tolist() == [1.0 / 1.75]
+    assert coeffs.eta_anchor.tolist() == [0.0175]
 
 
 def test_coefficient_monotonicity():
     grid = np.linspace(0.0, 1.0, 11)
     config = CalibrationConfig()
-    alphas = [calibrate_coefficients(make_profile(intra=u), config).alpha[0] for u in grid]
-    betas = [calibrate_coefficients(make_profile(inter=u), config).beta[0] for u in grid]
-    gammas = [calibrate_coefficients(make_profile(loo=u), config).gamma[0] for u in grid]
-    lambdas = [
-        calibrate_coefficients(make_profile(sys_=u), config).lambda_task[0] for u in grid
-    ]
-    etas = [
-        calibrate_coefficients(make_profile(sys_=u), config).eta_anchor[0] for u in grid
-    ]
-    for series in (alphas, betas, gammas, etas):
-        assert all(a < b for a, b in zip(series, series[1:]))
+
+    def series(field, *rows):
+        """field's coefficient as the readings in rows (0 intra, 1 inter, 2 loo) run over grid."""
+        out = []
+        for u in grid:
+            readings = np.zeros((3, 1))
+            readings[list(rows)] = u
+            out.append(float(getattr(calibrate_coefficients(readings, config), field)[0]))
+        return out
+
+    lambdas = series("lambda_task", 0, 1, 2)
+    for rising in (series("alpha", 0), series("beta", 1), series("gamma", 2),
+                   series("eta_anchor", 0, 1, 2)):
+        assert all(a < b for a, b in zip(rising, rising[1:]))
     assert all(a > b for a, b in zip(lambdas, lambdas[1:]))
 
 

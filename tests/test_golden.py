@@ -8,7 +8,10 @@ they were pinned with: the tilt normals (Box-Muller's log1p, sqrt, cos and
 sin), like the softmax's np.exp, run numpy ufuncs, whose last bits may differ
 between builds. The wide variant (5 agents, 5 rounds, one compromised seat)
 covers the distractor flare, the adversary and the 5-voter leave-one-out
-paths that the 3-agent tiny config never reaches. The clip/KL variant
+paths that the 3-agent tiny config never reaches; trained with a third-step
+reference refresh, it pins training on the honest seats only (H = 4 of N =
+5): the honest advantage columns, the anchor strengths and the
+mean_total_reward column, whose exact floats are pinned too. The clip/KL variant
 refreshes the reference every third iteration, so the likelihood ratio moves
 off 1 and the clip test and the KL gradient act on the digests. The K = 12
 baseline (9 rounds, 3 bins, two max_wrong seats, difficulty over all of [0,
@@ -29,7 +32,7 @@ import numpy as np
 
 from madlab import optim
 from madlab.config import ExperimentConfig, config_hash
-from madlab.harness import run_analysis, run_baseline, run_udpo, with_seed
+from madlab.harness import run_analysis, run_baseline, run_udpo, train_pipeline, with_seed
 from madlab.optim import ClipConfig
 from madlab.policy import AVERSION_RAMP, DebateEnv
 from reference_impl import likelihood_ratio
@@ -81,6 +84,26 @@ CLIP_KL_UDPO = {
     "training_metrics.csv": "16926cc205e57f45bec9338da7c16b9107c4827089f428a4d0a199449ce73e85",
     "trajectories.jsonl": "8b580f8f415a7fa494f02f9581a33e382d54328fea9c5e0af07691d9b511a1b6",
 }
+
+WIDE_UDPO = {
+    "coefficients.csv": "8dbe742af2c6176605336fa1637969a0888cccae900a5c2727c53bafc476823c",
+    "policy_agent_0.txt": "883e96fa7cd9167d3d06995cef397bb2a60e59f264ba2635073020649d1d91e3",
+    "policy_agent_1.txt": "bb3e62bce2062c1ce8fd757d7df02e6f0f15e9ae41535c7608aada499cf7101e",
+    "policy_agent_2.txt": "0ef3098a300d3ce762a4b85e11b7069d74f472cfe84ca7fc38a93c50a3122167",
+    "policy_agent_3.txt": "cf4c56a04d1094a5a8dda2654418a90e5dbac1eef5bb611dd1b8568cf3970983",
+    "profiles.csv": "0f3f3d05a53474a70473280b99506a35ae7bcbc372dd7a9d5e337839af3324da",
+    "replay_buffer.jsonl": "eeea4a30f2b88dc7204a0a8989583d4c7ca3250c31f26fb535430d567da342f7",
+    "rewards.csv": "b51ab3843b2d0caef1fd586a34c2827ad3151bc317a65d5e8c91d9c174f7d687",
+    "summary.csv": "34e5d4ae747ff42e40cd09c16a99c37a4995f83d2205395877ad5b54c9437fd4",
+    "training_metrics.csv": "576c7f7dfdedab46ee9c74f22ec87fa3673b16b2ac99887b990d3bbafd4d395c",
+    "trajectories.jsonl": "71cf85f9d2f092e469158bb66d8b98138d0f4b224c48c7ce6ac83df7df252c6b",
+}
+
+# training_metrics.csv rounds to 6 decimals; these are the unrounded values.
+WIDE_UDPO_MEAN_TOTAL_REWARD = (
+    3.1076169413053725, 2.756570356830119, 2.434124361353843, 2.6169359611422474,
+    2.0155936735252267, 2.868120534294794,
+)
 
 K12_BASELINE = {
     "profiles.csv": "7f64370b0a2e455495ee9025e94cf162ed036fb8d99340eb35d38c8f5a3af0bc",
@@ -142,6 +165,12 @@ MIXED_SHAPES = (
 
 def wide_config():
     return tiny_config(num_agents=5, rounds=5, compromised_count=1)
+
+
+def wide_udpo_config():
+    return dataclasses.replace(
+        wide_config(), clip=ClipConfig(iterations=6, batch_size=8, ref_refresh_period=3)
+    )
 
 
 def clip_kl_config():
@@ -221,7 +250,7 @@ def test_clip_kl_udpo_artifacts_are_pinned(tmp_path, monkeypatch):
     real_step = optim.gradient_step
 
     def recording_step(env, state, batch, clip, totals):
-        for i in env.honest_indices:
+        for i in range(env.honest):
             cur, ref = state.policies[i], state.reference[i]
             for q, traj in zip(batch.questions, batch.trajectories):
                 rho = likelihood_ratio(env, cur, ref, i, q, traj)
@@ -241,6 +270,14 @@ def test_wide_baseline_and_analysis_artifacts_are_pinned(tmp_path):
     analysis = tmp_path / "analysis"
     run_analysis([str(base / "trajectories.jsonl")], tiny_config(), str(analysis))
     assert digests(analysis) == WIDE_ANALYSIS
+
+
+def test_wide_udpo_artifacts_are_pinned(tmp_path):
+    config = wide_udpo_config()
+    run_udpo(config, str(tmp_path))
+    assert digests(tmp_path) == WIDE_UDPO
+    _, state, _, _ = train_pipeline(config)
+    assert tuple(s.mean_total_reward for s in state.history) == WIDE_UDPO_MEAN_TOTAL_REWARD
 
 
 def test_mixed_analysis_artifacts_are_pinned(tmp_path):

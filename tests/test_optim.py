@@ -43,7 +43,7 @@ from madlab.policy import (
     save_policy,
 )
 from madlab.replay import ReplayBuffer, ReplayConfig
-from madlab.rewards import CoefficientSet, total_reward
+from madlab.rewards import total_reward
 from reference_impl import (
     build_context,
     clipped_surrogate,
@@ -51,6 +51,7 @@ from reference_impl import (
     likelihood_ratio,
     objective_value,
     trajectory_log_prob,
+    uniform_coefficients,
 )
 from test_policy import perturbed, record_philox_passes
 
@@ -172,14 +173,14 @@ def test_objective_and_kl_vanish_at_reference():
     env = small_env(num_agents=3, rounds=2, seed=4)
     policies, batch = fresh_batch(env, 8)
     reference = policies.copy()
-    coeffs = CoefficientSet.uniform(3)
+    coeffs = uniform_coefficients(3)
     totals = batch_totals(batch, coeffs)
     adv = compute_advantages(totals)
     values = objective_value(env, policies, reference, batch, adv, coeffs, ClipConfig())
     for i, value in values.items():
         assert abs(value) <= 1e-10, f"agent {i} objective {value} at reference"
     for q, traj in zip(batch.questions, batch.trajectories):
-        for i in env.honest_indices:
+        for i in range(env.honest):
             kl = kl_anchor(env, policies[i], reference[i], i, q, traj)
             assert abs(kl) <= 1e-10
 
@@ -204,17 +205,17 @@ def test_gradient_matches_central_differences(case):
     env = small_env(num_agents=2, rounds=1, seed=23)
     base_policies, _ = fresh_batch(env, 1)
     if case == "surrogate_only":
-        coeffs = CoefficientSet.uniform(2, eta_anchor=0.0)
+        coeffs = uniform_coefficients(2, eta_anchor=0.0)
         epsilon = 1e6  # clip disabled so the objective is smooth everywhere
         scale = 0.3
     elif case == "anchor_only":
-        coeffs = CoefficientSet.uniform(
+        coeffs = uniform_coefficients(
             2, alpha=0.0, beta=0.0, gamma=0.0, lambda_task=0.0, eta_anchor=0.05
         )
         epsilon = 0.2
         scale = 0.3
     else:
-        coeffs = CoefficientSet.uniform(2)
+        coeffs = uniform_coefficients(2)
         epsilon = 0.5
         scale = 0.05  # keep every ratio inside the clip band
     current = perturbed(base_policies, seed=71, scale=scale)
@@ -223,7 +224,7 @@ def test_gradient_matches_central_differences(case):
     batch = fresh_collect(env, questions, reference, 0, 31)
     totals = batch_totals(batch, coeffs)
     adv = compute_advantages(totals)
-    for i in env.honest_indices:
+    for i in range(env.honest):
         for q, traj in zip(batch.questions, batch.trajectories):
             rho = likelihood_ratio(env, current[i], reference[i], i, q, traj)
             a = float(adv[list(batch.questions).index(q), i])
@@ -232,7 +233,7 @@ def test_gradient_matches_central_differences(case):
     grads = analytic_gradients(env, current, reference, batch, coeffs, epsilon)
     h = 1e-5
     checked = 0
-    for i in env.honest_indices:
+    for i in range(env.honest):
         visited = set()
         for q, traj in zip(batch.questions, batch.trajectories):
             visited.update(s.ctx for s in env.agent_steps(q, traj, i))
@@ -279,12 +280,12 @@ def test_fully_clipped_batch_has_exactly_zero_gradient():
     batch = RolloutBatch(
         questions=(question, question),
         trajectories=answers,
-        weights=(1.0, 1.0),
+        weights=np.ones(2),
         ref_version=0,
         contexts=recorded_contexts(env, (question, question), answers),
         tilts=env.batch_tilts([question, question]),
     )
-    coeffs = CoefficientSet.uniform(
+    coeffs = uniform_coefficients(
         2, alpha=0.0, beta=0.0, gamma=0.0, lambda_task=1.0, eta_anchor=0.0
     )
     reference = env.initial_policies()
@@ -292,7 +293,7 @@ def test_fully_clipped_batch_has_exactly_zero_gradient():
     push[0], push[1] = 6.0, -6.0  # drive probability mass hard toward "A"
     current = reference + push
     epsilon = 0.2
-    for i in env.honest_indices:
+    for i in range(env.honest):
         rho_hi = likelihood_ratio(env, current[i], reference[i], i, question, correct)
         rho_lo = likelihood_ratio(env, current[i], reference[i], i, question, wrong)
         assert surrogate_is_clipped(rho_hi, +0.5, epsilon), f"rho={rho_hi} not above band"
@@ -313,7 +314,7 @@ def test_gradient_step_clamps_every_logit():
     env = small_env(num_agents=2, rounds=1, seed=2)
     policies, batch = fresh_batch(env, 3)
     state = TrainState(policies=policies, reference=policies, ref_version=0,
-                       coeffs=CoefficientSet.uniform(2))
+                       coeffs=uniform_coefficients(2))
     totals = np.array([[1e12, 1e12], [0.0, 0.0], [-1e12, -1e12]])
     gradient_step(env, state, batch, ClipConfig(learn_rate=1.0), totals)
     assert np.abs(state.policies).max() == LOGIT_CLAMP
@@ -326,7 +327,7 @@ def test_gradient_step_binds_a_new_array_and_leaves_its_input_unchanged():
     policies, batch = fresh_batch(env, 8)
     snapshot = policies.tobytes()
     state = TrainState(policies=policies, reference=policies, ref_version=0,
-                       coeffs=CoefficientSet.uniform(3))
+                       coeffs=uniform_coefficients(3))
     gradient_step(env, state, batch, ClipConfig(), batch_totals(batch, state.coeffs))
     assert state.policies is not policies and state.reference is policies
     assert policies.tobytes() == snapshot
@@ -345,7 +346,7 @@ def per_visit_gradient_step(env, state, batch, clip, totals):
     adv = compute_advantages(totals)
     m_total = len(batch.trajectories)
     stepped = np.empty_like(state.policies)
-    for i in env.honest_indices:
+    for i in range(env.honest):
         cur, ref = state.policies[i], state.reference[i]
         eta = state.coeffs.eta_anchor[i]
         grad = np.zeros_like(cur)
@@ -382,7 +383,8 @@ def test_gradient_step_matches_the_per_visit_loop_bit_for_bit(k, monkeypatch):
                               compromised_count=1, seed=12))
     questions = env.generate_questions(20, "t")
     # per-agent anchors, one of them off, so each agent's KL entries differ
-    coeffs = dataclasses.replace(CoefficientSet.uniform(5), eta_anchor=(0.05, 0.0, 0.3, 0.01, 0.05))
+    coeffs = dataclasses.replace(uniform_coefficients(5),
+                                 eta_anchor=np.array([0.05, 0.0, 0.3, 0.01, 0.05]))
     clip = ClipConfig(learn_rate=3.0, ref_refresh_period=3)
     log_prob_passes = []
     real_log_probs = optim._log_probs
@@ -405,7 +407,7 @@ def test_gradient_step_matches_the_per_visit_loop_bit_for_bit(k, monkeypatch):
                               weights / weights.mean())
         totals = batch_totals(batch, coeffs)
         adv = compute_advantages(totals)
-        for i in env.honest_indices:
+        for i in range(env.honest):
             for m, (q, traj) in enumerate(zip(batch.questions, batch.trajectories)):
                 rho = likelihood_ratio(env, fast.policies[i], fast.reference[i], i, q, traj)
                 if surrogate_is_clipped(rho, float(adv[m, i]), clip.epsilon):
@@ -452,7 +454,7 @@ def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
     buffer.push(np.arange(6), batch.trajectories, np.ones(6), iteration=1, policy_version=0)
     buffer.refresh(env, policies, rollout_seed=9, policy_version=1,
                    score=lambda qs, answers: [1.0] * len(qs))
-    coeffs = CoefficientSet.uniform(4)
+    coeffs = uniform_coefficients(4)
     state = TrainState(policies=policies, reference=env.initial_policies(), ref_version=0,
                        coeffs=coeffs)
     gradient_step(env, state, batch, ClipConfig(), batch_totals(batch, coeffs))
@@ -477,7 +479,7 @@ def test_gradient_step_rejects_stale_batch():
     env = small_env(num_agents=2, rounds=1, seed=2)
     policies, batch = fresh_batch(env, 3, ref_version=4)
     state = TrainState(policies=policies, reference=policies, ref_version=0,
-                       coeffs=CoefficientSet.uniform(2))
+                       coeffs=uniform_coefficients(2))
     with pytest.raises(ValueError, match="stale"):
         gradient_step(env, state, batch, ClipConfig(), batch_totals(batch, state.coeffs))
 
@@ -490,12 +492,12 @@ def saturated_batch(rounds, env_seed=6):
                               difficulty="fixed:0.5", seed=env_seed))
     questions = env.generate_questions(3, "t")
     answers = np.zeros((3, rounds + 1, 2), dtype=np.int64)  # every answer A
-    batch = RolloutBatch(tuple(questions), answers, (1.0,) * 3, 0,
+    batch = RolloutBatch(tuple(questions), answers, np.ones(3), 0,
                          recorded_contexts(env, questions, answers), env.batch_tilts(questions))
     policies = env.initial_policies()
     policies[:] = [LOGIT_CLAMP, -LOGIT_CLAMP]
     state = TrainState(policies=policies, reference=-policies, ref_version=0,
-                       coeffs=CoefficientSet.uniform(2))
+                       coeffs=uniform_coefficients(2))
     return env, state, batch
 
 
@@ -540,7 +542,7 @@ def policies_text(env, policies):
 def test_train_is_deterministic_for_a_seed():
     env = small_env(num_agents=3, rounds=2, seed=6)
     questions = env.generate_questions(12, "t")
-    coeffs = CoefficientSet.uniform(3)
+    coeffs = uniform_coefficients(3)
     clip = ClipConfig(batch_size=6, iterations=4)
     replay = ReplayConfig(capacity=32, fraction=0.25, refresh_period=2)
 
@@ -595,7 +597,7 @@ def test_full_replay_fraction_draws_every_later_batch_from_the_buffer(monkeypatc
     def run():
         for log in (picks, samples, batches):
             log.clear()
-        state, buffer = train(env, questions, tilts, CoefficientSet.uniform(3), clip, MC, 11,
+        state, buffer = train(env, questions, tilts, uniform_coefficients(3), clip, MC, 11,
                               replay)
         dump = io.StringIO()
         buffer.dump(dump)
@@ -605,11 +607,11 @@ def test_full_replay_fraction_draws_every_later_batch_from_the_buffer(monkeypatc
     assert run() == first
     assert [len(p) for p in picks] == [6, 0, 0, 0]
     assert batches[0].questions == tuple(questions[j] for j in picks[0])
-    assert batches[0].weights == (1.0,) * 6
+    assert batches[0].weights.dtype == np.float64 and batches[0].weights.tolist() == [1.0] * 6
     assert len(samples) == 3
     for batch, (rows, weights) in zip(batches[1:], samples):
         assert batch.questions == tuple(questions[j] for j in rows)
-        assert batch.weights == tuple(weights.tolist())
+        assert np.array_equal(batch.weights, weights)
 
 
 def test_train_rejects_coefficients_for_another_seat_count():
@@ -618,13 +620,13 @@ def test_train_rejects_coefficients_for_another_seat_count():
     tilts = env.batch_tilts(questions)
     for seats in (1, 3):
         with pytest.raises(ValueError, match=f"covers {seats} agents.*2 seats"):
-            train(env, questions, tilts, CoefficientSet.uniform(seats), ClipConfig(iterations=1),
+            train(env, questions, tilts, uniform_coefficients(seats), ClipConfig(iterations=1),
                   MC, seed=5, replay_config=ReplayConfig())
     # tilts of a longer question list fit every batch's shape, yet each
     # question would read another question's row: refused, naming both lengths
     longer = env.batch_tilts(env.generate_questions(5, "t"))
     with pytest.raises(ValueError, match="5 tilt rows for 4 questions"):
-        train(env, questions, longer, CoefficientSet.uniform(2), ClipConfig(iterations=1), MC,
+        train(env, questions, longer, uniform_coefficients(2), ClipConfig(iterations=1), MC,
               seed=5, replay_config=ReplayConfig())
 
 
@@ -635,7 +637,7 @@ def test_train_zero_iterations_keeps_initial_policies():
         env,
         questions,
         env.batch_tilts(questions),
-        CoefficientSet.uniform(2),
+        uniform_coefficients(2),
         ClipConfig(iterations=0),
         MC,
         seed=5,
@@ -673,16 +675,16 @@ def test_rollout_batch_validation():
     one, two = np.zeros((1, 1, 2), dtype=np.int64), np.zeros((2, 1, 2), dtype=np.int64)
     tilts = np.zeros((1, 1, 2, 2))
     with pytest.raises(ValueError):
-        RolloutBatch(questions=(q,), trajectories=two, weights=(1.0,), ref_version=0,
+        RolloutBatch(questions=(q,), trajectories=two, weights=np.ones(1), ref_version=0,
                      contexts=two, tilts=tilts)
     with pytest.raises(ValueError):
-        RolloutBatch(questions=(), trajectories=one[:0], weights=(), ref_version=0,
+        RolloutBatch(questions=(), trajectories=one[:0], weights=np.ones(0), ref_version=0,
                      contexts=one[:0], tilts=tilts[:0])
     # one question's tilts would broadcast over a two-debate batch
     with pytest.raises(ValueError, match="equal length"):
-        RolloutBatch(questions=(q, q), trajectories=two, weights=(1.0, 1.0), ref_version=0,
+        RolloutBatch(questions=(q, q), trajectories=two, weights=np.ones(2), ref_version=0,
                      contexts=two, tilts=tilts)
-    RolloutBatch(questions=(q,), trajectories=one, weights=(1.0,), ref_version=0, contexts=one,
+    RolloutBatch(questions=(q,), trajectories=one, weights=np.ones(1), ref_version=0, contexts=one,
                  tilts=tilts)
 
 
@@ -696,7 +698,7 @@ def test_rollout_batch_rejects_visit_arrays_of_the_wrong_shape(contexts_shape, a
     q = SyntheticQuestion("q0", ("A", "B"), 0, 0.0)
     with pytest.raises(ValueError, match="visit arrays"):
         RolloutBatch(questions=(q,), trajectories=np.zeros(answers_shape, dtype=np.int64),
-                     weights=(1.0,), ref_version=0,
+                     weights=np.ones(1), ref_version=0,
                      contexts=np.zeros(contexts_shape, dtype=np.int64),
                      tilts=np.zeros((1, 1, 2, 2)))
 

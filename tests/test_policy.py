@@ -31,13 +31,13 @@ from madlab.policy import (
     save_policy,
 )
 from madlab.replay import ReplayConfig
-from madlab.rewards import CoefficientSet
 from reference_impl import (
     broadcast_round_contexts,
     build_context,
     per_stream_questions,
     probs,
     trajectory_log_prob,
+    uniform_coefficients,
 )
 from test_golden import k3_below_ramp_config, k12_config
 from test_harness import tiny_config
@@ -177,7 +177,7 @@ def test_env_config_validation():
         with pytest.raises(ValueError, match=r"skills must be in \[0, 1\]"):
             EnvConfig(skills=(0.5, skill))
     # every seat compromised stays legal: attack evaluation uses it
-    assert DebateEnv(EnvConfig(num_agents=3, compromised_count=3)).honest_indices == []
+    assert DebateEnv(EnvConfig(num_agents=3, compromised_count=3)).honest == 0
 
 
 def test_generated_questions_are_valid_and_stable():
@@ -255,8 +255,8 @@ def per_stream_tilts(env, question):
     persist = policy_module.SIGNAL_PERSIST + (1.0 - policy_module.SIGNAL_PERSIST) * (1.0 - ramp)
     scale = policy_module.SIGNAL_WOBBLE + policy_module.SIGNAL_WOBBLE_SLOPE * question.difficulty
     truth = question.truth
-    tilts = np.zeros((steps, len(env.honest_indices), k))
-    for i in env.honest_indices:
+    tilts = np.zeros((steps, env.honest, k))
+    for i in range(env.honest):
         skill = cfg.skills[i % len(cfg.skills)]
         signal = np.array([policy_module.SIGNAL_NOISE * normal(0, i, label) for label in range(k)])
         signal[truth] += policy_module.SIGNAL_GAIN * skill * (1.0 - question.difficulty)
@@ -298,7 +298,7 @@ def per_draw_rollout(env, question, policies, rollout_seed):
         prev = rows[t - 1] if t else None
         row = []
         for i in range(n):
-            if i not in env.honest_indices:
+            if i >= env.honest:
                 row.append(target)
                 continue
             p = probs(policies[i], build_context(qf, prev, i, env.answer_space), tilts[t, i])
@@ -349,7 +349,7 @@ def test_rollout_batch_matches_per_draw_rollouts(name):
             for i, answer in enumerate(row):
                 assert contexts[m, t, i] == build_context(qf, prev, i, labels)
                 assert answers[m, t, i] == labels.index(answer)
-        for i in env.honest_indices:
+        for i in range(env.honest):
             steps = env.agent_steps(q, answers[m], i)
             assert [s.ctx for s in steps] == contexts[m, :, i].tolist()
             assert [s.answer for s in steps] == answers[m, :, i].tolist()
@@ -455,7 +455,7 @@ def test_tilts_are_drawn_once_per_question_and_copied_out(monkeypatch, rounds):
     assert passes == [(tilt_keys, -(-((rounds + 1) * 16 + 2) // 4))]
     assert tilts.shape == (6, rounds + 1, 3, 4)  # the compromised seat has no row
     replay = ReplayConfig(capacity=8, refresh_period=2)
-    _, buffer = train(env, questions, tilts, CoefficientSet.uniform(4),
+    _, buffer = train(env, questions, tilts, uniform_coefficients(4),
                       ClipConfig(batch_size=4, iterations=5), MetricConfig(), 9, replay)
     drawn = [d for keys, _ in passes[1:] for d in keys]
     assert not set(drawn) & set(tilt_keys)
@@ -667,9 +667,14 @@ def test_easy_questions_start_mostly_correct():
 @pytest.mark.parametrize("n, m", [(2, 0), (4, 2), (5, 1), (3, 3), (7, 6)])
 def test_honest_seats_come_first(n, m):
     env = small_env(num_agents=n, compromised_count=m, skills=(0.9, 0.4))
-    assert env.honest_indices == list(range(n - m))
+    assert env.honest == n - m
     assert env.initial_policies().shape == (n - m, contexts_per_bin(3), 3)
     assert env.skills.tolist() == [(0.9, 0.4)[i % 2] for i in range(n - m)]
+    q = env.generate_questions(1, "t")[0]
+    codes = np.zeros((env.config.rounds + 1, n), dtype=np.int64)
+    for seat in (-1, n - m):  # no seat outside 0..H-1 has a policy
+        with pytest.raises(ValueError, match=f"agent {seat} is compromised"):
+            env.agent_steps(q, codes, seat)
 
 
 ADVERSARY_RULES = {  # rule: the label the compromised seats answer on truths A, B, C, D
@@ -715,7 +720,7 @@ def test_trajectory_log_prob_matches_manual_product():
     q = env.generate_questions(1, "t")[0]
     pols = env.initial_policies()
     codes = env.rollout_debate(q, pols, 42)
-    for i in env.honest_indices:
+    for i in range(env.honest):
         manual = 0.0
         for t, step in enumerate(env.agent_steps(q, codes, i)):
             p = probs(pols[i], step.ctx, step.tilt)

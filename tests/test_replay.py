@@ -17,7 +17,8 @@ from madlab.debate import DebateTrajectory, read_trajectories
 from madlab.metrics import MetricConfig, answer_codes, profiles_from_codes
 from madlab.policy import DebateEnv, EnvConfig, SyntheticQuestion, derive_key
 from madlab.replay import ReplayBuffer, ReplayConfig, replay_score
-from madlab.rewards import CoefficientSet, total_reward
+from madlab.rewards import total_reward
+from reference_impl import uniform_coefficients
 
 MC = MetricConfig()
 CHI2_CRIT_DF4_ALPHA01 = 13.276704135987625
@@ -40,7 +41,7 @@ def batch_scores(questions, answers):
     batch's profiles and rewards."""
     assert answers.shape[0] == len(questions)
     profiles = profiles_from_codes(answers, len(questions[0].answer_space), MC)
-    coeffs = CoefficientSet.uniform(answers.shape[2])
+    coeffs = uniform_coefficients(answers.shape[2])
     # r_task does not enter the priority
     return replay_score(total_reward(profiles, np.zeros(len(answers), dtype=bool), coeffs)).tolist()
 
@@ -69,7 +70,7 @@ def test_replay_score_is_unit_weight_uncertainty_sum():
         "B",
     )
     profile = profiles_from_codes(answer_codes([traj]), 3, MC)
-    rewards = total_reward(profile, [True], CoefficientSet.uniform(3))
+    rewards = total_reward(profile, [True], uniform_coefficients(3))
     expected = profile.flip_rate + profile.u_inter + profile.u_sys
     assert replay_score(rewards) == pytest.approx(expected, abs=1e-15)
     assert np.array_equal(replay_score(rewards), (

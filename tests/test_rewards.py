@@ -3,6 +3,8 @@ array rewards and priorities against the per-trajectory formulas."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from madlab.debate import DebateTrajectory
 from madlab.metrics import MetricConfig, answer_codes, full_profile, profiles_from_codes
 from madlab.replay import replay_score
 from madlab.rewards import CoefficientSet, total_reward
+from reference_impl import uniform_coefficients
 
 SPACE = ("A", "B", "C")
 CFG = MetricConfig(lambda_mix=0.5)
@@ -44,7 +47,8 @@ def scalar_replay_score(r_intra, r_inter, r_sys):
 def rewards_of(traj, coeffs=None, correct=None):
     """One trajectory's rewards as a batch of one; r_task is read off the
     kernel's winner, as train scores it, unless correct is given."""
-    coeffs = coeffs or CoefficientSet.uniform(len(traj.rounds[0]))
+    if coeffs is None:
+        coeffs = uniform_coefficients(len(traj.rounds[0]))
     space = traj.answer_space
     profiles = profiles_from_codes(answer_codes([traj]), len(space), CFG)
     if correct is None:
@@ -63,7 +67,7 @@ def test_complement_identities_exact_on_random_trajectories():
         space = SPACE[:k]
         traj = make_traj(oracle.random_rounds(rng, n, t, space), "A", space)
         prof = full_profile(traj, CFG)
-        vec = rewards_of(traj, CoefficientSet.uniform(n), correct=True)
+        vec = rewards_of(traj, uniform_coefficients(n), correct=True)
         assert vec.r_intra == 1.0 - prof.flip_rate
         assert vec.r_inter == 1.0 - prof.u_inter
         assert vec.r_sys == 1.0 - prof.u_sys
@@ -99,8 +103,8 @@ def test_task_reward_uses_majority_tie_break():
 def test_total_reward_weights_components_per_agent():
     traj = make_traj((("A", "A"), ("B", "A"), ("B", "A")), ground_truth="A")
     coeffs = CoefficientSet(
-        alpha=(1.0, 2.0), beta=(0.5, 0.0), gamma=(0.0, 1.0),
-        lambda_task=(1.0, 3.0), eta_anchor=(0.01, 0.01),
+        alpha=np.array([1.0, 2.0]), beta=np.array([0.5, 0.0]), gamma=np.array([0.0, 1.0]),
+        lambda_task=np.array([1.0, 3.0]), eta_anchor=np.array([0.01, 0.01]),
     )
     vec = rewards_of(traj, coeffs)
     assert vec.r_intra == 1.0 - 0.25
@@ -112,31 +116,34 @@ def test_total_reward_weights_components_per_agent():
 
 
 def test_uniform_coefficients_and_zeroed():
-    coeffs = CoefficientSet.uniform(4, alpha=1.0, beta=2.0)
-    assert coeffs.alpha == (1.0,) * 4
-    assert coeffs.beta == (2.0,) * 4
+    coeffs = uniform_coefficients(4, beta=2.0)
+    assert coeffs.alpha.dtype == np.float64 and coeffs.alpha.tolist() == [1.0] * 4
+    assert coeffs.beta.tolist() == [2.0] * 4
     zeroed = coeffs.zeroed("beta")
-    assert zeroed.beta == (0.0,) * 4
-    assert zeroed.alpha == coeffs.alpha
+    assert zeroed.beta.dtype == np.float64 and zeroed.beta.tolist() == [0.0] * 4
+    assert zeroed.alpha is coeffs.alpha
     with pytest.raises(ValueError, match="alpha/beta/gamma"):
         coeffs.zeroed("lambda")
     task_only = coeffs.zeroed("alpha", "beta", "gamma")
-    assert task_only.alpha == task_only.beta == task_only.gamma == (0.0,) * 4
-    assert task_only.lambda_task == coeffs.lambda_task
-    assert task_only.eta_anchor == coeffs.eta_anchor
-    assert coeffs.zeroed() == coeffs
+    for name in ("alpha", "beta", "gamma"):
+        assert getattr(task_only, name).tolist() == [0.0] * 4
+    assert task_only.lambda_task is coeffs.lambda_task
+    assert task_only.eta_anchor is coeffs.eta_anchor
+    unchanged = coeffs.zeroed()
+    assert all(getattr(unchanged, f.name) is getattr(coeffs, f.name)
+               for f in dataclasses.fields(coeffs))
     with pytest.raises(ValueError, match="'eta_anchor'"):
         coeffs.zeroed("alpha", "eta_anchor")
 
 
 def test_coefficient_length_mismatch_rejected():
     with pytest.raises(ValueError, match="mismatch"):
-        CoefficientSet((1.0,), (1.0, 1.0), (1.0,), (1.0,), (0.01,))
+        CoefficientSet(*(np.ones(n) for n in (1, 2, 1, 1, 1)))
 
 
 def test_reward_range_with_unit_coefficients():
     rng = np.random.default_rng(5)
-    coeffs = CoefficientSet.uniform(3)
+    coeffs = uniform_coefficients(3)
     for _ in range(200):
         traj = make_traj(oracle.random_rounds(rng, 3, 2, SPACE), ground_truth="A")
         vec = rewards_of(traj, coeffs)
@@ -152,8 +159,8 @@ def test_array_rewards_and_priorities_equal_the_per_trajectory_formulas():
         profiles = profiles_from_codes(rng.integers(0, k, size=(b, steps, n)), k,
                                        MetricConfig(lambda_mix=float(rng.uniform())))
         correct = rng.random(b) < 0.5
-        weighted = CoefficientSet(*(tuple(rng.uniform(0.0, 3.0, n).tolist()) for _ in range(5)))
-        for coeffs in (CoefficientSet.uniform(n), weighted,
+        weighted = CoefficientSet(*(rng.uniform(0.0, 3.0, n) for _ in range(5)))
+        for coeffs in (uniform_coefficients(n), weighted,
                        weighted.zeroed("alpha", "beta", "gamma"), weighted.zeroed("beta")):
             rewards = total_reward(profiles, correct, coeffs)
             scalar = [scalar_rewards(profiles.profile(j), ok, coeffs)
