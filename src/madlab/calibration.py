@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from madlab.metrics import MetricConfig, _votes
+from madlab.policy import QuestionSet
 from madlab.rewards import CoefficientSet
 
 
@@ -55,12 +55,10 @@ class CalibrationConfig:
             raise ValueError("eta_base and kappa overflow the largest anchor strength")
 
 
-def split_warmup(
-    questions: Sequence, fraction: float
-) -> tuple[list, list]:
-    """Split questions into (warm-up, training) parts; the parts are disjoint.
+def split_warmup(questions: QuestionSet, fraction: float) -> tuple[QuestionSet, QuestionSet]:
+    """Split questions into (warm-up, training) slices; the slices are disjoint.
 
-    The warm-up part takes the first ceil(fraction * n) questions and must
+    The warm-up slice takes the first ceil(fraction * n) questions and must
     leave at least one question for training.
     """
     if not 0.0 < fraction < 1.0:
@@ -70,7 +68,7 @@ def split_warmup(
         raise ValueError(
             f"warm-up split of {n_warm} would consume all {len(questions)} questions"
         )
-    return list(questions[:n_warm]), list(questions[n_warm:])
+    return questions[:n_warm], questions[n_warm:]
 
 
 def warmup_profile(answers: np.ndarray, k: int, config: MetricConfig) -> np.ndarray:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from madlab.calibration import CalibrationConfig
+from madlab.debate import undecodable_line
 from madlab.metrics import MetricConfig
 from madlab.optim import ClipConfig
 from madlab.policy import EnvConfig
@@ -183,6 +184,8 @@ def load_config(path: str) -> ExperimentConfig:
             text = fp.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read config {path!r}: {undecodable_line(path)}") from None
     return parse_config(text)
 
 

@@ -1,12 +1,12 @@
 """Debate transcripts and the artifact formats: JSONL trajectories and CSV tables.
 
-In memory a debate is its question and a (T+1) x N grid of answer codes: a
-code is the label's index in the finite ordered answer space (answer_index),
-round 0 holds the initial responses and rounds 1..T the refinements. Labels
-appear only in .jsonl trajectory files, which write_trajectories formats from
-codes and read_trajectories encodes back. Every tie anywhere in the package
-breaks toward the order-minimal label so that reruns are reproducible. Votes
-are counted over answer codes, in metrics.
+In memory a debate is its row of a policy.QuestionSet and a (T+1) x N grid of
+answer codes: a code is the label's index in the finite ordered answer space
+(answer_index), round 0 holds the initial responses and rounds 1..T the
+refinements. Labels appear only in .jsonl trajectory files, which
+write_trajectories formats from codes and read_trajectories encodes back.
+Every tie anywhere in the package breaks toward the order-minimal label so
+that reruns are reproducible. Votes are counted over answer codes, in metrics.
 
 A .jsonl trajectory file is parsed in one place, read_trajectories, and codes
 first: each well-formed record is checked and encoded into answer codes in
@@ -28,9 +28,12 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
+
+if TYPE_CHECKING:  # policy imports this module
+    from madlab.policy import QuestionSet
 
 Label = str
 T = TypeVar("T")
@@ -132,6 +135,19 @@ def with_fp(path_or_fp: str | IO[str], mode: str, use: Callable[[IO[str]], T]) -
     return use(path_or_fp)
 
 
+def undecodable_line(path: str) -> str:
+    """"line N: ..." where the file first fails to decode as UTF-8, found in its bytes
+    (text mode decodes blocks ahead of its lines) and counting lines as text mode does."""
+    with open(path, "rb") as fp:
+        data = fp.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start] + b"x").splitlines())
+        return f"line {line}: not UTF-8 text (byte {data[exc.start]:#04x}, {exc.reason})"
+    return "not UTF-8 text"  # the file changed after the failed read
+
+
 def write_csv(path_or_fp: str | IO[str], header: str, rows: Iterable[Iterable[object]]) -> None:
     """Write a CSV artifact: the header line, then one comma-joined line per row.
 
@@ -150,29 +166,28 @@ def write_csv(path_or_fp: str | IO[str], header: str, rows: Iterable[Iterable[ob
 
 def write_trajectories(
     path_or_fp: str | IO[str],
-    questions: Sequence,
-    answers: Sequence[np.ndarray],
-    extras: Sequence[Mapping[str, object]] | None = None,
+    questions: QuestionSet,
+    answers: np.ndarray,
+    extras: Mapping[str, np.ndarray],
 ) -> None:
     """Write debates as one JSON record per line.
 
-    questions are policy.SyntheticQuestions sharing one answer space, and
-    answers[b] is question b's (T+1, N) grid of answer codes in it; grids and
-    truths become labels here, once per call. extras, when given, is a parallel
-    sequence of additional per-line fields: the replay-buffer dump's, or the
-    eval artifacts' difficulty.
+    questions is a policy.QuestionSet and answers[b] question b's (T+1, N)
+    grid of answer codes in its answer space; grids and truths become labels
+    here, once per call. extras maps each additional per-line field to its
+    (B,) column, written after the trajectory's own fields in mapping order:
+    the replay-buffer dump's, or the eval artifacts' difficulty.
     """
 
     def _write(fp: IO[str]) -> None:
-        if not questions:
-            return
-        space = list(questions[0].answer_space)
-        grids = np.array(space, dtype=object)[np.asarray(answers)]
-        for j, (q, grid) in enumerate(zip(questions, grids)):
-            record = {"question_id": q.question_id, "answer_space": space,
-                      "ground_truth": space[q.truth], "rounds": grid.tolist()}
-            if extras is not None:
-                record.update(extras[j])
+        space = list(questions.answer_space)
+        grids = np.array(space, dtype=object)[answers]
+        columns = [column.tolist() for column in extras.values()]
+        for qid, truth, grid, *values in zip(questions.ids.tolist(), questions.truth.tolist(),
+                                             grids, *columns):
+            record = {"question_id": qid, "answer_space": space,
+                      "ground_truth": space[truth], "rounds": grid.tolist()}
+            record.update(zip(extras, values))
             fp.write(json.dumps(record) + "\n")
 
     with_fp(path_or_fp, "w", _write)
@@ -242,8 +257,9 @@ class TrajectoryFile:
 def read_trajectories(path_or_fp: str | IO[str]) -> TrajectoryFile:
     """Read a trajectory .jsonl file as answer codes, one group per shape.
 
-    Errors name the line, and the file when given a path. Fields beyond the
-    trajectory's own (replay score, difficulty) are ignored.
+    Errors name the line, and the file when given a path; a stream that is
+    not UTF-8 raises its UnicodeDecodeError. Fields beyond the trajectory's
+    own (replay score, difficulty) are ignored.
     """
     where = f"{path_or_fp}: " if isinstance(path_or_fp, str) else ""
 
@@ -289,4 +305,9 @@ def read_trajectories(path_or_fp: str | IO[str]) -> TrajectoryFile:
             for (space, shape), (positions, qids, truths, grids) in groups.items()
         ])
 
-    return with_fp(path_or_fp, "r", _read)
+    try:
+        return with_fp(path_or_fp, "r", _read)
+    except UnicodeDecodeError:
+        if not where:
+            raise
+        raise ValueError(where + undecodable_line(path_or_fp)) from None

@@ -30,7 +30,7 @@ from madlab.metrics import (  # noqa: F401  full_profile: perfbench's tracer tes
     write_profiles_csv,
 )
 from madlab.optim import train, write_training_csv
-from madlab.policy import DebateEnv, SyntheticQuestion, derive_key, save_policy
+from madlab.policy import DebateEnv, QuestionSet, derive_key, save_policy
 from madlab.rewards import CoefficientSet, total_reward
 from madlab.stats import (
     SeparationReport,
@@ -80,7 +80,7 @@ class EvalResult:
     answers[b] is question b's (T+1, N) grid of answer codes.
     """
 
-    questions: tuple[SyntheticQuestion, ...]
+    questions: QuestionSet
     answers: np.ndarray
     profiles: ProfileBatch
     correct: np.ndarray
@@ -104,7 +104,7 @@ def with_seed(config: ExperimentConfig, seed: int | None) -> ExperimentConfig:
 
 def evaluate_ensemble(
     env: DebateEnv,
-    questions: Sequence[SyntheticQuestion],
+    questions: QuestionSet,
     tilts: np.ndarray,
     policies: np.ndarray,
     metric_config: MetricConfig,
@@ -118,13 +118,13 @@ def evaluate_ensemble(
     (seed, "eval", question id) only, so a question set replays identically
     under any policies and any number of compromised seats.
     """
-    seeds = [derive_key(env.config.seed, "eval", q.question_id) for q in questions]
+    seeds = [derive_key(env.config.seed, "eval", qid) for qid in questions.ids.tolist()]
     _, answers = env.rollout_batch(questions, tilts, policies, seeds)
     del tilts  # a caller that drew the tilts inline frees them before profiling
     profiles = profiles_from_codes(answers, len(env.answer_space), metric_config)
-    correct = profiles.winners == np.array([q.truth for q in questions])
+    correct = profiles.winners == questions.truth
     return EvalResult(
-        questions=tuple(questions),
+        questions=questions,
         answers=answers,
         profiles=profiles,
         correct=correct,
@@ -150,7 +150,7 @@ def write_rewards_csv(
     rows = np.column_stack([rewards.r_intra, rewards.r_inter, rewards.r_sys, rewards.r_task,
                             rewards.total]).tolist()
     write_csv(path_or_fp, rewards_csv_header(coeffs.num_agents),
-              ([q.question_id, *values] for q, values in zip(result.questions, rows)))
+              ([qid, *values] for qid, values in zip(result.questions.ids.tolist(), rows)))
 
 
 def write_coefficients_csv(path_or_fp: str | IO[str], coeffs: CoefficientSet) -> None:
@@ -160,17 +160,10 @@ def write_coefficients_csv(path_or_fp: str | IO[str], coeffs: CoefficientSet) ->
 
 
 def _write_eval_artifacts(out_dir: str, result: EvalResult, coeffs: CoefficientSet) -> None:
-    write_trajectories(
-        os.path.join(out_dir, "trajectories.jsonl"),
-        result.questions,
-        result.answers,
-        extras=[{"difficulty": q.difficulty} for q in result.questions],
-    )
-    write_profiles_csv(
-        os.path.join(out_dir, "profiles.csv"),
-        [q.question_id for q in result.questions],
-        result.profiles,
-    )
+    write_trajectories(os.path.join(out_dir, "trajectories.jsonl"), result.questions,
+                       result.answers, {"difficulty": result.questions.difficulty})
+    write_profiles_csv(os.path.join(out_dir, "profiles.csv"), result.questions.ids.tolist(),
+                       result.profiles)
     write_rewards_csv(os.path.join(out_dir, "rewards.csv"), result, coeffs)
 
 
@@ -200,12 +193,12 @@ def run_baseline(config: ExperimentConfig, out_dir: str) -> PipelineResult:
 def _calibrated_coefficients(
     config: ExperimentConfig,
     env: DebateEnv,
-    warmup_questions: Sequence[SyntheticQuestion],
+    warmup_questions: QuestionSet,
     tilts: np.ndarray,
 ) -> CoefficientSet:
     """Warm-up rollouts on their tilts under the untrained ensemble, then per-agent scaling."""
     policies = env.initial_policies()
-    seeds = [derive_key(env.config.seed, "warmup", q.question_id) for q in warmup_questions]
+    seeds = [derive_key(env.config.seed, "warmup", qid) for qid in warmup_questions.ids.tolist()]
     _, answers = env.rollout_batch(warmup_questions, tilts, policies, seeds)
     readings = warmup_profile(answers, len(env.answer_space), config.metric)
     return calibrate_coefficients(readings, config.calibration)

@@ -46,7 +46,7 @@ from madlab.metrics import (  # noqa: F401  full_profile: perfbench's tracer tes
 from madlab.policy import (
     LOGIT_CLAMP,
     DebateEnv,
-    SyntheticQuestion,
+    QuestionSet,
     derive_key,
     rng_stream,
 )
@@ -116,7 +116,7 @@ class RolloutBatch:
     float64 array of importance weights, batch mean 1; fresh slots carry 1.
     """
 
-    questions: tuple[SyntheticQuestion, ...]
+    questions: QuestionSet
     trajectories: np.ndarray
     weights: np.ndarray
     ref_version: int
@@ -249,7 +249,7 @@ def gradient_step(
 
 def collect_batch(
     env: DebateEnv,
-    questions: Sequence[SyntheticQuestion],
+    questions: QuestionSet,
     tilts: np.ndarray,
     policies: np.ndarray,
     ref_version: int,
@@ -260,7 +260,7 @@ def collect_batch(
     seeds = [derive_key(rollout_seed, m) for m in range(len(questions))]
     contexts, answers = env.rollout_batch(questions, tilts, policies, seeds)
     return RolloutBatch(
-        questions=tuple(questions),
+        questions=questions,
         trajectories=answers,
         weights=np.asarray(weights, dtype=np.float64),
         ref_version=ref_version,
@@ -271,7 +271,7 @@ def collect_batch(
 
 def train(
     env: DebateEnv,
-    train_questions: Sequence[SyntheticQuestion],
+    train_questions: QuestionSet,
     train_tilts: np.ndarray,
     coeffs: CoefficientSet,
     clip: ClipConfig,
@@ -301,13 +301,9 @@ def train(
     buffer = (ReplayBuffer(replay_config, train_questions, train_tilts)
               if replay_config.enabled else None)
 
-    def scored(questions: Sequence[SyntheticQuestion], answers: np.ndarray):
+    def scored(questions: QuestionSet, answers: np.ndarray):
         profiles = profiles_from_codes(answers, len(env.answer_space), metric_config)
-        correct = profiles.winners == np.array([q.truth for q in questions])
-        return profiles, total_reward(profiles, correct, coeffs)
-
-    def rescore(questions: Sequence[SyntheticQuestion], answers: np.ndarray) -> list[float]:
-        return replay_score(scored(questions, answers)[1]).tolist()
+        return profiles, total_reward(profiles, profiles.winners == questions.truth, coeffs)
 
     for k in range(1, clip.iterations + 1):
         n_replay = 0
@@ -325,7 +321,7 @@ def train(
             weights = np.concatenate([weights, replay_weights])
         batch = collect_batch(
             env,
-            [train_questions[j] for j in idx.tolist()],
+            train_questions[idx],
             train_tilts[idx],
             state.reference,
             state.ref_version,
@@ -353,7 +349,7 @@ def train(
                     state.policies,
                     rollout_seed=derive_key(seed, "buffer-refresh", k),
                     policy_version=state.ref_version,
-                    score=rescore,
+                    score=lambda questions, answers: replay_score(scored(questions, answers)[1]),
                 )
         if k % clip.ref_refresh_period == 0:
             state.reference = state.policies

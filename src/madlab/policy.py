@@ -14,9 +14,10 @@ consecutive context rows: the null context first, then (own, mode, agreement)
 in row-major order. The honest seats' policies are one (H, rows, K) logit
 array over them, block i seat i's table; compromised seats have none. A
 question's (T+1, H, K) tilts, row i for honest seat i, are drawn once by its
-owner (batch_tilts) and passed down; the env keeps none. A question's truth and
-a debate's (T+1, N) answers are codes, indices into the answer space; their
-labels appear only where debate.write_trajectories writes them.
+owner (batch_tilts) and passed down; the env keeps none. A question set is one
+QuestionSet of columns that every stage indexes by slice or index array. Its
+truths and a debate's (T+1, N) answers are codes, indices into the answer
+space; their labels appear only where debate.write_trajectories writes them.
 _round_contexts is the one context formula: rollout_batch applies it to the
 whole batch each round, and agent_steps rebuilds one agent's visits along a
 recorded grid from it. rollout_batch runs its rounds label-major: the visits'
@@ -185,25 +186,32 @@ def context_key(row: int, labels: Sequence[str]) -> str:
     return f"{question_feature}|{labels[own]}|{labels[mode]}|{agreement}"
 
 
-@dataclass(frozen=True)
-class SyntheticQuestion:
-    """A task instance: id, answer space, the true answer's code, difficulty in [0, 1]."""
+@dataclass(frozen=True, eq=False)
+class QuestionSet:
+    """Questions as columns over one answer space: ids (str), truth (int64 codes)
+    and difficulty (float64 in [0, 1]). qs[rows] takes a slice or an index
+    array and returns a set; a set does not iterate, its stages read columns."""
 
-    question_id: str
     answer_space: tuple[str, ...]
-    truth: int
-    difficulty: float
+    ids: np.ndarray
+    truth: np.ndarray
+    difficulty: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.truth < len(self.answer_space):
-            raise ValueError(f"truth code {self.truth} outside the answer space")
-        if not 0.0 <= self.difficulty <= 1.0:
-            raise ValueError(f"difficulty must be in [0, 1], got {self.difficulty}")
+    __iter__ = None  # else iteration falls back to qs[0], qs[1], ... with 0-d columns
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, rows: slice | np.ndarray) -> QuestionSet:
+        if isinstance(rows, (int, np.integer)):  # its columns would be 0-d
+            raise TypeError("index a QuestionSet by slice or index array, as qs[j:j + 1]")
+        return QuestionSet(self.answer_space, self.ids[rows], self.truth[rows],
+                           self.difficulty[rows])
 
 
-def difficulty_bin(difficulty: float, bins: int) -> int:
-    """Equal-width bin index of a difficulty in [0, 1]; 1.0 lands in the top bin."""
-    return min(int(difficulty * bins), bins - 1)
+def difficulty_bin(difficulty: np.ndarray, bins: int) -> np.ndarray:
+    """Equal-width bin index of each difficulty in [0, 1]; 1.0 lands in the top bin."""
+    return np.minimum((difficulty * bins).astype(np.int64), bins - 1)
 
 
 def _round_contexts(base: np.ndarray | int, prev: np.ndarray, k: int) -> np.ndarray:
@@ -353,7 +361,7 @@ class DebateEnv:
                     row[mode] += PEER_PRIOR[agreement]
         return np.tile(block, (self.honest, self.config.difficulty_bins, 1))
 
-    def generate_questions(self, count: int, label: str) -> list[SyntheticQuestion]:
+    def generate_questions(self, count: int, label: str) -> QuestionSet:
         """Seeded question batch; ids are stable under count changes.
 
         Ground truth lands on the first answer label with probability
@@ -371,12 +379,11 @@ class DebateEnv:
         qids = [f"{label}-{idx:05d}" for idx in range(count)]
         digests = [_key_digest(self.config.seed, "question", qid) for qid in qids]
         uniforms = _unit_doubles(_philox_blocks(digests, 1)[:, :2])
-        truths = cdf.searchsorted(uniforms[:, 0], side="right").tolist()
-        difficulties = (lo + (hi - lo) * uniforms[:, 1]).tolist()
-        return [SyntheticQuestion(qid, self.answer_space, truth, difficulty)
-                for qid, truth, difficulty in zip(qids, truths, difficulties)]
+        return QuestionSet(self.answer_space, np.array(qids, dtype=str),
+                           cdf.searchsorted(uniforms[:, 0], side="right"),
+                           lo + (hi - lo) * uniforms[:, 1])
 
-    def batch_tilts(self, questions: Sequence[SyntheticQuestion]) -> np.ndarray:
+    def batch_tilts(self, questions: QuestionSet) -> np.ndarray:
         """(B, T+1, H, K) logit tilts of every honest seat at every round of each question.
 
         Round 0 carries the full private signal. Later rounds carry a damped
@@ -408,11 +415,10 @@ class DebateEnv:
         for start in range(0, len(questions), chunk):
             part = questions[start:start + chunk]
             c = len(part)
-            raw = _philox_blocks([_key_digest(cfg.seed, "tilt", q.question_id) for q in part],
+            raw = _philox_blocks([_key_digest(cfg.seed, "tilt", qid) for qid in part.ids.tolist()],
                                  -(-words // 4))
             noise = _box_muller(raw[:, :paired])[:, :normals].reshape(c, steps, n, k)[:, :, :h]
-            difficulty = np.array([q.difficulty for q in part])
-            truth = np.array([q.truth for q in part])
+            difficulty, truth = part.difficulty, part.truth
             ramp = np.minimum(1.0, difficulty / AVERSION_RAMP)[:, None, None]
             persist = SIGNAL_PERSIST + (1.0 - SIGNAL_PERSIST) * (1.0 - ramp)
             scale = SIGNAL_WOBBLE + SIGNAL_WOBBLE_SLOPE * difficulty[:, None, None]
@@ -434,18 +440,18 @@ class DebateEnv:
 
     def rollout_debate(
         self,
-        question: SyntheticQuestion,
+        question: QuestionSet,
         policies: np.ndarray,
         rollout_seed: int,
     ) -> np.ndarray:
-        """One full debate's (T+1, N) answer codes; its acts read the key
-        (rollout_seed, "act", question id) and it draws its own tilts."""
-        return self.rollout_batch([question], self.batch_tilts([question]), policies,
+        """The (T+1, N) answer codes of the debate of a set of one question; its
+        acts read the key (rollout_seed, "act", question id) and it draws its own tilts."""
+        return self.rollout_batch(question, self.batch_tilts(question), policies,
                                   [rollout_seed])[1][0]
 
     def rollout_batch(
         self,
-        questions: Sequence[SyntheticQuestion],
+        questions: QuestionSet,
         tilts: np.ndarray,
         policies: np.ndarray,
         rollout_seeds: Sequence[int],
@@ -477,13 +483,13 @@ class DebateEnv:
         if tilts.shape != (b, steps, h, k):
             raise ValueError(f"need (B, T+1, H, K) = {(b, steps, h, k)} tilts, got {tilts.shape}")
         if h < n:
-            answers[:, :, h:] = self.adversary[[q.truth for q in questions]][:, None, None]
-        bins = [[difficulty_bin(q.difficulty, self.config.difficulty_bins)] for q in questions]
-        base = contexts_per_bin(k) * np.array(bins)
+            answers[:, :, h:] = self.adversary[questions.truth][:, None, None]
+        bins = difficulty_bin(questions.difficulty, self.config.difficulty_bins)
+        base = contexts_per_bin(k) * bins[:, None]
         words = steps * n
         chunk = _keys_per_pass(words)
-        digests = [_key_digest(seed, "act", q.question_id)
-                   for q, seed in zip(questions, rollout_seeds)]
+        digests = [_key_digest(seed, "act", qid)
+                   for qid, seed in zip(questions.ids.tolist(), rollout_seeds)]
         uniforms = np.concatenate([
             _unit_doubles(_philox_blocks(digests[j:j + chunk], -(-words // 4))[:, :words])
             for j in range(0, b, chunk)
@@ -507,17 +513,17 @@ class DebateEnv:
         return contexts, answers
 
     def agent_steps(
-        self, question: SyntheticQuestion, answers: np.ndarray, agent_index: int
+        self, question: QuestionSet, answers: np.ndarray, agent_index: int
     ) -> list[AgentStep]:
         """The (context row, tilt, answer code) visits of one honest agent along
-        a debate's (T+1, N) answer codes, in round order; its tilts are row
-        agent_index of the question's (T+1, H, K) tilts."""
+        the (T+1, N) answer codes of a set of one question's debate, in round
+        order; its tilts are row agent_index of the question's (T+1, H, K) tilts."""
         if not 0 <= agent_index < self.honest:
             raise ValueError(f"agent {agent_index} is compromised and has no policy")
         k = len(self.answer_space)
         base = difficulty_bin(question.difficulty, self.config.difficulty_bins) * contexts_per_bin(k)
-        rows = [base] + _round_contexts(base, answers[:-1], k)[:, agent_index].tolist()
-        tilts = self.batch_tilts([question])[0]
+        rows = base.tolist() + _round_contexts(base, answers[:-1], k)[:, agent_index].tolist()
+        tilts = self.batch_tilts(question)[0]
         return [AgentStep(ctx=ctx, tilt=tilts[t, agent_index], answer=answer)
                 for t, (ctx, answer) in enumerate(zip(rows, answers[:, agent_index].tolist()))]
 

@@ -15,12 +15,12 @@ FIFO: a push keeps the newest capacity entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Callable, Sequence
+from typing import IO, Callable
 
 import numpy as np
 
 from madlab.debate import write_trajectories
-from madlab.policy import SyntheticQuestion, derive_key
+from madlab.policy import QuestionSet, derive_key
 from madlab.rewards import RewardBatch
 
 
@@ -64,9 +64,7 @@ class ReplayBuffer:
     inserted_iteration and policy_version.
     """
 
-    def __init__(
-        self, config: ReplayConfig, questions: Sequence[SyntheticQuestion], tilts: np.ndarray
-    ) -> None:
+    def __init__(self, config: ReplayConfig, questions: QuestionSet, tilts: np.ndarray) -> None:
         self.config = config
         self.questions = questions
         self.tilts = tilts
@@ -128,29 +126,22 @@ class ReplayBuffer:
         policies: np.ndarray,
         rollout_seed: int,
         policy_version: int,
-        score: Callable[[list[SyntheticQuestion], np.ndarray], Sequence[float]],
+        score: Callable[[QuestionSet, np.ndarray], np.ndarray],
     ) -> None:
         """Re-roll every stored question under the honest seats' (H, rows, K)
         logits, rescore, restamp.
 
-        All entries roll as one batch on their questions' tilts; score maps the
-        questions and re-rolled (B, T+1, N) answer codes to one priority each.
+        All entries roll as one batch on their questions' tilts; score maps their
+        questions and re-rolled (B, T+1, N) answer codes to (B,) float64 priorities.
         """
-        questions = [self.questions[j] for j in self.index.tolist()]
-        seeds = [derive_key(rollout_seed, j) for j in range(len(questions))]
+        questions = self.questions[self.index]
+        seeds = [derive_key(rollout_seed, j) for j in range(len(self))]
         _, self.answers = env.rollout_batch(questions, self.tilts[self.index], policies, seeds)
-        self.score = np.asarray(score(questions, self.answers), dtype=np.float64)
+        self.score = score(questions, self.answers)
         self.policy_version = np.full(len(self), policy_version)
 
     def dump(self, path_or_fp: str | IO[str]) -> None:
         """Trajectory .jsonl with replay_score / policy_version side fields."""
-        write_trajectories(
-            path_or_fp,
-            [self.questions[j] for j in self.index.tolist()],
-            self.answers,
-            extras=[
-                {"replay_score": s, "policy_version": v, "inserted_iteration": i}
-                for s, v, i in zip(self.score.tolist(), self.policy_version.tolist(),
-                                   self.inserted_iteration.tolist())
-            ],
-        )
+        write_trajectories(path_or_fp, self.questions[self.index], self.answers,
+                           {"replay_score": self.score, "policy_version": self.policy_version,
+                            "inserted_iteration": self.inserted_iteration})

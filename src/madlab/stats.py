@@ -41,35 +41,23 @@ _BETA_MAX_ITER = 300
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Lentz evaluation of the incomplete-beta continued fraction."""
+    """Lentz evaluation of the incomplete-beta continued fraction: both half-steps
+    of an iteration share one update of (c, d), floored at _BETA_TINY (NaN passes)."""
+
+    def floored(v: float) -> float:
+        return _BETA_TINY if abs(v) < _BETA_TINY else v
+
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETA_TINY:
-        d = _BETA_TINY
-    d = 1.0 / d
+    c, d = 1.0, 1.0 / floored(1.0 - qab * x / qap)
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_TINY:
-            d = _BETA_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_TINY:
-            c = _BETA_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_TINY:
-            d = _BETA_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_TINY:
-            c = _BETA_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / floored(1.0 + aa * d)
+            c = floored(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
             return h
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")

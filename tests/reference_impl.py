@@ -5,8 +5,9 @@ reproduce.
 build_context rebuilds one agent's context row from a round's labels with a
 dict of peer counts, probs is a table row's softmax, and trajectory_log_prob,
 likelihood_ratio, kl_anchor and objective_value evaluate the objective of
-madlab.optim on one (question, answer codes, agent) at a time; a debate's
-answer codes are its (T+1, N) grid, as RolloutBatch.trajectories holds them.
+madlab.optim on one (question, answer codes, agent) at a time: the question
+a QuestionSet of one, its debate's answer codes the (T+1, N) grid
+RolloutBatch.trajectories holds.
 broadcast_round_contexts is the earlier whole-batch form of the context
 formula, an oracle for policy._round_contexts. The tests check
 rollout_batch's recorded contexts against build_context,
@@ -20,6 +21,8 @@ positions, and test_policy's per_draw_rollout and per_stream_tilts index
 numpy's own Philox.random_raw at those positions one word at a time.
 uniform_coefficients is the coefficient set the tests share: every seat at
 CalibrationConfig's bases, the values an all-zero warm-up reading gives.
+question_set builds a QuestionSet from plain lists, and same_questions
+compares two sets column by column, bit for bit (a QuestionSet has no ==).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from madlab.optim import ClipConfig, RolloutBatch, _log_probs
 from madlab.policy import (
     TRUTH_SKEW,
     DebateEnv,
-    SyntheticQuestion,
+    QuestionSet,
     contexts_per_bin,
     parse_difficulty_spec,
     rng_stream,
@@ -48,6 +51,21 @@ def uniform_coefficients(num_agents: int, **values: float) -> CoefficientSet:
     given by field name (alpha, beta, gamma, lambda_task, eta_anchor)."""
     bases = calibrate_coefficients(np.zeros((3, num_agents)), CalibrationConfig())
     return dataclasses.replace(bases, **{f: np.full(num_agents, v) for f, v in values.items()})
+
+
+def question_set(space: Sequence[str], truth: Sequence[int], difficulty: Sequence[float],
+                 ids: Sequence[str] | None = None) -> QuestionSet:
+    """A QuestionSet over space; ids default to q0, q1, ..."""
+    ids = [f"q{j}" for j in range(len(truth))] if ids is None else ids
+    return QuestionSet(tuple(space), np.array(ids, dtype=str), np.array(truth, dtype=np.int64),
+                       np.array(difficulty, dtype=np.float64))
+
+
+def same_questions(a: QuestionSet, b: QuestionSet) -> bool:
+    """Whether two sets hold the same answer space and bit-identical columns."""
+    return a.answer_space == b.answer_space and all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in ((a.ids, b.ids), (a.truth, b.truth), (a.difficulty, b.difficulty)))
 
 
 def build_context(
@@ -106,10 +124,10 @@ def trajectory_log_prob(
     env: DebateEnv,
     policy: np.ndarray,
     agent_index: int,
-    question: SyntheticQuestion,
+    question: QuestionSet,
     answers: np.ndarray,
 ) -> float:
-    """log pi(answers) for one honest agent: sum over rounds 0..T."""
+    """log pi(answers) for one honest agent on a set of one question: sum over rounds 0..T."""
     total = 0.0
     for step in env.agent_steps(question, answers, agent_index):
         p = probs(policy, step.ctx, step.tilt)
@@ -122,7 +140,7 @@ def likelihood_ratio(
     current: np.ndarray,
     reference: np.ndarray,
     agent_index: int,
-    question: SyntheticQuestion,
+    question: QuestionSet,
     answers: np.ndarray,
 ) -> float:
     """exp(log pi_theta(tau) - log pi_ref(tau)) for one honest agent."""
@@ -142,7 +160,7 @@ def kl_anchor(
     current: np.ndarray,
     reference: np.ndarray,
     agent_index: int,
-    question: SyntheticQuestion,
+    question: QuestionSet,
     answers: np.ndarray,
 ) -> float:
     """Mean per-visited-context KL(current || reference) over the T+1 rounds."""
@@ -173,7 +191,8 @@ def objective_value(
         cur, ref = policies[i], reference[i]
         surr = 0.0
         kl = 0.0
-        for m, (q, answers) in enumerate(zip(batch.questions, batch.trajectories)):
+        for m, answers in enumerate(batch.trajectories):
+            q = batch.questions[m:m + 1]
             w = batch.weights[m]
             a = float(advantages[m, i])
             rho = likelihood_ratio(env, cur, ref, i, q, answers)
@@ -183,18 +202,18 @@ def objective_value(
     return out
 
 
-def per_stream_questions(env: DebateEnv, count: int, label: str) -> list[SyntheticQuestion]:
+def per_stream_questions(env: DebateEnv, count: int, label: str) -> QuestionSet:
     """generate_questions one rng_stream per question: a choice(K, p=weights)
     for the truth, then a uniform(lo, hi) for the difficulty unless lo == hi."""
     lo, hi = parse_difficulty_spec(env.config.difficulty)
     k = len(env.answer_space)
     weights = np.full(k, (1.0 - TRUTH_SKEW) / (k - 1))
     weights[0] = TRUTH_SKEW
-    questions = []
+    ids, truths, difficulties = [], [], []
     for idx in range(count):
         qid = f"{label}-{idx:05d}"
         rng = rng_stream(env.config.seed, "question", qid)
-        truth = int(rng.choice(k, p=weights))
-        difficulty = lo if lo == hi else float(rng.uniform(lo, hi))
-        questions.append(SyntheticQuestion(qid, env.answer_space, truth, difficulty))
-    return questions
+        ids.append(qid)
+        truths.append(int(rng.choice(k, p=weights)))
+        difficulties.append(lo if lo == hi else float(rng.uniform(lo, hi)))
+    return question_set(env.answer_space, truths, difficulties, ids)

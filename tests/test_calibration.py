@@ -14,6 +14,7 @@ from madlab.calibration import (
 )
 from madlab.debate import DebateTrajectory
 from madlab.metrics import MetricConfig, answer_codes
+from madlab.policy import DebateEnv, EnvConfig
 
 SPACE = ("A", "B")
 LABELS = ("A", "B", "C", "D")
@@ -184,12 +185,13 @@ def test_calibration_config_validation():
 
 
 def test_split_warmup_is_disjoint_and_complete():
-    questions = [f"q{i}" for i in range(500)]
+    questions = DebateEnv(EnvConfig()).generate_questions(500, "t")
     warm, train = split_warmup(questions, 0.1)
     assert len(warm) == 50
     assert len(train) == 450
-    assert set(warm).isdisjoint(train)
-    assert warm + train == questions
+    # the two slices of the set, in order: distinct ids, every one once
+    assert np.concatenate([warm.ids, train.ids]).tolist() == questions.ids.tolist()
+    assert np.array_equal(np.concatenate([warm.truth, train.truth]), questions.truth)
 
 
 def test_split_warmup_must_leave_training_data():

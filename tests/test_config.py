@@ -190,6 +190,15 @@ def test_load_config_missing_file_is_config_error(tmp_path):
     assert load_config(str(path)).env.seed == 9
 
 
+def test_non_utf8_config_is_config_error_naming_path_and_line(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_bytes(b"[environment]\nseed = \xff9\n")
+    with pytest.raises(ConfigError) as raised:
+        load_config(str(path))
+    assert str(raised.value) == (f"cannot read config {str(path)!r}: line 2: not UTF-8 text "
+                                 "(byte 0xff, invalid start byte)")
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(train_questions=1)

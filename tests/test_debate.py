@@ -19,7 +19,7 @@ from madlab.debate import (
     write_trajectories,
 )
 from madlab.metrics import _votes, answer_codes
-from madlab.policy import DebateEnv, EnvConfig, SyntheticQuestion
+from madlab.policy import DebateEnv, EnvConfig, QuestionSet
 from reader_oracle import trajectories_of, trajectory_record, write_records
 
 SPACE = ("A", "B", "C")
@@ -112,15 +112,16 @@ def test_validate_rejects_bad_ground_truth_and_dup_space():
 
 def test_jsonl_round_trip_preserves_everything():
     rng = np.random.default_rng(3)
-    questions = [SyntheticQuestion(f"q-{k}", SPACE, 1, 0.5) for k in range(20)]
+    ids = [f"q-{k}" for k in range(20)]
+    questions = QuestionSet(SPACE, np.array(ids), np.ones(20, dtype=np.int64), np.full(20, 0.5))
     codes = rng.integers(0, len(SPACE), size=(20, 3, 3))
     buf = io.StringIO()
-    write_trajectories(buf, questions, codes)
+    write_trajectories(buf, questions, codes, {})
     back = read_trajectories(io.StringIO(buf.getvalue()))
     labels = np.array(SPACE, dtype=object)[codes].tolist()
     assert trajectories_of(back) == [
-        make_traj(tuple(map(tuple, grid)), ground_truth="B", qid=q.question_id)
-        for q, grid in zip(questions, labels)
+        make_traj(tuple(map(tuple, grid)), ground_truth="B", qid=qid)
+        for qid, grid in zip(ids, labels)
     ]
 
 
@@ -143,18 +144,22 @@ def test_written_debates_read_back_as_their_codes(name):
                                    list(range(64)))
     assert len(np.unique(answers)) > 2
     buf = io.StringIO()
-    write_trajectories(buf, questions, answers)
+    write_trajectories(buf, questions, answers, {})
     [group] = read_trajectories(io.StringIO(buf.getvalue())).groups
     assert group.answer_space == env.answer_space
     np.testing.assert_array_equal(group.codes, answers)
-    assert group.truth.tolist() == [q.truth for q in questions]
-    assert group.question_ids == [q.question_id for q in questions]
+    np.testing.assert_array_equal(group.truth, questions.truth)
+    assert group.question_ids == questions.ids.tolist()
     assert group.positions == list(range(len(questions)))
 
 
 def test_write_trajectories_of_no_debates_writes_an_empty_file():
+    env = DebateEnv(EnvConfig(num_agents=3, rounds=2))
+    questions = env.generate_questions(0, "t")
+    _, answers = env.rollout_batch(questions, env.batch_tilts(questions), env.initial_policies(),
+                                   [])
     buf = io.StringIO()
-    write_trajectories(buf, [], [])
+    write_trajectories(buf, questions, answers, {"difficulty": questions.difficulty})
     assert buf.getvalue() == ""
 
 
@@ -199,11 +204,14 @@ def test_jsonl_missing_field_rejected():
 
 
 def test_jsonl_extra_fields_survive_in_records():
-    question = SyntheticQuestion("q-0", SPACE, 0, 0.5)
+    question = QuestionSet(SPACE, np.array(["q-0"]), np.zeros(1, dtype=np.int64), np.full(1, 0.5))
     buf = io.StringIO()
-    write_trajectories(buf, [question], np.array([[[0, 1], [1, 1]]]),
-                       extras=[{"replay_score": 0.5, "policy_version": 3}])
+    write_trajectories(buf, question, np.array([[[0, 1], [1, 1]]]),
+                       {"replay_score": np.full(1, 0.5), "policy_version": np.full(1, 3)})
     record = json.loads(buf.getvalue())
+    # the extras follow the trajectory's own fields, in the mapping's order
+    assert list(record) == ["question_id", "answer_space", "ground_truth", "rounds",
+                            "replay_score", "policy_version"]
     assert record["replay_score"] == 0.5
     assert record["policy_version"] == 3
     assert trajectories_of(read_trajectories(io.StringIO(buf.getvalue()))) == [

@@ -252,8 +252,8 @@ def test_clip_kl_udpo_artifacts_are_pinned(tmp_path, monkeypatch):
     def recording_step(env, state, batch, clip, totals):
         for i in range(env.honest):
             cur, ref = state.policies[i], state.reference[i]
-            for q, traj in zip(batch.questions, batch.trajectories):
-                rho = likelihood_ratio(env, cur, ref, i, q, traj)
+            for m, traj in enumerate(batch.trajectories):
+                rho = likelihood_ratio(env, cur, ref, i, batch.questions[m:m + 1], traj)
                 log_ratios.append(math.log(rho))
         return real_step(env, state, batch, clip, totals)
 
@@ -293,7 +293,7 @@ def test_k12_baseline_artifacts_are_pinned(tmp_path):
     config = k12_config()
     questions = DebateEnv(config.env).generate_questions(config.eval_questions, "eval")
     # the pinned questions reach both sides of the aversion ramp
-    assert min(q.difficulty for q in questions) < AVERSION_RAMP < max(q.difficulty for q in questions)
+    assert questions.difficulty.min() < AVERSION_RAMP < questions.difficulty.max()
     run_baseline(config, str(tmp_path))
     assert digests(tmp_path) == K12_BASELINE
 

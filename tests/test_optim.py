@@ -36,7 +36,6 @@ from madlab.policy import (
     LOGIT_CLAMP,
     DebateEnv,
     EnvConfig,
-    SyntheticQuestion,
     context_key,
     derive_key,
     difficulty_bin,
@@ -50,6 +49,8 @@ from reference_impl import (
     kl_anchor,
     likelihood_ratio,
     objective_value,
+    question_set,
+    same_questions,
     trajectory_log_prob,
     uniform_coefficients,
 )
@@ -73,25 +74,24 @@ def small_env(num_agents=2, rounds=1, seed=17):
 
 def recorded_contexts(env, questions, answers):
     """The (B, T+1, N) context rows of hand-built (B, T+1, N) answer codes."""
-    bins = env.config.difficulty_bins
+    bins = difficulty_bin(questions.difficulty, env.config.difficulty_bins).tolist()
     grids = np.array(env.answer_space)[answers].tolist()
     return np.array([
         [
             [
-                build_context(difficulty_bin(q.difficulty, bins), grid[t - 1] if t else None,
-                              i, env.answer_space)
+                build_context(qf, grid[t - 1] if t else None, i, env.answer_space)
                 for i in range(len(grid[0]))
             ]
             for t in range(len(grid))
         ]
-        for q, grid in zip(questions, grids)
+        for qf, grid in zip(bins, grids)
     ])
 
 
 def batch_totals(batch, coeffs):
     """Per-agent total rewards of every batch debate (batch x agents)."""
-    profiles = profiles_from_codes(batch.trajectories, len(batch.questions[0].answer_space), MC)
-    correct = profiles.winners == [q.truth for q in batch.questions]
+    profiles = profiles_from_codes(batch.trajectories, len(batch.questions.answer_space), MC)
+    correct = profiles.winners == batch.questions.truth
     return total_reward(profiles, correct, coeffs).total
 
 
@@ -179,9 +179,9 @@ def test_objective_and_kl_vanish_at_reference():
     values = objective_value(env, policies, reference, batch, adv, coeffs, ClipConfig())
     for i, value in values.items():
         assert abs(value) <= 1e-10, f"agent {i} objective {value} at reference"
-    for q, traj in zip(batch.questions, batch.trajectories):
+    for m, traj in enumerate(batch.trajectories):
         for i in range(env.honest):
-            kl = kl_anchor(env, policies[i], reference[i], i, q, traj)
+            kl = kl_anchor(env, policies[i], reference[i], i, batch.questions[m:m + 1], traj)
             assert abs(kl) <= 1e-10
 
 
@@ -225,9 +225,10 @@ def test_gradient_matches_central_differences(case):
     totals = batch_totals(batch, coeffs)
     adv = compute_advantages(totals)
     for i in range(env.honest):
-        for q, traj in zip(batch.questions, batch.trajectories):
-            rho = likelihood_ratio(env, current[i], reference[i], i, q, traj)
-            a = float(adv[list(batch.questions).index(q), i])
+        for m, traj in enumerate(batch.trajectories):
+            rho = likelihood_ratio(env, current[i], reference[i], i, batch.questions[m:m + 1],
+                                   traj)
+            a = float(adv[m, i])
             assert not surrogate_is_clipped(rho, a, epsilon), "fixture must stay unclipped"
 
     grads = analytic_gradients(env, current, reference, batch, coeffs, epsilon)
@@ -235,8 +236,8 @@ def test_gradient_matches_central_differences(case):
     checked = 0
     for i in range(env.honest):
         visited = set()
-        for q, traj in zip(batch.questions, batch.trajectories):
-            visited.update(s.ctx for s in env.agent_steps(q, traj, i))
+        for m, traj in enumerate(batch.trajectories):
+            visited.update(s.ctx for s in env.agent_steps(batch.questions[m:m + 1], traj, i))
         for ctx in sorted(visited):
             for j in range(len(env.answer_space)):
                 plus, minus = current.copy(), current.copy()
@@ -274,16 +275,17 @@ def test_fully_clipped_batch_has_exactly_zero_gradient():
             seed=9,
         )
     )
-    question = SyntheticQuestion("q0", ("A", "B", "C", "D"), 0, 1.0)
+    question = question_set("ABCD", [0], [1.0])
     correct, wrong = answers = np.array([np.zeros((2, 2), dtype=np.int64),
                                          np.ones((2, 2), dtype=np.int64)])  # all A, all B
+    twice = question[[0, 0]]
     batch = RolloutBatch(
-        questions=(question, question),
+        questions=twice,
         trajectories=answers,
         weights=np.ones(2),
         ref_version=0,
-        contexts=recorded_contexts(env, (question, question), answers),
-        tilts=env.batch_tilts([question, question]),
+        contexts=recorded_contexts(env, twice, answers),
+        tilts=env.batch_tilts(twice),
     )
     coeffs = uniform_coefficients(
         2, alpha=0.0, beta=0.0, gamma=0.0, lambda_task=1.0, eta_anchor=0.0
@@ -350,10 +352,10 @@ def per_visit_gradient_step(env, state, batch, clip, totals):
         cur, ref = state.policies[i], state.reference[i]
         eta = state.coeffs.eta_anchor[i]
         grad = np.zeros_like(cur)
-        for m, (q, traj) in enumerate(zip(batch.questions, batch.trajectories)):
+        for m, traj in enumerate(batch.trajectories):
             w = batch.weights[m]
             a = float(adv[m, i])
-            steps = env.agent_steps(q, traj, i)
+            steps = env.agent_steps(batch.questions[m:m + 1], traj, i)
             lp_cur_rows = [visit_log_probs(cur, s) for s in steps]
             lp_ref_rows = [visit_log_probs(ref, s) for s in steps]
             picks = [s.answer for s in steps]
@@ -408,8 +410,9 @@ def test_gradient_step_matches_the_per_visit_loop_bit_for_bit(k, monkeypatch):
         totals = batch_totals(batch, coeffs)
         adv = compute_advantages(totals)
         for i in range(env.honest):
-            for m, (q, traj) in enumerate(zip(batch.questions, batch.trajectories)):
-                rho = likelihood_ratio(env, fast.policies[i], fast.reference[i], i, q, traj)
+            for m, traj in enumerate(batch.trajectories):
+                rho = likelihood_ratio(env, fast.policies[i], fast.reference[i], i,
+                                       batch.questions[m:m + 1], traj)
                 if surrogate_is_clipped(rho, float(adv[m, i]), clip.epsilon):
                     clipped += 1
                 else:
@@ -464,9 +467,10 @@ def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
     # and the refresh
 
     def act_keys(seeds):
-        return [policy_module._key_digest(s, "act", q.question_id) for s, q in zip(seeds, questions)]
+        return [policy_module._key_digest(s, "act", qid)
+                for s, qid in zip(seeds, questions.ids.tolist())]
 
-    eval_acts = act_keys([derive_key(3, "eval", q.question_id) for q in questions])
+    eval_acts = act_keys([derive_key(3, "eval", qid) for qid in questions.ids.tolist()])
     assert [d for keys, _ in passes for d in keys] == (
         act_keys([derive_key(5, m) for m in range(6)]) + 2 * eval_acts
         + act_keys([derive_key(9, j) for j in range(6)]))
@@ -492,7 +496,7 @@ def saturated_batch(rounds, env_seed=6):
                               difficulty="fixed:0.5", seed=env_seed))
     questions = env.generate_questions(3, "t")
     answers = np.zeros((3, rounds + 1, 2), dtype=np.int64)  # every answer A
-    batch = RolloutBatch(tuple(questions), answers, np.ones(3), 0,
+    batch = RolloutBatch(questions, answers, np.ones(3), 0,
                          recorded_contexts(env, questions, answers), env.batch_tilts(questions))
     policies = env.initial_policies()
     policies[:] = [LOGIT_CLAMP, -LOGIT_CLAMP]
@@ -503,7 +507,7 @@ def saturated_batch(rounds, env_seed=6):
 
 def test_gradient_step_rejects_a_ratio_that_overflows_before_changing_a_table():
     env, state, batch = saturated_batch(rounds=13)
-    q, traj = batch.questions[0], batch.trajectories[0]
+    q, traj = batch.questions[:1], batch.trajectories[0]
     log_rho = (trajectory_log_prob(env, state.policies[0], 0, q, traj)
                - trajectory_log_prob(env, state.reference[0], 0, q, traj))
     assert log_rho > math.log(np.finfo(float).max)
@@ -606,11 +610,11 @@ def test_full_replay_fraction_draws_every_later_batch_from_the_buffer(monkeypatc
     first = run()
     assert run() == first
     assert [len(p) for p in picks] == [6, 0, 0, 0]
-    assert batches[0].questions == tuple(questions[j] for j in picks[0])
+    assert same_questions(batches[0].questions, questions[picks[0]])
     assert batches[0].weights.dtype == np.float64 and batches[0].weights.tolist() == [1.0] * 6
     assert len(samples) == 3
     for batch, (rows, weights) in zip(batches[1:], samples):
-        assert batch.questions == tuple(questions[j] for j in rows)
+        assert same_questions(batch.questions, questions[rows])
         assert np.array_equal(batch.weights, weights)
 
 
@@ -659,9 +663,9 @@ def test_collect_batch_deterministic_and_slot_keyed():
             seed=8,
         )
     )
-    q = env.generate_questions(1, "t")[0]
+    q = env.generate_questions(1, "t")
     policies = env.initial_policies()
-    slots = [q] * 6
+    slots = q[np.zeros(6, dtype=np.intp)]
     batch1 = fresh_collect(env, slots, policies, 0, rollout_seed=44)
     batch2 = fresh_collect(env, slots, policies, 0, rollout_seed=44)
     assert np.array_equal(batch1.trajectories, batch2.trajectories)
@@ -671,20 +675,20 @@ def test_collect_batch_deterministic_and_slot_keyed():
 
 
 def test_rollout_batch_validation():
-    q = SyntheticQuestion("q0", ("A", "B"), 0, 0.0)
+    q = question_set("AB", [0], [0.0])
     one, two = np.zeros((1, 1, 2), dtype=np.int64), np.zeros((2, 1, 2), dtype=np.int64)
     tilts = np.zeros((1, 1, 2, 2))
     with pytest.raises(ValueError):
-        RolloutBatch(questions=(q,), trajectories=two, weights=np.ones(1), ref_version=0,
+        RolloutBatch(questions=q, trajectories=two, weights=np.ones(1), ref_version=0,
                      contexts=two, tilts=tilts)
     with pytest.raises(ValueError):
-        RolloutBatch(questions=(), trajectories=one[:0], weights=np.ones(0), ref_version=0,
+        RolloutBatch(questions=q[:0], trajectories=one[:0], weights=np.ones(0), ref_version=0,
                      contexts=one[:0], tilts=tilts[:0])
     # one question's tilts would broadcast over a two-debate batch
     with pytest.raises(ValueError, match="equal length"):
-        RolloutBatch(questions=(q, q), trajectories=two, weights=np.ones(2), ref_version=0,
+        RolloutBatch(questions=q[[0, 0]], trajectories=two, weights=np.ones(2), ref_version=0,
                      contexts=two, tilts=tilts)
-    RolloutBatch(questions=(q,), trajectories=one, weights=np.ones(1), ref_version=0, contexts=one,
+    RolloutBatch(questions=q, trajectories=one, weights=np.ones(1), ref_version=0, contexts=one,
                  tilts=tilts)
 
 
@@ -695,9 +699,9 @@ def test_rollout_batch_validation():
      ((1, 2, 2), (1, 2, 2))],
 )
 def test_rollout_batch_rejects_visit_arrays_of_the_wrong_shape(contexts_shape, answers_shape):
-    q = SyntheticQuestion("q0", ("A", "B"), 0, 0.0)
+    q = question_set("AB", [0], [0.0])
     with pytest.raises(ValueError, match="visit arrays"):
-        RolloutBatch(questions=(q,), trajectories=np.zeros(answers_shape, dtype=np.int64),
+        RolloutBatch(questions=q, trajectories=np.zeros(answers_shape, dtype=np.int64),
                      weights=np.ones(1), ref_version=0,
                      contexts=np.zeros(contexts_shape, dtype=np.int64),
                      tilts=np.zeros((1, 1, 2, 2)))

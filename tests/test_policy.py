@@ -20,7 +20,6 @@ from madlab.policy import (
     LOGIT_CLAMP,
     DebateEnv,
     EnvConfig,
-    SyntheticQuestion,
     answer_labels,
     context_key,
     contexts_per_bin,
@@ -36,6 +35,8 @@ from reference_impl import (
     build_context,
     per_stream_questions,
     probs,
+    question_set,
+    same_questions,
     trajectory_log_prob,
     uniform_coefficients,
 )
@@ -69,10 +70,14 @@ def test_rng_streams_are_reproducible_and_disjoint():
 
 
 def test_difficulty_bin_edges():
-    assert difficulty_bin(0.0, 5) == 0
-    assert difficulty_bin(0.19, 5) == 0
-    assert difficulty_bin(0.2, 5) == 1
-    assert difficulty_bin(1.0, 5) == 4
+    # 0.0, each inner edge of 5 bins and a value just below it, and 1.0, which
+    # lands in the top bin: the scalar rule min(int(d * bins), bins - 1) on each
+    d = np.array([0.0, 0.19, 0.2, 0.39, 0.4, 0.59, 0.6, 0.79, 0.8, 0.99, 1.0])
+    got = difficulty_bin(d, 5)
+    assert got.dtype == np.int64
+    assert got.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 4]
+    assert got.tolist() == [min(int(x * 5), 4) for x in d.tolist()]
+    assert difficulty_bin(d, 1).tolist() == [0] * len(d)
 
 
 def test_parse_difficulty_spec():
@@ -183,25 +188,38 @@ def test_env_config_validation():
 def test_generated_questions_are_valid_and_stable():
     env = small_env()
     qs1 = env.generate_questions(10, "train")
-    qs2 = env.generate_questions(10, "train")
-    assert qs1 == qs2
-    # ids stable under count growth
+    assert len(qs1) == 10 and qs1.answer_space == env.answer_space
+    assert qs1.ids.dtype.kind == "U" and qs1.truth.dtype == np.int64
+    assert qs1.difficulty.dtype == np.float64
+    assert same_questions(qs1, env.generate_questions(10, "train"))
+    # ids, and every column, stable under count growth
     qs3 = env.generate_questions(20, "train")
-    assert qs3[:10] == qs1
-    assert [q.question_id for q in qs1[:2]] == ["train-00000", "train-00001"]
-    for q in qs1:
-        assert 0 <= q.truth < len(q.answer_space)
-        assert 0.0 <= q.difficulty <= 1.0
+    assert same_questions(qs3[:10], qs1)
+    assert qs1.ids[:2].tolist() == ["train-00000", "train-00001"]
+    assert ((0 <= qs1.truth) & (qs1.truth < len(qs1.answer_space))).all()
+    assert ((0.0 <= qs1.difficulty) & (qs1.difficulty <= 1.0)).all()
     # different labels give different questions
     qs_eval = env.generate_questions(10, "eval")
-    assert qs_eval[0].question_id == "eval-00000"
-    assert any(a.truth != b.truth or a.difficulty != b.difficulty
-               for a, b in zip(qs1, qs_eval))
+    assert qs_eval.ids[0] == "eval-00000"
+    assert not (np.array_equal(qs1.truth, qs_eval.truth)
+                and np.array_equal(qs1.difficulty, qs_eval.difficulty))
+    # rows select by slice or index array; a set does not iterate
+    picked = qs3[np.array([12, 0, 12])]
+    assert picked.ids.tolist() == ["train-00012", "train-00000", "train-00012"]
+    assert picked.truth.tolist() == qs3.truth[[12, 0, 12]].tolist()
+    with pytest.raises(TypeError):
+        iter(qs1)
+    with pytest.raises(TypeError):
+        list(qs1)
+    # nor does it hand out one row alone, whose columns would be 0-d
+    for j in (0, np.int64(3)):
+        with pytest.raises(TypeError, match=re.escape("qs[j:j + 1]")):
+            qs1[j]
 
 
 def test_fixed_difficulty_spec_is_constant():
     env = small_env(difficulty="fixed:0.25")
-    assert all(q.difficulty == 0.25 for q in env.generate_questions(5, "t"))
+    assert env.generate_questions(5, "t").difficulty.tolist() == [0.25] * 5
 
 
 def test_rollout_shape_validity_and_determinism():
@@ -209,7 +227,8 @@ def test_rollout_shape_validity_and_determinism():
     qs = env.generate_questions(12, "train")
     pols = env.initial_policies()
     any_differ = False
-    for q in qs:
+    for j in range(len(qs)):
+        q = qs[j:j + 1]
         codes = env.rollout_debate(q, pols, rollout_seed=99)
         assert codes.shape == (2 + 1, 3) and codes.dtype == np.int64  # (T+1, N)
         assert 0 <= codes.min() and codes.max() < len(env.answer_space)
@@ -232,8 +251,8 @@ def unit(word):
 
 
 def per_stream_tilts(env, question):
-    """One question's (T+1, H, K) honest-seat tilts read word by word from its
-    tilt key: the reference DebateEnv.batch_tilts reproduces.
+    """The (T+1, H, K) honest-seat tilts of a set of one question read word by
+    word from its tilt key: the reference DebateEnv.batch_tilts reproduces.
 
     Normal (t, i, label) is number j = (t * N + i) * K + label, the cosine
     (even j) or sine (odd j) half of the Box-Muller pair on words j - j % 2
@@ -243,7 +262,8 @@ def per_stream_tilts(env, question):
     cfg = env.config
     n, k, steps = cfg.num_agents, len(env.answer_space), cfg.rounds + 1
     paired = steps * n * k + steps * n * k % 2
-    words = philox_words(paired + 2, cfg.seed, "tilt", question.question_id)
+    words = philox_words(paired + 2, cfg.seed, "tilt", question.ids[0])
+    truth, difficulty = int(question.truth[0]), float(question.difficulty[0])
 
     def normal(t, i, label):
         j = (t * n + i) * k + label
@@ -251,20 +271,19 @@ def per_stream_tilts(env, question):
         trig = np.sin if j % 2 else np.cos
         return np.sqrt(-2.0 * np.log1p(-u1)) * trig(2.0 * np.pi * u2)
 
-    ramp = min(1.0, question.difficulty / policy_module.AVERSION_RAMP)
+    ramp = min(1.0, difficulty / policy_module.AVERSION_RAMP)
     persist = policy_module.SIGNAL_PERSIST + (1.0 - policy_module.SIGNAL_PERSIST) * (1.0 - ramp)
-    scale = policy_module.SIGNAL_WOBBLE + policy_module.SIGNAL_WOBBLE_SLOPE * question.difficulty
-    truth = question.truth
+    scale = policy_module.SIGNAL_WOBBLE + policy_module.SIGNAL_WOBBLE_SLOPE * difficulty
     tilts = np.zeros((steps, env.honest, k))
     for i in range(env.honest):
         skill = cfg.skills[i % len(cfg.skills)]
         signal = np.array([policy_module.SIGNAL_NOISE * normal(0, i, label) for label in range(k)])
-        signal[truth] += policy_module.SIGNAL_GAIN * skill * (1.0 - question.difficulty)
+        signal[truth] += policy_module.SIGNAL_GAIN * skill * (1.0 - difficulty)
         tilts[0, i] = signal
         for t in range(1, steps):
             wobble = np.array([normal(t, i, label) for label in range(k)])
             tilts[t, i] = persist * signal + scale * wobble
-    if cfg.rounds >= 4 and unit(words[paired]) < question.difficulty:
+    if cfg.rounds >= 4 and unit(words[paired]) < difficulty:
         wrong = [j for j in range(k) if j != truth]
         flare = wrong[math.floor(unit(words[paired + 1]) * (k - 1))]
         push = cfg.rounds - 3
@@ -284,15 +303,16 @@ def adversary_label(rule, truth, labels):
 
 
 def per_draw_rollout(env, question, policies, rollout_seed):
-    """The rounds of one debate drawn one act at a time from its act key, seat
-    i at round t reading word t * N + i, and the compromised seats answering
-    adversary_label: the reference the batched engine reproduces."""
-    target = adversary_label(env.config.adversarial_target_policy, question.truth,
+    """The rounds of a set of one question's debate drawn one act at a time
+    from its act key, seat i at round t reading word t * N + i, and the
+    compromised seats answering adversary_label: the reference the batched
+    engine reproduces."""
+    target = adversary_label(env.config.adversarial_target_policy, int(question.truth[0]),
                              env.answer_space)
-    qf = difficulty_bin(question.difficulty, env.config.difficulty_bins)
+    qf = int(difficulty_bin(question.difficulty, env.config.difficulty_bins)[0])
     tilts = per_stream_tilts(env, question)
     n, steps = env.config.num_agents, env.config.rounds + 1
-    words = philox_words(steps * n, rollout_seed, "act", question.question_id)
+    words = philox_words(steps * n, rollout_seed, "act", question.ids[0])
     rows = []
     for t in range(steps):
         prev = rows[t - 1] if t else None
@@ -341,9 +361,10 @@ def test_rollout_batch_matches_per_draw_rollouts(name):
     contexts, answers = env.rollout_batch(questions, env.batch_tilts(questions), policies, seeds)
     labels = env.answer_space
     assert contexts.shape == answers.shape == (32, env.config.rounds + 1, env.config.num_agents)
-    for m, q in enumerate(questions):
+    bins = difficulty_bin(questions.difficulty, env.config.difficulty_bins).tolist()
+    for m, qf in enumerate(bins):
+        q = questions[m:m + 1]
         rounds = per_draw_rollout(env, q, policies, seeds[m])
-        qf = difficulty_bin(q.difficulty, env.config.difficulty_bins)
         for t, row in enumerate(rounds):
             prev = rounds[t - 1] if t else None
             for i, answer in enumerate(row):
@@ -360,12 +381,16 @@ def test_a_trajectory_does_not_depend_on_its_batch(monkeypatch):
     env = DebateEnv(EnvConfig(seed=6, compromised_count=1))
     questions = env.generate_questions(300, "t")
     policies = perturbed(env.initial_policies(), seed=2)
-    seeds = [derive_key(5, "eval", q.question_id) for q in questions]
+    seeds = [derive_key(5, "eval", qid) for qid in questions.ids.tolist()]
     tilts = env.batch_tilts(questions)
-    alone = np.array([env.rollout_batch([q], t[None], policies, [s])[1][0]
-                      for q, t, s in zip(questions, tilts, seeds)])
-    assert np.array_equal([env.rollout_debate(q, policies, s) for q, s in zip(questions, seeds)],
-                          alone)
+    alone = np.array([env.rollout_batch(questions[j:j + 1], tilts[j:j + 1], policies, [s])[1][0]
+                      for j, s in enumerate(seeds)])
+    assert np.array_equal([env.rollout_debate(questions[j:j + 1], policies, s)
+                           for j, s in enumerate(seeds)], alone)
+    # a permuted index array: each debate follows its question to its new slot
+    perm = np.random.default_rng(0).permutation(len(questions))
+    got = env.rollout_batch(questions[perm], tilts[perm], policies, [seeds[j] for j in perm])[1]
+    assert np.array_equal(got, alone[perm])
     # A batch that takes its act draws in several Philox passes: 6 rounds x 5
     # seats = 30 act words, 8 blocks, per debate, so 8 debates per 64-block pass.
     monkeypatch.setattr(policy_module, "PHILOX_BLOCKS_PER_PASS", 64)
@@ -375,9 +400,8 @@ def test_a_trajectory_does_not_depend_on_its_batch(monkeypatch):
     for pos in range(32):
         order = list(range(1, 32))
         order.insert(pos, 0)
-        batch = [questions[j] for j in order]
         batch_seeds = [seeds[j] for j in order]
-        got = env.rollout_batch(batch, tilts[order], policies, batch_seeds)[1][pos]
+        got = env.rollout_batch(questions[order], tilts[order], policies, batch_seeds)[1][pos]
         assert np.array_equal(got, alone[0])
 
 
@@ -396,7 +420,8 @@ def test_rollout_batch_rejects_bad_arguments():
         expected = re.escape(f"need (B, T+1, H, K) = (2, 3, 2, 3) tilts, got {bad.shape}")
         with pytest.raises(ValueError, match=expected):
             env.rollout_batch(questions, bad, policies, [1, 2])
-    contexts, answers = env.rollout_batch([], env.batch_tilts([]), policies, [])
+    contexts, answers = env.rollout_batch(questions[:0], env.batch_tilts(questions[:0]), policies,
+                                          [])
     assert contexts.shape == answers.shape == (0, 3, 3)
 
 
@@ -420,24 +445,24 @@ def test_rollout_refuses_policy_logits_of_the_wrong_shape():
         with pytest.raises(ValueError, match=expected):
             env.rollout_batch(questions, tilts, bad, [1, 2])
         with pytest.raises(ValueError, match=expected):
-            env.rollout_debate(questions[0], bad, 0)
+            env.rollout_debate(questions[:1], bad, 0)
 
 
 def test_signal_tilt_favors_truth_and_scales_with_difficulty():
     env = DebateEnv(EnvConfig(num_agents=2, rounds=1, answer_space_size=4,
                               skills=(1.0,), seed=3, difficulty="fixed:0.0"))
-    q = env.generate_questions(1, "t")[0]
-    tilt = env.batch_tilts([q])[0][0, 0]
-    assert tilt[q.truth] == max(tilt)
-    assert tilt[q.truth] > 3.0
+    q = env.generate_questions(1, "t")
+    tilt = env.batch_tilts(q)[0][0, 0]
+    assert tilt[q.truth[0]] == max(tilt)
+    assert tilt[q.truth[0]] > 3.0
     # a batch stacks each question's tensor
-    both = env.batch_tilts([q, q])
-    assert both.shape == (2, 2, 2, 4) and np.array_equal(both[1], env.batch_tilts([q])[0])
-    assert env.batch_tilts([]).shape == (0, 2, 2, 4)
+    both = env.batch_tilts(q[[0, 0]])
+    assert both.shape == (2, 2, 2, 4) and np.array_equal(both[1], env.batch_tilts(q)[0])
+    assert env.batch_tilts(q[:0]).shape == (0, 2, 2, 4)
     env_hard = DebateEnv(EnvConfig(num_agents=2, rounds=1, answer_space_size=4,
                                    skills=(1.0,), seed=3, difficulty="fixed:1.0"))
-    q_hard = env_hard.generate_questions(1, "t")[0]
-    tilt_hard = env_hard.batch_tilts([q_hard])[0][0, 0]
+    q_hard = env_hard.generate_questions(1, "t")
+    tilt_hard = env_hard.batch_tilts(q_hard)[0][0, 0]
     assert abs(tilt_hard).max() < 3.0  # noise only
 
 
@@ -451,7 +476,7 @@ def test_tilts_are_drawn_once_per_question_and_copied_out(monkeypatch, rounds):
     passes = record_philox_passes(monkeypatch)
     tilts = env.batch_tilts(questions)
     # (T+1) x 4 seats x 4 labels normals and 2 flare words per tilt key
-    tilt_keys = [policy_module._key_digest(2, "tilt", q.question_id) for q in questions]
+    tilt_keys = [policy_module._key_digest(2, "tilt", qid) for qid in questions.ids.tolist()]
     assert passes == [(tilt_keys, -(-((rounds + 1) * 16 + 2) // 4))]
     assert tilts.shape == (6, rounds + 1, 3, 4)  # the compromised seat has no row
     replay = ReplayConfig(capacity=8, refresh_period=2)
@@ -466,7 +491,7 @@ def test_tilts_are_drawn_once_per_question_and_copied_out(monkeypatch, rounds):
     assert buffer.tilts is tilts and buffer.questions is questions
     assert len(buffer) == 8
     for j, codes in zip(buffer.index.tolist(), buffer.answers):
-        assert (codes[:, 3] == env.adversary[questions[j].truth]).all()
+        assert (codes[:, 3] == env.adversary[questions.truth[j]]).all()
     # every batch_tilts call is a fresh array: writing into one leaves the next as it was
     first = tilts.copy()
     tilts += 1.0
@@ -541,8 +566,8 @@ def test_no_run_reads_os_entropy(tmp_path, monkeypatch):
 def test_generate_questions_match_per_stream_questions(k):
     for spec in ("uniform", "uniform:0.0,0.8", "uniform:0.3,0.35", "fixed:0.6"):
         env = small_env(answer_space_size=k, difficulty=spec, seed=9 + k)
-        assert env.generate_questions(500, "t") == per_stream_questions(env, 500, "t")
-    assert env.generate_questions(0, "t") == []
+        assert same_questions(env.generate_questions(500, "t"), per_stream_questions(env, 500, "t"))
+    assert same_questions(env.generate_questions(0, "t"), per_stream_questions(env, 0, "t"))
 
 
 TILT_CONFIGS = {
@@ -560,30 +585,34 @@ def test_batch_tilts_match_per_stream_tilts(name):
     env = DebateEnv(EnvConfig(**config))
     questions = env.generate_questions(300, "t")
     tilts = env.batch_tilts(questions)
-    for q, got in zip(questions, tilts):
-        assert got.tobytes() == per_stream_tilts(env, q).tobytes(), q.question_id
+    for j, got in enumerate(tilts):
+        assert got.tobytes() == per_stream_tilts(env, questions[j:j + 1]).tobytes(), j
 
 
 def test_batch_tilts_do_not_depend_on_the_batch(monkeypatch):
     config = EnvConfig(seed=6, rounds=5, compromised_count=1)
     questions = DebateEnv(config).generate_questions(120, "t")
-    alone = [DebateEnv(config).batch_tilts([q])[0] for q in questions]
+    alone = [DebateEnv(config).batch_tilts(questions[j:j + 1])[0] for j in range(120)]
     monkeypatch.setattr(policy_module, "PHILOX_BLOCKS_PER_PASS", 100)
     passes = record_philox_passes(monkeypatch)
     env = DebateEnv(config)
-    mixed = questions[60:] + questions[:60] + questions[:5]
-    got = env.batch_tilts(mixed)
-    assert [t.tobytes() for t in got] == [alone[questions.index(q)].tobytes() for q in mixed]
+    order = np.r_[60:120, 0:60, 0:5]
+    got = env.batch_tilts(questions[order])
+    assert [t.tobytes() for t in got] == [alone[j].tobytes() for j in order]
     # 6 rounds x 5 seats x 4 labels = 120 normals and 2 flare words, 31 blocks,
     # per question: 3 questions per 100-block pass, one tilt key per question
     # given, repeats included
     assert [(len(keys), blocks) for keys, blocks in passes] == [(3, 31)] * 41 + [(2, 31)]
     assert [d for keys, _ in passes for d in keys] == [
-        policy_module._key_digest(6, "tilt", q.question_id) for q in mixed]
+        policy_module._key_digest(6, "tilt", qid) for qid in questions.ids[order].tolist()]
     # the environment keeps nothing: a second call draws its questions again
     assert np.array_equal(env.batch_tilts(questions[:3]), got[60:63])
-    assert passes[42:] == [([policy_module._key_digest(6, "tilt", q.question_id)
-                             for q in questions[:3]], 31)]
+    assert passes[42:] == [([policy_module._key_digest(6, "tilt", qid)
+                             for qid in questions.ids[:3].tolist()], 31)]
+    # a permuted index array: each question's tilts follow it to its new slot
+    perm = np.random.default_rng(1).permutation(120)
+    assert [t.tobytes() for t in env.batch_tilts(questions[perm])] == [
+        alone[j].tobytes() for j in perm]
 
 
 def test_box_muller_is_finite_at_the_edges_and_standard_normal():
@@ -639,12 +668,10 @@ def test_earlier_rounds_do_not_depend_on_later_rounds():
 
 def test_tilts_follow_the_question_truth_and_difficulty_not_its_id():
     env = DebateEnv(EnvConfig(seed=3, difficulty="fixed:0.2"))
-    first = SyntheticQuestion("q1", env.answer_space, 0, 0.2)
-    second = SyntheticQuestion("q1", env.answer_space, 2, 0.2)
-    harder = SyntheticQuestion("q1", env.answer_space, 2, 0.7)
-    tilts = np.concatenate([env.batch_tilts([first]), env.batch_tilts([second, harder])])
-    for q, got in zip((first, second, harder), tilts):
-        assert got.tobytes() == per_stream_tilts(env, q).tobytes()
+    questions = question_set(env.answer_space, [0, 2, 2], [0.2, 0.2, 0.7], ["q1"] * 3)
+    tilts = np.concatenate([env.batch_tilts(questions[:1]), env.batch_tilts(questions[1:])])
+    for j, got in enumerate(tilts):
+        assert got.tobytes() == per_stream_tilts(env, questions[j:j + 1]).tobytes()
     # the boost lands on each question's own truth
     assert tilts[0][0, 0, 0] > tilts[1][0, 0, 0] and tilts[1][0, 0, 2] > tilts[0][0, 0, 2]
     assert not np.array_equal(tilts[1], tilts[2])
@@ -657,9 +684,9 @@ def test_easy_questions_start_mostly_correct():
     pols = env.initial_policies()
     correct = 0
     total = 0
-    for q in qs:
-        codes = env.rollout_debate(q, pols, rollout_seed=1)
-        correct += int((codes[0] == q.truth).sum())
+    for j in range(len(qs)):
+        codes = env.rollout_debate(qs[j:j + 1], pols, rollout_seed=1)
+        correct += int((codes[0] == qs.truth[j]).sum())
         total += 5
     assert correct / total > 0.85
 
@@ -670,7 +697,7 @@ def test_honest_seats_come_first(n, m):
     assert env.honest == n - m
     assert env.initial_policies().shape == (n - m, contexts_per_bin(3), 3)
     assert env.skills.tolist() == [(0.9, 0.4)[i % 2] for i in range(n - m)]
-    q = env.generate_questions(1, "t")[0]
+    q = env.generate_questions(1, "t")
     codes = np.zeros((env.config.rounds + 1, n), dtype=np.int64)
     for seat in (-1, n - m):  # no seat outside 0..H-1 has a policy
         with pytest.raises(ValueError, match=f"agent {seat} is compromised"):
@@ -689,7 +716,7 @@ ADVERSARY_RULES = {  # rule: the label the compromised seats answer on truths A,
 def test_compromised_answer_columns_follow_the_rule(rule):
     env = small_env(num_agents=5, compromised_count=2, answer_space_size=4,
                     adversarial_target_policy=rule)
-    questions = [SyntheticQuestion(f"q{j}", env.answer_space, j, 0.3) for j in range(4)]
+    questions = question_set(env.answer_space, range(4), [0.3] * 4)
     _, answers = env.rollout_batch(questions, env.batch_tilts(questions), env.initial_policies(),
                                    [1, 2, 3, 4])
     expected = [env.answer_space.index(label) for label in ADVERSARY_RULES[rule]]
@@ -701,23 +728,23 @@ def test_compromised_answer_columns_follow_the_rule(rule):
 
 def test_compromised_agents_hammer_target_every_round():
     env = small_env(num_agents=4, compromised_count=2)
-    q = env.generate_questions(1, "t")[0]
+    q = env.generate_questions(1, "t")
     codes = env.rollout_debate(q, env.initial_policies(), 7)
-    wrong = next(c for c in range(len(q.answer_space)) if c != q.truth)
+    wrong = next(c for c in range(len(q.answer_space)) if c != q.truth[0])
     assert np.all(codes[:, 2:] == wrong)
 
 
 def test_fixed_adversarial_target():
     env = small_env(num_agents=3, compromised_count=1,
                     adversarial_target_policy="fixed:C")
-    q = env.generate_questions(1, "t")[0]
+    q = env.generate_questions(1, "t")
     codes = env.rollout_debate(q, env.initial_policies(), 7)
     assert np.all(codes[:, 2] == env.answer_space.index("C"))
 
 
 def test_trajectory_log_prob_matches_manual_product():
     env = small_env()
-    q = env.generate_questions(1, "t")[0]
+    q = env.generate_questions(1, "t")
     pols = env.initial_policies()
     codes = env.rollout_debate(q, pols, 42)
     for i in range(env.honest):
@@ -731,7 +758,7 @@ def test_trajectory_log_prob_matches_manual_product():
 
 def test_agent_steps_rejects_compromised_index():
     env = small_env(num_agents=3, compromised_count=1)
-    q = env.generate_questions(1, "t")[0]
+    q = env.generate_questions(1, "t")
     codes = env.rollout_debate(q, env.initial_policies(), 1)
     with pytest.raises(ValueError, match="compromised"):
         env.agent_steps(q, codes, 2)

@@ -225,6 +225,25 @@ def test_invalid_json_fails_like_the_reference(tmp_path, line, words):
     assert str(got.value) == str(reference.value)
 
 
+def test_a_non_utf8_byte_names_the_file_and_line(tmp_path):
+    # Text mode decodes about 8 KB ahead of the lines it returns, so the bad
+    # byte, past 16 KB here, fails a decode before the good lines ahead of it
+    # are read; the error still names its line. Lines end in \n and \r\n
+    # alike, and a blank line counts, as the reader counts them.
+    good = json.dumps(GOOD).encode()
+    head = b"".join(good + (b"\r\n" if j % 2 else b"\n") for j in range(300)) + b"\n"
+    assert len(head) > 16 * 1024
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(head + good.replace(b'"q"', b'"q\xff"') + b"\n" + good + b"\n")
+    with pytest.raises(ValueError) as raised:
+        read_trajectories(str(path))
+    assert str(raised.value) == (f"{path}: line 302: not UTF-8 text (byte 0xff, "
+                                 "invalid start byte)")
+    # a stream has no file to read again: its decode error stands
+    with open(path, encoding="utf-8") as fp, pytest.raises(UnicodeDecodeError):
+        read_trajectories(fp)
+
+
 @pytest.mark.parametrize("k, dtype", [(4, np.uint8), (256, np.uint8), (257, np.int64), (300, np.int64)])
 def test_codes_are_bytes_up_to_256_labels(tmp_path, k, dtype):
     space = [f"L{c}" for c in range(k)]

@@ -15,7 +15,7 @@ import pytest
 
 from madlab.debate import DebateTrajectory, read_trajectories
 from madlab.metrics import MetricConfig, answer_codes, profiles_from_codes
-from madlab.policy import DebateEnv, EnvConfig, SyntheticQuestion, derive_key
+from madlab.policy import DebateEnv, EnvConfig, QuestionSet, derive_key
 from madlab.replay import ReplayBuffer, ReplayConfig, replay_score
 from madlab.rewards import total_reward
 from reference_impl import uniform_coefficients
@@ -32,7 +32,8 @@ CODES = np.array([(0, 1), (0, 1)])  # one debate's (T+1, N) answer codes
 def make_buffer(config, count):
     """A buffer over questions q0, q1, ... over (A, B) with truth A, and their
     zero (T+1, H, K) tilts."""
-    questions = [SyntheticQuestion(f"q{j}", ("A", "B"), 0, 0.5) for j in range(count)]
+    questions = QuestionSet(("A", "B"), np.array([f"q{j}" for j in range(count)]),
+                            np.zeros(count, dtype=np.int64), np.full(count, 0.5))
     return ReplayBuffer(config, questions, np.zeros((count, *CODES.shape, 2)))
 
 
@@ -40,15 +41,15 @@ def batch_scores(questions, answers):
     """refresh's score callback: each re-rolled debate's priority through the
     batch's profiles and rewards."""
     assert answers.shape[0] == len(questions)
-    profiles = profiles_from_codes(answers, len(questions[0].answer_space), MC)
+    profiles = profiles_from_codes(answers, len(questions.answer_space), MC)
     coeffs = uniform_coefficients(answers.shape[2])
     # r_task does not enter the priority
-    return replay_score(total_reward(profiles, np.zeros(len(answers), dtype=bool), coeffs)).tolist()
+    return replay_score(total_reward(profiles, np.zeros(len(answers), dtype=bool), coeffs))
 
 
 def score_of(question, codes):
-    """Replay priority of one debate, scored as a batch of one."""
-    return batch_scores([question], codes[None])[0]
+    """Replay priority of one debate of a set of one question, scored as a batch of one."""
+    return batch_scores(question, codes[None])[0]
 
 
 def fixed_buffer(eta, scores=FIXED_SCORES):
@@ -206,7 +207,7 @@ def test_dump_restore_roundtrip(tmp_path):
     path = str(tmp_path / "buffer.jsonl")
     buffer.dump(path)
     [group] = read_trajectories(path).groups
-    assert group.question_ids == [buffer.questions[j].question_id for j in buffer.index]
+    assert group.question_ids == buffer.questions.ids[buffer.index].tolist()
     assert group.truth.tolist() == [0] * len(buffer)
     np.testing.assert_array_equal(group.codes, buffer.answers)
     with open(path, "r", encoding="utf-8") as fp:
@@ -234,14 +235,15 @@ def test_refresh_rerolls_rescores_and_restamps():
     policies = env.initial_policies()
     tilts = env.batch_tilts(questions)
     buffer = ReplayBuffer(ReplayConfig(), questions, tilts)
-    codes = np.stack([env.rollout_debate(q, policies, derive_key(100, j))
-                      for j, q in enumerate(questions)])
-    buffer.push(np.arange(3), codes, [score_of(q, c) for q, c in zip(questions, codes)],
+    codes = np.stack([env.rollout_debate(questions[j:j + 1], policies, derive_key(100, j))
+                      for j in range(3)])
+    buffer.push(np.arange(3), codes, [score_of(questions[j:j + 1], c) for j, c in enumerate(codes)],
                 iteration=1, policy_version=0)
     buffer.refresh(env, policies, rollout_seed=777, policy_version=9, score=batch_scores)
     assert buffer.index.tolist() == [0, 1, 2]
     assert buffer.tilts is tilts  # kept, not redrawn
-    for j, q in enumerate(questions):
+    for j in range(3):
+        q = questions[j:j + 1]
         expected = env.rollout_debate(q, policies, derive_key(777, j))
         np.testing.assert_array_equal(buffer.answers[j], expected)
         assert buffer.score[j] == score_of(q, expected)
@@ -253,7 +255,7 @@ def test_refresh_rerolls_rescores_and_restamps():
     assert snapshot == (buffer.answers.tolist(), buffer.score.tolist())
     # an empty buffer has nothing to re-roll
     ReplayBuffer(ReplayConfig(), questions, tilts).refresh(env, policies, 777, 9,
-                                                           score=lambda qs, answers: [])
+                                                           score=lambda qs, answers: np.empty(0))
 
 
 # ----------------------------------------------------------------- validation
