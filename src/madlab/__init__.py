@@ -10,12 +10,11 @@ statistics needed to read the results.
 """
 
 from madlab.debate import DebateTrajectory
-from madlab.metrics import MetricConfig, UncertaintyProfile, full_profile
+from madlab.metrics import MetricConfig, full_profile
 
 __all__ = [
     "DebateTrajectory",
     "MetricConfig",
-    "UncertaintyProfile",
     "full_profile",
 ]
 

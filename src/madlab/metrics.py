@@ -17,7 +17,7 @@ answer space) in numpy into a ProfileBatch, each reading a (B,) column, plus
 the (B, T+1) round conflicts and each debate's winner. Rewards, replay
 priorities, training history, summaries, artifacts and the statistics
 reports read the columns without building per-debate objects; full_profile
-is a batch of one that returns an UncertaintyProfile. The vote is counted
+reads one trajectory's label grid as a batch of one. The vote is counted
 once, in _votes: per-round answer counts, the final-round winner with its
 lowest-code tie-break, and which agents' removal changes it; warm-up
 calibration reads the same helper. The floats equal a per-trajectory
@@ -29,12 +29,12 @@ labels first appear in the final round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
-from madlab.debate import DebateTrajectory, answer_index, write_csv
+from madlab.debate import DebateTrajectory, answer_index, validate_trajectory, write_csv
 
 
 @dataclass(frozen=True)
@@ -48,24 +48,9 @@ class MetricConfig:
             raise ValueError(f"lambda_mix must be in [0, 1], got {self.lambda_mix}")
 
 
-@dataclass(frozen=True)
-class UncertaintyProfile:
-    """All uncertainty readings of one trajectory."""
-
-    flip_rate: float
-    belief_revision: float
-    u_intra: float
-    round_conflicts: tuple[float, ...]
-    u_inter: float
-    entropy_norm: float
-    disagreement: float
-    loo_instability: float
-    u_sys: float
-
-
 @dataclass(frozen=True, eq=False)
 class ProfileBatch:
-    """The readings of B debates as columns, named as in UncertaintyProfile.
+    """The readings of B debates as columns.
 
     Each reading is a (B,) float64 array, round_conflicts is (B, T+1), and
     winners holds each debate's ensemble winner code.
@@ -81,26 +66,6 @@ class ProfileBatch:
     loo_instability: np.ndarray
     u_sys: np.ndarray
     winners: np.ndarray
-
-    def profile(self, j: int) -> UncertaintyProfile:
-        """Debate j's readings as Python floats."""
-        values = {f.name: getattr(self, f.name)[j].tolist() for f in fields(UncertaintyProfile)}
-        return UncertaintyProfile(**dict(values, round_conflicts=tuple(values["round_conflicts"])))
-
-
-def answer_codes(trajectories: Sequence[DebateTrajectory]) -> np.ndarray:
-    """(B, T+1, N) answer codes of trajectories that share one answer space and grid shape.
-
-    A code is the label's index in the first trajectory's answer space.
-    """
-    space = trajectories[0].answer_space
-    index = answer_index(space)
-    try:
-        codes = [index[a] for traj in trajectories for row in traj.rounds for a in row]
-    except KeyError as exc:
-        raise ValueError(f"label {exc} not in the answer space {space}") from None
-    first = trajectories[0].rounds
-    return np.array(codes, dtype=np.int64).reshape(len(trajectories), len(first), len(first[0]))
 
 
 def _votes(answers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,9 +133,15 @@ def profiles_from_codes(answers: np.ndarray, k: int, config: MetricConfig) -> Pr
                         u_sys, winners)
 
 
-def full_profile(traj: DebateTrajectory, config: MetricConfig) -> UncertaintyProfile:
-    """One trajectory's profile: profiles_from_codes over a batch of one."""
-    return profiles_from_codes(answer_codes([traj]), len(traj.answer_space), config).profile(0)
+def full_profile(traj: DebateTrajectory, config: MetricConfig) -> ProfileBatch:
+    """One trajectory's readings as a batch of one; a malformed trajectory
+    raises ValueError with validate_trajectory's problems."""
+    problems = validate_trajectory(traj)
+    if problems:
+        raise ValueError("; ".join(problems))
+    index = answer_index(traj.answer_space)
+    codes = np.array([[[index[a] for a in row] for row in traj.rounds]], dtype=np.int64)
+    return profiles_from_codes(codes, len(traj.answer_space), config)
 
 
 PROFILE_CSV_HEADER = "question_id,F,M,U_intra,U_inter,H,D,L,U_sys"

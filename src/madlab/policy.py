@@ -314,15 +314,6 @@ class EnvConfig:
                 raise ValueError(f"fixed adversarial target {label!r} outside the answer space")
 
 
-@dataclass(frozen=True)
-class AgentStep:
-    """One (context row, tilt, chosen answer code) visit along a debate."""
-
-    ctx: int
-    tilt: np.ndarray
-    answer: int
-
-
 class DebateEnv:
     """Deterministic simulator tying questions, agents, and policies together.
 
@@ -446,6 +437,7 @@ class DebateEnv:
     ) -> np.ndarray:
         """The (T+1, N) answer codes of the debate of a set of one question; its
         acts read the key (rollout_seed, "act", question id) and it draws its own tilts."""
+        _check_one(question)
         return self.rollout_batch(question, self.batch_tilts(question), policies,
                                   [rollout_seed])[1][0]
 
@@ -514,18 +506,23 @@ class DebateEnv:
 
     def agent_steps(
         self, question: QuestionSet, answers: np.ndarray, agent_index: int
-    ) -> list[AgentStep]:
-        """The (context row, tilt, answer code) visits of one honest agent along
-        the (T+1, N) answer codes of a set of one question's debate, in round
-        order; its tilts are row agent_index of the question's (T+1, H, K) tilts."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One honest agent's visits along the (T+1, N) answer codes of a set of
+        one question's debate, in round order: its (T+1,) context rows, its
+        (T+1, K) tilts (row agent_index of the question's (T+1, H, K) tilts)
+        and its (T+1,) answer codes."""
+        _check_one(question)
         if not 0 <= agent_index < self.honest:
             raise ValueError(f"agent {agent_index} is compromised and has no policy")
         k = len(self.answer_space)
         base = difficulty_bin(question.difficulty, self.config.difficulty_bins) * contexts_per_bin(k)
-        rows = base.tolist() + _round_contexts(base, answers[:-1], k)[:, agent_index].tolist()
-        tilts = self.batch_tilts(question)[0]
-        return [AgentStep(ctx=ctx, tilt=tilts[t, agent_index], answer=answer)
-                for t, (ctx, answer) in enumerate(zip(rows, answers[:, agent_index].tolist()))]
+        rows = np.concatenate([base, _round_contexts(base, answers[:-1], k)[:, agent_index]])
+        return rows, self.batch_tilts(question)[0, :, agent_index], answers[:, agent_index]
+
+
+def _check_one(question: QuestionSet) -> None:
+    if len(question) != 1:
+        raise ValueError(f"need a set of one question, got {len(question)}")
 
 
 def save_policy(

@@ -247,12 +247,12 @@ def check_strata_boundaries(boundaries: Sequence[float]) -> list[float]:
 def stratify_by_uncertainty(
     values: np.ndarray,
     correct: np.ndarray,
-    boundaries: Sequence[float] = (0.2, 0.4, 0.6, 0.8),
+    boundaries: Sequence[float],
 ) -> list[StrataBin]:
     """Bucket questions into uncertainty bands and report per-band accuracy.
 
-    Default boundaries carve [0, 1] into five bands. Empty bands are kept
-    with count 0 and accuracy None.
+    The boundaries, strictly increasing inside (0, 1), carve [0, 1] into
+    bands. Empty bands are kept with count 0 and accuracy None.
     """
     if not len(values):
         raise ValueError("stratification needs at least one record")

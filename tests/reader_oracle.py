@@ -4,8 +4,9 @@ must reproduce.
 
 read_trajectories builds every record through trajectory_from_record, and
 outcome_records regroups the supervised trajectories by (answer space, T+1,
-N) and encodes each group with metrics.answer_codes. trajectories_of decodes
-the answer-code reader's groups back into trajectories, to compare the two.
+N), encodes each group with reference_impl.trajectory_codes and holds each
+record's readings as a batch of one. trajectories_of decodes the answer-code
+reader's groups back into trajectories, to compare the two.
 trajectory_record and write_records write hand-made trajectories in the file
 format, for inputs no debate batch produces: records without ground truth, or
 several answer spaces in one file.
@@ -18,7 +19,8 @@ import json
 import numpy as np
 
 from madlab.debate import NO_TRUTH, DebateTrajectory, trajectory_from_record, with_fp
-from madlab.metrics import answer_codes, profiles_from_codes
+from madlab.metrics import profiles_from_codes
+from reference_impl import profile_row, trajectory_codes
 from stats_oracle import OutcomeRecord
 
 
@@ -80,10 +82,10 @@ def outcome_records(trajectories, metric_config, chunk_size=4096):
     for (space, _, _), members in groups.items():
         for start in range(0, len(members), chunk_size):
             chunk = [trajectories[j] for j in members[start : start + chunk_size]]
-            profiles = profiles_from_codes(answer_codes(chunk), len(space), metric_config)
+            profiles = profiles_from_codes(trajectory_codes(chunk), len(space), metric_config)
             for u, (j, traj) in enumerate(zip(members[start:], chunk)):
                 correct = space[profiles.winners[u]] == traj.ground_truth
-                records[j] = OutcomeRecord(traj.question_id, correct, profiles.profile(u))
+                records[j] = OutcomeRecord(traj.question_id, correct, profile_row(profiles, u))
     return records
 
 

@@ -23,6 +23,9 @@ uniform_coefficients is the coefficient set the tests share: every seat at
 CalibrationConfig's bases, the values an all-zero warm-up reading gives.
 question_set builds a QuestionSet from plain lists, and same_questions
 compares two sets column by column, bit for bit (a QuestionSet has no ==).
+trajectory_codes encodes hand-made trajectories' label grids into answer
+codes, profile_row takes one debate's row of a ProfileBatch as a batch of
+one, and same_profiles compares two batches field by field, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from madlab.calibration import CalibrationConfig, calibrate_coefficients
+from madlab.debate import DebateTrajectory, answer_index
+from madlab.metrics import ProfileBatch
 from madlab.optim import ClipConfig, RolloutBatch, _log_probs
 from madlab.policy import (
     TRUTH_SKEW,
@@ -66,6 +71,27 @@ def same_questions(a: QuestionSet, b: QuestionSet) -> bool:
     return a.answer_space == b.answer_space and all(
         x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
         for x, y in ((a.ids, b.ids), (a.truth, b.truth), (a.difficulty, b.difficulty)))
+
+
+def trajectory_codes(trajectories: Sequence[DebateTrajectory]) -> np.ndarray:
+    """(B, T+1, N) answer codes of trajectories that share one answer space and
+    grid shape: each label's index in the first trajectory's answer space."""
+    index = answer_index(trajectories[0].answer_space)
+    return np.array([[[index[a] for a in row] for row in traj.rounds] for traj in trajectories],
+                    dtype=np.int64)
+
+
+def profile_row(profiles: ProfileBatch, j: int) -> ProfileBatch:
+    """Debate j's readings as a batch of one."""
+    return ProfileBatch(*(getattr(profiles, f.name)[j:j + 1]
+                          for f in dataclasses.fields(ProfileBatch)))
+
+
+def same_profiles(a: ProfileBatch, b: ProfileBatch) -> bool:
+    """Whether two batches hold bit-identical columns, field by field."""
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in ((getattr(a, f.name), getattr(b, f.name))
+                            for f in dataclasses.fields(ProfileBatch)))
 
 
 def build_context(
@@ -129,9 +155,9 @@ def trajectory_log_prob(
 ) -> float:
     """log pi(answers) for one honest agent on a set of one question: sum over rounds 0..T."""
     total = 0.0
-    for step in env.agent_steps(question, answers, agent_index):
-        p = probs(policy, step.ctx, step.tilt)
-        total += float(np.log(p[step.answer]))
+    for ctx, tilt, answer in zip(*env.agent_steps(question, answers, agent_index)):
+        p = probs(policy, ctx, tilt)
+        total += float(np.log(p[answer]))
     return total
 
 
@@ -164,14 +190,14 @@ def kl_anchor(
     answers: np.ndarray,
 ) -> float:
     """Mean per-visited-context KL(current || reference) over the T+1 rounds."""
-    steps = env.agent_steps(question, answers, agent_index)
+    rows, tilts, _ = env.agent_steps(question, answers, agent_index)
     total = 0.0
-    for step in steps:
-        lp_cur = _log_probs(current, step.ctx, step.tilt)
-        lp_ref = _log_probs(reference, step.ctx, step.tilt)
+    for ctx, tilt in zip(rows, tilts):
+        lp_cur = _log_probs(current, ctx, tilt)
+        lp_ref = _log_probs(reference, ctx, tilt)
         p = np.exp(lp_cur)
         total += float(np.dot(p, lp_cur - lp_ref))
-    return total / len(steps)
+    return total / len(rows)
 
 
 def objective_value(

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from madlab.harness import SummaryRow
-from madlab.metrics import UncertaintyProfile
+from madlab.metrics import ProfileBatch
 from madlab.stats import (
     MetricSeparation,
     SeparationReport,
@@ -102,15 +102,16 @@ def welch_t_test(
 
 @dataclass(frozen=True)
 class OutcomeRecord:
-    """Per-question evaluation outcome: correctness plus the uncertainty profile."""
+    """Per-question evaluation outcome: correctness plus the question's
+    readings, a ProfileBatch of one."""
 
     question_id: str
     correct: bool
-    profile: UncertaintyProfile
+    profile: ProfileBatch
 
     def metric(self, name: str) -> float:
         try:
-            return getattr(self.profile, METRIC_FIELDS[name])
+            return getattr(self.profile, METRIC_FIELDS[name]).item()
         except KeyError:
             raise ValueError(
                 f"unknown metric {name!r}; expected one of {sorted(METRIC_FIELDS)}"
@@ -224,9 +225,9 @@ def summary_from_records(label: str, records: Sequence[OutcomeRecord]) -> Summar
         label=label,
         questions=len(records),
         accuracy=float(np.mean([r.correct for r in records])),
-        mean_u_intra=float(np.mean([r.profile.u_intra for r in records])),
-        mean_u_inter=float(np.mean([r.profile.u_inter for r in records])),
-        mean_u_sys=float(np.mean([r.profile.u_sys for r in records])),
+        mean_u_intra=float(np.mean([r.metric("U_intra") for r in records])),
+        mean_u_inter=float(np.mean([r.metric("U_inter") for r in records])),
+        mean_u_sys=float(np.mean([r.metric("U_sys") for r in records])),
     )
 
 

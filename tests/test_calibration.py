@@ -13,8 +13,9 @@ from madlab.calibration import (
     warmup_profile,
 )
 from madlab.debate import DebateTrajectory
-from madlab.metrics import MetricConfig, answer_codes
+from madlab.metrics import MetricConfig
 from madlab.policy import DebateEnv, EnvConfig
+from reference_impl import trajectory_codes
 
 SPACE = ("A", "B")
 LABELS = ("A", "B", "C", "D")
@@ -23,7 +24,7 @@ LABELS = ("A", "B", "C", "D")
 def profile_of(trajectories):
     """warmup_profile over the trajectories' answer codes, lambda_mix 0.5."""
     k = len(trajectories[0].answer_space)
-    return warmup_profile(answer_codes(trajectories), k, MetricConfig(lambda_mix=0.5))
+    return warmup_profile(trajectory_codes(trajectories), k, MetricConfig(lambda_mix=0.5))
 
 
 def steady(qid, row):

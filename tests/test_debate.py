@@ -18,9 +18,10 @@ from madlab.debate import (
     write_csv,
     write_trajectories,
 )
-from madlab.metrics import _votes, answer_codes
+from madlab.metrics import _votes
 from madlab.policy import DebateEnv, EnvConfig, QuestionSet
 from reader_oracle import trajectories_of, trajectory_record, write_records
+from reference_impl import trajectory_codes
 
 SPACE = ("A", "B", "C")
 
@@ -34,7 +35,7 @@ def make_traj(rounds, ground_truth=None, space=SPACE, qid="q-0"):
 def vote(final, space=SPACE):
     """The answer-code kernel's vote on one final round: the counts per label,
     the winning label and which agents' removal changes the winner."""
-    codes = answer_codes([make_traj((tuple(final), tuple(final)), space=space)])
+    codes = trajectory_codes([make_traj((tuple(final), tuple(final)), space=space)])
     counts, winners, pivots = _votes(codes, len(space))
     return counts[0, -1].tolist(), space[int(winners[0])], pivots[0].tolist()
 

@@ -12,7 +12,7 @@ and every public method, must be referenced by name somewhere in src/madlab
 or be a name the benchmark's traced run wraps (perfbench/layers.py).
 
 A debate in memory is its question and answer codes; label grids belong to
-the file format. Only debate.py, metrics.py (full_profile, answer_codes) and
+the file format. Only debate.py, metrics.py (full_profile) and
 the package's __init__.py may name DebateTrajectory. Likewise a question's
 truth is an answer code in memory, and only debate.py, which reads and writes
 the files' ground_truth labels, may name ground_truth.

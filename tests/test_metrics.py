@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 
 import brute_oracle as oracle
-from madlab.debate import DebateTrajectory
+from madlab.debate import DebateTrajectory, validate_trajectory
 from madlab.metrics import (
     PROFILE_CSV_HEADER,
     MetricConfig,
     ProfileBatch,
-    answer_codes,
     full_profile,
     profiles_from_codes,
     write_profiles_csv,
 )
+from reference_impl import profile_row, same_profiles
 
 SPACE3 = ("A", "B", "C")
 LABELS26 = tuple(chr(ord("A") + c) for c in range(26))
@@ -48,31 +48,31 @@ def test_every_metric_matches_brute_force():
     for traj in random_trajectories(rng, 500):
         rounds, final, order = traj.rounds, traj.rounds[-1], traj.answer_space
         prof = full_profile(traj, cfg)
-        assert abs(prof.flip_rate - oracle.brute_flip_rate(rounds)) < 1e-12
-        assert abs(prof.belief_revision - oracle.brute_belief_revision(rounds)) < 1e-12
-        assert abs(prof.u_intra - oracle.brute_intra(rounds, 0.5)) < 1e-12
+        assert abs(prof.flip_rate[0] - oracle.brute_flip_rate(rounds)) < 1e-12
+        assert abs(prof.belief_revision[0] - oracle.brute_belief_revision(rounds)) < 1e-12
+        assert abs(prof.u_intra[0] - oracle.brute_intra(rounds, 0.5)) < 1e-12
         for t in range(len(rounds)):
-            assert abs(prof.round_conflicts[t] - oracle.brute_round_conflict(rounds[t])) < 1e-12
-        assert abs(prof.u_inter - oracle.brute_inter(rounds)) < 1e-12
-        assert abs(prof.entropy_norm - oracle.brute_entropy(final)) < 1e-12
-        assert prof.disagreement == oracle.brute_disagreement(final)
-        assert abs(prof.loo_instability - oracle.brute_loo(final, order)) < 1e-12
-        assert abs(prof.u_sys - oracle.brute_usys(final, order)) < 1e-12
+            assert abs(prof.round_conflicts[0, t] - oracle.brute_round_conflict(rounds[t])) < 1e-12
+        assert abs(prof.u_inter[0] - oracle.brute_inter(rounds)) < 1e-12
+        assert abs(prof.entropy_norm[0] - oracle.brute_entropy(final)) < 1e-12
+        assert prof.disagreement[0] == oracle.brute_disagreement(final)
+        assert abs(prof.loo_instability[0] - oracle.brute_loo(final, order)) < 1e-12
+        assert abs(prof.u_sys[0] - oracle.brute_usys(final, order)) < 1e-12
 
 
 def test_worked_fixture_two_agents_two_rounds():
     # grid: round 0 [A, A]; round 1 [B, A]; round 2 [B, A]
     traj = make_traj((("A", "A"), ("B", "A"), ("B", "A")), ("A", "B"))
-    cfg = MetricConfig(lambda_mix=0.5)
-    prof = full_profile(traj, cfg)
-    assert prof.flip_rate == 0.25
-    assert prof.belief_revision == 0.5
-    assert prof.u_intra == 0.375
-    assert prof.u_inter == 2 / 3
-    assert prof.entropy_norm == 1.0
-    assert prof.disagreement == 1.0
-    assert prof.loo_instability == 0.5
-    assert prof.u_sys == 5 / 6
+    prof = full_profile(traj, MetricConfig(lambda_mix=0.5))
+    assert prof.flip_rate.tolist() == [0.25]
+    assert prof.belief_revision.tolist() == [0.5]
+    assert prof.u_intra.tolist() == [0.375]
+    assert prof.u_inter.tolist() == [2 / 3]
+    assert prof.entropy_norm.tolist() == [1.0]
+    assert prof.disagreement.tolist() == [1.0]
+    assert prof.loo_instability.tolist() == [0.5]
+    assert prof.u_sys.tolist() == [5 / 6]
+    assert prof.winners.tolist() == [0]
 
 
 def test_full_profile_consistent_with_parts():
@@ -80,9 +80,11 @@ def test_full_profile_consistent_with_parts():
     cfg = MetricConfig(lambda_mix=0.3)
     for traj in random_trajectories(rng, 50):
         prof = full_profile(traj, cfg)
-        assert prof.u_intra == 0.3 * prof.flip_rate + 0.7 * prof.belief_revision
-        assert prof.u_inter == sum(prof.round_conflicts) / len(prof.round_conflicts)
-        assert prof.u_sys == (prof.entropy_norm + prof.disagreement + prof.loo_instability) / 3.0
+        conflicts = prof.round_conflicts[0].tolist()
+        assert prof.u_intra[0] == 0.3 * prof.flip_rate[0] + 0.7 * prof.belief_revision[0]
+        assert prof.u_inter[0] == sum(conflicts) / len(conflicts)
+        assert prof.u_sys[0] == (prof.entropy_norm[0] + prof.disagreement[0]
+                                 + prof.loo_instability[0]) / 3.0
 
 
 def test_metrics_bounded_in_unit_interval():
@@ -90,40 +92,34 @@ def test_metrics_bounded_in_unit_interval():
     cfg = MetricConfig()
     for traj in random_trajectories(rng, 200):
         prof = full_profile(traj, cfg)
-        for v in (
-            prof.flip_rate, prof.belief_revision, prof.u_intra, prof.u_inter,
-            prof.entropy_norm, prof.disagreement, prof.loo_instability, prof.u_sys,
-        ):
-            assert 0.0 <= v <= 1.0
+        for name in FLOAT_FIELDS:
+            assert 0.0 <= getattr(prof, name)[0] <= 1.0
+        assert np.all((0.0 <= prof.round_conflicts) & (prof.round_conflicts <= 1.0))
 
 
 def test_unanimous_static_debate_is_all_zero():
     traj = make_traj((("A", "A", "A"), ("A", "A", "A")))
     prof = full_profile(traj, MetricConfig())
-    assert prof.flip_rate == 0.0
-    assert prof.u_intra == 0.0
-    assert prof.u_inter == 0.0
-    assert prof.entropy_norm == 0.0
-    assert prof.disagreement == 0.0
-    assert prof.loo_instability == 0.0
-    assert prof.u_sys == 0.0
+    for name in FLOAT_FIELDS:
+        assert getattr(prof, name).tolist() == [0.0], name
+    assert prof.round_conflicts.tolist() == [[0.0, 0.0]]
 
 
 def test_round_0_counts_in_inter_uncertainty():
     # disagreement only at round 0 still registers
     prof = full_profile(make_traj((("A", "B"), ("A", "A"))), MetricConfig())
-    assert prof.round_conflicts == (1.0, 0.0)
-    assert prof.u_inter == 0.5
+    assert prof.round_conflicts.tolist() == [[1.0, 0.0]]
+    assert prof.u_inter.tolist() == [0.5]
 
 
 def test_entropy_base_is_distinct_answer_count():
     # two distinct answers among 3 agents: H = -(2/3 ln 2/3 + 1/3 ln 1/3)/ln 2
-    h = full_profile(make_traj((("A", "A", "B"), ("A", "A", "B"))), MetricConfig()).entropy_norm
+    h = full_profile(make_traj((("A", "A", "B"), ("A", "A", "B"))), MetricConfig()).entropy_norm[0]
     assert abs(h - oracle.brute_entropy(("A", "A", "B"))) < 1e-15
     assert 0.0 < h < 1.0
     # all distinct: maximal entropy 1 regardless of K
     traj3 = make_traj((("A", "B", "C"), ("A", "B", "C")))
-    assert abs(full_profile(traj3, MetricConfig()).entropy_norm - 1.0) < 1e-12
+    assert abs(full_profile(traj3, MetricConfig()).entropy_norm[0] - 1.0) < 1e-12
 
 
 # ------------------------------------------------------------ batched kernel
@@ -148,24 +144,20 @@ def check_against_references(codes, k, lam):
         column = getattr(batch, name)
         assert column.dtype == np.float64 and column.shape == (len(codes),)
     assert batch.round_conflicts.shape == codes.shape[:2]
-    profiles = [batch.profile(j) for j in range(len(codes))]
-    for grid, prof, w in zip(codes.tolist(), profiles, batch.winners.tolist()):
+    for j, grid in enumerate(codes.tolist()):
         rounds = tuple(tuple(space[a] for a in row) for row in grid)
         final = rounds[-1]
-        assert prof == full_profile(make_traj(rounds, space), cfg)
-        assert space[w] == oracle.brute_majority(final, space)
-        assert prof.flip_rate == oracle.brute_flip_rate(rounds)
-        assert prof.belief_revision == oracle.brute_belief_revision(rounds)
-        assert prof.u_intra == oracle.brute_intra(rounds, lam)
-        assert prof.round_conflicts == tuple(oracle.brute_round_conflict(r) for r in rounds)
-        assert prof.u_inter == oracle.brute_inter(rounds)
-        assert prof.entropy_norm == oracle.brute_entropy(final)
-        assert prof.disagreement == oracle.brute_disagreement(final)
-        assert prof.loo_instability == oracle.brute_loo(final, space)
-        assert prof.u_sys == oracle.brute_usys(final, space)
-        for name in FLOAT_FIELDS:
-            assert type(getattr(prof, name)) is float
-        assert all(type(c) is float for c in prof.round_conflicts)
+        assert same_profiles(full_profile(make_traj(rounds, space), cfg), profile_row(batch, j))
+        assert space[batch.winners[j]] == oracle.brute_majority(final, space)
+        assert batch.flip_rate[j] == oracle.brute_flip_rate(rounds)
+        assert batch.belief_revision[j] == oracle.brute_belief_revision(rounds)
+        assert batch.u_intra[j] == oracle.brute_intra(rounds, lam)
+        assert batch.round_conflicts[j].tolist() == [oracle.brute_round_conflict(r) for r in rounds]
+        assert batch.u_inter[j] == oracle.brute_inter(rounds)
+        assert batch.entropy_norm[j] == oracle.brute_entropy(final)
+        assert batch.disagreement[j] == oracle.brute_disagreement(final)
+        assert batch.loo_instability[j] == oracle.brute_loo(final, space)
+        assert batch.u_sys[j] == oracle.brute_usys(final, space)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 26])
@@ -212,7 +204,7 @@ def test_kernel_does_not_depend_on_the_rest_of_the_batch():
     batch = profiles_from_codes(codes, 4, MetricConfig())
     for j in range(len(codes)):
         alone = profiles_from_codes(codes[j : j + 1], 4, MetricConfig())
-        assert alone.profile(0) == batch.profile(j) and alone.winners.tolist() == [batch.winners[j]]
+        assert same_profiles(alone, profile_row(batch, j))
     empty = profiles_from_codes(codes[:0], 4, MetricConfig())
     assert empty.winners.shape == (0,) and empty.u_sys.shape == (0,)
 
@@ -230,11 +222,26 @@ def test_kernel_rejects_bad_codes_and_shapes():
         profiles_from_codes(np.full((1, 2, 2), -1), 3, MetricConfig())
 
 
-def test_answer_codes_index_the_answer_space():
-    trajs = [make_traj((("C", "A"), ("B", "B"))), make_traj((("A", "A"), ("C", "B")))]
-    assert answer_codes(trajs).tolist() == [[[2, 0], [1, 1]], [[0, 0], [2, 1]]]
-    with pytest.raises(ValueError, match="'Z' not in the answer space"):
-        answer_codes([make_traj((("A", "Z"), ("A", "A")))])
+def test_full_profile_reads_labels_by_their_place_in_the_answer_space():
+    # the winner is a code; C beats A on two votes to one only as the code 2
+    traj = make_traj((("C", "A", "C"), ("C", "A", "C")))
+    assert full_profile(traj, MetricConfig()).winners.tolist() == [2]
+    codes = np.array([[[2, 0, 2], [2, 0, 2]]])
+    assert same_profiles(full_profile(traj, MetricConfig()),
+                         profiles_from_codes(codes, 3, MetricConfig()))
+
+
+def test_full_profile_raises_the_validator_text():
+    # an out-of-space label and a ragged grid fail with validate_trajectory's text
+    for rounds, problem in (
+        ((("A", "Z"), ("A", "A")), "label 'Z' at (t=0, i=1) not in the answer space"),
+        ((("A", "B"), ("A",)), "grid gap at t=1: 1 answers, round 0 has 2"),
+    ):
+        traj = make_traj(rounds)
+        assert validate_trajectory(traj) == [problem]
+        with pytest.raises(ValueError) as info:
+            full_profile(traj, MetricConfig())
+        assert str(info.value) == problem
 
 
 def test_lambda_mix_validation():

@@ -237,7 +237,7 @@ def test_gradient_matches_central_differences(case):
     for i in range(env.honest):
         visited = set()
         for m, traj in enumerate(batch.trajectories):
-            visited.update(s.ctx for s in env.agent_steps(batch.questions[m:m + 1], traj, i))
+            visited.update(env.agent_steps(batch.questions[m:m + 1], traj, i)[0].tolist())
         for ctx in sorted(visited):
             for j in range(len(env.answer_space)):
                 plus, minus = current.copy(), current.copy()
@@ -336,8 +336,8 @@ def test_gradient_step_binds_a_new_array_and_leaves_its_input_unchanged():
     assert not np.array_equal(state.policies, policies)
 
 
-def visit_log_probs(policy, step):
-    z = policy[step.ctx] + step.tilt
+def visit_log_probs(policy, ctx, tilt):
+    z = policy[ctx] + tilt
     z = z - z.max()
     return z - math.log(float(np.exp(z).sum()))
 
@@ -355,25 +355,25 @@ def per_visit_gradient_step(env, state, batch, clip, totals):
         for m, traj in enumerate(batch.trajectories):
             w = batch.weights[m]
             a = float(adv[m, i])
-            steps = env.agent_steps(batch.questions[m:m + 1], traj, i)
-            lp_cur_rows = [visit_log_probs(cur, s) for s in steps]
-            lp_ref_rows = [visit_log_probs(ref, s) for s in steps]
-            picks = [s.answer for s in steps]
+            rows, tilts, picks = env.agent_steps(batch.questions[m:m + 1], traj, i)
+            rows, picks = rows.tolist(), picks.tolist()
+            lp_cur_rows = [visit_log_probs(cur, c, z) for c, z in zip(rows, tilts)]
+            lp_ref_rows = [visit_log_probs(ref, c, z) for c, z in zip(rows, tilts)]
             lp_cur = sum(float(row[j]) for row, j in zip(lp_cur_rows, picks))
             lp_ref = sum(float(row[j]) for row, j in zip(lp_ref_rows, picks))
             rho = math.exp(lp_cur - lp_ref)
             if a != 0.0 and not surrogate_is_clipped(rho, a, clip.epsilon):
                 coef = w * a * rho
-                for row, s, j in zip(lp_cur_rows, steps, picks):
-                    grad[s.ctx] -= coef * np.exp(row)
-                    grad[s.ctx, j] += coef
+                for row, c, j in zip(lp_cur_rows, rows, picks):
+                    grad[c] -= coef * np.exp(row)
+                    grad[c, j] += coef
             if eta != 0.0:
-                scale = w * eta / len(steps)
-                for lc, lr_row, s in zip(lp_cur_rows, lp_ref_rows, steps):
+                scale = w * eta / len(rows)
+                for lc, lr_row, c in zip(lp_cur_rows, lp_ref_rows, rows):
                     p = np.exp(lc)
                     diff = lc - lr_row
                     kl = float(np.dot(p, diff))
-                    grad[s.ctx] -= scale * p * (diff - kl)
+                    grad[c] -= scale * p * (diff - kl)
         stepped[i] = np.clip(cur + clip.learn_rate * (grad / m_total), -LOGIT_CLAMP, LOGIT_CLAMP)
     state.policies = stepped
     return state

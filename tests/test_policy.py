@@ -358,7 +358,8 @@ def test_rollout_batch_matches_per_draw_rollouts(name):
     questions = env.generate_questions(32, "t")
     policies = perturbed(env.initial_policies(), seed=1)
     seeds = [derive_key(77, m) for m in range(32)]
-    contexts, answers = env.rollout_batch(questions, env.batch_tilts(questions), policies, seeds)
+    tilts = env.batch_tilts(questions)
+    contexts, answers = env.rollout_batch(questions, tilts, policies, seeds)
     labels = env.answer_space
     assert contexts.shape == answers.shape == (32, env.config.rounds + 1, env.config.num_agents)
     bins = difficulty_bin(questions.difficulty, env.config.difficulty_bins).tolist()
@@ -371,9 +372,10 @@ def test_rollout_batch_matches_per_draw_rollouts(name):
                 assert contexts[m, t, i] == build_context(qf, prev, i, labels)
                 assert answers[m, t, i] == labels.index(answer)
         for i in range(env.honest):
-            steps = env.agent_steps(q, answers[m], i)
-            assert [s.ctx for s in steps] == contexts[m, :, i].tolist()
-            assert [s.answer for s in steps] == answers[m, :, i].tolist()
+            rows, seat_tilts, seat_answers = env.agent_steps(q, answers[m], i)
+            assert np.array_equal(rows, contexts[m, :, i])
+            assert np.array_equal(seat_tilts, tilts[m, :, i])
+            assert np.array_equal(seat_answers, answers[m, :, i])
     assert len(np.unique(answers, axis=0)) > 1
 
 
@@ -749,8 +751,9 @@ def test_trajectory_log_prob_matches_manual_product():
     codes = env.rollout_debate(q, pols, 42)
     for i in range(env.honest):
         manual = 0.0
-        for t, step in enumerate(env.agent_steps(q, codes, i)):
-            p = probs(pols[i], step.ctx, step.tilt)
+        rows, tilts, _ = env.agent_steps(q, codes, i)
+        for t, (ctx, tilt) in enumerate(zip(rows.tolist(), tilts)):
+            p = probs(pols[i], ctx, tilt)
             manual += math.log(p[codes[t, i]])
         assert abs(trajectory_log_prob(env, pols[i], i, q, codes) - manual) < 1e-12
         assert trajectory_log_prob(env, pols[i], i, q, codes) < 0.0
@@ -762,6 +765,23 @@ def test_agent_steps_rejects_compromised_index():
     codes = env.rollout_debate(q, env.initial_policies(), 1)
     with pytest.raises(ValueError, match="compromised"):
         env.agent_steps(q, codes, 2)
+
+
+@pytest.mark.parametrize("count", [0, 2, 3])
+def test_rollout_debate_needs_a_set_of_one(count):
+    env = small_env()
+    questions = env.generate_questions(3, "t")[:count]
+    with pytest.raises(ValueError, match=f"need a set of one question, got {count}"):
+        env.rollout_debate(questions, env.initial_policies(), 1)
+
+
+@pytest.mark.parametrize("count", [0, 2, 3])
+def test_agent_steps_needs_a_set_of_one(count):
+    env = small_env()
+    questions = env.generate_questions(3, "t")
+    codes = env.rollout_debate(questions[:1], env.initial_policies(), 1)
+    with pytest.raises(ValueError, match=f"need a set of one question, got {count}"):
+        env.agent_steps(questions[:count], codes, 0)
 
 
 def test_policy_serialization_round_trip():

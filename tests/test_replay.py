@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from madlab.debate import DebateTrajectory, read_trajectories
-from madlab.metrics import MetricConfig, answer_codes, profiles_from_codes
+from madlab.metrics import MetricConfig, full_profile, profiles_from_codes
 from madlab.policy import DebateEnv, EnvConfig, QuestionSet, derive_key
 from madlab.replay import ReplayBuffer, ReplayConfig, replay_score
 from madlab.rewards import total_reward
@@ -70,7 +70,7 @@ def test_replay_score_is_unit_weight_uncertainty_sum():
         (("A", "B", "C"), ("A", "B", "B"), ("B", "B", "C")),
         "B",
     )
-    profile = profiles_from_codes(answer_codes([traj]), 3, MC)
+    profile = full_profile(traj, MC)
     rewards = total_reward(profile, [True], uniform_coefficients(3))
     expected = profile.flip_rate + profile.u_inter + profile.u_sys
     assert replay_score(rewards) == pytest.approx(expected, abs=1e-15)

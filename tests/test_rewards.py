@@ -10,10 +10,10 @@ import pytest
 
 import brute_oracle as oracle
 from madlab.debate import DebateTrajectory
-from madlab.metrics import MetricConfig, answer_codes, full_profile, profiles_from_codes
+from madlab.metrics import MetricConfig, full_profile, profiles_from_codes
 from madlab.replay import replay_score
 from madlab.rewards import CoefficientSet, total_reward
-from reference_impl import uniform_coefficients
+from reference_impl import profile_row, uniform_coefficients
 
 SPACE = ("A", "B", "C")
 CFG = MetricConfig(lambda_mix=0.5)
@@ -24,10 +24,11 @@ def make_traj(rounds, ground_truth=None, space=SPACE):
 
 
 def scalar_rewards(profile, correct, coeffs):
-    """The per-trajectory reward formula: (r_intra, r_inter, r_sys, r_task, totals)."""
-    r_i = 1.0 - profile.flip_rate
-    r_e = 1.0 - profile.u_inter
-    r_s = 1.0 - profile.u_sys
+    """The per-trajectory reward formula on a batch of one: (r_intra, r_inter,
+    r_sys, r_task, totals)."""
+    r_i = 1.0 - profile.flip_rate.item()
+    r_e = 1.0 - profile.u_inter.item()
+    r_s = 1.0 - profile.u_sys.item()
     r_t = 1.0 if correct else 0.0
     totals = tuple(
         coeffs.alpha[i] * r_i
@@ -50,7 +51,7 @@ def rewards_of(traj, coeffs=None, correct=None):
     if coeffs is None:
         coeffs = uniform_coefficients(len(traj.rounds[0]))
     space = traj.answer_space
-    profiles = profiles_from_codes(answer_codes([traj]), len(space), CFG)
+    profiles = full_profile(traj, CFG)
     if correct is None:
         correct = space[int(profiles.winners[0])] == traj.ground_truth
     rewards = total_reward(profiles, [correct], coeffs)
@@ -163,7 +164,7 @@ def test_array_rewards_and_priorities_equal_the_per_trajectory_formulas():
         for coeffs in (uniform_coefficients(n), weighted,
                        weighted.zeroed("alpha", "beta", "gamma"), weighted.zeroed("beta")):
             rewards = total_reward(profiles, correct, coeffs)
-            scalar = [scalar_rewards(profiles.profile(j), ok, coeffs)
+            scalar = [scalar_rewards(profile_row(profiles, j), ok, coeffs)
                       for j, ok in enumerate(correct.tolist())]
             for got, column in zip((rewards.r_intra, rewards.r_inter, rewards.r_sys,
                                     rewards.r_task, rewards.total), zip(*scalar)):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import stats_oracle as oracle
+from madlab.config import DEFAULT_STRATA_BINS
 from madlab.harness import SummaryRow
 from madlab.metrics import MetricConfig, profiles_from_codes
 from madlab.stats import (
@@ -37,6 +38,7 @@ from madlab.stats import (
     write_separation_csv,
     write_strata_csv,
 )
+from reference_impl import profile_row
 
 
 def make_record(qid, correct, ui=0.0, ue=0.0, us=0.0):
@@ -66,9 +68,9 @@ def selective(records, k_grid):
     return selective_prediction_curve(values["U_sys"], correct, ids, k_grid)
 
 
-def stratify(records, **kwargs):
+def stratify(records, boundaries=DEFAULT_STRATA_BINS):
     values, correct, _ = columns(records)
-    return stratify_by_uncertainty(values["U_sys"], correct, **kwargs)
+    return stratify_by_uncertainty(values["U_sys"], correct, boundaries)
 
 
 # --- incomplete beta / t CDF ------------------------------------------------
@@ -507,7 +509,7 @@ def test_columnar_reports_write_what_the_record_reports_write(case):
     warned = []
     for _ in range(25):
         ids, correct, profiles = outcome_case(rng, case)
-        records = [oracle.OutcomeRecord(qid, ok, profiles.profile(j))
+        records = [oracle.OutcomeRecord(qid, ok, profile_row(profiles, j))
                    for j, (qid, ok) in enumerate(zip(ids, correct.tolist()))]
         values = metric_columns(profiles)
         expected = run_reports(
