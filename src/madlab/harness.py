@@ -4,6 +4,16 @@ Every pipeline is a pure function of its configuration: all randomness flows
 from the environment seed through keyed streams, artifacts never embed
 timestamps, and re-running a pipeline rewrites byte-identical files. All
 artifacts are plain text (CSV / JSONL) so other tooling can consume them.
+
+baseline, train, attack and sweep are lists of Arms (label, eval env, trained
+or not) that one loop, run_arms, evaluates in order; a pipeline builds every
+arm's env before it trains or evaluates anything. Arms whose envs differ only
+in compromised_count form a group that draws its eval questions and tilts once,
+under its member with the fewest compromised seats. An honest seat's draws do
+not depend on the seat count, so each arm plays the first H rows of its group's
+tilts and of its policies, and the arms of a group stay paired. A group's last
+arm pops the tilts into its evaluate_ensemble call, which frees them before it
+profiles. Each distinct (m, N) that leaves no honest majority warns once.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from madlab.metrics import (  # noqa: F401  full_profile: perfbench's tracer tes
     write_profiles_csv,
 )
 from madlab.optim import train, write_training_csv
-from madlab.policy import DebateEnv, QuestionSet, derive_key, save_policy
+from madlab.policy import DebateEnv, EnvConfig, QuestionSet, derive_key, save_policy
 from madlab.rewards import CoefficientSet, total_reward
 from madlab.stats import (
     SeparationReport,
@@ -120,7 +130,7 @@ def evaluate_ensemble(
     """
     seeds = [derive_key(env.config.seed, "eval", qid) for qid in questions.ids.tolist()]
     _, answers = env.rollout_batch(questions, tilts, policies, seeds)
-    del tilts  # a caller that drew the tilts inline frees them before profiling
+    del tilts  # a caller that passed the last reference frees them before profiling
     profiles = profiles_from_codes(answers, len(env.answer_space), metric_config)
     correct = profiles.winners == questions.truth
     return EvalResult(
@@ -167,41 +177,69 @@ def _write_eval_artifacts(out_dir: str, result: EvalResult, coeffs: CoefficientS
     write_rewards_csv(os.path.join(out_dir, "rewards.csv"), result, coeffs)
 
 
+# --------------------------------------------------------------------- arms
+
+
+@dataclass(frozen=True)
+class Arm:
+    """One evaluated ensemble: its summary label, its eval env, and whether its
+    honest seats play the trained tables or the env's initial ones."""
+
+    label: str
+    env: EnvConfig
+    trained: bool = False
+
+
+def run_arms(
+    config: ExperimentConfig,
+    out_dir: str,
+    arms: Sequence[Arm],
+    trained: np.ndarray | None = None,
+) -> tuple[list[EvalResult], PipelineResult]:
+    """Evaluate the arms in order, trained arms under trained's honest rows (see
+    the module docstring); write summary.csv and return each arm's EvalResult."""
+    groups = [dataclasses.replace(arm.env, compromised_count=0) for arm in arms]
+    os.makedirs(out_dir, exist_ok=True)
+    questions: dict[EnvConfig, QuestionSet] = {}
+    tilts: dict[EnvConfig, np.ndarray] = {}
+    results: list[EvalResult] = []
+    warnings: list[str] = []
+    for i, (group, arm) in enumerate(zip(groups, arms)):
+        m, n = arm.env.compromised_count, arm.env.num_agents
+        warning = f"m={m} of {n} agents: no honest majority possible"
+        if 2 * m >= n and warning not in warnings:
+            warnings.append(warning)
+        if group not in questions:
+            lead = DebateEnv(min((a.env for g, a in zip(groups, arms) if g == group),
+                                 key=lambda e: e.compromised_count))
+            questions[group] = lead.generate_questions(config.eval_questions, "eval")
+            tilts[group] = lead.batch_tilts(questions[group])
+        env = DebateEnv(arm.env)
+        policies = trained if arm.trained else env.initial_policies()
+        # a group's last arm pops its tilts, so evaluate_ensemble holds their last reference
+        results.append(evaluate_ensemble(
+            env, questions[group],
+            (tilts[group] if group in groups[i + 1:] else tilts.pop(group))[:, :, :env.honest],
+            policies[:env.honest], config.metric, arm.label
+        ))
+    rows = [result.summary for result in results]
+    write_summary_csv(os.path.join(out_dir, "summary.csv"), rows)
+    return results, PipelineResult(rows=rows, warnings=warnings)
+
+
 # ----------------------------------------------------------------- baseline
 
 
 def run_baseline(config: ExperimentConfig, out_dir: str) -> PipelineResult:
     """Evaluate the untrained ensemble on a fresh question set."""
-    os.makedirs(out_dir, exist_ok=True)
-    env = DebateEnv(config.env)
-    questions = env.generate_questions(config.eval_questions, "eval")
-    # drawn in the call, so the tilts are freed before the artifacts are written
-    result = evaluate_ensemble(
-        env, questions, env.batch_tilts(questions), env.initial_policies(), config.metric,
-        "baseline"
-    )
+    (result,), pipeline = run_arms(config, out_dir, [Arm("baseline", config.env)])
     # all-zero readings: every seat's coefficients at their base values
     coeffs = calibrate_coefficients(np.zeros((3, config.env.num_agents)), config.calibration)
     _write_eval_artifacts(out_dir, result, coeffs)
-    write_summary_csv(os.path.join(out_dir, "summary.csv"), [result.summary])
-    return PipelineResult(rows=[result.summary])
+    return pipeline
 
 
 # ------------------------------------------------------------------- training
-
-
-def _calibrated_coefficients(
-    config: ExperimentConfig,
-    env: DebateEnv,
-    warmup_questions: QuestionSet,
-    tilts: np.ndarray,
-) -> CoefficientSet:
-    """Warm-up rollouts on their tilts under the untrained ensemble, then per-agent scaling."""
-    policies = env.initial_policies()
-    seeds = [derive_key(env.config.seed, "warmup", qid) for qid in warmup_questions.ids.tolist()]
-    _, answers = env.rollout_batch(warmup_questions, tilts, policies, seeds)
-    readings = warmup_profile(answers, len(env.answer_space), config.metric)
-    return calibrate_coefficients(readings, config.calibration)
 
 
 def train_pipeline(
@@ -210,7 +248,9 @@ def train_pipeline(
 ):
     """Shared warm-up -> calibrate -> train core; returns trained state pieces.
 
-    zero_components names calibrated reward components to switch off.
+    The warm-up rollouts run on their tilts under the untrained ensemble and
+    give the per-agent coefficient scaling; zero_components names calibrated
+    reward components to switch off.
     """
     env = DebateEnv(config.env)
     train_questions = env.generate_questions(config.train_questions, "train")
@@ -219,8 +259,11 @@ def train_pipeline(
         train_questions, config.calibration.warmup_fraction
     )
     warm = len(warmup_questions)
-    coeffs = _calibrated_coefficients(config, env, warmup_questions, train_tilts[:warm])
-    coeffs = coeffs.zeroed(*zero_components)
+    seeds = [derive_key(config.env.seed, "warmup", qid) for qid in warmup_questions.ids.tolist()]
+    _, answers = env.rollout_batch(warmup_questions, train_tilts[:warm], env.initial_policies(),
+                                   seeds)
+    readings = warmup_profile(answers, len(env.answer_space), config.metric)
+    coeffs = calibrate_coefficients(readings, config.calibration).zeroed(*zero_components)
     state, buffer = train(
         env,
         optimisation_questions,
@@ -245,16 +288,9 @@ def run_udpo(
     curve, the replay-buffer contents, and a two-row summary comparing the
     untrained and trained ensembles on the same held-out set.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    arms = [Arm("baseline", config.env), Arm("trained", config.env, trained=True)]
     env, state, buffer, coeffs = train_pipeline(config, zero_components)
-    eval_questions = env.generate_questions(config.eval_questions, "eval")
-    eval_tilts = env.batch_tilts(eval_questions)
-    base_result = evaluate_ensemble(
-        env, eval_questions, eval_tilts, env.initial_policies(), config.metric, "baseline"
-    )
-    trained_result = evaluate_ensemble(
-        env, eval_questions, eval_tilts, state.policies, config.metric, "trained"
-    )
+    (_, trained_result), pipeline = run_arms(config, out_dir, arms, state.policies)
     digest = config_hash(config)
     for i in range(env.honest):
         save_policy(
@@ -269,17 +305,10 @@ def run_udpo(
         buffer.dump(os.path.join(out_dir, "replay_buffer.jsonl"))
     write_coefficients_csv(os.path.join(out_dir, "coefficients.csv"), coeffs)
     _write_eval_artifacts(out_dir, trained_result, coeffs)
-    rows = [base_result.summary, trained_result.summary]
-    write_summary_csv(os.path.join(out_dir, "summary.csv"), rows)
-    return PipelineResult(rows=rows)
+    return pipeline
 
 
 # --------------------------------------------------------------------- attack
-
-
-def _majority_warning(m: int, n: int) -> list[str]:
-    """The warning for m compromised seats of n, if they leave no honest majority."""
-    return [f"m={m} of {n} agents: no honest majority possible"] if 2 * m >= n else []
 
 
 def run_attack(
@@ -292,34 +321,15 @@ def run_attack(
     Trains once on the clean environment, then re-evaluates both arms with
     the last m seats replaced by adversaries, for each requested m.
     """
-    n = config.env.num_agents
     clean_env = dataclasses.replace(config.env, compromised_count=0)
     # EnvConfig refuses a bad m, so every arm is checked before training
-    attack_configs = [dataclasses.replace(clean_env, compromised_count=m) for m in m_values]
-    os.makedirs(out_dir, exist_ok=True)
-    env, state, _, _ = train_pipeline(dataclasses.replace(config, env=clean_env))
-    eval_questions = env.generate_questions(config.eval_questions, "eval")
-    eval_tilts = env.batch_tilts(eval_questions)
-    untrained = env.initial_policies()
-    rows = [
-        evaluate_ensemble(env, eval_questions, eval_tilts, untrained, config.metric,
-                          "untrained_clean").summary,
-        evaluate_ensemble(env, eval_questions, eval_tilts, state.policies, config.metric,
-                          "trained_clean").summary,
+    envs = [("clean", clean_env)] + [
+        (f"m{m}", dataclasses.replace(clean_env, compromised_count=m)) for m in m_values
     ]
-    warnings = []
-    for m, attack_config in zip(m_values, attack_configs):
-        warnings += _majority_warning(m, n)
-        attack_env = DebateEnv(attack_config)
-        # the honest seats come first: the last m seats turn adversary and lose their tilts
-        for arm, policies in (("untrained", untrained), ("trained", state.policies)):
-            rows.append(
-                evaluate_ensemble(attack_env, eval_questions, eval_tilts[:, :, : n - m],
-                                  policies[: n - m], config.metric,
-                                  f"{arm}_m{m}").summary
-            )
-    write_summary_csv(os.path.join(out_dir, "summary.csv"), rows)
-    return PipelineResult(rows=rows, warnings=warnings)
+    arms = [Arm(f"{ensemble}_{tag}", env, trained=ensemble == "trained")
+            for tag, env in envs for ensemble in ("untrained", "trained")]
+    _, state, _, _ = train_pipeline(dataclasses.replace(config, env=clean_env))
+    return run_arms(config, out_dir, arms, state.policies)[1]
 
 
 # ------------------------------------------------------------------- analysis
@@ -433,18 +443,6 @@ def run_sweep(
     if not values:
         raise ValueError("sweep needs at least one axis value")
     # EnvConfig refuses a bad value, so every value is checked before the first evaluation
-    env_configs = [dataclasses.replace(config.env, **{SWEEP_AXES[axis]: v}) for v in values]
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    warnings: list[str] = []
-    for value, env_config in zip(values, env_configs):
-        warnings += _majority_warning(env_config.compromised_count, env_config.num_agents)
-        env = DebateEnv(env_config)
-        questions = env.generate_questions(config.eval_questions, "eval")
-        result = evaluate_ensemble(
-            env, questions, env.batch_tilts(questions), env.initial_policies(), config.metric,
-            f"{axis}={value}"
-        )
-        rows.append(result.summary)
-    write_summary_csv(os.path.join(out_dir, "summary.csv"), rows)
-    return PipelineResult(rows=rows, warnings=warnings)
+    arms = [Arm(f"{axis}={v}", dataclasses.replace(config.env, **{SWEEP_AXES[axis]: v}))
+            for v in values]
+    return run_arms(config, out_dir, arms)[1]

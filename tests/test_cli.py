@@ -115,6 +115,21 @@ def test_attack_rows_and_majority_warning(tiny_config, tmp_path, capsys):
     assert "m=2 of 3" in captured.err
 
 
+def test_every_pipeline_warns_once_without_an_honest_majority(tmp_path, capsys):
+    # 3 of 5 seats compromised: baseline and train warn as attack and sweep
+    # do, and a repeated seat count warns once
+    path = tmp_path / "no-majority.ini"
+    path.write_text(TINY_CONFIG.replace("num_agents = 3", "num_agents = 5\ncompromised_count = 3"),
+                    encoding="utf-8")
+    warning = "madlab: warning: m=3 of 5 agents: no honest majority possible\n"
+    runs = {"baseline": [], "train": [], "attack": ["--compromised", "3", "--compromised", "3"],
+            "sweep": ["--axis", "compromised", "--values", "3,3"]}
+    for command, extra in runs.items():
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command),
+                     *extra]) == 0
+        assert capsys.readouterr().err == warning, command
+
+
 def test_attack_rejects_more_seats_than_agents(tiny_config, tmp_path, capsys):
     code = main(["attack", "--config", tiny_config, "--out", str(tmp_path / "x"),
                  "--compromised", "7"])

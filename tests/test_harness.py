@@ -8,6 +8,7 @@ import dataclasses
 import gc
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -155,6 +156,32 @@ def test_a_long_lived_env_keeps_nothing_of_the_questions_it_evaluated():
     assert kept < 256 * 1024, f"{kept} bytes kept"
 
 
+@pytest.mark.parametrize("run, arms", [(run_baseline, 1), (run_udpo, 2)],
+                         ids=["baseline", "udpo"])
+def test_the_tilts_are_freed_before_the_last_arm_profiles(tmp_path, monkeypatch, run, arms):
+    # the last arm's evaluate_ensemble call holds the eval tilts' last
+    # reference and drops it after the rollouts, so eval-wide's peak holds
+    # the tilts or the profiles, not both (training's replay buffer keeps
+    # the train tilts, which are not checked here)
+    draws, all_dead = [], []
+    real_tilts, real_profiles = DebateEnv.batch_tilts, harness.profiles_from_codes
+
+    def recording_tilts(env, questions):
+        tilts = real_tilts(env, questions)
+        if questions.ids[0].startswith("eval-"):
+            draws.append(weakref.ref(tilts))
+        return tilts
+
+    def recording_profiles(*args, **kwargs):
+        all_dead.append(all(ref() is None for ref in draws))
+        return real_profiles(*args, **kwargs)
+
+    monkeypatch.setattr(DebateEnv, "batch_tilts", recording_tilts)
+    monkeypatch.setattr(harness, "profiles_from_codes", recording_profiles)
+    run(tiny_config(), str(tmp_path))
+    assert len(draws) == 1 and len(all_dead) == arms and all_dead[-1]
+
+
 def test_with_seed_replaces_only_the_seed():
     config = tiny_config()
     assert with_seed(config, None) is config
@@ -234,6 +261,23 @@ def test_attack_row_order_and_majority_warning(tmp_path):
         "untrained_m1", "trained_m1", "untrained_m2", "trained_m2",
     ]
     assert result.warnings == ["m=2 of 3 agents: no honest majority possible"]
+
+
+def test_arms_stay_paired_across_pipelines(tmp_path):
+    # one eval draw per seat-count group: an attacked untrained row is the
+    # sweep row at the same m, and the sweep row at the configured m is the
+    # baseline row
+    config = tiny_config(compromised_count=1)
+    attack = {r.label: r for r in run_attack(config, str(tmp_path / "a"), [1, 2]).rows}
+    sweep = run_sweep(config, str(tmp_path / "s"), "compromised", [1, 2]).rows
+    baseline = run_baseline(config, str(tmp_path / "b")).rows
+
+    def outcome(row):
+        return dataclasses.astuple(row)[1:]
+
+    assert [outcome(attack["untrained_m1"]), outcome(attack["untrained_m2"])] == \
+        [outcome(row) for row in sweep]
+    assert outcome(sweep[0]) == outcome(baseline[0])
 
 
 def test_attack_all_seats_compromised_scores_zero(tmp_path):

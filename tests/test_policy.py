@@ -13,7 +13,7 @@ import pytest
 from numpy.random import bit_generator
 
 from madlab import policy as policy_module
-from madlab.harness import run_attack, run_baseline, run_udpo
+from madlab.harness import run_attack, run_baseline, run_sweep, run_udpo
 from madlab.metrics import MetricConfig
 from madlab.optim import ClipConfig, train
 from madlab.policy import (
@@ -500,20 +500,23 @@ def test_tilts_are_drawn_once_per_question_and_copied_out(monkeypatch, rounds):
     assert np.array_equal(env.batch_tilts(questions), first)
 
 
-@pytest.mark.parametrize("run", [
-    run_udpo,
-    lambda config, out: run_attack(config, out, m_values=[1, 2]),
-], ids=["udpo", "attack-m1-m2"])
-def test_each_question_set_draws_its_tilts_once(tmp_path, monkeypatch, run):
-    # run_udpo evaluates its eval set twice and this attack six times, and
-    # the training set feeds both the warm-up and train(); each pipeline
-    # still draws every question's tilt key exactly once
+@pytest.mark.parametrize("run, labels", [
+    (run_udpo, ("train", "eval")),
+    (lambda config, out: run_attack(config, out, m_values=[1, 2]), ("train", "eval")),
+    (lambda config, out: run_sweep(config, out, "compromised", [0, 1, 2]), ("eval",)),
+    (lambda config, out: run_sweep(config, out, "compromised", [2, 0, 1]), ("eval",)),
+], ids=["udpo", "attack-m1-m2", "sweep-compromised-0-1-2", "sweep-compromised-2-0-1"])
+def test_each_question_set_draws_its_tilts_once(tmp_path, monkeypatch, run, labels):
+    # run_udpo evaluates its eval set twice, this attack six times and these
+    # sweeps three times, and the training set feeds both the warm-up and
+    # train(); each pipeline still draws every question's tilt key exactly once
     config = tiny_config()
     passes = record_philox_passes(monkeypatch)
     run(config, str(tmp_path))
     drawn = collections.Counter(d for keys, _ in passes for d in keys)
-    for label, count in (("train", config.train_questions), ("eval", config.eval_questions)):
-        for j in range(count):
+    sizes = {"train": config.train_questions, "eval": config.eval_questions}
+    for label in labels:
+        for j in range(sizes[label]):
             key = policy_module._key_digest(config.env.seed, "tilt", f"{label}-{j:05d}")
             assert drawn[key] == 1, (label, j, drawn[key])
 
