@@ -107,10 +107,7 @@ def profiles_from_codes(answers: np.ndarray, k: int, config: MetricConfig) -> Pr
     intra = lam * flip + (1.0 - lam) * revision
     pairs = n * (n - 1) // 2
     conflicts = (pairs - (counts * (counts - 1) // 2).sum(axis=2)) / pairs
-    inter = conflicts[:, 0].copy()
-    for t in range(1, steps):
-        inter += conflicts[:, t]  # left to right, as Python's sum adds them
-    inter /= steps
+    inter = np.cumsum(conflicts, axis=1)[:, -1] / steps  # rounds added left to right
 
     final, final_counts = answers[:, -1], counts[:, -1]
     distinct = (final_counts > 0).sum(axis=1)

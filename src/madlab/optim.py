@@ -26,7 +26,9 @@ reference version is stale.
 
 Each of train's batches is one index array into its question set and tilts:
 the fresh picks, then the rows the replay buffer samples by priority; the
-buffer stores each scored debate under its question's row.
+buffer stores each scored debate under its question's row. Every
+refresh_period iterations train re-rolls the buffer's rows the same way, as one
+more collect_batch under the stepped tables, and rescores them into the buffer.
 """
 
 from __future__ import annotations
@@ -298,8 +300,7 @@ def train(
         )
     policies = env.initial_policies()
     state = TrainState(policies=policies, reference=policies, ref_version=0, coeffs=coeffs)
-    buffer = (ReplayBuffer(replay_config, train_questions, train_tilts)
-              if replay_config.enabled else None)
+    buffer = ReplayBuffer(replay_config, train_questions) if replay_config.enabled else None
 
     def scored(questions: QuestionSet, answers: np.ndarray):
         profiles = profiles_from_codes(answers, len(env.answer_space), metric_config)
@@ -344,13 +345,14 @@ def train(
         if buffer is not None:
             buffer.push(idx, batch.trajectories, replay_score(rewards), k, state.ref_version)
             if replay_config.refresh_period and k % replay_config.refresh_period == 0:
-                buffer.refresh(
-                    env,
-                    state.policies,
-                    rollout_seed=derive_key(seed, "buffer-refresh", k),
-                    policy_version=state.ref_version,
-                    score=lambda questions, answers: replay_score(scored(questions, answers)[1]),
-                )
+                # keep the re-roll's codes alone, and drop them once stored: a
+                # bound batch would hold its tilts copy until the next refresh
+                stored = train_questions[buffer.index]
+                codes = collect_batch(env, stored, train_tilts[buffer.index], state.policies,
+                                      state.ref_version, derive_key(seed, "buffer-refresh", k),
+                                      np.ones(len(stored))).trajectories
+                buffer.refresh(codes, replay_score(scored(stored, codes)[1]), state.ref_version)
+                del stored, codes
         if k % clip.ref_refresh_period == 0:
             state.reference = state.policies
             state.ref_version += 1

@@ -1,6 +1,6 @@
 """Uncertainty-prioritized experience replay with importance weights.
 
-A buffer serves one training question set and its tilts. Each entry is a
+A buffer is a store over one training question set. Each entry is a
 question's row in that set, its debate's (T+1, N) answer codes and a
 non-negative priority U = (1 - r_intra) + (1 - r_inter) + (1 - r_sys), the
 unit-weight sum of the complements of its reward components; the entries are
@@ -9,18 +9,20 @@ proportional to U**eta; eta = 0, or an all-zero buffer, degrades to uniform,
 and a U**eta that overflows is refused.
 Each draw gets the importance weight (1/len) / p, renormalized so the batch
 mean is exactly 1 (so eta = 0 yields all-ones weights). Capacity eviction is
-FIFO: a push keeps the newest capacity entries.
+FIFO: a push keeps the newest capacity entries. The buffer rolls out nothing:
+optim.train re-rolls its entries' questions and hands refresh the new codes
+and priorities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Callable
+from typing import IO
 
 import numpy as np
 
 from madlab.debate import write_trajectories
-from madlab.policy import QuestionSet, derive_key
+from madlab.policy import QuestionSet
 from madlab.rewards import RewardBatch
 
 
@@ -55,19 +57,25 @@ def replay_score(rewards: RewardBatch) -> np.ndarray:
     return (1.0 - rewards.r_intra) + (1.0 - rewards.r_inter) + (1.0 - rewards.r_sys)
 
 
+def _priorities(scores) -> np.ndarray:
+    scores = np.asarray(scores, dtype=np.float64)
+    if (scores < 0.0).any():
+        raise ValueError(f"replay score must be non-negative, got {scores.min()}")
+    return scores
+
+
 class ReplayBuffer:
     """FIFO-bounded store of scored debates over one question set, with
     prioritized sampling.
 
-    questions[j]'s tilts are tilts[j]. The entries are parallel arrays, oldest
-    first: index (the question's row), answers ((T+1, N) codes each), score,
-    inserted_iteration and policy_version.
+    The entries are parallel arrays, oldest first: index (the question's row),
+    answers ((T+1, N) codes each), score, inserted_iteration and
+    policy_version.
     """
 
-    def __init__(self, config: ReplayConfig, questions: QuestionSet, tilts: np.ndarray) -> None:
+    def __init__(self, config: ReplayConfig, questions: QuestionSet) -> None:
         self.config = config
         self.questions = questions
-        self.tilts = tilts
         empty = np.empty(0, dtype=np.int64)  # fields are rebound, never written into
         self.index = self.answers = self.inserted_iteration = self.policy_version = empty
         self.score = np.empty(0)
@@ -79,10 +87,7 @@ class ReplayBuffer:
              policy_version: int) -> None:
         """Append B debates (question rows, (B, T+1, N) codes, priorities);
         keep the newest capacity entries."""
-        scores = np.asarray(scores, dtype=np.float64)
-        if (scores < 0.0).any():
-            raise ValueError(f"replay score must be non-negative, got {scores.min()}")
-        new = [index, answers, scores, np.full(len(index), iteration),
+        new = [index, answers, _priorities(scores), np.full(len(index), iteration),
                np.full(len(index), policy_version)]
         old = [self.index, self.answers, self.score, self.inserted_iteration, self.policy_version]
         if len(self):  # answers takes its (T+1, N) shape from the first push
@@ -120,24 +125,14 @@ class ReplayBuffer:
         raw = 1.0 / (n * probs[drawn])
         return self.index[drawn], raw / raw.mean()
 
-    def refresh(
-        self,
-        env,
-        policies: np.ndarray,
-        rollout_seed: int,
-        policy_version: int,
-        score: Callable[[QuestionSet, np.ndarray], np.ndarray],
-    ) -> None:
-        """Re-roll every stored question under the honest seats' (H, rows, K)
-        logits, rescore, restamp.
-
-        All entries roll as one batch on their questions' tilts; score maps their
-        questions and re-rolled (B, T+1, N) answer codes to (B,) float64 priorities.
-        """
-        questions = self.questions[self.index]
-        seeds = [derive_key(rollout_seed, j) for j in range(len(self))]
-        _, self.answers = env.rollout_batch(questions, self.tilts[self.index], policies, seeds)
-        self.score = score(questions, self.answers)
+    def refresh(self, answers: np.ndarray, scores: np.ndarray, policy_version: int) -> None:
+        """Replace every entry's codes and priority, in entry order, with a
+        re-roll's (B, T+1, N) codes and (B,) priorities, and restamp its
+        policy version; index and inserted_iteration stay."""
+        if len(answers) != len(self) or len(scores) != len(self):
+            raise ValueError(f"refresh needs {len(self)} debates and scores, "
+                             f"got {len(answers)} and {len(scores)}")
+        self.score, self.answers = _priorities(scores), answers
         self.policy_version = np.full(len(self), policy_version)
 
     def dump(self, path_or_fp: str | IO[str]) -> None:

@@ -161,25 +161,29 @@ def test_a_long_lived_env_keeps_nothing_of_the_questions_it_evaluated():
 def test_the_tilts_are_freed_before_the_last_arm_profiles(tmp_path, monkeypatch, run, arms):
     # the last arm's evaluate_ensemble call holds the eval tilts' last
     # reference and drops it after the rollouts, so eval-wide's peak holds
-    # the tilts or the profiles, not both (training's replay buffer keeps
-    # the train tilts, which are not checked here)
-    draws, all_dead = [], []
+    # the tilts or the profiles, not both; the train tilts die with
+    # train_pipeline, before any arm profiles
+    draws = {"eval": [], "train": []}
+    dead = []  # (eval draw dead, train draw dead) at each evaluation's profiles
     real_tilts, real_profiles = DebateEnv.batch_tilts, harness.profiles_from_codes
 
     def recording_tilts(env, questions):
         tilts = real_tilts(env, questions)
-        if questions.ids[0].startswith("eval-"):
-            draws.append(weakref.ref(tilts))
+        kind = questions.ids[0].split("-")[0]
+        if kind in draws:
+            draws[kind].append(weakref.ref(tilts))
         return tilts
 
     def recording_profiles(*args, **kwargs):
-        all_dead.append(all(ref() is None for ref in draws))
+        dead.append(tuple(all(ref() is None for ref in draws[kind]) for kind in draws))
         return real_profiles(*args, **kwargs)
 
     monkeypatch.setattr(DebateEnv, "batch_tilts", recording_tilts)
     monkeypatch.setattr(harness, "profiles_from_codes", recording_profiles)
     run(tiny_config(), str(tmp_path))
-    assert len(draws) == 1 and len(all_dead) == arms and all_dead[-1]
+    assert len(draws["eval"]) == 1 and len(draws["train"]) == arms - 1
+    assert len(dead) == arms and dead[-1][0]
+    assert [train_dead for _, train_dead in dead] == [True] * arms
 
 
 def test_with_seed_replaces_only_the_seed():

@@ -41,7 +41,7 @@ from madlab.policy import (
     difficulty_bin,
     save_policy,
 )
-from madlab.replay import ReplayBuffer, ReplayConfig
+from madlab.replay import ReplayBuffer, ReplayConfig, replay_score
 from madlab.rewards import total_reward
 from reference_impl import (
     build_context,
@@ -453,18 +453,20 @@ def test_batched_paths_open_no_act_stream_and_rebuild_no_steps(monkeypatch):
     batch = collect_batch(env, questions, tilts, policies, 0, 5, [1.0] * 6)
     evaluate_ensemble(env, questions, tilts, policies, MC, "eval")
     evaluate_ensemble(env, questions, tilts, policies, MC, "eval")
-    buffer = ReplayBuffer(ReplayConfig(), questions, tilts)
+    buffer = ReplayBuffer(ReplayConfig(), questions)
     buffer.push(np.arange(6), batch.trajectories, np.ones(6), iteration=1, policy_version=0)
-    buffer.refresh(env, policies, rollout_seed=9, policy_version=1,
-                   score=lambda qs, answers: [1.0] * len(qs))
+    # a buffer refresh as train makes it: the stored rows re-rolled as one batch
+    stored = collect_batch(env, questions[buffer.index], tilts[buffer.index], policies, 0, 9,
+                           np.ones(6))
+    buffer.refresh(stored.trajectories, np.ones(6), policy_version=1)
     coeffs = uniform_coefficients(4)
     state = TrainState(policies=policies, reference=env.initial_policies(), ref_version=0,
                        coeffs=coeffs)
     gradient_step(env, state, batch, ClipConfig(), batch_totals(batch, coeffs))
     assert opened == []
-    # collect_batch, evaluate_ensemble, refresh and gradient_step draw no tilt
-    # key: every pass is one act key per debate of the batch, the evaluations
-    # and the refresh
+    # collect_batch, evaluate_ensemble, the refresh's re-roll and gradient_step
+    # draw no tilt key: every pass is one act key per debate of the batch, the
+    # evaluations and the re-roll
 
     def act_keys(seeds):
         return [policy_module._key_digest(s, "act", qid)
@@ -574,8 +576,11 @@ def test_full_replay_fraction_draws_every_later_batch_from_the_buffer(monkeypatc
     tilts = env.batch_tilts(questions)
     clip = ClipConfig(batch_size=6, iterations=4)
     replay = ReplayConfig(capacity=10, fraction=1.0, refresh_period=2)
-    picks, samples, batches = [], [], []
+    picks, samples, batches, rerolls = [], [], [], []
     real_stream, real_sample, real_collect = optim.rng_stream, ReplayBuffer.sample, collect_batch
+    # collect_batch rolls each training batch and each buffer refresh's
+    # re-roll; their rollout seeds tell the two apart
+    refresh_seeds = {derive_key(11, "buffer-refresh", k) for k in (2, 4)}
 
     class RecordedPicks:
         def __init__(self, rng):
@@ -589,9 +594,11 @@ def test_full_replay_fraction_draws_every_later_batch_from_the_buffer(monkeypatc
         samples.append(real_sample(self, count, rng))
         return samples[-1]
 
-    def recording_collect(env, questions, *args):
-        batches.append(real_collect(env, questions, *args))
-        return batches[-1]
+    def recording_collect(env, questions, tilts, policies, ref_version, rollout_seed, weights):
+        log = rerolls if rollout_seed in refresh_seeds else batches
+        log.append(real_collect(env, questions, tilts, policies, ref_version, rollout_seed,
+                                weights))
+        return log[-1]
 
     monkeypatch.setattr(optim, "rng_stream", lambda *tokens: (
         RecordedPicks(real_stream(*tokens)) if tokens[1] == "pick" else real_stream(*tokens)))
@@ -599,23 +606,77 @@ def test_full_replay_fraction_draws_every_later_batch_from_the_buffer(monkeypatc
     monkeypatch.setattr(optim, "collect_batch", recording_collect)
 
     def run():
-        for log in (picks, samples, batches):
+        for log in (picks, samples, batches, rerolls):
             log.clear()
         state, buffer = train(env, questions, tilts, uniform_coefficients(3), clip, MC, 11,
                               replay)
         dump = io.StringIO()
         buffer.dump(dump)
-        return state.history, policies_text(env, state.policies), dump.getvalue()
+        return state.history, policies_text(env, state.policies), dump.getvalue(), buffer
 
     first = run()
-    assert run() == first
+    *again, buffer = run()
+    assert again == list(first[:3])
     assert [len(p) for p in picks] == [6, 0, 0, 0]
+    assert len(batches) == 4
     assert same_questions(batches[0].questions, questions[picks[0]])
     assert batches[0].weights.dtype == np.float64 and batches[0].weights.tolist() == [1.0] * 6
     assert len(samples) == 3
     for batch, (rows, weights) in zip(batches[1:], samples):
         assert same_questions(batch.questions, questions[rows])
         assert np.array_equal(batch.weights, weights)
+    # the two refreshes re-roll the whole capacity-bound buffer, weights 1;
+    # the last one's codes are the ones the buffer keeps
+    assert [len(r.questions) for r in rerolls] == [10, 10]
+    assert all(r.weights.tolist() == [1.0] * 10 for r in rerolls)
+    assert same_questions(rerolls[-1].questions, questions[buffer.index])
+    assert np.array_equal(rerolls[-1].trajectories, buffer.answers)
+
+
+def test_buffer_refresh_rerolls_rescores_and_restamps_the_stored_rows(monkeypatch):
+    # at iteration k, after the step, train re-rolls every stored row on its
+    # tilts under the stepped tables, slot j keyed derive_key(derive_key(seed,
+    # "buffer-refresh", k), j), and rescores it through the batch's rewards;
+    # each entry keeps its question row and the iteration it was pushed at
+    env = small_env(num_agents=3, rounds=2, seed=6)
+    questions = env.generate_questions(12, "t")
+    tilts = env.batch_tilts(questions)
+    coeffs = uniform_coefficients(3)
+    before = []
+    real_refresh = ReplayBuffer.refresh
+
+    def recording_refresh(self, answers, scores, policy_version):
+        before.append((self.index.tolist(), self.inserted_iteration.tolist()))
+        real_refresh(self, answers, scores, policy_version)
+
+    monkeypatch.setattr(ReplayBuffer, "refresh", recording_refresh)
+    # one refresh, at the last iteration: its tables are the trained ones
+    state, buffer = train(env, questions, tilts, coeffs, ClipConfig(batch_size=6, iterations=4),
+                          MC, 11, ReplayConfig(capacity=8, refresh_period=4))
+    assert before == [(buffer.index.tolist(), [3, 3] + [4] * 6)]
+    assert buffer.inserted_iteration.tolist() == [3, 3] + [4] * 6
+    assert buffer.policy_version.tolist() == [3] * 8  # the reference moves on after it
+    rows = buffer.index
+    seeds = [derive_key(derive_key(11, "buffer-refresh", 4), j) for j in range(8)]
+    _, expected = env.rollout_batch(questions[rows], tilts[rows], state.policies, seeds)
+    np.testing.assert_array_equal(buffer.answers, expected)
+
+    def priorities(codes):
+        profiles = profiles_from_codes(codes, 4, MC)
+        correct = profiles.winners == questions.truth[rows]
+        return replay_score(total_reward(profiles, correct, coeffs))
+
+    assert buffer.score.tobytes() == priorities(expected).tobytes()
+    # the same tables and seed again: the re-roll is a fixed point
+    def entries():
+        return [f.tolist() for f in (buffer.index, buffer.answers, buffer.score,
+                                     buffer.inserted_iteration, buffer.policy_version)]
+
+    snapshot = entries()
+    stored = collect_batch(env, questions[rows], tilts[rows], state.policies, 3,
+                           derive_key(11, "buffer-refresh", 4), np.ones(8))
+    buffer.refresh(stored.trajectories, priorities(stored.trajectories), policy_version=3)
+    assert entries() == snapshot
 
 
 def test_train_rejects_coefficients_for_another_seat_count():

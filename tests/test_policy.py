@@ -379,6 +379,58 @@ def test_rollout_batch_matches_per_draw_rollouts(name):
     assert len(np.unique(answers, axis=0)) > 1
 
 
+def boundary_rollout(env, questions, tilts, policies, rng):
+    """A reference rollout whose every honest act's uniform sits on an entry
+    of its softmax cumsum, or one 2**-53 grid step below it, picked among the
+    entries a unit double can take (the multiples of 2**-53 in (0, 1)), else
+    at 1 - 2**-53. Each round's probabilities come from reference_impl.probs
+    on the contexts of the reference's own answers. Returns the (B, T+1, N)
+    uniforms and the answer codes they draw."""
+    b, steps, n = len(questions), env.config.rounds + 1, env.config.num_agents
+    labels = env.answer_space
+    bins = difficulty_bin(questions.difficulty, env.config.difficulty_bins).tolist()
+    uniforms = np.zeros((b, steps, n))
+    codes = np.empty((b, steps, n), dtype=np.int64)
+    codes[:, :, env.honest:] = env.adversary[questions.truth][:, None, None]
+    for m, qf in enumerate(bins):
+        for t in range(steps):
+            prev = [labels[c] for c in codes[m, t - 1]] if t else None
+            for i in range(env.honest):
+                p = probs(policies[i], build_context(qf, prev, i, labels), tilts[m, t, i])
+                cum = np.cumsum(p)[:-1]
+                on_grid = cum[(cum > 0.0) & (cum < 1.0) & (cum * 2.0**53 % 1.0 == 0.0)]
+                u = 1.0 - 2.0**-53
+                if len(on_grid):
+                    u = rng.choice(on_grid) - rng.integers(2) * 2.0**-53
+                uniforms[m, t, i] = u
+                codes[m, t, i] = np.searchsorted(cum, u, side="right")
+    return uniforms, codes
+
+
+@pytest.mark.parametrize("k", [4, 12])
+def test_rollout_batch_softmax_matches_the_reference_bit_for_bit(monkeypatch, k):
+    # Each act's uniform sits on a boundary of the reference's cumsum, so an
+    # answer moves when the engine's softmax or cumsum differs from the
+    # reference's in the last bit; a random uniform almost never lands that
+    # close. K = 12 takes _label_sum's lane sums.
+    env = DebateEnv(EnvConfig(seed=8, answer_space_size=k, compromised_count=1))
+    questions = env.generate_questions(64, "t")
+    tilts = env.batch_tilts(questions)  # drawn before the act uniforms are patched
+    policies = perturbed(env.initial_policies(), seed=3)
+    uniforms, expected = boundary_rollout(env, questions, tilts, policies,
+                                          np.random.default_rng(k))
+    words = uniforms.reshape(len(questions), -1)
+
+    def boundary_doubles(raw):
+        assert raw.shape == words.shape  # the act words, in one pass
+        return words
+
+    monkeypatch.setattr(policy_module, "_unit_doubles", boundary_doubles)
+    seeds = [derive_key(1, m) for m in range(len(questions))]
+    assert np.array_equal(env.rollout_batch(questions, tilts, policies, seeds)[1], expected)
+    assert len(np.unique(expected[:, :, :env.honest])) == k
+
+
 def test_a_trajectory_does_not_depend_on_its_batch(monkeypatch):
     env = DebateEnv(EnvConfig(seed=6, compromised_count=1))
     questions = env.generate_questions(300, "t")
@@ -487,10 +539,12 @@ def test_tilts_are_drawn_once_per_question_and_copied_out(monkeypatch, rounds):
     drawn = [d for keys, _ in passes[1:] for d in keys]
     assert not set(drawn) & set(tilt_keys)
     assert len(drawn) == 5 * 4 + 2 * 8  # 5 batches and 2 full-buffer refreshes
-    # the buffer reads the one array of training tilts, not per-batch
-    # copies, and each stored index names the question its debate was rolled
+    # the buffer holds no tilts (train re-rolls its rows on the training
+    # tilts), and each stored index names the question its debate was rolled
     # on: the compromised seat answers adversary[truth] of that question
-    assert buffer.tilts is tilts and buffer.questions is questions
+    assert not hasattr(buffer, "tilts") and buffer.questions is questions
+    assert not any(isinstance(field, np.ndarray) and np.may_share_memory(field, tilts)
+                   for field in vars(buffer).values())
     assert len(buffer) == 8
     for j, codes in zip(buffer.index.tolist(), buffer.answers):
         assert (codes[:, 3] == env.adversary[questions.truth[j]]).all()

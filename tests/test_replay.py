@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from madlab.debate import DebateTrajectory, read_trajectories
-from madlab.metrics import MetricConfig, full_profile, profiles_from_codes
-from madlab.policy import DebateEnv, EnvConfig, QuestionSet, derive_key
+from madlab.metrics import MetricConfig, full_profile
+from madlab.policy import QuestionSet
 from madlab.replay import ReplayBuffer, ReplayConfig, replay_score
 from madlab.rewards import total_reward
 from reference_impl import uniform_coefficients
@@ -30,26 +30,10 @@ CODES = np.array([(0, 1), (0, 1)])  # one debate's (T+1, N) answer codes
 
 
 def make_buffer(config, count):
-    """A buffer over questions q0, q1, ... over (A, B) with truth A, and their
-    zero (T+1, H, K) tilts."""
+    """A buffer over questions q0, q1, ... over (A, B) with truth A."""
     questions = QuestionSet(("A", "B"), np.array([f"q{j}" for j in range(count)]),
                             np.zeros(count, dtype=np.int64), np.full(count, 0.5))
-    return ReplayBuffer(config, questions, np.zeros((count, *CODES.shape, 2)))
-
-
-def batch_scores(questions, answers):
-    """refresh's score callback: each re-rolled debate's priority through the
-    batch's profiles and rewards."""
-    assert answers.shape[0] == len(questions)
-    profiles = profiles_from_codes(answers, len(questions.answer_space), MC)
-    coeffs = uniform_coefficients(answers.shape[2])
-    # r_task does not enter the priority
-    return replay_score(total_reward(profiles, np.zeros(len(answers), dtype=bool), coeffs))
-
-
-def score_of(question, codes):
-    """Replay priority of one debate of a set of one question, scored as a batch of one."""
-    return batch_scores(question, codes[None])[0]
+    return ReplayBuffer(config, questions)
 
 
 def fixed_buffer(eta, scores=FIXED_SCORES):
@@ -220,42 +204,40 @@ def test_dump_restore_roundtrip(tmp_path):
 # --------------------------------------------------------------------- refresh
 
 
-def test_refresh_rerolls_rescores_and_restamps():
-    env = DebateEnv(
-        EnvConfig(
-            num_agents=2,
-            rounds=1,
-            answer_space_size=4,
-            skills=(0.9, 0.8),
-            difficulty="fixed:1.0",
-            seed=5,
-        )
-    )
-    questions = env.generate_questions(3, "t")
-    policies = env.initial_policies()
-    tilts = env.batch_tilts(questions)
-    buffer = ReplayBuffer(ReplayConfig(), questions, tilts)
-    codes = np.stack([env.rollout_debate(questions[j:j + 1], policies, derive_key(100, j))
-                      for j in range(3)])
-    buffer.push(np.arange(3), codes, [score_of(questions[j:j + 1], c) for j, c in enumerate(codes)],
-                iteration=1, policy_version=0)
-    buffer.refresh(env, policies, rollout_seed=777, policy_version=9, score=batch_scores)
-    assert buffer.index.tolist() == [0, 1, 2]
-    assert buffer.tilts is tilts  # kept, not redrawn
-    for j in range(3):
-        q = questions[j:j + 1]
-        expected = env.rollout_debate(q, policies, derive_key(777, j))
-        np.testing.assert_array_equal(buffer.answers[j], expected)
-        assert buffer.score[j] == score_of(q, expected)
-    assert buffer.policy_version.tolist() == [9] * 3
-    assert buffer.inserted_iteration.tolist() == [1] * 3
-    # Same policies and seed: a second refresh is a fixed point.
-    snapshot = (buffer.answers.tolist(), buffer.score.tolist())
-    buffer.refresh(env, policies, rollout_seed=777, policy_version=9, score=batch_scores)
-    assert snapshot == (buffer.answers.tolist(), buffer.score.tolist())
-    # an empty buffer has nothing to re-roll
-    ReplayBuffer(ReplayConfig(), questions, tilts).refresh(env, policies, 777, 9,
-                                                           score=lambda qs, answers: np.empty(0))
+def test_refresh_replaces_codes_and_priorities_and_restamps():
+    # the buffer stores what a re-roll hands it (train re-rolls the entries'
+    # questions: tests/test_optim.py); each entry keeps its question row and
+    # the iteration it was pushed at
+    buffer = fixed_buffer(1.0)
+    rerolled = np.stack([CODES[::-1] * (j % 2) for j in range(len(buffer))])
+    scores = np.arange(len(buffer)) / 10
+    buffer.refresh(rerolled, scores, policy_version=9)
+    assert buffer.index.tolist() == list(range(5))
+    assert buffer.inserted_iteration.tolist() == list(range(5))
+    np.testing.assert_array_equal(buffer.answers, rerolled)
+    assert buffer.score.dtype == np.float64 and buffer.score.tolist() == scores.tolist()
+    assert buffer.policy_version.tolist() == [9] * 5
+
+    def entries():
+        return [f.tolist() for f in (buffer.index, buffer.answers, buffer.score,
+                                     buffer.inserted_iteration, buffer.policy_version)]
+
+    # the same codes and priorities again: a fixed point
+    snapshot = entries()
+    buffer.refresh(rerolled, scores, policy_version=9)
+    assert entries() == snapshot
+    # a re-roll of other entries, or a negative priority, is refused and
+    # leaves the buffer as it was
+    for bad_answers, bad_scores, match in ((rerolled[:4], scores, "5 debates and scores"),
+                                           (rerolled, scores[:4], "5 debates and scores"),
+                                           (rerolled, -scores, "non-negative")):
+        with pytest.raises(ValueError, match=match):
+            buffer.refresh(bad_answers, bad_scores, policy_version=10)
+        assert entries() == snapshot
+    # an empty buffer takes an empty re-roll
+    empty = make_buffer(ReplayConfig(), 3)
+    empty.refresh(np.empty((0, *CODES.shape), dtype=np.int64), np.empty(0), policy_version=9)
+    assert len(empty) == 0
 
 
 # ----------------------------------------------------------------- validation
